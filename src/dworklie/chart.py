@@ -14,6 +14,7 @@ from __future__ import annotations
 from .errors import DworkError, EliminationStuck
 from .geometry import Setup, family_dims, frame_connection, pairing_form, \
     pairing_matrix
+from .linalg import MatF
 from .ratfn import RatFn, ratfn_string
 
 
@@ -39,15 +40,15 @@ def slot_layout(n):
 
 
 class Chart:
-    """Built by build_chart; immutable afterwards by convention."""
+    """Built by build_chart; immutable afterwards by convention, except for
+    the memo slots, which full_connection, modular_vf and basis_vf fill on
+    first use."""
 
     __slots__ = ("n", "d", "m", "rho", "ncoords", "setup", "ring", "S",
                  "omega", "phi", "conn_base", "indep_slots", "pivot_slot",
                  "pivot_var", "dep_exprs", "kappa", "disc",
-                 "rule_extrapolated", "coords")
-
-    def coord_vars(self):
-        return self.coords
+                 "rule_extrapolated", "coords",
+                 "memo_conn", "memo_modular", "memo_basis")
 
     def relation_string(self):
         if self.pivot_var is None:
@@ -63,22 +64,30 @@ class Chart:
         return None
 
 
-def _entry_sum(omega, entries, i, j, unknown_slot, xval, ring):
-    """(S omega S^T)_{ij} with the one unknown slot set to xval."""
-    total = RatFn.of(ring, 0)
+def _entry_coeffs(omega, entries, i, j, unknown):
+    """(S omega S^T)_{ij} as a polynomial in the value of the unknown slot:
+    its (constant, linear, quadratic) coefficients.  Each product is filed
+    by how many of its two frame factors are the unknown slot."""
+    zero = RatFn.of(omega.ring, 0)
+    coeffs = [zero, zero, zero]
     for k in range(1, i + 1):
-        a = xval if (i, k) == unknown_slot else entries.get((i, k))
-        if a is None or a.is_zero:
+        ka = (i, k) == unknown
+        a = entries.get((i, k))
+        if not ka and (a is None or a.is_zero):
             continue
         for l in range(1, j + 1):
             w = omega.get1(k, l)
             if w.is_zero:
                 continue
-            b = xval if (j, l) == unknown_slot else entries.get((j, l))
-            if b is None or b.is_zero:
+            kb = (j, l) == unknown
+            b = entries.get((j, l))
+            if not kb and (b is None or b.is_zero):
                 continue
-            total = total + a * w * b
-    return total
+            term = w if ka else a * w
+            if not kb:
+                term = term * b
+            coeffs[ka + kb] = coeffs[ka + kb] + term
+    return coeffs
 
 
 def build_chart(n, c_value=None):
@@ -91,8 +100,8 @@ def build_chart(n, c_value=None):
     the chart relation."""
     setup = Setup(n, c_value)
     omega = pairing_matrix(setup)
-    phi = pairing_form(setup)
     ring = setup.ring
+    phi = pairing_form(ring, n)
     indep, pivot_slot, pivot_var = slot_layout(n)
 
     t1 = RatFn.var(ring, "t1")
@@ -114,17 +123,11 @@ def build_chart(n, c_value=None):
 
     kappa = None
     dep_exprs = {}
-    zero = RatFn.of(ring, 0)
-    one = RatFn.of(ring, 1)
 
     for (i, j) in eqs:
         if (i, j) == pivot_slot:
             # middle equation: x^2 * omega_cc = 1 defines the slot relation
-            c0 = _entry_sum(omega, entries, i, j, (i, j), zero, ring)
-            c1 = _entry_sum(omega, entries, i, j, (i, j), one, ring)
-            cm = _entry_sum(omega, entries, i, j, (i, j), -one, ring)
-            quad = (c1 + cm - c0 - c0) / 2
-            lin = (c1 - cm) / 2
+            c0, lin, quad = _entry_coeffs(omega, entries, i, j, (i, j))
             if quad.is_zero or not lin.is_zero or not c0.is_zero:
                 raise EliminationStuck("middle slot equation is not purely quadratic")
             rhs = phi.get1(i, j) / quad
@@ -135,7 +138,6 @@ def build_chart(n, c_value=None):
                 raise EliminationStuck(f"relation scale depends on {bad}")
             ring2 = ring.with_relation(pivot_var, rhs.num, rhs.den)
             # migrate everything built so far
-            from .linalg import MatF
             entries = {s: v.lift(ring2) for s, v in entries.items()}
             dep_exprs = {s: v.lift(ring2) for s, v in dep_exprs.items()}
             omega = MatF(ring2, [[f.lift(ring2) for f in r] for r in omega.rows])
@@ -146,8 +148,6 @@ def build_chart(n, c_value=None):
             tb = RatFn.var(ring, setup.base2)
             disc = t1 ** (n + 2) - tb
             kappa = kappa.lift(ring2)
-            zero = RatFn.of(ring, 0)
-            one = RatFn.of(ring, 1)
             entries[pivot_slot] = RatFn.var(ring, pivot_var)
             continue
 
@@ -167,7 +167,7 @@ def build_chart(n, c_value=None):
                     occ.add(b)
         present = sorted(occ)
         if not present:
-            val = _entry_sum(omega, entries, i, j, None, None, ring)
+            val = _entry_coeffs(omega, entries, i, j, None)[0]
             if val != phi.get1(i, j):
                 raise EliminationStuck(
                     f"consistency failure at calibration slot ({i},{j})")
@@ -176,13 +176,9 @@ def build_chart(n, c_value=None):
             raise EliminationStuck(
                 f"equation ({i},{j}) involves {len(present)} unsolved slots")
         slot = present[0]
-        c0 = _entry_sum(omega, entries, i, j, slot, zero, ring)
-        c1 = _entry_sum(omega, entries, i, j, slot, one, ring)
-        cm = _entry_sum(omega, entries, i, j, slot, -one, ring)
-        quad = (c1 + cm - c0 - c0) / 2
+        c0, lin, quad = _entry_coeffs(omega, entries, i, j, slot)
         if not quad.is_zero:
             raise EliminationStuck(f"equation ({i},{j}) is quadratic in slot {slot}")
-        lin = (c1 - cm) / 2
         if lin.is_zero:
             raise EliminationStuck(f"equation ({i},{j}) does not see slot {slot}")
         val = (phi.get1(i, j) - c0) / lin
@@ -193,7 +189,6 @@ def build_chart(n, c_value=None):
     if unsolved:
         raise EliminationStuck(f"slots left unsolved: {sorted(unsolved)}")
 
-    from .linalg import MatF
     S = MatF.zeros(ring, n + 1)
     for (i, j), v in entries.items():
         S.set1(i, j, v)
@@ -215,6 +210,7 @@ def build_chart(n, c_value=None):
     ch.disc = disc
     ch.rule_extrapolated = n >= 5
     ch.coords = tuple(f"t{i}" for i in range(1, setup.ncoords + 1))
+    ch.memo_conn = ch.memo_modular = ch.memo_basis = None
     return ch
 
 

@@ -30,7 +30,7 @@ from .liealg import (NotMember, amsy_decompose, fR_identities, verify_flatness,
                      verify_theorem2)
 from .linalg import VecField
 from .modular import (basis_vf, modular_vf, sl2_triple, truncate_poly, weights)
-from .ratfn import RatFn, _ordkey, _tscale, parse_ratfn, ratfn_string
+from .ratfn import LATEX, RatFn, parse_ratfn, ratfn_string
 
 EX_OK, EX_MISMATCH, EX_STRUCTURAL, EX_USAGE = 0, 1, 2, 64
 
@@ -59,48 +59,9 @@ def matrix_json(M):
             for i in range(1, M.nrows + 1)]
 
 
-def _latex_var(nm):
-    head = nm.rstrip("0123456789")
-    tail = nm[len(head):]
-    return f"{head}_{{{tail}}}" if tail else head
-
-
-def _latex_mono(e, c, names):
-    parts = []
-    for nm, k in zip(names, e):
-        if k == 1:
-            parts.append(_latex_var(nm))
-        elif k > 1:
-            parts.append(f"{_latex_var(nm)}^{{{k}}}")
-    ac = abs(c)
-    if not parts:
-        return str(ac)
-    body = " ".join(parts)
-    return body if ac == 1 else f"{ac} {body}"
-
-
-def _latex_poly(terms, names):
-    items = sorted(terms.items(), key=lambda kv: _ordkey(kv[0]))
-    out = []
-    for i, (e, c) in enumerate(items):
-        m = _latex_mono(e, c, names)
-        if i == 0:
-            out.append(f"-{m}" if c < 0 else m)
-        else:
-            out.append(f" - {m}" if c < 0 else f" + {m}")
-    return "".join(out)
-
-
 def latex_ratfn(r):
     """Same term order as the canonical string, TeX spelling."""
-    if r.num.is_zero:
-        return "0"
-    names = r.ring.names
-    D = _tscale(r.den.terms, r.num.den)
-    if D == {(0,) * r.ring.nvars: 1}:
-        return _latex_poly(r.num.terms, names)
-    return "\\frac{%s}{%s}" % (_latex_poly(r.num.terms, names),
-                               _latex_poly(D, names))
+    return ratfn_string(r, LATEX)
 
 
 def latex_field(vf, coords):
@@ -115,7 +76,7 @@ def latex_field(vf, coords):
             cs = f"\\left({cs}\\right)"
         elif cs.startswith("-"):
             sign, cs = "-", cs[1:]
-        term = cs + "\\,\\frac{\\partial}{\\partial %s}" % _latex_var(v)
+        term = cs + "\\,\\frac{\\partial}{\\partial %s}" % LATEX.var(v)
         if not parts:
             parts.append(term if sign == "+" else "-" + term)
         else:
@@ -450,7 +411,7 @@ def cmd_ra(args, out):
 
 def _latex_relation(ch):
     rel = ch.kappa * ch.disc
-    return f"{_latex_var(ch.pivot_var)}^{{2}} = {latex_ratfn(rel)}"
+    return f"{LATEX.var(ch.pivot_var)}^{{2}} = {latex_ratfn(rel)}"
 
 
 def cmd_basis(args, out):
@@ -555,7 +516,7 @@ def cmd_action(args, out):
                f"({mult} multiplicative, {add} additive)")
     for v in ch.coords:
         if args.format == "latex":
-            out.append(f"\\[ {_latex_var(v)} \\mapsto "
+            out.append(f"\\[ {LATEX.var(v)} \\mapsto "
                        f"{latex_ratfn(formulas[v])} \\]")
         else:
             out.append(f"{v} -> {ratfn_string(formulas[v])}")

@@ -10,24 +10,16 @@ that must vanish identically."""
 from __future__ import annotations
 
 from .errors import LinearInconsistent, NoSuchField
-from .linalg import MatF, OneFormMat, VecField, solve_linear
+from .linalg import OneFormMat, VecField, solve_linear
 from .ratfn import RatFn
-
-
-def connection_component(S, Bv, var):
-    """(d_var S + S*Bv) * S^-1 for one coordinate direction."""
-    return (S.derive(var) + S @ Bv) @ S.inverse()
-
-
-_CONN = {}
 
 
 def full_connection(chart):
     """OneFormMat A with A[v] = (d_v S + S*B[v]) * S^-1 over every chart
-    variable; B[v] is zero except in the two base directions."""
-    hit = _CONN.get(id(chart))
-    if hit is not None and hit[0] is chart:
-        return hit[1]
+    variable; B[v] is zero except in the two base directions.  Computed
+    once per chart and kept in its memo slot."""
+    if chart.memo_conn is not None:
+        return chart.memo_conn
     S = chart.S
     Sinv = S.inverse()
     A = OneFormMat(chart.ring, chart.n + 1)
@@ -37,7 +29,7 @@ def full_connection(chart):
         if Bv is not None:
             M = M + S @ Bv
         A.set(v, M @ Sinv)
-    _CONN[id(chart)] = (chart, A)
+    chart.memo_conn = A
     return A
 
 

@@ -79,16 +79,14 @@ def stirling2(k, j):
     return q
 
 
-def pairing_form(setup):
-    """Constant pairing on the chart group: antidiagonal, split signs when n is
-    odd (symplectic type), all ones when n is even (symmetric type)."""
-    n = setup.n
-    P = MatF.zeros(setup.ring, n + 1)
+def pairing_form(ring, n):
+    """Constant pairing on the chart group over the given ring: antidiagonal,
+    split signs when n is odd (symplectic type), all ones when n is even
+    (symmetric type)."""
+    _, m, _ = family_dims(n)
+    P = MatF.zeros(ring, n + 1)
     for i in range(1, n + 2):
-        val = 1
-        if setup.rho and i > setup.m:
-            val = -1
-        P.set1(i, n + 2 - i, val)
+        P.set1(i, n + 2 - i, -1 if (n % 2 and i > m) else 1)
     return P
 
 

@@ -41,20 +41,10 @@ def lie_gen(n, a, b, ring=None):
     if (ra, rb) != (a, b):
         sign = 1 if (n % 2 and b >= m + 1) else -1
         M.set1(ra, rb, RatFn.of(ring, sign))
-    phi = _phi(ring, n)
+    phi = pairing_form(ring, n)
     if not (M.transpose() @ phi + phi @ M).is_zero:
         raise DworkError(f"basis matrix ({a},{b}) violates the pairing identity")
     return M
-
-
-def _phi(ring, n):
-    """Constant pairing matrix over an arbitrary ring."""
-    _, m, _ = family_dims(n)
-    P = MatF.zeros(ring, n + 1)
-    for i in range(1, n + 2):
-        val = -1 if (n % 2 and i > m) else 1
-        P.set1(i, n + 2 - i, RatFn.of(ring, val))
-    return P
 
 
 def subgroup_pairs(n):
@@ -138,7 +128,7 @@ def group_elem(n, params, c=None, ring=None):
     M = MatF.identity(ring, n + 1)
     for i, gamma in enumerate(vals, start=1):
         M = M @ factor_matrix(n, i, gamma, ring)
-    phi = _phi(ring, n)
+    phi = pairing_form(ring, n)
     if M.transpose() @ phi @ M != phi:
         raise DworkError("assembled element does not preserve the pairing")
     return GroupElem(n, ring, vals, M)

@@ -6,13 +6,14 @@ identities.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .chart import chart_of_ring, resolve_chart
-from .connection import full_connection, vf_from_target
+from .connection import full_connection
 from .errors import DworkError
 from .group import basis_pairs, lie_gen
-from .linalg import MatF, VecField
+from .linalg import VecField, _gauss_jordan
 from .modular import basis_vf, modular_vf, quasi_degree, sl2_triple, weights
 from .ratfn import RatFn
 
@@ -263,11 +264,13 @@ def generator_rank(n, c=None, seed=0):
                 continue
             point[ch.pivot_var] = val
         try:
-            mat = [[f.get(v).eval(point) for v in ch.coords]
+            mat = [[RatFn.of(ch.ring, f.get(v).eval(point))
+                    for v in ch.coords]
                    for f in fields]
         except ZeroDivisionError:
             continue
-        return _rank(mat), len(fields), ch.d
+        rank = len(_gauss_jordan(mat, len(ch.coords)))
+        return rank, len(fields), ch.d
     raise DworkError("no admissible random point found")
 
 
@@ -275,35 +278,8 @@ def _sqrt_fraction(x):
     if x < 0:
         return None
     num, den = x.numerator, x.denominator
-    rn = _isqrt(num)
-    rd = _isqrt(den)
+    rn = math.isqrt(num)
+    rd = math.isqrt(den)
     if rn * rn == num and rd * rd == den:
         return Fraction(rn, rd)
     return None
-
-
-def _isqrt(x):
-    import math
-    return math.isqrt(x)
-
-
-def _rank(mat):
-    mat = [row[:] for row in mat]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for col in range(cols):
-        piv = None
-        for r in range(rank, len(mat)):
-            if mat[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        lead = mat[rank][col]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                factor = mat[r][col] / lead
-                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank

@@ -3,11 +3,8 @@ linear solving over the rational-function field."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .errors import LinearInconsistent
+from .errors import DworkError, LinearInconsistent
 from .ratfn import RatFn
-from .ring import Poly
 
 __all__ = ["MatF", "OneFormMat", "VecField", "solve_linear", "SolveResult"]
 
@@ -105,33 +102,17 @@ class MatF:
         return MatF(self.ring, [[fn(a) for a in r] for r in self.rows])
 
     def inverse(self):
+        """Gauss-Jordan on [M | I]; raises instead of returning a non-inverse."""
         n = self.nrows
-        assert n == self.ncols, "inverse of a non-square matrix"
-        A = [list(r) for r in self.rows]
-        I = MatF.identity(self.ring, n).rows
-        I = [list(r) for r in I]
-        for col in range(n):
-            piv = None
-            best = None
-            for r in range(col, n):
-                if not A[r][col].is_zero:
-                    w = len(A[r][col].num.terms) + len(A[r][col].den.terms)
-                    if best is None or w < best:
-                        best, piv = w, r
-            assert piv is not None, "singular matrix"
-            if piv != col:
-                A[col], A[piv] = A[piv], A[col]
-                I[col], I[piv] = I[piv], I[col]
-            inv = A[col][col].inverse()
-            A[col] = [a * inv for a in A[col]]
-            I[col] = [a * inv for a in I[col]]
-            for r in range(n):
-                if r == col or A[r][col].is_zero:
-                    continue
-                f = A[r][col]
-                A[r] = [a - f * b for a, b in zip(A[r], A[col])]
-                I[r] = [a - f * b for a, b in zip(I[r], I[col])]
-        return MatF(self.ring, I)
+        if n != self.ncols:
+            raise DworkError(f"inverse of a non-square {n}x{self.ncols} matrix")
+        one, zero = RatFn.of(self.ring, 1), RatFn.of(self.ring, 0)
+        A = [list(r) + [one if k == i else zero for k in range(n)]
+             for i, r in enumerate(self.rows)]
+        rank = len(_gauss_jordan(A, n))
+        if rank < n:
+            raise LinearInconsistent(rank, "singular matrix")
+        return MatF(self.ring, [r[n:] for r in A])
 
     def __repr__(self):
         body = "\n".join("[" + ", ".join(repr(a) for a in r) + "]"
@@ -281,18 +262,16 @@ class SolveResult:
         self.unique = unique
 
 
-def solve_linear(ring, rows, rhs):
-    """Solve rows * x = rhs over the rational-function field.
-
-    Returns SolveResult; free unknowns are set to zero and flagged via
-    unique=False.  Raises LinearInconsistent when no solution exists."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    A = [[RatFn.of(ring, a) for a in r] + [RatFn.of(ring, b)]
-         for r, b in zip(rows, rhs)]
-    piv_cols = []
-    r = 0
-    for col in range(n):
+def _gauss_jordan(A, ncols):
+    """Reduce the augmented rows A in place over their first ncols columns,
+    lightest nonzero pivot first.  Returns the pivot columns; row k then holds
+    a unit in the k-th of them and zeros in every other pivot column."""
+    m = len(A)
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        if r == m:
+            break
         piv = None
         best = None
         for i in range(r, m):
@@ -309,11 +288,20 @@ def solve_linear(ring, rows, rhs):
             if i != r and not A[i][col].is_zero:
                 f = A[i][col]
                 A[i] = [a - f * b for a, b in zip(A[i], A[r])]
-        piv_cols.append(col)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
+        pivots.append(col)
+    return pivots
+
+
+def solve_linear(ring, rows, rhs):
+    """Solve rows * x = rhs over the rational-function field.
+
+    Returns SolveResult; free unknowns are set to zero and flagged via
+    unique=False.  Raises LinearInconsistent when no solution exists."""
+    n = len(rows[0]) if rows else 0
+    A = [[RatFn.of(ring, a) for a in r] + [RatFn.of(ring, b)]
+         for r, b in zip(rows, rhs)]
+    piv_cols = _gauss_jordan(A, n)
+    for i in range(len(piv_cols), len(A)):
         if not A[i][n].is_zero:
             raise LinearInconsistent(i)
     x = [RatFn.of(ring, 0)] * n

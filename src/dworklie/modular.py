@@ -9,7 +9,7 @@ import math
 from fractions import Fraction
 
 from .chart import resolve_chart
-from .connection import full_connection, vf_from_target
+from .connection import vf_from_target
 from .errors import DworkError, Sl2Violation
 from .group import basis_pairs, lie_gen
 from .linalg import MatF, VecField
@@ -81,41 +81,28 @@ def yukawa(n, c=None):
     return yukawa_for(resolve_chart(n, c))
 
 
-_MVF = {}
-
-
 def modular_vf(n, c=None):
     """The unique field whose connection matrix is the banded coupling
     target; returned together with the coupling set."""
     ch = resolve_chart(n, c)
-    hit = _MVF.get(id(ch))
-    if hit is not None and hit[0] is ch:
-        return hit[1], hit[2]
-    Y = yukawa_for(ch)
-    Ymat = Y.matrix()
-    phi = ch.phi
-    if not (Ymat @ phi + phi @ Ymat.transpose()).is_zero:
-        raise DworkError("coupling matrix violates the pairing identity")
-    R = vf_from_target(ch, Ymat)
-    _MVF[id(ch)] = (ch, R, Y)
-    return R, Y
-
-
-_BASIS = {}
+    if ch.memo_modular is None:
+        Y = yukawa_for(ch)
+        Ymat = Y.matrix()
+        phi = ch.phi
+        if not (Ymat @ phi + phi @ Ymat.transpose()).is_zero:
+            raise DworkError("coupling matrix violates the pairing identity")
+        ch.memo_modular = (vf_from_target(ch, Ymat), Y)
+    return ch.memo_modular
 
 
 def basis_vf(n, c=None):
     """Canonical basis fields, one per Lie-algebra basis matrix."""
     ch = resolve_chart(n, c)
-    hit = _BASIS.get(id(ch))
-    if hit is not None and hit[0] is ch:
-        return hit[1]
-    out = {}
-    for a, b in basis_pairs(n):
-        g = lie_gen(n, a, b, ch.ring)
-        out[(a, b)] = vf_from_target(ch, g.transpose())
-    _BASIS[id(ch)] = (ch, out)
-    return out
+    if ch.memo_basis is None:
+        ch.memo_basis = {
+            (a, b): vf_from_target(ch, lie_gen(n, a, b, ch.ring).transpose())
+            for a, b in basis_pairs(n)}
+    return ch.memo_basis
 
 
 class Sl2Triple:

@@ -10,11 +10,11 @@ Equality of canonical forms is therefore structural equality.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from math import gcd as igcd
 
-from .ring import (Poly, _content, _lead, _ordkey, _tadd, _tdiv_strict, _teval,
-                   _tgcd, _tmul, _tneg, _tpow, _tscale)
+from .ring import (Poly, _content, _lead, _ordkey, _tdiv_strict, _teval, _tgcd,
+                   _tmul, _tneg, _tpow, _tscale)
 
 
 class RatFn:
@@ -255,22 +255,46 @@ def _normalize(num, den):
 # ---------------------------------------------------------------------------
 # canonical serialization
 
-def _mono_string(e, c, names):
-    parts = []
+def _is_bare_factor(D):
+    (e, c), = D.items()
+    if not any(e):
+        return True  # plain positive integer
+    return c == 1 and sum(e) == 1  # single variable, exponent 1
+
+
+def _text_frac(ns, ds, N, D):
+    if len(N) > 1:
+        ns = f"({ns})"
+    if not (len(D) == 1 and _is_bare_factor(D)):
+        ds = f"({ds})"
+    return f"{ns}/{ds}"
+
+
+def _latex_var(nm):
+    head = nm.rstrip("0123456789")
+    tail = nm[len(head):]
+    return f"{head}_{{{tail}}}" if tail else head
+
+
+# How the one printer spells a variable, a power (format string over the
+# spelled variable and the exponent), the product separator, and a fraction
+# (from the two spelled polynomials and their term dicts).
+Spelling = namedtuple("Spelling", "var power sep frac")
+TEXT = Spelling(str, "{}^{}", "*", _text_frac)
+LATEX = Spelling(_latex_var, "{}^{{{}}}", " ",
+                 lambda ns, ds, N, D: "\\frac{%s}{%s}" % (ns, ds))
+
+
+def _mono_string(e, c, names, sp):
+    parts = [sp.var(nm) if k == 1 else sp.power.format(sp.var(nm), k)
+             for nm, k in zip(names, e) if k]
     ac = abs(c)
-    for nm, k in zip(names, e):
-        if k == 1:
-            parts.append(nm)
-        elif k > 1:
-            parts.append(f"{nm}^{k}")
-    if not parts:
-        return str(ac)
-    if ac != 1:
+    if ac != 1 or not parts:
         parts.insert(0, str(ac))
-    return "*".join(parts)
+    return sp.sep.join(parts)
 
 
-def poly_string(terms, names=None):
+def poly_string(terms, names=None, spelling=TEXT):
     """Ascending graded-lex listing; names default to positional lookup by caller."""
     if not terms:
         return "0"
@@ -279,7 +303,7 @@ def poly_string(terms, names=None):
     items = sorted(terms.items(), key=lambda kv: _ordkey(kv[0]))
     out = []
     for i, (e, c) in enumerate(items):
-        m = _mono_string(e, c, names)
+        m = _mono_string(e, c, names, spelling)
         if i == 0:
             out.append(f"-{m}" if c < 0 else m)
         else:
@@ -287,26 +311,15 @@ def poly_string(terms, names=None):
     return "".join(out)
 
 
-def ratfn_string(r):
+def ratfn_string(r, spelling=TEXT):
+    """Canonical string of r: the plain text form by default, or the TeX
+    form with spelling=LATEX; both list terms in the same order."""
     names = r.ring.names
-    ns = poly_string(r.num.terms, names) if not r.num.is_zero else "0"
+    ns = poly_string(r.num.terms, names, spelling)
     D = _tscale(r.den.terms, r.num.den)
     if D == {(0,) * r.ring.nvars: 1}:
         return ns
-    ds = poly_string(D, names)
-    if len(r.num.terms) > 1:
-        ns = f"({ns})"
-    bare = len(D) == 1 and _is_bare_factor(D)
-    if not bare:
-        ds = f"({ds})"
-    return f"{ns}/{ds}"
-
-
-def _is_bare_factor(D):
-    (e, c), = D.items()
-    if not any(e):
-        return True  # plain positive integer
-    return c == 1 and sum(e) == 1  # single variable, exponent 1
+    return spelling.frac(ns, poly_string(D, names, spelling), r.num.terms, D)
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,7 @@ def test_frame_connection_preserves_pairing(n):
 def test_constant_pairing_squares_to_sign():
     for n in (1, 2, 3, 4):
         s = Setup(n)
-        P = pairing_form(s)
+        P = pairing_form(s.ring, n)
         expect = MatF.identity(s.ring, n + 1)
         if n % 2:
             expect = expect.scale(-1)

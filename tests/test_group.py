@@ -10,8 +10,8 @@ from dworklie import (RatFn, act, basis_pairs, basis_vf, compose,
                       decompose_elem, group_elem, infinitesimal, lie_gen,
                       resolve_chart, symbolic_elem)
 from dworklie.errors import ZeroScalar
-from dworklie.geometry import family_dims
-from dworklie.group import _phi, subgroup_counts, symbolic_pair
+from dworklie.geometry import family_dims, pairing_form
+from dworklie.group import subgroup_counts, symbolic_pair
 
 # which signed basis field each one-parameter derivative lands on
 INFINITESIMAL_SIGNS = {
@@ -36,7 +36,7 @@ def random_params(n, rng):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_symbolic_element_preserves_pairing(n):
     g = symbolic_elem(n)
-    phi = _phi(g.ring, n)
+    phi = pairing_form(g.ring, n)
     assert g.matrix.transpose() @ phi @ g.matrix == phi
 
 

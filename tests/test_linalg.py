@@ -1,0 +1,48 @@
+"""Exact linear algebra: the one Gauss-Jordan routine behind MatF.inverse,
+solve_linear and generator_rank, and its typed refusals."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from dworklie import LinearInconsistent, RatFn, Ring, solve_linear
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Refusals must not rest on assert: run them with assertions stripped.
+OPTIMIZED_SCRIPT = """
+from dworklie import DworkError, MatF, RatFn, Ring
+R = Ring(["x"])
+x = RatFn.var(R, "x")
+for rows in ([[x, x * 2], [x * 3, x * 6]], [[x, RatFn.of(R, 1)]]):
+    try:
+        MatF(R, rows).inverse()
+    except DworkError as e:
+        print(type(e).__name__)
+    else:
+        print("returned")
+"""
+
+
+def test_inverse_refuses_singular_and_non_square_under_O():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SCRIPT],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["LinearInconsistent", "DworkError"]
+
+
+def test_solve_linear_on_a_rank_deficient_system():
+    R = Ring(["x"])
+    x = RatFn.var(R, "x")
+    rows = [[x, x * 2], [x * 2, x * 4]]
+    res = solve_linear(R, rows, [x, x * 2])
+    assert not res.unique
+    assert res.values == [RatFn.of(R, 1), RatFn.of(R, 0)]
+    with pytest.raises(LinearInconsistent):
+        solve_linear(R, rows, [x, x])
