@@ -8,8 +8,8 @@ from .connection import (check_pairing_invariance, full_connection,
 from .cy3 import (bracket_claim, cy3_basis, cy3_dims, cy3_phi, cy3_sl2,
                   gm_modular, verify_cy3_table)
 from .errors import (ActionShapeViolation, DworkError, EliminationStuck,
-                     LinearInconsistent, NoSuchField, OmegaInconsistent,
-                     Sl2Violation, ZeroScalar)
+                     KernelInvariant, LinearInconsistent, NoSuchField,
+                     OmegaInconsistent, Sl2Violation, ZeroScalar)
 from .geometry import family_dims
 from .group import (act, basis_pairs, compose, decompose_elem, group_elem,
                     infinitesimal, lie_gen, symbolic_elem)
@@ -30,8 +30,8 @@ __all__ = [
     "bracket_claim", "cy3_basis", "cy3_dims", "cy3_phi", "cy3_sl2",
     "gm_modular", "verify_cy3_table",
     "ActionShapeViolation", "DworkError", "EliminationStuck",
-    "LinearInconsistent", "NoSuchField", "OmegaInconsistent", "Sl2Violation",
-    "ZeroScalar",
+    "KernelInvariant", "LinearInconsistent", "NoSuchField",
+    "OmegaInconsistent", "Sl2Violation", "ZeroScalar",
     "family_dims",
     "act", "basis_pairs", "compose", "decompose_elem", "group_elem",
     "infinitesimal", "lie_gen", "symbolic_elem",

@@ -7,6 +7,11 @@ class DworkError(Exception):
     """Base class for structural failures."""
 
 
+class KernelInvariant(DworkError):
+    """Kernel arithmetic broke one of its own invariants, e.g. a division that
+    must be exact left a remainder."""
+
+
 class OmegaInconsistent(DworkError):
     """The pairing recursion produced data violating its defining identity."""
 

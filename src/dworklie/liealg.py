@@ -6,7 +6,6 @@ identities.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .chart import chart_of_ring, resolve_chart
@@ -255,14 +254,12 @@ def generator_rank(n, c=None, seed=0):
         point = {v: Fraction(rnd.randint(1, 9), rnd.randint(1, 4))
                  for v in ch.coords}
         if ch.pivot_var is not None:
-            # the point must satisfy the quadratic relation; solve for the
-            # pivot when the right side is a rational square
-            rhs = (ch.kappa * (point["t1"] ** (n + 2)
-                               - point[ch.setup.base2]))
-            val = _sqrt_fraction(rhs.eval(point))
-            if val is None:
-                continue
-            point[ch.pivot_var] = val
+            # the point must satisfy pivot^2 = kappa*(t1^(n+2) - t_b): draw the
+            # pivot, then solve the linear relation for t_b
+            p = Fraction(rnd.randint(1, 9), rnd.randint(1, 4))
+            point[ch.pivot_var] = p
+            point[ch.setup.base2] = (point["t1"] ** (n + 2)
+                                     - p * p / ch.kappa.eval(point))
         try:
             mat = [[RatFn.of(ch.ring, f.get(v).eval(point))
                     for v in ch.coords]
@@ -272,14 +269,3 @@ def generator_rank(n, c=None, seed=0):
         rank = len(_gauss_jordan(mat, len(ch.coords)))
         return rank, len(fields), ch.d
     raise DworkError("no admissible random point found")
-
-
-def _sqrt_fraction(x):
-    if x < 0:
-        return None
-    num, den = x.numerator, x.denominator
-    rn = math.isqrt(num)
-    rd = math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None

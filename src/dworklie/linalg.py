@@ -62,7 +62,9 @@ class MatF:
         return MatF(self.ring, [[-a for a in r] for r in self.rows])
 
     def __matmul__(self, other):
-        assert self.ncols == other.nrows, "shape mismatch"
+        if self.ncols != other.nrows:
+            raise DworkError(f"product of a {self.nrows}x{self.ncols} and a "
+                             f"{other.nrows}x{other.ncols} matrix")
         bt = list(zip(*other.rows))
         out = []
         for ra in self.rows:

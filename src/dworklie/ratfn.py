@@ -6,6 +6,14 @@ Invariants after every operation:
   * in a ring with a slot relation the denominator is free of the pivot and the
     numerator has pivot degree <= 1.
 Equality of canonical forms is therefore structural equality.
+
+Addition keeps these without a full normalisation (Henrici, J. ACM 3, 1956):
+for canonical a/b and c/d with g = gcd(b, d), the sum is t/(b*(d/g)) with
+t = a*(d/g) + c*(b/g), and only gcd(t, g) can cancel, since t is coprime to
+both b/g and d/g.  So the one numerator gcd is taken against g, and skipped
+when g = 1.  The denominator stays primitive, positive and pivot-free, and t
+keeps pivot degree <= 1, because b and d are pivot-free.  Every other operation
+goes through _normalize.
 """
 
 from __future__ import annotations
@@ -13,8 +21,8 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .ring import (Poly, _content, _lead, _ordkey, _tdiv_strict, _teval, _tgcd,
-                   _tmul, _tneg, _tpow, _tscale)
+from .ring import (Poly, _content, _lead, _ordkey, _tadd, _tdiv_strict, _teval,
+                   _tgcd, _tmul, _tneg, _tpow, _tscale)
 
 
 class RatFn:
@@ -73,8 +81,28 @@ class RatFn:
             return b
         if b.is_zero:
             return a
-        num = a.num * b.den + b.num * a.den
-        return RatFn(num, a.den * b.den)
+        a.num._chk(b.num)
+        # Henrici addition, see the module docstring
+        ring = a.ring
+        one = ring.one.terms
+        g = _tgcd(a.den.terms, b.den.terms, ring.nvars)
+        bg, dg = a.den.terms, b.den.terms
+        if g != one:
+            bg, dg = _tdiv_strict(bg, g), _tdiv_strict(dg, g)
+        T = _tadd(_tscale(_tmul(a.num.terms, dg), b.num.den),
+                  _tscale(_tmul(b.num.terms, bg), a.num.den))
+        r = RatFn.__new__(RatFn)
+        if not T:
+            r.num, r.den = ring.zero, ring.one
+            return r
+        den = _tmul(a.den.terms, dg)
+        if g != one:
+            h = _tgcd(T, g, ring.nvars)
+            if h != one:
+                T, den = _tdiv_strict(T, h), _tdiv_strict(den, h)
+        r.num = Poly(ring, T, a.num.den * b.num.den)
+        r.den = Poly(ring, den)
+        return r
 
     __radd__ = __add__
 

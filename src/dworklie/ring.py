@@ -15,6 +15,8 @@ from fractions import Fraction
 from math import gcd as igcd
 from operator import add as _iadd
 
+from .errors import KernelInvariant
+
 
 # ---------------------------------------------------------------------------
 # term-dict helpers (dict[tuple[int, ...], int], coefficients never zero)
@@ -148,18 +150,31 @@ def _tdiv_exact(A, B):
 
 
 def _tdiv_strict(A, B):
+    """Quotient of a division known to be exact; KernelInvariant if it is not."""
     Q = _tdiv_exact(A, B)
-    assert Q is not None, "division expected to be exact"
+    if Q is None:
+        raise KernelInvariant("division expected to be exact left a remainder")
     return Q
 
 
 # ---------------------------------------------------------------------------
-# multivariate gcd: integer content + primitive subresultant PRS.  A rigorous
-# evaluation shortcut certifies the (very common) coprime case first: for any
-# substitution of the other variables, deg_v gcd(A, B) <= deg gcd(A|pt, B|pt),
-# so a degree-zero univariate image gcd proves the true gcd is free of v.
+# multivariate gcd.  _tgcd strips the common monomial and the integer content,
+# then tries, cheapest first:
+#   * a monomial operand, equal operands, or one operand dividing the other;
+#   * the support split: a common factor can only involve variables that occur
+#     in both operands, so an operand that also carries other variables is
+#     replaced by its coefficients over them, and the gcd is folded over all
+#     those parts, smallest first, stopping at 1.  This keeps the costly paths
+#     below on the shared variables only: a gcd against disc^k is taken with
+#     the small coefficients of the other operand, never with the whole of it;
+#   * a rigorous evaluation certificate for the (very common) coprime case: for
+#     any substitution of the other variables, deg_v gcd(A, B) <= deg gcd(A|pt,
+#     B|pt), so a degree-zero univariate image gcd proves the gcd is free of v.
+#     Each call draws its points from its own fixed-seed generator, so the path
+#     a gcd takes does not depend on the calls made before it;
+#   * primitive subresultant PRS in the shared variable of least degree.
 
-_GCD_RNG = random.Random(0x5eed)
+_GCD_SEED = 0x5eed
 
 
 def _uni_image(T, v, pt):
@@ -213,11 +228,12 @@ def _uni_gcd_deg(A, B):
 
 def _certify_coprime(A, B, shared, nv):
     """True only with proof that gcd(A, B) is free of every shared variable."""
+    rng = random.Random(_GCD_SEED)
     for v in shared:
         certified = False
         misses = 0
         for _ in range(8):
-            pt = [_GCD_RNG.randint(-9, 9) for _ in range(nv)]
+            pt = [rng.randint(-9, 9) for _ in range(nv)]
             ia = _uni_image(A, v, pt)
             ib = _uni_image(B, v, pt)
             if not ia or not ib:
@@ -312,6 +328,11 @@ def _subres_prim_gcd(A, B, nv):
     return B
 
 
+def _mono_gcd(A, B):
+    """Exponent tuple of the largest monomial dividing both A and B."""
+    return tuple(map(min, map(min, zip(*A)), map(min, zip(*B))))
+
+
 def _tgcd(A, B, nv):
     """Gcd of integer term dicts, sign-normalized to positive leading coefficient."""
     if not A:
@@ -320,15 +341,10 @@ def _tgcd(A, B, nv):
         return _pos_lead(A)
     zero = (0,) * nv
 
-    # common monomial factor
-    ma = [min(e[i] for e in A) for i in range(nv)]
-    mb = [min(e[i] for e in B) for i in range(nv)]
-    mono = tuple(min(x, y) for x, y in zip(ma, mb))
+    mono = _mono_gcd(A, B)
     if any(mono):
         A = {tuple(x - y for x, y in zip(e, mono)): c for e, c in A.items()}
         B = {tuple(x - y for x, y in zip(e, mono)): c for e, c in B.items()}
-        ma = [x - y for x, y in zip(ma, mono)]
-        mb = [x - y for x, y in zip(mb, mono)]
 
     ca, cb = _content(A), _content(B)
     c = igcd(ca, cb)
@@ -342,9 +358,7 @@ def _tgcd(A, B, nv):
         return _pos_lead(out)
 
     if len(A) == 1 or len(B) == 1:
-        da = [min(e[i] for e in A) for i in range(nv)]
-        db = [min(e[i] for e in B) for i in range(nv)]
-        return done({tuple(min(x, y) for x, y in zip(da, db)): 1})
+        return done({_mono_gcd(A, B): 1})
     if A == B or A == _tneg(B):
         return done(_pos_lead(A))
     if _tdiv_exact(A, B) is not None:
@@ -352,10 +366,22 @@ def _tgcd(A, B, nv):
     if _tdiv_exact(B, A) is not None:
         return done(_pos_lead(A))
 
-    shared = [i for i in range(nv)
-              if any(e[i] for e in A) and any(e[i] for e in B)]
+    sa = [i for i, col in enumerate(zip(*A)) if any(col)]
+    sb = [i for i, col in enumerate(zip(*B)) if any(col)]
+    shared = [i for i in sa if i in sb]
     if not shared:
         return done({zero: 1})
+    if len(sa) > len(shared) or len(sb) > len(shared):
+        # The fold is already primitive and free of monomial factors: both
+        # would divide A and B, whose common ones were stripped above.
+        parts = sorted(_split_off(A, sa, shared) + _split_off(B, sb, shared),
+                       key=len)
+        g = parts[0]
+        for part in parts[1:]:
+            if g == {zero: 1}:
+                break
+            g = _tgcd(g, part, nv)
+        return done(g)
     if _certify_coprime(A, B, shared, nv):
         return done({zero: 1})
     v = min(shared, key=lambda i: max(e[i] for e in A) + max(e[i] for e in B))
@@ -377,6 +403,21 @@ def _tgcd(A, B, nv):
             prim = {d: _tdiv_strict(cf, pc) for d, cf in prim.items()}
         res = _tmul(cont, _uni_join(prim, v))
     return done(res)
+
+
+def _split_off(T, support, keep):
+    """Coefficients of T over its variables outside keep, as term dicts in the
+    keep variables (support lists the variables occurring in T)."""
+    drop = [i for i in support if i not in keep]
+    if not drop:
+        return [T]
+    out = {}
+    for e, c in T.items():
+        base = list(e)
+        for i in drop:
+            base[i] = 0
+        out.setdefault(tuple(e[i] for i in drop), {})[tuple(base)] = c
+    return list(out.values())
 
 
 def _pos_lead(T):

@@ -163,7 +163,7 @@ def test_scaled_bracket_coefficient_tracks_the_grading():
     assert "[H, fR] = 8*fR, f = disc" in names[4]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_generator_fields_have_full_rank(n):
     d, m, _ = family_dims(n)
     rank, count, dim = generator_rank(n)

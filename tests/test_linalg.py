@@ -12,14 +12,21 @@ from dworklie import LinearInconsistent, RatFn, Ring, solve_linear
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Refusals must not rest on assert: run them with assertions stripped.
+# Refusals must not rest on assert: run them with assertions stripped.  The
+# cases: a singular and a non-square inverse, a 2x2 times 3x3 product, and a
+# kernel division expected to be exact, (x^2 + 1)/x.
 OPTIMIZED_SCRIPT = """
 from dworklie import DworkError, MatF, RatFn, Ring
+from dworklie.ring import _tdiv_strict
 R = Ring(["x"])
 x = RatFn.var(R, "x")
-for rows in ([[x, x * 2], [x * 3, x * 6]], [[x, RatFn.of(R, 1)]]):
+cases = [lambda: MatF(R, [[x, x * 2], [x * 3, x * 6]]).inverse(),
+         lambda: MatF(R, [[x, RatFn.of(R, 1)]]).inverse(),
+         lambda: MatF.identity(R, 2) @ MatF.identity(R, 3),
+         lambda: _tdiv_strict({(2,): 1, (0,): 1}, {(1,): 1})]
+for case in cases:
     try:
-        MatF(R, rows).inverse()
+        case()
     except DworkError as e:
         print(type(e).__name__)
     else:
@@ -34,7 +41,8 @@ def test_inverse_refuses_singular_and_non_square_under_O():
     proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SCRIPT],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["LinearInconsistent", "DworkError"]
+    assert proc.stdout.split() == ["LinearInconsistent", "DworkError",
+                                   "DworkError", "KernelInvariant"]
 
 
 def test_solve_linear_on_a_rank_deficient_system():

@@ -138,3 +138,63 @@ def test_eval_matches_substitution():
     f = (x ** 2 - z) / (x + RatFn.of(R3, 3))
     pt = {"x": Fraction(2), "y": Fraction(0), "z": Fraction(1, 2)}
     assert f.eval(pt) == Fraction(7, 10)
+
+
+# Henrici addition against the plain formula it replaced: the sum over the
+# full product of the denominators, normalised in one go.
+
+def reference_add(f, g):
+    return RatFn(f.num * g.den + g.num * f.den, f.den * g.den)
+
+
+# u^2 = (y - x)/(x + 1): a slot relation with a nontrivial denominator
+RU = Ring(("x", "y", "u"), pivot=2,
+          rel_num={(0, 1, 0): 1, (1, 0, 0): -1},
+          rel_den={(1, 0, 0): 1, (0, 0, 0): 1})
+
+# denominator factors in x and y only, so they are free of the pivot u
+FACTORS = [{(1, 0, 0): 1}, {(0, 1, 0): 1}, {(1, 0, 0): 1, (0, 1, 0): -1},
+           {(1, 0, 0): 1, (0, 1, 0): 2, (0, 0, 0): 1},
+           {(2, 0, 0): 1, (0, 1, 0): 1}, {(3, 0, 0): 1, (0, 1, 0): -1}]
+factor_powers = st.lists(st.integers(0, 1), min_size=len(FACTORS),
+                         max_size=len(FACTORS))
+
+
+def denominator(ring, powers, scale):
+    p = ring.const(scale)
+    for f, k in zip(FACTORS, powers):
+        p = p * Poly(ring, f) ** k
+    return p
+
+
+@st.composite
+def sum_operands(draw):
+    """Two fractions whose denominators share a factor, are coprime, or nest;
+    or f and r - f, whose sum r cancels the factors the two have in common."""
+    ring = draw(st.sampled_from([R3, RU]))
+    kind = draw(st.sampled_from(["shared", "coprime", "nested", "cancel"]))
+    pb, pd = draw(factor_powers), draw(factor_powers)
+    if kind == "shared":
+        k = draw(st.integers(0, len(FACTORS) - 1))
+        pb[k], pd[k] = max(pb[k], 1), max(pd[k], 1)
+    elif kind in ("coprime", "cancel"):
+        pd = [0 if x else y for x, y in zip(pb, pd)]
+    else:
+        pd = [x + y for x, y in zip(pb, pd)]
+    out = []
+    for powers in (pb, pd):
+        num = Poly(ring, draw(numerators), draw(st.integers(1, 3)))
+        scale = draw(st.sampled_from([1, -1, 2, -3]))
+        out.append(RatFn(num, denominator(ring, powers, scale)))
+    if kind == "cancel":
+        out[1] = reference_add(out[1], -out[0])
+    return out
+
+
+@given(sum_operands())
+@settings(max_examples=80, deadline=None)
+def test_add_matches_full_product_normalisation(ops):
+    f, g = ops
+    assert f + g == reference_add(f, g)
+    assert f - g == reference_add(f, -g)
+    assert (f + g) + f == reference_add(reference_add(f, g), f)
