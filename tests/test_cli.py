@@ -168,3 +168,12 @@ def test_cy3_dims_output(capsys):
     assert "frame size: 22" in out
     assert "algebra dim: 177" in out
     assert "moduli dim: 187" in out
+
+
+def test_structural_failure_exits_2_with_empty_stdout(capsys):
+    code = main(["ra", "--n", "1", "--cn", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("structural failure: EliminationStuck: "
+                            "consistency failure at calibration slot (2,1)\n")

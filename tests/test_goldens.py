@@ -1,6 +1,7 @@
 """CLI outputs compared byte for byte with the committed goldens.  The goldens
-pin the canonical normal form and both printers (json and latex); rewrite
-them only with tests/goldens/regen.py, for a deliberate output change."""
+pin the canonical normal form and every output format (text, json and
+latex); rewrite them only with tests/goldens/regen.py, for a deliberate
+output change."""
 
 import importlib.util
 from pathlib import Path
@@ -14,7 +15,7 @@ _spec.loader.exec_module(regen)
 
 
 @pytest.mark.parametrize("cmd,n,fmt", regen.CASES,
-                         ids=[f"{c}-n{n}-{f}" for c, n, f in regen.CASES])
+                         ids=[regen.case_id(*case) for case in regen.CASES])
 def test_output_matches_golden(cmd, n, fmt):
     code, out = regen.run(cmd, n, fmt)
     assert code == 0
