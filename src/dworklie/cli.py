@@ -20,7 +20,8 @@ from pathlib import Path
 
 from .chart import resolve_chart
 from .closedforms import (ACTION, DECOMP3, DECOMP3_F0, OBSTRUCTION4_ENTRY,
-                          OBSTRUCTION4_VALUE, TRUNCATED, parse_field)
+                          OBSTRUCTION4_VALUE, TRUNCATED, matched_c,
+                          parse_field)
 from .connection import check_pairing_invariance, full_connection
 from .cy3 import basis_keys, cy3_dims, key_name
 from .errors import DworkError, Sl2Violation
@@ -59,18 +60,13 @@ def matrix_json(M):
             for i in range(1, M.nrows + 1)]
 
 
-def latex_ratfn(r):
-    """Same term order as the canonical string, TeX spelling."""
-    return ratfn_string(r, LATEX)
-
-
 def latex_field(vf, coords):
     parts = []
     for v in coords:
         comp = vf.get(v)
         if comp.is_zero:
             continue
-        cs = latex_ratfn(comp)
+        cs = ratfn_string(comp, LATEX)
         sign = "+"
         if len(comp.num.terms) > 1 and not cs.startswith("\\frac"):
             cs = f"\\left({cs}\\right)"
@@ -82,6 +78,20 @@ def latex_field(vf, coords):
         else:
             parts.append(f"{sign} {term}")
     return " ".join(parts) if parts else "0"
+
+
+def render_fields(named, coords, fmt):
+    """(name, field) pairs as a json object, latex displays or text lines."""
+    if fmt == "json":
+        return {name: field_json(vf, coords) for name, vf in named}
+    lines = []
+    for name, vf in named:
+        if fmt == "latex":
+            lines += [f"% {name}", f"\\[ {latex_field(vf, coords)} \\]"]
+        else:
+            lines.append(f"{name}:")
+            lines.extend(field_lines(vf, coords))
+    return lines
 
 
 def chart_doc(ch, obj, c_mode):
@@ -96,24 +106,21 @@ def chart_doc(ch, obj, c_mode):
     }
 
 
-def dump_json(doc):
-    return [json.dumps(doc, sort_keys=True, indent=2)]
-
-
 # ---------------------------------------------------------------------------
 # fixtures
 
-FIXTURE_RANGE = (1, 2, 3, 4)
+def _ra_fields(n, cn):
+    R, _ = modular_vf(n, cn)
+    tr = sl2_triple(n, cn)
+    return (("modular", R), ("weight", tr.Hf), ("lowering", tr.F))
 
 
 def fixture_payload(n):
     """Canonical strings of the three named fields plus the chart relation."""
     ch = resolve_chart(n)
-    R, _ = modular_vf(n)
-    tr = sl2_triple(n)
-    out = {"relation": ch.relation_string()}
-    for name, vf in (("modular", R), ("weight", tr.Hf), ("lowering", tr.F)):
-        out[name] = field_json(vf, ch.coords)["components"]
+    fields = render_fields(_ra_fields(n, None), ch.coords, "json")
+    out = {name: f["components"] for name, f in fields.items()}
+    out["relation"] = ch.relation_string()
     return out
 
 
@@ -339,6 +346,10 @@ SUITE_FN = {
 
 # ---------------------------------------------------------------------------
 # subcommands
+#
+# A chart command gets the resolved chart and returns its object for
+# --format json and its output lines otherwise, or (result, exit code) when
+# the code can be EX_MISMATCH; main() frames and prints the result.
 
 def _c_mode(cn):
     if cn is None:
@@ -346,188 +357,117 @@ def _c_mode(cn):
     return "symbolic" if cn == "sym" else "explicit"
 
 
-def cmd_build(args, out):
-    ch = resolve_chart(args.n, args.cn)
-    mode = _c_mode(args.cn)
-    if args.format == "json":
-        A = full_connection(ch)
-        obj = {
-            "dependent_slots": {f"{i},{j}": ratfn_string(e)
-                                for (i, j), e in sorted(ch.dep_exprs.items())},
-            "disc": ratfn_string(ch.disc),
-            "connection": {v: matrix_json(A.get(v)) for v in ch.coords},
-        }
-        out.extend(dump_json(chart_doc(ch, obj, mode)))
-        return EX_OK
-    out.append(f"n = {ch.n}  (c = {_c_text(ch, args.cn)})")
-    out.append(f"coordinates: {' '.join(ch.coords)}")
-    out.append(f"dim: {ch.d}")
-    out.append(f"relation: {ch.relation_string() or 'none'}")
-    out.append(f"disc: {ratfn_string(ch.disc)}")
-    for (i, j), e in sorted(ch.dep_exprs.items()):
-        out.append(f"dependent slot ({i},{j}): {ratfn_string(e)}")
-    if ch.rule_extrapolated:
-        out.append("note: coupling rule extrapolated beyond the tabulated "
-                   "dimensions")
-    return EX_OK
-
-
 def _c_text(ch, cn):
-    from .closedforms import matched_c
     if cn is None:
         return str(matched_c(ch.n))
     return "symbolic" if cn == "sym" else str(cn)
 
 
-def _named_fields(n, cn):
-    ch = resolve_chart(n, cn)
-    R, _ = modular_vf(n, cn)
-    tr = sl2_triple(n, cn)
-    return ch, (("modular", R), ("weight", tr.Hf), ("lowering", tr.F))
-
-
-def cmd_ra(args, out):
-    ch, fields = _named_fields(args.n, args.cn)
+def cmd_build(ch, args):
     if args.format == "json":
-        obj = {name: field_json(vf, ch.coords) for name, vf in fields}
-        out.extend(dump_json(chart_doc(ch, obj, _c_mode(args.cn))))
-        return EX_OK
+        A = full_connection(ch)
+        return {
+            "dependent_slots": {f"{i},{j}": ratfn_string(e)
+                                for (i, j), e in sorted(ch.dep_exprs.items())},
+            "disc": ratfn_string(ch.disc),
+            "connection": {v: matrix_json(A.get(v)) for v in ch.coords},
+        }
+    out = [f"coordinates: {' '.join(ch.coords)}",
+           f"dim: {ch.d}",
+           f"relation: {ch.relation_string() or 'none'}",
+           f"disc: {ratfn_string(ch.disc)}"]
+    for (i, j), e in sorted(ch.dep_exprs.items()):
+        out.append(f"dependent slot ({i},{j}): {ratfn_string(e)}")
+    if ch.rule_extrapolated:
+        out.append("note: coupling rule extrapolated beyond the tabulated "
+                   "dimensions")
+    return out
+
+
+def cmd_ra(ch, args):
+    out = render_fields(_ra_fields(args.n, args.cn), ch.coords, args.format)
+    if args.format == "json" or not ch.relation_string():
+        return out
     if args.format == "latex":
-        for name, vf in fields:
-            out.append(f"% {name}")
-            out.append(f"\\[ {latex_field(vf, ch.coords)} \\]")
-        if ch.relation_string():
-            out.append("% relation")
-            out.append(f"\\[ {_latex_relation(ch)} \\]")
-        return EX_OK
-    out.append(f"n = {ch.n}  (c = {_c_text(ch, args.cn)})")
-    for name, vf in fields:
-        out.append(f"{name}:")
-        out.extend(field_lines(vf, ch.coords))
-    if ch.relation_string():
-        out.append(f"relation: {ch.relation_string()}")
-    return EX_OK
+        rel = ratfn_string(ch.kappa * ch.disc, LATEX)
+        return out + ["% relation",
+                      f"\\[ {LATEX.var(ch.pivot_var)}^{{2}} = {rel} \\]"]
+    return out + [f"relation: {ch.relation_string()}"]
 
 
-def _latex_relation(ch):
-    rel = ch.kappa * ch.disc
-    return f"{LATEX.var(ch.pivot_var)}^{{2}} = {latex_ratfn(rel)}"
-
-
-def cmd_basis(args, out):
-    ch = resolve_chart(args.n, args.cn)
+def cmd_basis(ch, args):
     B = basis_vf(args.n, args.cn)
-    pairs = basis_pairs(args.n)
     if args.format == "json":
-        obj = {"fields": {f"{a},{b}": field_json(B[(a, b)], ch.coords)
-                          for a, b in pairs}}
-        out.extend(dump_json(chart_doc(ch, obj, _c_mode(args.cn))))
-        return EX_OK
-    out.append(f"n = {ch.n}  (c = {_c_text(ch, args.cn)})")
-    for a, b in pairs:
-        label = f"basis ({a},{b})"
-        if args.format == "latex":
-            out.append(f"% {label}")
-            out.append(f"\\[ {latex_field(B[(a, b)], ch.coords)} \\]")
-        else:
-            out.append(f"{label}:")
-            out.extend(field_lines(B[(a, b)], ch.coords))
-    return EX_OK
+        named = [(f"{a},{b}", B[(a, b)]) for a, b in basis_pairs(args.n)]
+        return {"fields": render_fields(named, ch.coords, "json")}
+    named = [(f"basis ({a},{b})", B[(a, b)]) for a, b in basis_pairs(args.n)]
+    return render_fields(named, ch.coords, args.format)
 
 
-def cmd_sl2(args, out):
-    ch = resolve_chart(args.n, args.cn)
+def cmd_sl2(ch, args):
     tr = sl2_triple(args.n, args.cn)
     named = (("raising", tr.E), ("lowering", tr.F), ("grading", tr.Hf))
-    if args.format == "json":
-        obj = {name: field_json(vf, ch.coords) for name, vf in named}
-        out.extend(dump_json(chart_doc(ch, obj, _c_mode(args.cn))))
-        return EX_OK
-    if args.format == "latex":
-        for name, vf in named:
-            out.append(f"% {name}")
-            out.append(f"\\[ {latex_field(vf, ch.coords)} \\]")
-        return EX_OK
-    out.append(f"n = {ch.n}  (c = {_c_text(ch, args.cn)})")
-    for name, vf in named:
-        out.append(f"{name}:")
-        out.extend(field_lines(vf, ch.coords))
-    out.append("brackets: [raising, lowering] = grading, "
-               "[grading, raising] = 2*raising, "
-               "[grading, lowering] = -2*lowering (verified)")
-    return EX_OK
+    out = render_fields(named, ch.coords, args.format)
+    if args.format == "text":
+        out.append("brackets: [raising, lowering] = grading, "
+                   "[grading, raising] = 2*raising, "
+                   "[grading, lowering] = -2*lowering (verified)")
+    return out
 
 
-def cmd_weights(args, out):
-    ch = resolve_chart(args.n, args.cn)
+def cmd_weights(ch, args):
     w, report = weights(args.n, args.cn)
     if args.format == "json":
-        obj = {"weights": {v: w[v] for v in ch.coords},
-               "degree_report": [
-                   {"label": label, "expected": expect,
-                    "actual": actual, "ok": ok}
-                   for label, expect, actual, ok in report]}
-        out.extend(dump_json(chart_doc(ch, obj, _c_mode(args.cn))))
-        return EX_OK
-    out.append(f"n = {ch.n}  (c = {_c_text(ch, args.cn)})")
-    for v in ch.coords:
-        out.append(f"w({v}) = {w[v]}")
-    bad = 0
+        return {"weights": {v: w[v] for v in ch.coords},
+                "degree_report": [
+                    {"label": label, "expected": expect,
+                     "actual": actual, "ok": ok}
+                    for label, expect, actual, ok in report]}
+    out = [f"w({v}) = {w[v]}" for v in ch.coords]
     for label, expect, actual, ok in report:
         mark = "ok  " if ok else "FAIL"
         out.append(f"{mark} {label}: degree {actual} (expected {expect})")
-        bad += not ok
-    return EX_OK if bad == 0 else EX_MISMATCH
+    return out, EX_OK if all(r[3] for r in report) else EX_MISMATCH
 
 
-def cmd_brackets(args, out):
-    ch = resolve_chart(args.n, args.cn)
-    report = verify_theorem2(args.n, args.cn)
-    rows = list(report) + list(fR_identities(args.n, args.cn))
+def cmd_brackets(ch, args):
+    rows = list(verify_theorem2(args.n, args.cn))
+    rows += fR_identities(args.n, args.cn)
+    code = EX_OK if all(r.equal for r in rows) else EX_MISMATCH
     if args.format == "json":
-        obj = {"rows": [{"name": r.name, "ok": r.equal} for r in rows]}
-        out.extend(dump_json(chart_doc(ch, obj, _c_mode(args.cn))))
-        return EX_OK if all(r.equal for r in rows) else EX_MISMATCH
-    out.append(f"n = {ch.n}  (c = {_c_text(ch, args.cn)})")
-    bad = 0
+        return {"rows": [{"name": r.name, "ok": r.equal} for r in rows]}, code
+    out = []
     for r in rows:
         out.append(f"{'ok  ' if r.equal else 'FAIL'} {r.name}")
         if not r.equal:
             out.extend("  " + ln for ln in
                        _vf_detail(r.rhs, r.lhs, ch.coords))
-            bad += 1
-    return EX_OK if bad == 0 else EX_MISMATCH
+    return out, code
 
 
-def cmd_action(args, out):
-    ch = resolve_chart(args.n, args.cn)
+def cmd_action(ch, args):
     g = symbolic_elem(args.n, args.cn)
     formulas = act(args.n, g=g, c=args.cn)
     mult, add = subgroup_counts(args.n)
     if args.format == "json":
-        obj = {"parameters": [f"g{i}" for i in range(1, ch.d)],
-               "multiplicative": mult, "additive": add,
-               "formulas": {v: ratfn_string(formulas[v])
-                            for v in ch.coords}}
-        out.extend(dump_json(chart_doc(ch, obj, _c_mode(args.cn))))
-        return EX_OK
-    out.append(f"n = {ch.n}  (c = {_c_text(ch, args.cn)})")
-    out.append(f"parameters: g1..g{ch.d - 1} "
-               f"({mult} multiplicative, {add} additive)")
+        return {"parameters": [f"g{i}" for i in range(1, ch.d)],
+                "multiplicative": mult, "additive": add,
+                "formulas": {v: ratfn_string(formulas[v])
+                             for v in ch.coords}}
+    out = [f"parameters: g1..g{ch.d - 1} "
+           f"({mult} multiplicative, {add} additive)"]
     for v in ch.coords:
         if args.format == "latex":
             out.append(f"\\[ {LATEX.var(v)} \\mapsto "
-                       f"{latex_ratfn(formulas[v])} \\]")
+                       f"{ratfn_string(formulas[v], LATEX)} \\]")
         else:
             out.append(f"{v} -> {ratfn_string(formulas[v])}")
-    return EX_OK
+    return out
 
 
-def cmd_decompose(args, out):
-    ch = resolve_chart(args.n, args.cn)
+def cmd_decompose(ch, args):
     R, _ = modular_vf(args.n, args.cn)
-    T = truncate_poly(R)
-    res = amsy_decompose(T, args.n, args.cn)
+    res = amsy_decompose(truncate_poly(R), args.n, args.cn)
     if isinstance(res, NotMember):
         obj = {"member": False,
                "entry": list(res.entry),
@@ -551,20 +491,38 @@ def cmd_decompose(args, out):
             if not f.is_zero:
                 lines.append(f"basis ({a},{b}): {ratfn_string(f)}")
     if args.format == "json":
-        out.extend(dump_json(chart_doc(ch, obj, _c_mode(args.cn))))
-        return EX_OK
-    out.append(f"n = {ch.n}  (c = {_c_text(ch, args.cn)})")
-    out.append("decomposing the polynomial truncation of the modular field:")
-    out.extend(lines)
-    return EX_OK
+        return obj
+    return ["decomposing the polynomial truncation of the modular field:"
+            ] + lines
 
 
-def cmd_cy3(args, out):
+def cmd_verify(ch, args):
+    fix = load_fixture(args.n, args.fixtures) if args.cn is None else None
+    checks = []
+    for name in SUITES if args.suite == "all" else (args.suite,):
+        checks.extend(SUITE_FN[name](args.n, args.cn, fix))
+    code = EX_OK if all(c.ok for c in checks) else EX_MISMATCH
+    if args.format == "json":
+        return {"checks": [{"name": c.name, "ok": c.ok} for c in checks]}, code
+    out = [f"verify n={args.n} c={_c_text(ch, args.cn)} suite={args.suite}"]
+    if fix is None and args.cn is None:
+        out.append(f"fixtures: none found for n={args.n} "
+                   "(fixture comparisons skipped)")
+    for c in checks:
+        out.append(f"{'ok  ' if c.ok else 'FAIL'} {c.name}")
+        if not c.ok:
+            out.extend("  " + ln for ln in c.detail)
+    out.append(f"summary: {len(checks)} checks, "
+               f"{sum(not c.ok for c in checks)} failed")
+    return out, code
+
+
+def cmd_cy3(ch, args):
     frame, dim_g, dim_m = cy3_dims(args.h)
     names = [key_name(k) for k in basis_keys(args.h)]
     names += [f"R{k}" for k in range(1, args.h + 1)]
     if args.format == "json":
-        doc = {
+        return {
             "n": args.h,
             "dim": dim_g,
             "ambient_vars": [],
@@ -575,53 +533,20 @@ def cmd_cy3(args, out):
                        "basis": names},
             "meta": {"c_mode": "none", "rule_extrapolated": False},
         }
-        out.extend(dump_json(doc))
-        return EX_OK
-    out.append(f"h = {args.h}")
-    out.append(f"frame size: {frame}")
-    out.append(f"algebra dim: {dim_g}")
-    out.append(f"moduli dim: {dim_m}")
-    out.append(f"basis: {' '.join(names)}")
-    return EX_OK
+    return [f"h = {args.h}",
+            f"frame size: {frame}",
+            f"algebra dim: {dim_g}",
+            f"moduli dim: {dim_m}",
+            f"basis: {' '.join(names)}"]
 
 
-def cmd_verify(args, out):
-    suites = SUITES if args.suite == "all" else (args.suite,)
-    fix = load_fixture(args.n, args.fixtures) if args.cn is None else None
-    header = (f"verify n={args.n} c={_c_text(resolve_chart(args.n, args.cn), args.cn)} "
-              f"suite={args.suite}")
-    checks = []
-    for name in suites:
-        checks.extend(SUITE_FN[name](args.n, args.cn, fix))
-    if args.format == "json":
-        doc = chart_doc(resolve_chart(args.n, args.cn),
-                        {"checks": [{"name": c.name, "ok": c.ok}
-                                    for c in checks]},
-                        _c_mode(args.cn))
-        out.extend(dump_json(doc))
-        return EX_OK if all(c.ok for c in checks) else EX_MISMATCH
-    out.append(header)
-    if fix is None and args.cn is None:
-        out.append(f"fixtures: none found for n={args.n} "
-                   "(fixture comparisons skipped)")
-    bad = 0
-    for c in checks:
-        out.append(f"{'ok  ' if c.ok else 'FAIL'} {c.name}")
-        if not c.ok:
-            out.extend("  " + ln for ln in c.detail)
-            bad += 1
-    out.append(f"summary: {len(checks)} checks, {bad} failed")
-    return EX_OK if bad == 0 else EX_MISMATCH
-
-
-def cmd_fixtures(args, out):
+def cmd_fixtures(ch, args):
     dest = Path(args.fixtures)
     dest.mkdir(parents=True, exist_ok=True)
-    payload = fixture_payload(args.n)
     path = dest / f"n{args.n}.json"
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    out.append(f"wrote {path}")
-    return EX_OK
+    path.write_text(json.dumps(fixture_payload(args.n), sort_keys=True,
+                               indent=2) + "\n")
+    return [f"wrote {path}"]
 
 
 # ---------------------------------------------------------------------------
@@ -658,19 +583,30 @@ def _cn_arg(s):
             f"expected a rational number or 'symbolic', got {s!r}")
 
 
+# The --format choices of a command, each mapped to whether main() puts the
+# "n = ...  (c = ...)" header before the output lines.  Commands with --n
+# and a --format get the resolved chart; fixtures has no --format and
+# ignores --cn.  build, weights, brackets and decompose print text for latex.
+HEADED = {"text": True, "json": False, "latex": True}
+LATEX_ONLY = {"text": True, "json": False, "latex": False}
+UNHEADED = {"text": False, "json": False}
+
 COMMANDS = {
-    "build": (cmd_build, "emit the chart data", "n"),
-    "ra": (cmd_ra, "emit the modular, grading, and lowering fields", "n"),
-    "basis": (cmd_basis, "emit the canonical basis fields", "n"),
-    "sl2": (cmd_sl2, "emit the verified sl2 triple", "n"),
-    "weights": (cmd_weights, "emit coordinate weights and degree checks", "n"),
-    "brackets": (cmd_brackets, "emit the bracket table checks", "n"),
-    "action": (cmd_action, "emit the symbolic group action", "n"),
+    "build": (cmd_build, "emit the chart data", "n", HEADED),
+    "ra": (cmd_ra, "emit the modular, grading, and lowering fields", "n",
+           LATEX_ONLY),
+    "basis": (cmd_basis, "emit the canonical basis fields", "n", HEADED),
+    "sl2": (cmd_sl2, "emit the verified sl2 triple", "n", LATEX_ONLY),
+    "weights": (cmd_weights, "emit coordinate weights and degree checks", "n",
+                HEADED),
+    "brackets": (cmd_brackets, "emit the bracket table checks", "n", HEADED),
+    "action": (cmd_action, "emit the symbolic group action", "n", HEADED),
     "decompose": (cmd_decompose,
-                  "decompose the truncated modular field", "n"),
-    "cy3": (cmd_cy3, "emit the threefold block-model dimensions", "h"),
-    "verify": (cmd_verify, "run verification suites", "n"),
-    "fixtures": (cmd_fixtures, "write a fixture file", "n"),
+                  "decompose the truncated modular field", "n", HEADED),
+    "cy3": (cmd_cy3, "emit the threefold block-model dimensions", "h",
+            UNHEADED),
+    "verify": (cmd_verify, "run verification suites", "n", UNHEADED),
+    "fixtures": (cmd_fixtures, "write a fixture file", "n", {}),
 }
 
 
@@ -678,9 +614,8 @@ def build_parser():
     top = Parser(prog="dworklie",
                  description="exact reconstructions for the Dwork family")
     sub = top.add_subparsers(dest="command", metavar="command")
-    for name, (fn, help_text, dim_flag) in COMMANDS.items():
+    for name, (fn, help_text, dim_flag, formats) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(fn=fn)
         if dim_flag == "n":
             p.add_argument("--n", type=_n_arg, required=True,
                            help="family dimension (at least 1)")
@@ -696,18 +631,29 @@ def build_parser():
             p.add_argument("--fixtures", default=None, metavar="DIR",
                            help="fixture directory (default: packaged; "
                                 "DWORK_FIXTURES overrides)")
-            p.add_argument("--format", choices=("text", "json"),
-                           default="text")
         elif name == "fixtures":
             p.add_argument("--fixtures", required=True, metavar="DIR",
                            help="output directory")
-        elif name == "cy3":
-            p.add_argument("--format", choices=("text", "json"),
-                           default="text")
-        else:
-            p.add_argument("--format", choices=("text", "json", "latex"),
+        if formats:
+            p.add_argument("--format", choices=tuple(formats),
                            default="text")
     return top
+
+
+def _emit(args):
+    """The stdout lines and exit code of one parsed command."""
+    fn, _, dim_flag, formats = COMMANDS[args.command]
+    ch = None
+    if dim_flag == "n" and formats:
+        ch = resolve_chart(args.n, args.cn)
+    result = fn(ch, args)
+    out, code = result if isinstance(result, tuple) else (result, EX_OK)
+    if isinstance(out, dict):
+        doc = out if ch is None else chart_doc(ch, out, _c_mode(args.cn))
+        return [json.dumps(doc, sort_keys=True, indent=2)], code
+    if formats.get(getattr(args, "format", None)):
+        out = [f"n = {ch.n}  (c = {_c_text(ch, args.cn)})"] + out
+    return out, code
 
 
 def main(argv=None):
@@ -718,16 +664,13 @@ def main(argv=None):
         e.parser.print_usage(sys.stderr)
         print(f"error: {e}", file=sys.stderr)
         return EX_USAGE
-    if getattr(args, "fn", None) is None:
+    if args.command is None:
         top.print_usage(sys.stderr)
         print("error: a command is required", file=sys.stderr)
         return EX_USAGE
-    out = []
     try:
-        code = args.fn(args, out)
+        out, code = _emit(args)
     except DworkError as e:
-        for line in out:
-            print(line)
         print(f"structural failure: {type(e).__name__}: {e}", file=sys.stderr)
         return EX_STRUCTURAL
     for line in out:
