@@ -56,13 +56,6 @@ class Chart:
         rel = self.kappa * self.disc
         return f"{self.pivot_var}^2 = {ratfn_string(rel)}"
 
-    def var_of_slot(self, slot):
-        if slot in self.indep_slots:
-            return self.indep_slots[slot]
-        if slot == self.pivot_slot:
-            return self.pivot_var
-        return None
-
 
 def _entry_coeffs(omega, entries, i, j, unknown):
     """(S omega S^T)_{ij} as a polynomial in the value of the unknown slot:

@@ -186,9 +186,7 @@ def _int_roots_candidates(coeffs):
     if not coeffs:
         return []
     # clear denominators to integer coefficients
-    denlcm = 1
-    for v in coeffs.values():
-        denlcm = denlcm * v.denominator // math.gcd(denlcm, v.denominator)
+    denlcm = math.lcm(*(v.denominator for v in coeffs.values()))
     ic = {k: int(v * denlcm) for k, v in coeffs.items()}
     degs = sorted(ic)
     lead = ic[degs[-1]]

@@ -12,7 +12,10 @@ labeled "constant".
 
 from __future__ import annotations
 
+from functools import cache
+
 from .errors import DworkError
+from .liealg import BracketReport
 from .linalg import MatF
 from .ratfn import RatFn
 from .ring import Ring
@@ -26,7 +29,10 @@ def cy3_dims(h):
     return 2 * h + 2, dim_g, h + dim_g
 
 
+@cache
 def _yring(h):
+    """The coupling-symbol ring for h, one per process: the derived actions
+    of verify_cy3_table are reused by cy3_sl2."""
     if h > 9:
         raise DworkError("single-digit coupling symbol names only")
     names = [f"Y{a}{b}{c}"
@@ -314,24 +320,6 @@ class CyRow:
         return f"{tag} [{self.kind}] {self.name}"
 
 
-class CyReport:
-    __slots__ = ("rows", "actions")
-
-    def __init__(self, rows, actions):
-        self.rows = rows
-        self.actions = actions
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __len__(self):
-        return len(self.rows)
-
-    @property
-    def all_ok(self):
-        return all(r.equal for r in self.rows)
-
-
 def _gm_of_combo(h, ring, gms, combo):
     N = 2 * h + 2
     M = MatF.zeros(ring, N)
@@ -391,7 +379,7 @@ def verify_cy3_table(h):
                 ok = _gm_of_combo(h, ring, gms, claim) \
                     == gms[w].commutator(gms[v])
                 rows.append(CyRow(_pair_name(v, w), "constant", ok))
-    return CyReport(rows, actions)
+    return BracketReport(rows, actions)
 
 
 def _absorb_action(h, ring, actions, v, k, resid):
@@ -463,7 +451,7 @@ def cy3_sl2(h, report=None):
             rhs = _gm_of_combo(h, ring, gms, target).scale(
                 RatFn.of(ring, scale_))
             rows.append(CyRow(name, kind, lhs == rhs))
-    return CyReport(rows, rep.actions)
+    return BracketReport(rows, rep.actions)
 
 
 def _rule_combo(h, ring, actions, gms, V, W):

@@ -36,10 +36,14 @@ class ReportRow:
 
 
 class BracketReport:
-    __slots__ = ("rows",)
+    """Rows of a bracket table check; the threefold table also carries the
+    action of each basis field (see cy3.verify_cy3_table)."""
 
-    def __init__(self, rows):
+    __slots__ = ("rows", "actions")
+
+    def __init__(self, rows, actions=None):
         self.rows = rows
+        self.actions = actions
 
     def __iter__(self):
         return iter(self.rows)

@@ -47,9 +47,6 @@ class MatF:
     def set1(self, i, j, v):
         self.rows[i - 1][j - 1] = RatFn.of(self.ring, v)
 
-    def copy(self):
-        return MatF(self.ring, [list(r) for r in self.rows])
-
     def __add__(self, other):
         return MatF(self.ring, [[a + b for a, b in zip(ra, rb)]
                                 for ra, rb in zip(self.rows, other.rows)])

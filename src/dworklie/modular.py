@@ -225,8 +225,6 @@ def _poly_part(rf):
                     p[te] = nv
                 else:
                     p.pop(te, None)
-    denl = 1
-    for cf in q.values():
-        denl = denl * cf.denominator // math.gcd(denl, cf.denominator)
+    denl = math.lcm(*(cf.denominator for cf in q.values()))
     terms = {e: int(cf * denl) for e, cf in q.items() if cf}
     return RatFn(Poly(ring, terms, denl))

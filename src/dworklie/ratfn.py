@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
+from .errors import KernelInvariant
 from .ring import (Poly, _content, _lead, _ordkey, _tadd, _tdiv_strict, _teval,
                    _tgcd, _tmul, _tneg, _tpow, _tscale)
 
@@ -129,6 +130,7 @@ class RatFn:
             return NotImplemented
         if self.is_zero or o.is_zero:
             return RatFn(self.ring.zero)
+        self.num._chk(o.num)
         # cross-cancellation keeps the gcds small
         g1 = _tgcd(self.num.terms, o.den.terms, self.ring.nvars)
         g2 = _tgcd(o.num.terms, self.den.terms, self.ring.nvars)
@@ -226,7 +228,8 @@ def _subs_poly(p, vals):
 
 def _normalize(num, den):
     ring = num.ring
-    assert den.ring is ring, "mixed rings"
+    if den.ring is not ring:
+        raise KernelInvariant("mixed rings")
     if den.is_zero:
         raise ZeroDivisionError("zero denominator")
     if num.is_zero:
@@ -238,26 +241,20 @@ def _normalize(num, den):
         return ring.zero, ring.one
     if not D:
         raise ZeroDivisionError("denominator is zero under the slot relation")
+    p = ring.pivot
+    if p is not None and any(e[p] for e in D):
+        conj = {e: (-c if e[p] else c) for e, c in D.items()}
+        N, kn2 = ring.reduce_terms(_tmul(N, conj))
+        D, kd2 = ring.reduce_terms(_tmul(D, conj))
+        assert D and not any(e[p] for e in D), "pivot survived rationalization"
+        kn += kn2
+        kd += kd2
     # value = (N/RD^kn) * beta / ((D/RD^kd) * alpha)
     net = kd - kn
     if net > 0:
         N = _tmul(N, _tpow(ring.rel_den, net))
     elif net < 0:
         D = _tmul(D, _tpow(ring.rel_den, -net))
-
-    p = ring.pivot
-    if p is not None and any(e[p] for e in D):
-        conj = {e: (-c if e[p] else c) for e, c in D.items()}
-        N = _tmul(N, conj)
-        D = _tmul(D, conj)
-        N, kn2 = ring.reduce_terms(N)
-        D, kd2 = ring.reduce_terms(D)
-        assert D and not any(e[p] for e in D), "pivot survived rationalization"
-        net = kd2 - kn2
-        if net > 0:
-            N = _tmul(N, _tpow(ring.rel_den, net))
-        elif net < 0:
-            D = _tmul(D, _tpow(ring.rel_den, -net))
 
     g = _tgcd(N, D, ring.nvars)
     if len(g) > 1 or any(_lead(g)) or g[_lead(g)] != 1:

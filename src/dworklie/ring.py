@@ -461,9 +461,6 @@ class Ring:
             return self.zero
         return Poly(self, {(0,) * self.nvars: q.numerator}, q.denominator)
 
-    def poly(self, terms, den=1):
-        return Poly(self, dict(terms), den)
-
     def with_relation(self, pivot_name, num, den):
         """New ring over the same variables where pivot^2 = num/den (Poly args)."""
         p = self.index[pivot_name]
@@ -551,7 +548,8 @@ class Poly:
         if den < 0:
             den = -den
             terms = _tneg(terms)
-        assert den > 0, "zero denominator"
+        if not den:
+            raise ZeroDivisionError("zero denominator")
         if not terms:
             den = 1
         else:
@@ -586,16 +584,10 @@ class Poly:
         i = self.ring.index[var]
         return max(e[i] for e in self.terms)
 
-    def weighted_degree(self, weights):
-        """Common weighted degree of all monomials, or None if mixed."""
-        if not self.terms:
-            return None
-        degs = {sum(w * k for w, k in zip(weights, e)) for e in self.terms}
-        return degs.pop() if len(degs) == 1 else None
-
     # -- arithmetic ---------------------------------------------------------
     def _chk(self, other):
-        assert self.ring is other.ring, "mixed rings"
+        if self.ring is not other.ring:
+            raise KernelInvariant("mixed rings")
 
     def __add__(self, other):
         self._chk(other)

@@ -2,6 +2,10 @@
 fixture pipeline.  Runs in-process through main() with captured stdout."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -177,3 +181,20 @@ def test_structural_failure_exits_2_with_empty_stdout(capsys):
     assert captured.out == ""
     assert captured.err == ("structural failure: EliminationStuck: "
                             "consistency failure at calibration slot (2,1)\n")
+
+
+@pytest.mark.parametrize("argv", [["verify", "--n", "2", "--suite", "all"],
+                                  ["ra", "--n", "4", "--format", "json"]])
+def test_same_output_under_O(argv):
+    """Stripping asserts must change neither the output nor the exit code."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    runs = [subprocess.run([sys.executable, *flags, "-m", "dworklie.cli",
+                            *argv], env=env, capture_output=True, text=True,
+                           timeout=120)
+            for flags in ([], ["-O"])]
+    assert runs[0].returncode == 0, runs[0].stderr
+    assert runs[1].returncode == runs[0].returncode, runs[1].stderr
+    assert runs[1].stdout == runs[0].stdout

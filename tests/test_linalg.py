@@ -13,21 +13,26 @@ from dworklie import LinearInconsistent, RatFn, Ring, solve_linear
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Refusals must not rest on assert: run them with assertions stripped.  The
-# cases: a singular and a non-square inverse, a 2x2 times 3x3 product, and a
-# kernel division expected to be exact, (x^2 + 1)/x.
+# cases: a singular and a non-square inverse, a 2x2 times 3x3 product, a
+# kernel division expected to be exact, (x^2 + 1)/x, a sum, a product and a
+# quotient across two rings with the same names, and a zero denominator.
 OPTIMIZED_SCRIPT = """
-from dworklie import DworkError, MatF, RatFn, Ring
+from dworklie import DworkError, MatF, Poly, RatFn, Ring
 from dworklie.ring import _tdiv_strict
-R = Ring(["x"])
+R, S = Ring(["x"]), Ring(["x"])
 x = RatFn.var(R, "x")
 cases = [lambda: MatF(R, [[x, x * 2], [x * 3, x * 6]]).inverse(),
          lambda: MatF(R, [[x, RatFn.of(R, 1)]]).inverse(),
          lambda: MatF.identity(R, 2) @ MatF.identity(R, 3),
-         lambda: _tdiv_strict({(2,): 1, (0,): 1}, {(1,): 1})]
+         lambda: _tdiv_strict({(2,): 1, (0,): 1}, {(1,): 1}),
+         lambda: R.var("x") + S.var("x"),
+         lambda: x * RatFn.var(S, "x"),
+         lambda: RatFn(R.var("x"), S.var("x")),
+         lambda: Poly(R, {(1,): 1}, 0)]
 for case in cases:
     try:
         case()
-    except DworkError as e:
+    except (DworkError, ZeroDivisionError) as e:
         print(type(e).__name__)
     else:
         print("returned")
@@ -42,7 +47,9 @@ def test_inverse_refuses_singular_and_non_square_under_O():
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["LinearInconsistent", "DworkError",
-                                   "DworkError", "KernelInvariant"]
+                                   "DworkError", "KernelInvariant",
+                                   "KernelInvariant", "KernelInvariant",
+                                   "KernelInvariant", "ZeroDivisionError"]
 
 
 def test_solve_linear_on_a_rank_deficient_system():
