@@ -584,19 +584,20 @@ def _cn_arg(s):
 
 
 # The --format choices of a command, each mapped to whether main() puts the
-# "n = ...  (c = ...)" header before the output lines.  Commands with --n
-# and a --format get the resolved chart; fixtures has no --format and
-# ignores --cn.  build, weights, brackets and decompose print text for latex.
+# "n = ...  (c = ...)" header before the output lines; cy3 and verify print
+# their own header.  Commands with --n and a --format get the resolved
+# chart; fixtures has no --format and ignores --cn.  build, weights,
+# brackets and decompose print text for latex.
 HEADED = {"text": True, "json": False, "latex": True}
-LATEX_ONLY = {"text": True, "json": False, "latex": False}
-UNHEADED = {"text": False, "json": False}
+BARE_LATEX = {"text": True, "json": False, "latex": False}
+OWN_HEADER = {"text": False, "json": False}
 
 COMMANDS = {
     "build": (cmd_build, "emit the chart data", "n", HEADED),
     "ra": (cmd_ra, "emit the modular, grading, and lowering fields", "n",
-           LATEX_ONLY),
+           BARE_LATEX),
     "basis": (cmd_basis, "emit the canonical basis fields", "n", HEADED),
-    "sl2": (cmd_sl2, "emit the verified sl2 triple", "n", LATEX_ONLY),
+    "sl2": (cmd_sl2, "emit the verified sl2 triple", "n", BARE_LATEX),
     "weights": (cmd_weights, "emit coordinate weights and degree checks", "n",
                 HEADED),
     "brackets": (cmd_brackets, "emit the bracket table checks", "n", HEADED),
@@ -604,8 +605,8 @@ COMMANDS = {
     "decompose": (cmd_decompose,
                   "decompose the truncated modular field", "n", HEADED),
     "cy3": (cmd_cy3, "emit the threefold block-model dimensions", "h",
-            UNHEADED),
-    "verify": (cmd_verify, "run verification suites", "n", UNHEADED),
+            OWN_HEADER),
+    "verify": (cmd_verify, "run verification suites", "n", OWN_HEADER),
     "fixtures": (cmd_fixtures, "write a fixture file", "n", {}),
 }
 
