@@ -417,17 +417,18 @@ def cmd_sl2(ch, args):
 
 def cmd_weights(ch, args):
     w, report = weights(args.n, args.cn)
+    code = EX_OK if all(r[3] for r in report) else EX_MISMATCH
     if args.format == "json":
         return {"weights": {v: w[v] for v in ch.coords},
                 "degree_report": [
                     {"label": label, "expected": expect,
                      "actual": actual, "ok": ok}
-                    for label, expect, actual, ok in report]}
+                    for label, expect, actual, ok in report]}, code
     out = [f"w({v}) = {w[v]}" for v in ch.coords]
     for label, expect, actual, ok in report:
         mark = "ok  " if ok else "FAIL"
         out.append(f"{mark} {label}: degree {actual} (expected {expect})")
-    return out, EX_OK if all(r[3] for r in report) else EX_MISMATCH
+    return out, code
 
 
 def cmd_brackets(ch, args):
@@ -585,8 +586,8 @@ def _cn_arg(s):
 
 # The --format choices of a command, each mapped to whether main() puts the
 # "n = ...  (c = ...)" header before the output lines; cy3 and verify print
-# their own header.  Commands with --n and a --format get the resolved
-# chart; fixtures has no --format and ignores --cn.  build, weights,
+# their own header.  Commands with --n and a --format get --cn and the
+# resolved chart; fixtures has neither.  build, weights,
 # brackets and decompose print text for latex.
 HEADED = {"text": True, "json": False, "latex": True}
 BARE_LATEX = {"text": True, "json": False, "latex": False}
@@ -617,15 +618,16 @@ def build_parser():
     sub = top.add_subparsers(dest="command", metavar="command")
     for name, (fn, help_text, dim_flag, formats) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if dim_flag == "n":
+        if dim_flag == "h":
+            p.add_argument("--h", type=_n_arg, required=True,
+                           help="number of deformation directions")
+        else:
             p.add_argument("--n", type=_n_arg, required=True,
                            help="family dimension (at least 1)")
+        if dim_flag == "n" and formats:
             p.add_argument("--cn", type=_cn_arg, default=None, metavar="C",
                            help="rational constant or 'symbolic' "
                                 "(default: matched value)")
-        else:
-            p.add_argument("--h", type=_n_arg, required=True,
-                           help="number of deformation directions")
         if name == "verify":
             p.add_argument("--suite", choices=("all",) + SUITES,
                            default="all")

@@ -12,8 +12,18 @@ for canonical a/b and c/d with g = gcd(b, d), the sum is t/(b*(d/g)) with
 t = a*(d/g) + c*(b/g), and only gcd(t, g) can cancel, since t is coprime to
 both b/g and d/g.  So the one numerator gcd is taken against g, and skipped
 when g = 1.  The denominator stays primitive, positive and pivot-free, and t
-keeps pivot degree <= 1, because b and d are pivot-free.  Every other operation
-goes through _normalize.
+keeps pivot degree <= 1, because b and d are pivot-free.
+
+Products follow Henrici's rule too.  A constant factor is a unit: it scales
+the other numerator and takes no gcd.  Otherwise, with g1 = gcd(a, d) and
+g2 = gcd(c, b), the product (a/g1)(c/g2) / ((b/g2)(d/g1)) is already
+canonical: each numerator factor is coprime to both denominator factors, by
+the choice of the cross gcds and because a/b and c/d are reduced; and the
+denominator is primitive with a positive lead by Gauss's lemma, since graded
+lex order is multiplicative.  A cross gcd of 1 divides nothing.  The one
+exception is a slot relation where both numerators carry the pivot: their
+product has pivot degree 2, so it goes through _normalize.  Every other
+operation goes through _normalize as well.
 """
 
 from __future__ import annotations
@@ -57,7 +67,7 @@ class RatFn:
             return value
         if isinstance(value, Poly):
             return RatFn(value)
-        return RatFn(ring.const(Fraction(value)))
+        return _raw(ring.const(value), ring.one)
 
     @staticmethod
     def var(ring, name):
@@ -86,24 +96,20 @@ class RatFn:
         # Henrici addition, see the module docstring
         ring = a.ring
         one = ring.one.terms
-        g = _tgcd(a.den.terms, b.den.terms, ring.nvars)
         bg, dg = a.den.terms, b.den.terms
+        g = one if one in (bg, dg) else _tgcd(bg, dg, ring.nvars)
         if g != one:
             bg, dg = _tdiv_strict(bg, g), _tdiv_strict(dg, g)
         T = _tadd(_tscale(_tmul(a.num.terms, dg), b.num.den),
                   _tscale(_tmul(b.num.terms, bg), a.num.den))
-        r = RatFn.__new__(RatFn)
         if not T:
-            r.num, r.den = ring.zero, ring.one
-            return r
+            return _raw(ring.zero, ring.one)
         den = _tmul(a.den.terms, dg)
         if g != one:
             h = _tgcd(T, g, ring.nvars)
             if h != one:
                 T, den = _tdiv_strict(T, h), _tdiv_strict(den, h)
-        r.num = Poly(ring, T, a.num.den * b.num.den)
-        r.den = Poly(ring, den)
-        return r
+        return _raw(Poly(ring, T, a.num.den * b.num.den), Poly(ring, den))
 
     __radd__ = __add__
 
@@ -120,30 +126,44 @@ class RatFn:
         return o + (-self)
 
     def __neg__(self):
-        r = RatFn.__new__(RatFn)
-        r.num, r.den = -self.num, self.den
-        return r
+        return _raw(-self.num, self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.is_zero or o.is_zero:
-            return RatFn(self.ring.zero)
-        self.num._chk(o.num)
-        # cross-cancellation keeps the gcds small
-        g1 = _tgcd(self.num.terms, o.den.terms, self.ring.nvars)
-        g2 = _tgcd(o.num.terms, self.den.terms, self.ring.nvars)
-        n1 = Poly(self.ring, _tdiv_strict(self.num.terms, g1), self.num.den)
-        d2 = Poly(self.ring, _tdiv_strict(o.den.terms, g1), o.den.den)
-        n2 = Poly(self.ring, _tdiv_strict(o.num.terms, g2), o.num.den)
-        d1 = Poly(self.ring, _tdiv_strict(self.den.terms, g2), self.den.den)
-        return RatFn(n1 * n2, d1 * d2)
+        a, b = self, o
+        ring = a.ring
+        if a.is_zero or b.is_zero:
+            return _raw(ring.zero, ring.one)
+        a.num._chk(b.num)
+        # product rule, see the module docstring
+        if a.is_const:
+            a, b = b, a
+        if b.is_const:
+            (k,) = b.num.terms.values()
+            return _raw(Poly(ring, _tscale(a.num.terms, k),
+                             a.num.den * b.num.den), a.den)
+        A, B, C, D = a.num.terms, a.den.terms, b.num.terms, b.den.terms
+        one, nv = ring.one.terms, ring.nvars
+        g1 = _tgcd(A, D, nv)
+        if g1 != one:
+            A, D = _tdiv_strict(A, g1), _tdiv_strict(D, g1)
+        g2 = _tgcd(C, B, nv)
+        if g2 != one:
+            C, B = _tdiv_strict(C, g2), _tdiv_strict(B, g2)
+        num = Poly(ring, _tmul(A, C), a.num.den * b.num.den)
+        den = Poly(ring, _tmul(B, D))
+        p = ring.pivot
+        if p is not None and any(e[p] for e in A) and any(e[p] for e in C):
+            return RatFn(num, den)
+        return _raw(num, den)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        assert not self.is_zero, "inverse of zero"
+        if self.is_zero:
+            raise ZeroDivisionError("inverse of zero")
         return RatFn(self.den, self.num)
 
     def __truediv__(self, other):
@@ -226,6 +246,13 @@ def _subs_poly(p, vals):
 # ---------------------------------------------------------------------------
 # normalization
 
+def _raw(num, den):
+    """A RatFn from a pair already in canonical form."""
+    r = RatFn.__new__(RatFn)
+    r.num, r.den = num, den
+    return r
+
+
 def _normalize(num, den):
     ring = num.ring
     if den.ring is not ring:
@@ -246,7 +273,8 @@ def _normalize(num, den):
         conj = {e: (-c if e[p] else c) for e, c in D.items()}
         N, kn2 = ring.reduce_terms(_tmul(N, conj))
         D, kd2 = ring.reduce_terms(_tmul(D, conj))
-        assert D and not any(e[p] for e in D), "pivot survived rationalization"
+        if not D or any(e[p] for e in D):
+            raise KernelInvariant("pivot survived rationalization")
         kn += kn2
         kd += kd2
     # value = (N/RD^kn) * beta / ((D/RD^kd) * alpha)
@@ -468,7 +496,8 @@ def _split_pivot(T, p):
     even, odd = {}, {}
     for e, c in T.items():
         base = e[:p] + (0,) + e[p + 1:]
-        assert e[p] <= 1, "unreduced pivot power"
+        if e[p] > 1:
+            raise KernelInvariant("unreduced pivot power")
         (odd if e[p] else even)[base] = c
     return even, odd
 
@@ -476,7 +505,7 @@ def _split_pivot(T, p):
 def eq_by_random_eval(f, g, rng, trials=5):
     """Compare f and g at random rational points (pivot handled componentwise)."""
     ring = f.ring
-    assert g.ring is ring
+    f.num._chk(g.num)
     p = ring.pivot
     fa, fb = _split_pivot(f.num.terms, p)
     ga, gb = _split_pivot(g.num.terms, p)
@@ -485,7 +514,9 @@ def eq_by_random_eval(f, g, rng, trials=5):
     attempts = 0
     while done < trials:
         attempts += 1
-        assert attempts < 200, "could not find enough admissible sample points"
+        if attempts >= 200:
+            raise ValueError("no admissible sample points: the denominators "
+                             "vanish at every point drawn")
         pt = tuple(Fraction(rng.randint(-19, 19), rng.randint(1, 7))
                    for _ in range(ring.nvars))
         dfv = _teval(fd, pt)

@@ -72,7 +72,8 @@ def _tmul(A, B):
 
 def _tpow(A, k):
     if k == 0:
-        assert A, "0^0 of an empty term dict (width unknown)"
+        if not A:
+            raise ValueError("0^0 of an empty term dict (width unknown)")
         return {(0,) * len(next(iter(A))): 1}
     out = None
     base = A
@@ -158,8 +159,9 @@ def _tdiv_strict(A, B):
 
 
 # ---------------------------------------------------------------------------
-# multivariate gcd.  _tgcd strips the common monomial and the integer content,
-# then tries, cheapest first:
+# multivariate gcd.  A constant operand leaves only the gcd of the integer
+# contents.  Otherwise _tgcd strips the common monomial and the integer
+# content, then tries, cheapest first:
 #   * a monomial operand, equal operands, or one operand dividing the other;
 #   * the support split: a common factor can only involve variables that occur
 #     in both operands, so an operand that also carries other variables is
@@ -340,6 +342,8 @@ def _tgcd(A, B, nv):
     if not B:
         return _pos_lead(A)
     zero = (0,) * nv
+    if len(A) == 1 and zero in A or len(B) == 1 and zero in B:
+        return {zero: igcd(_content(A), _content(B))}
 
     mono = _mono_gcd(A, B)
     if any(mono):
@@ -437,7 +441,8 @@ class Ring:
 
     def __init__(self, names, pivot=None, rel_num=None, rel_den=None):
         self.names = tuple(names)
-        assert len(set(self.names)) == len(self.names), "duplicate variable names"
+        if len(set(self.names)) != len(self.names):
+            raise ValueError("duplicate variable names")
         self.index = {s: i for i, s in enumerate(self.names)}
         self.pivot = pivot
         self.rel_num = rel_num
@@ -472,8 +477,8 @@ class Ring:
             RD = {e: c // g for e, c in RD.items()}
         if RD[_lead(RD)] < 0:
             RN, RD = _tneg(RN), _tneg(RD)
-        assert all(e[p] == 0 for e in RN), "relation right side touches the pivot"
-        assert all(e[p] == 0 for e in RD), "relation denominator touches the pivot"
+        if any(e[p] for e in RN) or any(e[p] for e in RD):
+            raise ValueError("relation touches the pivot")
         return Ring(self.names, pivot=p, rel_num=RN, rel_den=RD)
 
     def extend(self, extra):
@@ -490,7 +495,8 @@ class Ring:
 
     def lift_terms(self, T, src):
         """Re-key terms from a ring whose names are a prefix of ours."""
-        assert self.names[: src.nvars] == src.names, "not a prefix extension"
+        if self.names[: src.nvars] != src.names:
+            raise KernelInvariant("not a prefix extension")
         pad = self.nvars - src.nvars
         if pad == 0:
             return dict(T)
@@ -568,10 +574,12 @@ class Poly:
 
     @property
     def is_const(self):
-        return not self.terms or (len(self.terms) == 1 and not any(_lead(self.terms)))
+        T = self.terms
+        return not T or (len(T) == 1 and not any(next(iter(T))))
 
     def const_value(self):
-        assert self.is_const, "not a constant"
+        if not self.is_const:
+            raise ValueError("not a constant")
         if not self.terms:
             return Fraction(0)
         return Fraction(next(iter(self.terms.values())), self.den)
@@ -614,7 +622,8 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        assert k >= 0
+        if k < 0:
+            raise ValueError("negative power of a polynomial")
         return Poly(self.ring, _tpow(self.terms, k), self.den ** k)
 
     def __eq__(self, other):

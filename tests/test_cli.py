@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from dworklie import VecField, modular_vf, parse_ratfn, resolve_chart
+from dworklie import cli
 from dworklie.cli import main
 
 
@@ -48,6 +49,29 @@ def test_usage_errors_exit_64(capsys):
                  []):
         assert main(argv) == 64, argv
         capsys.readouterr()
+
+
+def test_fixtures_refuses_cn_and_writes_nothing(tmp_path, capsys):
+    argv = ["fixtures", "--n", "1", "--cn", "0", "--fixtures", str(tmp_path)]
+    assert main(argv) == 64
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_weights_failed_degree_check_exits_1(fmt, capsys, monkeypatch):
+    real = cli.weights
+
+    def one_failed_row(n, c=None):
+        w, report = real(n, c)
+        label, expect, actual, _ = report[0]
+        return w, [(label, expect, actual, False)] + report[1:]
+
+    monkeypatch.setattr(cli, "weights", one_failed_row)
+    code, out = run(capsys, "weights", "--n", "2", "--format", fmt)
+    assert code == 1
+    assert "FAIL" in out if fmt == "text" else not all(
+        r["ok"] for r in json.loads(out)["object"]["degree_report"])
 
 
 def test_json_schema_and_roundtrip(capsys):
@@ -184,7 +208,10 @@ def test_structural_failure_exits_2_with_empty_stdout(capsys):
 
 
 @pytest.mark.parametrize("argv", [["verify", "--n", "2", "--suite", "all"],
-                                  ["ra", "--n", "4", "--format", "json"]])
+                                  ["ra", "--n", "4", "--format", "json"],
+                                  ["action", "--n", "3", "--format", "json"],
+                                  ["decompose", "--n", "3", "--format",
+                                   "json"]])
 def test_same_output_under_O(argv):
     """Stripping asserts must change neither the output nor the exit code."""
     env = dict(os.environ)

@@ -15,12 +15,15 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # Refusals must not rest on assert: run them with assertions stripped.  The
 # cases: a singular and a non-square inverse, a 2x2 times 3x3 product, a
 # kernel division expected to be exact, (x^2 + 1)/x, a sum, a product and a
-# quotient across two rings with the same names, and a zero denominator.
+# quotient across two rings with the same names, a zero denominator, the
+# value of a non-constant, a negative polynomial power, and an equality
+# oracle whose every sample point is a pole.
 OPTIMIZED_SCRIPT = """
-from dworklie import DworkError, MatF, Poly, RatFn, Ring
+from dworklie import DworkError, MatF, Poly, RatFn, Ring, eq_by_random_eval
 from dworklie.ring import _tdiv_strict
 R, S = Ring(["x"]), Ring(["x"])
 x = RatFn.var(R, "x")
+origin = type("Origin", (), {"randint": staticmethod(lambda a, b: max(a, 0))})
 cases = [lambda: MatF(R, [[x, x * 2], [x * 3, x * 6]]).inverse(),
          lambda: MatF(R, [[x, RatFn.of(R, 1)]]).inverse(),
          lambda: MatF.identity(R, 2) @ MatF.identity(R, 3),
@@ -28,11 +31,14 @@ cases = [lambda: MatF(R, [[x, x * 2], [x * 3, x * 6]]).inverse(),
          lambda: R.var("x") + S.var("x"),
          lambda: x * RatFn.var(S, "x"),
          lambda: RatFn(R.var("x"), S.var("x")),
-         lambda: Poly(R, {(1,): 1}, 0)]
+         lambda: Poly(R, {(1,): 1}, 0),
+         lambda: (R.var("x") + R.one).const_value(),
+         lambda: R.var("x") ** -1,
+         lambda: eq_by_random_eval(1 / x, 1 / x, origin())]
 for case in cases:
     try:
         case()
-    except (DworkError, ZeroDivisionError) as e:
+    except (DworkError, ZeroDivisionError, ValueError) as e:
         print(type(e).__name__)
     else:
         print("returned")
@@ -49,7 +55,8 @@ def test_inverse_refuses_singular_and_non_square_under_O():
     assert proc.stdout.split() == ["LinearInconsistent", "DworkError",
                                    "DworkError", "KernelInvariant",
                                    "KernelInvariant", "KernelInvariant",
-                                   "KernelInvariant", "ZeroDivisionError"]
+                                   "KernelInvariant", "ZeroDivisionError",
+                                   "ValueError", "ValueError", "ValueError"]
 
 
 def test_solve_linear_on_a_rank_deficient_system():

@@ -198,3 +198,55 @@ def test_add_matches_full_product_normalisation(ops):
     assert f + g == reference_add(f, g)
     assert f - g == reference_add(f, -g)
     assert (f + g) + f == reference_add(reference_add(f, g), f)
+
+
+# The product rule against the plain formula: the product of the numerators
+# over the product of the denominators, normalised in one go.
+
+def reference_mul(f, g):
+    return RatFn(f.num * g.num, f.den * g.den)
+
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@st.composite
+def product_operands(draw):
+    """Two fractions and a rational k: one of the fractions a constant, or
+    each numerator carrying the factors of the other denominator, or all
+    denominators coprime.  In RU most numerators carry the pivot u."""
+    ring = draw(st.sampled_from([R3, RU]))
+    kind = draw(st.sampled_from(["constant", "shared", "coprime"]))
+    pb, pd = draw(factor_powers), draw(factor_powers)
+    if kind == "coprime":
+        pd = [0 if x else y for x, y in zip(pb, pd)]
+    out = []
+    for own, other in ((pb, pd), (pd, pb)):
+        num = Poly(ring, draw(numerators), draw(st.integers(1, 3)))
+        if kind == "shared":
+            num = num * denominator(ring, other, 1)
+        scale = draw(st.sampled_from([1, -1, 2, -3]))
+        out.append(RatFn(num, denominator(ring, own, scale)))
+    if kind == "constant":
+        out[draw(st.integers(0, 1))] = RatFn(ring.const(draw(rationals)))
+    return out + [draw(rationals)]
+
+
+@given(product_operands())
+@settings(max_examples=80, deadline=None)
+def test_mul_matches_full_product_normalisation(ops):
+    f, g, k = ops
+    ring = f.ring
+    K = RatFn(ring.const(k))
+    assert RatFn.of(ring, k) == K
+    assert f * g == reference_mul(f, g)
+    assert k * f == reference_mul(K, f)
+    assert f * k == reference_mul(f, K)
+    assert f ** 3 == reference_mul(reference_mul(f, f), f)
+    if not g.is_zero:
+        assert f / g == RatFn(f.num * g.den, f.den * g.num)
+
+
+def test_inverse_of_zero_is_a_zero_division():
+    with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+        RatFn.of(R3, 0).inverse()
