@@ -35,20 +35,21 @@ def slot_layout(n):
         return indep, None, None
     used = {1, n + 2} | {int(v[1:]) for v in indep.values()}
     free = [k for k in range(1, ncoords + 1) if k not in used]
-    assert len(free) == 1, f"layout miscount for n={n}: {free}"
+    if len(free) != 1:
+        raise DworkError(f"layout miscount for n={n}: {free}")
     return indep, (m + 1, m + 1), f"t{free[0]}"
 
 
 class Chart:
     """Built by build_chart; immutable afterwards by convention, except for
-    the memo slots, which full_connection, modular_vf and basis_vf fill on
-    first use."""
+    the memo slots, which full_connection, modular_vf, basis_vf and
+    sl2_triple fill on first use."""
 
     __slots__ = ("n", "d", "m", "rho", "ncoords", "setup", "ring", "S",
                  "omega", "phi", "conn_base", "indep_slots", "pivot_slot",
                  "pivot_var", "dep_exprs", "kappa", "disc",
                  "rule_extrapolated", "coords",
-                 "memo_conn", "memo_modular", "memo_basis")
+                 "memo_conn", "memo_modular", "memo_basis", "memo_sl2")
 
     def relation_string(self):
         if self.pivot_var is None:
@@ -203,7 +204,7 @@ def build_chart(n, c_value=None):
     ch.disc = disc
     ch.rule_extrapolated = n >= 5
     ch.coords = tuple(f"t{i}" for i in range(1, setup.ncoords + 1))
-    ch.memo_conn = ch.memo_modular = ch.memo_basis = None
+    ch.memo_conn = ch.memo_modular = ch.memo_basis = ch.memo_sl2 = None
     return ch
 
 

@@ -23,7 +23,7 @@ from .closedforms import (ACTION, DECOMP3, DECOMP3_F0, OBSTRUCTION4_ENTRY,
                           OBSTRUCTION4_VALUE, TRUNCATED, matched_c,
                           parse_field)
 from .connection import check_pairing_invariance, full_connection
-from .cy3 import basis_keys, cy3_dims, key_name
+from .cy3 import cy3_dims, key_name, table_keys
 from .errors import DworkError, Sl2Violation
 from .group import (act, basis_pairs, decompose_elem, group_elem,
                     subgroup_counts, symbolic_elem)
@@ -520,8 +520,7 @@ def cmd_verify(ch, args):
 
 def cmd_cy3(ch, args):
     frame, dim_g, dim_m = cy3_dims(args.h)
-    names = [key_name(k) for k in basis_keys(args.h)]
-    names += [f"R{k}" for k in range(1, args.h + 1)]
+    names = [key_name(args.h, k) for k in table_keys(args.h)]
     if args.format == "json":
         return {
             "n": args.h,

@@ -29,22 +29,29 @@ def cy3_dims(h):
     return 2 * h + 2, dim_g, h + dim_g
 
 
+def _indices(h, *idx):
+    """The one naming rule for indices: run together while every index is
+    one digit (h <= 9), joined by "_" from h = 10 on, so names stay unique."""
+    return ("" if h <= 9 else "_").join(map(str, idx))
+
+
+def ysym_name(h, a, b, c):
+    """Name of the symmetric coupling symbol Y_abc."""
+    return "Y" + _indices(h, *sorted((a, b, c)))
+
+
 @cache
 def _yring(h):
     """The coupling-symbol ring for h, one per process: the derived actions
     of verify_cy3_table are reused by cy3_sl2."""
-    if h > 9:
-        raise DworkError("single-digit coupling symbol names only")
-    names = [f"Y{a}{b}{c}"
-             for a in range(1, h + 1)
-             for b in range(a, h + 1)
-             for c in range(b, h + 1)]
-    return Ring(names)
+    return Ring([ysym_name(h, a, b, c)
+                 for a in range(1, h + 1)
+                 for b in range(a, h + 1)
+                 for c in range(b, h + 1)])
 
 
-def ysym(ring, a, b, c):
-    i, j, k = sorted((a, b, c))
-    return RatFn.var(ring, f"Y{i}{j}{k}")
+def ysym(h, ring, a, b, c):
+    return RatFn.var(ring, ysym_name(h, a, b, c))
 
 
 def cy3_phi(h, ring):
@@ -70,12 +77,17 @@ def basis_keys(h):
     return keys
 
 
-def key_name(key):
+def table_keys(h):
+    """The basis keys followed by the h modular keys."""
+    return basis_keys(h) + [("R", k) for k in range(1, h + 1)]
+
+
+def key_name(h, key):
     kind = key[0]
     if kind == "g":
         return f"g{key[1]}_{key[2]}"
     if kind == "t2":
-        return f"t{key[1]}{key[2]}"
+        return "t" + _indices(h, key[1], key[2])
     if kind == "t1":
         return f"t{key[1]}"
     if kind == "k":
@@ -128,7 +140,7 @@ def gm_modular(h, ring, k):
     M.set1(h + 1 + k, N, one)
     for i in range(1, h + 1):
         for j in range(1, h + 1):
-            M.set1(1 + i, h + 1 + j, ysym(ring, k, i, j))
+            M.set1(1 + i, h + 1 + j, ysym(h, ring, k, i, j))
     return M
 
 
@@ -156,9 +168,9 @@ def cy3_basis(h, ring=None):
             for j in range(1, N + 1):
                 if _block_of(h, i) > _block_of(h, j) \
                         and not g.get1(i, j).is_zero:
-                    raise DworkError(f"{key_name(key)} not block triangular")
+                    raise DworkError(f"{key_name(h, key)} not block triangular")
         if not (g.transpose() @ phi + phi @ g).is_zero:
-            raise DworkError(f"{key_name(key)} breaks the pairing")
+            raise DworkError(f"{key_name(h, key)} breaks the pairing")
         out[key] = g
     if len(out) != cy3_dims(h)[1]:
         raise DworkError("generator count mismatch")
@@ -234,8 +246,8 @@ def bracket_claim(h, ring, v, w):
         elif kw == "R":
             c = w[1]
             for d in range(1, h + 1):
-                add(("g", d, a), -half * ysym(ring, c, b, d))
-                add(("g", d, b), -half * ysym(ring, a, c, d))
+                add(("g", d, a), -half * ysym(h, ring, c, b, d))
+                add(("g", d, b), -half * ysym(h, ring, a, c, d))
     elif kv == "t1":
         a = v[1]
         if kw == "g0":
@@ -250,7 +262,7 @@ def bracket_claim(h, ring, v, w):
             c = w[1]
             add(("t2", a, c), 2 * one)
             for d in range(1, h + 1):
-                add(("k", d), -ysym(ring, a, c, d))
+                add(("k", d), -ysym(h, ring, a, c, d))
     elif kv == "t0":
         if kw == "g0":
             add(v, 2 * one)
@@ -289,13 +301,13 @@ def bracket_claim(h, ring, v, w):
         elif kw == "t2":
             c, d = w[1], w[2]
             for e in range(1, h + 1):
-                add(("g", e, c), half * ysym(ring, a, d, e))
-                add(("g", e, d), half * ysym(ring, a, c, e))
+                add(("g", e, c), half * ysym(h, ring, a, d, e))
+                add(("g", e, d), half * ysym(h, ring, a, c, e))
         elif kw == "t1":
             c = w[1]
             add(("t2", a, c), -2 * one)
             for e in range(1, h + 1):
-                add(("k", e), ysym(ring, a, c, e))
+                add(("k", e), ysym(h, ring, a, c, e))
         elif kw == "t0":
             add(("t1", a), -one)
         elif kw == "k":
@@ -320,6 +332,14 @@ class CyRow:
         return f"{tag} [{self.kind}] {self.name}"
 
 
+def _frames(h, ring):
+    """Frame matrix of every table key."""
+    gms = {key: g.transpose() for key, g in cy3_basis(h, ring).items()}
+    for k in range(1, h + 1):
+        gms[("R", k)] = gm_modular(h, ring, k)
+    return gms
+
+
 def _gm_of_combo(h, ring, gms, combo):
     N = 2 * h + 2
     M = MatF.zeros(ring, N)
@@ -328,8 +348,8 @@ def _gm_of_combo(h, ring, gms, combo):
     return M
 
 
-def _pair_name(v, w):
-    return f"[{key_name(v)}, {key_name(w)}]"
+def _pair_name(h, v, w):
+    return f"[{key_name(h, v)}, {key_name(h, w)}]"
 
 
 def verify_cy3_table(h):
@@ -338,47 +358,48 @@ def verify_cy3_table(h):
     modular field determine the action of the other field on the coupling
     symbols, checked for support and cross-row consistency; modular pairs
     reduce to symmetry of the derivative tensor and only their matrix part
-    is checked."""
+    is checked.  Each unordered pair takes one commutator: the reversed row
+    checks its own claim against the negated matrix."""
     ring = _yring(h)
-    basis = cy3_basis(h, ring)
-    gms = {key: g.transpose() for key, g in basis.items()}
-    for k in range(1, h + 1):
-        gms[("R", k)] = gm_modular(h, ring, k)
-    keys = basis_keys(h) + [("R", k) for k in range(1, h + 1)]
-    rows = []
+    gms = _frames(h, ring)
+    keys = table_keys(h)
+    first, table = [], {}
     actions = {}
-    # first orientation: basis field against modular field fixes the action
+
+    def claimed(v, w):
+        return _gm_of_combo(h, ring, gms, bracket_claim(h, ring, v, w))
+
+    # a basis field against a modular field fixes the action; all of it
+    # that the reversed row reads is fixed by the same row
     for v in basis_keys(h):
         for k in range(1, h + 1):
             w = ("R", k)
-            claim = bracket_claim(h, ring, v, w)
-            resid = _gm_of_combo(h, ring, gms, claim) \
-                - gms[w].commutator(gms[v])
-            ok, note = _absorb_action(h, ring, actions, v, k, resid)
-            rows.append(CyRow(_pair_name(v, w), "coupling", ok, note))
-    for v in keys:
-        for w in keys:
-            if v[0] == "R" and w[0] == "R":
-                comm = gms[w].commutator(gms[v])
-                claim = bracket_claim(h, ring, v, w)
-                rows.append(CyRow(
-                    _pair_name(v, w), "integrability",
-                    comm.is_zero and not claim,
-                    "matrix part vanishes by coupling symmetry; the rest "
-                    "is symmetry of the derivative tensor"))
-            elif v[0] == "R":
-                claim = bracket_claim(h, ring, v, w)
-                lhs = _act_mat(h, ring, actions, w, gms[v]).scale(
-                    RatFn.of(ring, -1)) + gms[w].commutator(gms[v])
-                ok = _gm_of_combo(h, ring, gms, claim) == lhs
-                rows.append(CyRow(_pair_name(v, w), "coupling", ok))
-            elif w[0] == "R":
-                pass  # first loop covered it
-            else:
-                claim = bracket_claim(h, ring, v, w)
-                ok = _gm_of_combo(h, ring, gms, claim) \
-                    == gms[w].commutator(gms[v])
-                rows.append(CyRow(_pair_name(v, w), "constant", ok))
+            comm = gms[w].commutator(gms[v])
+            ok, note = _absorb_action(h, ring, actions, v, k,
+                                      claimed(v, w) - comm)
+            first.append(CyRow(_pair_name(h, v, w), "coupling", ok, note))
+            lhs = -_act_mat(h, ring, actions, v, gms[w]) - comm
+            table[w, v] = CyRow(_pair_name(h, w, v), "coupling",
+                                claimed(w, v) == lhs)
+    for i, v in enumerate(keys):
+        for w in keys[i:]:
+            if (v[0] == "R") != (w[0] == "R"):
+                continue  # the loop above covered it
+            comm = gms[w].commutator(gms[v])
+            sides = [(v, w, comm)] if v == w else \
+                [(v, w, comm), (w, v, -comm)]
+            for a, b, c in sides:
+                if a[0] == "R":
+                    table[a, b] = CyRow(
+                        _pair_name(h, a, b), "integrability",
+                        c.is_zero and not bracket_claim(h, ring, a, b),
+                        "matrix part vanishes by coupling symmetry; the rest "
+                        "is symmetry of the derivative tensor")
+                else:
+                    table[a, b] = CyRow(_pair_name(h, a, b), "constant",
+                                        claimed(a, b) == c)
+    rows = first + [table[v, w] for v in keys for w in keys
+                    if (v, w) in table]
     return BracketReport(rows, actions)
 
 
@@ -396,7 +417,7 @@ def _absorb_action(h, ring, actions, v, k, resid):
                 continue
             if not (2 <= i <= h + 1 and h + 2 <= j <= 2 * h + 1):
                 return False, f"residual off the coupling block at {(i, j)}"
-            yname = f"Y{''.join(map(str, sorted((k, i - 1, j - h - 1))))}"
+            yname = ysym_name(h, k, i - 1, j - h - 1)
             prev = actions.get((v, yname))
             if prev is None:
                 actions[(v, yname)] = val
@@ -407,7 +428,7 @@ def _absorb_action(h, ring, actions, v, k, resid):
     # consistency check sees them on later rows
     for i in range(1, h + 1):
         for j in range(i, h + 1):
-            yname = f"Y{''.join(map(str, sorted((k, i, j))))}"
+            yname = ysym_name(h, k, i, j)
             prev = actions.get((v, yname))
             if prev is None:
                 actions[(v, yname)] = RatFn.of(ring, 0)
@@ -419,10 +440,10 @@ def _act_mat(h, ring, actions, vkey, M):
     the derived coupling-symbol actions."""
     def act(entry):
         out = RatFn.of(ring, 0)
-        for yname in ring.names:
-            d = entry.derive(yname)
-            if not d.is_zero:
-                out = out + d * actions[(vkey, yname)]
+        if entry.is_const:
+            return out
+        for yname in entry.support():
+            out = out + entry.derive(yname) * actions[(vkey, yname)]
         return out
     return M.map(act)
 
@@ -434,10 +455,7 @@ def cy3_sl2(h, report=None):
     if not rep.all_ok:
         raise DworkError("bracket table must verify before the triples")
     ring = _yring(h)
-    basis = cy3_basis(h, ring)
-    gms = {key: g.transpose() for key, g in basis.items()}
-    for k in range(1, h + 1):
-        gms[("R", k)] = gm_modular(h, ring, k)
+    gms = _frames(h, ring)
     rows = []
     for k in range(1, h + 1):
         Hc = {("g0",): RatFn.of(ring, 1), ("g", k, k): RatFn.of(ring, -1)}

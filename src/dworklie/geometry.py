@@ -12,14 +12,15 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .errors import OmegaInconsistent
+from .errors import DworkError, KernelInvariant, OmegaInconsistent
 from .linalg import MatF, OneFormMat, solve_linear
 from .ratfn import RatFn
 
 
 def family_dims(n):
     """(d, m, ncoords): chart dimension, pairing half-size, coordinate count."""
-    assert n >= 1
+    if n < 1:
+        raise DworkError(f"need n >= 1, got {n}")
     if n % 2:
         d = (n + 1) * (n + 3) // 4 + 1
         m = (n + 1) // 2
@@ -75,7 +76,8 @@ def stirling2(k, j):
     for i in range(j + 1):
         total += (-1) ** i * comb(j, i) * (j - i) ** k
     q, r = divmod(total, factorial(j))
-    assert r == 0
+    if r:
+        raise KernelInvariant(f"S({k},{j}) sum not divisible by {j}!")
     return q
 
 
@@ -180,7 +182,8 @@ def pairing_matrix(setup, conn=None):
             if key in vals:
                 return const + factor * sgn * vals[key]
             k = rep_ix.get(key)
-            assert k is not None, f"reference to unsolved level: {a},{b}"
+            if k is None:
+                raise OmegaInconsistent(f"reference to unsolved level: {a},{b}")
             coeffs[k] = coeffs[k] + factor * sgn
             return const
 

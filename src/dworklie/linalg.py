@@ -11,7 +11,8 @@ __all__ = ["MatF", "OneFormMat", "VecField", "solve_linear", "SolveResult"]
 
 class MatF:
     """Dense matrix of RatFn entries.  Storage is 0-based; the 1-based helpers
-    exist because every layout formula in this package is stated 1-based."""
+    exist because every layout formula in this package is stated 1-based.
+    Products skip zero entries, since frame matrices are mostly zeros."""
 
     __slots__ = ("ring", "rows")
 
@@ -62,16 +63,17 @@ class MatF:
         if self.ncols != other.nrows:
             raise DworkError(f"product of a {self.nrows}x{self.ncols} and a "
                              f"{other.nrows}x{other.ncols} matrix")
-        bt = list(zip(*other.rows))
+        # sparse: each nonzero a_ik meets only the nonzero b_kj of row k
+        zero = RatFn.of(self.ring, 0)
+        brows = [[(j, b) for j, b in enumerate(rb) if not b.is_zero]
+                 for rb in other.rows]
         out = []
         for ra in self.rows:
-            row = []
-            for cb in bt:
-                s = RatFn.of(self.ring, 0)
-                for a, b in zip(ra, cb):
-                    if not (a.is_zero or b.is_zero):
-                        s = s + a * b
-                row.append(s)
+            row = [zero] * other.ncols
+            for a, bk in zip(ra, brows):
+                if not a.is_zero:
+                    for j, b in bk:
+                        row[j] = row[j] + a * b
             out.append(row)
         return MatF(self.ring, out)
 

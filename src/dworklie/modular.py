@@ -116,22 +116,26 @@ class Sl2Triple:
 
 def sl2_triple(n, c=None):
     """Raising, lowering, and grading fields; the three defining bracket
-    relations are verified, not assumed."""
-    R, _ = modular_vf(n, c)
-    B = basis_vf(n, c)
-    if n == 1:
-        F, Hf = B[(1, 2)], -B[(1, 1)]
-    elif n == 2:
-        F, Hf = B[(1, 2)].scale(2), B[(1, 1)].scale(-2)
-    else:
-        F, Hf = B[(1, 2)], B[(2, 2)] - B[(1, 1)]
-    if R.bracket(F) != Hf:
-        raise Sl2Violation(f"[E,F] != H for n={n}")
-    if Hf.bracket(R) != R.scale(2):
-        raise Sl2Violation(f"[H,E] != 2E for n={n}")
-    if Hf.bracket(F) != F.scale(-2):
-        raise Sl2Violation(f"[H,F] != -2F for n={n}")
-    return Sl2Triple(R, F, Hf)
+    relations are verified, not assumed, once per chart.  A triple that
+    fails is not kept, so every call on that chart raises again."""
+    ch = resolve_chart(n, c)
+    if ch.memo_sl2 is None:
+        R, _ = modular_vf(n, c)
+        B = basis_vf(n, c)
+        if n == 1:
+            F, Hf = B[(1, 2)], -B[(1, 1)]
+        elif n == 2:
+            F, Hf = B[(1, 2)].scale(2), B[(1, 1)].scale(-2)
+        else:
+            F, Hf = B[(1, 2)], B[(2, 2)] - B[(1, 1)]
+        if R.bracket(F) != Hf:
+            raise Sl2Violation(f"[E,F] != H for n={n}")
+        if Hf.bracket(R) != R.scale(2):
+            raise Sl2Violation(f"[H,E] != 2E for n={n}")
+        if Hf.bracket(F) != F.scale(-2):
+            raise Sl2Violation(f"[H,F] != -2F for n={n}")
+        ch.memo_sl2 = Sl2Triple(R, F, Hf)
+    return ch.memo_sl2
 
 
 def weights(n, c=None):

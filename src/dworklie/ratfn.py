@@ -22,7 +22,14 @@ the choice of the cross gcds and because a/b and c/d are reduced; and the
 denominator is primitive with a positive lead by Gauss's lemma, since graded
 lex order is multiplicative.  A cross gcd of 1 divides nothing.  The one
 exception is a slot relation where both numerators carry the pivot: their
-product has pivot degree 2, so it goes through _normalize.  Every other
+product has pivot degree 2, so it goes through _normalize.
+
+The derivative by v takes p' and q' first.  When v lies outside the support
+of both, the result is the canonical zero, with no product and no gcd.  When
+only q' = 0, (p/q)' = p'/q, so the one gcd is that of p' with q rather than of
+p'q with q^2.  Otherwise the quotient rule (p'q - pq')/q^2 is normalised as
+before.  A relation pivot is an independent slot here, and q is pivot-free,
+so the derivative by the pivot always takes the p'/q branch.  Every other
 operation goes through _normalize as well.
 """
 
@@ -58,6 +65,12 @@ class RatFn:
 
     def const_value(self):
         return self.num.const_value() / self.den.const_value()
+
+    def support(self):
+        """Names of the variables in the numerator or the denominator, in
+        ring order; empty for a constant."""
+        cols = zip(*self.num.terms, *self.den.terms)
+        return [nm for nm, col in zip(self.ring.names, cols) if any(col)]
 
     # -- constructors -------------------------------------------------------
     @staticmethod
@@ -117,7 +130,7 @@ class RatFn:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return self if o.is_zero else self + (-o)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -126,16 +139,18 @@ class RatFn:
         return o + (-self)
 
     def __neg__(self):
-        return _raw(-self.num, self.den)
+        return self if self.is_zero else _raw(-self.num, self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         a, b = self, o
+        if a.is_zero:
+            return a
+        if b.is_zero:
+            return b
         ring = a.ring
-        if a.is_zero or b.is_zero:
-            return _raw(ring.zero, ring.one)
         a.num._chk(b.num)
         # product rule, see the module docstring
         if a.is_const:
@@ -192,6 +207,8 @@ class RatFn:
         return out
 
     def __eq__(self, other):
+        if other is self:
+            return True
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -202,10 +219,16 @@ class RatFn:
 
     # -- calculus / evaluation ---------------------------------------------
     def derive(self, var):
-        """Formal partial derivative; a relation pivot counts as an independent slot."""
+        """Formal partial derivative; a relation pivot counts as an independent
+        slot.  See the module docstring for the zero and constant-denominator
+        cases."""
         p, q = self.num, self.den
-        num = p.derive(var) * q - p * q.derive(var)
-        return RatFn(num, q * q)
+        dp, dq = p.derive(var), q.derive(var)
+        if dq.is_zero:
+            if dp.is_zero:
+                return _raw(self.ring.zero, self.ring.one)
+            return RatFn(dp, q)
+        return RatFn(dp * q - p * dq, q * q)
 
     def subs(self, mapping):
         """Substitute RatFn values for variables (others stay)."""

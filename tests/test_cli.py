@@ -211,6 +211,9 @@ def test_structural_failure_exits_2_with_empty_stdout(capsys):
                                   ["ra", "--n", "4", "--format", "json"],
                                   ["action", "--n", "3", "--format", "json"],
                                   ["decompose", "--n", "3", "--format",
+                                   "json"],
+                                  ["sl2", "--n", "3", "--format", "json"],
+                                  ["brackets", "--n", "3", "--format",
                                    "json"]])
 def test_same_output_under_O(argv):
     """Stripping asserts must change neither the output nor the exit code."""

@@ -5,8 +5,9 @@ import pytest
 
 from dworklie import (DworkError, MatF, cy3_basis, cy3_dims, cy3_phi, cy3_sl2,
                       verify_cy3_table)
-from dworklie.cy3 import _yring, basis_keys, bracket_claim, gm_modular, key_name
-from dworklie.ratfn import RatFn
+from dworklie.cy3 import (_yring, bracket_claim, gm_modular, key_name,
+                          table_keys, ysym_name)
+from dworklie.ratfn import RatFn, parse_ratfn, ratfn_string
 
 DIMS = {1: (4, 6, 7), 2: (6, 13, 15), 3: (8, 23, 26), 10: (22, 177, 187)}
 
@@ -45,7 +46,7 @@ def test_basis_size_and_pairing(h):
     assert len(basis) == dim_g
     phi = cy3_phi(h, ring)
     for key, g in basis.items():
-        assert (g.transpose() @ phi + phi @ g).is_zero, key_name(key)
+        assert (g.transpose() @ phi + phi @ g).is_zero, key_name(h, key)
 
 
 @pytest.mark.parametrize("h", [1, 2, 3])
@@ -126,7 +127,25 @@ def test_modular_matrix_shape():
 
 
 def test_basis_keys_are_named_uniquely():
-    for h in (1, 2, 3):
-        keys = basis_keys(h)
-        names = [key_name(k) for k in keys]
-        assert len(set(names)) == len(names)
+    for h in range(1, 13):
+        names = [key_name(h, k) for k in table_keys(h)]
+        assert len(set(names)) == len(names), h
+
+
+def test_names_stay_single_digit_up_to_nine():
+    assert key_name(9, ("t2", 1, 9)) == "t19"
+    assert ysym_name(9, 9, 1, 2) == "Y129"
+    assert key_name(11, ("t2", 1, 1)) == "t1_1"
+    assert key_name(11, ("t1", 11)) == "t11"
+    assert ysym_name(10, 10, 1, 10) == "Y1_10_10"
+
+
+def test_coupling_ring_beyond_single_digits():
+    h = 10
+    ring = _yring(h)
+    assert cy3_dims(h) == DIMS[h]
+    assert len(ring.names) == h * (h + 1) * (h + 2) // 6
+    for nm in ring.names:
+        f = RatFn.var(ring, nm)
+        assert parse_ratfn(ring, ratfn_string(f)) == f
+    assert gm_modular(h, ring, 10).get1(2, h + 11) == RatFn.var(ring, "Y1_10_10")

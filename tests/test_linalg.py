@@ -7,8 +7,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dworklie import LinearInconsistent, RatFn, Ring, solve_linear
+from dworklie import LinearInconsistent, MatF, RatFn, Ring, solve_linear
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -16,10 +17,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # cases: a singular and a non-square inverse, a 2x2 times 3x3 product, a
 # kernel division expected to be exact, (x^2 + 1)/x, a sum, a product and a
 # quotient across two rings with the same names, a zero denominator, the
-# value of a non-constant, a negative polynomial power, and an equality
-# oracle whose every sample point is a pole.
+# value of a non-constant, a negative polynomial power, an equality oracle
+# whose every sample point is a pole, and the dimensions of the family at
+# n = 0.
 OPTIMIZED_SCRIPT = """
 from dworklie import DworkError, MatF, Poly, RatFn, Ring, eq_by_random_eval
+from dworklie.geometry import family_dims
 from dworklie.ring import _tdiv_strict
 R, S = Ring(["x"]), Ring(["x"])
 x = RatFn.var(R, "x")
@@ -34,7 +37,8 @@ cases = [lambda: MatF(R, [[x, x * 2], [x * 3, x * 6]]).inverse(),
          lambda: Poly(R, {(1,): 1}, 0),
          lambda: (R.var("x") + R.one).const_value(),
          lambda: R.var("x") ** -1,
-         lambda: eq_by_random_eval(1 / x, 1 / x, origin())]
+         lambda: eq_by_random_eval(1 / x, 1 / x, origin()),
+         lambda: family_dims(0)]
 for case in cases:
     try:
         case()
@@ -56,7 +60,8 @@ def test_inverse_refuses_singular_and_non_square_under_O():
                                    "DworkError", "KernelInvariant",
                                    "KernelInvariant", "KernelInvariant",
                                    "KernelInvariant", "ZeroDivisionError",
-                                   "ValueError", "ValueError", "ValueError"]
+                                   "ValueError", "ValueError", "ValueError",
+                                   "DworkError"]
 
 
 def test_solve_linear_on_a_rank_deficient_system():
@@ -68,3 +73,39 @@ def test_solve_linear_on_a_rank_deficient_system():
     assert res.values == [RatFn.of(R, 1), RatFn.of(R, 0)]
     with pytest.raises(LinearInconsistent):
         solve_linear(R, rows, [x, x])
+
+
+# The sparse product against a dense triple loop, on mostly-zero matrices of
+# any shape, some with whole rows or columns zero.
+RXY = Ring(["x", "y"])
+X, Y = RatFn.var(RXY, "x"), RatFn.var(RXY, "y")
+ENTRIES = [RatFn.of(RXY, 0)] * 6 + [RatFn.of(RXY, 1), RatFn.of(RXY, -2),
+                                    X, Y / (X + 1), X * Y - 3, 1 / Y]
+
+
+@st.composite
+def sparse_matrix(draw, nrows, ncols):
+    rows = [[draw(st.sampled_from(ENTRIES)) for _ in range(ncols)]
+            for _ in range(nrows)]
+    for i in draw(st.sets(st.integers(0, nrows - 1))):
+        rows[i] = [RatFn.of(RXY, 0)] * ncols
+    for j in draw(st.sets(st.integers(0, ncols - 1))):
+        for r in rows:
+            r[j] = RatFn.of(RXY, 0)
+    return MatF(RXY, rows)
+
+
+@st.composite
+def factor_pairs(draw):
+    n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
+    return draw(sparse_matrix(n, k)), draw(sparse_matrix(k, m))
+
+
+@given(factor_pairs())
+@settings(max_examples=60, deadline=None)
+def test_sparse_product_matches_dense_triple_loop(ab):
+    A, B = ab
+    want = [[sum((A.rows[i][l] * B.rows[l][j] for l in range(A.ncols)),
+                 RatFn.of(RXY, 0))
+             for j in range(B.ncols)] for i in range(A.nrows)]
+    assert (A @ B).rows == want

@@ -250,3 +250,39 @@ def test_mul_matches_full_product_normalisation(ops):
 def test_inverse_of_zero_is_a_zero_division():
     with pytest.raises(ZeroDivisionError, match="inverse of zero"):
         RatFn.of(R3, 0).inverse()
+
+
+# The derivative against the quotient rule it short-cuts: (p'q - pq')/q^2,
+# normalised in one go.
+
+def reference_derive(f, v):
+    p, q = f.num, f.den
+    return RatFn(p.derive(v) * q - p * q.derive(v), q * q)
+
+
+@st.composite
+def derive_operands(draw):
+    """A fraction over a constant or a non-constant denominator in x and y,
+    and a variable drawn from all of the ring's names, so it lies inside or
+    outside the support; in RU it may be the pivot u."""
+    ring = draw(st.sampled_from([R3, RU]))
+    num = Poly(ring, draw(numerators), draw(st.integers(1, 3)))
+    powers = draw(factor_powers) if draw(st.booleans()) else []
+    scale = draw(st.sampled_from([1, -1, 2, -3]))
+    f = RatFn(num, denominator(ring, powers, scale))
+    return f, draw(st.sampled_from(ring.names))
+
+
+@given(derive_operands())
+@settings(max_examples=120, deadline=None)
+def test_derive_matches_quotient_rule(op):
+    f, v = op
+    d = f.derive(v)
+    assert d == reference_derive(f, v)
+    assert d.is_zero == (v not in f.support())
+
+
+def test_support_lists_numerator_and_denominator_variables():
+    x, z = RatFn.var(R3, "x"), RatFn.var(R3, "z")
+    assert (z / (x + 1)).support() == ["x", "z"]
+    assert RatFn.of(R3, Fraction(3, 4)).support() == []
