@@ -48,7 +48,10 @@ class Setup:
         if self.c_value is None:
             names = names + ("c",)
         from .ring import Ring
-        self.ring = Ring(names)
+        # known factor disc = t1^(n+2) - t_{n+2}: every chart denominator is
+        # a monomial times a power of it
+        r = (n + 2,) + (0,) * (len(names) - 1)
+        self.ring = Ring(names, factor=(r, n + 1))
         if self.c_value is None:
             self.c = RatFn.var(self.ring, "c")
         else:

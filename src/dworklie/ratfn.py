@@ -31,6 +31,13 @@ p'q with q^2.  Otherwise the quotient rule (p'q - pq')/q^2 is normalised as
 before.  A relation pivot is an independent slot here, and q is pivot-free,
 so the derivative by the pivot always takes the p'/q branch.  Every other
 operation goes through _normalize as well.
+
+Each of these gcds, and the one in _normalize, is taken by Ring.cancel
+against a denominator-side operand.  In a ring with a known factor F (a chart
+ring, F = disc) such an operand is c * x^a * F^k, and its gcd with N is exact
+without a multivariate gcd: F is irreducible, so only the integer content,
+the monomial and the power of F that divides N can cancel (see ring.Ring).
+Any other operand takes the general gcd.
 """
 
 from __future__ import annotations
@@ -39,8 +46,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import KernelInvariant
-from .ring import (Poly, _content, _lead, _ordkey, _tadd, _tdiv_strict, _teval,
-                   _tgcd, _tmul, _tneg, _tpow, _tscale)
+from .ring import (Poly, _content, _lead, _ordkey, _tadd, _teval, _tmul, _tneg,
+                   _tpow, _tscale)
 
 
 class RatFn:
@@ -110,18 +117,18 @@ class RatFn:
         ring = a.ring
         one = ring.one.terms
         bg, dg = a.den.terms, b.den.terms
-        g = one if one in (bg, dg) else _tgcd(bg, dg, ring.nvars)
-        if g != one:
-            bg, dg = _tdiv_strict(bg, g), _tdiv_strict(dg, g)
+        g = one
+        if one not in (bg, dg):
+            g, bg, dg = ring.cancel(bg, dg)
         T = _tadd(_tscale(_tmul(a.num.terms, dg), b.num.den),
                   _tscale(_tmul(b.num.terms, bg), a.num.den))
         if not T:
             return _raw(ring.zero, ring.one)
-        den = _tmul(a.den.terms, dg)
+        # b*(d/g)/h with h = gcd(T, g) is (b/g)*(d/g)*(g/h)
+        den = _tmul(bg, dg)
         if g != one:
-            h = _tgcd(T, g, ring.nvars)
-            if h != one:
-                T, den = _tdiv_strict(T, h), _tdiv_strict(den, h)
+            _, T, g = ring.cancel(T, g)
+            den = _tmul(den, g)
         return _raw(Poly(ring, T, a.num.den * b.num.den), Poly(ring, den))
 
     __radd__ = __add__
@@ -160,13 +167,8 @@ class RatFn:
             return _raw(Poly(ring, _tscale(a.num.terms, k),
                              a.num.den * b.num.den), a.den)
         A, B, C, D = a.num.terms, a.den.terms, b.num.terms, b.den.terms
-        one, nv = ring.one.terms, ring.nvars
-        g1 = _tgcd(A, D, nv)
-        if g1 != one:
-            A, D = _tdiv_strict(A, g1), _tdiv_strict(D, g1)
-        g2 = _tgcd(C, B, nv)
-        if g2 != one:
-            C, B = _tdiv_strict(C, g2), _tdiv_strict(B, g2)
+        _, A, D = ring.cancel(A, D)
+        _, C, B = ring.cancel(C, B)
         num = Poly(ring, _tmul(A, C), a.num.den * b.num.den)
         den = Poly(ring, _tmul(B, D))
         p = ring.pivot
@@ -307,10 +309,7 @@ def _normalize(num, den):
     elif net < 0:
         D = _tmul(D, _tpow(ring.rel_den, -net))
 
-    g = _tgcd(N, D, ring.nvars)
-    if len(g) > 1 or any(_lead(g)) or g[_lead(g)] != 1:
-        N = _tdiv_strict(N, g)
-        D = _tdiv_strict(D, g)
+    _, N, D = ring.cancel(N, D)
 
     q = Fraction(den.den, num.den)
     cn = _content(N)

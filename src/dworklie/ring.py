@@ -6,14 +6,17 @@ integers; rational coefficients enter only through that single denominator.
 
 Monomial order: graded lex, ties broken by the exponent of the highest variable first.
 Variables are ordered by their position in Ring.names (earlier = lower).
+
+A ring may name one known irreducible factor F = x^r - x_v.  Ring.cancel then
+finds the gcd with a denominator c * x^a * F^k by exact division by F, not by
+a multivariate gcd (see Ring).
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from math import gcd as igcd
-from operator import add as _iadd
+from operator import add as _iadd, mul as _imul, sub as _isub
 
 from .errors import KernelInvariant
 
@@ -158,6 +161,37 @@ def _tdiv_strict(A, B):
     return Q
 
 
+def _tdiv_known(T, r, v):
+    """T / (x^r - x_v) for a monomial x^r free of x_v, or None when the division
+    leaves a remainder.  Synthetic division in x_v: for T = sum a_i x_v^i, the
+    quotient's coefficients run from the top as q_(i-1) = x^r q_i - a_i, and
+    the division is exact when a_0 = x^r q_0.  Exact division needs T to
+    vanish at x_v = x^r, so also under x_j -> t^(w_j), x_v -> t^(w.r) for any
+    weights w; one pass over T tests that first and rejects most T."""
+    w = [3 ** j for j in range(len(r))]
+    w[v] = sum(map(_imul, w, r))
+    image = {}
+    for e, c in T.items():
+        k = sum(map(_imul, e, w))
+        image[k] = image.get(k, 0) + c
+    if any(image.values()):
+        return None
+    U = _uni_view(T, v)
+    Q, q = {}, {}
+    for i in range(max(U), 0, -1):
+        q = {tuple(map(_iadd, e, r)): c for e, c in q.items()}
+        for e, c in U.get(i, {}).items():
+            s = q.get(e, 0) - c
+            if s:
+                q[e] = s
+            else:
+                del q[e]
+        Q[i - 1] = q
+    if {tuple(map(_iadd, e, r)): c for e, c in q.items()} != U.get(0, {}):
+        return None
+    return _uni_join(Q, v)
+
+
 # ---------------------------------------------------------------------------
 # multivariate gcd.  A constant operand leaves only the gcd of the integer
 # contents.  Otherwise _tgcd strips the common monomial and the integer
@@ -166,90 +200,11 @@ def _tdiv_strict(A, B):
 #   * the support split: a common factor can only involve variables that occur
 #     in both operands, so an operand that also carries other variables is
 #     replaced by its coefficients over them, and the gcd is folded over all
-#     those parts, smallest first, stopping at 1.  This keeps the costly paths
-#     below on the shared variables only: a gcd against disc^k is taken with
-#     the small coefficients of the other operand, never with the whole of it;
-#   * a rigorous evaluation certificate for the (very common) coprime case: for
-#     any substitution of the other variables, deg_v gcd(A, B) <= deg gcd(A|pt,
-#     B|pt), so a degree-zero univariate image gcd proves the gcd is free of v.
-#     Each call draws its points from its own fixed-seed generator, so the path
-#     a gcd takes does not depend on the calls made before it;
+#     those parts, smallest first, stopping at 1.  This keeps PRS below on the
+#     shared variables only;
 #   * primitive subresultant PRS in the shared variable of least degree.
-
-_GCD_SEED = 0x5eed
-
-
-def _uni_image(T, v, pt):
-    """Collapse T to a univariate integer dict deg_v -> coeff at the point pt
-    (pt: list of ints, entry at v ignored)."""
-    out = {}
-    for e, c in T.items():
-        w = c
-        for i, k in enumerate(e):
-            if k and i != v:
-                w *= pt[i] ** k
-        if w:
-            d = e[v]
-            out[d] = out.get(d, 0) + w
-    return {d: c for d, c in out.items() if c}
-
-
-def _uni_gcd_deg(A, B):
-    """Degree of gcd of two univariate integer dicts (Euclid with content strip)."""
-    fa = [0] * (max(A) + 1)
-    for d, c in A.items():
-        fa[d] = c
-    fb = [0] * (max(B) + 1)
-    for d, c in B.items():
-        fb[d] = c
-    while fb and any(fb):
-        while fb and fb[-1] == 0:
-            fb.pop()
-        if not fb:
-            break
-        g = 0
-        for c in fb:
-            g = igcd(g, c)
-        if g > 1:
-            fb = [c // g for c in fb]
-        if len(fa) < len(fb):
-            fa, fb = fb, fa
-            continue
-        # pseudo-reduce fa by fb (one leading-term kill per pass)
-        lb = fb[-1]
-        la = fa[-1]
-        shift = len(fa) - len(fb)
-        fa = [c * lb for c in fa]
-        for i, c in enumerate(fb):
-            fa[i + shift] -= la * c
-        while fa and fa[-1] == 0:
-            fa.pop()
-        fa, fb = fb, fa
-    return len(fa) - 1
-
-
-def _certify_coprime(A, B, shared, nv):
-    """True only with proof that gcd(A, B) is free of every shared variable."""
-    rng = random.Random(_GCD_SEED)
-    for v in shared:
-        certified = False
-        misses = 0
-        for _ in range(8):
-            pt = [rng.randint(-9, 9) for _ in range(nv)]
-            ia = _uni_image(A, v, pt)
-            ib = _uni_image(B, v, pt)
-            if not ia or not ib:
-                continue  # degenerate point, resample
-            if _uni_gcd_deg(ia, ib) == 0:
-                certified = True
-                break
-            misses += 1
-            if misses >= 2:
-                break  # plausibly a real common factor: let PRS decide
-        if not certified:
-            return False
-    return True
-
+# A denominator of the form c * x^a * F^k, F a ring's known factor, never
+# comes here: Ring.cancel finds its gcd exactly (see Ring).
 
 def _uni_view(T, v):
     """Split T into dict deg_v -> coefficient term-dict (v-exponent zeroed)."""
@@ -386,8 +341,6 @@ def _tgcd(A, B, nv):
                 break
             g = _tgcd(g, part, nv)
         return done(g)
-    if _certify_coprime(A, B, shared, nv):
-        return done({zero: 1})
     v = min(shared, key=lambda i: max(e[i] for e in A) + max(e[i] for e in B))
 
     UA, UB = _uni_view(A, v), _uni_view(B, v)
@@ -434,12 +387,20 @@ def _pos_lead(T):
 
 class Ring:
     """Ordered variable context.  May carry one relation pivot^2 = rel_num/rel_den
-    (both sides free of the pivot) used to reduce pivot powers eagerly."""
+    (both sides free of the pivot) used to reduce pivot powers eagerly.
+
+    May also carry one known factor F = x^r - x_v, given as factor=(r, v): an
+    exponent tuple r free of x_v whose monomial leads F.  F is irreducible,
+    being linear in x_v with coprime coefficients x^r and -1, and it is prime
+    to every monomial and integer.  So for D = c * x^a * F^k,
+    gcd(N, D) = igcd(content N, c) * x^min(a, ord N) * F^j, with j the largest
+    power up to k that divides N, and cancel() finds it without _tgcd."""
 
     __slots__ = ("names", "index", "pivot", "rel_num", "rel_den", "_relpow",
-                 "zero", "one")
+                 "factor", "_fpow", "zero", "one")
 
-    def __init__(self, names, pivot=None, rel_num=None, rel_den=None):
+    def __init__(self, names, pivot=None, rel_num=None, rel_den=None,
+                 factor=None):
         self.names = tuple(names)
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate variable names")
@@ -450,6 +411,13 @@ class Ring:
         self._relpow = {0: ({(0,) * len(self.names): 1}, {(0,) * len(self.names): 1})}
         self.zero = Poly(self, {}, 1)
         self.one = Poly(self, {(0,) * len(self.names): 1}, 1)
+        self.factor = factor
+        if factor is not None:
+            r, v = factor
+            F = {r: 1, tuple(int(i == v) for i in range(len(r))): -1}
+            if len(r) != len(self.names) or r[v] or _lead(F) != r:
+                raise ValueError("known factor: x^r must be free of x_v and lead")
+            self._fpow = [self.one.terms, F]
 
     @property
     def nvars(self):
@@ -479,19 +447,85 @@ class Ring:
             RN, RD = _tneg(RN), _tneg(RD)
         if any(e[p] for e in RN) or any(e[p] for e in RD):
             raise ValueError("relation touches the pivot")
-        return Ring(self.names, pivot=p, rel_num=RN, rel_den=RD)
+        return Ring(self.names, pivot=p, rel_num=RN, rel_den=RD,
+                    factor=self.factor)
 
     def extend(self, extra):
-        """New ring with extra variables appended; relation carries over."""
-        names = self.names + tuple(extra)
-        pad = len(extra)
-        r = Ring(names)
+        """New ring with extra variables appended; relation and known factor
+        carry over."""
+        pad = (0,) * len(extra)
+        rel = {}
         if self.pivot is not None:
-            r2 = Ring(names, pivot=self.pivot,
-                      rel_num={e + (0,) * pad: c for e, c in self.rel_num.items()},
-                      rel_den={e + (0,) * pad: c for e, c in self.rel_den.items()})
-            return r2
-        return r
+            rel = dict(pivot=self.pivot,
+                       rel_num={e + pad: c for e, c in self.rel_num.items()},
+                       rel_den={e + pad: c for e, c in self.rel_den.items()})
+        factor = self.factor and (self.factor[0] + pad, self.factor[1])
+        return Ring(self.names + tuple(extra), factor=factor, **rel)
+
+    def factor_pow(self, k):
+        """Term dict of F^k for the known factor F, cached.  Its first term is
+        x^(rk), with coefficient 1."""
+        P = self._fpow
+        r, xv = P[1]  # the exponents of F, x^r first
+        while len(P) <= k:
+            # F^j = x^r F^(j-1) - x_v F^(j-1)
+            Fj = {tuple(map(_iadd, e, r)): c for e, c in P[-1].items()}
+            for e, c in P[-1].items():
+                e = tuple(map(_iadd, e, xv))
+                Fj[e] = Fj.get(e, 0) - c
+            P.append(Fj)
+        return P[k]
+
+    def _known_split(self, D):
+        """(c, a, k) with D == c * x^a * F^k, or None when the ring has no known
+        factor or D is not of that form.  F^k has k + 1 terms and spans degree k
+        in x_v, so a D that matches is compared term by term, in O(|D|)."""
+        if self.factor is None:
+            return None
+        v = self.factor[1]
+        cols = list(zip(*D))
+        a = tuple(map(min, cols))
+        k = max(cols[v]) - a[v]
+        if len(D) != k + 1:
+            return None
+        Fk = self.factor_pow(k)
+        keys = [tuple(map(_iadd, e, a)) for e in Fk] if any(a) else list(Fk)
+        c = D.get(keys[0])
+        if c is not None and all(D.get(e) == c * f
+                                 for e, f in zip(keys, Fk.values())):
+            return c, a, k
+        return None
+
+    def cancel(self, N, D):
+        """(g, N/g, D/g) for g = gcd(N, D) of nonzero integer term dicts, g as
+        _tgcd gives it; N and D come back as they are when g = 1.  A D of the
+        form c * x^a * F^k takes the known-factor rule of the class docstring,
+        any other D takes _tgcd and two exact divisions."""
+        one = self.one.terms
+        known = self._known_split(D)
+        if known is None:
+            g = _tgcd(N, D, self.nvars)
+            if g == one:
+                return g, N, D
+            return g, _tdiv_strict(N, g), _tdiv_strict(D, g)
+        c, a, k = known
+        cg = 1 if c in (1, -1) else igcd(_content(N), c)
+        m = tuple(map(min, a, map(min, zip(*N)))) if any(a) else a
+        if cg > 1 or any(m):
+            N = {tuple(map(_isub, e, m)): x // cg for e, x in N.items()}
+        j = 0
+        while j < k:
+            Q = _tdiv_known(N, *self.factor)
+            if Q is None:
+                break
+            N, j = Q, j + 1
+        if cg == 1 and j == 0 and not any(m):
+            return one, N, D
+        g = {tuple(map(_iadd, e, m)): cg * f for e, f in self.factor_pow(j).items()}
+        rest = tuple(map(_isub, a, m))
+        D = {tuple(map(_iadd, e, rest)): c // cg * f
+             for e, f in self.factor_pow(k - j).items()}
+        return g, N, D
 
     def lift_terms(self, T, src):
         """Re-key terms from a ring whose names are a prefix of ours."""

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from dworklie import DworkError, RatFn, matched_c, resolve_chart
+from dworklie import DworkError, RatFn, matched_c, resolve_chart, symbolic_elem
 from dworklie.chart import chart_of_ring, slot_layout
 from dworklie.closedforms import C_DEFAULT, RELATION_CONST, derive_matched_c
+from dworklie.cy3 import _yring
 from dworklie.geometry import family_dims
 from dworklie.ring import Ring
 
@@ -102,3 +103,19 @@ def test_dependent_slots_close_under_the_chart(n):
                     if k:
                         used.add(nm)
         assert used <= allowed, f"slot ({i},{j}) leaks {used - allowed}"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_chart_ring_knows_the_discriminant(n):
+    # every chart ring, with or without the even-n relation, carries
+    # disc = t1^(n+2) - t_{n+2} as its known factor
+    ch = resolve_chart(n)
+    assert ch.disc.den == ch.ring.one
+    assert ch.ring.factor_pow(1) == ch.disc.num.terms
+
+
+def test_group_ring_keeps_the_factor_and_cy3_ring_has_none():
+    ch = resolve_chart(4)
+    ring = symbolic_elem(4).ring
+    assert ring.factor_pow(1) == ch.disc.num.lift(ring).terms
+    assert _yring(2).factor is None

@@ -4,8 +4,8 @@ solver and its failure mode."""
 import pytest
 
 from dworklie import (MatF, NoSuchField, RatFn, VecField,
-                      check_pairing_invariance, full_connection, resolve_chart,
-                      vf_from_target)
+                      check_pairing_invariance, full_connection, modular_vf,
+                      resolve_chart, vf_from_target)
 from dworklie.connection import tangent_fields
 from dworklie.group import lie_gen
 
@@ -13,6 +13,16 @@ from dworklie.group import lie_gen
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_pairing_invariance(n):
     assert check_pairing_invariance(resolve_chart(n))
+
+
+def test_extended_range_n7():
+    # beyond the paper's examples: pairing invariance of the full connection
+    # and the band contraction of the modular field at n = 7
+    ch = resolve_chart(7)
+    A = full_connection(ch)
+    R, Y = modular_vf(7)
+    assert check_pairing_invariance(ch, A)
+    assert A.contract(R) == Y.matrix()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
