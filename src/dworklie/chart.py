@@ -126,8 +126,7 @@ def build_chart(n, c_value=None):
                 raise EliminationStuck("middle slot equation is not purely quadratic")
             rhs = phi.get1(i, j) / quad
             kappa = rhs / disc
-            bad = [nm for nm in ring.names if nm != "c"
-                   and (kappa.num.degree(nm) > 0 or kappa.den.degree(nm) > 0)]
+            bad = [nm for nm in kappa.support() if nm != "c"]
             if bad:
                 raise EliminationStuck(f"relation scale depends on {bad}")
             ring2 = ring.with_relation(pivot_var, rhs.num, rhs.den)

@@ -223,13 +223,10 @@ def _divisors(x):
 def _c_poly(rf):
     """Split a c-dependent rational function's numerator into
     {t-monomial: {c-degree: coeff}}; rf must be the difference to kill."""
-    ring = rf.ring
-    ci = ring.index["c"]
     table = {}
-    for e, coeff in rf.num.terms.items():
-        tmono = tuple(x for i, x in enumerate(e) if i != ci)
-        row = table.setdefault(tmono, {})
-        row[e[ci]] = row.get(e[ci], Fraction(0)) + coeff
+    for k, coeff in rf.num.coeffs("c").items():
+        for cf, tmono in coeff.items():
+            table.setdefault(tmono, {})[k] = cf
     return table
 
 

@@ -17,7 +17,6 @@ from .errors import ActionShapeViolation, DworkError, ZeroScalar
 from .geometry import family_dims, pairing_form
 from .linalg import MatF, VecField
 from .ratfn import RatFn
-from .ring import Poly
 
 
 def basis_pairs(n):
@@ -245,21 +244,6 @@ def act(n, t=None, g=None, c=None):
     return new
 
 
-def lower_ratfn(rf, ring):
-    """Drop trailing unused variables, landing in the smaller ring."""
-    k = ring.nvars
-
-    def drop(p):
-        terms = {}
-        for e, cf in p.terms.items():
-            if any(e[k:]):
-                raise DworkError("value still involves removed parameters")
-            terms[e[:k]] = terms.get(e[:k], 0) + cf
-        return Poly(ring, terms, p.den)
-
-    return RatFn(drop(rf.num), drop(rf.den))
-
-
 def infinitesimal(n, i, c=None):
     """Derivative of the action along parameter i at the identity element."""
     ch = resolve_chart(n, c)
@@ -274,5 +258,5 @@ def infinitesimal(n, i, c=None):
     comps = {}
     for v, rf in formulas.items():
         dv = rf.derive("gp").subs({"gp": center})
-        comps[v] = lower_ratfn(dv, ch.ring)
+        comps[v] = dv.lift(ch.ring)
     return VecField(ch.ring, comps)

@@ -5,16 +5,12 @@ sl2 triple they generate, the weight grading, and polynomial truncation.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-
 from .chart import resolve_chart
 from .connection import vf_from_target
 from .errors import DworkError, Sl2Violation
 from .group import basis_pairs, lie_gen
 from .linalg import MatF, VecField
 from .ratfn import RatFn
-from .ring import Poly, _ordkey
 
 
 class YukawaSet:
@@ -163,12 +159,8 @@ def weights(n, c=None):
 def quasi_degree(rf, w):
     """Weighted degree when numerator and denominator are each
     quasi-homogeneous; None otherwise.  Variables missing from w weigh 0."""
-    widx = [w.get(nm, 0) for nm in rf.ring.names]
-
-    def degs(p):
-        return {sum(x * wi for x, wi in zip(e, widx)) for e in p.terms} or {0}
-
-    dn, dd = degs(rf.num), degs(rf.den)
+    dn = rf.num.weighted_degrees(w) or {0}
+    dd = rf.den.weighted_degrees(w)
     if len(dn) != 1 or len(dd) != 1:
         return None
     return next(iter(dn)) - next(iter(dd))
@@ -197,38 +189,6 @@ def truncate_poly(V):
     """Polynomial part of each component: the quotient of dividing the
     numerator by the full denominator, graded-lex leading terms, skipping
     (and keeping out) every term the leading divisor cannot reach."""
-    comps = {v: _poly_part(rf) for v, rf in V.comps.items()}
+    comps = {v: rf if rf.den.is_const else RatFn(divmod(rf.num, rf.den)[0])
+             for v, rf in V.comps.items()}
     return VecField(V.ring, comps)
-
-
-def _poly_part(rf):
-    ring = rf.ring
-    den = rf.den
-    if not den.terms:
-        raise ZeroDivisionError("zero denominator")
-    if len(den.terms) == 1 and not any(next(iter(den.terms))):
-        return rf  # constant denominator: already polynomial
-    p = {e: Fraction(cf, rf.num.den) for e, cf in rf.num.terms.items()}
-    d = {e: Fraction(cf, den.den) for e, cf in den.terms.items()}
-    e0 = max(d, key=_ordkey)
-    c0 = d[e0]
-    q = {}
-    while p:
-        e = max(p, key=_ordkey)
-        cf = p.pop(e)
-        if all(x >= y for x, y in zip(e, e0)):
-            qe = tuple(x - y for x, y in zip(e, e0))
-            qc = cf / c0
-            q[qe] = q.get(qe, Fraction(0)) + qc
-            for ed, cd in d.items():
-                if ed == e0:
-                    continue
-                te = tuple(x + y for x, y in zip(qe, ed))
-                nv = p.get(te, Fraction(0)) - qc * cd
-                if nv:
-                    p[te] = nv
-                else:
-                    p.pop(te, None)
-    denl = math.lcm(*(cf.denominator for cf in q.values()))
-    terms = {e: int(cf * denl) for e, cf in q.items() if cf}
-    return RatFn(Poly(ring, terms, denl))

@@ -46,8 +46,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import KernelInvariant
-from .ring import (Poly, _content, _lead, _ordkey, _tadd, _teval, _tmul, _tneg,
-                   _tpow, _tscale)
+from .ring import Poly, _primitive, _tadd, _tmul, _tscale
 
 
 class RatFn:
@@ -76,8 +75,8 @@ class RatFn:
     def support(self):
         """Names of the variables in the numerator or the denominator, in
         ring order; empty for a constant."""
-        cols = zip(*self.num.terms, *self.den.terms)
-        return [nm for nm, col in zip(self.ring.names, cols) if any(col)]
+        s = set(self.num.support()).union(self.den.support())
+        return [nm for nm in self.ring.names if nm in s]
 
     # -- constructors -------------------------------------------------------
     @staticmethod
@@ -171,8 +170,7 @@ class RatFn:
         _, C, B = ring.cancel(C, B)
         num = Poly(ring, _tmul(A, C), a.num.den * b.num.den)
         den = Poly(ring, _tmul(B, D))
-        p = ring.pivot
-        if p is not None and any(e[p] for e in A) and any(e[p] for e in C):
+        if ring.has_pivot(A) and ring.has_pivot(C):
             return RatFn(num, den)
         return _raw(num, den)
 
@@ -237,7 +235,9 @@ class RatFn:
         ring = self.ring
         vals = {}
         for name, v in mapping.items():
-            vals[ring.index[name]] = RatFn.of(ring, v)
+            if name not in ring.index:
+                raise KeyError(name)
+            vals[name] = RatFn.of(ring, v)
         return _subs_poly(self.num, vals) / _subs_poly(self.den, vals)
 
     def eval(self, point):
@@ -255,15 +255,13 @@ class RatFn:
 def _subs_poly(p, vals):
     ring = p.ring
     out = RatFn.of(ring, 0)
-    for e, c in p.terms.items():
-        term = RatFn.of(ring, Fraction(c, p.den))
-        for i, k in enumerate(e):
-            if not k:
-                continue
-            if i in vals:
-                term = term * vals[i] ** k
+    for c, powers in p.items():
+        term = RatFn.of(ring, c)
+        for nm, k in powers:
+            if nm in vals:
+                term = term * vals[nm] ** k
             else:
-                term = term * RatFn(ring.var(ring.names[i]) ** k)
+                term = term * RatFn(ring.var(nm) ** k)
         out = out + term
     return out
 
@@ -287,60 +285,26 @@ def _normalize(num, den):
     if num.is_zero:
         return ring.zero, ring.one
 
-    N, kn = ring.reduce_terms(num.terms)
-    D, kd = ring.reduce_terms(den.terms)
+    N, D = ring.rationalize(num.terms, den.terms)
     if not N:
         return ring.zero, ring.one
-    if not D:
-        raise ZeroDivisionError("denominator is zero under the slot relation")
-    p = ring.pivot
-    if p is not None and any(e[p] for e in D):
-        conj = {e: (-c if e[p] else c) for e, c in D.items()}
-        N, kn2 = ring.reduce_terms(_tmul(N, conj))
-        D, kd2 = ring.reduce_terms(_tmul(D, conj))
-        if not D or any(e[p] for e in D):
-            raise KernelInvariant("pivot survived rationalization")
-        kn += kn2
-        kd += kd2
-    # value = (N/RD^kn) * beta / ((D/RD^kd) * alpha)
-    net = kd - kn
-    if net > 0:
-        N = _tmul(N, _tpow(ring.rel_den, net))
-    elif net < 0:
-        D = _tmul(D, _tpow(ring.rel_den, -net))
-
     _, N, D = ring.cancel(N, D)
-
-    q = Fraction(den.den, num.den)
-    cn = _content(N)
-    if cn > 1:
-        N = {e: c // cn for e, c in N.items()}
-        q *= cn
-    cd = _content(D)
-    if cd > 1:
-        D = {e: c // cd for e, c in D.items()}
-        q /= cd
-    if D[_lead(D)] < 0:
-        N, D = _tneg(N), _tneg(D)
-    num_poly = Poly(ring, _tscale(N, q.numerator), q.denominator)
-    den_poly = Poly(ring, D, 1)
-    return num_poly, den_poly
+    # value = N * den.den / ((cd * D) * num.den), D primitive; the Poly
+    # constructor cancels the integer content of N against q's denominator
+    cd, D = _primitive(D)
+    q = Fraction(den.den, num.den * cd)
+    return Poly(ring, _tscale(N, q.numerator), q.denominator), Poly(ring, D, 1)
 
 
 # ---------------------------------------------------------------------------
 # canonical serialization
 
-def _is_bare_factor(D):
-    (e, c), = D.items()
-    if not any(e):
-        return True  # plain positive integer
-    return c == 1 and sum(e) == 1  # single variable, exponent 1
-
-
-def _text_frac(ns, ds, N, D):
-    if len(N) > 1:
+def _text_frac(ns, ds):
+    # terms are joined by " + " or " - ", a power or product shows "^" or "*";
+    # what has none of them is one term: an integer or a bare variable
+    if " " in ns:
         ns = f"({ns})"
-    if not (len(D) == 1 and _is_bare_factor(D)):
+    if any(ch in ds for ch in " *^"):
         ds = f"({ds})"
     return f"{ns}/{ds}"
 
@@ -353,48 +317,45 @@ def _latex_var(nm):
 
 # How the one printer spells a variable, a power (format string over the
 # spelled variable and the exponent), the product separator, and a fraction
-# (from the two spelled polynomials and their term dicts).
+# (from the two spelled polynomials).
 Spelling = namedtuple("Spelling", "var power sep frac")
 TEXT = Spelling(str, "{}^{}", "*", _text_frac)
 LATEX = Spelling(_latex_var, "{}^{{{}}}", " ",
-                 lambda ns, ds, N, D: "\\frac{%s}{%s}" % (ns, ds))
+                 lambda ns, ds: "\\frac{%s}{%s}" % (ns, ds))
 
 
-def _mono_string(e, c, names, sp):
+def _mono_string(c, powers, sp):
     parts = [sp.var(nm) if k == 1 else sp.power.format(sp.var(nm), k)
-             for nm, k in zip(names, e) if k]
+             for nm, k in powers]
     ac = abs(c)
     if ac != 1 or not parts:
         parts.insert(0, str(ac))
     return sp.sep.join(parts)
 
 
-def poly_string(terms, names=None, spelling=TEXT):
-    """Ascending graded-lex listing; names default to positional lookup by caller."""
-    if not terms:
-        return "0"
-    if names is None:
-        raise ValueError("variable names required")
-    items = sorted(terms.items(), key=lambda kv: _ordkey(kv[0]))
+def poly_string(p, spelling=TEXT):
+    """Listing of the Poly p in ascending graded-lex order."""
     out = []
-    for i, (e, c) in enumerate(items):
-        m = _mono_string(e, c, names, spelling)
-        if i == 0:
+    for c, powers in p.items():
+        m = _mono_string(c, powers, spelling)
+        if not out:
             out.append(f"-{m}" if c < 0 else m)
         else:
             out.append(f" - {m}" if c < 0 else f" + {m}")
-    return "".join(out)
+    return "".join(out) or "0"
 
 
 def ratfn_string(r, spelling=TEXT):
     """Canonical string of r: the plain text form by default, or the TeX
-    form with spelling=LATEX; both list terms in the same order."""
-    names = r.ring.names
-    ns = poly_string(r.num.terms, names, spelling)
-    D = _tscale(r.den.terms, r.num.den)
-    if D == {(0,) * r.ring.nvars: 1}:
+    form with spelling=LATEX; both list terms in the same order.  The
+    numerator's denominator moves into the denominator."""
+    N, D = r.num, r.den
+    if N.den != 1:
+        N, D = N * N.den, D * N.den
+    ns = poly_string(N, spelling)
+    if D == r.ring.one:
         return ns
-    return spelling.frac(ns, poly_string(D, names, spelling), r.num.terms, D)
+    return spelling.frac(ns, poly_string(D, spelling))
 
 
 # ---------------------------------------------------------------------------
@@ -512,26 +473,23 @@ def parse_ratfn(ring, s):
 # randomized-evaluation equality oracle (second route, independent of the
 # canonical-form equality)
 
-def _split_pivot(T, p):
-    if p is None:
-        return dict(T), {}
-    even, odd = {}, {}
-    for e, c in T.items():
-        base = e[:p] + (0,) + e[p + 1:]
-        if e[p] > 1:
-            raise KernelInvariant("unreduced pivot power")
-        (odd if e[p] else even)[base] = c
-    return even, odd
+def _split_pivot(p):
+    """(even, odd) parts of the Poly p in the relation pivot."""
+    ring = p.ring
+    if ring.pivot is None:
+        return p, ring.zero
+    parts = p.coeffs(ring.names[ring.pivot])
+    if set(parts) - {0, 1}:
+        raise KernelInvariant("unreduced pivot power")
+    return parts.get(0, ring.zero), parts.get(1, ring.zero)
 
 
 def eq_by_random_eval(f, g, rng, trials=5):
     """Compare f and g at random rational points (pivot handled componentwise)."""
     ring = f.ring
     f.num._chk(g.num)
-    p = ring.pivot
-    fa, fb = _split_pivot(f.num.terms, p)
-    ga, gb = _split_pivot(g.num.terms, p)
-    fd, gd = f.den.terms, g.den.terms
+    fa, fb = _split_pivot(f.num)
+    ga, gb = _split_pivot(g.num)
     done = 0
     attempts = 0
     while done < trials:
@@ -539,19 +497,14 @@ def eq_by_random_eval(f, g, rng, trials=5):
         if attempts >= 200:
             raise ValueError("no admissible sample points: the denominators "
                              "vanish at every point drawn")
-        pt = tuple(Fraction(rng.randint(-19, 19), rng.randint(1, 7))
-                   for _ in range(ring.nvars))
-        dfv = _teval(fd, pt)
-        dgv = _teval(gd, pt)
+        pt = {nm: Fraction(rng.randint(-19, 19), rng.randint(1, 7))
+              for nm in ring.names}
+        dfv = f.den.eval(pt)
+        dgv = g.den.eval(pt)
         if dfv == 0 or dgv == 0:
             continue
-        lhs_even = _teval(fa, pt) * dgv * g.num.den
-        rhs_even = _teval(ga, pt) * dfv * f.num.den
-        if lhs_even != rhs_even:
-            return False
-        lhs_odd = _teval(fb, pt) * dgv * g.num.den
-        rhs_odd = _teval(gb, pt) * dfv * f.num.den
-        if lhs_odd != rhs_odd:
+        if (fa.eval(pt) * dgv != ga.eval(pt) * dfv
+                or fb.eval(pt) * dgv != gb.eval(pt) * dfv):
             return False
         done += 1
     return True

@@ -10,15 +10,28 @@ Variables are ordered by their position in Ring.names (earlier = lower).
 A ring may name one known irreducible factor F = x^r - x_v.  Ring.cancel then
 finds the gcd with a denominator c * x^a * F^k by exact division by F, not by
 a multivariate gcd (see Ring).
+
+Boundary: only this module knows that a monomial is an exponent tuple and how
+monomials are ordered.  Other modules name variables and use
+  Ring: var, const, with_relation, extend, factor_pow, cancel, has_pivot (the
+        pivot test) and rationalize (the conjugate step after reduce_terms);
+  Poly: arithmetic, divmod (division with remainder), derive, eval, lift (also
+        down to a prefix ring), support, weighted_degrees, coeffs (over
+        one variable), items (the terms in order, each a coefficient and
+        (name, power) pairs), is_zero, is_const and const_value.
+ratfn alone also hands term dicts, as opaque values, to _tadd, _tmul, _tscale
+and _primitive, so that its Henrici sums and products build no Poly per
+operation.  Exponent tuples enter only as constructor input: the relation and
+the known factor of Ring(...), which geometry and the tests spell out.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as igcd
+from math import gcd as igcd, lcm
 from operator import add as _iadd, mul as _imul, sub as _isub
 
-from .errors import KernelInvariant
+from .errors import DworkError, KernelInvariant
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +109,15 @@ def _content(A):
         if g == 1:
             return 1
     return g
+
+
+def _primitive(T):
+    """(c, P) with T == c * P: P has content 1 and a positive leading
+    coefficient, and c carries the sign.  (0, {}) for T empty."""
+    c = _content(T)
+    if T and T[_lead(T)] < 0:
+        c = -c
+    return c, (T if c == 1 else {e: x // c for e, x in T.items()})
 
 
 def _tderive(T, v):
@@ -292,10 +314,9 @@ def _mono_gcd(A, B):
 
 def _tgcd(A, B, nv):
     """Gcd of integer term dicts, sign-normalized to positive leading coefficient."""
-    if not A:
-        return _pos_lead(B)
-    if not B:
-        return _pos_lead(A)
+    if not A or not B:
+        c, P = _primitive(A or B)
+        return _tscale(P, abs(c))
     zero = (0,) * nv
     if len(A) == 1 and zero in A or len(B) == 1 and zero in B:
         return {zero: igcd(_content(A), _content(B))}
@@ -305,25 +326,21 @@ def _tgcd(A, B, nv):
         A = {tuple(x - y for x, y in zip(e, mono)): c for e, c in A.items()}
         B = {tuple(x - y for x, y in zip(e, mono)): c for e, c in B.items()}
 
-    ca, cb = _content(A), _content(B)
+    ca, A = _primitive(A)
+    cb, B = _primitive(B)
     c = igcd(ca, cb)
-    if ca > 1:
-        A = {e: x // ca for e, x in A.items()}
-    if cb > 1:
-        B = {e: x // cb for e, x in B.items()}
 
     def done(prim):
-        out = _tmul(prim, {mono: c}) if (any(mono) or c != 1) else prim
-        return _pos_lead(out)
+        # prim is primitive here, so _primitive only fixes its sign
+        prim = _primitive(prim)[1]
+        return _tmul(prim, {mono: c}) if (any(mono) or c != 1) else prim
 
     if len(A) == 1 or len(B) == 1:
         return done({_mono_gcd(A, B): 1})
-    if A == B or A == _tneg(B):
-        return done(_pos_lead(A))
-    if _tdiv_exact(A, B) is not None:
-        return done(_pos_lead(B))
+    if A == B or _tdiv_exact(A, B) is not None:
+        return done(B)
     if _tdiv_exact(B, A) is not None:
-        return done(_pos_lead(A))
+        return done(A)
 
     sa = [i for i, col in enumerate(zip(*A)) if any(col)]
     sb = [i for i, col in enumerate(zip(*B)) if any(col)]
@@ -375,12 +392,6 @@ def _split_off(T, support, keep):
             base[i] = 0
         out.setdefault(tuple(e[i] for i in drop), {})[tuple(base)] = c
     return list(out.values())
-
-
-def _pos_lead(T):
-    if T and T[_lead(T)] < 0:
-        return _tneg(T)
-    return T
 
 
 # ---------------------------------------------------------------------------
@@ -437,14 +448,10 @@ class Ring:
     def with_relation(self, pivot_name, num, den):
         """New ring over the same variables where pivot^2 = num/den (Poly args)."""
         p = self.index[pivot_name]
-        RN = _tscale(num.terms, den.den)
-        RD = _tscale(den.terms, num.den)
-        g = igcd(_content(RN), _content(RD))
-        if g > 1:
-            RN = {e: c // g for e, c in RN.items()}
-            RD = {e: c // g for e, c in RD.items()}
-        if RD[_lead(RD)] < 0:
-            RN, RD = _tneg(RN), _tneg(RD)
+        cn, RN = _primitive(_tscale(num.terms, den.den))
+        cd, RD = _primitive(_tscale(den.terms, num.den))
+        q = Fraction(cn, cd)
+        RN, RD = _tscale(RN, q.numerator), _tscale(RD, q.denominator)
         if any(e[p] for e in RN) or any(e[p] for e in RD):
             raise ValueError("relation touches the pivot")
         return Ring(self.names, pivot=p, rel_num=RN, rel_den=RD,
@@ -527,15 +534,6 @@ class Ring:
              for e, f in self.factor_pow(k - j).items()}
         return g, N, D
 
-    def lift_terms(self, T, src):
-        """Re-key terms from a ring whose names are a prefix of ours."""
-        if self.names[: src.nvars] != src.names:
-            raise KernelInvariant("not a prefix extension")
-        pad = self.nvars - src.nvars
-        if pad == 0:
-            return dict(T)
-        return {e + (0,) * pad: c for e, c in T.items()}
-
     def _rel_pow(self, k):
         cache = self._relpow
         if k not in cache:
@@ -572,6 +570,38 @@ class Ring:
                 else:
                     del out[e2]
         return out, kmax
+
+    def has_pivot(self, T):
+        """Whether the relation pivot occurs in the term dict T."""
+        p = self.pivot
+        return p is not None and any(e[p] for e in T)
+
+    def rationalize(self, N, D):
+        """(N', D') with N'/D' == N/D under the relation, for term dicts N and
+        D: N' has pivot degree <= 1 (empty when N vanishes) and D' is free of
+        the pivot, made so by multiplying with its conjugate."""
+        N, kn = self.reduce_terms(N)
+        D, kd = self.reduce_terms(D)
+        if not N:
+            return N, D
+        if not D:
+            raise ZeroDivisionError("denominator is zero under the slot relation")
+        if self.has_pivot(D):
+            p = self.pivot
+            conj = {e: (-c if e[p] else c) for e, c in D.items()}
+            N, kn2 = self.reduce_terms(_tmul(N, conj))
+            D, kd2 = self.reduce_terms(_tmul(D, conj))
+            if not D or self.has_pivot(D):
+                raise KernelInvariant("pivot survived rationalization")
+            kn += kn2
+            kd += kd2
+        # N/D == (N'/rel_den^kn) / (D'/rel_den^kd)
+        net = kd - kn
+        if net > 0:
+            N = _tmul(N, _tpow(self.rel_den, net))
+        elif net < 0:
+            D = _tmul(D, _tpow(self.rel_den, -net))
+        return N, D
 
     def __repr__(self):
         rel = "" if self.pivot is None else f", {self.names[self.pivot]}^2 bound"
@@ -618,13 +648,30 @@ class Poly:
             return Fraction(0)
         return Fraction(next(iter(self.terms.values())), self.den)
 
-    def degree(self, var=None):
-        if not self.terms:
-            return -1
-        if var is None:
-            return max(sum(e) for e in self.terms)
-        i = self.ring.index[var]
-        return max(e[i] for e in self.terms)
+    def support(self):
+        """Names of the variables that occur, in ring order."""
+        return [nm for nm, col in zip(self.ring.names, zip(*self.terms))
+                if any(col)]
+
+    def weighted_degrees(self, w):
+        """Set of the weighted degrees of the terms; w maps names to integer
+        weights, and a name missing from w weighs 0."""
+        wt = [w.get(nm, 0) for nm in self.ring.names]
+        return {sum(map(_imul, e, wt)) for e in self.terms}
+
+    def coeffs(self, var):
+        """{k: coefficient of var^k}, each a Poly free of var; {} for zero."""
+        U = _uni_view(self.terms, self.ring.index[var])
+        return {k: Poly(self.ring, T, self.den) for k, T in U.items()}
+
+    def items(self):
+        """(coefficient, ((name, power), ...)) for each term in ascending
+        graded-lex order, the powers nonzero and in ring order.  A coefficient
+        is an int when den == 1, else a Fraction."""
+        names, den = self.ring.names, self.den
+        for e, c in sorted(self.terms.items(), key=lambda t: _ordkey(t[0])):
+            yield (c if den == 1 else Fraction(c, den),
+                   tuple((nm, k) for nm, k in zip(names, e) if k))
 
     # -- arithmetic ---------------------------------------------------------
     def _chk(self, other):
@@ -655,6 +702,40 @@ class Poly:
 
     __rmul__ = __mul__
 
+    def __divmod__(self, other):
+        """(q, r) with self == q * other + r, by repeated division of the
+        leading term by the leading term of other, so that no term of r is
+        divisible by the leading monomial of other."""
+        self._chk(other)
+        if not other.terms:
+            raise ZeroDivisionError("division by zero polynomial")
+        d = {e: Fraction(c, other.den) for e, c in other.terms.items()}
+        e0 = _lead(d)
+        c0 = d.pop(e0)
+        p = {e: Fraction(c, self.den) for e, c in self.terms.items()}
+        q, r = {}, {}
+        while p:
+            e = _lead(p)
+            cf = p.pop(e)
+            qe = tuple(map(_isub, e, e0))
+            if any(x < 0 for x in qe):
+                r[e] = cf
+                continue
+            qc = q[qe] = cf / c0
+            for ed, cd in d.items():
+                te = tuple(map(_iadd, qe, ed))
+                s = p.get(te, 0) - qc * cd
+                if s:
+                    p[te] = s
+                else:
+                    del p[te]
+
+        def poly(T):
+            den = lcm(*(c.denominator for c in T.values()))
+            return Poly(self.ring, {e: int(c * den) for e, c in T.items()}, den)
+
+        return poly(q), poly(r)
+
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power of a polynomial")
@@ -676,14 +757,31 @@ class Poly:
         return p if p.terms else self.ring.zero
 
     def eval(self, point):
-        """point: dict name -> Fraction, must cover every variable that occurs."""
+        """point: dict name -> Fraction, covering every variable that occurs;
+        DworkError names the first one missing."""
+        for nm in self.support():
+            if nm not in point:
+                raise DworkError(f"no value given for the variable {nm!r}")
         pt = tuple(Fraction(point.get(nm, 0)) for nm in self.ring.names)
         return _teval(self.terms, pt) / self.den
 
     def lift(self, ring):
-        return Poly(ring, ring.lift_terms(self.terms, self.ring), self.den)
+        """The same polynomial in a ring whose names extend ours or are a
+        prefix of them; DworkError when a dropped variable occurs."""
+        src, k = self.ring.names, ring.nvars
+        if src[:k] != ring.names[:len(src)]:
+            raise KernelInvariant("not a prefix extension")
+        T = self.terms
+        if k > len(src):
+            T = {e + (0,) * (k - len(src)): c for e, c in T.items()}
+        elif k < len(src):
+            for nm in self.support():
+                if nm not in ring.index:
+                    raise DworkError(f"cannot drop the variable {nm!r}: it occurs")
+            T = {e[:k]: c for e, c in T.items()}
+        return Poly(ring, T, self.den)
 
     def __repr__(self):
         from .ratfn import poly_string  # local import to avoid a cycle
-        s = poly_string(self.terms, self.ring.names) if self.terms else "0"
+        s = poly_string(self * self.den)
         return s if self.den == 1 else f"({s})/{self.den}"

@@ -7,10 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from dworklie import (NotMember, RatFn, VecField, amsy_decompose, basis_pairs,
-                      basis_vf, fR_identities, jacobi_ok, membership_build,
-                      modular_vf, resolve_chart, sl2_triple, truncate_poly,
-                      verify_flatness, verify_homomorphism, verify_theorem2)
+from dworklie import (DworkError, NotMember, RatFn, VecField, amsy_decompose,
+                      basis_pairs, basis_vf, fR_identities, jacobi_ok,
+                      membership_build, modular_vf, resolve_chart, sl2_triple,
+                      truncate_poly, verify_flatness, verify_homomorphism,
+                      verify_theorem2)
 from dworklie.closedforms import (DECOMP3, DECOMP3_F0, OBSTRUCTION4_ENTRY,
                                   OBSTRUCTION4_VALUE, parse_field)
 from dworklie.geometry import family_dims
@@ -170,3 +171,10 @@ def test_generator_fields_have_full_rank(n):
     assert dim == d
     assert count == 1 + m * (m + 1)
     assert rank == d
+
+
+def test_generator_rank_names_the_variable_it_cannot_draw():
+    # the symbolic chart has c as a variable, and the random point draws
+    # only the coordinates
+    with pytest.raises(DworkError, match="'c'"):
+        generator_rank(1, "sym")

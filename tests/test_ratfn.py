@@ -8,8 +8,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dworklie import Poly, RatFn, Ring, eq_by_random_eval, parse_ratfn, ratfn_string
+from dworklie import (DworkError, Poly, RatFn, Ring, eq_by_random_eval, parse_ratfn,
+                      ratfn_string, resolve_chart)
 from dworklie.ratfn import ParseError
+from dworklie.ring import _lead
 
 R3 = Ring(("x", "y", "z"))
 
@@ -138,6 +140,22 @@ def test_eval_matches_substitution():
     f = (x ** 2 - z) / (x + RatFn.of(R3, 3))
     pt = {"x": Fraction(2), "y": Fraction(0), "z": Fraction(1, 2)}
     assert f.eval(pt) == Fraction(7, 10)
+
+
+def test_eval_names_a_missing_variable():
+    ring = resolve_chart(1, "sym").ring
+    assert parse_ratfn(ring, "t1^2").eval({"t1": 2}) == 4
+    with pytest.raises(DworkError, match="'c'"):
+        parse_ratfn(ring, "c + t1").eval({"t1": 2})
+
+
+def test_lift_drops_trailing_variables_that_do_not_occur():
+    R2 = Ring(("x", "y"))
+    f = parse_ratfn(R3, "x/(y + 1)")
+    assert f.lift(R2) == parse_ratfn(R2, "x/(y + 1)")
+    assert f.lift(R2).lift(R3) == f
+    with pytest.raises(DworkError, match="'z'"):
+        parse_ratfn(R3, "x*z").lift(R2)
 
 
 # Henrici addition against the plain formula it replaced: the sum over the
@@ -286,3 +304,19 @@ def test_support_lists_numerator_and_denominator_variables():
     x, z = RatFn.var(R3, "x"), RatFn.var(R3, "z")
     assert (z / (x + 1)).support() == ["x", "z"]
     assert RatFn.of(R3, Fraction(3, 4)).support() == []
+
+
+# Division with remainder (behind truncate_poly) against its definition.
+# Poly arithmetic ignores the slot relation, so in RU as in R3
+# num == q*den + r holds exactly.
+
+@given(st.sampled_from([R3, RU]), numerators,
+       st.dictionaries(expo, small.filter(bool), min_size=1, max_size=3),
+       st.integers(1, 3), st.integers(1, 3))
+@settings(max_examples=120, deadline=None)
+def test_divmod_leaves_no_term_the_leading_monomial_divides(ring, N, D, a, b):
+    num, den = Poly(ring, N, a), Poly(ring, D, b)
+    q, r = divmod(num, den)
+    assert num == q * den + r
+    lead = _lead(den.terms)
+    assert not [e for e in r.terms if all(x >= y for x, y in zip(e, lead))]
