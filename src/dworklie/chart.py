@@ -58,30 +58,44 @@ class Chart:
         return f"{self.pivot_var}^2 = {ratfn_string(rel)}"
 
 
-def _entry_coeffs(omega, entries, i, j, unknown):
-    """(S omega S^T)_{ij} as a polynomial in the value of the unknown slot:
-    its (constant, linear, quadratic) coefficients.  Each product is filed
-    by how many of its two frame factors are the unknown slot."""
+def _equation(omega, entries, i, j):
+    """(S omega S^T)_{ij} read once: the one unsolved slot it involves (None
+    if every factor is known) and its (constant, linear, quadratic)
+    coefficients in that slot's value.  Products with a zero factor are
+    skipped; each other product is filed by how many of its two frame
+    factors are the unsolved slot."""
     zero = RatFn.of(omega.ring, 0)
     coeffs = [zero, zero, zero]
+    slots = set()
     for k in range(1, i + 1):
-        ka = (i, k) == unknown
         a = entries.get((i, k))
-        if not ka and (a is None or a.is_zero):
+        if a is not None and a.is_zero:
             continue
         for l in range(1, j + 1):
             w = omega.get1(k, l)
-            if w.is_zero:
-                continue
-            kb = (j, l) == unknown
             b = entries.get((j, l))
-            if not kb and (b is None or b.is_zero):
+            if w.is_zero or (b is not None and b.is_zero):
                 continue
-            term = w if ka else a * w
-            if not kb:
+            slots.update(s for s, v in (((i, k), a), ((j, l), b))
+                         if v is None)
+            if len(slots) > 1:
+                continue
+            term = w if a is None else a * w
+            if b is not None:
                 term = term * b
-            coeffs[ka + kb] = coeffs[ka + kb] + term
-    return coeffs
+            deg = (a is None) + (b is None)
+            coeffs[deg] = coeffs[deg] + term
+    if len(slots) > 1:
+        raise EliminationStuck(
+            f"equation ({i},{j}) involves {len(slots)} unsolved slots")
+    return next(iter(slots), None), coeffs
+
+
+def _frame(ring, slots):
+    """The known entries of S: 1 at (1, 1) and a coordinate per slot."""
+    entries = {(1, 1): RatFn.of(ring, 1)}
+    entries.update((s, RatFn.var(ring, v)) for s, v in slots.items())
+    return entries
 
 
 def build_chart(n, c_value=None):
@@ -89,98 +103,61 @@ def build_chart(n, c_value=None):
 
     Equations (S omega S^T)_{ij} = phi_{ij} are processed over j <= i,
     i + j >= n + 2, ordered by (i + j, i); each nontrivial equation must be
-    linear in exactly one unsolved slot (EliminationStuck otherwise).  The even
-    middle-slot equation is quadratic in its own bound coordinate and becomes
-    the chart relation."""
+    linear in exactly one unsolved slot (EliminationStuck otherwise).  For
+    even n the first equation is the middle slot's, quadratic in its own
+    bound coordinate: it becomes the chart relation, and the rest is solved
+    in the relation ring."""
     setup = Setup(n, c_value)
     omega = pairing_matrix(setup)
-    ring = setup.ring
-    phi = pairing_form(ring, n)
     indep, pivot_slot, pivot_var = slot_layout(n)
-
-    t1 = RatFn.var(ring, "t1")
-    tb = RatFn.var(ring, setup.base2)
-    disc = t1 ** (n + 2) - tb
-
-    entries = {(1, 1): RatFn.of(ring, 1)}
-    for slot, var in indep.items():
-        entries[slot] = RatFn.var(ring, var)
-
-    unsolved = set()
-    for i in range(1, n + 2):
-        for j in range(1, i + 1):
-            if (i, j) not in entries and (i, j) != pivot_slot:
-                unsolved.add((i, j))
-
     eqs = sorted(((i, j) for i in range(1, n + 2) for j in range(1, i + 1)
                   if i + j >= n + 2), key=lambda p: (p[0] + p[1], p[0]))
-
+    known = dict(indep)
     kappa = None
+    if pivot_slot is not None:
+        if eqs[0] != pivot_slot:
+            raise EliminationStuck(
+                f"first calibration equation {eqs[0]} is not the middle slot")
+        eqs = eqs[1:]
+        slot, (c0, lin, quad) = _equation(omega, _frame(setup.ring, indep),
+                                          *pivot_slot)
+        if slot != pivot_slot or quad.is_zero or not lin.is_zero \
+                or not c0.is_zero:
+            raise EliminationStuck("middle slot equation is not purely quadratic")
+        # x^2 * omega_cc = phi_cc = 1 defines the slot relation
+        rhs = 1 / quad
+        kappa = rhs / setup.disc
+        bad = [nm for nm in kappa.support() if nm != "c"]
+        if bad:
+            raise EliminationStuck(f"relation scale depends on {bad}")
+        setup = setup.rebind(setup.ring.with_relation(pivot_var, rhs.num,
+                                                      rhs.den))
+        kappa = kappa.lift(setup.ring)
+        omega = MatF(setup.ring,
+                     [[f.lift(setup.ring) for f in r] for r in omega.rows])
+        known[pivot_slot] = pivot_var
+    ring = setup.ring
+    phi = pairing_form(ring, n)
+    entries = _frame(ring, known)
     dep_exprs = {}
 
     for (i, j) in eqs:
-        if (i, j) == pivot_slot:
-            # middle equation: x^2 * omega_cc = 1 defines the slot relation
-            c0, lin, quad = _entry_coeffs(omega, entries, i, j, (i, j))
-            if quad.is_zero or not lin.is_zero or not c0.is_zero:
-                raise EliminationStuck("middle slot equation is not purely quadratic")
-            rhs = phi.get1(i, j) / quad
-            kappa = rhs / disc
-            bad = [nm for nm in kappa.support() if nm != "c"]
-            if bad:
-                raise EliminationStuck(f"relation scale depends on {bad}")
-            ring2 = ring.with_relation(pivot_var, rhs.num, rhs.den)
-            # migrate everything built so far
-            entries = {s: v.lift(ring2) for s, v in entries.items()}
-            dep_exprs = {s: v.lift(ring2) for s, v in dep_exprs.items()}
-            omega = MatF(ring2, [[f.lift(ring2) for f in r] for r in omega.rows])
-            phi = MatF(ring2, [[f.lift(ring2) for f in r] for r in phi.rows])
-            setup = setup.rebind(ring2)
-            ring = ring2
-            t1 = RatFn.var(ring, "t1")
-            tb = RatFn.var(ring, setup.base2)
-            disc = t1 ** (n + 2) - tb
-            kappa = kappa.lift(ring2)
-            entries[pivot_slot] = RatFn.var(ring, pivot_var)
-            continue
-
-        occ = set()
-        for k in range(1, i + 1):
-            for l in range(1, j + 1):
-                if omega.get1(k, l).is_zero:
-                    continue
-                a, b = (i, k), (j, l)
-                av, bv = entries.get(a), entries.get(b)
-                if (av is not None and av.is_zero) or \
-                   (bv is not None and bv.is_zero):
-                    continue
-                if av is None:
-                    occ.add(a)
-                if bv is None:
-                    occ.add(b)
-        present = sorted(occ)
-        if not present:
-            val = _entry_coeffs(omega, entries, i, j, None)[0]
-            if val != phi.get1(i, j):
+        slot, (c0, lin, quad) = _equation(omega, entries, i, j)
+        if slot is None:
+            if c0 != phi.get1(i, j):
                 raise EliminationStuck(
                     f"consistency failure at calibration slot ({i},{j})")
             continue
-        if len(present) > 1:
-            raise EliminationStuck(
-                f"equation ({i},{j}) involves {len(present)} unsolved slots")
-        slot = present[0]
-        c0, lin, quad = _entry_coeffs(omega, entries, i, j, slot)
         if not quad.is_zero:
             raise EliminationStuck(f"equation ({i},{j}) is quadratic in slot {slot}")
         if lin.is_zero:
             raise EliminationStuck(f"equation ({i},{j}) does not see slot {slot}")
-        val = (phi.get1(i, j) - c0) / lin
-        entries[slot] = val
-        dep_exprs[slot] = val
-        unsolved.discard(slot)
+        entries[slot] = dep_exprs[slot] = (phi.get1(i, j) - c0) / lin
 
-    if unsolved:
-        raise EliminationStuck(f"slots left unsolved: {sorted(unsolved)}")
+    missing = [(i, j) for i in range(1, n + 2) for j in range(1, i + 1)
+               if (i, j) not in entries]
+    if missing:
+        raise EliminationStuck(f"slots left unsolved: {missing}")
 
     S = MatF.zeros(ring, n + 1)
     for (i, j), v in entries.items():
@@ -200,7 +177,7 @@ def build_chart(n, c_value=None):
     ch.pivot_slot, ch.pivot_var = pivot_slot, pivot_var
     ch.dep_exprs = dep_exprs
     ch.kappa = kappa
-    ch.disc = disc
+    ch.disc = setup.disc
     ch.rule_extrapolated = n >= 5
     ch.coords = tuple(f"t{i}" for i in range(1, setup.ncoords + 1))
     ch.memo_conn = ch.memo_modular = ch.memo_basis = ch.memo_sl2 = None

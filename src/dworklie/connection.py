@@ -113,11 +113,8 @@ def vf_from_target(chart, target):
     H = VecField(ring, comps)
 
     if chart.pivot_slot is not None:
-        td = RatFn.var(ring, chart.pivot_var)
-        t1v = RatFn.var(ring, "t1")
-        lhs = td * H.get(chart.pivot_var) * 2
-        rhs = chart.kappa * (t1v ** (n + 1) * dt1 * (n + 2) - dtb)
-        if lhs != rhs:
+        c1, cb = _pivot_corrections(chart)
+        if H.get(chart.pivot_var) != c1 * dt1 + cb * dtb:
             raise NoSuchField("field is not tangent to the slot relation")
 
     handled = set(chart.indep_slots)

@@ -34,41 +34,40 @@ def family_dims(n):
 
 class Setup:
     """Variable context for one dimension n.  c_value None keeps the scaling
-    constant c symbolic; a Fraction pins it."""
+    constant c symbolic; a Fraction pins it.  disc = t1^(n+2) - t_{n+2} is
+    the known factor of the ring: every chart denominator is a monomial
+    times a power of it."""
 
     __slots__ = ("n", "d", "m", "rho", "ncoords", "c_value", "ring", "c",
-                 "base1", "base2")
+                 "base2", "disc")
 
     def __init__(self, n, c_value=None):
         self.n = n
         self.d, self.m, self.ncoords = family_dims(n)
         self.rho = n % 2
         self.c_value = None if c_value is None else Fraction(c_value)
+        self.base2 = f"t{n + 2}"
         names = tuple(f"t{i}" for i in range(1, self.ncoords + 1))
         if self.c_value is None:
             names = names + ("c",)
         from .ring import Ring
-        # known factor disc = t1^(n+2) - t_{n+2}: every chart denominator is
-        # a monomial times a power of it
         r = (n + 2,) + (0,) * (len(names) - 1)
-        self.ring = Ring(names, factor=(r, n + 1))
-        if self.c_value is None:
-            self.c = RatFn.var(self.ring, "c")
-        else:
-            self.c = RatFn.of(self.ring, self.c_value)
-        self.base1 = "t1"
-        self.base2 = f"t{n + 2}"
+        self._bind(Ring(names, factor=(r, n + 1)))
 
     def rebind(self, ring):
         """Clone bound to a compatible ring (same names, e.g. with a relation)."""
         s = Setup.__new__(Setup)
         s.n, s.d, s.m, s.ncoords = self.n, self.d, self.m, self.ncoords
-        s.rho, s.c_value = self.rho, self.c_value
-        s.ring = ring
-        s.c = (RatFn.var(ring, "c") if self.c_value is None
-               else RatFn.of(ring, self.c_value))
-        s.base1, s.base2 = self.base1, self.base2
+        s.rho, s.c_value, s.base2 = self.rho, self.c_value, self.base2
+        s._bind(ring)
         return s
+
+    def _bind(self, ring):
+        self.ring = ring
+        self.c = (RatFn.var(ring, "c") if self.c_value is None
+                  else RatFn.of(ring, self.c_value))
+        self.disc = (RatFn.var(ring, "t1") ** (self.n + 2)
+                     - RatFn.var(ring, self.base2))
 
 
 def stirling2(k, j):
@@ -103,7 +102,7 @@ def frame_connection(setup):
     ring = setup.ring
     t1 = RatFn.var(ring, "t1")
     tb = RatFn.var(ring, setup.base2)
-    disc = t1 ** (n + 2) - tb
+    disc = setup.disc
     B1 = MatF.zeros(ring, n + 1)
     B2 = MatF.zeros(ring, n + 1)
     for i in range(1, n + 1):
@@ -144,10 +143,7 @@ def pairing_matrix(setup, conn=None):
     ring = setup.ring
     if conn is None:
         conn = frame_connection(setup)
-    t1 = RatFn.var(ring, "t1")
-    tb = RatFn.var(ring, setup.base2)
-    disc = t1 ** (n + 2) - tb
-    base = RatFn.of(ring, Fraction((-(n + 2)) ** n)) * setup.c / disc
+    base = RatFn.of(ring, Fraction((-(n + 2)) ** n)) * setup.c / setup.disc
 
     sign = -1 if setup.rho else 1  # transpose sign (-1)^n
     vals = {}

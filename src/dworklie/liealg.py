@@ -256,7 +256,7 @@ def generator_rank(n, c=None, seed=0):
     fields = [R] + [B[p] for p in basis_pairs(n)]
     for _ in range(60):
         point = {v: Fraction(rnd.randint(1, 9), rnd.randint(1, 4))
-                 for v in ch.coords}
+                 for v in ch.ring.names}
         if ch.pivot_var is not None:
             # the point must satisfy pivot^2 = kappa*(t1^(n+2) - t_b): draw the
             # pivot, then solve the linear relation for t_b

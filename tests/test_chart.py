@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from dworklie import DworkError, RatFn, matched_c, resolve_chart, symbolic_elem
-from dworklie.chart import chart_of_ring, slot_layout
+from dworklie import (DworkError, EliminationStuck, RatFn, matched_c,
+                      resolve_chart, symbolic_elem)
+from dworklie.chart import _equation, chart_of_ring, slot_layout
 from dworklie.closedforms import C_DEFAULT, RELATION_CONST, derive_matched_c
 from dworklie.cy3 import _yring
 from dworklie.geometry import family_dims
+from dworklie.linalg import MatF
 from dworklie.ring import Ring
 
 
@@ -119,3 +121,13 @@ def test_group_ring_keeps_the_factor_and_cy3_ring_has_none():
     ring = symbolic_elem(4).ring
     assert ring.factor_pow(1) == ch.disc.num.lift(ring).terms
     assert _yring(2).factor is None
+
+
+def test_equation_refuses_two_unsolved_slots():
+    # with only (1,1) known, equation (2,2) has products in both (2,1) and
+    # (2,2)
+    ring = Ring(("x",))
+    one = RatFn.of(ring, 1)
+    omega = MatF(ring, [[one, one], [one, one]])
+    with pytest.raises(EliminationStuck, match="involves 2 unsolved slots"):
+        _equation(omega, {(1, 1): one}, 2, 2)

@@ -198,13 +198,20 @@ def test_cy3_dims_output(capsys):
     assert "moduli dim: 187" in out
 
 
-def test_structural_failure_exits_2_with_empty_stdout(capsys):
-    code = main(["ra", "--n", "1", "--cn", "0"])
+# c = 0 makes the pairing vanish: odd n fails at its first calibration
+# equation, even n at the middle slot, which is still read first
+@pytest.mark.parametrize("n,reason", [
+    (1, "consistency failure at calibration slot (2,1)"),
+    (2, "middle slot equation is not purely quadratic"),
+    (3, "consistency failure at calibration slot (3,2)"),
+    (4, "middle slot equation is not purely quadratic")],
+    ids=["1", "2", "3", "4"])
+def test_structural_failure_exits_2_with_empty_stdout(capsys, n, reason):
+    code = main(["ra", "--n", str(n), "--cn", "0"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == ("structural failure: EliminationStuck: "
-                            "consistency failure at calibration slot (2,1)\n")
+    assert captured.err == f"structural failure: EliminationStuck: {reason}\n"
 
 
 @pytest.mark.parametrize("argv", [["verify", "--n", "2", "--suite", "all"],
@@ -214,7 +221,10 @@ def test_structural_failure_exits_2_with_empty_stdout(capsys):
                                    "json"],
                                   ["sl2", "--n", "3", "--format", "json"],
                                   ["brackets", "--n", "3", "--format",
-                                   "json"]])
+                                   "json"],
+                                  ["build", "--n", "4", "--format", "json"],
+                                  ["build", "--n", "2", "--cn", "symbolic",
+                                   "--format", "json"]])
 def test_same_output_under_O(argv):
     """Stripping asserts must change neither the output nor the exit code."""
     env = dict(os.environ)

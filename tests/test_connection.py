@@ -47,6 +47,16 @@ def test_solver_rejects_unreachable_target(n):
         vf_from_target(ch, target)
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_solver_rejects_a_field_off_the_relation(n):
+    # d/d(pivot) alone moves off pivot^2 = kappa*disc, so the matrix it
+    # contracts to has no tangent preimage
+    ch = resolve_chart(n)
+    target = full_connection(ch).contract(VecField(ch.ring, {ch.pivot_var: 1}))
+    with pytest.raises(NoSuchField, match="not tangent to the slot relation"):
+        vf_from_target(ch, target)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_solver_is_linear_over_random_combination(n):
     ch = resolve_chart(n)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from dworklie import (DworkError, NotMember, RatFn, VecField, amsy_decompose,
+from dworklie import (NotMember, RatFn, VecField, amsy_decompose,
                       basis_pairs, basis_vf, fR_identities, jacobi_ok,
                       membership_build, modular_vf, resolve_chart, sl2_triple,
                       truncate_poly, verify_flatness, verify_homomorphism,
@@ -164,17 +164,13 @@ def test_scaled_bracket_coefficient_tracks_the_grading():
     assert "[H, fR] = 8*fR, f = disc" in names[4]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_generator_fields_have_full_rank(n):
+# on the symbolic chart the random point draws c as well
+@pytest.mark.parametrize("n,c", [
+    pytest.param(n, c, id=f"{c}-{n}" if c else str(n))
+    for c in (None, "sym") for n in (1, 2, 3, 4)])
+def test_generator_fields_have_full_rank(n, c):
     d, m, _ = family_dims(n)
-    rank, count, dim = generator_rank(n)
+    rank, count, dim = generator_rank(n, c)
     assert dim == d
     assert count == 1 + m * (m + 1)
     assert rank == d
-
-
-def test_generator_rank_names_the_variable_it_cannot_draw():
-    # the symbolic chart has c as a variable, and the random point draws
-    # only the coordinates
-    with pytest.raises(DworkError, match="'c'"):
-        generator_rank(1, "sym")
