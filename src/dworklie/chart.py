@@ -108,7 +108,8 @@ def build_chart(n, c_value=None):
     bound coordinate: it becomes the chart relation, and the rest is solved
     in the relation ring."""
     setup = Setup(n, c_value)
-    omega = pairing_matrix(setup)
+    conn = frame_connection(setup)
+    omega = pairing_matrix(setup, conn)
     indep, pivot_slot, pivot_var = slot_layout(n)
     eqs = sorted(((i, j) for i in range(1, n + 2) for j in range(1, i + 1)
                   if i + j >= n + 2), key=lambda p: (p[0] + p[1], p[0]))
@@ -132,6 +133,7 @@ def build_chart(n, c_value=None):
             raise EliminationStuck(f"relation scale depends on {bad}")
         setup = setup.rebind(setup.ring.with_relation(pivot_var, rhs.num,
                                                       rhs.den))
+        conn = frame_connection(setup)
         kappa = kappa.lift(setup.ring)
         omega = MatF(setup.ring,
                      [[f.lift(setup.ring) for f in r] for r in omega.rows])
@@ -172,7 +174,7 @@ def build_chart(n, c_value=None):
     ch.ncoords = setup.ncoords
     ch.setup, ch.ring = setup, ring
     ch.S, ch.omega, ch.phi = S, omega, phi
-    ch.conn_base = frame_connection(setup)
+    ch.conn_base = conn
     ch.indep_slots = indep
     ch.pivot_slot, ch.pivot_var = pivot_slot, pivot_var
     ch.dep_exprs = dep_exprs

@@ -1,18 +1,28 @@
 """Exact multivariate polynomial arithmetic over Q, with an optional quadratic slot relation.
 
-A polynomial is a dict mapping exponent tuples to nonzero ints plus a positive integer
+A polynomial is a dict mapping monomial keys to nonzero ints plus a positive integer
 denominator, with gcd(content, denominator) == 1.  All heavy arithmetic stays in the
 integers; rational coefficients enter only through that single denominator.
 
 Monomial order: graded lex, ties broken by the exponent of the highest variable first.
 Variables are ordered by their position in Ring.names (earlier = lower).
 
+Packed monomials: in a ring of nv variables a monomial is one int made of
+_W-bit fields, [total degree | e_(nv-1) | ... | e_1 | e_0], e_0 lowest.  So
+integer order is the monomial order, a product is one addition, the constant
+monomial is 0, and m divides m' when d = m' - m >= 0 and d & _G == 0 (_G
+holds the top, guard bit of every field).  Every field, the degree too, stays
+below 2^(_W - 1).  Each exponent is at most the degree, so one test of the
+guard bits of a product's leading key checks all of its fields; a product
+past the width raises KernelInvariant and never wraps.  _G reaches rings of
+up to _MAXVARS variables.
+
 A ring may name one known irreducible factor F = x^r - x_v.  Ring.cancel then
 finds the gcd with a denominator c * x^a * F^k by exact division by F, not by
 a multivariate gcd (see Ring).
 
-Boundary: only this module knows that a monomial is an exponent tuple and how
-monomials are ordered.  Other modules name variables and use
+Boundary: only this module knows how a monomial is encoded and how monomials
+are ordered.  Other modules name variables and use
   Ring: var, const, with_relation, extend, factor_pow, cancel, has_pivot (the
         pivot test) and rationalize (the conjugate step after reduce_terms);
   Poly: arithmetic, divmod (division with remainder), derive, eval, lift (also
@@ -22,28 +32,59 @@ monomials are ordered.  Other modules name variables and use
 ratfn alone also hands term dicts, as opaque values, to _tadd, _tmul, _tscale
 and _primitive, so that its Henrici sums and products build no Poly per
 operation.  Exponent tuples enter only as constructor input: the relation and
-the known factor of Ring(...), which geometry and the tests spell out.
+the known factor of Ring(...), which geometry and the tests spell out; items,
+weighted_degrees, eval and the printer unpack.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as igcd, lcm
-from operator import add as _iadd, mul as _imul, sub as _isub
+from operator import mul as _imul
 
 from .errors import DworkError, KernelInvariant
 
 
 # ---------------------------------------------------------------------------
-# term-dict helpers (dict[tuple[int, ...], int], coefficients never zero)
+# packed monomials
 
-def _ordkey(e):
-    return (sum(e), e[::-1])
+_W = 16
+_FM = (1 << _W) - 1
+_HALF = 1 << (_W - 1)
+_MAXVARS = 4095
+# the guard bit of every field of the widest ring, degree field included
+_G = int.from_bytes(_HALF.to_bytes(_W // 8, "little") * (_MAXVARS + 1), "little")
 
+
+def _overflow():
+    return KernelInvariant(f"monomial degree past the packed field limit {_HALF - 1}")
+
+
+def _pack(e, nv):
+    """The key of the exponent tuple e of a ring with nv variables."""
+    if len(e) != nv or min(e, default=0) < 0:
+        raise ValueError(f"not an exponent tuple of {nv} variables: {e!r}")
+    m = sum(e)
+    if m >= _HALF:
+        raise _overflow()
+    for x in reversed(e):
+        m = m << _W | x
+    return m
+
+
+def _unpack(m, nv):
+    return tuple(m >> (i * _W) & _FM for i in range(nv))
+
+
+_ONE = {0: 1}  # the term dict of 1 in every ring
+
+
+# ---------------------------------------------------------------------------
+# term-dict helpers (dict[int, int], coefficients never zero)
 
 def _lead(T):
-    """Exponent tuple of the largest monomial."""
-    return max(T, key=_ordkey)
+    """Key of the largest monomial."""
+    return max(T)
 
 
 def _tadd(A, B):
@@ -74,14 +115,18 @@ def _tmul(A, B):
         A, B = B, A
     if len(B) == 1:
         ((eb, cb),) = B.items()
-        if not any(eb):
+        if not eb:
             return {e: c * cb for e, c in A.items()}
-        return {tuple(map(_iadd, e, eb)): c * cb for e, c in A.items()}
+        if (max(A) + eb) & _G:
+            raise _overflow()
+        return {e + eb: c * cb for e, c in A.items()}
+    if (max(A) + max(B)) & _G:
+        raise _overflow()
     out = {}
     get = out.get
     for eb, cb in B.items():
         for ea, ca in A.items():
-            e = tuple(map(_iadd, ea, eb))
+            e = ea + eb
             out[e] = get(e, 0) + ca * cb
     return {e: c for e, c in out.items() if c}
 
@@ -89,8 +134,8 @@ def _tmul(A, B):
 def _tpow(A, k):
     if k == 0:
         if not A:
-            raise ValueError("0^0 of an empty term dict (width unknown)")
-        return {(0,) * len(next(iter(A))): 1}
+            raise ValueError("0^0 of an empty term dict")
+        return {0: 1}
     out = None
     base = A
     while k:
@@ -115,31 +160,32 @@ def _primitive(T):
     """(c, P) with T == c * P: P has content 1 and a positive leading
     coefficient, and c carries the sign.  (0, {}) for T empty."""
     c = _content(T)
-    if T and T[_lead(T)] < 0:
+    if T and T[max(T)] < 0:
         c = -c
     return c, (T if c == 1 else {e: x // c for e, x in T.items()})
 
 
-def _tderive(T, v):
+def _tderive(T, s, unit):
+    """Derivative in the variable whose field starts at bit s; unit is its key."""
     out = {}
     for e, c in T.items():
-        k = e[v]
+        k = e >> s & _FM
         if k:
-            e2 = e[:v] + (k - 1,) + e[v + 1:]
-            s = out.get(e2, 0) + c * k
-            if s:
-                out[e2] = s
+            e -= unit
+            t = out.get(e, 0) + c * k
+            if t:
+                out[e] = t
             else:
-                del out[e2]
+                del out[e]
     return out
 
 
 def _teval(T, point):
-    """Evaluate at a tuple of Fractions."""
+    """Evaluate at a tuple of Fractions, one per variable."""
     total = Fraction(0)
     for e, c in T.items():
         v = Fraction(c)
-        for x, k in zip(point, e):
+        for x, k in zip(point, _unpack(e, len(point))):
             if k:
                 v *= x ** k
         total += v
@@ -152,26 +198,26 @@ def _tdiv_exact(A, B):
         raise ZeroDivisionError("division by zero polynomial")
     if not A:
         return {}
-    eB = _lead(B)
+    eB = max(B)
     cB = B[eB]
     Q = {}
     R = dict(A)
     while R:
-        eR = _lead(R)
-        diff = tuple(x - y for x, y in zip(eR, eB))
-        if any(x < 0 for x in diff):
+        eR = max(R)
+        diff = eR - eB
+        if diff < 0 or diff & _G:
             return None
         q, rem = divmod(R[eR], cB)
         if rem:
             return None
         Q[diff] = q
         for e, c in B.items():
-            e2 = tuple(x + y for x, y in zip(e, diff))
-            s = R.get(e2, 0) - q * c
+            e += diff
+            s = R.get(e, 0) - q * c
             if s:
-                R[e2] = s
+                R[e] = s
             else:
-                del R[e2]
+                del R[e]
     return Q
 
 
@@ -183,35 +229,41 @@ def _tdiv_strict(A, B):
     return Q
 
 
-def _tdiv_known(T, r, v):
+def _tdiv_known(T, known):
     """T / (x^r - x_v) for a monomial x^r free of x_v, or None when the division
-    leaves a remainder.  Synthetic division in x_v: for T = sum a_i x_v^i, the
-    quotient's coefficients run from the top as q_(i-1) = x^r q_i - a_i, and
-    the division is exact when a_0 = x^r q_0.  Exact division needs T to
-    vanish at x_v = x^r, so also under x_j -> t^(w_j), x_v -> t^(w.r) for any
-    weights w; one pass over T tests that first and rejects most T."""
-    w = [3 ** j for j in range(len(r))]
-    w[v] = sum(map(_imul, w, r))
+    leaves a remainder; known is Ring._known, (R, E, s, limit) with R the key of
+    x^r, E that of x_v, s the first bit of the x_v field.  The division is exact
+    when T vanishes at x_v = x^r, tested in one pass over the images
+    e + e_v (R - E); synthetic division in x_v then gives the quotient: for
+    T = sum a_i x_v^i its coefficients run from the top as q_(i-1) = x^r q_i - a_i,
+    and the division is exact when a_0 = x^r q_0.  The limit keeps every
+    image, deg(T) |r| at most, inside the field width."""
+    if len(T) < 2:
+        return None
+    R, E, s, limit = known
+    if max(T) >= limit:
+        raise _overflow()
     image = {}
+    step = R - E
     for e, c in T.items():
-        k = sum(map(_imul, e, w))
+        k = e + (e >> s & _FM) * step
         image[k] = image.get(k, 0) + c
     if any(image.values()):
         return None
-    U = _uni_view(T, v)
+    U = _uni_view(T, s, E)
     Q, q = {}, {}
     for i in range(max(U), 0, -1):
-        q = {tuple(map(_iadd, e, r)): c for e, c in q.items()}
+        q = {e + R: c for e, c in q.items()}
         for e, c in U.get(i, {}).items():
-            s = q.get(e, 0) - c
-            if s:
-                q[e] = s
+            t = q.get(e, 0) - c
+            if t:
+                q[e] = t
             else:
                 del q[e]
         Q[i - 1] = q
-    if {tuple(map(_iadd, e, r)): c for e, c in q.items()} != U.get(0, {}):
+    if {e + R: c for e, c in q.items()} != U.get(0, {}):
         return None
-    return _uni_join(Q, v)
+    return _uni_join(Q, E)
 
 
 # ---------------------------------------------------------------------------
@@ -228,25 +280,25 @@ def _tdiv_known(T, r, v):
 # A denominator of the form c * x^a * F^k, F a ring's known factor, never
 # comes here: Ring.cancel finds its gcd exactly (see Ring).
 
-def _uni_view(T, v):
-    """Split T into dict deg_v -> coefficient term-dict (v-exponent zeroed)."""
+def _uni_view(T, s, unit):
+    """Split T into dict deg_v -> coefficient term-dict (v-exponent zeroed),
+    for the variable v whose field starts at bit s and whose key is unit."""
     out = {}
     for e, c in T.items():
-        k = e[v]
-        base = e[:v] + (0,) + e[v + 1:]
-        out.setdefault(k, {})[base] = c
+        k = e >> s & _FM
+        out.setdefault(k, {})[e - k * unit] = c
     return out
 
 
-def _uni_join(U, v):
+def _uni_join(U, unit):
     out = {}
     for k, coeff in U.items():
         for e, c in coeff.items():
-            out[e[:v] + (k,) + e[v + 1:]] = c
+            out[e + k * unit] = c
     return out
 
 
-def _prem(A, B, nv):
+def _prem(A, B):
     """Pseudo-remainder in the main variable: lc(B)^(dA-dB+1) * A = Q*B + R."""
     dB = max(B)
     lB = B[dB]
@@ -278,20 +330,19 @@ def _coeff_gcd(U, nv):
     g = {}
     for coeff in U.values():
         g = _tgcd(g, coeff, nv)
-        if g == {(0,) * nv: 1}:
+        if g == _ONE:
             break
     return g
 
 
-def _subres_prim_gcd(A, B, nv):
+def _subres_prim_gcd(A, B):
     """Primitive gcd in the main variable of two primitive univariate views (or None for 1)."""
     if max(A) < max(B):
         A, B = B, A
-    one = {(0,) * nv: 1}
-    g, h = one, one
+    g, h = _ONE, _ONE
     while True:
         delta = max(A) - max(B)
-        R = _prem(A, B, nv)
+        R = _prem(A, B)
         if not R:
             break
         if max(R) == 0:
@@ -307,9 +358,26 @@ def _subres_prim_gcd(A, B, nv):
     return B
 
 
-def _mono_gcd(A, B):
-    """Exponent tuple of the largest monomial dividing both A and B."""
-    return tuple(map(min, map(min, zip(*A)), map(min, zip(*B))))
+def _fields(T, nv):
+    """Indices of the variables that occur in T."""
+    o = 0
+    for e in T:
+        o |= e
+    return [i for i in range(nv) if o >> (i * _W) & _FM]
+
+
+def _mono_gcd(A, B, nv):
+    """Key of the largest monomial dividing every key of A and of B."""
+    unit = 1 << (nv * _W)
+    rest = next(iter(A)) % unit  # its exponent fields; a 0 there is 0 in the gcd
+    out = 0
+    while rest:
+        s = (rest & -rest).bit_length() - 1
+        s -= s % _W
+        rest &= ~(_FM << s)
+        k = min(min(e >> s & _FM for e in A), min(e >> s & _FM for e in B))
+        out += k * (1 << s | unit)
+    return out
 
 
 def _tgcd(A, B, nv):
@@ -317,14 +385,13 @@ def _tgcd(A, B, nv):
     if not A or not B:
         c, P = _primitive(A or B)
         return _tscale(P, abs(c))
-    zero = (0,) * nv
-    if len(A) == 1 and zero in A or len(B) == 1 and zero in B:
-        return {zero: igcd(_content(A), _content(B))}
+    if len(A) == 1 and 0 in A or len(B) == 1 and 0 in B:
+        return {0: igcd(_content(A), _content(B))}
 
-    mono = _mono_gcd(A, B)
-    if any(mono):
-        A = {tuple(x - y for x, y in zip(e, mono)): c for e, c in A.items()}
-        B = {tuple(x - y for x, y in zip(e, mono)): c for e, c in B.items()}
+    mono = _mono_gcd(A, B, nv)
+    if mono:
+        A = {e - mono: c for e, c in A.items()}
+        B = {e - mono: c for e, c in B.items()}
 
     ca, A = _primitive(A)
     cb, B = _primitive(B)
@@ -333,64 +400,65 @@ def _tgcd(A, B, nv):
     def done(prim):
         # prim is primitive here, so _primitive only fixes its sign
         prim = _primitive(prim)[1]
-        return _tmul(prim, {mono: c}) if (any(mono) or c != 1) else prim
+        return _tmul(prim, {mono: c}) if (mono or c != 1) else prim
 
     if len(A) == 1 or len(B) == 1:
-        return done({_mono_gcd(A, B): 1})
+        return done({_mono_gcd(A, B, nv): 1})
     if A == B or _tdiv_exact(A, B) is not None:
         return done(B)
     if _tdiv_exact(B, A) is not None:
         return done(A)
 
-    sa = [i for i, col in enumerate(zip(*A)) if any(col)]
-    sb = [i for i, col in enumerate(zip(*B)) if any(col)]
+    sa, sb = _fields(A, nv), _fields(B, nv)
     shared = [i for i in sa if i in sb]
     if not shared:
-        return done({zero: 1})
+        return done(_ONE)
     if len(sa) > len(shared) or len(sb) > len(shared):
         # The fold is already primitive and free of monomial factors: both
         # would divide A and B, whose common ones were stripped above.
-        parts = sorted(_split_off(A, sa, shared) + _split_off(B, sb, shared),
+        parts = sorted(_split_off(A, sa, shared, nv) + _split_off(B, sb, shared, nv),
                        key=len)
         g = parts[0]
         for part in parts[1:]:
-            if g == {zero: 1}:
+            if g == _ONE:
                 break
             g = _tgcd(g, part, nv)
         return done(g)
-    v = min(shared, key=lambda i: max(e[i] for e in A) + max(e[i] for e in B))
+    v = min(shared, key=lambda i: max(e >> (i * _W) & _FM for e in A)
+            + max(e >> (i * _W) & _FM for e in B))
+    s, unit = v * _W, 1 << (v * _W) | 1 << (nv * _W)
 
-    UA, UB = _uni_view(A, v), _uni_view(B, v)
+    UA, UB = _uni_view(A, s, unit), _uni_view(B, s, unit)
     contA = _coeff_gcd(UA, nv)
     contB = _coeff_gcd(UB, nv)
     cont = _tgcd(contA, contB, nv)
-    if contA != {zero: 1}:
+    if contA != _ONE:
         UA = {d: _tdiv_strict(cf, contA) for d, cf in UA.items()}
-    if contB != {zero: 1}:
+    if contB != _ONE:
         UB = {d: _tdiv_strict(cf, contB) for d, cf in UB.items()}
-    prim = _subres_prim_gcd(UA, UB, nv)
+    prim = _subres_prim_gcd(UA, UB)
     if prim is None:
         res = cont
     else:
         pc = _coeff_gcd(prim, nv)
-        if pc != {zero: 1}:
+        if pc != _ONE:
             prim = {d: _tdiv_strict(cf, pc) for d, cf in prim.items()}
-        res = _tmul(cont, _uni_join(prim, v))
+        res = _tmul(cont, _uni_join(prim, unit))
     return done(res)
 
 
-def _split_off(T, support, keep):
+def _split_off(T, support, keep, nv):
     """Coefficients of T over its variables outside keep, as term dicts in the
     keep variables (support lists the variables occurring in T)."""
     drop = [i for i in support if i not in keep]
     if not drop:
         return [T]
+    mask = sum(_FM << (i * _W) for i in drop)
     out = {}
     for e, c in T.items():
-        base = list(e)
-        for i in drop:
-            base[i] = 0
-        out.setdefault(tuple(e[i] for i in drop), {})[tuple(base)] = c
+        d = e & mask
+        deg = sum(d >> (i * _W) & _FM for i in drop)
+        out.setdefault(d, {})[e - d - (deg << (nv * _W))] = c
     return list(out.values())
 
 
@@ -408,42 +476,53 @@ class Ring:
     power up to k that divides N, and cancel() finds it without _tgcd."""
 
     __slots__ = ("names", "index", "pivot", "rel_num", "rel_den", "_relpow",
-                 "factor", "_fpow", "zero", "one")
+                 "factor", "_fpow", "_known", "_units", "_pmask", "zero", "one")
 
     def __init__(self, names, pivot=None, rel_num=None, rel_den=None,
                  factor=None):
         self.names = tuple(names)
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate variable names")
+        nv = len(self.names)
+        if nv > _MAXVARS:
+            raise ValueError(f"more than {_MAXVARS} variables")
         self.index = {s: i for i, s in enumerate(self.names)}
+        self._units = [1 << (i * _W) | 1 << (nv * _W) for i in range(nv)]
         self.pivot = pivot
-        self.rel_num = rel_num
-        self.rel_den = rel_den
-        self._relpow = {0: ({(0,) * len(self.names): 1}, {(0,) * len(self.names): 1})}
+        self._pmask = 0 if pivot is None else _FM << (pivot * _W)
+        if pivot is not None:
+            rel_num = {_pack(e, nv): c for e, c in rel_num.items()}
+            rel_den = {_pack(e, nv): c for e, c in rel_den.items()}
+        self.rel_num, self.rel_den = rel_num, rel_den
+        self._relpow = {0: (_ONE, _ONE)}
         self.zero = Poly(self, {}, 1)
-        self.one = Poly(self, {(0,) * len(self.names): 1}, 1)
+        self.one = Poly(self, _ONE, 1)
         self.factor = factor
+        self._known = None
         if factor is not None:
             r, v = factor
-            F = {r: 1, tuple(int(i == v) for i in range(len(r))): -1}
-            if len(r) != len(self.names) or r[v] or _lead(F) != r:
+            R, E = _pack(r, nv), self._units[v]
+            if r[v] or R < E:
                 raise ValueError("known factor: x^r must be free of x_v and lead")
-            self._fpow = [self.one.terms, F]
+            limit = ((_HALF - 1) // sum(r) + 1) << (nv * _W)
+            self._known = (R, E, v * _W, limit)
+            self._fpow = [_ONE, {R: 1, E: -1}]
 
     @property
     def nvars(self):
         return len(self.names)
 
     def var(self, name):
-        i = self.index[name]
-        e = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return Poly(self, {e: 1}, 1)
+        return Poly(self, {self._units[self.index[name]]: 1}, 1)
 
     def const(self, q):
         q = Fraction(q)
         if q == 0:
             return self.zero
-        return Poly(self, {(0,) * self.nvars: q.numerator}, q.denominator)
+        return Poly(self, {0: q.numerator}, q.denominator)
+
+    def _exponents(self, T, pad=()):
+        return {_unpack(e, self.nvars) + pad: c for e, c in T.items()}
 
     def with_relation(self, pivot_name, num, den):
         """New ring over the same variables where pivot^2 = num/den (Poly args)."""
@@ -452,10 +531,11 @@ class Ring:
         cd, RD = _primitive(_tscale(den.terms, num.den))
         q = Fraction(cn, cd)
         RN, RD = _tscale(RN, q.numerator), _tscale(RD, q.denominator)
-        if any(e[p] for e in RN) or any(e[p] for e in RD):
+        pm = _FM << (p * _W)
+        if any(e & pm for e in RN) or any(e & pm for e in RD):
             raise ValueError("relation touches the pivot")
-        return Ring(self.names, pivot=p, rel_num=RN, rel_den=RD,
-                    factor=self.factor)
+        return Ring(self.names, pivot=p, rel_num=self._exponents(RN),
+                    rel_den=self._exponents(RD), factor=self.factor)
 
     def extend(self, extra):
         """New ring with extra variables appended; relation and known factor
@@ -464,8 +544,8 @@ class Ring:
         rel = {}
         if self.pivot is not None:
             rel = dict(pivot=self.pivot,
-                       rel_num={e + pad: c for e, c in self.rel_num.items()},
-                       rel_den={e + pad: c for e, c in self.rel_den.items()})
+                       rel_num=self._exponents(self.rel_num, pad),
+                       rel_den=self._exponents(self.rel_den, pad))
         factor = self.factor and (self.factor[0] + pad, self.factor[1])
         return Ring(self.names + tuple(extra), factor=factor, **rel)
 
@@ -473,33 +553,39 @@ class Ring:
         """Term dict of F^k for the known factor F, cached.  Its first term is
         x^(rk), with coefficient 1."""
         P = self._fpow
-        r, xv = P[1]  # the exponents of F, x^r first
+        R, E = self._known[:2]
         while len(P) <= k:
             # F^j = x^r F^(j-1) - x_v F^(j-1)
-            Fj = {tuple(map(_iadd, e, r)): c for e, c in P[-1].items()}
+            Fj = {e + R: c for e, c in P[-1].items()}
+            if next(iter(Fj)) & _G:
+                raise _overflow()
             for e, c in P[-1].items():
-                e = tuple(map(_iadd, e, xv))
+                e += E
                 Fj[e] = Fj.get(e, 0) - c
             P.append(Fj)
         return P[k]
 
     def _known_split(self, D):
         """(c, a, k) with D == c * x^a * F^k, or None when the ring has no known
-        factor or D is not of that form.  F^k has k + 1 terms and spans degree k
-        in x_v, so a D that matches is compared term by term, in O(|D|)."""
-        if self.factor is None:
+        factor or D is not of that form.  F^k has k + 1 terms, from x^(rk) down
+        to x_v^k, so k = |D| - 1 and a comes from the lowest key; a D whose
+        highest key also matches is compared term by term, in O(|D|)."""
+        if self._known is None:
             return None
-        v = self.factor[1]
-        cols = list(zip(*D))
-        a = tuple(map(min, cols))
-        k = max(cols[v]) - a[v]
-        if len(D) != k + 1:
+        k = len(D) - 1
+        if not k:
+            ((a, c),) = D.items()
+            return c, a, 0
+        R, E, s, _ = self._known
+        low = min(D)
+        if low >> s & _FM < k:
             return None
-        Fk = self.factor_pow(k)
-        keys = [tuple(map(_iadd, e, a)) for e in Fk] if any(a) else list(Fk)
-        c = D.get(keys[0])
-        if c is not None and all(D.get(e) == c * f
-                                 for e, f in zip(keys, Fk.values())):
+        a = low - k * E
+        top = a + k * R
+        if max(D) != top:
+            return None
+        c = D[top]
+        if all(D.get(e + a) == c * f for e, f in self.factor_pow(k).items()):
             return c, a, k
         return None
 
@@ -509,6 +595,8 @@ class Ring:
         form c * x^a * F^k takes the known-factor rule of the class docstring,
         any other D takes _tgcd and two exact divisions."""
         one = self.one.terms
+        if D == one:
+            return one, N, D
         known = self._known_split(D)
         if known is None:
             g = _tgcd(N, D, self.nvars)
@@ -517,21 +605,20 @@ class Ring:
             return g, _tdiv_strict(N, g), _tdiv_strict(D, g)
         c, a, k = known
         cg = 1 if c in (1, -1) else igcd(_content(N), c)
-        m = tuple(map(min, a, map(min, zip(*N)))) if any(a) else a
-        if cg > 1 or any(m):
-            N = {tuple(map(_isub, e, m)): x // cg for e, x in N.items()}
+        m = _mono_gcd((a,), N, self.nvars) if a else 0
+        if cg > 1 or m:
+            N = {e - m: x // cg for e, x in N.items()}
         j = 0
         while j < k:
-            Q = _tdiv_known(N, *self.factor)
+            Q = _tdiv_known(N, self._known)
             if Q is None:
                 break
             N, j = Q, j + 1
-        if cg == 1 and j == 0 and not any(m):
+        if cg == 1 and j == 0 and not m:
             return one, N, D
-        g = {tuple(map(_iadd, e, m)): cg * f for e, f in self.factor_pow(j).items()}
-        rest = tuple(map(_isub, a, m))
-        D = {tuple(map(_iadd, e, rest)): c // cg * f
-             for e, f in self.factor_pow(k - j).items()}
+        g = {e + m: cg * f for e, f in self.factor_pow(j).items()}
+        rest = a - m
+        D = {e + rest: c // cg * f for e, f in self.factor_pow(k - j).items()}
         return g, N, D
 
     def _rel_pow(self, k):
@@ -547,34 +634,31 @@ class Ring:
         p = self.pivot
         if p is None or not T:
             return T, 0
-        kmax = 0
-        for e in T:
-            k = e[p] // 2
-            if k > kmax:
-                kmax = k
+        s, unit = p * _W, self._units[p]
+        kmax = max(e >> s & _FM for e in T) // 2
         if kmax == 0:
             return T, 0
         out = {}
         for e, c in T.items():
-            k = e[p] // 2
-            r = e[p] - 2 * k
-            base = e[:p] + (r,) + e[p + 1:]
+            k = (e >> s & _FM) // 2
+            base = e - 2 * k * unit
             numk, _ = self._rel_pow(k)
             _, denk = self._rel_pow(kmax - k)
-            factor = _tmul(numk, denk)
-            for ef, cf in factor.items():
-                e2 = tuple(x + y for x, y in zip(ef, base))
-                s = out.get(e2, 0) + c * cf
-                if s:
-                    out[e2] = s
+            for ef, cf in _tmul(numk, denk).items():
+                ef += base
+                t = out.get(ef, 0) + c * cf
+                if t:
+                    out[ef] = t
                 else:
-                    del out[e2]
+                    del out[ef]
+        if out and max(out) & _G:
+            raise _overflow()
         return out, kmax
 
     def has_pivot(self, T):
         """Whether the relation pivot occurs in the term dict T."""
-        p = self.pivot
-        return p is not None and any(e[p] for e in T)
+        pm = self._pmask
+        return bool(pm) and any(e & pm for e in T)
 
     def rationalize(self, N, D):
         """(N', D') with N'/D' == N/D under the relation, for term dicts N and
@@ -587,8 +671,8 @@ class Ring:
         if not D:
             raise ZeroDivisionError("denominator is zero under the slot relation")
         if self.has_pivot(D):
-            p = self.pivot
-            conj = {e: (-c if e[p] else c) for e, c in D.items()}
+            pm = self._pmask
+            conj = {e: (-c if e & pm else c) for e, c in D.items()}
             N, kn2 = self.reduce_terms(_tmul(N, conj))
             D, kd2 = self.reduce_terms(_tmul(D, conj))
             if not D or self.has_pivot(D):
@@ -639,7 +723,7 @@ class Poly:
     @property
     def is_const(self):
         T = self.terms
-        return not T or (len(T) == 1 and not any(next(iter(T))))
+        return not T or (len(T) == 1 and 0 in T)
 
     def const_value(self):
         if not self.is_const:
@@ -650,18 +734,19 @@ class Poly:
 
     def support(self):
         """Names of the variables that occur, in ring order."""
-        return [nm for nm, col in zip(self.ring.names, zip(*self.terms))
-                if any(col)]
+        names = self.ring.names
+        return [names[i] for i in _fields(self.terms, len(names))]
 
     def weighted_degrees(self, w):
         """Set of the weighted degrees of the terms; w maps names to integer
         weights, and a name missing from w weighs 0."""
         wt = [w.get(nm, 0) for nm in self.ring.names]
-        return {sum(map(_imul, e, wt)) for e in self.terms}
+        return {sum(map(_imul, _unpack(e, len(wt)), wt)) for e in self.terms}
 
     def coeffs(self, var):
         """{k: coefficient of var^k}, each a Poly free of var; {} for zero."""
-        U = _uni_view(self.terms, self.ring.index[var])
+        v = self.ring.index[var]
+        U = _uni_view(self.terms, v * _W, self.ring._units[v])
         return {k: Poly(self.ring, T, self.den) for k, T in U.items()}
 
     def items(self):
@@ -669,9 +754,10 @@ class Poly:
         graded-lex order, the powers nonzero and in ring order.  A coefficient
         is an int when den == 1, else a Fraction."""
         names, den = self.ring.names, self.den
-        for e, c in sorted(self.terms.items(), key=lambda t: _ordkey(t[0])):
+        for e, c in sorted(self.terms.items()):
             yield (c if den == 1 else Fraction(c, den),
-                   tuple((nm, k) for nm, k in zip(names, e) if k))
+                   tuple((nm, k) for nm, k in zip(names, _unpack(e, len(names)))
+                         if k))
 
     # -- arithmetic ---------------------------------------------------------
     def _chk(self, other):
@@ -710,20 +796,20 @@ class Poly:
         if not other.terms:
             raise ZeroDivisionError("division by zero polynomial")
         d = {e: Fraction(c, other.den) for e, c in other.terms.items()}
-        e0 = _lead(d)
+        e0 = max(d)
         c0 = d.pop(e0)
         p = {e: Fraction(c, self.den) for e, c in self.terms.items()}
         q, r = {}, {}
         while p:
-            e = _lead(p)
+            e = max(p)
             cf = p.pop(e)
-            qe = tuple(map(_isub, e, e0))
-            if any(x < 0 for x in qe):
+            qe = e - e0
+            if qe < 0 or qe & _G:
                 r[e] = cf
                 continue
             qc = q[qe] = cf / c0
             for ed, cd in d.items():
-                te = tuple(map(_iadd, qe, ed))
+                te = qe + ed
                 s = p.get(te, 0) - qc * cd
                 if s:
                     p[te] = s
@@ -753,7 +839,8 @@ class Poly:
     def derive(self, var):
         v = self.ring.index[var]
         p = Poly.__new__(Poly)
-        p.ring, p.terms, p.den = self.ring, _tderive(self.terms, v), self.den
+        p.ring, p.den = self.ring, self.den
+        p.terms = _tderive(self.terms, v * _W, self.ring._units[v])
         return p if p.terms else self.ring.zero
 
     def eval(self, point):
@@ -767,18 +854,19 @@ class Poly:
 
     def lift(self, ring):
         """The same polynomial in a ring whose names extend ours or are a
-        prefix of them; DworkError when a dropped variable occurs."""
+        prefix of them; DworkError when a dropped variable occurs.  The
+        exponent fields stay, the degree field moves."""
         src, k = self.ring.names, ring.nvars
         if src[:k] != ring.names[:len(src)]:
             raise KernelInvariant("not a prefix extension")
         T = self.terms
-        if k > len(src):
-            T = {e + (0,) * (k - len(src)): c for e, c in T.items()}
-        elif k < len(src):
+        if k < len(src):
             for nm in self.support():
                 if nm not in ring.index:
                     raise DworkError(f"cannot drop the variable {nm!r}: it occurs")
-            T = {e[:k]: c for e, c in T.items()}
+        if k != len(src):
+            low, old, new = (1 << (min(k, len(src)) * _W)) - 1, len(src) * _W, k * _W
+            T = {e & low | e >> old << new: c for e, c in T.items()}
         return Poly(ring, T, self.den)
 
     def __repr__(self):

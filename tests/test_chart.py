@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from dworklie import (DworkError, EliminationStuck, RatFn, matched_c,
-                      resolve_chart, symbolic_elem)
-from dworklie.chart import _equation, chart_of_ring, slot_layout
+from dworklie import (DworkError, EliminationStuck, RatFn, chart, geometry,
+                      matched_c, resolve_chart, symbolic_elem)
+from dworklie.chart import _equation, build_chart, chart_of_ring, slot_layout
 from dworklie.closedforms import C_DEFAULT, RELATION_CONST, derive_matched_c
 from dworklie.cy3 import _yring
 from dworklie.geometry import family_dims
@@ -100,11 +100,25 @@ def test_dependent_slots_close_under_the_chart(n):
     for (i, j), expr in ch.dep_exprs.items():
         used = set()
         for poly in (expr.num, expr.den):
-            for e in poly.terms:
-                for nm, k in zip(ch.ring.names, e):
-                    if k:
-                        used.add(nm)
+            used.update(poly.support())
         assert used <= allowed, f"slot ({i},{j}) leaks {used - allowed}"
+
+
+@pytest.mark.parametrize("n, builds", [(3, 1), (4, 2)])
+def test_frame_connection_is_built_once_per_ring(monkeypatch, n, builds):
+    # odd n keeps the connection that fed the pairing matrix; even n builds a
+    # second one in the relation ring
+    original, rings = geometry.frame_connection, []
+
+    def counted(setup):
+        rings.append(setup.ring)
+        return original(setup)
+
+    monkeypatch.setattr(chart, "frame_connection", counted)
+    monkeypatch.setattr(geometry, "frame_connection", counted)
+    ch = build_chart(n)
+    assert len(rings) == builds
+    assert rings[-1] is ch.ring
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])

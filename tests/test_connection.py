@@ -25,6 +25,17 @@ def test_extended_range_n7():
     assert A.contract(R) == Y.matrix()
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [8])
+def test_extended_range(n):
+    # the same checks where exponents in the chart reach 180 (run with -m slow)
+    ch = resolve_chart(n)
+    A = full_connection(ch)
+    R, Y = modular_vf(n)
+    assert check_pairing_invariance(ch, A)
+    assert A.contract(R) == Y.matrix()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_solver_roundtrip_through_basis_matrices(n):
     # solve for the field of a transposed basis matrix, contract it back

@@ -11,9 +11,14 @@ from hypothesis import given, settings, strategies as st
 from dworklie import (DworkError, Poly, RatFn, Ring, eq_by_random_eval, parse_ratfn,
                       ratfn_string, resolve_chart)
 from dworklie.ratfn import ParseError
-from dworklie.ring import _lead
+from dworklie.ring import _lead, _pack, _unpack
 
 R3 = Ring(("x", "y", "z"))
+
+
+def pack(T):
+    """A term dict keyed by exponent tuples of x, y, z, as the kernel keys it."""
+    return {_pack(e, 3): c for e, c in T.items()}
 
 
 def poly_of(terms):
@@ -21,7 +26,8 @@ def poly_of(terms):
 
 
 small = st.integers(min_value=-6, max_value=6)
-expo = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+expo = st.tuples(st.integers(0, 3), st.integers(0, 3),
+                 st.integers(0, 3)).map(lambda e: _pack(e, 3))
 numerators = st.dictionaries(expo, small, max_size=3)
 denominators = st.tuples(expo, st.integers(1, 6))
 
@@ -82,7 +88,7 @@ def test_derive_leibniz(f, g):
 
 
 def test_denominator_sign_convention():
-    f = poly_of({(1, 0, 0): 1}) / poly_of({(0, 1, 0): -2})
+    f = poly_of(pack({(1, 0, 0): 1})) / poly_of(pack({(0, 1, 0): -2}))
     # canonical denominators lead with a positive coefficient
     assert ratfn_string(f) == "-x/(2*y)"
 
@@ -171,9 +177,10 @@ RU = Ring(("x", "y", "u"), pivot=2,
           rel_den={(1, 0, 0): 1, (0, 0, 0): 1})
 
 # denominator factors in x and y only, so they are free of the pivot u
-FACTORS = [{(1, 0, 0): 1}, {(0, 1, 0): 1}, {(1, 0, 0): 1, (0, 1, 0): -1},
-           {(1, 0, 0): 1, (0, 1, 0): 2, (0, 0, 0): 1},
-           {(2, 0, 0): 1, (0, 1, 0): 1}, {(3, 0, 0): 1, (0, 1, 0): -1}]
+FACTORS = [pack(f) for f in (
+    {(1, 0, 0): 1}, {(0, 1, 0): 1}, {(1, 0, 0): 1, (0, 1, 0): -1},
+    {(1, 0, 0): 1, (0, 1, 0): 2, (0, 0, 0): 1},
+    {(2, 0, 0): 1, (0, 1, 0): 1}, {(3, 0, 0): 1, (0, 1, 0): -1})]
 factor_powers = st.lists(st.integers(0, 1), min_size=len(FACTORS),
                          max_size=len(FACTORS))
 
@@ -318,5 +325,6 @@ def test_divmod_leaves_no_term_the_leading_monomial_divides(ring, N, D, a, b):
     num, den = Poly(ring, N, a), Poly(ring, D, b)
     q, r = divmod(num, den)
     assert num == q * den + r
-    lead = _lead(den.terms)
-    assert not [e for e in r.terms if all(x >= y for x, y in zip(e, lead))]
+    lead = _unpack(_lead(den.terms), 3)
+    rest = [_unpack(e, 3) for e in r.terms]
+    assert not [e for e in rest if all(x >= y for x, y in zip(e, lead))]
