@@ -42,13 +42,14 @@ def slot_layout(n):
 
 class Chart:
     """Built by build_chart; immutable afterwards by convention, except for
-    the memo slots, which full_connection, modular_vf, basis_vf and
-    sl2_triple fill on first use."""
+    the memo slots, which full_connection and vf_from_target (memo_solver),
+    full_connection (memo_conn), modular_vf, basis_vf and sl2_triple fill on
+    first use."""
 
     __slots__ = ("n", "d", "m", "rho", "ncoords", "setup", "ring", "S",
                  "omega", "phi", "conn_base", "indep_slots", "pivot_slot",
                  "pivot_var", "dep_exprs", "kappa", "disc",
-                 "rule_extrapolated", "coords",
+                 "rule_extrapolated", "coords", "memo_solver",
                  "memo_conn", "memo_modular", "memo_basis", "memo_sl2")
 
     def relation_string(self):
@@ -89,6 +90,47 @@ def _equation(omega, entries, i, j):
         raise EliminationStuck(
             f"equation ({i},{j}) involves {len(slots)} unsolved slots")
     return next(iter(slots), None), coeffs
+
+
+def _row_image(omega, entries, j):
+    """u_j = omega S_j^T, once row j of S is complete (None before): every
+    equation (i, j) is then  sum_{k <= i} S_ik u_j[k], i products."""
+    row = [(l, entries.get((j, l))) for l in range(1, j + 1)]
+    if any(b is None for _, b in row):
+        return None
+    zero = RatFn.of(omega.ring, 0)
+    u = []
+    for k in range(1, omega.nrows + 1):
+        acc = zero
+        for l, b in row:
+            w = omega.get1(k, l)
+            if not (w.is_zero or b.is_zero):
+                acc = acc + w * b
+        u.append(acc)
+    return u
+
+
+def _row_equation(entries, u, i, j):
+    """_equation for an equation (i, j) whose row j is complete, from its
+    cached image u = u_j: the unsolved slot, if any, sits in row i and
+    enters linearly with coefficient u[k]."""
+    zero = RatFn.of(u[0].ring, 0)
+    c0, lin = zero, zero
+    slots = []
+    for k in range(1, i + 1):
+        w = u[k - 1]
+        if w.is_zero:
+            continue
+        a = entries.get((i, k))
+        if a is None:
+            slots.append((i, k))
+            lin = w
+        elif not a.is_zero:
+            c0 = c0 + a * w
+    if len(slots) > 1:
+        raise EliminationStuck(
+            f"equation ({i},{j}) involves {len(slots)} unsolved slots")
+    return next(iter(slots), None), (c0, lin, zero)
 
 
 def _frame(ring, slots):
@@ -142,9 +184,17 @@ def build_chart(n, c_value=None):
     phi = pairing_form(ring, n)
     entries = _frame(ring, known)
     dep_exprs = {}
+    images = {}  # j -> u_j, for the rows of S already complete
 
     for (i, j) in eqs:
-        slot, (c0, lin, quad) = _equation(omega, entries, i, j)
+        if j not in images:
+            u = _row_image(omega, entries, j)
+            if u is not None:
+                images[j] = u
+        if j in images:
+            slot, (c0, lin, quad) = _row_equation(entries, images[j], i, j)
+        else:
+            slot, (c0, lin, quad) = _equation(omega, entries, i, j)
         if slot is None:
             if c0 != phi.get1(i, j):
                 raise EliminationStuck(
@@ -165,8 +215,10 @@ def build_chart(n, c_value=None):
     for (i, j), v in entries.items():
         S.set1(i, j, v)
 
-    # full calibration re-check
-    if S @ omega @ S.transpose() != phi:
+    # full calibration re-check: S omega S^T = S U^T, with row j of U = u_j
+    U = MatF(ring, [images.get(j) or _row_image(omega, entries, j)
+                    for j in range(1, n + 2)])
+    if S @ U.transpose() != phi:
         raise EliminationStuck("final calibration identity failed")
 
     ch = Chart.__new__(Chart)
@@ -182,7 +234,8 @@ def build_chart(n, c_value=None):
     ch.disc = setup.disc
     ch.rule_extrapolated = n >= 5
     ch.coords = tuple(f"t{i}" for i in range(1, setup.ncoords + 1))
-    ch.memo_conn = ch.memo_modular = ch.memo_basis = ch.memo_sl2 = None
+    ch.memo_solver = ch.memo_conn = None
+    ch.memo_modular = ch.memo_basis = ch.memo_sl2 = None
     return ch
 
 

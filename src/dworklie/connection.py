@@ -1,6 +1,9 @@
 """Full Gauss-Manin connection on a chart and the inverse solver that turns a
 prescribed connection matrix into the unique vector field realizing it.
 
+The connection comes from  A[v]*S = d_v S + S*B[v]  by a right triangular
+solve against the lower-triangular S; no inverse of S is formed.
+
 The solver follows the constructive existence argument: entries (1,1) and
 (1,2) of  T*S = dS + S*B(H)  form a 2x2 linear system for the two base
 components, each carrier slot of S hands out one remaining component by
@@ -10,25 +13,42 @@ that must vanish identically."""
 from __future__ import annotations
 
 from .errors import LinearInconsistent, NoSuchField
-from .linalg import OneFormMat, VecField, solve_linear
+from .linalg import MatF, OneFormMat, VecField, solve_linear, \
+    solve_right_lower
 from .ratfn import RatFn
 
 
+def _target_free(chart):
+    """(S*B[v] per base direction v, the coordinate derivatives of each
+    dependent-slot expression): the work full_connection and vf_from_target
+    share across targets.  Computed once per chart and kept in its memo
+    slot."""
+    if chart.memo_solver is None:
+        S = chart.S
+        SB = {v: S @ B for v, B in chart.conn_base.comps.items()}
+        coords = set(chart.coords)
+        derivs = {}
+        for slot, expr in chart.dep_exprs.items():
+            ds = ((v, expr.derive(v)) for v in expr.support() if v in coords)
+            derivs[slot] = {v: d for v, d in ds if not d.is_zero}
+        chart.memo_solver = (SB, derivs)
+    return chart.memo_solver
+
+
 def full_connection(chart):
-    """OneFormMat A with A[v] = (d_v S + S*B[v]) * S^-1 over every chart
-    variable; B[v] is zero except in the two base directions.  Computed
-    once per chart and kept in its memo slot."""
+    """OneFormMat A over every chart variable, where A[v] solves
+    A[v]*S = d_v S + S*B[v] and B[v] is zero except in the two base
+    directions.  Computed once per chart and kept in its memo slot."""
     if chart.memo_conn is not None:
         return chart.memo_conn
     S = chart.S
-    Sinv = S.inverse()
+    SB, _ = _target_free(chart)
     A = OneFormMat(chart.ring, chart.n + 1)
     for v in chart.coords:
         M = S.derive(v)
-        Bv = chart.conn_base.comps.get(v)
-        if Bv is not None:
-            M = M + S @ Bv
-        A.set(v, M @ Sinv)
+        if v in SB:
+            M = M + SB[v]
+        A.set(v, solve_right_lower(M, S))
     chart.memo_conn = A
     return A
 
@@ -87,11 +107,12 @@ def vf_from_target(chart, target):
     Raises NoSuchField when any consistency or tangency residue is nonzero;
     by uniqueness, zero residue is equivalent to existence."""
     ring = chart.ring
-    S = chart.S
     n = chart.n
-    TS = target @ S
-    SB1 = S @ chart.conn_base.get("t1")
-    SB2 = S @ chart.conn_base.get(chart.setup.base2)
+    TS = target @ chart.S
+    SB, derivs = _target_free(chart)
+    zeros = MatF.zeros(ring, n + 1)
+    SB1 = SB.get("t1", zeros)
+    SB2 = SB.get(chart.setup.base2, zeros)
     try:
         res = solve_linear(
             ring,
@@ -120,8 +141,15 @@ def vf_from_target(chart, target):
     handled = set(chart.indep_slots)
     if chart.pivot_slot is not None:
         handled.add(chart.pivot_slot)
-    for (i, j), expr in chart.dep_exprs.items():
-        if H.apply(expr) != M.get1(i, j):
+    zero = RatFn.of(ring, 0)
+    for (i, j), dexpr in derivs.items():
+        # H applied to the slot's expression, from its cached derivatives
+        got = zero
+        for v, d in dexpr.items():
+            g = H.comps.get(v)
+            if g is not None:
+                got = got + g * d
+        if got != M.get1(i, j):
             raise NoSuchField(f"consistency residue at dependent slot ({i},{j})")
         handled.add((i, j))
     for i in range(1, n + 2):

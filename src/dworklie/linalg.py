@@ -103,7 +103,10 @@ class MatF:
         return MatF(self.ring, [[fn(a) for a in r] for r in self.rows])
 
     def inverse(self):
-        """Gauss-Jordan on [M | I]; raises instead of returning a non-inverse."""
+        """Gauss-Jordan on [M | I]; raises instead of returning a non-inverse.
+        The package itself no longer calls it (the full connection uses
+        solve_right_lower); the tests keep it as the reference route, and
+        perfbench/tracer.py wraps it by name."""
         n = self.nrows
         if n != self.ncols:
             raise DworkError(f"inverse of a non-square {n}x{self.ncols} matrix")
@@ -291,6 +294,42 @@ def _gauss_jordan(A, ncols):
                 A[i] = [a - f * b for a, b in zip(A[i], A[r])]
         pivots.append(col)
     return pivots
+
+
+def solve_right_lower(M, S):
+    """X with X*S = M for lower-triangular S, by back substitution over the
+    columns of each row of M, last column first:
+    x_j = (m_j - sum_{k>j} x_k S_kj) / S_jj.  Zero rows of M and zero
+    entries of S are skipped.  Raises LinearInconsistent on a zero diagonal
+    entry, and DworkError on a shape mismatch or an entry above the
+    diagonal."""
+    n = S.nrows
+    if S.ncols != n or M.ncols != n:
+        raise DworkError(f"right solve of a {M.nrows}x{M.ncols} against a "
+                         f"{S.nrows}x{S.ncols} matrix")
+    below = []
+    for j in range(n):
+        if any(not S.rows[k][j].is_zero for k in range(j)):
+            raise DworkError(f"right solve against a matrix with an entry "
+                             f"above the diagonal in column {j + 1}")
+        if S.rows[j][j].is_zero:
+            raise LinearInconsistent(j + 1, "zero diagonal entry")
+        below.append([(k, S.rows[k][j]) for k in range(j + 1, n)
+                      if not S.rows[k][j].is_zero])
+    one = RatFn.of(M.ring, 1)
+    out = []
+    for m in M.rows:
+        x = list(m)
+        if not all(a.is_zero for a in m):
+            for j in range(n - 1, -1, -1):
+                acc = m[j]
+                for k, s in below[j]:
+                    if not x[k].is_zero:
+                        acc = acc - x[k] * s
+                d = S.rows[j][j]
+                x[j] = acc if acc.is_zero or d == one else acc / d
+        out.append(x)
+    return MatF(M.ring, out)
 
 
 def solve_linear(ring, rows, rhs):

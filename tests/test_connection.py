@@ -15,6 +15,20 @@ def test_pairing_invariance(n):
     assert check_pairing_invariance(resolve_chart(n))
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_connection_solves_the_defining_identity(n):
+    # A[v] S = d_v S + S B[v] for every coordinate, checked by a product, with
+    # no inverse of S; up to n = 4 also against the old route through S^-1
+    ch = resolve_chart(n)
+    A, S = full_connection(ch), ch.S
+    Sinv = S.inverse() if n <= 4 else None
+    for v in ch.coords:
+        M = S.derive(v) + S @ ch.conn_base.get(v)
+        assert A.get(v) @ S == M
+        if Sinv is not None:
+            assert A.get(v) == M @ Sinv
+
+
 def test_extended_range_n7():
     # beyond the paper's examples: pairing invariance of the full connection
     # and the band contraction of the modular field at n = 7

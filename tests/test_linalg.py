@@ -1,5 +1,6 @@
 """Exact linear algebra: the one Gauss-Jordan routine behind MatF.inverse,
-solve_linear and generator_rank, and its typed refusals."""
+solve_linear and generator_rank, the right triangular solve behind the full
+connection, and their typed refusals."""
 
 import os
 import subprocess
@@ -9,7 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dworklie import LinearInconsistent, MatF, RatFn, Ring, solve_linear
+from dworklie import DworkError, LinearInconsistent, MatF, RatFn, Ring, \
+    solve_linear
+from dworklie.linalg import solve_right_lower
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -19,10 +22,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # quotient across two rings with the same names, a zero denominator, the
 # value of a non-constant, a negative polynomial power, an equality oracle
 # whose every sample point is a pole, the dimensions of the family at n = 0,
-# and a power past the packed monomial's field limit.
+# a power past the packed monomial's field limit, and a right triangular
+# solve against a lower-triangular matrix with a zero diagonal entry.
 OPTIMIZED_SCRIPT = """
 from dworklie import DworkError, MatF, Poly, RatFn, Ring, eq_by_random_eval
 from dworklie.geometry import family_dims
+from dworklie.linalg import solve_right_lower
 from dworklie.ring import _pack, _tdiv_strict
 R, S = Ring(["x"]), Ring(["x"])
 x = RatFn.var(R, "x")
@@ -40,7 +45,9 @@ cases = [lambda: MatF(R, [[x, x * 2], [x * 3, x * 6]]).inverse(),
          lambda: R.var("x") ** -1,
          lambda: eq_by_random_eval(1 / x, 1 / x, origin()),
          lambda: family_dims(0),
-         lambda: R.var("x") ** 40000]
+         lambda: R.var("x") ** 40000,
+         lambda: solve_right_lower(MatF.identity(R, 2),
+                                   MatF(R, [[x, x * 0], [x, x * 0]]))]
 for case in cases:
     try:
         case()
@@ -63,7 +70,8 @@ def test_inverse_refuses_singular_and_non_square_under_O():
                                    "KernelInvariant", "KernelInvariant",
                                    "KernelInvariant", "ZeroDivisionError",
                                    "ValueError", "ValueError", "ValueError",
-                                   "DworkError", "KernelInvariant"]
+                                   "DworkError", "KernelInvariant",
+                                   "LinearInconsistent"]
 
 
 def test_solve_linear_on_a_rank_deficient_system():
@@ -111,3 +119,28 @@ def test_sparse_product_matches_dense_triple_loop(ab):
                  RatFn.of(RXY, 0))
              for j in range(B.ncols)] for i in range(A.nrows)]
     assert (A @ B).rows == want
+
+
+@st.composite
+def right_solve_cases(draw):
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    S = draw(sparse_matrix(n, n))
+    for i in range(n):
+        S.rows[i][i + 1:] = [RatFn.of(RXY, 0)] * (n - i - 1)
+        S.rows[i][i] = draw(st.sampled_from([e for e in ENTRIES
+                                             if not e.is_zero]))
+    return draw(sparse_matrix(m, n)), S
+
+
+@given(right_solve_cases())
+@settings(max_examples=60, deadline=None)
+def test_right_triangular_solve_inverts_the_product(case):
+    M, S = case
+    assert solve_right_lower(M, S) @ S == M
+
+
+def test_right_triangular_solve_refuses_an_upper_entry():
+    S = MatF.identity(RXY, 2)
+    S.set1(1, 2, X)
+    with pytest.raises(DworkError, match="above the diagonal"):
+        solve_right_lower(MatF.identity(RXY, 2), S)
