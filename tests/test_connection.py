@@ -72,6 +72,22 @@ def test_solver_rejects_unreachable_target(n):
         vf_from_target(ch, target)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_solver_rejects_a_residue_at_each_dependent_slot(n):
+    # X*S = E_ij moves only entry (i, j) of target*S, so a reachable target
+    # plus X leaves a nonzero consistency residue at that dependent slot
+    from dworklie.group import basis_pairs
+    from dworklie.linalg import solve_right_lower
+    ch = resolve_chart(n)
+    g = lie_gen(n, *basis_pairs(n)[0], ring=ch.ring).transpose()
+    assert ch.dep_exprs
+    for i, j in ch.dep_exprs:
+        E = MatF.zeros(ch.ring, n + 1)
+        E.set1(i, j, 1)
+        with pytest.raises(NoSuchField, match=rf"dependent slot \({i},{j}\)"):
+            vf_from_target(ch, g + solve_right_lower(E, ch.S))
+
+
 @pytest.mark.parametrize("n", [2, 4])
 def test_solver_rejects_a_field_off_the_relation(n):
     # d/d(pivot) alone moves off pivot^2 = kappa*disc, so the matrix it
