@@ -60,12 +60,12 @@ class Chart:
 
 
 def _equation(omega, entries, i, j):
-    """(S omega S^T)_{ij} read once: the one unsolved slot it involves (None
-    if every factor is known) and its (constant, linear, quadratic)
-    coefficients in that slot's value.  Products with a zero factor are
-    skipped; each other product is filed by how many of its two frame
-    factors are the unsolved slot."""
-    zero = RatFn.of(omega.ring, 0)
+    """(S omega S^T)_{ij} read once, omega given as the dict of its stored
+    entries: the one unsolved slot it involves (None if every factor is
+    known) and its (constant, linear, quadratic) coefficients in that slot's
+    value.  Products with a zero factor are skipped; each other product is
+    filed by how many of its two frame factors are the unsolved slot."""
+    zero = RatFn.of(entries[1, 1].ring, 0)  # S_11 = 1 is always known
     coeffs = [zero, zero, zero]
     slots = set()
     for k in range(1, i + 1):
@@ -73,9 +73,9 @@ def _equation(omega, entries, i, j):
         if a is not None and a.is_zero:
             continue
         for l in range(1, j + 1):
-            w = omega.get1(k, l)
+            w = omega.get((k, l))
             b = entries.get((j, l))
-            if w.is_zero or (b is not None and b.is_zero):
+            if w is None or (b is not None and b.is_zero):
                 continue
             slots.update(s for s, v in (((i, k), a), ((j, l), b))
                          if v is None)
@@ -92,19 +92,20 @@ def _equation(omega, entries, i, j):
     return next(iter(slots), None), coeffs
 
 
-def _row_image(omega, entries, j):
-    """u_j = omega S_j^T, once row j of S is complete (None before): every
-    equation (i, j) is then  sum_{k <= i} S_ik u_j[k], i products."""
+def _row_image(omega, size, entries, j):
+    """u_j = omega S_j^T for the size x size omega of _equation, once row j
+    of S is complete (None before): every equation (i, j) is then
+    sum_{k <= i} S_ik u_j[k], i products."""
     row = [(l, entries.get((j, l))) for l in range(1, j + 1)]
     if any(b is None for _, b in row):
         return None
-    zero = RatFn.of(omega.ring, 0)
+    zero = RatFn.of(row[0][1].ring, 0)
     u = []
-    for k in range(1, omega.nrows + 1):
+    for k in range(1, size + 1):
         acc = zero
         for l, b in row:
-            w = omega.get1(k, l)
-            if not (w.is_zero or b.is_zero):
+            w = omega.get((k, l))
+            if not (w is None or b.is_zero):
                 acc = acc + w * b
         u.append(acc)
     return u
@@ -162,7 +163,8 @@ def build_chart(n, c_value=None):
             raise EliminationStuck(
                 f"first calibration equation {eqs[0]} is not the middle slot")
         eqs = eqs[1:]
-        slot, (c0, lin, quad) = _equation(omega, _frame(setup.ring, indep),
+        slot, (c0, lin, quad) = _equation(dict(omega.entries()),
+                                          _frame(setup.ring, indep),
                                           *pivot_slot)
         if slot != pivot_slot or quad.is_zero or not lin.is_zero \
                 or not c0.is_zero:
@@ -177,24 +179,24 @@ def build_chart(n, c_value=None):
                                                       rhs.den))
         conn = frame_connection(setup)
         kappa = kappa.lift(setup.ring)
-        omega = MatF(setup.ring,
-                     [[f.lift(setup.ring) for f in r] for r in omega.rows])
+        omega = omega.lift(setup.ring)
         known[pivot_slot] = pivot_var
     ring = setup.ring
     phi = pairing_form(ring, n)
     entries = _frame(ring, known)
     dep_exprs = {}
     images = {}  # j -> u_j, for the rows of S already complete
+    om = dict(omega.entries())
 
     for (i, j) in eqs:
         if j not in images:
-            u = _row_image(omega, entries, j)
+            u = _row_image(om, n + 1, entries, j)
             if u is not None:
                 images[j] = u
         if j in images:
             slot, (c0, lin, quad) = _row_equation(entries, images[j], i, j)
         else:
-            slot, (c0, lin, quad) = _equation(omega, entries, i, j)
+            slot, (c0, lin, quad) = _equation(om, entries, i, j)
         if slot is None:
             if c0 != phi.get1(i, j):
                 raise EliminationStuck(
@@ -216,7 +218,7 @@ def build_chart(n, c_value=None):
         S.set1(i, j, v)
 
     # full calibration re-check: S omega S^T = S U^T, with row j of U = u_j
-    U = MatF(ring, [images.get(j) or _row_image(omega, entries, j)
+    U = MatF(ring, [images.get(j) or _row_image(om, n + 1, entries, j)
                     for j in range(1, n + 2)])
     if S @ U.transpose() != phi:
         raise EliminationStuck("final calibration identity failed")

@@ -138,9 +138,6 @@ def vf_from_target(chart, target):
         if H.get(chart.pivot_var) != c1 * dt1 + cb * dtb:
             raise NoSuchField("field is not tangent to the slot relation")
 
-    handled = set(chart.indep_slots)
-    if chart.pivot_slot is not None:
-        handled.add(chart.pivot_slot)
     zero = RatFn.of(ring, 0)
     for (i, j), dexpr in derivs.items():
         # H applied to the slot's expression, from its cached derivatives
@@ -151,11 +148,8 @@ def vf_from_target(chart, target):
                 got = got + g * d
         if got != M.get1(i, j):
             raise NoSuchField(f"consistency residue at dependent slot ({i},{j})")
-        handled.add((i, j))
-    for i in range(1, n + 2):
-        for j in range(1, n + 2):
-            if (i, j) in handled:
-                continue
-            if not M.get1(i, j).is_zero:
-                raise NoSuchField(f"nonzero residue at entry ({i},{j})")
+    handled = {*chart.indep_slots, chart.pivot_slot, *derivs}
+    for (i, j), _ in M.entries():
+        if (i, j) not in handled:
+            raise NoSuchField(f"nonzero residue at entry ({i},{j})")
     return H

@@ -160,21 +160,17 @@ def cy3_basis(h, ring=None):
     count."""
     ring = ring if ring is not None else _yring(h)
     phi = cy3_phi(h, ring)
-    N = 2 * h + 2
     out = {}
     for key in basis_keys(h):
         g = _disp(h, ring, key).transpose()
-        for i in range(1, N + 1):
-            for j in range(1, N + 1):
-                if _block_of(h, i) > _block_of(h, j) \
-                        and not g.get1(i, j).is_zero:
-                    raise DworkError(f"{key_name(h, key)} not block triangular")
+        if any(_block_of(h, i) > _block_of(h, j) for (i, j), _ in g.entries()):
+            raise DworkError(f"{key_name(h, key)} not block triangular")
         if not (g.transpose() @ phi + phi @ g).is_zero:
             raise DworkError(f"{key_name(h, key)} breaks the pairing")
         out[key] = g
     if len(out) != cy3_dims(h)[1]:
         raise DworkError("generator count mismatch")
-    if not (phi @ phi + MatF.identity(ring, N)).is_zero:
+    if not (phi @ phi + MatF.identity(ring, 2 * h + 2)).is_zero:
         raise DworkError("pairing does not square to minus one")
     return out
 
@@ -341,11 +337,8 @@ def _frames(h, ring):
 
 
 def _gm_of_combo(h, ring, gms, combo):
-    N = 2 * h + 2
-    M = MatF.zeros(ring, N)
-    for key, coef in combo.items():
-        M = M + gms[key].scale(coef)
-    return M
+    return sum((gms[key].scale(coef) for key, coef in combo.items()),
+               MatF.zeros(ring, 2 * h + 2))
 
 
 def _pair_name(h, v, w):
@@ -407,23 +400,18 @@ def _absorb_action(h, ring, actions, v, k, resid):
     """Read the action of v on the coupling symbols off the residual matrix;
     outside the coupling block the residual must vanish, and revisited
     symbols must agree with what earlier rows fixed."""
-    N = 2 * h + 2
     ok = True
     note = ""
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
-            val = resid.get1(i, j)
-            if val.is_zero:
-                continue
-            if not (2 <= i <= h + 1 and h + 2 <= j <= 2 * h + 1):
-                return False, f"residual off the coupling block at {(i, j)}"
-            yname = ysym_name(h, k, i - 1, j - h - 1)
-            prev = actions.get((v, yname))
-            if prev is None:
-                actions[(v, yname)] = val
-            elif prev != val:
-                ok = False
-                note = f"inconsistent action on {yname}"
+    for (i, j), val in resid.entries():
+        if not (2 <= i <= h + 1 and h + 2 <= j <= 2 * h + 1):
+            return False, f"residual off the coupling block at {(i, j)}"
+        yname = ysym_name(h, k, i - 1, j - h - 1)
+        prev = actions.get((v, yname))
+        if prev is None:
+            actions[(v, yname)] = val
+        elif prev != val:
+            ok = False
+            note = f"inconsistent action on {yname}"
     # symbols not touched by any cell act as zero; record explicitly so the
     # consistency check sees them on later rows
     for i in range(1, h + 1):

@@ -154,8 +154,8 @@ def pairing_matrix(setup, conn=None):
     for j in range(1, n + 2):
         vals[(j, n + 2 - j)] = RatFn.of(ring, (-1) ** (j - 1)) * base
 
-    B1 = conn.get("t1")
-    B2 = conn.get(setup.base2)
+    B1 = dict(conn.get("t1").entries())
+    B2 = dict(conn.get(setup.base2).entries())
     zero = RatFn.of(ring, 0)
 
     for s in range(n + 2, 2 * n + 2):
@@ -195,11 +195,11 @@ def pairing_matrix(setup, conn=None):
                 coeffs = [zero] * len(reps)
                 const = zero
                 for k in range(1, n + 2):
-                    f = B.get1(i, k)
-                    if not f.is_zero:
+                    f = B.get((i, k))
+                    if f is not None:
                         const = ref(k, j, coeffs, const, f)
-                    g = B.get1(j, k)
-                    if not g.is_zero:
+                    g = B.get((j, k))
+                    if g is not None:
                         const = ref(i, k, coeffs, const, g)
                 lhs = vals[(i, j)].derive(v)
                 rows.append(coeffs)

@@ -205,7 +205,7 @@ def act(n, t=None, g=None, c=None):
     if g is None:
         g = symbolic_elem(n, c)
     ring = g.ring
-    S = ch.S if ring is ch.ring else ch.S.map(lambda r: r.lift(ring))
+    S = ch.S if ring is ch.ring else ch.S.lift(ring)
     g1 = g.matrix.get1(n + 1, n + 1)
     D = MatF.zeros(ring, n + 1)
     for k in range(1, n + 2):
@@ -213,11 +213,10 @@ def act(n, t=None, g=None, c=None):
     Sp = g.matrix.transpose() @ S @ D
     if Sp.get1(1, 1) != RatFn.of(ring, 1):
         raise ActionShapeViolation("moved frame has a non-unit corner")
-    for i in range(1, n + 2):
-        for j in range(i + 1, n + 2):
-            if not Sp.get1(i, j).is_zero:
-                raise ActionShapeViolation(
-                    f"moved frame is not lower triangular at ({i},{j})")
+    for (i, j), _ in Sp.entries():
+        if j > i:
+            raise ActionShapeViolation(
+                f"moved frame is not lower triangular at ({i},{j})")
     new = {
         "t1": RatFn.var(ring, "t1") * g1,
         ch.setup.base2: RatFn.var(ring, ch.setup.base2) * g1 ** (n + 2),

@@ -169,11 +169,9 @@ def amsy_decompose(V, n, c=None):
         coeffs[(a, b)] = f
         if not f.is_zero:
             recon = recon + lie_gen(n, a, b, ch.ring).transpose().scale(f)
-    for i in range(1, n + 2):
-        for j in range(1, n + 2):
-            resid = T.get1(i, j) - recon.get1(i, j)
-            if not resid.is_zero:
-                return NotMember((i, j), resid)
+    resid = (T - recon).entries()
+    if resid:
+        return NotMember(*resid[0])
     for key, f in [(None, f0)] + sorted(coeffs.items()):
         if not _regular(ch, f):
             entry = (1, 2) if key is None else (key[1], key[0])

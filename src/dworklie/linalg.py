@@ -1,5 +1,5 @@
-"""Dense matrices, matrix-valued one-forms, polynomial vector fields, and exact
-linear solving over the rational-function field."""
+"""Sparse matrices, matrix-valued one-forms, polynomial vector fields, and
+exact linear solving over the rational-function field."""
 
 from __future__ import annotations
 
@@ -10,79 +10,103 @@ __all__ = ["MatF", "OneFormMat", "VecField", "solve_linear", "SolveResult"]
 
 
 class MatF:
-    """Dense matrix of RatFn entries.  Storage is 0-based; the 1-based helpers
-    exist because every layout formula in this package is stated 1-based.
-    Products skip zero entries, since frame matrices are mostly zeros."""
+    """Sparse matrix of RatFn entries: cells maps a 1-based (i, j) to a
+    nonzero entry, zero cells are never stored, and the shape is kept
+    explicitly.  Frame matrices are mostly zeros, so every operation walks
+    only the stored cells.  Other modules read entries through get1 and
+    entries."""
 
-    __slots__ = ("ring", "rows")
+    __slots__ = ("ring", "nrows", "ncols", "cells")
 
     def __init__(self, ring, rows):
-        self.ring = ring
-        self.rows = rows
+        """From dense rows; zero entries are dropped."""
+        self.ring, self.nrows = ring, len(rows)
+        self.ncols = len(rows[0]) if rows else 0
+        self.cells = {(i, j): a for i, r in enumerate(rows, 1)
+                      for j, a in enumerate(r, 1) if not a.is_zero}
+
+    @staticmethod
+    def _of(ring, nrows, ncols, pairs):
+        """From ((i, j), value) pairs; zero values are dropped."""
+        M = MatF.__new__(MatF)
+        M.ring, M.nrows, M.ncols = ring, nrows, ncols
+        M.cells = {k: a for k, a in pairs if not a.is_zero}
+        return M
+
+    def _like(self, pairs):
+        return MatF._of(self.ring, self.nrows, self.ncols, pairs)
 
     @staticmethod
     def zeros(ring, n, m=None):
-        m = n if m is None else m
-        z = RatFn.of(ring, 0)
-        return MatF(ring, [[z for _ in range(m)] for _ in range(n)])
+        return MatF._of(ring, n, n if m is None else m, ())
 
     @staticmethod
     def identity(ring, n):
-        M = MatF.zeros(ring, n)
         one = RatFn.of(ring, 1)
-        for i in range(n):
-            M.rows[i][i] = one
-        return M
+        return MatF._of(ring, n, n, (((i, i), one) for i in range(1, n + 1)))
 
-    @property
-    def nrows(self):
-        return len(self.rows)
-
-    @property
-    def ncols(self):
-        return len(self.rows[0]) if self.rows else 0
+    def _check_cell(self, i, j):
+        if not (1 <= i <= self.nrows and 1 <= j <= self.ncols):
+            raise DworkError(f"cell ({i},{j}) outside a "
+                             f"{self.nrows}x{self.ncols} matrix")
 
     def get1(self, i, j):
-        return self.rows[i - 1][j - 1]
+        a = self.cells.get((i, j))
+        if a is None:
+            self._check_cell(i, j)
+            return RatFn.of(self.ring, 0)
+        return a
 
     def set1(self, i, j, v):
-        self.rows[i - 1][j - 1] = RatFn.of(self.ring, v)
+        self._check_cell(i, j)
+        v = RatFn.of(self.ring, v)
+        if v.is_zero:
+            self.cells.pop((i, j), None)
+        else:
+            self.cells[i, j] = v
+
+    def entries(self):
+        """The stored ((i, j), value) pairs, in row-major order."""
+        return sorted(self.cells.items())
 
     def __add__(self, other):
-        return MatF(self.ring, [[a + b for a, b in zip(ra, rb)]
-                                for ra, rb in zip(self.rows, other.rows)])
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise DworkError(f"sum of a {self.nrows}x{self.ncols} and a "
+                             f"{other.nrows}x{other.ncols} matrix")
+        out = dict(self.cells)
+        for k, b in other.cells.items():
+            a = out.get(k)
+            out[k] = b if a is None else a + b
+        return self._like(out.items())
 
     def __sub__(self, other):
-        return MatF(self.ring, [[a - b for a, b in zip(ra, rb)]
-                                for ra, rb in zip(self.rows, other.rows)])
+        return self + -other
 
     def __neg__(self):
-        return MatF(self.ring, [[-a for a in r] for r in self.rows])
+        return self._like((k, -a) for k, a in self.cells.items())
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise DworkError(f"product of a {self.nrows}x{self.ncols} and a "
                              f"{other.nrows}x{other.ncols} matrix")
-        # sparse: each nonzero a_ik meets only the nonzero b_kj of row k
-        zero = RatFn.of(self.ring, 0)
-        brows = [[(j, b) for j, b in enumerate(rb) if not b.is_zero]
-                 for rb in other.rows]
-        out = []
-        for ra in self.rows:
-            row = [zero] * other.ncols
-            for a, bk in zip(ra, brows):
-                if not a.is_zero:
-                    for j, b in bk:
-                        row[j] = row[j] + a * b
-            out.append(row)
-        return MatF(self.ring, out)
+        # each nonzero a_ik meets only the nonzero b_kj of row k
+        brows = {}
+        for (k, j), b in other.cells.items():
+            brows.setdefault(k, []).append((j, b))
+        out = {}
+        for (i, k), a in self.cells.items():
+            for j, b in brows.get(k, ()):
+                c = out.get((i, j))
+                out[i, j] = a * b if c is None else c + a * b
+        return MatF._of(self.ring, self.nrows, other.ncols, out.items())
 
     def scale(self, f):
         f = RatFn.of(self.ring, f)
-        return MatF(self.ring, [[a * f for a in r] for r in self.rows])
+        return self._like((k, a * f) for k, a in self.cells.items())
 
     def transpose(self):
-        return MatF(self.ring, [list(c) for c in zip(*self.rows)])
+        return MatF._of(self.ring, self.ncols, self.nrows,
+                        (((j, i), a) for (i, j), a in self.cells.items()))
 
     def commutator(self, other):
         return self @ other - other @ self
@@ -90,17 +114,27 @@ class MatF:
     def __eq__(self, other):
         if not isinstance(other, MatF):
             return NotImplemented
-        return self.rows == other.rows
+        return (self.nrows, self.ncols, self.cells) \
+            == (other.nrows, other.ncols, other.cells)
 
     @property
     def is_zero(self):
-        return all(a.is_zero for r in self.rows for a in r)
+        return not self.cells
 
     def derive(self, var):
-        return MatF(self.ring, [[a.derive(var) for a in r] for r in self.rows])
+        return self._like((k, a.derive(var)) for k, a in self.cells.items())
 
     def map(self, fn):
-        return MatF(self.ring, [[fn(a) for a in r] for r in self.rows])
+        """fn on every stored entry; fn must send zero to zero."""
+        return self._like((k, fn(a)) for k, a in self.cells.items())
+
+    def lift(self, ring):
+        return MatF._of(ring, self.nrows, self.ncols,
+                        ((k, a.lift(ring)) for k, a in self.cells.items()))
+
+    def _dense(self):
+        return [[self.get1(i, j) for j in range(1, self.ncols + 1)]
+                for i in range(1, self.nrows + 1)]
 
     def inverse(self):
         """Gauss-Jordan on [M | I]; raises instead of returning a non-inverse.
@@ -111,8 +145,8 @@ class MatF:
         if n != self.ncols:
             raise DworkError(f"inverse of a non-square {n}x{self.ncols} matrix")
         one, zero = RatFn.of(self.ring, 1), RatFn.of(self.ring, 0)
-        A = [list(r) + [one if k == i else zero for k in range(n)]
-             for i, r in enumerate(self.rows)]
+        A = [r + [one if k == i else zero for k in range(n)]
+             for i, r in enumerate(self._dense())]
         rank = len(_gauss_jordan(A, n))
         if rank < n:
             raise LinearInconsistent(rank, "singular matrix")
@@ -120,7 +154,7 @@ class MatF:
 
     def __repr__(self):
         body = "\n".join("[" + ", ".join(repr(a) for a in r) + "]"
-                         for r in self.rows)
+                         for r in self._dense())
         return f"MatF({self.nrows}x{self.ncols})\n{body}"
 
 
@@ -132,11 +166,8 @@ class OneFormMat:
     def __init__(self, ring, size, comps=None):
         self.ring = ring
         self.size = size
-        self.comps = {}
-        if comps:
-            for v, M in comps.items():
-                if not M.is_zero:
-                    self.comps[v] = M
+        self.comps = {v: M for v, M in (comps or {}).items()
+                      if not M.is_zero}
 
     def get(self, var):
         M = self.comps.get(var)
@@ -152,18 +183,14 @@ class OneFormMat:
         return sorted(self.comps, key=lambda v: self.ring.index[v])
 
     def __add__(self, other):
-        out = OneFormMat(self.ring, self.size)
-        for v in set(self.comps) | set(other.comps):
-            out.set(v, self.get(v) + other.get(v))
-        return out
+        return OneFormMat(self.ring, self.size, {
+            v: self.get(v) + other.get(v)
+            for v in set(self.comps) | set(other.comps)})
 
     def __eq__(self, other):
         if not isinstance(other, OneFormMat):
             return NotImplemented
-        for v in set(self.comps) | set(other.comps):
-            if self.get(v) != other.get(v):
-                return False
-        return True
+        return self.comps == other.comps
 
     def contract(self, vf):
         """Pair with a vector field: sum_v vf[v] * A[v]."""
@@ -236,15 +263,9 @@ class VecField:
 
     def bracket(self, other):
         """[self, other], computed componentwise on coefficients."""
-        out = {}
-        keys = set(self.comps) | set(other.comps)
-        for v in keys:
-            a = self.apply(other.get(v))
-            b = other.apply(self.get(v))
-            c = a - b
-            if not c.is_zero:
-                out[v] = c
-        return VecField(self.ring, out)
+        return VecField(self.ring, {
+            v: self.apply(other.get(v)) - other.apply(self.get(v))
+            for v in set(self.comps) | set(other.comps)})
 
     def lift(self, ring):
         return VecField(ring, {v: f.lift(ring) for v, f in self.comps.items()})
@@ -299,37 +320,35 @@ def _gauss_jordan(A, ncols):
 def solve_right_lower(M, S):
     """X with X*S = M for lower-triangular S, by back substitution over the
     columns of each row of M, last column first:
-    x_j = (m_j - sum_{k>j} x_k S_kj) / S_jj.  Zero rows of M and zero
-    entries of S are skipped.  Raises LinearInconsistent on a zero diagonal
-    entry, and DworkError on a shape mismatch or an entry above the
-    diagonal."""
+    x_j = (m_j - sum_{k>j} x_k S_kj) / S_jj.  Only the stored entries of M
+    and S are visited.  Raises LinearInconsistent on a zero diagonal entry,
+    and DworkError on a shape mismatch or an entry above the diagonal."""
     n = S.nrows
     if S.ncols != n or M.ncols != n:
         raise DworkError(f"right solve of a {M.nrows}x{M.ncols} against a "
                          f"{S.nrows}x{S.ncols} matrix")
-    below = []
-    for j in range(n):
-        if any(not S.rows[k][j].is_zero for k in range(j)):
+    below = {}
+    for j in range(1, n + 1):
+        col = [(k, s) for (k, l), s in S.entries() if l == j]
+        if col and col[0][0] < j:
             raise DworkError(f"right solve against a matrix with an entry "
-                             f"above the diagonal in column {j + 1}")
-        if S.rows[j][j].is_zero:
-            raise LinearInconsistent(j + 1, "zero diagonal entry")
-        below.append([(k, S.rows[k][j]) for k in range(j + 1, n)
-                      if not S.rows[k][j].is_zero])
-    one = RatFn.of(M.ring, 1)
-    out = []
-    for m in M.rows:
-        x = list(m)
-        if not all(a.is_zero for a in m):
-            for j in range(n - 1, -1, -1):
-                acc = m[j]
-                for k, s in below[j]:
-                    if not x[k].is_zero:
-                        acc = acc - x[k] * s
-                d = S.rows[j][j]
-                x[j] = acc if acc.is_zero or d == one else acc / d
-        out.append(x)
-    return MatF(M.ring, out)
+                             f"above the diagonal in column {j}")
+        if (j, j) not in S.cells:
+            raise LinearInconsistent(j, "zero diagonal entry")
+        below[j] = col[1:]
+    zero, one = RatFn.of(M.ring, 0), RatFn.of(M.ring, 1)
+    out = {}
+    for i in {i for i, _ in M.cells}:
+        for j in range(n, 0, -1):
+            acc = M.cells.get((i, j), zero)
+            for k, s in below[j]:
+                x = out.get((i, k))
+                if x is not None:
+                    acc = acc - x * s
+            if not acc.is_zero:
+                d = S.cells[j, j]
+                out[i, j] = acc if d == one else acc / d
+    return MatF._of(M.ring, M.nrows, n, out.items())
 
 
 def solve_linear(ring, rows, rhs):

@@ -22,10 +22,8 @@ STAGES = ("chart", "full_connection", "modular_vf", "basis_vf")
 
 def _matrix_lines(tag, M):
     from dworklie.ratfn import ratfn_string
-    for i, row in enumerate(M.rows, 1):
-        for j, f in enumerate(row, 1):
-            if not f.is_zero:
-                yield f"{tag} ({i},{j}) {ratfn_string(f)}"
+    for (i, j), f in M.entries():
+        yield f"{tag} ({i},{j}) {ratfn_string(f)}"
 
 
 def _field_lines(tag, H):

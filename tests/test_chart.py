@@ -144,4 +144,4 @@ def test_equation_refuses_two_unsolved_slots():
     one = RatFn.of(ring, 1)
     omega = MatF(ring, [[one, one], [one, one]])
     with pytest.raises(EliminationStuck, match="involves 2 unsolved slots"):
-        _equation(omega, {(1, 1): one}, 2, 2)
+        _equation(dict(omega.entries()), {(1, 1): one}, 2, 2)

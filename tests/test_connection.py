@@ -88,6 +88,24 @@ def test_solver_rejects_a_residue_at_each_dependent_slot(n):
             vf_from_target(ch, g + solve_right_lower(E, ch.S))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_solver_rejects_a_residue_at_each_entry_above_the_diagonal(n):
+    # the same construction at an entry above the diagonal other than (1,2):
+    # no slot reads it, so it is left as a nonzero residue at that entry
+    from dworklie.group import basis_pairs
+    from dworklie.linalg import solve_right_lower
+    ch = resolve_chart(n)
+    g = lie_gen(n, *basis_pairs(n)[0], ring=ch.ring).transpose()
+    cells = [(i, j) for i in range(1, n + 2) for j in range(i + 1, n + 2)
+             if (i, j) != (1, 2)]
+    assert cells
+    for i, j in cells:
+        E = MatF.zeros(ch.ring, n + 1)
+        E.set1(i, j, 1)
+        with pytest.raises(NoSuchField, match=rf"residue at entry \({i},{j}\)"):
+            vf_from_target(ch, g + solve_right_lower(E, ch.S))
+
+
 @pytest.mark.parametrize("n", [2, 4])
 def test_solver_rejects_a_field_off_the_relation(n):
     # d/d(pivot) alone moves off pivot^2 = kappa*disc, so the matrix it

@@ -106,6 +106,20 @@ def test_derived_coupling_actions(h):
             assert val.is_zero, (vkey, yname)
 
 
+@pytest.mark.slow
+def test_full_table_at_ten_directions():
+    # from h = 10 on every name is "_"-joined (run with -m slow)
+    h = 10
+    _, dim_g, _ = cy3_dims(h)
+    report = verify_cy3_table(h)
+    assert report.all_ok, [r.name for r in report.rows if not r.equal]
+    assert len(report.rows) == (dim_g + h) ** 2
+    assert len({r.name for r in report.rows}) == len(report.rows)
+    triples = cy3_sl2(h, report)
+    assert triples.all_ok
+    assert len(triples.rows) == 3 * h
+
+
 @pytest.mark.parametrize("h", [1, 2, 3])
 def test_sl2_triples(h):
     rows = cy3_sl2(h)

@@ -1,6 +1,7 @@
-"""Exact linear algebra: the one Gauss-Jordan routine behind MatF.inverse,
-solve_linear and generator_rank, the right triangular solve behind the full
-connection, and their typed refusals."""
+"""Exact linear algebra: the sparse MatF against a dense reference, the one
+Gauss-Jordan routine behind MatF.inverse, solve_linear and generator_rank,
+the right triangular solve behind the full connection, and their typed
+refusals."""
 
 import os
 import subprocess
@@ -18,6 +19,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Refusals must not rest on assert: run them with assertions stripped.  The
 # cases: a singular and a non-square inverse, a 2x2 times 3x3 product, a
+# 2x2 plus and minus a 3x3, a read of cell (0, 0) and a write to (0, 1), a
 # kernel division expected to be exact, (x^2 + 1)/x, a sum, a product and a
 # quotient across two rings with the same names, a zero denominator, the
 # value of a non-constant, a negative polynomial power, an equality oracle
@@ -36,6 +38,10 @@ origin = type("Origin", (), {"randint": staticmethod(lambda a, b: max(a, 0))})
 cases = [lambda: MatF(R, [[x, x * 2], [x * 3, x * 6]]).inverse(),
          lambda: MatF(R, [[x, RatFn.of(R, 1)]]).inverse(),
          lambda: MatF.identity(R, 2) @ MatF.identity(R, 3),
+         lambda: MatF.identity(R, 2) + MatF.identity(R, 3),
+         lambda: MatF.identity(R, 2) - MatF.identity(R, 3),
+         lambda: MatF.identity(R, 2).get1(0, 0),
+         lambda: MatF.zeros(R, 2).set1(0, 1, 7),
          lambda: _tdiv_strict({X2: 1, X0: 1}, {X1: 1}),
          lambda: R.var("x") + S.var("x"),
          lambda: x * RatFn.var(S, "x"),
@@ -66,7 +72,9 @@ def test_inverse_refuses_singular_and_non_square_under_O():
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["LinearInconsistent", "DworkError",
-                                   "DworkError", "KernelInvariant",
+                                   "DworkError", "DworkError", "DworkError",
+                                   "DworkError", "DworkError",
+                                   "KernelInvariant",
                                    "KernelInvariant", "KernelInvariant",
                                    "KernelInvariant", "ZeroDivisionError",
                                    "ValueError", "ValueError", "ValueError",
@@ -105,6 +113,12 @@ def sparse_matrix(draw, nrows, ncols):
     return MatF(RXY, rows)
 
 
+def dense(M):
+    """The reference layout: every cell, read through get1."""
+    return [[M.get1(i, j) for j in range(1, M.ncols + 1)]
+            for i in range(1, M.nrows + 1)]
+
+
 @st.composite
 def factor_pairs(draw):
     n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
@@ -115,20 +129,23 @@ def factor_pairs(draw):
 @settings(max_examples=60, deadline=None)
 def test_sparse_product_matches_dense_triple_loop(ab):
     A, B = ab
-    want = [[sum((A.rows[i][l] * B.rows[l][j] for l in range(A.ncols)),
+    want = [[sum((A.get1(i, l) * B.get1(l, j) for l in range(1, A.ncols + 1)),
                  RatFn.of(RXY, 0))
-             for j in range(B.ncols)] for i in range(A.nrows)]
-    assert (A @ B).rows == want
+             for j in range(1, B.ncols + 1)] for i in range(1, A.nrows + 1)]
+    P = A @ B
+    assert dense(P) == want
+    assert not any(v.is_zero for _, v in P.entries())
 
 
 @st.composite
 def right_solve_cases(draw):
     n, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     S = draw(sparse_matrix(n, n))
-    for i in range(n):
-        S.rows[i][i + 1:] = [RatFn.of(RXY, 0)] * (n - i - 1)
-        S.rows[i][i] = draw(st.sampled_from([e for e in ENTRIES
-                                             if not e.is_zero]))
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            S.set1(i, j, 0)
+        S.set1(i, i, draw(st.sampled_from([e for e in ENTRIES
+                                           if not e.is_zero])))
     return draw(sparse_matrix(m, n)), S
 
 
@@ -144,3 +161,81 @@ def test_right_triangular_solve_refuses_an_upper_entry():
     S.set1(1, 2, X)
     with pytest.raises(DworkError, match="above the diagonal"):
         solve_right_lower(MatF.identity(RXY, 2), S)
+
+
+# The sparse layout against the dense reference: every operation agrees cell
+# by cell, and none leaves a stored zero behind.
+@st.composite
+def summand_pairs(draw):
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return draw(sparse_matrix(n, m)), draw(sparse_matrix(n, m))
+
+
+@given(summand_pairs(), st.sampled_from(ENTRIES))
+@settings(max_examples=60, deadline=None)
+def test_operations_agree_with_the_dense_reference(ab, f):
+    A, B = ab
+    a, b = dense(A), dense(B)
+    cases = [
+        (A + B, [[x + y for x, y in zip(r, q)] for r, q in zip(a, b)]),
+        (A - B, [[x - y for x, y in zip(r, q)] for r, q in zip(a, b)]),
+        (-A, [[-x for x in r] for r in a]),
+        (A.scale(f), [[x * f for x in r] for r in a]),
+        (A.transpose(), [list(c) for c in zip(*a)]),
+        (A.derive("x"), [[x.derive("x") for x in r] for r in a]),
+        (A.map(lambda x: x * x - x), [[x * x - x for x in r] for r in a]),
+    ]
+    for got, want in cases:
+        assert dense(got) == want
+        assert not any(v.is_zero for _, v in got.entries())
+
+
+@given(factor_pairs())
+@settings(max_examples=40, deadline=None)
+def test_no_operation_stores_a_zero(ab):
+    A, _ = ab
+    assert A - A == MatF.zeros(RXY, A.nrows, A.ncols)
+    assert (A - A).is_zero and not (A - A).entries()
+    assert A.scale(0).is_zero
+    assert A.map(lambda x: x * 0).is_zero
+    for (i, j), _ in A.entries():
+        B = MatF(RXY, dense(A))
+        B.set1(i, j, 0)
+        assert (i, j) not in dict(B.entries())
+        assert len(B.entries()) == len(A.entries()) - 1
+        assert B.get1(i, j).is_zero
+
+
+@given(factor_pairs())
+@settings(max_examples=40, deadline=None)
+def test_entries_are_the_nonzero_cells_in_row_major_order(ab):
+    # also for matrices whose cells were stored in another order
+    A, _ = ab
+    backwards = MatF.zeros(RXY, A.nrows, A.ncols)
+    for (i, j), v in reversed(A.entries()):
+        backwards.set1(i, j, v)
+    for M in (A, A.transpose(), backwards):
+        m = dense(M)
+        assert [cell for cell, _ in M.entries()] == [
+            (i, j) for i in range(1, M.nrows + 1)
+            for j in range(1, M.ncols + 1) if not m[i - 1][j - 1].is_zero]
+        assert all(v == M.get1(*cell) for cell, v in M.entries())
+
+
+def test_equality_includes_the_shape():
+    assert MatF.zeros(RXY, 2, 3) != MatF.zeros(RXY, 3, 2)
+    assert MatF.zeros(RXY, 2) != MatF.zeros(RXY, 3)
+    assert MatF.identity(RXY, 2) == MatF(RXY, [[1 + X * 0, X * 0],
+                                               [X * 0, 1 + X * 0]])
+
+
+def test_cells_outside_the_shape_are_refused():
+    M = MatF.zeros(RXY, 2, 3)
+    for i, j in ((0, 1), (1, 0), (3, 1), (1, 4), (-1, -1)):
+        with pytest.raises(DworkError, match="outside a 2x3 matrix"):
+            M.get1(i, j)
+        with pytest.raises(DworkError, match="outside a 2x3 matrix"):
+            M.set1(i, j, 0)
+    assert M == MatF.zeros(RXY, 2, 3)
+    with pytest.raises(DworkError, match="sum of a 2x3 and a 3x2 matrix"):
+        M + M.transpose()
