@@ -1,5 +1,5 @@
 """Rewrite chart_digests.json: sha256 digests of the exact objects for
-n = 6..10, where a byte-for-byte golden would run to megabytes.
+n = 6..12, where a byte-for-byte golden would run to megabytes.
 
 Each digest covers the canonical strings of one stage: the chart
 (``dep_exprs``, ``kappa``, ``S``), ``full_connection``, ``modular_vf`` and
@@ -16,7 +16,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 PATH = HERE / "chart_digests.json"
-NS = (6, 7, 8, 9, 10)
+NS = (6, 7, 8, 9, 10, 11, 12)
 STAGES = ("chart", "full_connection", "modular_vf", "basis_vf")
 
 
