@@ -59,79 +59,61 @@ class Chart:
         return f"{self.pivot_var}^2 = {ratfn_string(rel)}"
 
 
-def _equation(omega, entries, i, j):
-    """(S omega S^T)_{ij} read once, omega given as the dict of its stored
-    entries: the one unsolved slot it involves (None if every factor is
-    known) and its (constant, linear, quadratic) coefficients in that slot's
-    value.  Products with a zero factor are skipped; each other product is
-    filed by how many of its two frame factors are the unsolved slot."""
-    zero = RatFn.of(entries[1, 1].ring, 0)  # S_11 = 1 is always known
-    coeffs = [zero, zero, zero]
-    slots = set()
-    for k in range(1, i + 1):
-        a = entries.get((i, k))
-        if a is not None and a.is_zero:
-            continue
-        for l in range(1, j + 1):
-            w = omega.get((k, l))
-            b = entries.get((j, l))
-            if w is None or (b is not None and b.is_zero):
-                continue
-            slots.update(s for s, v in (((i, k), a), ((j, l), b))
-                         if v is None)
-            if len(slots) > 1:
-                continue
-            term = w if a is None else a * w
-            if b is not None:
-                term = term * b
-            deg = (a is None) + (b is None)
-            coeffs[deg] = coeffs[deg] + term
-    if len(slots) > 1:
-        raise EliminationStuck(
-            f"equation ({i},{j}) involves {len(slots)} unsolved slots")
-    return next(iter(slots), None), coeffs
-
-
 def _row_image(omega, size, entries, j):
-    """u_j = omega S_j^T for the size x size omega of _equation, once row j
-    of S is complete (None before): every equation (i, j) is then
-    sum_{k <= i} S_ik u_j[k], i products."""
+    """The image (u, y) of row j of S against the size x size omega, given
+    as the dict of its stored entries: u = omega s^T over the known entries
+    s of the row, and y the column of the row's one unsolved slot (None once
+    the row is complete).  EliminationStuck if more than one is unsolved."""
     row = [(l, entries.get((j, l))) for l in range(1, j + 1)]
-    if any(b is None for _, b in row):
-        return None
-    zero = RatFn.of(row[0][1].ring, 0)
+    unsolved = [l for l, b in row if b is None]
+    if len(unsolved) > 1:
+        raise EliminationStuck(f"row {j} has {len(unsolved)} unsolved slots")
+    known = [(l, b) for l, b in row if not (b is None or b.is_zero)]
+    zero = RatFn.of(entries[1, 1].ring, 0)  # S_11 = 1 is always known
     u = []
     for k in range(1, size + 1):
         acc = zero
-        for l, b in row:
+        for l, b in known:
             w = omega.get((k, l))
-            if not (w is None or b.is_zero):
+            if w is not None:
                 acc = acc + w * b
         u.append(acc)
-    return u
+    return u, next(iter(unsolved), None)
 
 
-def _row_equation(entries, u, i, j):
-    """_equation for an equation (i, j) whose row j is complete, from its
-    cached image u = u_j: the unsolved slot, if any, sits in row i and
-    enters linearly with coefficient u[k]."""
+def _equation(omega, sign, entries, image, i, j):
+    """(S omega S^T)_{ij} = sum_k S_ik u[k] from the image (u, y) of row j:
+    the one unsolved slot it involves (None if every factor is known) and
+    its (constant, linear, quadratic) coefficients in that slot's value.
+    An unsolved slot of row i enters linearly with coefficient u[k].  Only
+    a diagonal equation may read an incomplete row: there the slot y also
+    enters through omega^T = sign omega, adding sign u[y] to the linear and
+    omega_yy to the quadratic coefficient."""
+    u, y = image
+    if y is not None and i != j:
+        raise EliminationStuck(
+            f"equation ({i},{j}) reads row {j} before slot ({j},{y}) is solved")
     zero = RatFn.of(u[0].ring, 0)
-    c0, lin = zero, zero
-    slots = []
+    c0, lin, quad = zero, zero, zero
+    slots = set()
     for k in range(1, i + 1):
         w = u[k - 1]
         if w.is_zero:
             continue
         a = entries.get((i, k))
         if a is None:
-            slots.append((i, k))
+            slots.add((i, k))
             lin = w
         elif not a.is_zero:
             c0 = c0 + a * w
+    if y is not None:
+        slots.add((i, y))
+        lin = lin + sign * u[y - 1]
+        quad = omega.get((y, y), zero)
     if len(slots) > 1:
         raise EliminationStuck(
             f"equation ({i},{j}) involves {len(slots)} unsolved slots")
-    return next(iter(slots), None), (c0, lin, zero)
+    return next(iter(slots), None), (c0, lin, quad)
 
 
 def _frame(ring, slots):
@@ -145,14 +127,19 @@ def build_chart(n, c_value=None):
     """Solve every dependent slot of S from the pairing calibration.
 
     Equations (S omega S^T)_{ij} = phi_{ij} are processed over j <= i,
-    i + j >= n + 2, ordered by (i + j, i); each nontrivial equation must be
-    linear in exactly one unsolved slot (EliminationStuck otherwise).  For
-    even n the first equation is the middle slot's, quadratic in its own
-    bound coordinate: it becomes the chart relation, and the rest is solved
-    in the relation ring."""
+    i + j >= n + 2, ordered by (i + j, i), each read through the image of
+    row j (_row_image, cached per row); each nontrivial equation must be
+    linear in exactly one unsolved slot (EliminationStuck otherwise).  A
+    diagonal equation may solve the last slot of its own row, whose cached
+    image is then completed in place.  For even n the first equation is the
+    middle slot's, quadratic in its own bound coordinate: it becomes the
+    chart relation, and the rest is solved in the relation ring.  The full
+    identity S omega S^T = phi is re-checked at the end."""
     setup = Setup(n, c_value)
     conn = frame_connection(setup)
     omega = pairing_matrix(setup, conn)
+    sign = -1 if setup.rho else 1  # omega^T = sign omega
+    size = n + 1
     indep, pivot_slot, pivot_var = slot_layout(n)
     eqs = sorted(((i, j) for i in range(1, n + 2) for j in range(1, i + 1)
                   if i + j >= n + 2), key=lambda p: (p[0] + p[1], p[0]))
@@ -163,8 +150,10 @@ def build_chart(n, c_value=None):
             raise EliminationStuck(
                 f"first calibration equation {eqs[0]} is not the middle slot")
         eqs = eqs[1:]
-        slot, (c0, lin, quad) = _equation(dict(omega.entries()),
-                                          _frame(setup.ring, indep),
+        om = dict(omega.entries())
+        entries = _frame(setup.ring, indep)
+        image = _row_image(om, size, entries, pivot_slot[0])
+        slot, (c0, lin, quad) = _equation(om, sign, entries, image,
                                           *pivot_slot)
         if slot != pivot_slot or quad.is_zero or not lin.is_zero \
                 or not c0.is_zero:
@@ -185,18 +174,14 @@ def build_chart(n, c_value=None):
     phi = pairing_form(ring, n)
     entries = _frame(ring, known)
     dep_exprs = {}
-    images = {}  # j -> u_j, for the rows of S already complete
+    images = {}  # j -> the image (u, y) of row j, once an equation reads it
+    completed = set()  # rows whose cached image was completed in place
     om = dict(omega.entries())
 
     for (i, j) in eqs:
         if j not in images:
-            u = _row_image(om, n + 1, entries, j)
-            if u is not None:
-                images[j] = u
-        if j in images:
-            slot, (c0, lin, quad) = _row_equation(entries, images[j], i, j)
-        else:
-            slot, (c0, lin, quad) = _equation(om, entries, i, j)
+            images[j] = _row_image(om, size, entries, j)
+        slot, (c0, lin, quad) = _equation(om, sign, entries, images[j], i, j)
         if slot is None:
             if c0 != phi.get1(i, j):
                 raise EliminationStuck(
@@ -206,20 +191,29 @@ def build_chart(n, c_value=None):
             raise EliminationStuck(f"equation ({i},{j}) is quadratic in slot {slot}")
         if lin.is_zero:
             raise EliminationStuck(f"equation ({i},{j}) does not see slot {slot}")
-        entries[slot] = dep_exprs[slot] = (phi.get1(i, j) - c0) / lin
+        x = entries[slot] = dep_exprs[slot] = (phi.get1(i, j) - c0) / lin
+        u, l = images[j]
+        if l is not None:  # the diagonal solved the last slot of row j
+            for k in range(1, size + 1):
+                w = om.get((k, l))
+                if w is not None:
+                    u[k - 1] = u[k - 1] + x * w
+            images[j] = (u, None)
+            completed.add(j)
 
     missing = [(i, j) for i in range(1, n + 2) for j in range(1, i + 1)
                if (i, j) not in entries]
     if missing:
         raise EliminationStuck(f"slots left unsolved: {missing}")
 
-    S = MatF.zeros(ring, n + 1)
+    S = MatF.zeros(ring, size)
     for (i, j), v in entries.items():
         S.set1(i, j, v)
 
-    # full calibration re-check: S omega S^T = S U^T, with row j of U = u_j
-    U = MatF(ring, [images.get(j) or _row_image(om, n + 1, entries, j)
-                    for j in range(1, n + 2)])
+    # full calibration re-check: S omega S^T = S U^T, with row j of U the
+    # image u_j; rows completed in place are imaged afresh
+    U = MatF(ring, [(_row_image(om, size, entries, j) if j in completed
+                     else images[j])[0] for j in range(1, size + 1)])
     if S @ U.transpose() != phi:
         raise EliminationStuck("final calibration identity failed")
 

@@ -2,8 +2,9 @@
 the two-parameter frame connection, and the moving pairing matrix.
 
 Everything lives on the small base with coordinates t1 and t_{n+2}; the frame
-has n+1 sections.  The pairing matrix recursion feeds on the frame connection
-and is re-verified against its defining identity after construction (the last
+has n+1 sections, each the t1-derivative of the one before.  The pairing
+matrix follows row by row from its first row by that derivative, and is
+re-verified against its defining identity after construction (the last
 frame-row coefficients are induction from low dimensions, so the check is a
 real guard, not decoration)."""
 
@@ -13,7 +14,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .errors import DworkError, KernelInvariant, OmegaInconsistent
-from .linalg import MatF, OneFormMat, solve_linear
+from .linalg import MatF, OneFormMat
 from .ratfn import RatFn
 
 
@@ -135,94 +136,35 @@ def _check_pairing_identity(setup, conn, omega):
 def pairing_matrix(setup, conn=None):
     """Moving pairing matrix on the frame.
 
-    Entries vanish above the main antidiagonal; the antidiagonal itself is the
-    closed alternating form, and each further antidiagonal is solved linearly
-    from the compatibility identity with the frame connection.  Raises
-    OmegaInconsistent if the recursion or the final identity check fails."""
+    The frame is alpha_{i+1} = d/dt1 alpha_i, so the t1 component of the
+    identity d(omega) = B omega + omega B^T gives omega row by row from its
+    first row (0, ..., 0, base): omega_{i+1,j} = d/dt1 omega_{ij} -
+    omega_{i,j+1} for j <= n, and the last column subtracts the last frame
+    row, sum_k B1_{n+1,k} omega_{ik}, instead.  The zeros above the
+    antidiagonal and the alternating antidiagonal follow.  The identity is
+    then checked in both base components (its last t1 row and the whole
+    t_{n+2} component are used by nothing else), and so is the transpose
+    type; either failure raises OmegaInconsistent."""
     n = setup.n
     ring = setup.ring
     if conn is None:
         conn = frame_connection(setup)
     base = RatFn.of(ring, Fraction((-(n + 2)) ** n)) * setup.c / setup.disc
-
-    sign = -1 if setup.rho else 1  # transpose sign (-1)^n
-    vals = {}
-    for i in range(1, n + 2):
-        for j in range(1, n + 2):
-            if i + j <= n + 1:
-                vals[(i, j)] = RatFn.of(ring, 0)
-    for j in range(1, n + 2):
-        vals[(j, n + 2 - j)] = RatFn.of(ring, (-1) ** (j - 1)) * base
-
-    B1 = dict(conn.get("t1").entries())
-    B2 = dict(conn.get(setup.base2).entries())
-    zero = RatFn.of(ring, 0)
-
-    for s in range(n + 2, 2 * n + 2):
-        reps = []
-        for i in range(1, n + 2):
-            j = s + 1 - i
-            if 1 <= j <= n + 2 and j <= n + 1 and i <= j:
-                if setup.rho and i == j:
-                    vals[(i, j)] = zero  # skew diagonal
-                    continue
-                reps.append((i, j))
-        if not reps:
-            continue
-        rep_ix = {p: k for k, p in enumerate(reps)}
-
-        def ref(a, b, coeffs, const, factor):
-            """Accumulate factor * omega_{a,b} into the running equation."""
-            if not (1 <= a <= n + 1 and 1 <= b <= n + 1):
-                return const
-            if (a, b) in vals:
-                return const + factor * vals[(a, b)]
-            key, sgn = ((a, b), 1) if a <= b else ((b, a), sign)
-            if key in vals:
-                return const + factor * sgn * vals[key]
-            k = rep_ix.get(key)
-            if k is None:
-                raise OmegaInconsistent(f"reference to unsolved level: {a},{b}")
-            coeffs[k] = coeffs[k] + factor * sgn
-            return const
-
-        rows, rhs = [], []
-        for i in range(1, n + 2):
-            j = s - i
-            if not (1 <= j <= n + 1):
-                continue
-            for B, v in ((B1, "t1"), (B2, setup.base2)):
-                coeffs = [zero] * len(reps)
-                const = zero
-                for k in range(1, n + 2):
-                    f = B.get((i, k))
-                    if f is not None:
-                        const = ref(k, j, coeffs, const, f)
-                    g = B.get((j, k))
-                    if g is not None:
-                        const = ref(i, k, coeffs, const, g)
-                lhs = vals[(i, j)].derive(v)
-                rows.append(coeffs)
-                rhs.append(lhs - const)
-        try:
-            res = solve_linear(ring, rows, rhs)
-        except Exception as e:
-            raise OmegaInconsistent(f"level {s + 1} unsolvable: {e}") from e
-        if not res.unique:
-            raise OmegaInconsistent(f"level {s + 1} underdetermined")
-        for p, val in zip(reps, res.values):
-            vals[p] = val
-            a, b = p
-            if a != b:
-                vals[(b, a)] = RatFn.of(ring, sign) * val
-
-    omega = MatF.zeros(ring, n + 1)
-    for (i, j), val in vals.items():
-        omega.set1(i, j, val)
+    last = [(k, f) for (i, k), f in conn.get("t1").entries() if i == n + 1]
+    row = [RatFn.of(ring, 0)] * n + [base]
+    rows = [row]
+    for _ in range(n):
+        d = [w.derive("t1") for w in row]
+        tail = d[n]
+        for k, f in last:
+            tail = tail - f * row[k - 1]
+        row = [d[j] - row[j + 1] for j in range(n)] + [tail]
+        rows.append(row)
+    omega = MatF(ring, rows)
 
     if not _check_pairing_identity(setup, conn, omega):
         raise OmegaInconsistent("pairing matrix fails its defining identity")
-    tr = omega.transpose().scale(sign)
+    tr = omega.transpose().scale(-1 if setup.rho else 1)
     if tr != omega:
         raise OmegaInconsistent("pairing matrix has the wrong transpose type")
     return omega

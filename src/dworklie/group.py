@@ -146,18 +146,6 @@ def symbolic_elem(n, c=None, prefix="g"):
     return group_elem(n, [RatFn.var(ring, nm) for nm in names], ring=ring)
 
 
-def symbolic_pair(n, c=None, prefixes=("g", "h")):
-    """Two independent symbolic elements over one shared ring."""
-    d, _, _ = family_dims(n)
-    names = tuple(f"{p}{i}" for p in prefixes for i in range(1, d))
-    ring = resolve_chart(n, c).ring.extend(names)
-    out = []
-    for p in prefixes:
-        vals = [RatFn.var(ring, f"{p}{i}") for i in range(1, d)]
-        out.append(group_elem(n, vals, ring=ring))
-    return tuple(out)
-
-
 def compose(g, h):
     """Product element; parameters recovered by decomposition."""
     if g.ring is not h.ring:

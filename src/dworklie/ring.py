@@ -82,11 +82,6 @@ _ONE = {0: 1}  # the term dict of 1 in every ring
 # ---------------------------------------------------------------------------
 # term-dict helpers (dict[int, int], coefficients never zero)
 
-def _lead(T):
-    """Key of the largest monomial."""
-    return max(T)
-
-
 def _tadd(A, B):
     out = dict(A)
     for e, c in B.items():

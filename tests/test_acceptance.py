@@ -59,7 +59,16 @@ from dworklie.closedforms import (
     REFERENCE,
 )
 from dworklie.errors import DworkError
-from dworklie.group import subgroup_counts, symbolic_pair
+from dworklie.group import subgroup_counts
+
+
+def symbolic_pair(n):
+    """Two independent symbolic elements, g and h, over one shared ring."""
+    d, _, _ = family_dims(n)
+    names = [f"{p}{i}" for p in "gh" for i in range(1, d)]
+    ring = resolve_chart(n).ring.extend(tuple(names))
+    return [group_elem(n, [RatFn.var(ring, f"{p}{i}") for i in range(1, d)],
+                       ring=ring) for p in "gh"]
 
 
 @contextmanager

@@ -7,7 +7,8 @@ import pytest
 
 from dworklie import (DworkError, EliminationStuck, RatFn, chart, geometry,
                       matched_c, resolve_chart, symbolic_elem)
-from dworklie.chart import _equation, build_chart, chart_of_ring, slot_layout
+from dworklie.chart import (_equation, _row_image, build_chart,
+                            chart_of_ring, slot_layout)
 from dworklie.closedforms import C_DEFAULT, RELATION_CONST, derive_matched_c
 from dworklie.cy3 import _yring
 from dworklie.geometry import family_dims
@@ -137,11 +138,97 @@ def test_group_ring_keeps_the_factor_and_cy3_ring_has_none():
     assert _yring(2).factor is None
 
 
+def _ones(ring, size):
+    one = RatFn.of(ring, 1)
+    return dict(MatF(ring, [[one] * size] * size).entries())
+
+
 def test_equation_refuses_two_unsolved_slots():
-    # with only (1,1) known, equation (2,2) has products in both (2,1) and
+    # with only (1,1) known, equation (2,1) has products in both (2,1) and
     # (2,2)
     ring = Ring(("x",))
-    one = RatFn.of(ring, 1)
-    omega = MatF(ring, [[one, one], [one, one]])
+    om, entries = _ones(ring, 2), {(1, 1): RatFn.of(ring, 1)}
+    image = _row_image(om, 2, entries, 1)
     with pytest.raises(EliminationStuck, match="involves 2 unsolved slots"):
-        _equation(dict(omega.entries()), {(1, 1): one}, 2, 2)
+        _equation(om, 1, entries, image, 2, 1)
+
+
+def test_equation_refuses_an_incomplete_row_off_the_diagonal():
+    # row 2 still misses (2,2), so equation (3,2) cannot be read from it
+    ring = Ring(("x",))
+    om = _ones(ring, 3)
+    entries = {(1, 1): RatFn.of(ring, 1), (2, 1): RatFn.var(ring, "x")}
+    image = _row_image(om, 3, entries, 2)
+    assert image[1] == 2
+    with pytest.raises(EliminationStuck, match=r"reads row 2 before slot"):
+        _equation(om, 1, entries, image, 3, 2)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("col", [1, 2, 3])
+def test_diagonal_equation_of_an_incomplete_row(sign, col):
+    # (s omega s^T) with the open slot of s worth y equals c0 + lin*y +
+    # quad*y^2, for a symmetric and a skew omega
+    ring = Ring(("x1", "x2", "y"))
+    vals = {(1, 2): 2, (1, 3): 5, (2, 3): -3, (1, 1): 7, (2, 2): 0,
+            (3, 3): 4}
+    rows = [[RatFn.of(ring, 0)] * 3 for _ in range(3)]
+    for (k, l), v in vals.items():
+        if k == l and sign == -1:
+            continue
+        rows[k - 1][l - 1] = RatFn.of(ring, v)
+        rows[l - 1][k - 1] = RatFn.of(ring, sign * v)
+    omega = MatF(ring, rows)
+    om = dict(omega.entries())
+    known = iter(RatFn.var(ring, nm) for nm in ("x1", "x2"))
+    entries = {(1, 1): RatFn.of(ring, 1)}
+    entries.update(((3, l), next(known)) for l in (1, 2, 3) if l != col)
+    image = _row_image(om, 3, entries, 3)
+    assert image[1] == col
+    slot, (c0, lin, quad) = _equation(om, sign, entries, image, 3, 3)
+    assert slot == (3, col)
+    s = [entries.get((3, l), RatFn.var(ring, "y")) for l in (1, 2, 3)]
+    full = MatF(ring, [s]) @ omega @ MatF(ring, [s]).transpose()
+    y = RatFn.var(ring, "y")
+    assert c0 + lin * y + quad * y * y == full.get1(1, 1)
+
+
+def test_row_image_refuses_two_unsolved_slots():
+    ring = Ring(("x",))
+    with pytest.raises(EliminationStuck, match="row 2 has 2 unsolved slots"):
+        _row_image(_ones(ring, 2), 2, {(1, 1): RatFn.of(ring, 1)}, 2)
+
+
+def _final_images(monkeypatch, corrupt=False):
+    """Record the row of every _row_image call made once every slot of S is
+    known; with corrupt, add 1 to u[1] of those images.  At even n only the
+    final check makes such calls."""
+    original, calls = chart._row_image, []
+
+    def recorded(omega, size, entries, j):
+        u, y = original(omega, size, entries, j)
+        if len(entries) == size * (size + 1) // 2:
+            calls.append(j)
+            if corrupt:
+                u = [u[0] + 1] + u[1:]
+        return u, y
+
+    monkeypatch.setattr(chart, "_row_image", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_recheck_images_the_rows_completed_in_place_afresh(monkeypatch, n):
+    # at even n each diagonal past the middle slot solves the last slot of
+    # its row and completes the cached image in place; the final check
+    # images exactly those rows afresh
+    calls = _final_images(monkeypatch)
+    build_chart(n)
+    assert calls == list(range(n // 2 + 2, n + 2))
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_recheck_catches_a_wrong_image(monkeypatch, n):
+    _final_images(monkeypatch, corrupt=True)
+    with pytest.raises(EliminationStuck, match="final calibration identity"):
+        build_chart(n)

@@ -1,9 +1,12 @@
-"""Base-layer oracles: dimension table, Stirling numbers, and the pairing
-identity of the frame connection."""
+"""Base-layer oracles: dimension table, Stirling numbers, the pairing
+identity of the frame connection, and the shape and guards of the moving
+pairing matrix."""
+
+from fractions import Fraction
 
 import pytest
 
-from dworklie import MatF, family_dims
+from dworklie import MatF, OmegaInconsistent, RatFn, family_dims, geometry
 from dworklie.geometry import (Setup, _check_pairing_identity,
                                frame_connection, pairing_form, pairing_matrix,
                                stirling2)
@@ -71,3 +74,43 @@ def test_constant_pairing_squares_to_sign():
         if n % 2:
             expect = expect.scale(-1)
         assert P @ P == expect
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_pairing_recurrence_yields_the_antidiagonal_shape(n):
+    # the recurrence starts from row (0, ..., 0, base) only; the zeros above
+    # the antidiagonal and the alternating antidiagonal come out of it
+    s = Setup(n)
+    om = pairing_matrix(s)
+    base = RatFn.of(s.ring, Fraction((-(n + 2)) ** n)) * s.c / s.disc
+    for i in range(1, n + 2):
+        for j in range(1, n + 2 - i):
+            assert om.get1(i, j).is_zero, (i, j)
+    for j in range(1, n + 2):
+        assert om.get1(j, n + 2 - j) == (-1) ** (j - 1) * base, j
+
+
+def _bent_connection(s):
+    """The frame connection with B1[n+1, n+1] raised by t1."""
+    n = s.n
+    conn = frame_connection(s)
+    B1 = conn.get("t1")
+    B1.set1(n + 1, n + 1, B1.get1(n + 1, n + 1) + RatFn.var(s.ring, "t1"))
+    return conn
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_pairing_matrix_refuses_a_bent_last_frame_row(n):
+    s = Setup(n)
+    with pytest.raises(OmegaInconsistent, match="defining identity"):
+        pairing_matrix(s, _bent_connection(s))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pairing_matrix_checks_the_transpose_type(monkeypatch, n):
+    # with the identity check waved through, the bent connection still
+    # yields a pairing of the wrong transpose type, and that is refused
+    s = Setup(n)
+    monkeypatch.setattr(geometry, "_check_pairing_identity", lambda *a: True)
+    with pytest.raises(OmegaInconsistent, match="wrong transpose type"):
+        pairing_matrix(s, _bent_connection(s))

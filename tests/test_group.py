@@ -11,7 +11,7 @@ from dworklie import (RatFn, act, basis_pairs, basis_vf, compose,
                       resolve_chart, symbolic_elem)
 from dworklie.errors import ZeroScalar
 from dworklie.geometry import family_dims, pairing_form
-from dworklie.group import subgroup_counts, symbolic_pair
+from dworklie.group import subgroup_counts
 
 # which signed basis field each one-parameter derivative lands on
 INFINITESIMAL_SIGNS = {
@@ -60,6 +60,15 @@ def test_compose_matches_matrix_product(n):
 def test_zero_scalar_rejected():
     with pytest.raises(ZeroScalar):
         group_elem(2, [Fraction(0), Fraction(1)])
+
+
+def symbolic_pair(n):
+    """Two independent symbolic elements, g and h, over one shared ring."""
+    d, _, _ = family_dims(n)
+    names = [f"{p}{i}" for p in "gh" for i in range(1, d)]
+    ring = resolve_chart(n).ring.extend(tuple(names))
+    return [group_elem(n, [RatFn.var(ring, f"{p}{i}") for i in range(1, d)],
+                       ring=ring) for p in "gh"]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
