@@ -10,6 +10,7 @@ failure, 64 a usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -642,6 +643,11 @@ def build_parser():
     return top
 
 
+# argparse leaves a parser as it was after parse_args, so one parser serves
+# every main() call of a process
+_parser = functools.cache(build_parser)
+
+
 def _emit(args):
     """The stdout lines and exit code of one parsed command."""
     fn, _, dim_flag, formats = COMMANDS[args.command]
@@ -659,7 +665,7 @@ def _emit(args):
 
 
 def main(argv=None):
-    top = build_parser()
+    top = _parser()
     try:
         args = top.parse_args(argv)
     except UsageError as e:

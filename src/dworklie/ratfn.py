@@ -24,20 +24,34 @@ lex order is multiplicative.  A cross gcd of 1 divides nothing.  The one
 exception is a slot relation where both numerators carry the pivot: their
 product has pivot degree 2, so it goes through _normalize.
 
-The derivative by v takes p' and q' first.  When v lies outside the support
-of both, the result is the canonical zero, with no product and no gcd.  When
-only q' = 0, (p/q)' = p'/q, so the one gcd is that of p' with q rather than of
-p'q with q^2.  Otherwise the quotient rule (p'q - pq')/q^2 is normalised as
-before.  A relation pivot is an independent slot here, and q is pivot-free,
-so the derivative by the pivot always takes the p'/q branch.  Every other
-operation goes through _normalize as well.
+The derivative by v of p/q with q = x^a * F^k, F a ring's known factor (a
+chart ring, F = disc), follows the logarithmic derivative
+q'/q = a_v/x_v + k F'/F:
+
+    (p/q)' = (x_v F p' - a_v F p - k x_v F' p) / (x^(a + e_v) F^(k+1)),
+
+where x_v (or F) stays out of both sides when a_v (or k F') is 0.  The
+denominator is again of the known form, so one cancel against it reduces
+the result, where the quotient rule would cancel against q^2 and try up to
+2k divisions by F.  When both are 0, q' = 0 and the result is p'/q with the
+one gcd against q.  Any other q takes p' and q' first: when v lies outside
+the support of both, the result is the canonical zero, with no product and
+no gcd; when only q' = 0, (p/q)' = p'/q; otherwise the quotient rule
+(p'q - pq')/q^2 is normalised.  A relation pivot is an independent slot
+here, and q and F are pivot-free, so the derivative by the pivot is always
+p'/q, and the numerator keeps pivot degree <= 1.  Every other operation goes
+through _normalize.
 
 Each of these gcds, and the one in _normalize, is taken by Ring.cancel
-against a denominator-side operand.  In a ring with a known factor F (a chart
-ring, F = disc) such an operand is c * x^a * F^k, and its gcd with N is exact
-without a multivariate gcd: F is irreducible, so only the integer content,
-the monomial and the power of F that divides N can cancel (see ring.Ring).
-Any other operand takes the general gcd.
+against a denominator-side operand.  In a ring with a known factor F such an
+operand is c * x^a * F^k, and its gcd with N is exact without a multivariate
+gcd: F is irreducible, so only the integer content, the monomial and the
+power of F that divides N can cancel (see ring.Ring).  Any other operand
+takes the general gcd.  Each denominator keeps its split (c, a, k) once
+found (Poly.known_split).  When both denominators of a sum or a product are
+split, the sum takes g = gcd(b, d) from the exponents (Ring.split_gcd), the
+cancels return the reduced denominators as splits (Ring.cancel_split), and
+the result's denominator is built from its split, which it keeps.
 """
 
 from __future__ import annotations
@@ -75,8 +89,10 @@ class RatFn:
     def support(self):
         """Names of the variables in the numerator or the denominator, in
         ring order; empty for a constant."""
-        s = set(self.num.support()).union(self.den.support())
-        return [nm for nm in self.ring.names if nm in s]
+        num, den = self.num.support(), self.den.support()
+        if not den:
+            return num
+        return sorted(set(num).union(den), key=self.ring.index.__getitem__)
 
     # -- constructors -------------------------------------------------------
     @staticmethod
@@ -115,20 +131,30 @@ class RatFn:
         # Henrici addition, see the module docstring
         ring = a.ring
         one = ring.one.terms
-        bg, dg = a.den.terms, b.den.terms
-        g = one
-        if one not in (bg, dg):
-            g, bg, dg = ring.cancel(bg, dg)
+        sb, sd = a.den.known_split(), b.den.known_split()
+        split = sb and sd
+        if split:
+            gs, sb, sd = ring.split_gcd(sb, sd)
+            bg, dg = ring.split_terms(sb), ring.split_terms(sd)
+        else:
+            bg, dg = a.den.terms, b.den.terms
+            g = one
+            if one not in (bg, dg):
+                g, bg, dg = ring.cancel(bg, dg, sd)
         T = _tadd(_tscale(_tmul(a.num.terms, dg), b.num.den),
                   _tscale(_tmul(b.num.terms, bg), a.num.den))
         if not T:
             return _raw(ring.zero, ring.one)
+        nd = a.num.den * b.num.den
         # b*(d/g)/h with h = gcd(T, g) is (b/g)*(d/g)*(g/h)
+        if split:
+            _, T, gs = ring.cancel_split(T, gs)
+            return _raw(Poly._trusted(ring, T, nd), ring.split_poly(sb, sd, gs))
         den = _tmul(bg, dg)
         if g != one:
             _, T, g = ring.cancel(T, g)
             den = _tmul(den, g)
-        return _raw(Poly(ring, T, a.num.den * b.num.den), Poly(ring, den))
+        return _raw(Poly._trusted(ring, T, nd), Poly._trusted(ring, den))
 
     __radd__ = __add__
 
@@ -163,13 +189,19 @@ class RatFn:
             a, b = b, a
         if b.is_const:
             (k,) = b.num.terms.values()
-            return _raw(Poly(ring, _tscale(a.num.terms, k),
-                             a.num.den * b.num.den), a.den)
+            return _raw(Poly._trusted(ring, _tscale(a.num.terms, k),
+                                      a.num.den * b.num.den), a.den)
         A, B, C, D = a.num.terms, a.den.terms, b.num.terms, b.den.terms
-        _, A, D = ring.cancel(A, D)
-        _, C, B = ring.cancel(C, B)
-        num = Poly(ring, _tmul(A, C), a.num.den * b.num.den)
-        den = Poly(ring, _tmul(B, D))
+        sb, sd = a.den.known_split(), b.den.known_split()
+        if sb and sd:
+            _, A, sd = ring.cancel_split(A, sd)
+            _, C, sb = ring.cancel_split(C, sb)
+            den = ring.split_poly(sb, sd)
+        else:
+            _, A, D = ring.cancel(A, D, sd)
+            _, C, B = ring.cancel(C, B, sb)
+            den = Poly._trusted(ring, _tmul(B, D))
+        num = Poly._trusted(ring, _tmul(A, C), a.num.den * b.num.den)
         if ring.has_pivot(A) and ring.has_pivot(C):
             return RatFn(num, den)
         return _raw(num, den)
@@ -223,6 +255,14 @@ class RatFn:
         slot.  See the module docstring for the zero and constant-denominator
         cases."""
         p, q = self.num, self.den
+        ring = self.ring
+        known = q.known_split()
+        if known:
+            N, known = ring.derive_split(p.terms, known, var)
+            if not N:
+                return _raw(ring.zero, ring.one)
+            _, N, known = ring.cancel_split(N, known)
+            return _raw(Poly._trusted(ring, N, p.den), ring.split_poly(known))
         dp, dq = p.derive(var), q.derive(var)
         if dq.is_zero:
             if dp.is_zero:

@@ -15,25 +15,43 @@ holds the top, guard bit of every field).  Every field, the degree too, stays
 below 2^(_W - 1).  Each exponent is at most the degree, so one test of the
 guard bits of a product's leading key checks all of its fields; a product
 past the width raises KernelInvariant and never wraps.  _G reaches rings of
-up to _MAXVARS variables.
+up to _MAXVARS variables.  The same guard bits make the monomial gcd SWAR
+(one integer operation on every field at once): _mono_gcd takes the
+fieldwise minimum of two keys with one subtraction and a mask, and rebuilds
+the degree with one multiplication.  Poly.support jumps from one set field
+to the next instead of testing every variable.
 
 A ring may name one known irreducible factor F = x^r - x_v.  Ring.cancel then
 finds the gcd with a denominator c * x^a * F^k by exact division by F, not by
-a multivariate gcd (see Ring).
+a multivariate gcd (see Ring).  The triple (c, a, k), the split, is found
+once per Poly and kept on it (Poly.known_split); the kernel works on splits
+where it can: the gcd of two split denominators comes from their exponents
+(Ring.split_gcd), the reduced denominator of a cancel is a split again
+(Ring.cancel_split), and a product of splits is built from the cached F^k by
+one shift (Ring.split_poly).  Kernel results with no zero coefficient enter
+Poly through Poly._trusted, which skips the zero filter and, over den 1,
+the content scan.
 
 Boundary: only this module knows how a monomial is encoded and how monomials
 are ordered.  Other modules name variables and use
   Ring: var, const, with_relation, extend, factor_pow, cancel, has_pivot (the
         pivot test) and rationalize (the conjugate step after reduce_terms);
+        ratfn also uses the split methods split_terms, split_poly,
+        split_gcd, cancel_split and derive_split (the logarithmic
+        derivative over a split denominator);
   Poly: arithmetic, divmod (division with remainder), derive, eval, lift (also
         down to a prefix ring), support, weighted_degrees, coeffs (over
         one variable), items (the terms in order, each a coefficient and
-        (name, power) pairs), is_zero, is_const and const_value.
+        (name, power) pairs), is_zero, is_const, const_value and
+        known_split.
 ratfn alone also hands term dicts, as opaque values, to _tadd, _tmul, _tscale
-and _primitive, so that its Henrici sums and products build no Poly per
-operation.  Exponent tuples enter only as constructor input: the relation and
-the known factor of Ring(...), which geometry and the tests spell out; items,
-weighted_degrees, eval and the printer unpack.
+and _primitive, and builds results with Poly._trusted, so that its Henrici
+sums and products build no Poly per operation beyond their results.  Splits
+are opaque to it too: it passes them between the Ring methods above and
+tests only whether a Poly has one.  Exponent tuples enter only as
+constructor input: the relation and the known factor of Ring(...), which
+geometry and the tests spell out; items, weighted_degrees, eval and the
+printer unpack.
 """
 
 from __future__ import annotations
@@ -354,25 +372,41 @@ def _subres_prim_gcd(A, B):
 
 
 def _fields(T, nv):
-    """Indices of the variables that occur in T."""
+    """Indices of the variables that occur in T, found by jumping from one set
+    exponent field of the OR of the keys to the next."""
     o = 0
     for e in T:
         o |= e
-    return [i for i in range(nv) if o >> (i * _W) & _FM]
+    o &= (1 << (nv * _W)) - 1
+    out, i = [], 0
+    while o:
+        skip = ((o & -o).bit_length() - 1) // _W
+        i += skip
+        out.append(i)
+        i += 1
+        o >>= (skip + 1) * _W
+    return out
 
 
 def _mono_gcd(A, B, nv):
-    """Key of the largest monomial dividing every key of A and of B."""
-    unit = 1 << (nv * _W)
-    rest = next(iter(A)) % unit  # its exponent fields; a 0 there is 0 in the gcd
-    out = 0
-    while rest:
-        s = (rest & -rest).bit_length() - 1
-        s -= s % _W
-        rest &= ~(_FM << s)
-        k = min(min(e >> s & _FM for e in A), min(e >> s & _FM for e in B))
-        out += k * (1 << s | unit)
-    return out
+    """Key of the largest monomial dividing every key of A and of B.  SWAR:
+    with g the guard bits of the nv exponent fields, ((m | g) - e) & g has
+    the guard of each field set where m's field is at least e's (no field
+    borrows, each being below the guard), so one subtraction and a mask take
+    the fieldwise minimum of m and e.  The degree field of e never reaches
+    the mask, and one multiplication sums the fields into the degree."""
+    low = (1 << (nv * _W)) - 1
+    g = _G & low
+    m = next(iter(A)) & low
+    for T in (A, B):
+        for e in T:
+            if not m:
+                return 0
+            d = ((m | g) - e) & g
+            m ^= (m ^ e) & (d - (d >> (_W - 1)))
+    if not m:
+        return 0
+    return m | (m * (g >> (_W - 1)) >> ((nv - 1) * _W) & _FM) << (nv * _W)
 
 
 def _tgcd(A, B, nv):
@@ -464,11 +498,16 @@ class Ring:
     (both sides free of the pivot) used to reduce pivot powers eagerly.
 
     May also carry one known factor F = x^r - x_v, given as factor=(r, v): an
-    exponent tuple r free of x_v whose monomial leads F.  F is irreducible,
-    being linear in x_v with coprime coefficients x^r and -1, and it is prime
-    to every monomial and integer.  So for D = c * x^a * F^k,
+    exponent tuple r free of x_v whose monomial leads F, and F free of the
+    relation pivot.  F is irreducible, being linear in x_v with coprime
+    coefficients x^r and -1, and it is prime to every monomial and integer.
+    So for D = c * x^a * F^k,
     gcd(N, D) = igcd(content N, c) * x^min(a, ord N) * F^j, with j the largest
-    power up to k that divides N, and cancel() finds it without _tgcd."""
+    power up to k that divides N, and cancel() finds it without _tgcd.  D is
+    then given by its split (c, a, k); for two split polynomials the gcd is
+    igcd(c1, c2) * x^min(a1, a2) * F^min(k1, k2), from the exponents alone
+    (split_gcd), and derive_split differentiates P / D by the logarithmic
+    derivative of x^a * F^k."""
 
     __slots__ = ("names", "index", "pivot", "rel_num", "rel_den", "_relpow",
                  "factor", "_fpow", "_known", "_units", "_pmask", "zero", "one")
@@ -499,6 +538,8 @@ class Ring:
             R, E = _pack(r, nv), self._units[v]
             if r[v] or R < E:
                 raise ValueError("known factor: x^r must be free of x_v and lead")
+            if self._pmask & (R | E):
+                raise ValueError("known factor: F must be free of the pivot")
             limit = ((_HALF - 1) // sum(r) + 1) << (nv * _W)
             self._known = (R, E, v * _W, limit)
             self._fpow = [_ONE, {R: 1, E: -1}]
@@ -584,21 +625,89 @@ class Ring:
             return c, a, k
         return None
 
-    def cancel(self, N, D):
+    def split_terms(self, split):
+        """Term dict of c * x^a * F^k for split = (c, a, k)."""
+        c, a, k = split
+        if not k:  # most denominators are monomials; factor_pow(0) is {0: 1}
+            if a & _G:
+                raise _overflow()
+            return {a: c}
+        Fk = self.factor_pow(k)
+        if (next(iter(Fk)) + a) & _G:
+            raise _overflow()
+        return {e + a: c * f for e, f in Fk.items()}
+
+    def split_poly(self, *splits):
+        """The Poly c * x^a * F^k that is the product of the given splits,
+        with its split kept."""
+        c, a, k = 1, 0, 0
+        for ci, ai, ki in splits:
+            c, a, k = c * ci, a + ai, k + ki
+        p = Poly._trusted(self, self.split_terms((c, a, k)))
+        p._ks = (c, a, k)
+        return p
+
+    def split_gcd(self, s1, s2):
+        """(g, s1/g, s2/g) as splits for g = gcd(B, D) of the polynomials B
+        and D with splits s1 and s2: F is prime to every monomial and integer,
+        so g = igcd(c1, c2) * x^min(a1, a2) * F^min(k1, k2), each minimum
+        taken over the exponents."""
+        (c1, a1, k1), (c2, a2, k2) = s1, s2
+        cg = igcd(c1, c2)
+        m = _mono_gcd((a1,), (a2,), self.nvars) if a1 and a2 else 0
+        j = min(k1, k2)
+        return (cg, m, j), (c1 // cg, a1 - m, k1 - j), (c2 // cg, a2 - m, k2 - j)
+
+    def derive_split(self, P, split, var):
+        """(N, s) with d/d var (P / D) == N / D' for the integer term dict P,
+        D = c * x^a * F^k given by split, and D' given by s.  With
+        q = x^a * F^k, q'/q = a_v/x_v + k F'/F, so
+        (P/q)' = (x_v F P' - a_v F P - k x_v F' P) / (x^(a + e_v) F^(k+1));
+        the factor x_v (or F) stays out where a_v (or k F') is 0, and when
+        both are, q' = 0 and the result is P'/q.  N may share a factor with D'."""
+        v = self.index[var]
+        s, unit = v * _W, self._units[v]
+        c, a, k = split
+        dP = _tderive(P, s, unit)
+        av = a >> s & _FM
+        dF = _tderive(self._fpow[1], s, unit) if k else {}
+        if not av and not dF:
+            return dP, split
+        x = {unit: 1} if av else _ONE
+        F = self._fpow[1] if dF else _ONE
+        N = _tmul(_tmul(x, F), dP)
+        if av:
+            N = _tadd(N, _tscale(_tmul(F, P), -av))
+        if dF:
+            N = _tadd(N, _tscale(_tmul(_tmul(x, dF), P), -k))
+        return N, (c, a + unit if av else a, k + 1 if dF else k)
+
+    def cancel(self, N, D, known=None):
         """(g, N/g, D/g) for g = gcd(N, D) of nonzero integer term dicts, g as
         _tgcd gives it; N and D come back as they are when g = 1.  A D of the
         form c * x^a * F^k takes the known-factor rule of the class docstring,
-        any other D takes _tgcd and two exact divisions."""
+        any other D takes _tgcd and two exact divisions.  known is D's split
+        when the caller has it, False when D is known not to be of the form;
+        None leaves cancel to find it."""
         one = self.one.terms
         if D == one:
             return one, N, D
-        known = self._known_split(D)
         if known is None:
+            known = self._known_split(D)
+        if not known:
             g = _tgcd(N, D, self.nvars)
             if g == one:
                 return g, N, D
             return g, _tdiv_strict(N, g), _tdiv_strict(D, g)
-        c, a, k = known
+        gs, N, rest = self.cancel_split(N, known)
+        if gs == (1, 0, 0):
+            return one, N, D
+        return self.split_terms(gs), N, self.split_terms(rest)
+
+    def cancel_split(self, N, split):
+        """(g, N/g, D/g) as cancel gives them, for D = c * x^a * F^k given by
+        split, with g and D/g as splits: the rule of the class docstring."""
+        c, a, k = split
         cg = 1 if c in (1, -1) else igcd(_content(N), c)
         m = _mono_gcd((a,), N, self.nvars) if a else 0
         if cg > 1 or m:
@@ -609,12 +718,7 @@ class Ring:
             if Q is None:
                 break
             N, j = Q, j + 1
-        if cg == 1 and j == 0 and not m:
-            return one, N, D
-        g = {e + m: cg * f for e, f in self.factor_pow(j).items()}
-        rest = a - m
-        D = {e + rest: c // cg * f for e, f in self.factor_pow(k - j).items()}
-        return g, N, D
+        return (cg, m, j), N, (c // cg, a - m, k - j)
 
     def _rel_pow(self, k):
         cache = self._relpow
@@ -690,7 +794,7 @@ class Ring:
 class Poly:
     """Immutable polynomial; see module docstring for the representation."""
 
-    __slots__ = ("ring", "terms", "den")
+    __slots__ = ("ring", "terms", "den", "_ks")
 
     def __init__(self, ring, terms, den=1):
         terms = {e: c for e, c in terms.items() if c}
@@ -709,6 +813,32 @@ class Poly:
         self.ring = ring
         self.terms = terms
         self.den = den
+
+    @classmethod
+    def _trusted(cls, ring, terms, den=1):
+        """Poly(ring, terms, den) for kernel output: terms has no zero
+        coefficient and den > 0, so only a den > 1 needs the content scan."""
+        p = cls.__new__(cls)
+        if den != 1:
+            if not terms:
+                den = 1
+            else:
+                g = igcd(_content(terms), den)
+                if g > 1:
+                    terms = {e: c // g for e, c in terms.items()}
+                    den //= g
+        p.ring, p.terms, p.den = ring, terms, den
+        return p
+
+    def known_split(self):
+        """(c, a, k) with terms == c * x^a * F^k for the ring's known factor
+        F (see Ring._known_split), False when the terms are not of that form
+        or the ring has no known factor.  Found on first use, then kept."""
+        try:
+            return self._ks
+        except AttributeError:
+            ks = self._ks = self.ring._known_split(self.terms) or False
+            return ks
 
     # -- predicates ---------------------------------------------------------
     @property
@@ -763,7 +893,7 @@ class Poly:
         self._chk(other)
         a, b = self, other
         T = _tadd(_tscale(a.terms, b.den), _tscale(b.terms, a.den))
-        return Poly(self.ring, T, a.den * b.den)
+        return Poly._trusted(self.ring, T, a.den * b.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -776,10 +906,11 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
-            return Poly(self.ring, _tscale(self.terms, q.numerator),
-                        self.den * q.denominator)
+            return Poly._trusted(self.ring, _tscale(self.terms, q.numerator),
+                                 self.den * q.denominator)
         self._chk(other)
-        return Poly(self.ring, _tmul(self.terms, other.terms), self.den * other.den)
+        return Poly._trusted(self.ring, _tmul(self.terms, other.terms),
+                             self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -820,7 +951,7 @@ class Poly:
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        return Poly(self.ring, _tpow(self.terms, k), self.den ** k)
+        return Poly._trusted(self.ring, _tpow(self.terms, k), self.den ** k)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):

@@ -238,3 +238,24 @@ def test_same_output_under_O(argv):
     assert runs[0].returncode == 0, runs[0].stderr
     assert runs[1].returncode == runs[0].returncode, runs[1].stderr
     assert runs[1].stdout == runs[0].stdout
+
+
+def test_in_process_calls_match_fresh_processes(capsys, monkeypatch):
+    """main() reuses one parser per process: a second good call, a usage
+    error after a good call and a missing command must print what a fresh
+    interpreter prints for each, with the same exit code."""
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    calls = [["ra", "--n", "1"], ["weights", "--n", "2"],
+             ["ra", "--n", "0"], ["ra", "--n", "1", "--format", "yaml"], []]
+    for argv in calls:
+        code = main(list(argv))
+        got = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "dworklie.cli", *argv],
+                               env=env, capture_output=True, text=True,
+                               timeout=120)
+        assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout,
+                                            fresh.stderr), argv

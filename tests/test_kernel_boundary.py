@@ -37,9 +37,25 @@ def ring_names(tree):
     return names
 
 
+# the names that encode monomials and their order: packing, field width,
+# masks and the helpers that read exponent fields
+ENCODING = {"_pack", "_unpack", "_W", "_FM", "_G", "_mono_gcd", "_fields",
+            "_uni_view"}
+
+
+def test_the_encoding_names_exist_in_ring():
+    defined = set()
+    for node in parse("ring.py").body:
+        if isinstance(node, ast.FunctionDef):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    assert ENCODING <= defined, ENCODING - defined
+
+
 @pytest.mark.parametrize("name", OUTSIDE)
 def test_no_module_but_ring_knows_the_monomial_order(name):
-    assert not ring_names(parse(name)) & {"_ordkey", "_lead"}
+    assert not ring_names(parse(name)) & ENCODING
 
 
 @pytest.mark.parametrize("name", OUTSIDE)

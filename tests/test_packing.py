@@ -2,13 +2,14 @@
 Integer order must be the graded-lex order, a product one addition, the
 divisibility test exact, and a degree past the field width a typed refusal."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dworklie import KernelInvariant, Ring
-from dworklie.ring import _G, _pack, _unpack
+from dworklie import KernelInvariant, Poly, Ring
+from dworklie.ring import _G, _mono_gcd, _pack, _unpack
 
 
 def exponents(nv, top):
@@ -71,3 +72,51 @@ def test_lift_to_an_extension_and_back_is_the_identity(T, den):
     assert list(q.items()) == list(p.items())
     assert (q * ext.var("v")).derive("v") == q
     assert q.lift(base) == p
+
+
+def random_exponents(rng, nv, base):
+    """base plus a few random fields, the degree kept below 2^15."""
+    e = list(base)
+    for _ in range(rng.randint(0, 4)):
+        e[rng.randrange(nv)] += rng.choice([1, 2, 7, rng.randint(0, 1 << 14)])
+    while sum(e) >= 1 << 15:
+        i = max(range(nv), key=e.__getitem__)
+        e[i] //= 2
+    return tuple(e)
+
+
+def test_swar_monomial_gcd_matches_the_fieldwise_minimum():
+    """3,000 seeded cases, up to 130 variables, fields up to 2^15 - 1: the
+    operands share a random base monomial so that most gcds are not 1."""
+    rng = random.Random(20)
+    for case in range(3000):
+        nv = rng.choice([1, 2, 3, rng.randint(4, 130)])
+        if case % 10 == 0:
+            base = [0] * nv
+            base[rng.randrange(nv)] = (1 << 15) - 1  # one full field
+        else:
+            base = [rng.choice([0, 0, 1, 3]) for _ in range(nv)]
+        sides = [[random_exponents(rng, nv, base)
+                  for _ in range(rng.randint(1, 4))] for _ in range(2)]
+        want = tuple(map(min, zip(*sides[0], *sides[1])))
+        A, B = ({_pack(e, nv): 1 for e in side} for side in sides)
+        assert _mono_gcd(A, B, nv) == _pack(want, nv), (nv, sides)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_support_matches_the_per_variable_scan(data):
+    nv = data.draw(st.sampled_from([1, 3, 17, 120]))
+    keys = data.draw(st.lists(st.lists(st.tuples(st.integers(0, nv - 1),
+                                                 st.integers(1, 40)),
+                                       max_size=4), max_size=5))
+    R = Ring([f"v{i}" for i in range(nv)])
+    terms = {}
+    for fields in keys:
+        e = [0] * nv
+        for i, k in fields:
+            e[i] = k
+        terms[_pack(tuple(e), nv)] = 1
+    want = [R.names[i] for i in range(nv)
+            if any(_unpack(e, nv)[i] for e in terms)]
+    assert Poly(R, terms).support() == want
