@@ -1,7 +1,7 @@
 """dworklie: exact symbolic moduli charts, flat connections and vector-field
 Lie algebras for the Dwork family, over the rationals."""
 
-from .chart import Chart, build_chart, chart_for, chart_of_ring, resolve_chart
+from .chart import Chart, build_chart, chart_of_ring, resolve_chart
 from .closedforms import matched_c
 from .connection import (check_pairing_invariance, full_connection,
                          tangent_fields, vf_from_target)
@@ -18,12 +18,12 @@ from .liealg import (NotMember, amsy_decompose, bracket, fR_identities,
                      verify_flatness, verify_homomorphism, verify_theorem2)
 from .linalg import MatF, OneFormMat, SolveResult, VecField, solve_linear
 from .modular import (Sl2Triple, basis_vf, modular_vf, quasi_degree,
-                      sl2_triple, truncate_poly, weights, yukawa)
+                      sl2_triple, truncate_poly, weights)
 from .ratfn import RatFn, eq_by_random_eval, parse_ratfn, ratfn_string
 from .ring import Poly, Ring
 
 __all__ = [
-    "Chart", "build_chart", "chart_for", "chart_of_ring", "resolve_chart",
+    "Chart", "build_chart", "chart_of_ring", "resolve_chart",
     "matched_c",
     "check_pairing_invariance", "full_connection", "tangent_fields",
     "vf_from_target",
@@ -40,7 +40,7 @@ __all__ = [
     "verify_homomorphism", "verify_theorem2",
     "MatF", "OneFormMat", "SolveResult", "VecField", "solve_linear",
     "Sl2Triple", "basis_vf", "modular_vf", "quasi_degree", "sl2_triple",
-    "truncate_poly", "weights", "yukawa",
+    "truncate_poly", "weights",
     "RatFn", "eq_by_random_eval", "parse_ratfn", "ratfn_string",
     "Poly", "Ring",
 ]

@@ -164,8 +164,7 @@ def build_chart(n, c_value=None):
         bad = [nm for nm in kappa.support() if nm != "c"]
         if bad:
             raise EliminationStuck(f"relation scale depends on {bad}")
-        setup = setup.rebind(setup.ring.with_relation(pivot_var, rhs.num,
-                                                      rhs.den))
+        setup.bind(setup.ring.with_relation(pivot_var, rhs.num, rhs.den))
         conn = frame_connection(setup)
         kappa = kappa.lift(setup.ring)
         omega = omega.lift(setup.ring)
@@ -238,14 +237,6 @@ def build_chart(n, c_value=None):
 _CACHE = {}
 
 
-def chart_for(n, c_value=None):
-    """Cached chart per (n, pinned constant)."""
-    key = (n, c_value if c_value is None else str(c_value))
-    if key not in _CACHE:
-        _CACHE[key] = build_chart(n, c_value)
-    return _CACHE[key]
-
-
 def chart_of_ring(ring):
     """Chart whose coordinate ring is the given one.  Every chart comes out
     of the cache, so identity lookup is enough."""
@@ -256,12 +247,15 @@ def chart_of_ring(ring):
 
 
 def resolve_chart(n, c=None):
-    """Chart at a requested scaling constant.  None picks the matched
-    default, the string "sym" keeps the constant symbolic, anything else is
-    coerced to a rational value."""
-    from .closedforms import matched_c
+    """Chart at a requested scaling constant, cached per (n, constant).  None
+    picks the matched default, the string "sym" keeps the constant symbolic,
+    anything else is coerced to a rational value."""
     if c == "sym":
-        return chart_for(n, None)
-    if c is None:
+        c = None
+    elif c is None:
+        from .closedforms import matched_c
         c = matched_c(n)
-    return chart_for(n, c)
+    key = (n, c if c is None else str(c))
+    if key not in _CACHE:
+        _CACHE[key] = build_chart(n, c)
+    return _CACHE[key]

@@ -28,8 +28,8 @@ from .cy3 import cy3_dims, key_name, table_keys
 from .errors import DworkError, Sl2Violation
 from .group import (act, basis_pairs, decompose_elem, group_elem,
                     subgroup_counts, symbolic_elem)
-from .liealg import (NotMember, amsy_decompose, fR_identities, verify_flatness,
-                     verify_theorem2)
+from .liealg import (NotMember, Row, amsy_decompose, fR_identities, mismatch,
+                     verify_flatness, verify_theorem2)
 from .linalg import VecField
 from .modular import (basis_vf, modular_vf, sl2_triple, truncate_poly, weights)
 from .ratfn import LATEX, RatFn, parse_ratfn, ratfn_string
@@ -141,73 +141,51 @@ def load_fixture(n, override_dir):
 # ---------------------------------------------------------------------------
 # verification suites
 
-class Check:
-    __slots__ = ("name", "ok", "detail")
-
-    def __init__(self, name, ok, detail=()):
-        self.name = name
-        self.ok = ok
-        self.detail = list(detail)
+def _field_row(name, got, spec):
+    """Row comparing the field got with the field spec, given as canonical
+    component strings (a fixture's or a closed form's)."""
+    return Row.compare(name, got,
+                       VecField(got.ring, parse_field(got.ring, spec)))
 
 
-def _vf_detail(expected, got, coords):
-    lines = []
-    for v in coords:
-        e, g = expected.get(v), got.get(v)
-        if e != g:
-            lines.append(f"{v}: expected {ratfn_string(e)}")
-            lines.append(f"{v}: got      {ratfn_string(g)}")
-    return lines
-
-
-def _row_checks(prefix, report):
-    out = []
-    for row in report:
-        detail = []
-        if not row.equal:
-            detail = _vf_detail(row.rhs, row.lhs, row.lhs.ring.names)
-        out.append(Check(f"{prefix}: {row.name}", row.equal, detail))
-    return out
+def _value_row(name, got, want):
+    """Row comparing got with want, each printed by its canonical string."""
+    return Row(name, got == want, mismatch(want, got))
 
 
 def _suite_omega(n, c, fix):
     ch = resolve_chart(n, c)
-    checks = [Check("omega: connection preserves the pairing form",
-                    check_pairing_invariance(ch))]
+    checks = [Row("omega: connection preserves the pairing form",
+                  check_pairing_invariance(ch))]
     R, Y = modular_vf(n, c)
     A = full_connection(ch)
     Ymat = Y.matrix()
-    checks.append(Check("omega: modular field contracts to the coupling band",
-                        A.contract(R) == Ymat))
-    checks.append(Check("omega: coupling band is pairing-antisymmetric",
-                        (Ymat @ ch.phi + ch.phi @ Ymat.transpose()).is_zero))
+    checks.append(Row("omega: modular field contracts to the coupling band",
+                      A.contract(R) == Ymat))
+    checks.append(Row("omega: coupling band is pairing-antisymmetric",
+                      (Ymat @ ch.phi + ch.phi @ Ymat.transpose()).is_zero))
     if fix is not None:
-        want = VecField(ch.ring, parse_field(ch.ring, fix["modular"]))
-        checks.append(Check("omega: modular field matches fixture",
-                            R == want, _vf_detail(want, R, ch.coords)))
-        rel = fix.get("relation")
-        checks.append(Check(
-            "omega: chart relation matches fixture",
-            rel == ch.relation_string(),
-            [f"expected {rel}", f"got      {ch.relation_string()}"]))
+        checks.append(_field_row("omega: modular field matches fixture", R,
+                                 fix["modular"]))
+        checks.append(_value_row("omega: chart relation matches fixture",
+                                 ch.relation_string(), fix.get("relation")))
     return checks
 
 
 def _suite_theorem2(n, c, fix):
-    return _row_checks("theorem2", verify_theorem2(n, c))
+    return [Row(f"theorem2: {r.name}", r.equal, r.detail)
+            for r in verify_theorem2(n, c)]
 
 
 def _suite_sl2(n, c, fix):
     try:
         tr = sl2_triple(n, c)
     except Sl2Violation as e:
-        return [Check("sl2: defining bracket relations", False, [str(e)])]
-    checks = [Check("sl2: defining bracket relations", True)]
+        return [Row("sl2: defining bracket relations", False, [str(e)])]
+    checks = [Row("sl2: defining bracket relations", True)]
     if fix is not None:
-        ch = resolve_chart(n, c)
-        want = VecField(ch.ring, parse_field(ch.ring, fix["lowering"]))
-        checks.append(Check("sl2: lowering field matches fixture",
-                            tr.F == want, _vf_detail(want, tr.F, ch.coords)))
+        checks.append(_field_row("sl2: lowering field matches fixture", tr.F,
+                                 fix["lowering"]))
     return checks
 
 
@@ -215,16 +193,13 @@ def _suite_weights(n, c, fix):
     w, report = weights(n, c)
     checks = []
     for label, expect, actual, ok in report:
-        checks.append(Check(f"weights: {label} is quasi-homogeneous of "
-                            f"degree {expect}", ok, [f"actual degree {actual}"]))
+        checks.append(Row(f"weights: {label} is quasi-homogeneous of "
+                          f"degree {expect}", ok, [f"actual degree {actual}"]))
     if fix is not None:
-        ch = resolve_chart(n, c)
-        tr = sl2_triple(n, c)
-        want = VecField(ch.ring, parse_field(ch.ring, fix["weight"]))
-        checks.append(Check("weights: grading field matches fixture",
-                            tr.Hf == want, _vf_detail(want, tr.Hf, ch.coords)))
-    for row in fR_identities(n, c):
-        checks.append(Check(f"weights: {row.name}", row.equal))
+        checks.append(_field_row("weights: grading field matches fixture",
+                                 sl2_triple(n, c).Hf, fix["weight"]))
+    checks += [Row(f"weights: {r.name}", r.equal, r.detail)
+               for r in fR_identities(n, c)]
     return checks
 
 
@@ -249,8 +224,7 @@ def _suite_flatness(n, c, fix):
     for i, j in pairs:
         ni, Vi = fields[i]
         nj, Vj = fields[j]
-        checks.append(Check(f"flatness: [{ni}, {nj}]",
-                            verify_flatness(Vi, Vj)))
+        checks.append(Row(f"flatness: [{ni}, {nj}]", verify_flatness(Vi, Vj)))
     return checks
 
 
@@ -262,12 +236,9 @@ def _suite_action(n, c, fix):
         want = parse_field(g.ring, ACTION[n])
         ch = resolve_chart(n, c)
         for v in ch.coords:
-            got, exp = formulas[v], want[v]
-            checks.append(Check(
+            checks.append(_value_row(
                 f"action: moved coordinate {v} matches the closed form",
-                got == exp,
-                [f"expected {ratfn_string(exp)}",
-                 f"got      {ratfn_string(got)}"]))
+                formulas[v], want[v]))
     mult, add = subgroup_counts(n)
     rng = random.Random(20260800 + n)
     ok = True
@@ -283,8 +254,8 @@ def _suite_action(n, c, fix):
             ok = False
             note = [f"params {params} came back as {back}"]
             break
-    checks.append(Check("action: factor decomposition round-trips "
-                        "(10 draws)", ok, note))
+    checks.append(Row("action: factor decomposition round-trips (10 draws)",
+                      ok, note))
     return checks
 
 
@@ -296,31 +267,27 @@ def _suite_membership(n, c, fix):
     triv = (not isinstance(res, NotMember)
             and res[0] == RatFn.of(ch.ring, 1)
             and all(f.is_zero for f in res[1].values()))
-    checks.append(Check("membership: modular field decomposes as itself",
-                        triv))
+    checks.append(Row("membership: modular field decomposes as itself", triv))
     if n in TRUNCATED:
         T = truncate_poly(R)
-        want = VecField(ch.ring, parse_field(ch.ring, TRUNCATED[n]))
-        checks.append(Check("membership: truncation matches the closed form",
-                            T == want, _vf_detail(want, T, ch.coords)))
+        checks.append(_field_row("membership: truncation matches the closed "
+                                 "form", T, TRUNCATED[n]))
         res = amsy_decompose(T, n, c)
         if n == 3:
             if isinstance(res, NotMember):
-                checks.append(Check("membership: truncated field decomposes",
-                                    False, [repr(res)]))
+                checks.append(Row("membership: truncated field decomposes",
+                                  False, [repr(res)]))
             else:
                 f0, coeffs = res
-                exp0 = parse_ratfn(ch.ring, DECOMP3_F0)
-                checks.append(Check("membership: leading coefficient",
-                                    f0 == exp0,
-                                    [f"expected {DECOMP3_F0}",
-                                     f"got      {ratfn_string(f0)}"]))
+                checks.append(_value_row(
+                    "membership: leading coefficient", f0,
+                    parse_ratfn(ch.ring, DECOMP3_F0)))
                 for key in sorted(coeffs):
                     exp = (parse_ratfn(ch.ring, DECOMP3[key])
                            if key in DECOMP3 else None)
                     got = coeffs[key]
                     ok = got.is_zero if exp is None else got == exp
-                    checks.append(Check(
+                    checks.append(Row(
                         f"membership: coefficient on basis {key}", ok,
                         [f"got {ratfn_string(got)}"]))
         if n == 4:
@@ -328,7 +295,7 @@ def _suite_membership(n, c, fix):
                   and res.entry == OBSTRUCTION4_ENTRY
                   and res.value == parse_ratfn(ch.ring, OBSTRUCTION4_VALUE))
             detail = [] if ok else [repr(res)]
-            checks.append(Check(
+            checks.append(Row(
                 "membership: truncated field is obstructed at "
                 f"{OBSTRUCTION4_ENTRY}", ok, detail))
     return checks
@@ -426,10 +393,18 @@ def cmd_weights(ch, args):
                      "actual": actual, "ok": ok}
                     for label, expect, actual, ok in report]}, code
     out = [f"w({v}) = {w[v]}" for v in ch.coords]
-    for label, expect, actual, ok in report:
-        mark = "ok  " if ok else "FAIL"
-        out.append(f"{mark} {label}: degree {actual} (expected {expect})")
+    out += _row_lines(Row(f"{label}: degree {actual} (expected {expect})", ok)
+                      for label, expect, actual, ok in report)
     return out, code
+
+
+def _row_lines(rows):
+    """Each row's ok/FAIL line, a failing row followed by its detail."""
+    out = []
+    for r in rows:
+        out.append(repr(r))
+        out.extend("  " + ln for ln in ([] if r.equal else r.detail))
+    return out
 
 
 def cmd_brackets(ch, args):
@@ -438,13 +413,7 @@ def cmd_brackets(ch, args):
     code = EX_OK if all(r.equal for r in rows) else EX_MISMATCH
     if args.format == "json":
         return {"rows": [{"name": r.name, "ok": r.equal} for r in rows]}, code
-    out = []
-    for r in rows:
-        out.append(f"{'ok  ' if r.equal else 'FAIL'} {r.name}")
-        if not r.equal:
-            out.extend("  " + ln for ln in
-                       _vf_detail(r.rhs, r.lhs, ch.coords))
-    return out, code
+    return _row_lines(rows), code
 
 
 def cmd_action(ch, args):
@@ -503,19 +472,17 @@ def cmd_verify(ch, args):
     checks = []
     for name in SUITES if args.suite == "all" else (args.suite,):
         checks.extend(SUITE_FN[name](args.n, args.cn, fix))
-    code = EX_OK if all(c.ok for c in checks) else EX_MISMATCH
+    code = EX_OK if all(c.equal for c in checks) else EX_MISMATCH
     if args.format == "json":
-        return {"checks": [{"name": c.name, "ok": c.ok} for c in checks]}, code
+        return {"checks": [{"name": c.name, "ok": c.equal}
+                           for c in checks]}, code
     out = [f"verify n={args.n} c={_c_text(ch, args.cn)} suite={args.suite}"]
     if fix is None and args.cn is None:
         out.append(f"fixtures: none found for n={args.n} "
                    "(fixture comparisons skipped)")
-    for c in checks:
-        out.append(f"{'ok  ' if c.ok else 'FAIL'} {c.name}")
-        if not c.ok:
-            out.extend("  " + ln for ln in c.detail)
+    out += _row_lines(checks)
     out.append(f"summary: {len(checks)} checks, "
-               f"{sum(not c.ok for c in checks)} failed")
+               f"{sum(not c.equal for c in checks)} failed")
     return out, code
 
 

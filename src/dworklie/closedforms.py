@@ -238,12 +238,12 @@ def derive_matched_c(n):
     each t-monomial of the cleared difference gives a univariate condition
     on c and the unique common rational root survives.
     """
-    from .chart import chart_for
+    from .chart import resolve_chart
     from .modular import modular_vf
 
     if n not in C_DEFAULT:
         raise DworkError(f"no reference data for n={n}")
-    ch = chart_for(n, None)
+    ch = resolve_chart(n, "sym")
     if n % 2 == 0:
         k = RatFn.of(ch.ring, RELATION_CONST[n])
         diff = ch.kappa - k

@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import cache
 
 from .errors import DworkError
-from .liealg import BracketReport
+from .liealg import BracketReport, Row
 from .linalg import MatF
 from .ratfn import RatFn
 from .ring import Ring
@@ -314,20 +314,6 @@ def bracket_claim(h, ring, v, w):
     return out
 
 
-class CyRow:
-    __slots__ = ("name", "kind", "equal", "note")
-
-    def __init__(self, name, kind, equal, note=""):
-        self.name = name
-        self.kind = kind
-        self.equal = equal
-        self.note = note
-
-    def __repr__(self):
-        tag = "ok  " if self.equal else "FAIL"
-        return f"{tag} [{self.kind}] {self.name}"
-
-
 def _frames(h, ring):
     """Frame matrix of every table key."""
     gms = {key: g.transpose() for key, g in cy3_basis(h, ring).items()}
@@ -368,12 +354,11 @@ def verify_cy3_table(h):
         for k in range(1, h + 1):
             w = ("R", k)
             comm = gms[w].commutator(gms[v])
-            ok, note = _absorb_action(h, ring, actions, v, k,
-                                      claimed(v, w) - comm)
-            first.append(CyRow(_pair_name(h, v, w), "coupling", ok, note))
+            why = _absorb_action(h, ring, actions, v, k, claimed(v, w) - comm)
+            first.append(Row(_pair_name(h, v, w), not why, why, "coupling"))
             lhs = -_act_mat(h, ring, actions, v, gms[w]) - comm
-            table[w, v] = CyRow(_pair_name(h, w, v), "coupling",
-                                claimed(w, v) == lhs)
+            table[w, v] = Row(_pair_name(h, w, v), claimed(w, v) == lhs,
+                              kind="coupling")
     for i, v in enumerate(keys):
         for w in keys[i:]:
             if (v[0] == "R") != (w[0] == "R"):
@@ -383,14 +368,15 @@ def verify_cy3_table(h):
                 [(v, w, comm), (w, v, -comm)]
             for a, b, c in sides:
                 if a[0] == "R":
-                    table[a, b] = CyRow(
-                        _pair_name(h, a, b), "integrability",
+                    # the matrix part vanishes by coupling symmetry; the
+                    # rest is symmetry of the derivative tensor
+                    table[a, b] = Row(
+                        _pair_name(h, a, b),
                         c.is_zero and not bracket_claim(h, ring, a, b),
-                        "matrix part vanishes by coupling symmetry; the rest "
-                        "is symmetry of the derivative tensor")
+                        kind="integrability")
                 else:
-                    table[a, b] = CyRow(_pair_name(h, a, b), "constant",
-                                        claimed(a, b) == c)
+                    table[a, b] = Row(_pair_name(h, a, b),
+                                      claimed(a, b) == c, kind="constant")
     rows = first + [table[v, w] for v in keys for w in keys
                     if (v, w) in table]
     return BracketReport(rows, actions)
@@ -399,19 +385,18 @@ def verify_cy3_table(h):
 def _absorb_action(h, ring, actions, v, k, resid):
     """Read the action of v on the coupling symbols off the residual matrix;
     outside the coupling block the residual must vanish, and revisited
-    symbols must agree with what earlier rows fixed."""
-    ok = True
-    note = ""
+    symbols must agree with what earlier rows fixed.  Returns the lines
+    that show why the row fails, none when it holds."""
+    why = []
     for (i, j), val in resid.entries():
         if not (2 <= i <= h + 1 and h + 2 <= j <= 2 * h + 1):
-            return False, f"residual off the coupling block at {(i, j)}"
+            return [f"residual off the coupling block at {(i, j)}"]
         yname = ysym_name(h, k, i - 1, j - h - 1)
         prev = actions.get((v, yname))
         if prev is None:
             actions[(v, yname)] = val
         elif prev != val:
-            ok = False
-            note = f"inconsistent action on {yname}"
+            why.append(f"inconsistent action on {yname}")
     # symbols not touched by any cell act as zero; record explicitly so the
     # consistency check sees them on later rows
     for i in range(1, h + 1):
@@ -420,7 +405,7 @@ def _absorb_action(h, ring, actions, v, k, resid):
             prev = actions.get((v, yname))
             if prev is None:
                 actions[(v, yname)] = RatFn.of(ring, 0)
-    return ok, note
+    return why
 
 
 def _act_mat(h, ring, actions, vkey, M):
@@ -456,7 +441,7 @@ def cy3_sl2(h, report=None):
             lhs = _rule_combo(h, ring, rep.actions, gms, V, W)
             rhs = _gm_of_combo(h, ring, gms, target).scale(
                 RatFn.of(ring, scale_))
-            rows.append(CyRow(name, kind, lhs == rhs))
+            rows.append(Row(name, lhs == rhs, kind=kind))
     return BracketReport(rows, rep.actions)
 
 

@@ -53,17 +53,10 @@ class Setup:
             names = names + ("c",)
         from .ring import Ring
         r = (n + 2,) + (0,) * (len(names) - 1)
-        self._bind(Ring(names, factor=(r, n + 1)))
+        self.bind(Ring(names, factor=(r, n + 1)))
 
-    def rebind(self, ring):
-        """Clone bound to a compatible ring (same names, e.g. with a relation)."""
-        s = Setup.__new__(Setup)
-        s.n, s.d, s.m, s.ncoords = self.n, self.d, self.m, self.ncoords
-        s.rho, s.c_value, s.base2 = self.rho, self.c_value, self.base2
-        s._bind(ring)
-        return s
-
-    def _bind(self, ring):
+    def bind(self, ring):
+        """Move onto ring, which has our names (e.g. with a relation added)."""
         self.ring = ring
         self.c = (RatFn.var(ring, "c") if self.c_value is None
                   else RatFn.of(ring, self.c_value))

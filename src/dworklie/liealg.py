@@ -22,17 +22,38 @@ def bracket(V, W):
     return V.bracket(W)
 
 
-class ReportRow:
-    __slots__ = ("name", "lhs", "rhs", "equal")
+class Row:
+    """One named check: whether it holds, the lines that show why it failed,
+    and, in the threefold table, the kind of check."""
 
-    def __init__(self, name, lhs, rhs):
+    __slots__ = ("name", "equal", "detail", "kind")
+
+    def __init__(self, name, equal, detail=(), kind=None):
         self.name = name
-        self.lhs = lhs
-        self.rhs = rhs
-        self.equal = lhs == rhs
+        self.equal = equal
+        self.detail = list(detail)
+        self.kind = kind
+
+    @classmethod
+    def compare(cls, name, lhs, rhs):
+        """lhs == rhs for two vector fields, rhs the expected side; the
+        detail lists each differing component in ring order."""
+        detail = []
+        for v in lhs.ring.names:
+            want, got = rhs.get(v), lhs.get(v)
+            if want != got:
+                detail += mismatch(want, got, f"{v}: ")
+        return cls(name, not detail, detail)
 
     def __repr__(self):
-        return f"{'ok  ' if self.equal else 'FAIL'} {self.name}"
+        tag = "ok  " if self.equal else "FAIL"
+        kind = f" [{self.kind}]" if self.kind else ""
+        return f"{tag}{kind} {self.name}"
+
+
+def mismatch(want, got, label=""):
+    """The expected and the got line of a failed comparison."""
+    return [f"{label}expected {want}", f"{label}got      {got}"]
 
 
 class BracketReport:
@@ -72,23 +93,23 @@ def verify_theorem2(n, c=None):
                 # m = 1 leaves a single diagonal generator carrying both
                 # diagonal roles; the doubled bracket is forced by the
                 # lowest-dimension sl2 normalization
-                rows.append(ReportRow("[R, B_11] = 2R", lhs, R.scale(2)))
+                rows.append(Row.compare("[R, B_11] = 2R", lhs, R.scale(2)))
             else:
-                rows.append(ReportRow("[R, B_11] = R", lhs, R))
+                rows.append(Row.compare("[R, B_11] = R", lhs, R))
             continue
         if a == b == 2:
-            rows.append(ReportRow("[R, B_22] = -R", lhs, -R))
+            rows.append(Row.compare("[R, B_22] = -R", lhs, -R))
             continue
         if a == b:
-            rows.append(ReportRow(f"[R, B_{a}{a}] = 0", lhs, zero))
+            rows.append(Row.compare(f"[R, B_{a}{a}] = 0", lhs, zero))
             continue
         psi1 = ((1 + rho * (a + b == 2 * m) - (a + b == 2 * m + 1))
                 * Y.coef(a - 1))
         psi2 = (1 - 2 * rho * (b == m + 1)) * Y.coef(n + 1 - b)
         rhs = _term(B, n, (a + 1, b), psi1) + _term(B, n, (a, b - 1), psi2)
         rows.append(
-            ReportRow(f"[R, B_{a}{b}] = c1*B_{a + 1}{b} + c2*B_{a}{b - 1}",
-                      lhs, rhs))
+            Row.compare(f"[R, B_{a}{b}] = c1*B_{a + 1}{b} + c2*B_{a}{b - 1}",
+                        lhs, rhs))
     return BracketReport(rows)
 
 
@@ -127,9 +148,11 @@ def verify_homomorphism(n, c=None):
     for i, p in enumerate(pairs):
         for q in pairs[i + 1:]:
             lhs = A.contract(B[p].bracket(B[q]))
-            gcomm = gens[p] @ gens[q] - gens[q] @ gens[p]
-            rows.append(ReportRow(f"[B_{p[0]}{p[1]}, B_{q[0]}{q[1]}]",
-                                  lhs, gcomm.transpose()))
+            want = (gens[p] @ gens[q] - gens[q] @ gens[p]).transpose()
+            diff = (lhs - want).entries()
+            rows.append(Row(f"[B_{p[0]}{p[1]}, B_{q[0]}{q[1]}]", not diff,
+                            [f"entry {ij}: lhs - rhs = {d}"
+                             for ij, d in diff]))
     return BracketReport(rows)
 
 
@@ -219,10 +242,10 @@ def fR_identities(n, c=None):
     # n = 2, where the doubled weight normalization makes it 2n+4
     kd = quasi_degree(disc, w)
     rows = [
-        ReportRow("[fR, F] = f*H, f = disc",
-                  fR.bracket(F), Hf.scale(disc)),
-        ReportRow(f"[H, fR] = {kd + 2}*fR, f = disc",
-                  Hf.bracket(fR), fR.scale(kd + 2)),
+        Row.compare("[fR, F] = f*H, f = disc",
+                    fR.bracket(F), Hf.scale(disc)),
+        Row.compare(f"[H, fR] = {kd + 2}*fR, f = disc",
+                    Hf.bracket(fR), fR.scale(kd + 2)),
     ]
     t2 = "t2" if n >= 2 else "t1"
     samples = [RatFn.var(ch.ring, "t1") ** 2,
@@ -231,8 +254,8 @@ def fR_identities(n, c=None):
     for f in samples:
         k = quasi_degree(f, w)
         gR = R.scale(f)
-        rows.append(ReportRow(f"[H, fR] = {k + 2}*fR, f = {f!r}",
-                              Hf.bracket(gR), gR.scale(k + 2)))
+        rows.append(Row.compare(f"[H, fR] = {k + 2}*fR, f = {f!r}",
+                                Hf.bracket(gR), gR.scale(k + 2)))
     return BracketReport(rows)
 
 

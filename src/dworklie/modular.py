@@ -73,10 +73,6 @@ def yukawa_for(chart):
     return YukawaSet(n, ring, values)
 
 
-def yukawa(n, c=None):
-    return yukawa_for(resolve_chart(n, c))
-
-
 def modular_vf(n, c=None):
     """The unique field whose connection matrix is the banded coupling
     target; returned together with the coupling set."""

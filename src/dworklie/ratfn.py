@@ -25,8 +25,8 @@ exception is a slot relation where both numerators carry the pivot: their
 product has pivot degree 2, so it goes through _normalize.
 
 The derivative by v of p/q with q = x^a * F^k, F a ring's known factor (a
-chart ring, F = disc), follows the logarithmic derivative
-q'/q = a_v/x_v + k F'/F:
+chart ring, F = disc), or k = 0 in any ring, follows the logarithmic
+derivative q'/q = a_v/x_v + k F'/F:
 
     (p/q)' = (x_v F p' - a_v F p - k x_v F' p) / (x^(a + e_v) F^(k+1)),
 
@@ -34,24 +34,22 @@ where x_v (or F) stays out of both sides when a_v (or k F') is 0.  The
 denominator is again of the known form, so one cancel against it reduces
 the result, where the quotient rule would cancel against q^2 and try up to
 2k divisions by F.  When both are 0, q' = 0 and the result is p'/q with the
-one gcd against q.  Any other q takes p' and q' first: when v lies outside
-the support of both, the result is the canonical zero, with no product and
-no gcd; when only q' = 0, (p/q)' = p'/q; otherwise the quotient rule
-(p'q - pq')/q^2 is normalised.  A relation pivot is an independent slot
-here, and q and F are pivot-free, so the derivative by the pivot is always
-p'/q, and the numerator keeps pivot degree <= 1.  Every other operation goes
-through _normalize.
+one gcd against q.  Any other q takes the quotient rule (p'q - pq')/q^2,
+normalised.  A relation pivot is an independent slot here, and q and F are
+pivot-free, so the derivative by the pivot is always p'/q, and the numerator
+keeps pivot degree <= 1.  Every other operation goes through _normalize.
 
 Each of these gcds, and the one in _normalize, is taken by Ring.cancel
-against a denominator-side operand.  In a ring with a known factor F such an
-operand is c * x^a * F^k, and its gcd with N is exact without a multivariate
-gcd: F is irreducible, so only the integer content, the monomial and the
-power of F that divides N can cancel (see ring.Ring).  Any other operand
-takes the general gcd.  Each denominator keeps its split (c, a, k) once
-found (Poly.known_split).  When both denominators of a sum or a product are
-split, the sum takes g = gcd(b, d) from the exponents (Ring.split_gcd), the
-cancels return the reduced denominators as splits (Ring.cancel_split), and
-the result's denominator is built from its split, which it keeps.
+against a denominator-side operand.  When that operand is c * x^a * F^k, in
+a ring with a known factor F, or c * x^a, in any ring, its gcd with N is
+exact without a multivariate gcd: F is irreducible, so only the integer
+content, the monomial and the power of F that divides N can cancel (see
+ring.Ring).  Any other operand takes the general gcd.  Each denominator
+keeps its split (c, a, k) once found (Poly.known_split).  When both
+denominators of a sum or a product are split, the sum takes g = gcd(b, d)
+from the exponents (Ring.split_gcd), the cancels return the reduced
+denominators as splits (Ring.cancel_split), and the result's denominator is
+built from its split, which it keeps.
 """
 
 from __future__ import annotations
@@ -130,17 +128,13 @@ class RatFn:
         a.num._chk(b.num)
         # Henrici addition, see the module docstring
         ring = a.ring
-        one = ring.one.terms
         sb, sd = a.den.known_split(), b.den.known_split()
         split = sb and sd
         if split:
             gs, sb, sd = ring.split_gcd(sb, sd)
             bg, dg = ring.split_terms(sb), ring.split_terms(sd)
         else:
-            bg, dg = a.den.terms, b.den.terms
-            g = one
-            if one not in (bg, dg):
-                g, bg, dg = ring.cancel(bg, dg, sd)
+            g, bg, dg = ring.cancel(a.den.terms, b.den.terms, sd)
         T = _tadd(_tscale(_tmul(a.num.terms, dg), b.num.den),
                   _tscale(_tmul(b.num.terms, bg), a.num.den))
         if not T:
@@ -150,11 +144,9 @@ class RatFn:
         if split:
             _, T, gs = ring.cancel_split(T, gs)
             return _raw(Poly._trusted(ring, T, nd), ring.split_poly(sb, sd, gs))
-        den = _tmul(bg, dg)
-        if g != one:
-            _, T, g = ring.cancel(T, g)
-            den = _tmul(den, g)
-        return _raw(Poly._trusted(ring, T, nd), Poly._trusted(ring, den))
+        _, T, g = ring.cancel(T, g)
+        return _raw(Poly._trusted(ring, T, nd),
+                    Poly._trusted(ring, _tmul(_tmul(bg, dg), g)))
 
     __radd__ = __add__
 
@@ -252,8 +244,7 @@ class RatFn:
     # -- calculus / evaluation ---------------------------------------------
     def derive(self, var):
         """Formal partial derivative; a relation pivot counts as an independent
-        slot.  See the module docstring for the zero and constant-denominator
-        cases."""
+        slot.  See the module docstring for the two routes."""
         p, q = self.num, self.den
         ring = self.ring
         known = q.known_split()
@@ -263,12 +254,7 @@ class RatFn:
                 return _raw(ring.zero, ring.one)
             _, N, known = ring.cancel_split(N, known)
             return _raw(Poly._trusted(ring, N, p.den), ring.split_poly(known))
-        dp, dq = p.derive(var), q.derive(var)
-        if dq.is_zero:
-            if dp.is_zero:
-                return _raw(self.ring.zero, self.ring.one)
-            return RatFn(dp, q)
-        return RatFn(dp * q - p * dq, q * q)
+        return RatFn(p.derive(var) * q - p * q.derive(var), q * q)
 
     def subs(self, mapping):
         """Substitute RatFn values for variables (others stay)."""

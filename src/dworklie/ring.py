@@ -24,13 +24,15 @@ to the next instead of testing every variable.
 A ring may name one known irreducible factor F = x^r - x_v.  Ring.cancel then
 finds the gcd with a denominator c * x^a * F^k by exact division by F, not by
 a multivariate gcd (see Ring).  The triple (c, a, k), the split, is found
-once per Poly and kept on it (Poly.known_split); the kernel works on splits
-where it can: the gcd of two split denominators comes from their exponents
-(Ring.split_gcd), the reduced denominator of a cancel is a split again
-(Ring.cancel_split), and a product of splits is built from the cached F^k by
-one shift (Ring.split_poly).  Kernel results with no zero coefficient enter
-Poly through Poly._trusted, which skips the zero filter and, over den 1,
-the content scan.
+once per Poly and kept on it (Poly.known_split).  A one-term polynomial
+c * x^a is split as (c, a, 0) in every ring, with a known factor or not, so
+the constant and monomial denominators of any ring take the same route.
+The kernel works on splits where it can: the gcd of two split denominators
+comes from their exponents (Ring.split_gcd), the reduced denominator of a
+cancel is a split again (Ring.cancel_split), and a product of splits is
+built from the cached F^k by one shift (Ring.split_poly).  Kernel results
+with no zero coefficient enter Poly through Poly._trusted, which skips the
+zero filter and, over den 1, the content scan.
 
 Boundary: only this module knows how a monomial is encoded and how monomials
 are ordered.  Other modules name variables and use
@@ -290,8 +292,8 @@ def _tdiv_known(T, known):
 #     those parts, smallest first, stopping at 1.  This keeps PRS below on the
 #     shared variables only;
 #   * primitive subresultant PRS in the shared variable of least degree.
-# A denominator of the form c * x^a * F^k, F a ring's known factor, never
-# comes here: Ring.cancel finds its gcd exactly (see Ring).
+# A one-term denominator, or one of the form c * x^a * F^k with F a ring's
+# known factor, never comes here: Ring.cancel finds its gcd exactly (see Ring).
 
 def _uni_view(T, s, unit):
     """Split T into dict deg_v -> coefficient term-dict (v-exponent zeroed),
@@ -507,7 +509,8 @@ class Ring:
     then given by its split (c, a, k); for two split polynomials the gcd is
     igcd(c1, c2) * x^min(a1, a2) * F^min(k1, k2), from the exponents alone
     (split_gcd), and derive_split differentiates P / D by the logarithmic
-    derivative of x^a * F^k."""
+    derivative of x^a * F^k.  With k = 0 none of this needs F, so a one-term
+    D = c * x^a is split as (c, a, 0) in a ring without a known factor too."""
 
     __slots__ = ("names", "index", "pivot", "rel_num", "rel_den", "_relpow",
                  "factor", "_fpow", "_known", "_units", "_pmask", "zero", "one")
@@ -602,16 +605,17 @@ class Ring:
         return P[k]
 
     def _known_split(self, D):
-        """(c, a, k) with D == c * x^a * F^k, or None when the ring has no known
-        factor or D is not of that form.  F^k has k + 1 terms, from x^(rk) down
-        to x_v^k, so k = |D| - 1 and a comes from the lowest key; a D whose
-        highest key also matches is compared term by term, in O(|D|)."""
-        if self._known is None:
-            return None
+        """(c, a, k) with D == c * x^a * F^k, or None when D is not of that
+        form.  A one-term D is (c, a, 0) in every ring; a longer one needs the
+        ring's known factor.  F^k has k + 1 terms, from x^(rk) down to x_v^k,
+        so k = |D| - 1 and a comes from the lowest key; a D whose highest key
+        also matches is compared term by term, in O(|D|)."""
         k = len(D) - 1
         if not k:
             ((a, c),) = D.items()
             return c, a, 0
+        if self._known is None:
+            return None
         R, E, s, _ = self._known
         low = min(D)
         if low >> s & _FM < k:
@@ -832,8 +836,8 @@ class Poly:
 
     def known_split(self):
         """(c, a, k) with terms == c * x^a * F^k for the ring's known factor
-        F (see Ring._known_split), False when the terms are not of that form
-        or the ring has no known factor.  Found on first use, then kept."""
+        F, k = 0 for one term in any ring (see Ring._known_split); False when
+        the terms are not of that form.  Found on first use, then kept."""
         try:
             return self._ks
         except AttributeError:
@@ -964,10 +968,8 @@ class Poly:
 
     def derive(self, var):
         v = self.ring.index[var]
-        p = Poly.__new__(Poly)
-        p.ring, p.den = self.ring, self.den
-        p.terms = _tderive(self.terms, v * _W, self.ring._units[v])
-        return p if p.terms else self.ring.zero
+        T = _tderive(self.terms, v * _W, self.ring._units[v])
+        return Poly._trusted(self.ring, T, self.den)
 
     def eval(self, point):
         """point: dict name -> Fraction, covering every variable that occurs;

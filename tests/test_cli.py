@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from dworklie import VecField, modular_vf, parse_ratfn, resolve_chart
-from dworklie import cli
+from dworklie import cli, liealg
 from dworklie.cli import main
 
 
@@ -72,6 +72,18 @@ def test_weights_failed_degree_check_exits_1(fmt, capsys, monkeypatch):
     assert code == 1
     assert "FAIL" in out if fmt == "text" else not all(
         r["ok"] for r in json.loads(out)["object"]["degree_report"])
+
+
+def test_failing_scaled_field_identity_prints_its_diff(capsys, monkeypatch):
+    real = liealg.quasi_degree
+    monkeypatch.setattr(liealg, "quasi_degree", lambda f, w: real(f, w) + 1)
+    code, out = run(capsys, "verify", "--n", "1", "--suite", "weights")
+    assert code == 1
+    lines = out.splitlines()
+    i = next(k for k, ln in enumerate(lines)
+             if ln.startswith("FAIL weights: [H, fR]"))
+    assert lines[i + 1].startswith("  t") and ": expected " in lines[i + 1]
+    assert ": got      " in lines[i + 2]
 
 
 def test_json_schema_and_roundtrip(capsys):

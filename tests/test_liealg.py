@@ -15,7 +15,7 @@ from dworklie import (NotMember, RatFn, VecField, amsy_decompose,
 from dworklie.closedforms import (DECOMP3, DECOMP3_F0, OBSTRUCTION4_ENTRY,
                                   OBSTRUCTION4_VALUE, parse_field)
 from dworklie.geometry import family_dims
-from dworklie.liealg import generator_rank
+from dworklie.liealg import Row, generator_rank
 from dworklie.ratfn import parse_ratfn
 
 
@@ -174,3 +174,25 @@ def test_generator_fields_have_full_rank(n, c):
     assert dim == d
     assert count == 1 + m * (m + 1)
     assert rank == d
+
+
+def test_row_repr_keeps_the_report_strings():
+    """perfbench hashes these strings for the threefold rows."""
+    assert repr(Row("[R, B_22] = -R", True)) == "ok   [R, B_22] = -R"
+    assert repr(Row("[R, B_22] = -R", False)) == "FAIL [R, B_22] = -R"
+    assert repr(Row("[g0, R1]", True, kind="coupling")) == \
+        "ok   [coupling] [g0, R1]"
+    assert repr(Row("[R1, R1]", False, kind="integrability")) == \
+        "FAIL [integrability] [R1, R1]"
+
+
+def test_compare_row_lists_the_differing_components():
+    ring = resolve_chart(1).ring
+    t1, t2 = RatFn.var(ring, "t1"), RatFn.var(ring, "t2")
+    row = Row.compare("name", VecField(ring, {"t1": t1, "t2": t2}),
+                      VecField(ring, {"t2": t2, "t3": 1}))
+    assert not row.equal
+    assert row.detail == ["t1: expected 0", "t1: got      t1",
+                          "t3: expected 1", "t3: got      0"]
+    assert Row.compare("name", VecField(ring, {"t1": t1}),
+                       VecField(ring, {"t1": t1})).detail == []

@@ -307,6 +307,12 @@ def test_derive_matches_quotient_rule(op):
     assert d.is_zero == (v not in f.support())
 
 
+def test_poly_derivative_is_canonical():
+    x = R3.var("x")
+    d = (x ** 2 * Fraction(1, 2)).derive("x")
+    assert d == x and repr(d) == "x"
+
+
 def test_support_lists_numerator_and_denominator_variables():
     x, z = RatFn.var(R3, "x"), RatFn.var(R3, "z")
     assert (z / (x + 1)).support() == ["x", "z"]

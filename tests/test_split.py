@@ -1,13 +1,15 @@
 """The known-factor split paths of the kernel against the general paths they
 bypass: the exponent gcd of two split denominators, the logarithmic-derivative
-rule, the split-carrying sum and product, the trusted Poly constructor, and
-the splits cached on denominators during a cold pipeline run."""
+rule, the split-carrying sum and product, the trusted Poly constructor, the
+splits cached on denominators during a cold pipeline run, and the routes the
+chart and threefold work take."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import dworklie as dw
 from dworklie import Poly, RatFn, Ring, chart
+from dworklie import ring as kernel
 from dworklie.ring import _pack, _tadd, _tdiv_strict, _tgcd, _tmul, _tscale
 
 # F = x^3 - y, in a plain ring and in the relation ring u^2 = (y - x)/(x + 1)
@@ -131,6 +133,35 @@ def test_cached_splits_hold_over_a_cold_run(monkeypatch):
         dw.modular_vf(n)
         dw.basis_vf(n)
     assert len(reads) > 1000 and all(reads)
+
+
+def test_one_term_polynomials_split_in_every_ring():
+    ring = Ring(("x", "y"))
+    x, y = ring.var("x"), ring.var("y")
+    assert (x * x * y * 3).known_split() == (3, _pack((2, 1), 2), 0)
+    assert ring.one.known_split() == (1, 0, 0)
+    assert (x + y).known_split() is False
+
+
+def test_chart_and_threefold_work_takes_no_general_gcd(monkeypatch):
+    """A cold chart with its connection and modular field, and the threefold
+    table with its triples: every denominator they meet is split (a chart's
+    c * x^a * disc^k, a coupling ring's constants), so none reaches _tgcd."""
+    monkeypatch.setattr(chart, "_CACHE", {})
+    calls = []
+    general = kernel._tgcd
+
+    def counted(A, B, nv):
+        calls.append(nv)
+        return general(A, B, nv)
+
+    monkeypatch.setattr(kernel, "_tgcd", counted)
+    ch = dw.resolve_chart(4)
+    dw.full_connection(ch)
+    dw.modular_vf(4)
+    report = dw.verify_cy3_table(2)
+    assert dw.cy3_sl2(2, report).all_ok
+    assert calls == []
 
 
 def test_known_factor_must_avoid_the_pivot():
