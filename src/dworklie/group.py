@@ -71,16 +71,22 @@ def param_slot(n, i):
 
 def factor_matrix(n, i, gamma, ring):
     """Matrix of the i-th one-parameter subgroup at parameter value gamma."""
+    return MatF.identity(ring, n + 1) + factor_delta(n, i, gamma, ring)
+
+
+def factor_delta(n, i, gamma, ring):
+    """factor_matrix(n, i, gamma, ring) minus the identity: at most three
+    cells, so a product with the factor F = I + D is M + M @ D."""
     kind, idx = param_slot(n, i)
     gamma = gamma if isinstance(gamma, RatFn) else RatFn.of(ring, gamma)
     _, m, _ = family_dims(n)
-    M = MatF.identity(ring, n + 1)
+    M = MatF.zeros(ring, n + 1)
     if kind == "mult":
         if gamma.is_zero:
             raise ZeroScalar(f"multiplicative parameter {i} is zero")
         a = idx
-        M.set1(a, a, gamma.inverse())
-        M.set1(n + 2 - a, n + 2 - a, gamma)
+        M.set1(a, a, gamma.inverse() - 1)
+        M.set1(n + 2 - a, n + 2 - a, gamma - 1)
         return M
     a, b = idx
     ra, rb = n + 2 - b, n + 2 - a
@@ -126,7 +132,7 @@ def group_elem(n, params, c=None, ring=None):
     vals = [p if isinstance(p, RatFn) else RatFn.of(ring, p) for p in params]
     M = MatF.identity(ring, n + 1)
     for i, gamma in enumerate(vals, start=1):
-        M = M @ factor_matrix(n, i, gamma, ring)
+        M = M + M @ factor_delta(n, i, gamma, ring)
     phi = pairing_form(ring, n)
     if M.transpose() @ phi @ M != phi:
         raise DworkError("assembled element does not preserve the pairing")
@@ -170,13 +176,13 @@ def decompose_elem(n, M):
         if gamma.is_zero:
             raise ZeroScalar(f"diagonal entry for subgroup {a} is zero")
         params.append(gamma)
-        U = factor_matrix(n, a, gamma.inverse(), ring) @ U
+        U = U + factor_delta(n, a, gamma.inverse(), ring) @ U
     for k, (i, j) in enumerate(subgroup_pairs(n), start=m + 1):
         ra, rb = n + 2 - j, n + 2 - i
         cell = (i, j) if (ra, rb) == (i, j) else (ra, rb)
         gamma = U.get1(*cell)
         params.append(gamma)
-        U = factor_matrix(n, k, -gamma, ring) @ U
+        U = U + factor_delta(n, k, -gamma, ring) @ U
     if U != MatF.identity(ring, n + 1):
         raise DworkError("matrix is not a product of the subgroup factors")
     return params

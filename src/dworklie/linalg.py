@@ -4,7 +4,7 @@ exact linear solving over the rational-function field."""
 from __future__ import annotations
 
 from .errors import DworkError, LinearInconsistent
-from .ratfn import RatFn
+from .ratfn import RatFn, dot
 
 __all__ = ["MatF", "OneFormMat", "VecField", "solve_linear", "SolveResult"]
 
@@ -193,13 +193,17 @@ class OneFormMat:
         return self.comps == other.comps
 
     def contract(self, vf):
-        """Pair with a vector field: sum_v vf[v] * A[v]."""
-        out = MatF.zeros(self.ring, self.size)
+        """Pair with a vector field: sum_v vf[v] * A[v].  Each entry is one
+        ratfn.dot over its component products, so it is reduced once over
+        one common denominator, not once per product."""
+        pairs = {}
         for v, M in self.comps.items():
             f = vf.comps.get(v)
             if f is not None and not f.is_zero:
-                out = out + M.scale(f)
-        return out
+                for k, a in M.cells.items():
+                    pairs.setdefault(k, []).append((f, a))
+        return MatF._of(self.ring, self.size, self.size,
+                        ((k, dot(self.ring, ps)) for k, ps in pairs.items()))
 
 
 class VecField:
@@ -320,9 +324,10 @@ def _gauss_jordan(A, ncols):
 def solve_right_lower(M, S):
     """X with X*S = M for lower-triangular S, by back substitution over the
     columns of each row of M, last column first:
-    x_j = (m_j - sum_{k>j} x_k S_kj) / S_jj.  Only the stored entries of M
-    and S are visited.  Raises LinearInconsistent on a zero diagonal entry,
-    and DworkError on a shape mismatch or an entry above the diagonal."""
+    x_j = (m_j - sum_{k>j} x_k S_kj) / S_jj, the numerator one ratfn.dot
+    over one common denominator.  Only the stored entries of M and S are
+    visited.  Raises LinearInconsistent on a zero diagonal entry, and
+    DworkError on a shape mismatch or an entry above the diagonal."""
     n = S.nrows
     if S.ncols != n or M.ncols != n:
         raise DworkError(f"right solve of a {M.nrows}x{M.ncols} against a "
@@ -335,16 +340,16 @@ def solve_right_lower(M, S):
                              f"above the diagonal in column {j}")
         if (j, j) not in S.cells:
             raise LinearInconsistent(j, "zero diagonal entry")
-        below[j] = col[1:]
-    zero, one = RatFn.of(M.ring, 0), RatFn.of(M.ring, 1)
+        below[j] = [(k, -s) for k, s in col[1:]]
+    one = RatFn.of(M.ring, 1)
     out = {}
     for i in {i for i, _ in M.cells}:
         for j in range(n, 0, -1):
-            acc = M.cells.get((i, j), zero)
-            for k, s in below[j]:
-                x = out.get((i, k))
-                if x is not None:
-                    acc = acc - x * s
+            pairs = [(out[i, k], s) for k, s in below[j] if (i, k) in out]
+            m = M.cells.get((i, j))
+            if m is not None:
+                pairs.append((m, one))
+            acc = dot(M.ring, pairs)
             if not acc.is_zero:
                 d = S.cells[j, j]
                 out[i, j] = acc if d == one else acc / d

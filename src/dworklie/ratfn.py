@@ -12,17 +12,30 @@ for canonical a/b and c/d with g = gcd(b, d), the sum is t/(b*(d/g)) with
 t = a*(d/g) + c*(b/g), and only gcd(t, g) can cancel, since t is coprime to
 both b/g and d/g.  So the one numerator gcd is taken against g, and skipped
 when g = 1.  The denominator stays primitive, positive and pivot-free, and t
-keeps pivot degree <= 1, because b and d are pivot-free.
+keeps pivot degree <= 1, because b and d are pivot-free.  A sum of two
+constants is one integer cross-multiplication.
 
 Products follow Henrici's rule too.  A constant factor is a unit: it scales
-the other numerator and takes no gcd.  Otherwise, with g1 = gcd(a, d) and
-g2 = gcd(c, b), the product (a/g1)(c/g2) / ((b/g2)(d/g1)) is already
-canonical: each numerator factor is coprime to both denominator factors, by
-the choice of the cross gcds and because a/b and c/d are reduced; and the
-denominator is primitive with a positive lead by Gauss's lemma, since graded
-lex order is multiplicative.  A cross gcd of 1 divides nothing.  The one
-exception is a slot relation where both numerators carry the pivot: their
-product has pivot degree 2, so it goes through _normalize.
+the other numerator and takes no gcd, and a factor 1 returns the other
+operand.  Otherwise, with g1 = gcd(a, d) and g2 = gcd(c, b), the product
+(a/g1)(c/g2) / ((b/g2)(d/g1)) is already canonical: each numerator factor is
+coprime to both denominator factors, by the choice of the cross gcds and
+because a/b and c/d are reduced; and the denominator is primitive with a
+positive lead by Gauss's lemma, since graded lex order is multiplicative.  A
+cross gcd of 1 divides nothing.  The one exception is a slot relation where
+both numerators carry the pivot: their product has pivot degree 2.  When
+both denominators are split and the relation's rel_den is a constant r
+(every chart ring), Ring.reduce_const rewrites the pivot square, which
+divides the product by r^j; r^j joins the numerator's integer denominator,
+so the polynomial denominator stays primitive, and one cancel against the
+split reduces the result.  Any other such product goes through _normalize.
+
+dot(ring, pairs) sums the products a*b over one common denominator: the
+numerators multiply with no cross gcd (a pivot square reduced as above),
+the lcm c * x^max(a) * F^max(k) of the products' splits comes from their
+exponents (Ring.split_lcm), each numerator is scaled by its cofactor, and
+the sum takes one cancel against the lcm, where k sequential products and
+sums take 3k - 1.  Pairs off that route are added sequentially.
 
 The derivative by v of p/q with q = x^a * F^k, F a ring's known factor (a
 chart ring, F = disc), or k = 0 in any ring, follows the logarithmic
@@ -56,9 +69,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from math import lcm
 
 from .errors import KernelInvariant
-from .ring import Poly, _primitive, _tadd, _tmul, _tscale
+from .ring import Poly, _primitive, _tadd, _tmul, _tscale, _tsum
 
 
 class RatFn:
@@ -126,8 +140,10 @@ class RatFn:
         if b.is_zero:
             return a
         a.num._chk(b.num)
-        # Henrici addition, see the module docstring
         ring = a.ring
+        if a.is_const and b.is_const:
+            return _raw(a.num + b.num, ring.one)
+        # Henrici addition, see the module docstring
         sb, sd = a.den.known_split(), b.den.known_split()
         split = sb and sd
         if split:
@@ -181,6 +197,8 @@ class RatFn:
             a, b = b, a
         if b.is_const:
             (k,) = b.num.terms.values()
+            if k == 1 and b.num.den == 1:
+                return a
             return _raw(Poly._trusted(ring, _tscale(a.num.terms, k),
                                       a.num.den * b.num.den), a.den)
         A, B, C, D = a.num.terms, a.den.terms, b.num.terms, b.den.terms
@@ -195,6 +213,10 @@ class RatFn:
             den = Poly._trusted(ring, _tmul(B, D))
         num = Poly._trusted(ring, _tmul(A, C), a.num.den * b.num.den)
         if ring.has_pivot(A) and ring.has_pivot(C):
+            red = sb and sd and ring.reduce_const(num.terms)
+            if red:
+                return _over_split(ring, red[0], num.den * red[1],
+                                   den.known_split())
             return RatFn(num, den)
         return _raw(num, den)
 
@@ -250,10 +272,7 @@ class RatFn:
         known = q.known_split()
         if known:
             N, known = ring.derive_split(p.terms, known, var)
-            if not N:
-                return _raw(ring.zero, ring.one)
-            _, N, known = ring.cancel_split(N, known)
-            return _raw(Poly._trusted(ring, N, p.den), ring.split_poly(known))
+            return _over_split(ring, N, p.den, known)
         return RatFn(p.derive(var) * q - p * q.derive(var), q * q)
 
     def subs(self, mapping):
@@ -300,6 +319,44 @@ def _raw(num, den):
     r = RatFn.__new__(RatFn)
     r.num, r.den = num, den
     return r
+
+
+def _over_split(ring, T, nd, split):
+    """The canonical RatFn T / (nd * D) for the integer term dict T, of
+    pivot degree <= 1, the positive int nd and D given by split: one cancel
+    against the split."""
+    if not T:
+        return _raw(ring.zero, ring.one)
+    _, T, split = ring.cancel_split(T, split)
+    return _raw(Poly._trusted(ring, T, nd), ring.split_poly(split))
+
+
+def dot(ring, pairs):
+    """Sum of a * b over the (a, b) pairs of RatFns in ring, over one
+    common denominator; see the module docstring."""
+    fused, rest = [], _raw(ring.zero, ring.one)
+    for a, b in pairs:
+        if a.is_zero or b.is_zero:
+            continue
+        a.num._chk(b.num)
+        sa, sb = a.den.known_split(), b.den.known_split()
+        red = None
+        if sa and sb:
+            A, C = a.num.terms, b.num.terms
+            red = (_tmul(A, C), 1)
+            if ring.has_pivot(A) and ring.has_pivot(C):
+                red = ring.reduce_const(red[0])
+        if red:
+            fused.append((red[0], a.num.den * b.num.den * red[1], (sa, sb)))
+        else:
+            rest = rest + a * b
+    if not fused:
+        return rest
+    L, cofs = ring.split_lcm([s for _, _, s in fused])
+    nd = lcm(*(d for _, d, _ in fused))
+    T = _tsum((N if cof is None else _tmul(N, cof), nd // d)
+              for (N, d, _), cof in zip(fused, cofs))
+    return _over_split(ring, T, nd, L) + rest
 
 
 def _normalize(num, den):

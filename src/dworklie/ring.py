@@ -38,16 +38,18 @@ Boundary: only this module knows how a monomial is encoded and how monomials
 are ordered.  Other modules name variables and use
   Ring: var, const, with_relation, extend, factor_pow, cancel, has_pivot (the
         pivot test) and rationalize (the conjugate step after reduce_terms);
-        ratfn also uses the split methods split_terms, split_poly,
-        split_gcd, cancel_split and derive_split (the logarithmic
-        derivative over a split denominator);
+        ratfn also uses reduce_const (the pivot reduction when rel_den is
+        a constant) and the split methods split_terms, split_poly,
+        split_gcd, split_lcm (the lcm of products of splits, with each
+        product's cofactor), cancel_split and derive_split (the
+        logarithmic derivative over a split denominator);
   Poly: arithmetic, divmod (division with remainder), derive, eval, lift (also
         down to a prefix ring), support, weighted_degrees, coeffs (over
         one variable), items (the terms in order, each a coefficient and
         (name, power) pairs), is_zero, is_const, const_value and
         known_split.
-ratfn alone also hands term dicts, as opaque values, to _tadd, _tmul, _tscale
-and _primitive, and builds results with Poly._trusted, so that its Henrici
+ratfn alone also hands term dicts, as opaque values, to _tadd, _tsum, _tmul,
+_tscale and _primitive, and builds results with Poly._trusted, so that its Henrici
 sums and products build no Poly per operation beyond their results.  Splits
 are opaque to it too: it passes them between the Ring methods above and
 tests only whether a Poly has one.  Exponent tuples enter only as
@@ -111,6 +113,16 @@ def _tadd(A, B):
         else:
             out.pop(e, None)
     return out
+
+
+def _tsum(items):
+    """Sum of k * T over the (T, k) pairs of term dicts and ints."""
+    out = {}
+    get = out.get
+    for T, k in items:
+        for e, c in T.items():
+            out[e] = get(e, 0) + c * k
+    return {e: c for e, c in out.items() if c}
 
 
 def _tneg(A):
@@ -651,6 +663,26 @@ class Ring:
         p._ks = (c, a, k)
         return p
 
+    def split_lcm(self, pairs):
+        """(l, cofactors) for the lcm l of the products D = D1 * D2 of the
+        pairs of polynomials given by their splits (s1, s2): F is prime to
+        every monomial and integer, so l = lcm(c) * x^max(a) * F^max(k), each
+        maximum over the exponents, a + b - gcd(a, b) fieldwise for two
+        monomials.  Each product's cofactor l / D comes as a term dict, None
+        where it is 1."""
+        prods = [(c1 * c2, a1 + a2, k1 + k2)
+                 for (c1, a1, k1), (c2, a2, k2) in pairs]
+        cl, al, kl = 1, 0, 0
+        for c, a, k in prods:
+            if a & _G:
+                raise _overflow()
+            cl, kl = lcm(cl, c), max(kl, k)
+            al += a - _mono_gcd((al,), (a,), self.nvars)
+        L = (cl, al, kl)
+        return L, [None if s == L else
+                   self.split_terms((cl // s[0], al - s[1], kl - s[2]))
+                   for s in prods]
+
     def split_gcd(self, s1, s2):
         """(g, s1/g, s2/g) as splits for g = gcd(B, D) of the polynomials B
         and D with splits s1 and s2: F is prime to every monomial and integer,
@@ -757,6 +789,17 @@ class Ring:
         if out and max(out) & _G:
             raise _overflow()
         return out, kmax
+
+    def reduce_const(self, T):
+        """(T', q) with T == T'/q and pivot degree <= 1 in T', q a positive
+        integer, when the relation's rel_den is a constant (every chart
+        ring); None when it is not."""
+        rd = self.rel_den
+        if len(rd) != 1 or 0 not in rd:
+            return None
+        T, k = self.reduce_terms(T)
+        q = rd[0] ** k
+        return (T, q) if q > 0 else (_tneg(T), -q)
 
     def has_pivot(self, T):
         """Whether the relation pivot occurs in the term dict T."""

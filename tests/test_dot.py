@@ -1,0 +1,205 @@
+"""ratfn.dot, the sum of products over one common denominator, against the
+sequential sum of fully normalised products; the pivot products that the
+split route reduces; the constant-sum and unit shortcuts of RatFn; and the
+traffic the fused sums save in OneFormMat.contract."""
+
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+import dworklie as dw
+from dworklie import Poly, RatFn, Ring, ratfn
+from dworklie.group import basis_pairs
+from dworklie.linalg import MatF
+from dworklie.ratfn import dot
+from dworklie.ring import _pack, _primitive
+
+KNOWN = ((3, 0, 0), 1)  # F = x^3 - y
+PLAIN = Ring(("x", "y", "z"))
+FACTOR = Ring(("x", "y", "z"), factor=KNOWN)
+# u^2 = (y - x)/4: a constant rel_den other than 1, as in the n = 6 chart
+CONST_REL = Ring(("x", "y", "u"), pivot=2,
+                 rel_num={(0, 1, 0): 1, (1, 0, 0): -1},
+                 rel_den={(0, 0, 0): 4}, factor=KNOWN)
+# u^2 = (y - x)/(x + 1): rel_den is not a constant, so a pivot product
+# leaves the split route
+POLY_REL = Ring(("x", "y", "u"), pivot=2,
+                rel_num={(0, 1, 0): 1, (1, 0, 0): -1},
+                rel_den={(1, 0, 0): 1, (0, 0, 0): 1}, factor=KNOWN)
+RINGS = [PLAIN, FACTOR, CONST_REL, POLY_REL]
+
+
+def full_product(a, b):
+    return RatFn(a.num * b.num, a.den * b.den)
+
+
+def reference_dot(ring, pairs):
+    """The sequential sum of the products, each step normalised in full."""
+    out = RatFn.of(ring, 0)
+    for a, b in pairs:
+        p = full_product(a, b)
+        out = RatFn(out.num * p.den + p.num * out.den, out.den * p.den)
+    return out
+
+
+def assert_canonical(r):
+    """A primitive, positive denominator whose kept split is its own."""
+    c, D = _primitive(r.den.terms)
+    assert c == 1 and D == r.den.terms and r.den.den == 1
+    assert r.den.known_split() == (r.ring._known_split(r.den.terms) or False)
+
+
+monomials = st.tuples(*[st.integers(0, 2)] * 3)
+numerators = st.dictionaries(monomials, st.integers(-4, 4).filter(bool),
+                             min_size=1, max_size=3)
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@st.composite
+def fractions(draw, ring):
+    """p / (x^a F^k), F^k only where the ring knows F, and times x + 1 for
+    some draws so that the denominator has no split.  In the relation rings
+    a numerator may carry the pivot u, up to u^2."""
+    num = Poly(ring, {_pack(e, 3): c for e, c in draw(numerators).items()},
+               draw(st.integers(1, 3)))
+    a = _pack((draw(st.integers(0, 2)), draw(st.integers(0, 2)), 0), 3)
+    k = draw(st.integers(0, 2)) if ring.factor else 0
+    den = Poly(ring, ring.split_terms((1, a, k)))
+    if draw(st.integers(0, 3)) == 0:
+        den = den * (ring.var("x") + ring.one)
+    return RatFn(num, den)
+
+
+@st.composite
+def dot_operands(draw):
+    """1 to 4 pairs: fractions, all constants, or fractions followed by a
+    pair that undoes their sum."""
+    ring = draw(st.sampled_from(RINGS))
+    size = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["fractions", "constants", "cancel"]))
+    if kind == "constants":
+        return ring, [(RatFn.of(ring, draw(rationals)),
+                       RatFn.of(ring, draw(rationals))) for _ in range(size)]
+    pairs = [(draw(fractions(ring)), draw(fractions(ring)))
+             for _ in range(size)]
+    if kind == "cancel":
+        pairs.append((-reference_dot(ring, pairs), RatFn.of(ring, 1)))
+    return ring, pairs
+
+
+@given(dot_operands())
+@settings(max_examples=150, deadline=None)
+def test_dot_matches_the_sequential_sum(ops):
+    ring, pairs = ops
+    got = dot(ring, pairs)
+    assert got == reference_dot(ring, pairs)
+    assert_canonical(got)
+
+
+@given(st.sampled_from([CONST_REL, POLY_REL]), st.data())
+@settings(max_examples=100, deadline=None)
+def test_pivot_products_match_full_normalisation(ring, data):
+    u = ring.var("u")
+    a, b = (data.draw(fractions(ring)) for _ in range(2))
+    a, b = a * RatFn(u + ring.one), b * RatFn(u - ring.var("y"))
+    for got in (a * b, dot(ring, [(a, b)]), dot(ring, [(a, b), (b, b)])):
+        assert_canonical(got)
+    assert a * b == dot(ring, [(a, b)]) == full_product(a, b)
+    assert dot(ring, [(a, b), (b, b)]) == reference_dot(ring, [(a, b), (b, b)])
+
+
+def test_dot_of_nothing_and_of_zeros_is_zero():
+    zero, x = RatFn.of(FACTOR, 0), RatFn.var(FACTOR, "x")
+    assert dot(FACTOR, []) == zero
+    assert dot(FACTOR, [(zero, x), (x, zero)]) == zero
+
+
+def chart_values(n):
+    """The entries of the connection and the coefficients of the basis
+    fields of the chart for n."""
+    ch = dw.resolve_chart(n)
+    A = dw.full_connection(ch)
+    out = [a for v in A.vars() for _, a in A.get(v).entries()]
+    for V in dw.basis_vf(n).values():
+        out += [V.get(v) for v in V.vars()]
+    return ch.ring, out
+
+
+def test_dot_matches_the_sequential_sum_in_chart_rings():
+    for n in (2, 4, 6):
+        ring, values = chart_values(n)
+        rng = random.Random(40 + n)
+        for _ in range(12):
+            pairs = [(rng.choice(values), rng.choice(values) * rng.choice([1, -2]))
+                     for _ in range(rng.randint(1, 5))]
+            got = dot(ring, pairs)
+            assert got == reference_dot(ring, pairs)
+            assert_canonical(got)
+            assert dot(ring, pairs + [(-got, RatFn.of(ring, 1))]).is_zero
+
+
+def test_chart_pivot_products_keep_the_denominator_primitive():
+    # at n = 6 the relation's rel_den is 2^18, so a pivot square brings a
+    # constant that belongs to the numerator
+    ring, values = chart_values(6)
+    assert ring.rel_den == {0: 262144}
+    piv = [a for a in values if ring.has_pivot(a.num.terms)]
+    rng = random.Random(6)
+    for _ in range(10):
+        a, b = rng.choice(piv), rng.choice(piv)
+        want = full_product(a, b)
+        for got in (a * b, dot(ring, [(a, b)])):
+            assert got == want
+            assert_canonical(got)
+
+
+def test_constant_sums_are_canonical():
+    ring = FACTOR
+    s = RatFn.of(ring, Fraction(1, 6)) + RatFn.of(ring, Fraction(1, 3))
+    assert s.num.den == 2 and s.den == ring.one
+    assert s == RatFn.of(ring, Fraction(1, 2)) == RatFn(ring.const(Fraction(1, 2)))
+    for a in (RatFn.of(ring, Fraction(-7, 4)), RatFn.var(ring, "y") / 3):
+        assert (a + (-a)).is_zero and (a + (-a)) == RatFn.of(ring, 0)
+
+
+def test_a_product_with_one_is_the_other_operand():
+    for ring in RINGS:
+        x = RatFn.var(ring, "x") / (RatFn.var(ring, "y") + 2)
+        one = RatFn.of(ring, 1)
+        assert x * one is x and one * x is x
+        assert repr(x * 1) == repr(x) and x * 1 == x
+
+
+def sequential_contract(A, V):
+    out = MatF.zeros(A.ring, A.size)
+    for v in A.vars():
+        out = out + A.get(v).scale(V.get(v))
+    return out
+
+
+def test_contract_takes_no_normalisation(monkeypatch):
+    """Each entry of contract is one dot, even where the products carry
+    the pivot of the n = 4 chart."""
+    ch = dw.resolve_chart(4)
+    A = dw.full_connection(ch)
+    rng = random.Random(4)
+    pairs = basis_pairs(4)
+    t1 = RatFn.var(ch.ring, "t1")
+    fields = []
+    for _ in range(5):
+        f0 = RatFn.of(ch.ring, Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+        coeffs = {p: t1 ** rng.randint(0, 2) * rng.randint(-3, 3)
+                  for p in rng.sample(pairs, 2)}
+        fields.append(dw.membership_build(f0, coeffs, 4))
+    want = [sequential_contract(A, V) for V in fields]
+    calls = []
+    plain = ratfn._normalize
+
+    def counted(num, den):
+        calls.append(1)
+        return plain(num, den)
+
+    monkeypatch.setattr(ratfn, "_normalize", counted)
+    assert [A.contract(V) for V in fields] == want
+    assert calls == []

@@ -6,12 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from dworklie import (RatFn, act, basis_pairs, basis_vf, compose,
-                      decompose_elem, group_elem, infinitesimal, lie_gen,
-                      resolve_chart, symbolic_elem)
+from dworklie import (MatF, RatFn, act, basis_pairs, basis_vf, compose,
+                      decompose_elem, group, group_elem, infinitesimal,
+                      lie_gen, resolve_chart, symbolic_elem)
 from dworklie.errors import ZeroScalar
 from dworklie.geometry import family_dims, pairing_form
-from dworklie.group import subgroup_counts
+from dworklie.group import factor_delta, factor_matrix, subgroup_counts
 
 # which signed basis field each one-parameter derivative lands on
 INFINITESIMAL_SIGNS = {
@@ -44,6 +44,32 @@ def test_symbolic_element_preserves_pairing(n):
 def test_decomposition_roundtrip(n):
     rng = random.Random(1000 + n)
     for _ in range(100):
+        g = group_elem(n, random_params(n, rng))
+        assert decompose_elem(n, g.matrix) == g.params
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_factors_are_the_identity_plus_a_small_delta(n):
+    ring = resolve_chart(n).ring
+    d, _, _ = family_dims(n)
+    eye, phi = MatF.identity(ring, n + 1), pairing_form(ring, n)
+    for i in range(1, d):
+        for gamma in (Fraction(-3, 2), RatFn.var(ring, "t1")):
+            D = factor_delta(n, i, gamma, ring)
+            F = factor_matrix(n, i, gamma, ring)
+            assert eye + D == F and 1 <= len(D.entries()) <= 3
+            assert F.transpose() @ phi @ F == phi
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_round_trip_builds_no_full_factor(n, monkeypatch):
+    """group_elem and decompose_elem apply each factor as M + M @ D."""
+    def refuse(*args):
+        raise AssertionError("a full factor matrix was built")
+
+    monkeypatch.setattr(group, "factor_matrix", refuse)
+    rng = random.Random(2000 + n)
+    for _ in range(5):
         g = group_elem(n, random_params(n, rng))
         assert decompose_elem(n, g.matrix) == g.params
 
