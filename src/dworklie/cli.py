@@ -4,7 +4,8 @@ Every subcommand emits a deterministic byte stream for a fixed invocation:
 iteration follows the chart coordinate order, JSON keys are sorted, and no
 timestamps or addresses leak into the output.  Exit codes: 0 emitted or all
 checks passed, 1 a verification mismatch (a diff is printed), 2 a structural
-failure, 64 a usage error.
+failure, 64 a usage error or a fixture file that cannot be read, parsed or
+written (one "error: <path>: <reason>" line on stderr).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .liealg import (NotMember, Row, amsy_decompose, fR_identities, mismatch,
                      verify_flatness, verify_theorem2)
 from .linalg import VecField
 from .modular import (basis_vf, modular_vf, sl2_triple, truncate_poly, weights)
-from .ratfn import LATEX, RatFn, parse_ratfn, ratfn_string
+from .ratfn import LATEX, ParseError, RatFn, parse_ratfn, ratfn_string
 
 EX_OK, EX_MISMATCH, EX_STRUCTURAL, EX_USAGE = 0, 1, 2, 64
 
@@ -110,10 +111,13 @@ def chart_doc(ch, obj, c_mode):
 # ---------------------------------------------------------------------------
 # fixtures
 
+FIXTURE_FIELDS = ("modular", "weight", "lowering")
+
+
 def _ra_fields(n, cn):
     R, _ = modular_vf(n, cn)
     tr = sl2_triple(n, cn)
-    return (("modular", R), ("weight", tr.Hf), ("lowering", tr.F))
+    return tuple(zip(FIXTURE_FIELDS, (R, tr.Hf, tr.F)))
 
 
 def fixture_payload(n):
@@ -125,28 +129,48 @@ def fixture_payload(n):
     return out
 
 
-def load_fixture(n, override_dir):
-    for base in (override_dir, os.environ.get("DWORK_FIXTURES")):
-        if base:
-            path = Path(base) / f"n{n}.json"
-            if not path.is_file():
-                return None
-            return json.loads(path.read_text())
-    res = resources.files(__package__) / "fixtures" / f"n{n}.json"
-    if not res.is_file():
+class FixtureError(Exception):
+    """A fixture file that cannot be written, read or parsed; the message
+    is "<path>: <reason>"."""
+
+
+def load_fixture(ch, override_dir):
+    """The fixture of the chart ch, its three fields parsed over ch.ring and
+    its relation string, or None when there is none."""
+    base = override_dir or os.environ.get("DWORK_FIXTURES")
+    root = Path(base) if base else resources.files(__package__) / "fixtures"
+    path = root / f"n{ch.n}.json"
+    if not path.is_file():
         return None
-    return json.loads(res.read_text())
+    try:
+        data = json.loads(path.read_text())
+    except OSError as e:
+        raise FixtureError(f"{path}: {e.strerror}")
+    except ValueError as e:
+        raise FixtureError(f"{path}: not JSON: {e}")
+    relation = data.get("relation", 0) if isinstance(data, dict) else 0
+    if not isinstance(relation, (str, type(None))):
+        raise FixtureError(f"{path}: no 'relation' string or null")
+    fix = {"relation": relation}
+    for name in FIXTURE_FIELDS:
+        table = data.get(name)
+        if not isinstance(table, dict):
+            raise FixtureError(f"{path}: no {name!r} component table")
+        comps = {}
+        for v, s in table.items():
+            if v not in ch.coords or not isinstance(s, str):
+                raise FixtureError(f"{path}: {name}: {v!r} is not a chart "
+                                   "coordinate with a string component")
+            try:
+                comps[v] = parse_ratfn(ch.ring, s)
+            except (ParseError, ZeroDivisionError) as e:
+                raise FixtureError(f"{path}: {name}: {v}: {e}")
+        fix[name] = VecField(ch.ring, comps)
+    return fix
 
 
 # ---------------------------------------------------------------------------
 # verification suites
-
-def _field_row(name, got, spec):
-    """Row comparing the field got with the field spec, given as canonical
-    component strings (a fixture's or a closed form's)."""
-    return Row.compare(name, got,
-                       VecField(got.ring, parse_field(got.ring, spec)))
-
 
 def _value_row(name, got, want):
     """Row comparing got with want, each printed by its canonical string."""
@@ -165,10 +189,10 @@ def _suite_omega(n, c, fix):
     checks.append(Row("omega: coupling band is pairing-antisymmetric",
                       (Ymat @ ch.phi + ch.phi @ Ymat.transpose()).is_zero))
     if fix is not None:
-        checks.append(_field_row("omega: modular field matches fixture", R,
-                                 fix["modular"]))
+        checks.append(Row.compare("omega: modular field matches fixture", R,
+                                  fix["modular"]))
         checks.append(_value_row("omega: chart relation matches fixture",
-                                 ch.relation_string(), fix.get("relation")))
+                                 ch.relation_string(), fix["relation"]))
     return checks
 
 
@@ -184,8 +208,8 @@ def _suite_sl2(n, c, fix):
         return [Row("sl2: defining bracket relations", False, [str(e)])]
     checks = [Row("sl2: defining bracket relations", True)]
     if fix is not None:
-        checks.append(_field_row("sl2: lowering field matches fixture", tr.F,
-                                 fix["lowering"]))
+        checks.append(Row.compare("sl2: lowering field matches fixture", tr.F,
+                                  fix["lowering"]))
     return checks
 
 
@@ -196,8 +220,8 @@ def _suite_weights(n, c, fix):
         checks.append(Row(f"weights: {label} is quasi-homogeneous of "
                           f"degree {expect}", ok, [f"actual degree {actual}"]))
     if fix is not None:
-        checks.append(_field_row("weights: grading field matches fixture",
-                                 sl2_triple(n, c).Hf, fix["weight"]))
+        checks.append(Row.compare("weights: grading field matches fixture",
+                                  sl2_triple(n, c).Hf, fix["weight"]))
     checks += [Row(f"weights: {r.name}", r.equal, r.detail)
                for r in fR_identities(n, c)]
     return checks
@@ -270,8 +294,9 @@ def _suite_membership(n, c, fix):
     checks.append(Row("membership: modular field decomposes as itself", triv))
     if n in TRUNCATED:
         T = truncate_poly(R)
-        checks.append(_field_row("membership: truncation matches the closed "
-                                 "form", T, TRUNCATED[n]))
+        checks.append(Row.compare(
+            "membership: truncation matches the closed form", T,
+            VecField(ch.ring, parse_field(ch.ring, TRUNCATED[n]))))
         res = amsy_decompose(T, n, c)
         if n == 3:
             if isinstance(res, NotMember):
@@ -468,7 +493,7 @@ def cmd_decompose(ch, args):
 
 
 def cmd_verify(ch, args):
-    fix = load_fixture(args.n, args.fixtures) if args.cn is None else None
+    fix = load_fixture(ch, args.fixtures) if args.cn is None else None
     checks = []
     for name in SUITES if args.suite == "all" else (args.suite,):
         checks.extend(SUITE_FN[name](args.n, args.cn, fix))
@@ -510,10 +535,13 @@ def cmd_cy3(ch, args):
 
 def cmd_fixtures(ch, args):
     dest = Path(args.fixtures)
-    dest.mkdir(parents=True, exist_ok=True)
     path = dest / f"n{args.n}.json"
-    path.write_text(json.dumps(fixture_payload(args.n), sort_keys=True,
-                               indent=2) + "\n")
+    text = json.dumps(fixture_payload(args.n), sort_keys=True, indent=2)
+    try:
+        dest.mkdir(parents=True, exist_ok=True)
+        path.write_text(text + "\n")
+    except OSError as e:
+        raise FixtureError(f"{e.filename or path}: {e.strerror or e}")
     return [f"wrote {path}"]
 
 
@@ -648,6 +676,9 @@ def main(argv=None):
     except DworkError as e:
         print(f"structural failure: {type(e).__name__}: {e}", file=sys.stderr)
         return EX_STRUCTURAL
+    except FixtureError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EX_USAGE
     for line in out:
         print(line)
     return code

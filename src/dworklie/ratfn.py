@@ -7,62 +7,53 @@ Invariants after every operation:
     numerator has pivot degree <= 1.
 Equality of canonical forms is therefore structural equality.
 
-Addition keeps these without a full normalisation (Henrici, J. ACM 3, 1956):
-for canonical a/b and c/d with g = gcd(b, d), the sum is t/(b*(d/g)) with
-t = a*(d/g) + c*(b/g), and only gcd(t, g) can cancel, since t is coprime to
-both b/g and d/g.  So the one numerator gcd is taken against g, and skipped
-when g = 1.  The denominator stays primitive, positive and pivot-free, and t
-keeps pivot degree <= 1, because b and d are pivot-free.  A sum of two
-constants is one integer cross-multiplication.
+Two routes reduce a fraction.  A denominator with a split c * x^a * F^k,
+F a ring's known factor (a chart ring's disc), or c * x^a with k = 0 in any
+ring (Poly.known_split), is cancelled by Ring.cancel_split from its
+exponents, since only the integer content, the monomial and a power of the
+irreducible F can cancel, and the result keeps its split.  Any other
+denominator is normalised once, by _normalize through Ring.cancel, the
+general gcd: a/b + c/d with b or d unsplit is (a*d + c*b)/(b*d) and
+(a/b)(c/d) is (a*c)/(b*d), each normalised.  _normalize itself finishes
+through the split route when the primitive denominator it reaches is split.
+
+Sums over split denominators follow Henrici (J. ACM 3, 1956): for canonical
+a/b and c/d with g = gcd(b, d), taken from the exponents (Ring.split_gcd),
+the sum is t/(b*(d/g)) with t = a*(d/g) + c*(b/g), and only gcd(t, g) can
+cancel, since t is coprime to both b/g and d/g.  The denominator stays
+primitive, positive and pivot-free, and t keeps pivot degree <= 1, because
+b and d are pivot-free.  A sum of two constants is one integer
+cross-multiplication.
 
 Products follow Henrici's rule too.  A constant factor is a unit: it scales
 the other numerator and takes no gcd, and a factor 1 returns the other
-operand.  Otherwise, with g1 = gcd(a, d) and g2 = gcd(c, b), the product
-(a/g1)(c/g2) / ((b/g2)(d/g1)) is already canonical: each numerator factor is
-coprime to both denominator factors, by the choice of the cross gcds and
-because a/b and c/d are reduced; and the denominator is primitive with a
-positive lead by Gauss's lemma, since graded lex order is multiplicative.  A
-cross gcd of 1 divides nothing.  The one exception is a slot relation where
-both numerators carry the pivot: their product has pivot degree 2.  When
-both denominators are split and the relation's rel_den is a constant r
-(every chart ring), Ring.reduce_const rewrites the pivot square, which
-divides the product by r^j; r^j joins the numerator's integer denominator,
-so the polynomial denominator stays primitive, and one cancel against the
-split reduces the result.  Any other such product goes through _normalize.
+operand.  Otherwise, over split denominators, with g1 = gcd(a, d) and
+g2 = gcd(c, b), the product (a/g1)(c/g2) / ((b/g2)(d/g1)) is canonical:
+each numerator factor is coprime to both denominator factors, and the
+denominator is primitive with a positive lead by Gauss's lemma, since
+graded lex order is multiplicative.  Where both numerators carry a relation
+pivot, the product has pivot degree 2 and goes through _normalize.
 
 dot(ring, pairs) sums the products a*b over one common denominator: the
-numerators multiply with no cross gcd (a pivot square reduced as above),
-the lcm c * x^max(a) * F^max(k) of the products' splits comes from their
-exponents (Ring.split_lcm), each numerator is scaled by its cofactor, and
-the sum takes one cancel against the lcm, where k sequential products and
-sums take 3k - 1.  Pairs off that route are added sequentially.
+numerators multiply with no cross gcd (when the relation's rel_den is a
+constant r, as in every chart ring, Ring.reduce_const rewrites a pivot
+square and r^j joins the numerator's integer denominator), each is scaled
+by its cofactor in the lcm c * x^max(a) * F^max(k) of the products' splits
+(Ring.split_lcm), and the sum takes one cancel against the lcm, where k
+sequential products and sums take 3k - 1.  Pairs off that route are added
+sequentially.
 
-The derivative by v of p/q with q = x^a * F^k, F a ring's known factor (a
-chart ring, F = disc), or k = 0 in any ring, follows the logarithmic
+The derivative by v of p/q with q = x^a * F^k split follows the logarithmic
 derivative q'/q = a_v/x_v + k F'/F:
 
     (p/q)' = (x_v F p' - a_v F p - k x_v F' p) / (x^(a + e_v) F^(k+1)),
 
-where x_v (or F) stays out of both sides when a_v (or k F') is 0.  The
-denominator is again of the known form, so one cancel against it reduces
-the result, where the quotient rule would cancel against q^2 and try up to
-2k divisions by F.  When both are 0, q' = 0 and the result is p'/q with the
-one gcd against q.  Any other q takes the quotient rule (p'q - pq')/q^2,
-normalised.  A relation pivot is an independent slot here, and q and F are
-pivot-free, so the derivative by the pivot is always p'/q, and the numerator
-keeps pivot degree <= 1.  Every other operation goes through _normalize.
-
-Each of these gcds, and the one in _normalize, is taken by Ring.cancel
-against a denominator-side operand.  When that operand is c * x^a * F^k, in
-a ring with a known factor F, or c * x^a, in any ring, its gcd with N is
-exact without a multivariate gcd: F is irreducible, so only the integer
-content, the monomial and the power of F that divides N can cancel (see
-ring.Ring).  Any other operand takes the general gcd.  Each denominator
-keeps its split (c, a, k) once found (Poly.known_split).  When both
-denominators of a sum or a product are split, the sum takes g = gcd(b, d)
-from the exponents (Ring.split_gcd), the cancels return the reduced
-denominators as splits (Ring.cancel_split), and the result's denominator is
-built from its split, which it keeps.
+where x_v (or F) stays out of both sides when a_v (or k F') is 0, and when
+both are 0 the result is p'/q.  The denominator is split again, so one
+cancel against it reduces the result.  Any other q takes the quotient rule
+(p'q - pq')/q^2, normalised.  A relation pivot is an independent slot here,
+and q and F are pivot-free, so the derivative by the pivot is p'/q, and the
+numerator keeps pivot degree <= 1.
 """
 
 from __future__ import annotations
@@ -118,7 +109,7 @@ class RatFn:
 
     @staticmethod
     def var(ring, name):
-        return RatFn(ring.var(name))
+        return _raw(ring.var(name), ring.one)
 
     # -- arithmetic ---------------------------------------------------------
     def _coerce(self, other):
@@ -145,24 +136,17 @@ class RatFn:
             return _raw(a.num + b.num, ring.one)
         # Henrici addition, see the module docstring
         sb, sd = a.den.known_split(), b.den.known_split()
-        split = sb and sd
-        if split:
-            gs, sb, sd = ring.split_gcd(sb, sd)
-            bg, dg = ring.split_terms(sb), ring.split_terms(sd)
-        else:
-            g, bg, dg = ring.cancel(a.den.terms, b.den.terms, sd)
-        T = _tadd(_tscale(_tmul(a.num.terms, dg), b.num.den),
-                  _tscale(_tmul(b.num.terms, bg), a.num.den))
+        if not (sb and sd):
+            return RatFn(a.num * b.den + b.num * a.den, a.den * b.den)
+        gs, sb, sd = ring.split_gcd(sb, sd)
+        T = _tadd(_tscale(_tmul(a.num.terms, ring.split_terms(sd)), b.num.den),
+                  _tscale(_tmul(b.num.terms, ring.split_terms(sb)), a.num.den))
         if not T:
             return _raw(ring.zero, ring.one)
-        nd = a.num.den * b.num.den
         # b*(d/g)/h with h = gcd(T, g) is (b/g)*(d/g)*(g/h)
-        if split:
-            _, T, gs = ring.cancel_split(T, gs)
-            return _raw(Poly._trusted(ring, T, nd), ring.split_poly(sb, sd, gs))
-        _, T, g = ring.cancel(T, g)
-        return _raw(Poly._trusted(ring, T, nd),
-                    Poly._trusted(ring, _tmul(_tmul(bg, dg), g)))
+        _, T, gs = ring.cancel_split(T, gs)
+        return _raw(Poly._trusted(ring, T, a.num.den * b.num.den),
+                    ring.split_poly(sb, sd, gs))
 
     __radd__ = __add__
 
@@ -201,22 +185,14 @@ class RatFn:
                 return a
             return _raw(Poly._trusted(ring, _tscale(a.num.terms, k),
                                       a.num.den * b.num.den), a.den)
-        A, B, C, D = a.num.terms, a.den.terms, b.num.terms, b.den.terms
         sb, sd = a.den.known_split(), b.den.known_split()
-        if sb and sd:
-            _, A, sd = ring.cancel_split(A, sd)
-            _, C, sb = ring.cancel_split(C, sb)
-            den = ring.split_poly(sb, sd)
-        else:
-            _, A, D = ring.cancel(A, D, sd)
-            _, C, B = ring.cancel(C, B, sb)
-            den = Poly._trusted(ring, _tmul(B, D))
+        if not (sb and sd):
+            return RatFn(a.num * b.num, a.den * b.den)
+        _, A, sd = ring.cancel_split(a.num.terms, sd)
+        _, C, sb = ring.cancel_split(b.num.terms, sb)
         num = Poly._trusted(ring, _tmul(A, C), a.num.den * b.num.den)
+        den = ring.split_poly(sb, sd)
         if ring.has_pivot(A) and ring.has_pivot(C):
-            red = sb and sd and ring.reduce_const(num.terms)
-            if red:
-                return _over_split(ring, red[0], num.den * red[1],
-                                   den.known_split())
             return RatFn(num, den)
         return _raw(num, den)
 
@@ -365,18 +341,19 @@ def _normalize(num, den):
         raise KernelInvariant("mixed rings")
     if den.is_zero:
         raise ZeroDivisionError("zero denominator")
-    if num.is_zero:
-        return ring.zero, ring.one
-
     N, D = ring.rationalize(num.terms, den.terms)
     if not N:
         return ring.zero, ring.one
-    _, N, D = ring.cancel(N, D)
-    # value = N * den.den / ((cd * D) * num.den), D primitive; the Poly
-    # constructor cancels the integer content of N against q's denominator
+    # value = N * den.den / ((cd * D) * num.den) with D primitive
     cd, D = _primitive(D)
     q = Fraction(den.den, num.den * cd)
-    return Poly(ring, _tscale(N, q.numerator), q.denominator), Poly(ring, D, 1)
+    split = Poly._trusted(ring, D).known_split()
+    if split:
+        r = _over_split(ring, _tscale(N, q.numerator), q.denominator, split)
+        return r.num, r.den
+    N, D = ring.cancel(N, D)
+    return (Poly._trusted(ring, _tscale(N, q.numerator), q.denominator),
+            Poly._trusted(ring, D))
 
 
 # ---------------------------------------------------------------------------

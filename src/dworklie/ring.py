@@ -21,23 +21,23 @@ fieldwise minimum of two keys with one subtraction and a mask, and rebuilds
 the degree with one multiplication.  Poly.support jumps from one set field
 to the next instead of testing every variable.
 
-A ring may name one known irreducible factor F = x^r - x_v.  Ring.cancel then
-finds the gcd with a denominator c * x^a * F^k by exact division by F, not by
-a multivariate gcd (see Ring).  The triple (c, a, k), the split, is found
-once per Poly and kept on it (Poly.known_split).  A one-term polynomial
-c * x^a is split as (c, a, 0) in every ring, with a known factor or not, so
-the constant and monomial denominators of any ring take the same route.
-The kernel works on splits where it can: the gcd of two split denominators
-comes from their exponents (Ring.split_gcd), the reduced denominator of a
-cancel is a split again (Ring.cancel_split), and a product of splits is
-built from the cached F^k by one shift (Ring.split_poly).  Kernel results
-with no zero coefficient enter Poly through Poly._trusted, which skips the
-zero filter and, over den 1, the content scan.
+A ring may name one known irreducible factor F = x^r - x_v.  A polynomial
+c * x^a * F^k, or c * x^a in any ring, has the split (c, a, k), found once
+per Poly and kept on it (Poly.known_split), and the kernel works on splits:
+the gcd with a split denominator comes by exact division by F, not by a
+multivariate gcd, and the reduced denominator is a split again
+(Ring.cancel_split, see Ring); the gcd of two splits comes from their
+exponents (Ring.split_gcd), and a product of splits is built from the
+cached F^k by one shift (Ring.split_poly).  Any other denominator takes the
+general gcd (Ring.cancel).  Kernel results with no zero coefficient enter
+Poly through Poly._trusted, which skips the zero filter and, over den 1,
+the content scan.
 
 Boundary: only this module knows how a monomial is encoded and how monomials
 are ordered.  Other modules name variables and use
-  Ring: var, const, with_relation, extend, factor_pow, cancel, has_pivot (the
-        pivot test) and rationalize (the conjugate step after reduce_terms);
+  Ring: var, const, with_relation, extend, factor_pow, cancel (the general
+        gcd alone), has_pivot (the pivot test) and rationalize (the
+        conjugate step after reduce_terms);
         ratfn also uses reduce_const (the pivot reduction when rel_den is
         a constant) and the split methods split_terms, split_poly,
         split_gcd, split_lcm (the lcm of products of splits, with each
@@ -49,8 +49,8 @@ are ordered.  Other modules name variables and use
         (name, power) pairs), is_zero, is_const, const_value and
         known_split.
 ratfn alone also hands term dicts, as opaque values, to _tadd, _tsum, _tmul,
-_tscale and _primitive, and builds results with Poly._trusted, so that its Henrici
-sums and products build no Poly per operation beyond their results.  Splits
+_tscale and _primitive, and builds results with Poly._trusted, so that its
+split sums and products build no Poly beyond their results.  Splits
 are opaque to it too: it passes them between the Ring methods above and
 tests only whether a Poly has one.  Exponent tuples enter only as
 constructor input: the relation and the known factor of Ring(...), which
@@ -305,7 +305,8 @@ def _tdiv_known(T, known):
 #     shared variables only;
 #   * primitive subresultant PRS in the shared variable of least degree.
 # A one-term denominator, or one of the form c * x^a * F^k with F a ring's
-# known factor, never comes here: Ring.cancel finds its gcd exactly (see Ring).
+# known factor, never comes here: Ring.cancel_split finds its gcd exactly
+# (see Ring).
 
 def _uni_view(T, s, unit):
     """Split T into dict deg_v -> coefficient term-dict (v-exponent zeroed),
@@ -517,8 +518,9 @@ class Ring:
     coefficients x^r and -1, and it is prime to every monomial and integer.
     So for D = c * x^a * F^k,
     gcd(N, D) = igcd(content N, c) * x^min(a, ord N) * F^j, with j the largest
-    power up to k that divides N, and cancel() finds it without _tgcd.  D is
-    then given by its split (c, a, k); for two split polynomials the gcd is
+    power up to k that divides N, and cancel_split() finds it without _tgcd
+    from D's split (c, a, k); any other D takes cancel(), the general gcd.
+    For two split polynomials the gcd is
     igcd(c1, c2) * x^min(a1, a2) * F^min(k1, k2), from the exponents alone
     (split_gcd), and derive_split differentiates P / D by the logarithmic
     derivative of x^a * F^k.  With k = 0 none of this needs F, so a one-term
@@ -718,31 +720,20 @@ class Ring:
             N = _tadd(N, _tscale(_tmul(_tmul(x, dF), P), -k))
         return N, (c, a + unit if av else a, k + 1 if dF else k)
 
-    def cancel(self, N, D, known=None):
-        """(g, N/g, D/g) for g = gcd(N, D) of nonzero integer term dicts, g as
-        _tgcd gives it; N and D come back as they are when g = 1.  A D of the
-        form c * x^a * F^k takes the known-factor rule of the class docstring,
-        any other D takes _tgcd and two exact divisions.  known is D's split
-        when the caller has it, False when D is known not to be of the form;
-        None leaves cancel to find it."""
-        one = self.one.terms
-        if D == one:
-            return one, N, D
-        if known is None:
-            known = self._known_split(D)
-        if not known:
-            g = _tgcd(N, D, self.nvars)
-            if g == one:
-                return g, N, D
-            return g, _tdiv_strict(N, g), _tdiv_strict(D, g)
-        gs, N, rest = self.cancel_split(N, known)
-        if gs == (1, 0, 0):
-            return one, N, D
-        return self.split_terms(gs), N, self.split_terms(rest)
+    def cancel(self, N, D):
+        """(N/g, D/g) for g = gcd(N, D) of nonzero integer term dicts, by
+        _tgcd and two exact divisions: the general gcd, for a D with no
+        split (a split D takes cancel_split)."""
+        g = _tgcd(N, D, self.nvars)
+        if g == _ONE:
+            return N, D
+        return _tdiv_strict(N, g), _tdiv_strict(D, g)
 
     def cancel_split(self, N, split):
-        """(g, N/g, D/g) as cancel gives them, for D = c * x^a * F^k given by
-        split, with g and D/g as splits: the rule of the class docstring."""
+        """(g, N/g, D/g) for g = gcd(N, D), N a nonzero integer term dict and
+        D = c * x^a * F^k given by split, with g and D/g as splits: the rule
+        of the class docstring, with g as _tgcd would give it.  A D with no
+        split takes cancel."""
         c, a, k = split
         cg = 1 if c in (1, -1) else igcd(_content(N), c)
         m = _mono_gcd((a,), N, self.nvars) if a else 0

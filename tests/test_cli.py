@@ -192,6 +192,56 @@ def test_verify_detects_corrupted_fixture(tmp_path, capsys):
     assert "expected" in out and "got" in out
 
 
+# A fixture that cannot be written or read exits 64 with one error line
+# naming the file; exit 1 stays for a checked identity that failed.
+
+def bad_fixture(tmp_path, edit):
+    assert main(["fixtures", "--n", "1", "--fixtures", str(tmp_path)]) == 0
+    path = tmp_path / "n1.json"
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    return path
+
+
+def assert_fixture_error(capsys, argv, path, reason):
+    assert main(argv) == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"error: {path}: {reason}"]
+
+
+def test_fixtures_into_a_path_that_is_not_a_directory(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    dest = tmp_path / "file" / "x"
+    assert_fixture_error(capsys, ["fixtures", "--n", "1", "--fixtures",
+                                  str(dest)], dest, "Not a directory")
+
+
+def test_verify_refuses_a_fixture_that_is_not_json(tmp_path, capsys):
+    path = tmp_path / "n1.json"
+    path.write_text("{")
+    assert main(["verify", "--n", "1", "--fixtures", str(tmp_path)]) == 64
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith(f"error: {path}: not JSON: ")
+
+
+@pytest.mark.parametrize("edit,reason", [
+    (lambda d: d.pop("modular"), "no 'modular' component table"),
+    (lambda d: d.pop("relation"), "no 'relation' string or null"),
+    (lambda d: d["lowering"].update(t2="2 +* t1"),
+     "lowering: t2: unexpected token *"),
+    (lambda d: d["weight"].update(t9="1"),
+     "weight: 't9' is not a chart coordinate with a string component"),
+], ids=["missing-table", "missing-relation", "unparsable", "outside-chart"])
+def test_verify_refuses_a_malformed_fixture(tmp_path, capsys, edit, reason):
+    path = bad_fixture(tmp_path, edit)
+    capsys.readouterr()
+    assert_fixture_error(capsys, ["verify", "--n", "1", "--suite", "sl2",
+                                  "--fixtures", str(tmp_path)], path, reason)
+
+
 def test_decompose_member_and_obstruction(capsys):
     code, out = run(capsys, "decompose", "--n", "3")
     assert code == 0

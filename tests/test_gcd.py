@@ -1,6 +1,7 @@
 """The kernel gcd against sympy's, on operands whose variable supports differ,
-so that the support split in ring._tgcd decides the answer; and the
-known-factor path of Ring.cancel against _tgcd and exact division."""
+so that the support split in ring._tgcd decides the answer; and the two
+cancel routes, Ring.cancel_split for a split denominator and Ring.cancel for
+any other, against _tgcd and exact division."""
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -91,8 +92,9 @@ def test_quotient_with_a_common_factor_is_reduced():
 
 
 # The known factor F = x^3 - y, in a plain ring and in the relation ring
-# u^2 = (y - x)/(x + 1).  Ring.cancel must give what _tgcd and two exact
-# divisions give, whether or not D has the form c * x^b * F^k.
+# u^2 = (y - x)/(x + 1).  Ring.cancel_split, for D = c * x^b * F^k, and
+# Ring.cancel, for any other D, must give what _tgcd and two exact divisions
+# give.
 
 KNOWN = ((3, 0, 0), 1)
 F = pack({(3, 0, 0): 1, (0, 1, 0): -1}, 3)
@@ -119,7 +121,9 @@ def test_known_factor_cancel_matches_general_gcd(ring, f, a, j, c, b, k):
     N = _tmul(_tmul(f, {a: 1}), _tpow(F, j))
     D = _tmul({b: c}, _tpow(F, k))
     assert ring._known_split(D) == (c, b, k)
-    assert ring.cancel(N, D) == general_cancel(ring, N, D)
+    gs, Q, rest = ring.cancel_split(N, (c, b, k))
+    assert (ring.split_terms(gs), Q, ring.split_terms(rest)) == \
+        general_cancel(ring, N, D)
 
 
 X_PLUS_1 = pack({(1, 0, 0): 1, (0, 0, 0): 1}, 3)
@@ -138,7 +142,7 @@ NOT_KNOWN = [
 def test_other_denominators_take_the_general_path(ring, f, D, j):
     N = _tmul(_tmul(f, _tpow(F, j)), X_PLUS_1)
     assert ring._known_split(D) is None
-    assert ring.cancel(N, D) == general_cancel(ring, N, D)
+    assert ring.cancel(N, D) == general_cancel(ring, N, D)[1:]
 
 
 @given(polys, st.integers(0, 3), st.dictionaries(monomials, st.integers(-3, 3),

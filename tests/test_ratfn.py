@@ -8,6 +8,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+try:
+    import sympy
+except ImportError:
+    sympy = None
+needs_sympy = pytest.mark.skipif(sympy is None, reason="sympy not installed")
+
 from dworklie import (DworkError, Poly, RatFn, Ring, eq_by_random_eval, parse_ratfn,
                       ratfn_string, resolve_chart)
 from dworklie.ratfn import ParseError
@@ -164,8 +170,11 @@ def test_lift_drops_trailing_variables_that_do_not_occur():
         parse_ratfn(R3, "x*z").lift(R2)
 
 
-# Henrici addition against the plain formula it replaced: the sum over the
-# full product of the denominators, normalised in one go.
+# Henrici addition against the plain formula: the sum over the full product
+# of the denominators, normalised in one go.  Unsplit operands take that
+# formula themselves, so the reference has teeth in the known-factor rings,
+# where every denominator is split c * x^a * F^k and the sum takes Henrici's
+# rule over the split gcd; the sympy tests below check the other rings.
 
 def reference_add(f, g):
     return RatFn(f.num * g.den + g.num * f.den, f.den * g.den)
@@ -176,6 +185,12 @@ RU = Ring(("x", "y", "u"), pivot=2,
           rel_num={(0, 1, 0): 1, (1, 0, 0): -1},
           rel_den={(1, 0, 0): 1, (0, 0, 0): 1})
 
+# the known factor F = x^3 - y, in a plain ring and with u^2 = (y - x)/4
+KNOWN = ((3, 0, 0), 1)
+RF = Ring(("x", "y", "z"), factor=KNOWN)
+RFU = Ring(("x", "y", "u"), pivot=2, rel_num={(0, 1, 0): 1, (1, 0, 0): -1},
+           rel_den={(0, 0, 0): 4}, factor=KNOWN)
+
 # denominator factors in x and y only, so they are free of the pivot u
 FACTORS = [pack(f) for f in (
     {(1, 0, 0): 1}, {(0, 1, 0): 1}, {(1, 0, 0): 1, (0, 1, 0): -1},
@@ -185,18 +200,31 @@ factor_powers = st.lists(st.integers(0, 1), min_size=len(FACTORS),
                          max_size=len(FACTORS))
 
 
+# x, y and F: the factors of a split denominator
+SPLIT_FACTORS = (0, 1, 5)
+
+
 def denominator(ring, powers, scale):
+    """scale times the product of the FACTORS to the given powers; in a
+    known-factor ring only x, y and F count, so the result is split."""
+    if ring.factor:
+        powers = [k if i in SPLIT_FACTORS else 0
+                  for i, k in enumerate(powers)]
     p = ring.const(scale)
     for f, k in zip(FACTORS, powers):
         p = p * Poly(ring, f) ** k
     return p
 
 
+KERNEL_RINGS = (R3, RU, RF, RFU)
+RELATION_FREE = (R3, RF)
+
+
 @st.composite
-def sum_operands(draw):
+def sum_operands(draw, rings=KERNEL_RINGS):
     """Two fractions whose denominators share a factor, are coprime, or nest;
     or f and r - f, whose sum r cancels the factors the two have in common."""
-    ring = draw(st.sampled_from([R3, RU]))
+    ring = draw(st.sampled_from(rings))
     kind = draw(st.sampled_from(["shared", "coprime", "nested", "cancel"]))
     pb, pd = draw(factor_powers), draw(factor_powers)
     if kind == "shared":
@@ -225,6 +253,14 @@ def test_add_matches_full_product_normalisation(ops):
     assert (f + g) + f == reference_add(reference_add(f, g), f)
 
 
+def test_split_sum_and_product_cancel_the_known_factor():
+    x, y = RatFn.var(RF, "x"), RatFn.var(RF, "y")
+    F = x ** 3 - y
+    assert repr(1 / F + (F - 1) / F) == "1"
+    assert repr(x / (2 * F ** 2) + (F - x) / (2 * F ** 2)) == "1/(-2*y + 2*x^3)"
+    assert repr((F ** 2 / x) * (x ** 2 / F ** 3)) == "x/(-y + x^3)"
+
+
 # The product rule against the plain formula: the product of the numerators
 # over the product of the denominators, normalised in one go.
 
@@ -236,11 +272,11 @@ rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
 
 @st.composite
-def product_operands(draw):
+def product_operands(draw, rings=KERNEL_RINGS):
     """Two fractions and a rational k: one of the fractions a constant, or
     each numerator carrying the factors of the other denominator, or all
-    denominators coprime.  In RU most numerators carry the pivot u."""
-    ring = draw(st.sampled_from([R3, RU]))
+    denominators coprime.  In RU and RFU most numerators carry the pivot u."""
+    ring = draw(st.sampled_from(rings))
     kind = draw(st.sampled_from(["constant", "shared", "coprime"]))
     pb, pd = draw(factor_powers), draw(factor_powers)
     if kind == "coprime":
@@ -286,11 +322,11 @@ def reference_derive(f, v):
 
 
 @st.composite
-def derive_operands(draw):
+def derive_operands(draw, rings=(R3, RU)):
     """A fraction over a constant or a non-constant denominator in x and y,
     and a variable drawn from all of the ring's names, so it lies inside or
     outside the support; in RU it may be the pivot u."""
-    ring = draw(st.sampled_from([R3, RU]))
+    ring = draw(st.sampled_from(rings))
     num = Poly(ring, draw(numerators), draw(st.integers(1, 3)))
     powers = draw(factor_powers) if draw(st.booleans()) else []
     scale = draw(st.sampled_from([1, -1, 2, -3]))
@@ -305,6 +341,56 @@ def test_derive_matches_quotient_rule(op):
     d = f.derive(v)
     assert d == reference_derive(f, v)
     assert d.is_zero == (v not in f.support())
+
+
+# A second route for the relation-free rings: sympy.cancel of the same sum,
+# product or derivative.  The kernel's result must have that value, and its
+# numerator and denominator must share no factor.
+
+def to_sympy(p):
+    syms = dict(zip(p.ring.names, sympy.symbols(p.ring.names)))
+    out = sympy.Integer(0)
+    for c, powers in p.items():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for nm, k in powers:
+            term *= syms[nm] ** k
+        out += term
+    return out
+
+
+def sym(f):
+    return to_sympy(f.num) / to_sympy(f.den)
+
+
+def assert_is_cancelled(got, expr):
+    num, den = to_sympy(got.num), to_sympy(got.den)
+    want_num, want_den = sympy.fraction(sympy.cancel(expr))
+    assert sympy.expand(num * want_den - want_num * den) == 0
+    assert sympy.gcd(num, den).is_number
+
+
+@needs_sympy
+@given(sum_operands(RELATION_FREE))
+@settings(max_examples=40, deadline=None)
+def test_add_matches_sympy(ops):
+    f, g = ops
+    assert_is_cancelled(f + g, sym(f) + sym(g))
+
+
+@needs_sympy
+@given(product_operands(RELATION_FREE))
+@settings(max_examples=40, deadline=None)
+def test_mul_matches_sympy(ops):
+    f, g, _ = ops
+    assert_is_cancelled(f * g, sym(f) * sym(g))
+
+
+@needs_sympy
+@given(derive_operands(RELATION_FREE))
+@settings(max_examples=40, deadline=None)
+def test_derive_matches_sympy(op):
+    f, v = op
+    assert_is_cancelled(f.derive(v), sympy.diff(sym(f), sympy.Symbol(v)))
 
 
 def test_poly_derivative_is_canonical():

@@ -164,6 +164,24 @@ def test_chart_and_threefold_work_takes_no_general_gcd(monkeypatch):
     assert calls == []
 
 
+def test_chart_and_threefold_work_never_call_the_general_cancel(monkeypatch):
+    """Every normalisation in chart and threefold work, pivot products of
+    the symbolic chart included (its rel_den is 1296 c), finishes through the
+    split route; Ring.cancel is for unsplit denominators only."""
+    monkeypatch.setattr(chart, "_CACHE", {})
+
+    def refuse(self, N, D):
+        raise AssertionError("Ring.cancel reached")
+
+    monkeypatch.setattr(Ring, "cancel", refuse)
+    for c in (None, "sym"):
+        ch = dw.resolve_chart(4, c)
+        dw.full_connection(ch)
+        dw.modular_vf(4, c)
+    report = dw.verify_cy3_table(2)
+    assert dw.cy3_sl2(2, report).all_ok
+
+
 def test_known_factor_must_avoid_the_pivot():
     with pytest.raises(ValueError, match="pivot"):
         Ring(("x", "y", "u"), pivot=1, rel_num={(1, 0, 0): 1},
