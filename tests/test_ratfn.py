@@ -8,16 +8,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dworklie import (DworkError, Poly, RatFn, Ring, eq_by_random_eval, parse_ratfn,
+                      ratfn_string, resolve_chart)
+from dworklie.ratfn import ParseError
+from dworklie.ring import _pack, _unpack
+
 try:
     import sympy
 except ImportError:
     sympy = None
 needs_sympy = pytest.mark.skipif(sympy is None, reason="sympy not installed")
-
-from dworklie import (DworkError, Poly, RatFn, Ring, eq_by_random_eval, parse_ratfn,
-                      ratfn_string, resolve_chart)
-from dworklie.ratfn import ParseError
-from dworklie.ring import _pack, _unpack
 
 R3 = Ring(("x", "y", "z"))
 
@@ -245,7 +245,7 @@ def sum_operands(draw, rings=KERNEL_RINGS):
 
 
 @given(sum_operands())
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=160, deadline=None)
 def test_add_matches_full_product_normalisation(ops):
     f, g = ops
     assert f + g == reference_add(f, g)
@@ -294,7 +294,7 @@ def product_operands(draw, rings=KERNEL_RINGS):
 
 
 @given(product_operands())
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=160, deadline=None)
 def test_mul_matches_full_product_normalisation(ops):
     f, g, k = ops
     ring = f.ring
