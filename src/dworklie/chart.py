@@ -133,8 +133,14 @@ def build_chart(n, c_value=None):
     diagonal equation may solve the last slot of its own row, whose cached
     image is then completed in place.  For even n the first equation is the
     middle slot's, quadratic in its own bound coordinate: it becomes the
-    chart relation, and the rest is solved in the relation ring.  The full
-    identity S omega S^T = phi is re-checked at the end."""
+    chart relation, and the rest is solved in the relation ring.
+
+    The identity S omega S^T = phi is re-checked at the end on every cell
+    j <= i, with fresh images of the rows completed in place.  That is the
+    whole identity: pairing_matrix checks omega^T = +-omega exactly, so
+    (S omega S^T)^T = S omega^T S^T = +-S omega S^T, and phi has the same
+    transpose type; the difference of the two sides has it too, and its
+    cells above the diagonal mirror those below."""
     setup = Setup(n, c_value)
     conn = frame_connection(setup)
     omega = pairing_matrix(setup, conn)
@@ -209,11 +215,12 @@ def build_chart(n, c_value=None):
     for (i, j), v in entries.items():
         S.set1(i, j, v)
 
-    # full calibration re-check: S omega S^T = S U^T, with row j of U the
-    # image u_j; rows completed in place are imaged afresh
+    # calibration re-check: S omega S^T = S U^T, with row j of U the image
+    # u_j; rows completed in place are imaged afresh.  Both sides have the
+    # transpose type of omega, so the cells j <= i carry the identity
     U = MatF(ring, [(_row_image(om, size, entries, j) if j in completed
                      else images[j])[0] for j in range(1, size + 1)])
-    if S @ U.transpose() != phi:
+    if S.lower_product(U.transpose()) != phi.lower():
         raise EliminationStuck("final calibration identity failed")
 
     ch = Chart.__new__(Chart)

@@ -121,8 +121,11 @@ class GroupElem:
 def group_elem(n, params, c=None, ring=None):
     """Assemble an element from d-1 parameters (multiplicative ones first).
 
-    Raises ZeroScalar on a vanishing multiplicative parameter; the pairing
-    invariance of the assembled matrix is checked, not assumed.
+    Raises ZeroScalar on a vanishing multiplicative parameter.  The pairing
+    invariance M^T phi M = phi of the assembled matrix is checked, not
+    assumed, on the cells j <= i: phi^T = +-phi holds by construction, so
+    (M^T phi M)^T = M^T phi^T M = +-M^T phi M, and the cells above the
+    diagonal of both sides mirror those below.
     """
     d, m, _ = family_dims(n)
     if len(params) != d - 1:
@@ -134,7 +137,7 @@ def group_elem(n, params, c=None, ring=None):
     for i, gamma in enumerate(vals, start=1):
         M = M + M @ factor_delta(n, i, gamma, ring)
     phi = pairing_form(ring, n)
-    if M.transpose() @ phi @ M != phi:
+    if (M.transpose() @ phi).lower_product(M) != phi.lower():
         raise DworkError("assembled element does not preserve the pairing")
     return GroupElem(n, ring, vals, M)
 

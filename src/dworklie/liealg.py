@@ -176,24 +176,27 @@ def amsy_decompose(V, n, c=None):
     """Coefficients (f0, {index: f}) expressing V over the modular field and
     the basis fields, or NotMember.
 
-    The connection matrix of V is read off entrywise: the basis matrices
+    The connection matrix T = A.V is read off entrywise: the basis matrices
     have pairwise disjoint supports away from the superdiagonal, so each
-    coefficient sits in its own cell.  The readout is then verified against
-    the full matrix, and every coefficient must be regular on the chart."""
+    coefficient sits in its own cell, and only those cells of T are formed.
+    The readout is accepted when the field W it builds (membership_build)
+    is V itself, the defining property of the coefficients; every
+    coefficient must then be regular on the chart.  When W != V, the
+    NotMember carries the first nonzero cell of A.(V - W), which by
+    linearity is T minus the readout's matrix f0*Y + sum f_ab*g_ab^T, since
+    A.R = Y and A.B_ab = g_ab^T.  A.(.) is injective on fields
+    (vf_from_target reads every component back off it), so an empty
+    residual with W != V is a DworkError."""
     ch = resolve_chart(n, c)
     A = full_connection(ch)
-    R, Y = modular_vf(n, c)
-    T = A.contract(V)
-    f0 = T.get1(1, 2)
-    coeffs = {}
-    recon = Y.matrix().scale(f0)
-    for a, b in basis_pairs(n):
-        f = T.get1(b, a)
-        coeffs[(a, b)] = f
-        if not f.is_zero:
-            recon = recon + lie_gen(n, a, b, ch.ring).transpose().scale(f)
-    resid = (T - recon).entries()
-    if resid:
+    pairs = basis_pairs(n)
+    f0, *fs = A.contract_at(V, [(1, 2)] + [(b, a) for a, b in pairs])
+    coeffs = dict(zip(pairs, fs))
+    W = membership_build(f0, coeffs, n, c)
+    if W != V:
+        resid = A.contract(V - W).entries()
+        if not resid:
+            raise DworkError("distinct fields with the same connection matrix")
         return NotMember(*resid[0])
     for key, f in [(None, f0)] + sorted(coeffs.items()):
         if not _regular(ch, f):
@@ -205,6 +208,8 @@ def amsy_decompose(V, n, c=None):
 def _regular(ch, f):
     """True when the canonical denominator divides a power of the inverted
     locus: base divisor, discriminant, and independent diagonal slot vars."""
+    if f.den.is_const:
+        return True
     den = RatFn(f.den)
     facs = [RatFn.var(ch.ring, ch.setup.base2), ch.disc]
     for (i, j), var in sorted(ch.indep_slots.items()):
@@ -225,7 +230,8 @@ def membership_build(f0, coeffs, n, c=None):
     B = basis_vf(n, c)
     out = R.scale(f0)
     for key, f in coeffs.items():
-        out = out + B[key].scale(f)
+        if not f.is_zero:
+            out = out + B[key].scale(f)
     return out
 
 

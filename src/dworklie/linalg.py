@@ -86,6 +86,16 @@ class MatF:
         return self._like((k, -a) for k, a in self.cells.items())
 
     def __matmul__(self, other):
+        return self._product(other, False)
+
+    def lower_product(self, other):
+        """The cells j <= i of self @ other, summed as @ sums them; the cells
+        above the diagonal are not formed.  Where the product is known to
+        have a transpose type, P^T = +-P (S omega S^T with omega^T =
+        +-omega), they mirror the cells below it."""
+        return self._product(other, True)
+
+    def _product(self, other, lower_only):
         if self.ncols != other.nrows:
             raise DworkError(f"product of a {self.nrows}x{self.ncols} and a "
                              f"{other.nrows}x{other.ncols} matrix")
@@ -96,9 +106,17 @@ class MatF:
         out = {}
         for (i, k), a in self.cells.items():
             for j, b in brows.get(k, ()):
+                if lower_only and j > i:
+                    continue
                 c = out.get((i, j))
                 out[i, j] = a * b if c is None else c + a * b
         return MatF._of(self.ring, self.nrows, other.ncols, out.items())
+
+    def lower(self):
+        """The cells j <= i of self; the cells above the diagonal are
+        dropped."""
+        return self._like((k, a) for k, a in self.cells.items()
+                          if k[1] <= k[0])
 
     def scale(self, f):
         f = RatFn.of(self.ring, f)
@@ -192,18 +210,31 @@ class OneFormMat:
             return NotImplemented
         return self.comps == other.comps
 
-    def contract(self, vf):
-        """Pair with a vector field: sum_v vf[v] * A[v].  Each entry is one
-        ratfn.dot over its component products, so it is reduced once over
-        one common denominator, not once per product."""
+    def _products(self, vf, keep=None):
+        """cell -> the (vf[v], A[v] entry) pairs summing to that entry of
+        contract(vf), for the cells in keep (every cell when None)."""
         pairs = {}
         for v, M in self.comps.items():
             f = vf.comps.get(v)
             if f is not None and not f.is_zero:
                 for k, a in M.cells.items():
-                    pairs.setdefault(k, []).append((f, a))
+                    if keep is None or k in keep:
+                        pairs.setdefault(k, []).append((f, a))
+        return pairs
+
+    def contract(self, vf):
+        """Pair with a vector field: sum_v vf[v] * A[v].  Each entry is one
+        ratfn.dot over its component products, so it is reduced once over
+        one common denominator, not once per product."""
         return MatF._of(self.ring, self.size, self.size,
-                        ((k, dot(self.ring, ps)) for k, ps in pairs.items()))
+                        ((k, dot(self.ring, ps))
+                         for k, ps in self._products(vf).items()))
+
+    def contract_at(self, vf, cells):
+        """The entries of contract(vf) at the given cells, in their order,
+        each one ratfn.dot; no other entry is formed."""
+        pairs = self._products(vf, set(cells))
+        return [dot(self.ring, pairs.get(k, ())) for k in cells]
 
 
 class VecField:

@@ -201,6 +201,9 @@ class RatFn:
     def inverse(self):
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero")
+        if self.is_const:
+            # the reciprocal of a nonzero rational is canonical as it stands
+            return _raw(self.ring.const(1 / self.const_value()), self.ring.one)
         return RatFn(self.den, self.num)
 
     def __truediv__(self, other):

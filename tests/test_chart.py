@@ -232,3 +232,22 @@ def test_recheck_catches_a_wrong_image(monkeypatch, n):
     _final_images(monkeypatch, corrupt=True)
     with pytest.raises(EliminationStuck, match="final calibration identity"):
         build_chart(n)
+
+
+# The final re-check compares only the cells j <= i of S omega S^T with phi.
+# That is the whole identity because both sides have omega's transpose type.
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_phi_has_the_transpose_type_of_omega(n):
+    setup = geometry.Setup(n, matched_c(n))
+    omega = geometry.pairing_matrix(setup)
+    phi = geometry.pairing_form(setup.ring, n)
+    sign = -1 if n % 2 else 1
+    assert omega.transpose() == omega.scale(sign)
+    assert phi.transpose() == phi.scale(sign)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_full_calibration_identity_holds(n):
+    ch = resolve_chart(n)
+    assert ch.S @ ch.omega @ ch.S.transpose() == ch.phi

@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from dworklie import (MatF, RatFn, act, basis_pairs, basis_vf, compose,
-                      decompose_elem, group, group_elem, infinitesimal,
-                      lie_gen, resolve_chart, symbolic_elem)
+from dworklie import (DworkError, MatF, RatFn, act, basis_pairs, basis_vf,
+                      compose, decompose_elem, group, group_elem,
+                      infinitesimal, lie_gen, resolve_chart, symbolic_elem)
 from dworklie.errors import ZeroScalar
 from dworklie.geometry import family_dims, pairing_form
 from dworklie.group import factor_delta, factor_matrix, subgroup_counts
@@ -81,6 +81,23 @@ def test_compose_matches_matrix_product(n):
     h = group_elem(n, random_params(n, rng))
     gh = compose(g, h)
     assert gh.matrix == g.matrix @ h.matrix
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_group_elem_refuses_a_factor_that_breaks_the_pairing(n, monkeypatch):
+    # the first multiplicative factor gains 1 at cell (1, 1), so
+    # M^T phi M moves at (1, n + 1) and at its mirror (n + 1, 1)
+    original = group.factor_delta
+
+    def broken(n, i, gamma, ring):
+        D = original(n, i, gamma, ring)
+        if i == 1:
+            D.set1(1, 1, D.get1(1, 1) + 1)
+        return D
+
+    monkeypatch.setattr(group, "factor_delta", broken)
+    with pytest.raises(DworkError, match="does not preserve the pairing"):
+        group_elem(n, random_params(n, random.Random(n)))
 
 
 def test_zero_scalar_rejected():

@@ -7,16 +7,17 @@ from fractions import Fraction
 
 import pytest
 
-from dworklie import (NotMember, RatFn, VecField, amsy_decompose,
-                      basis_pairs, basis_vf, fR_identities, jacobi_ok,
+from dworklie import (DworkError, MatF, NotMember, RatFn, VecField,
+                      amsy_decompose, basis_pairs, basis_vf, fR_identities,
+                      full_connection, jacobi_ok, lie_gen, liealg, linalg,
                       membership_build, modular_vf, resolve_chart, sl2_triple,
                       truncate_poly, verify_flatness, verify_homomorphism,
                       verify_theorem2)
 from dworklie.closedforms import (DECOMP3, DECOMP3_F0, OBSTRUCTION4_ENTRY,
                                   OBSTRUCTION4_VALUE, parse_field)
 from dworklie.geometry import family_dims
-from dworklie.liealg import Row, generator_rank
-from dworklie.ratfn import parse_ratfn
+from dworklie.liealg import Row, _regular, generator_rank
+from dworklie.ratfn import dot, parse_ratfn
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -146,6 +147,111 @@ def test_decompose_flags_irregular_coefficient():
     assert isinstance(res, NotMember)
     assert res.reason == "coefficient not regular"
     assert res.entry == (1, 1)
+
+
+# The full-matrix route amsy_decompose replaced, kept as its reference: the
+# whole contraction T = A.V against the readout's matrix f0*Y + sum
+# f_ab*g_ab^T, NotMember at the first cell of T - recon, then regularity.
+
+def reference_decompose(V, n):
+    ch = resolve_chart(n)
+    _, Y = modular_vf(n)
+    T = full_connection(ch).contract(V)
+    f0 = T.get1(1, 2)
+    coeffs = {}
+    recon = Y.matrix().scale(f0)
+    for a, b in basis_pairs(n):
+        coeffs[(a, b)] = f = T.get1(b, a)
+        recon = recon + lie_gen(n, a, b, ch.ring).transpose().scale(f)
+    resid = (T - recon).entries()
+    if resid:
+        return NotMember(*resid[0])
+    for key, f in [(None, f0)] + sorted(coeffs.items()):
+        if not _regular(ch, f):
+            entry = (1, 2) if key is None else (key[1], key[0])
+            return NotMember(entry, f, "coefficient not regular")
+    return f0, coeffs
+
+
+def outcome(res):
+    if isinstance(res, NotMember):
+        return ("not a member", res.entry, res.value, res.reason)
+    return res
+
+
+def seeded_members(n, rng, count):
+    ring = resolve_chart(n).ring
+    t1 = RatFn.var(ring, "t1")
+    pairs = basis_pairs(n)
+    for _ in range(count):
+        f0 = RatFn.of(ring, Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+        coeffs = {p: t1 ** rng.randint(0, 2) * rng.randint(-3, 3)
+                  for p in rng.sample(pairs, min(2, len(pairs)))}
+        yield membership_build(f0, coeffs, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_decompose_matches_the_full_matrix_route_on_members(n):
+    for V in seeded_members(n, random.Random(4242 + n), 10):
+        got = amsy_decompose(V, n)
+        assert not isinstance(got, NotMember)
+        assert outcome(got) == outcome(reference_decompose(V, n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_decompose_matches_the_full_matrix_route_on_non_members(n):
+    # members with one component moved, the truncated modular field, and
+    # a basis field over an irregular coefficient
+    ch = resolve_chart(n)
+    ring = ch.ring
+    rng = random.Random(5353 + n)
+    R, _ = modular_vf(n)
+    B = basis_vf(n)
+    t1 = RatFn.var(ring, "t1")
+    fields = [truncate_poly(R), B[(1, 1)].scale(1 / RatFn.var(ring, "t2"))]
+    for V in seeded_members(n, rng, 6):
+        v = rng.choice(ch.coords)
+        bump = rng.choice([RatFn.of(ring, 1), t1, t1 / ch.disc])
+        fields.append(V + VecField(ring, {v: bump}))
+    seen = set()
+    for V in fields:
+        want = reference_decompose(V, n)
+        assert outcome(amsy_decompose(V, n)) == outcome(want)
+        seen.add(want.reason if isinstance(want, NotMember) else "member")
+    # at odd n the fields span the tangent sheaf, so only regularity can
+    # fail; at even n a moved component leaves the relation's tangent space
+    assert ("" in seen) == (n % 2 == 0)
+
+
+@pytest.mark.parametrize("n", [2, 4, 5])
+def test_decompose_of_a_member_forms_only_the_readout_cells(n, monkeypatch):
+    V = next(seeded_members(n, random.Random(n), 1))
+    amsy_decompose(V, n)  # warm every memo the call reads
+    calls = []
+
+    def counted(ring, pairs):
+        calls.append(1)
+        return dot(ring, pairs)
+
+    def refuse(self, vf):
+        raise AssertionError("the whole contraction was formed")
+
+    monkeypatch.setattr(linalg, "dot", counted)
+    monkeypatch.setattr(linalg.OneFormMat, "contract", refuse)
+    assert not isinstance(amsy_decompose(V, n), NotMember)
+    assert len(calls) == 1 + len(basis_pairs(n))
+
+
+def test_decompose_refuses_a_residual_free_mismatch(monkeypatch):
+    # A.(.) is injective, so W != V with A.(V - W) = 0 is a broken invariant
+    V = next(seeded_members(3, random.Random(3), 1))
+    R, _ = modular_vf(3)
+    monkeypatch.setattr(liealg, "membership_build",
+                        lambda f0, coeffs, n, c=None: V + R)
+    monkeypatch.setattr(linalg.OneFormMat, "contract",
+                        lambda self, vf: MatF.zeros(self.ring, self.size))
+    with pytest.raises(DworkError, match="same connection matrix"):
+        amsy_decompose(V, 3)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dworklie import DworkError, LinearInconsistent, MatF, RatFn, Ring, \
-    solve_linear
+from dworklie import DworkError, LinearInconsistent, MatF, OneFormMat, \
+    RatFn, Ring, VecField, solve_linear
 from dworklie.linalg import solve_right_lower
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -137,6 +137,18 @@ def test_sparse_product_matches_dense_triple_loop(ab):
     assert not any(v.is_zero for _, v in P.entries())
 
 
+@given(factor_pairs())
+@settings(max_examples=60, deadline=None)
+def test_lower_product_is_the_lower_triangle_of_the_product(ab):
+    A, B = ab
+    P = A @ B
+    L = A.lower_product(B)
+    assert L == P.lower()
+    assert L.entries() == [(k, v) for k, v in P.entries() if k[1] <= k[0]]
+    with pytest.raises(DworkError, match="product of"):
+        A.lower_product(MatF.zeros(RXY, A.ncols + 1, 1))
+
+
 @st.composite
 def right_solve_cases(draw):
     n, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
@@ -239,3 +251,14 @@ def test_cells_outside_the_shape_are_refused():
     assert M == MatF.zeros(RXY, 2, 3)
     with pytest.raises(DworkError, match="sum of a 2x3 and a 3x2 matrix"):
         M + M.transpose()
+
+
+@given(st.lists(sparse_matrix(3, 3), min_size=2, max_size=2),
+       st.lists(st.sampled_from(ENTRIES), min_size=2, max_size=2),
+       st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), max_size=5))
+@settings(max_examples=40, deadline=None)
+def test_contract_at_reads_the_cells_of_the_contraction(Ms, fs, cells):
+    A = OneFormMat(RXY, 3, dict(zip("xy", Ms)))
+    V = VecField(RXY, dict(zip("xy", fs)))
+    full = A.contract(V)
+    assert A.contract_at(V, cells) == [full.get1(*k) for k in cells]

@@ -308,6 +308,18 @@ def test_mul_matches_full_product_normalisation(ops):
         assert f / g == RatFn(f.num * g.den, f.den * g.num)
 
 
+@pytest.mark.parametrize("n", [3, 4])  # a chart ring, and one with a relation
+def test_inverse_of_a_constant_is_the_normalised_reciprocal(n):
+    ring = resolve_chart(n).ring
+    assert (ring.pivot is None) == (n == 3)
+    for q in (1, -1, 7, -3, Fraction(2, 9), Fraction(-5, 4), Fraction(1, 6)):
+        f = RatFn.of(ring, q)
+        got, want = f.inverse(), RatFn(f.den, f.num)
+        assert (got.num, got.den) == (want.num, want.den)
+        assert ratfn_string(got) == ratfn_string(want)
+        assert got.const_value() == 1 / Fraction(q)
+
+
 def test_inverse_of_zero_is_a_zero_division():
     with pytest.raises(ZeroDivisionError, match="inverse of zero"):
         RatFn.of(R3, 0).inverse()
