@@ -1,6 +1,9 @@
-"""Enhanced moduli chart: the lower-triangular frame matrix S whose rows are
-calibrated against the moving pairing, with its independent coordinates,
-dependent-slot expressions, and (even n) the quadratic slot relation.
+"""Enhanced moduli chart: the lower-triangular frame matrix S calibrated
+against the moving pairing, S omega S^T = phi, with its independent
+coordinates, dependent-slot expressions, and (even n) the quadratic slot
+relation.  The calibration is solved in its inverse form
+S^T phi^T S = Omega, Omega = omega^-1: each cell reads two columns of S
+against one small entry of Omega, and no sum carries disc.
 
 Slot layout rule (independent slots, row-major, skipping the index reserved
 for the second base coordinate): (i, j) with j <= i, (i, j) != (1, 1), and
@@ -14,8 +17,8 @@ from __future__ import annotations
 from .errors import DworkError, EliminationStuck
 from .geometry import Setup, family_dims, frame_connection, pairing_form, \
     pairing_matrix
-from .linalg import MatF
-from .ratfn import RatFn, ratfn_string
+from .linalg import MatF, solve_right_lower
+from .ratfn import RatFn, dot, ratfn_string
 
 
 def slot_layout(n):
@@ -59,63 +62,6 @@ class Chart:
         return f"{self.pivot_var}^2 = {ratfn_string(rel)}"
 
 
-def _row_image(omega, size, entries, j):
-    """The image (u, y) of row j of S against the size x size omega, given
-    as the dict of its stored entries: u = omega s^T over the known entries
-    s of the row, and y the column of the row's one unsolved slot (None once
-    the row is complete).  EliminationStuck if more than one is unsolved."""
-    row = [(l, entries.get((j, l))) for l in range(1, j + 1)]
-    unsolved = [l for l, b in row if b is None]
-    if len(unsolved) > 1:
-        raise EliminationStuck(f"row {j} has {len(unsolved)} unsolved slots")
-    known = [(l, b) for l, b in row if not (b is None or b.is_zero)]
-    zero = RatFn.of(entries[1, 1].ring, 0)  # S_11 = 1 is always known
-    u = []
-    for k in range(1, size + 1):
-        acc = zero
-        for l, b in known:
-            w = omega.get((k, l))
-            if w is not None:
-                acc = acc + w * b
-        u.append(acc)
-    return u, next(iter(unsolved), None)
-
-
-def _equation(omega, sign, entries, image, i, j):
-    """(S omega S^T)_{ij} = sum_k S_ik u[k] from the image (u, y) of row j:
-    the one unsolved slot it involves (None if every factor is known) and
-    its (constant, linear, quadratic) coefficients in that slot's value.
-    An unsolved slot of row i enters linearly with coefficient u[k].  Only
-    a diagonal equation may read an incomplete row: there the slot y also
-    enters through omega^T = sign omega, adding sign u[y] to the linear and
-    omega_yy to the quadratic coefficient."""
-    u, y = image
-    if y is not None and i != j:
-        raise EliminationStuck(
-            f"equation ({i},{j}) reads row {j} before slot ({j},{y}) is solved")
-    zero = RatFn.of(u[0].ring, 0)
-    c0, lin, quad = zero, zero, zero
-    slots = set()
-    for k in range(1, i + 1):
-        w = u[k - 1]
-        if w.is_zero:
-            continue
-        a = entries.get((i, k))
-        if a is None:
-            slots.add((i, k))
-            lin = w
-        elif not a.is_zero:
-            c0 = c0 + a * w
-    if y is not None:
-        slots.add((i, y))
-        lin = lin + sign * u[y - 1]
-        quad = omega.get((y, y), zero)
-    if len(slots) > 1:
-        raise EliminationStuck(
-            f"equation ({i},{j}) involves {len(slots)} unsolved slots")
-    return next(iter(slots), None), (c0, lin, quad)
-
-
 def _frame(ring, slots):
     """The known entries of S: 1 at (1, 1) and a coordinate per slot."""
     entries = {(1, 1): RatFn.of(ring, 1)}
@@ -123,49 +69,90 @@ def _frame(ring, slots):
     return entries
 
 
+def _inverse_pairing(omega):
+    """Omega = omega^-1 by one right triangular solve: omega has zeros above
+    its antidiagonal, so omega J (J the anti-identity) is lower triangular
+    and Omega solves X (omega J) = J.  EliminationStuck if an antidiagonal
+    entry of omega, and with it its determinant, is zero."""
+    size = omega.nrows
+    J = MatF.zeros(omega.ring, size)
+    for i in range(1, size + 1):
+        if omega.get1(i, size + 1 - i).is_zero:
+            raise EliminationStuck(f"pairing matrix is singular: zero "
+                                   f"antidiagonal entry ({i},{size + 1 - i})")
+        J.set1(i, size + 1 - i, 1)
+    (Omega,) = solve_right_lower([J], omega @ J)
+    return Omega
+
+
+def _cell_equation(ring, eps, entries, i, j):
+    """Cell (i, j), i <= j, of S^T phi^T S = Omega, as
+    sum_{k=i}^{n+2-j} eps_k S_ki S_{n+2-k,j} with eps_k = phi_{n+2-k,k}:
+    the one unsolved slot it involves (None if every factor is known) and
+    its constant and linear coefficients in that slot's value, each one
+    ratfn.dot.  EliminationStuck if it involves two unsolved slots, or one
+    slot as both factors of a product."""
+    size = len(eps)
+    known, coef, slots = [], [], set()
+    for k in range(i, size + 2 - j):
+        e, pa, pb = eps[k], (k, i), (size + 1 - k, j)
+        a, b = entries.get(pa), entries.get(pb)
+        if a is not None and b is not None:
+            known.append((e * a, b))
+            continue
+        if pa == pb:
+            raise EliminationStuck(f"equation ({i},{j}) is quadratic in "
+                                   f"slot {pa}")
+        if a is None:
+            slots.add(pa)
+            coef.append((e, b))
+        if b is None:
+            slots.add(pb)
+            coef.append((e, a))
+    if len(slots) > 1:
+        raise EliminationStuck(
+            f"equation ({i},{j}) involves {len(slots)} unsolved slots")
+    return next(iter(slots), None), dot(ring, known), dot(ring, coef)
+
+
+def _check_calibration(S, phi, omega, Omega):
+    """Omega omega = I on every cell, and S^T phi^T S = Omega on the cells
+    j <= i: together the calibration S omega S^T = phi, since phi^-1 =
+    phi^T for the signed permutation phi.  Both sides of the second have
+    omega's transpose type (omega^T = +-omega gives Omega^T = +-Omega, and
+    phi^T = +-phi), so their cells above the diagonal mirror those below."""
+    if Omega @ omega != MatF.identity(omega.ring, omega.nrows):
+        raise EliminationStuck("inverse pairing check failed")
+    if (S.transpose() @ phi.transpose()).lower_product(S) != Omega.lower():
+        raise EliminationStuck("final calibration identity failed")
+
+
 def build_chart(n, c_value=None):
-    """Solve every dependent slot of S from the pairing calibration.
+    """Solve every dependent slot of S from the pairing calibration
+    S omega S^T = phi, read as S^T phi^T S = Omega with Omega = omega^-1
+    (_inverse_pairing), which depends on t1, t_{n+2} and c alone and
+    carries no disc in its denominators.
 
-    Equations (S omega S^T)_{ij} = phi_{ij} are processed over j <= i,
-    i + j >= n + 2, ordered by (i + j, i), each read through the image of
-    row j (_row_image, cached per row); each nontrivial equation must be
-    linear in exactly one unsolved slot (EliminationStuck otherwise).  A
-    diagonal equation may solve the last slot of its own row, whose cached
-    image is then completed in place.  For even n the first equation is the
-    middle slot's, quadratic in its own bound coordinate: it becomes the
-    chart relation, and the rest is solved in the relation ring.
-
-    The identity S omega S^T = phi is re-checked at the end on every cell
-    j <= i, with fresh images of the rows completed in place.  That is the
-    whole identity: pairing_matrix checks omega^T = +-omega exactly, so
-    (S omega S^T)^T = S omega^T S^T = +-S omega S^T, and phi has the same
-    transpose type; the difference of the two sides has it too, and its
-    cells above the diagonal mirror those below."""
+    Cell (i, j), i <= j and i + j <= n + 2, gives one equation
+    (_cell_equation); off the diagonal its first factors S_ki lie in the
+    independent part of S, and its second factors run down column j.  Taken
+    by i + j, then i,
+    descending, each equation meets at most one unsolved slot, (n+2-i, j),
+    and must be linear in it (EliminationStuck otherwise); an equation with
+    every factor known must hold as it stands.  For even n the middle cell
+    reads S_cc^2 = Omega_cc (phi is all ones): that is the chart relation,
+    and the rest is solved in the relation ring.  The calibration is
+    re-checked at the end (_check_calibration)."""
     setup = Setup(n, c_value)
     conn = frame_connection(setup)
     omega = pairing_matrix(setup, conn)
-    sign = -1 if setup.rho else 1  # omega^T = sign omega
+    Omega = _inverse_pairing(omega)
     size = n + 1
     indep, pivot_slot, pivot_var = slot_layout(n)
-    eqs = sorted(((i, j) for i in range(1, n + 2) for j in range(1, i + 1)
-                  if i + j >= n + 2), key=lambda p: (p[0] + p[1], p[0]))
     known = dict(indep)
     kappa = None
     if pivot_slot is not None:
-        if eqs[0] != pivot_slot:
-            raise EliminationStuck(
-                f"first calibration equation {eqs[0]} is not the middle slot")
-        eqs = eqs[1:]
-        om = dict(omega.entries())
-        entries = _frame(setup.ring, indep)
-        image = _row_image(om, size, entries, pivot_slot[0])
-        slot, (c0, lin, quad) = _equation(om, sign, entries, image,
-                                          *pivot_slot)
-        if slot != pivot_slot or quad.is_zero or not lin.is_zero \
-                or not c0.is_zero:
-            raise EliminationStuck("middle slot equation is not purely quadratic")
-        # x^2 * omega_cc = phi_cc = 1 defines the slot relation
-        rhs = 1 / quad
+        rhs = Omega.get1(*pivot_slot)
         kappa = rhs / setup.disc
         bad = [nm for nm in kappa.support() if nm != "c"]
         if bad:
@@ -173,55 +160,35 @@ def build_chart(n, c_value=None):
         setup.bind(setup.ring.with_relation(pivot_var, rhs.num, rhs.den))
         conn = frame_connection(setup)
         kappa = kappa.lift(setup.ring)
-        omega = omega.lift(setup.ring)
+        omega, Omega = omega.lift(setup.ring), Omega.lift(setup.ring)
         known[pivot_slot] = pivot_var
     ring = setup.ring
     phi = pairing_form(ring, n)
+    eps = {k: phi.get1(size + 1 - k, k) for k in range(1, size + 1)}
     entries = _frame(ring, known)
     dep_exprs = {}
-    images = {}  # j -> the image (u, y) of row j, once an equation reads it
-    completed = set()  # rows whose cached image was completed in place
-    om = dict(omega.entries())
-
-    for (i, j) in eqs:
-        if j not in images:
-            images[j] = _row_image(om, size, entries, j)
-        slot, (c0, lin, quad) = _equation(om, sign, entries, images[j], i, j)
+    cells = sorted(((i, j) for j in range(1, size + 1)
+                    for i in range(1, min(j, size + 1 - j) + 1)),
+                   key=lambda p: (p[0] + p[1], p[0]), reverse=True)
+    for (i, j) in cells:
+        slot, c0, lin = _cell_equation(ring, eps, entries, i, j)
         if slot is None:
-            if c0 != phi.get1(i, j):
+            if c0 != Omega.get1(i, j):
                 raise EliminationStuck(
-                    f"consistency failure at calibration slot ({i},{j})")
+                    f"consistency failure at calibration cell ({i},{j})")
             continue
-        if not quad.is_zero:
-            raise EliminationStuck(f"equation ({i},{j}) is quadratic in slot {slot}")
         if lin.is_zero:
             raise EliminationStuck(f"equation ({i},{j}) does not see slot {slot}")
-        x = entries[slot] = dep_exprs[slot] = (phi.get1(i, j) - c0) / lin
-        u, l = images[j]
-        if l is not None:  # the diagonal solved the last slot of row j
-            for k in range(1, size + 1):
-                w = om.get((k, l))
-                if w is not None:
-                    u[k - 1] = u[k - 1] + x * w
-            images[j] = (u, None)
-            completed.add(j)
+        entries[slot] = dep_exprs[slot] = (Omega.get1(i, j) - c0) / lin
 
-    missing = [(i, j) for i in range(1, n + 2) for j in range(1, i + 1)
+    missing = [(i, j) for i in range(1, size + 1) for j in range(1, i + 1)
                if (i, j) not in entries]
     if missing:
         raise EliminationStuck(f"slots left unsolved: {missing}")
-
     S = MatF.zeros(ring, size)
     for (i, j), v in entries.items():
         S.set1(i, j, v)
-
-    # calibration re-check: S omega S^T = S U^T, with row j of U the image
-    # u_j; rows completed in place are imaged afresh.  Both sides have the
-    # transpose type of omega, so the cells j <= i carry the identity
-    U = MatF(ring, [(_row_image(om, size, entries, j) if j in completed
-                     else images[j])[0] for j in range(1, size + 1)])
-    if S.lower_product(U.transpose()) != phi.lower():
-        raise EliminationStuck("final calibration identity failed")
+    _check_calibration(S, phi, omega, Omega)
 
     ch = Chart.__new__(Chart)
     ch.n, ch.d, ch.m, ch.rho = n, setup.d, setup.m, setup.rho

@@ -38,17 +38,16 @@ def _target_free(chart):
 def full_connection(chart):
     """OneFormMat A over every chart variable, where A[v] solves
     A[v]*S = d_v S + S*B[v] and B[v] is zero except in the two base
-    directions.  Computed once per chart and kept in its memo slot."""
+    directions; one solve_right_lower call takes every v.  Computed once
+    per chart and kept in its memo slot."""
     if chart.memo_conn is not None:
         return chart.memo_conn
     S = chart.S
     SB, _ = _target_free(chart)
-    A = OneFormMat(chart.ring, chart.n + 1)
-    for v in chart.coords:
-        M = S.derive(v)
-        if v in SB:
-            M = M + SB[v]
-        A.set(v, solve_right_lower(M, S))
+    Ms = [S.derive(v) + SB[v] if v in SB else S.derive(v)
+          for v in chart.coords]
+    A = OneFormMat(chart.ring, chart.n + 1,
+                   dict(zip(chart.coords, solve_right_lower(Ms, S))))
     chart.memo_conn = A
     return A
 

@@ -116,12 +116,16 @@ def frame_connection(setup):
 
 
 def _check_pairing_identity(setup, conn, omega):
-    """d(pairing) == B * pairing + pairing * B^T, both base components."""
+    """d(pairing) == B * pairing + pairing * B^T, both base components.
+    With omega^T = sign omega, pairing * B^T = sign (B * pairing)^T, so one
+    product P = B * pairing gives the right side P + sign P^T; it has the
+    transpose type of omega, as d(pairing) does, so the cells j <= i carry
+    the whole identity."""
+    sign = -1 if setup.rho else 1
     for v in ("t1", setup.base2):
-        B = conn.get(v)
-        rhs = B @ omega + omega @ B.transpose()
-        lhs = omega.derive(v)
-        if lhs != rhs:
+        P = conn.get(v) @ omega
+        rhs = P.lower() + P.transpose().lower().scale(sign)
+        if omega.lower().derive(v) != rhs:
             return False
     return True
 
@@ -137,7 +141,9 @@ def pairing_matrix(setup, conn=None):
     antidiagonal and the alternating antidiagonal follow.  The identity is
     then checked in both base components (its last t1 row and the whole
     t_{n+2} component are used by nothing else), and so is the transpose
-    type; either failure raises OmegaInconsistent."""
+    type; either failure raises OmegaInconsistent.  The first check reads
+    the identity through omega^T = +-omega, so the two pass together only
+    when both hold."""
     n = setup.n
     ring = setup.ring
     if conn is None:

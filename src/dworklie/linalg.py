@@ -352,38 +352,46 @@ def _gauss_jordan(A, ncols):
     return pivots
 
 
-def solve_right_lower(M, S):
-    """X with X*S = M for lower-triangular S, by back substitution over the
-    columns of each row of M, last column first:
-    x_j = (m_j - sum_{k>j} x_k S_kj) / S_jj, the numerator one ratfn.dot
-    over one common denominator.  Only the stored entries of M and S are
-    visited.  Raises LinearInconsistent on a zero diagonal entry, and
-    DworkError on a shape mismatch or an entry above the diagonal."""
+def solve_right_lower(Ms, S):
+    """[X with X*S = M for each M in Ms], S lower triangular, by back
+    substitution over the columns of each row of M, last column first:
+    x_j = m_j / S_jj + sum_{k>j} x_k (-S_kj / S_jj).  The columns of S are
+    read, and the factors 1/S_jj and -S_kj/S_jj formed, once for all of Ms;
+    each entry of X is then one ratfn.dot over one common denominator, with
+    no division.  Only the stored entries of each M and of S are visited.
+    Raises LinearInconsistent on a zero diagonal entry, and DworkError on a
+    shape mismatch or an entry above the diagonal."""
     n = S.nrows
-    if S.ncols != n or M.ncols != n:
-        raise DworkError(f"right solve of a {M.nrows}x{M.ncols} against a "
-                         f"{S.nrows}x{S.ncols} matrix")
-    below = {}
-    for j in range(1, n + 1):
-        col = [(k, s) for (k, l), s in S.entries() if l == j]
-        if col and col[0][0] < j:
+    if S.ncols != n or any(M.ncols != n for M in Ms):
+        shapes = ", ".join(f"{M.nrows}x{M.ncols}" for M in Ms)
+        raise DworkError(f"right solve of {shapes} against a {n}x{S.ncols} "
+                         f"matrix")
+    cols = {}
+    for (k, j), s in S.cells.items():
+        if k < j:
             raise DworkError(f"right solve against a matrix with an entry "
                              f"above the diagonal in column {j}")
+        cols.setdefault(j, []).append((k, s))
+    inv, below = {}, {}
+    for j in range(1, n + 1):
         if (j, j) not in S.cells:
             raise LinearInconsistent(j, "zero diagonal entry")
-        below[j] = [(k, -s) for k, s in col[1:]]
-    one = RatFn.of(M.ring, 1)
+        inv[j] = S.cells[j, j].inverse()
+        below[j] = sorted((k, -s * inv[j]) for k, s in cols[j] if k > j)
+    return [_back_substitute(M, n, inv, below) for M in Ms]
+
+
+def _back_substitute(M, n, inv, below):
     out = {}
     for i in {i for i, _ in M.cells}:
         for j in range(n, 0, -1):
-            pairs = [(out[i, k], s) for k, s in below[j] if (i, k) in out]
+            pairs = [(out[i, k], f) for k, f in below[j] if (i, k) in out]
             m = M.cells.get((i, j))
             if m is not None:
-                pairs.append((m, one))
-            acc = dot(M.ring, pairs)
-            if not acc.is_zero:
-                d = S.cells[j, j]
-                out[i, j] = acc if d == one else acc / d
+                pairs.append((m, inv[j]))
+            x = dot(M.ring, pairs)
+            if not x.is_zero:
+                out[i, j] = x
     return MatF._of(M.ring, M.nrows, n, out.items())
 
 

@@ -1,5 +1,5 @@
-"""Rewrite chart_digests.json: sha256 digests of the exact objects for
-n = 6..12, where a byte-for-byte golden would run to megabytes.
+"""Extend chart_digests.json: sha256 digests of the exact objects for
+n = 6..16, where a byte-for-byte golden would run to megabytes.
 
 Each digest covers the canonical strings of one stage: the chart
 (``dep_exprs``, ``kappa``, ``S``), ``full_connection``, ``modular_vf`` and
@@ -7,7 +7,10 @@ Each digest covers the canonical strings of one stage: the chart
 compares them.  Regenerate only for a deliberate output change, and say why
 in the change log:
 
-    PYTHONPATH=src python tests/goldens/chart_digests.py
+    PYTHONPATH=src python tests/goldens/chart_digests.py [N ...]
+
+With sizes given, only their entries are (re)written and every other entry
+stays byte for byte as it was; without, every size in NS is.
 """
 
 import hashlib
@@ -16,7 +19,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 PATH = HERE / "chart_digests.json"
-NS = (6, 7, 8, 9, 10, 11, 12)
+NS = tuple(range(6, 17))
 STAGES = ("chart", "full_connection", "modular_vf", "basis_vf")
 
 
@@ -56,11 +59,13 @@ def digests(n):
             for stage, lines in stage_lines(n).items()}
 
 
-def regen():
-    table = {str(n): digests(n) for n in NS}
+def regen(ns=NS):
+    table = json.loads(PATH.read_text()) if PATH.exists() else {}
+    table.update((str(n), digests(n)) for n in ns)
     PATH.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {PATH.name}")
+    print(f"wrote {PATH.name}: n = {', '.join(map(str, ns))}")
 
 
 if __name__ == "__main__":
-    regen()
+    import sys
+    regen(tuple(int(a) for a in sys.argv[1:]) or NS)

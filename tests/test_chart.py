@@ -1,5 +1,7 @@
-"""Chart construction: slot layout, dependent-slot elimination, the even-n
-quadratic relation, and the matched constant."""
+"""Chart construction: slot layout, dependent-slot elimination against the
+inverse pairing, the even-n quadratic relation, and the matched constant.
+The former elimination through row images of S omega S^T = phi is kept
+here as the reference route."""
 
 from fractions import Fraction
 
@@ -7,12 +9,14 @@ import pytest
 
 from dworklie import (DworkError, EliminationStuck, RatFn, chart, geometry,
                       matched_c, resolve_chart, symbolic_elem)
-from dworklie.chart import (_equation, _row_image, build_chart,
-                            chart_of_ring, slot_layout)
+from dworklie.chart import (_cell_equation, _check_calibration, _frame,
+                            _inverse_pairing, build_chart, chart_of_ring,
+                            slot_layout)
 from dworklie.closedforms import C_DEFAULT, RELATION_CONST, derive_matched_c
 from dworklie.cy3 import _yring
 from dworklie.geometry import family_dims
 from dworklie.linalg import MatF
+from dworklie.ratfn import ratfn_string
 from dworklie.ring import Ring
 
 
@@ -138,6 +142,141 @@ def test_group_ring_keeps_the_factor_and_cy3_ring_has_none():
     assert _yring(2).factor is None
 
 
+# The reference route: the elimination through row images of
+# S omega S^T = phi that build_chart used before it solved against
+# Omega = omega^-1.
+
+def _row_image(omega, size, entries, j):
+    """The image (u, y) of row j of S against the size x size omega, given
+    as the dict of its stored entries: u = omega s^T over the known entries
+    s of the row, and y the column of the row's one unsolved slot (None once
+    the row is complete).  EliminationStuck if more than one is unsolved."""
+    row = [(l, entries.get((j, l))) for l in range(1, j + 1)]
+    unsolved = [l for l, b in row if b is None]
+    if len(unsolved) > 1:
+        raise EliminationStuck(f"row {j} has {len(unsolved)} unsolved slots")
+    known = [(l, b) for l, b in row if not (b is None or b.is_zero)]
+    zero = RatFn.of(entries[1, 1].ring, 0)  # S_11 = 1 is always known
+    u = []
+    for k in range(1, size + 1):
+        acc = zero
+        for l, b in known:
+            w = omega.get((k, l))
+            if w is not None:
+                acc = acc + w * b
+        u.append(acc)
+    return u, next(iter(unsolved), None)
+
+
+def _equation(omega, sign, entries, image, i, j):
+    """(S omega S^T)_{ij} = sum_k S_ik u[k] from the image (u, y) of row j:
+    the one unsolved slot it involves (None if every factor is known) and
+    its (constant, linear, quadratic) coefficients in that slot's value.
+    An unsolved slot of row i enters linearly with coefficient u[k].  Only
+    a diagonal equation may read an incomplete row: there the slot y also
+    enters through omega^T = sign omega, adding sign u[y] to the linear and
+    omega_yy to the quadratic coefficient."""
+    u, y = image
+    if y is not None and i != j:
+        raise EliminationStuck(
+            f"equation ({i},{j}) reads row {j} before slot ({j},{y}) is solved")
+    zero = RatFn.of(u[0].ring, 0)
+    c0, lin, quad = zero, zero, zero
+    slots = set()
+    for k in range(1, i + 1):
+        w = u[k - 1]
+        if w.is_zero:
+            continue
+        a = entries.get((i, k))
+        if a is None:
+            slots.add((i, k))
+            lin = w
+        elif not a.is_zero:
+            c0 = c0 + a * w
+    if y is not None:
+        slots.add((i, y))
+        lin = lin + sign * u[y - 1]
+        quad = omega.get((y, y), zero)
+    if len(slots) > 1:
+        raise EliminationStuck(
+            f"equation ({i},{j}) involves {len(slots)} unsolved slots")
+    return next(iter(slots), None), (c0, lin, quad)
+
+
+def reference_chart(n, c_value=None):
+    """(S, dep_exprs, kappa) by the row-image elimination: equations
+    (S omega S^T)_{ij} = phi_{ij} over j <= i, i + j >= n + 2, ordered by
+    (i + j, i), each read through the cached image of row j; at even n the
+    middle slot's equation, x^2 omega_cc = 1, gives the relation first.  A
+    diagonal equation that solves the last slot of its own row completes
+    the cached image in place."""
+    setup = geometry.Setup(n, c_value)
+    omega = geometry.pairing_matrix(setup)
+    sign = -1 if setup.rho else 1
+    size = n + 1
+    indep, pivot_slot, pivot_var = slot_layout(n)
+    eqs = sorted(((i, j) for i in range(1, n + 2) for j in range(1, i + 1)
+                  if i + j >= n + 2), key=lambda p: (p[0] + p[1], p[0]))
+    known = dict(indep)
+    kappa = None
+    if pivot_slot is not None:
+        assert eqs[0] == pivot_slot
+        eqs = eqs[1:]
+        om = dict(omega.entries())
+        entries = _frame(setup.ring, indep)
+        image = _row_image(om, size, entries, pivot_slot[0])
+        slot, (c0, lin, quad) = _equation(om, sign, entries, image,
+                                          *pivot_slot)
+        assert slot == pivot_slot and lin.is_zero and c0.is_zero
+        rhs = 1 / quad
+        kappa = rhs / setup.disc
+        setup.bind(setup.ring.with_relation(pivot_var, rhs.num, rhs.den))
+        kappa = kappa.lift(setup.ring)
+        omega = omega.lift(setup.ring)
+        known[pivot_slot] = pivot_var
+    ring = setup.ring
+    phi = geometry.pairing_form(ring, n)
+    entries = _frame(ring, known)
+    dep_exprs, images = {}, {}
+    om = dict(omega.entries())
+    for (i, j) in eqs:
+        if j not in images:
+            images[j] = _row_image(om, size, entries, j)
+        slot, (c0, lin, quad) = _equation(om, sign, entries, images[j], i, j)
+        if slot is None:
+            assert c0 == phi.get1(i, j)
+            continue
+        assert quad.is_zero and not lin.is_zero
+        x = entries[slot] = dep_exprs[slot] = (phi.get1(i, j) - c0) / lin
+        u, l = images[j]
+        if l is not None:
+            for k in range(1, size + 1):
+                w = om.get((k, l))
+                if w is not None:
+                    u[k - 1] = u[k - 1] + x * w
+            images[j] = (u, None)
+    S = MatF.zeros(ring, size)
+    for (i, j), v in entries.items():
+        S.set1(i, j, v)
+    return S, dep_exprs, kappa
+
+
+def _strings(S, dep_exprs, kappa):
+    return ([(k, ratfn_string(v)) for k, v in S.entries()],
+            [(k, ratfn_string(v)) for k, v in dep_exprs.items()],
+            None if kappa is None else ratfn_string(kappa))
+
+
+@pytest.mark.parametrize("n, c", [(n, "matched") for n in range(1, 11)]
+                         + [(n, None) for n in range(1, 6)])
+def test_chart_equals_the_row_image_reference(n, c):
+    # S, the dependent slots (in their order) and kappa, string for string
+    c_value = matched_c(n) if c == "matched" else None
+    ch = build_chart(n, c_value)
+    want = _strings(*reference_chart(n, c_value))
+    assert _strings(ch.S, ch.dep_exprs, ch.kappa) == want
+
+
 def _ones(ring, size):
     one = RatFn.of(ring, 1)
     return dict(MatF(ring, [[one] * size] * size).entries())
@@ -199,39 +338,125 @@ def test_row_image_refuses_two_unsolved_slots():
         _row_image(_ones(ring, 2), 2, {(1, 1): RatFn.of(ring, 1)}, 2)
 
 
-def _final_images(monkeypatch, corrupt=False):
-    """Record the row of every _row_image call made once every slot of S is
-    known; with corrupt, add 1 to u[1] of those images.  At even n only the
-    final check makes such calls."""
-    original, calls = chart._row_image, []
-
-    def recorded(omega, size, entries, j):
-        u, y = original(omega, size, entries, j)
-        if len(entries) == size * (size + 1) // 2:
-            calls.append(j)
-            if corrupt:
-                u = [u[0] + 1] + u[1:]
-        return u, y
-
-    monkeypatch.setattr(chart, "_row_image", recorded)
-    return calls
+def _eps(ring, n):
+    phi = geometry.pairing_form(ring, n)
+    return {k: phi.get1(n + 2 - k, k) for k in range(1, n + 2)}
 
 
-@pytest.mark.parametrize("n", [2, 4, 6, 8])
-def test_recheck_images_the_rows_completed_in_place_afresh(monkeypatch, n):
-    # at even n each diagonal past the middle slot solves the last slot of
-    # its row and completes the cached image in place; the final check
-    # images exactly those rows afresh
-    calls = _final_images(monkeypatch)
-    build_chart(n)
-    assert calls == list(range(n // 2 + 2, n + 2))
+def test_cell_equation_refuses_two_unsolved_slots():
+    # cell (1,2) at n = 3 reads S_11 S_42, S_21 S_32 and S_31 S_22: with
+    # (4,2) and (3,2) both unsolved it cannot solve either
+    ring = Ring(("x",))
+    entries = {s: RatFn.var(ring, "x") for s in [(1, 1), (2, 1), (3, 1),
+                                                 (2, 2)]}
+    with pytest.raises(EliminationStuck, match="involves 2 unsolved slots"):
+        _cell_equation(ring, _eps(ring, 3), entries, 1, 2)
 
 
-@pytest.mark.parametrize("n", [4, 6])
-def test_recheck_catches_a_wrong_image(monkeypatch, n):
-    _final_images(monkeypatch, corrupt=True)
-    with pytest.raises(EliminationStuck, match="final calibration identity"):
+def test_cell_equation_refuses_the_middle_slot_squared():
+    # at n = 2 cell (2,2) is S_22^2 alone
+    ring = Ring(("x",))
+    with pytest.raises(EliminationStuck, match=r"quadratic in slot \(2, 2\)"):
+        _cell_equation(ring, _eps(ring, 2), {(1, 1): RatFn.of(ring, 1)},
+                       2, 2)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_build_refuses_a_stuck_order(monkeypatch, n):
+    # without the independent slot (2,1) the first cell of column 1 that
+    # reads an unsolved slot reads two
+    layout = chart.slot_layout
+
+    def short(k):
+        indep, ps, pv = layout(k)
+        return {s: v for s, v in indep.items() if s != (2, 1)}, ps, pv
+
+    monkeypatch.setattr(chart, "slot_layout", short)
+    with pytest.raises(EliminationStuck, match="unsolved slots"):
         build_chart(n)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_build_refuses_a_zero_linear_coefficient(monkeypatch, n):
+    # with S_22 = 0 the cell (2, j) that should solve slot (n, j) does not
+    # see it
+    frame = chart._frame
+
+    def zero_diagonal(ring, slots):
+        entries = frame(ring, slots)
+        entries[2, 2] = RatFn.of(ring, 0)
+        return entries
+
+    monkeypatch.setattr(chart, "_frame", zero_diagonal)
+    with pytest.raises(EliminationStuck, match=r"does not see slot \(" + str(n)):
+        build_chart(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_singular_pairing_is_refused_before_the_inverse(n):
+    with pytest.raises(EliminationStuck,
+                       match=rf"pairing matrix is singular: zero antidiagonal "
+                             rf"entry \(1,{n + 1}\)"):
+        build_chart(n, 0)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_inverse_pairing_is_the_inverse(n):
+    ch = resolve_chart(n)
+    Omega = _inverse_pairing(ch.omega)
+    size = n + 1
+    assert Omega @ ch.omega == MatF.identity(ch.ring, size)
+    # every cell depends on t1 and t_{n+2} alone, with no disc below
+    for _, f in Omega.entries():
+        assert set(f.support()) <= {"t1", f"t{n + 2}"}
+        assert f.den.support() == []
+
+
+@pytest.mark.parametrize("n, c", [(n, "matched") for n in (2, 4, 6, 8, 10)]
+                         + [(n, None) for n in (2, 4)])
+def test_middle_cell_of_the_inverse_is_the_old_relation(n, c):
+    # eps_c S_cc^2 = Omega_cc, where the row-image route read x^2 omega_cc = 1
+    setup = geometry.Setup(n, matched_c(n) if c == "matched" else None)
+    omega = geometry.pairing_matrix(setup)
+    mid = n // 2 + 1
+    got = _inverse_pairing(omega).get1(mid, mid)
+    assert ratfn_string(got) == ratfn_string(1 / omega.get1(mid, mid))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_recheck_catches_a_wrong_inverse_cell(monkeypatch, n):
+    # cell (1, n+1) alone solves S_{n+1,n+1}, so the construction takes a
+    # wrong value there in its stride; Omega omega = I does not
+    inverse = chart._inverse_pairing
+
+    def corrupt(omega):
+        Omega = inverse(omega)
+        Omega.set1(1, n + 1, Omega.get1(1, n + 1) + 1)
+        return Omega
+
+    monkeypatch.setattr(chart, "_inverse_pairing", corrupt)
+    with pytest.raises(EliminationStuck, match="inverse pairing check"):
+        build_chart(n)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_recheck_catches_a_wrong_entry_of_S(n):
+    # every stored entry moved by 1 fails the re-check, except S_{n+1,1} at
+    # odd n: there S + E = (I + E) S with E = E_{n+1,1}, and I + E preserves
+    # the split skew form phi, so the moved frame is calibrated too
+    ch = resolve_chart(n)
+    Omega = _inverse_pairing(ch.omega)
+    _check_calibration(ch.S, ch.phi, ch.omega, Omega)
+    for (i, j), v in ch.S.entries():
+        S = ch.S.map(lambda f: f)
+        S.set1(i, j, v + 1)
+        if n % 2 and (i, j) == (n + 1, 1):
+            assert S @ ch.omega @ S.transpose() == ch.phi
+            _check_calibration(S, ch.phi, ch.omega, Omega)
+            continue
+        with pytest.raises(EliminationStuck,
+                           match="final calibration identity"):
+            _check_calibration(S, ch.phi, ch.omega, Omega)
 
 
 # The final re-check compares only the cells j <= i of S omega S^T with phi.

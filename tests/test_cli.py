@@ -260,14 +260,11 @@ def test_cy3_dims_output(capsys):
     assert "moduli dim: 187" in out
 
 
-# c = 0 makes the pairing vanish: odd n fails at its first calibration
-# equation, even n at the middle slot, which is still read first
+# c = 0 makes the pairing vanish, and the chart refuses it before it solves
+# for its inverse
 @pytest.mark.parametrize("n,reason", [
-    (1, "consistency failure at calibration slot (2,1)"),
-    (2, "middle slot equation is not purely quadratic"),
-    (3, "consistency failure at calibration slot (3,2)"),
-    (4, "middle slot equation is not purely quadratic")],
-    ids=["1", "2", "3", "4"])
+    (n, f"pairing matrix is singular: zero antidiagonal entry (1,{n + 1})")
+    for n in (1, 2, 3, 4)], ids=["1", "2", "3", "4"])
 def test_structural_failure_exits_2_with_empty_stdout(capsys, n, reason):
     code = main(["ra", "--n", str(n), "--cn", "0"])
     captured = capsys.readouterr()

@@ -85,7 +85,7 @@ def test_solver_rejects_a_residue_at_each_dependent_slot(n):
         E = MatF.zeros(ch.ring, n + 1)
         E.set1(i, j, 1)
         with pytest.raises(NoSuchField, match=rf"dependent slot \({i},{j}\)"):
-            vf_from_target(ch, g + solve_right_lower(E, ch.S))
+            vf_from_target(ch, g + solve_right_lower([E], ch.S)[0])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -103,7 +103,7 @@ def test_solver_rejects_a_residue_at_each_entry_above_the_diagonal(n):
         E = MatF.zeros(ch.ring, n + 1)
         E.set1(i, j, 1)
         with pytest.raises(NoSuchField, match=rf"residue at entry \({i},{j}\)"):
-            vf_from_target(ch, g + solve_right_lower(E, ch.S))
+            vf_from_target(ch, g + solve_right_lower([E], ch.S)[0])
 
 
 @pytest.mark.parametrize("n", [2, 4])

@@ -114,3 +114,24 @@ def test_pairing_matrix_checks_the_transpose_type(monkeypatch, n):
     monkeypatch.setattr(geometry, "_check_pairing_identity", lambda *a: True)
     with pytest.raises(OmegaInconsistent, match="wrong transpose type"):
         pairing_matrix(s, _bent_connection(s))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pairing_matrix_refuses_any_moved_last_frame_row_entry(n):
+    # the last frame row is induction from low dimensions; moving one of its
+    # entries, in either base component, by t1 is refused.  At odd n the
+    # entry (n+1, 1) is the exception: f E_{n+1,1} preserves the split skew
+    # form (E omega + omega E^T = 0), and no omega row the recurrence builds
+    # reads it, so the identity cannot see it
+    s = Setup(n)
+    t1 = RatFn.var(s.ring, "t1")
+    for v in ("t1", s.base2):
+        for j in range(1, n + 2):
+            conn = frame_connection(s)
+            B = conn.get(v)
+            B.set1(n + 1, j, B.get1(n + 1, j) + t1)
+            if n % 2 and j == 1:
+                assert pairing_matrix(s, conn) == pairing_matrix(s)
+                continue
+            with pytest.raises(OmegaInconsistent):
+                pairing_matrix(s, conn)

@@ -25,7 +25,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # value of a non-constant, a negative polynomial power, an equality oracle
 # whose every sample point is a pole, the dimensions of the family at n = 0,
 # a power past the packed monomial's field limit, and a right triangular
-# solve against a lower-triangular matrix with a zero diagonal entry.
+# solve against a lower-triangular matrix with a zero diagonal entry, one
+# whose right-hand sides do not all match its shape, and one against a matrix
+# with an entry above the diagonal.
 OPTIMIZED_SCRIPT = """
 from dworklie import DworkError, MatF, Poly, RatFn, Ring, eq_by_random_eval
 from dworklie.geometry import family_dims
@@ -52,8 +54,13 @@ cases = [lambda: MatF(R, [[x, x * 2], [x * 3, x * 6]]).inverse(),
          lambda: eq_by_random_eval(1 / x, 1 / x, origin()),
          lambda: family_dims(0),
          lambda: R.var("x") ** 40000,
-         lambda: solve_right_lower(MatF.identity(R, 2),
-                                   MatF(R, [[x, x * 0], [x, x * 0]]))]
+         lambda: solve_right_lower([MatF.identity(R, 2)],
+                                   MatF(R, [[x, x * 0], [x, x * 0]])),
+         lambda: solve_right_lower([MatF.identity(R, 2),
+                                    MatF.identity(R, 3)],
+                                   MatF.identity(R, 2)),
+         lambda: solve_right_lower([MatF.identity(R, 2)],
+                                   MatF(R, [[x, x], [x * 0, x]]))]
 for case in cases:
     try:
         case()
@@ -79,7 +86,8 @@ def test_inverse_refuses_singular_and_non_square_under_O():
                                    "KernelInvariant", "ZeroDivisionError",
                                    "ValueError", "ValueError", "ValueError",
                                    "DworkError", "KernelInvariant",
-                                   "LinearInconsistent"]
+                                   "LinearInconsistent", "DworkError",
+                                   "DworkError"]
 
 
 def test_solve_linear_on_a_rank_deficient_system():
@@ -151,6 +159,8 @@ def test_lower_product_is_the_lower_triangle_of_the_product(ab):
 
 @st.composite
 def right_solve_cases(draw):
+    """Several right-hand sides of one shape and a lower-triangular S with a
+    nonzero diagonal."""
     n, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     S = draw(sparse_matrix(n, n))
     for i in range(1, n + 1):
@@ -158,21 +168,37 @@ def right_solve_cases(draw):
             S.set1(i, j, 0)
         S.set1(i, i, draw(st.sampled_from([e for e in ENTRIES
                                            if not e.is_zero])))
-    return draw(sparse_matrix(m, n)), S
+    Ms = draw(st.lists(sparse_matrix(m, n), min_size=1, max_size=3))
+    return Ms, S
 
 
 @given(right_solve_cases())
 @settings(max_examples=60, deadline=None)
 def test_right_triangular_solve_inverts_the_product(case):
-    M, S = case
-    assert solve_right_lower(M, S) @ S == M
+    Ms, S = case
+    Xs = solve_right_lower(Ms, S)
+    assert len(Xs) == len(Ms)
+    assert all(X @ S == M for X, M in zip(Xs, Ms))
+
+
+@given(right_solve_cases())
+@settings(max_examples=40, deadline=None)
+def test_prepared_right_solve_matches_solve_linear(case):
+    # X S = M row by row is S^T x = m, solved by Gauss-Jordan
+    Ms, S = case
+    St = dense(S.transpose())
+    for X, M in zip(solve_right_lower(Ms, S), Ms):
+        for i, row in enumerate(dense(M), 1):
+            res = solve_linear(RXY, St, row)
+            assert res.unique
+            assert res.values == [X.get1(i, j) for j in range(1, S.ncols + 1)]
 
 
 def test_right_triangular_solve_refuses_an_upper_entry():
     S = MatF.identity(RXY, 2)
     S.set1(1, 2, X)
     with pytest.raises(DworkError, match="above the diagonal"):
-        solve_right_lower(MatF.identity(RXY, 2), S)
+        solve_right_lower([MatF.identity(RXY, 2)], S)
 
 
 # The sparse layout against the dense reference: every operation agrees cell
