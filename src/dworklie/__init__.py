@@ -9,7 +9,8 @@ from .cy3 import (bracket_claim, cy3_basis, cy3_dims, cy3_phi, cy3_sl2,
                   gm_modular, verify_cy3_table)
 from .errors import (ActionShapeViolation, DworkError, EliminationStuck,
                      KernelInvariant, LinearInconsistent, NoSuchField,
-                     OmegaInconsistent, Sl2Violation, ZeroScalar)
+                     OmegaInconsistent, Sl2Violation, UnsplitDenominator,
+                     ZeroScalar)
 from .geometry import family_dims
 from .group import (act, basis_pairs, compose, decompose_elem, group_elem,
                     infinitesimal, lie_gen, symbolic_elem)
@@ -31,7 +32,7 @@ __all__ = [
     "gm_modular", "verify_cy3_table",
     "ActionShapeViolation", "DworkError", "EliminationStuck",
     "KernelInvariant", "LinearInconsistent", "NoSuchField",
-    "OmegaInconsistent", "Sl2Violation", "ZeroScalar",
+    "OmegaInconsistent", "Sl2Violation", "UnsplitDenominator", "ZeroScalar",
     "family_dims",
     "act", "basis_pairs", "compose", "decompose_elem", "group_elem",
     "infinitesimal", "lie_gen", "symbolic_elem",

@@ -8,8 +8,14 @@ class DworkError(Exception):
 
 
 class KernelInvariant(DworkError):
-    """Kernel arithmetic broke one of its own invariants, e.g. a division that
-    must be exact left a remainder."""
+    """Kernel arithmetic broke one of its own invariants, e.g. a monomial
+    degree past the packed field width, or operands from two rings."""
+
+
+class UnsplitDenominator(DworkError):
+    """A rational function's denominator is not c * x^a * F^k, a constant
+    times a monomial times a power of the ring's known factor: the one form
+    the kernel reduces."""
 
 
 class OmegaInconsistent(DworkError):

@@ -7,15 +7,14 @@ Invariants after every operation:
     numerator has pivot degree <= 1.
 Equality of canonical forms is therefore structural equality.
 
-Two routes reduce a fraction.  A denominator with a split c * x^a * F^k,
-F a ring's known factor (a chart ring's disc), or c * x^a with k = 0 in any
-ring (Poly.known_split), is cancelled by Ring.cancel_split from its
-exponents, since only the integer content, the monomial and a power of the
-irreducible F can cancel, and the result keeps its split.  Any other
-denominator is normalised once, by _normalize through Ring.cancel, the
-general gcd: a/b + c/d with b or d unsplit is (a*d + c*b)/(b*d) and
-(a/b)(c/d) is (a*c)/(b*d), each normalised.  _normalize itself finishes
-through the split route when the primitive denominator it reaches is split.
+One route reduces a fraction.  Its denominator must have a split
+c * x^a * F^k, F a ring's known factor (a chart ring's disc), or c * x^a
+with k = 0 in any ring (Poly.known_split).  Ring.cancel_split cancels it
+from its exponents, since only the integer content, the monomial and a
+power of the irreducible F can cancel, and the result keeps its split.  So
+every canonical denominator is split, and the rules below keep it so.
+_normalize raises UnsplitDenominator when the primitive denominator it
+reaches has no split; the kernel has no general gcd.
 
 Sums over split denominators follow Henrici (J. ACM 3, 1956): for canonical
 a/b and c/d with g = gcd(b, d), taken from the exponents (Ring.split_gcd),
@@ -27,12 +26,13 @@ cross-multiplication.
 
 Products follow Henrici's rule too.  A constant factor is a unit: it scales
 the other numerator and takes no gcd, and a factor 1 returns the other
-operand.  Otherwise, over split denominators, with g1 = gcd(a, d) and
-g2 = gcd(c, b), the product (a/g1)(c/g2) / ((b/g2)(d/g1)) is canonical:
-each numerator factor is coprime to both denominator factors, and the
-denominator is primitive with a positive lead by Gauss's lemma, since
-graded lex order is multiplicative.  Where both numerators carry a relation
-pivot, the product has pivot degree 2 and goes through _normalize.
+operand.  Otherwise, with g1 = gcd(a, d) and g2 = gcd(c, b), the product
+(a/g1)(c/g2) / ((b/g2)(d/g1)) is canonical: each numerator factor is
+coprime to both denominator factors, and the denominator is primitive with
+a positive lead by Gauss's lemma, since graded lex order is
+multiplicative.  Where both numerators carry a relation pivot, the product
+has pivot degree 2 and goes through _normalize, whose reduction multiplies
+the denominator by a power of the relation's rel_den, a split too (Ring).
 
 dot(ring, pairs) sums the products a*b over one common denominator: the
 numerators multiply with no cross gcd (when the relation's rel_den is a
@@ -40,8 +40,8 @@ constant r, as in every chart ring, Ring.reduce_const rewrites a pivot
 square and r^j joins the numerator's integer denominator), each is scaled
 by its cofactor in the lcm c * x^max(a) * F^max(k) of the products' splits
 (Ring.split_lcm), and the sum takes one cancel against the lcm, where k
-sequential products and sums take 3k - 1.  Pairs off that route are added
-sequentially.
+sequential products and sums take 3k - 1.  Pivot products in a ring whose
+rel_den is not a constant are added sequentially.
 
 The derivative by v of p/q with q = x^a * F^k split follows the logarithmic
 derivative q'/q = a_v/x_v + k F'/F:
@@ -50,10 +50,9 @@ derivative q'/q = a_v/x_v + k F'/F:
 
 where x_v (or F) stays out of both sides when a_v (or k F') is 0, and when
 both are 0 the result is p'/q.  The denominator is split again, so one
-cancel against it reduces the result.  Any other q takes the quotient rule
-(p'q - pq')/q^2, normalised.  A relation pivot is an independent slot here,
-and q and F are pivot-free, so the derivative by the pivot is p'/q, and the
-numerator keeps pivot degree <= 1.
+cancel against it reduces the result.  A relation pivot is an independent
+slot here, and q and F are pivot-free, so the derivative by the pivot is
+p'/q, and the numerator keeps pivot degree <= 1.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
-from .errors import KernelInvariant
+from .errors import KernelInvariant, UnsplitDenominator
 from .ring import Poly, _primitive, _tadd, _tmul, _tscale, _tsum
 
 
@@ -135,10 +134,7 @@ class RatFn:
         if a.is_const and b.is_const:
             return _raw(a.num + b.num, ring.one)
         # Henrici addition, see the module docstring
-        sb, sd = a.den.known_split(), b.den.known_split()
-        if not (sb and sd):
-            return RatFn(a.num * b.den + b.num * a.den, a.den * b.den)
-        gs, sb, sd = ring.split_gcd(sb, sd)
+        gs, sb, sd = ring.split_gcd(a.den.known_split(), b.den.known_split())
         T = _tadd(_tscale(_tmul(a.num.terms, ring.split_terms(sd)), b.num.den),
                   _tscale(_tmul(b.num.terms, ring.split_terms(sb)), a.num.den))
         if not T:
@@ -185,11 +181,8 @@ class RatFn:
                 return a
             return _raw(Poly._trusted(ring, _tscale(a.num.terms, k),
                                       a.num.den * b.num.den), a.den)
-        sb, sd = a.den.known_split(), b.den.known_split()
-        if not (sb and sd):
-            return RatFn(a.num * b.num, a.den * b.den)
-        _, A, sd = ring.cancel_split(a.num.terms, sd)
-        _, C, sb = ring.cancel_split(b.num.terms, sb)
+        _, A, sd = ring.cancel_split(a.num.terms, b.den.known_split())
+        _, C, sb = ring.cancel_split(b.num.terms, a.den.known_split())
         num = Poly._trusted(ring, _tmul(A, C), a.num.den * b.num.den)
         den = ring.split_poly(sb, sd)
         if ring.has_pivot(A) and ring.has_pivot(C):
@@ -245,14 +238,10 @@ class RatFn:
     # -- calculus / evaluation ---------------------------------------------
     def derive(self, var):
         """Formal partial derivative; a relation pivot counts as an independent
-        slot.  See the module docstring for the two routes."""
-        p, q = self.num, self.den
-        ring = self.ring
-        known = q.known_split()
-        if known:
-            N, known = ring.derive_split(p.terms, known, var)
-            return _over_split(ring, N, p.den, known)
-        return RatFn(p.derive(var) * q - p * q.derive(var), q * q)
+        slot.  See the module docstring for the rule."""
+        p, ring = self.num, self.ring
+        N, split = ring.derive_split(p.terms, self.den.known_split(), var)
+        return _over_split(ring, N, p.den, split)
 
     def subs(self, mapping):
         """Substitute RatFn values for variables (others stay)."""
@@ -318,15 +307,13 @@ def dot(ring, pairs):
         if a.is_zero or b.is_zero:
             continue
         a.num._chk(b.num)
-        sa, sb = a.den.known_split(), b.den.known_split()
-        red = None
-        if sa and sb:
-            A, C = a.num.terms, b.num.terms
-            red = (_tmul(A, C), 1)
-            if ring.has_pivot(A) and ring.has_pivot(C):
-                red = ring.reduce_const(red[0])
+        A, C = a.num.terms, b.num.terms
+        red = (_tmul(A, C), 1)
+        if ring.has_pivot(A) and ring.has_pivot(C):
+            red = ring.reduce_const(red[0])
         if red:
-            fused.append((red[0], a.num.den * b.num.den * red[1], (sa, sb)))
+            fused.append((red[0], a.num.den * b.num.den * red[1],
+                          (a.den.known_split(), b.den.known_split())))
         else:
             rest = rest + a * b
     if not fused:
@@ -350,13 +337,13 @@ def _normalize(num, den):
     # value = N * den.den / ((cd * D) * num.den) with D primitive
     cd, D = _primitive(D)
     q = Fraction(den.den, num.den * cd)
-    split = Poly._trusted(ring, D).known_split()
-    if split:
-        r = _over_split(ring, _tscale(N, q.numerator), q.denominator, split)
-        return r.num, r.den
-    N, D = ring.cancel(N, D)
-    return (Poly._trusted(ring, _tscale(N, q.numerator), q.denominator),
-            Poly._trusted(ring, D))
+    D = Poly._trusted(ring, D)
+    split = D.known_split()
+    if not split:
+        raise UnsplitDenominator(f"denominator {poly_string(D)} has no split "
+                                 "c * x^a * F^k")
+    r = _over_split(ring, _tscale(N, q.numerator), q.denominator, split)
+    return r.num, r.den
 
 
 # ---------------------------------------------------------------------------

@@ -28,16 +28,16 @@ the gcd with a split denominator comes by exact division by F, not by a
 multivariate gcd, and the reduced denominator is a split again
 (Ring.cancel_split, see Ring); the gcd of two splits comes from their
 exponents (Ring.split_gcd), and a product of splits is built from the
-cached F^k by one shift (Ring.split_poly).  Any other denominator takes the
-general gcd (Ring.cancel).  Kernel results with no zero coefficient enter
-Poly through Poly._trusted, which skips the zero filter and, over den 1,
-the content scan.
+cached F^k by one shift (Ring.split_poly).  There is no general gcd: ratfn
+refuses a denominator without a split, and a relation's rel_den must have
+one.  Kernel results with no zero coefficient enter Poly through
+Poly._trusted, which skips the zero filter and, over den 1, the content
+scan.
 
 Boundary: only this module knows how a monomial is encoded and how monomials
 are ordered.  Other modules name variables and use
-  Ring: var, const, with_relation, extend, factor_pow, cancel (the general
-        gcd alone), has_pivot (the pivot test) and rationalize (the
-        conjugate step after reduce_terms);
+  Ring: var, const, with_relation, extend, factor_pow, has_pivot (the
+        pivot test) and rationalize (the conjugate step after reduce_terms);
         ratfn also uses reduce_const (the pivot reduction when rel_den is
         a constant) and the split methods split_terms, split_poly,
         split_gcd, split_lcm (the lcm of products of splits, with each
@@ -219,43 +219,6 @@ def _teval(T, point):
     return total
 
 
-def _tdiv_exact(A, B):
-    """Exact division of term dicts; returns the quotient or None if B does not divide A."""
-    if not B:
-        raise ZeroDivisionError("division by zero polynomial")
-    if not A:
-        return {}
-    eB = max(B)
-    cB = B[eB]
-    Q = {}
-    R = dict(A)
-    while R:
-        eR = max(R)
-        diff = eR - eB
-        if diff < 0 or diff & _G:
-            return None
-        q, rem = divmod(R[eR], cB)
-        if rem:
-            return None
-        Q[diff] = q
-        for e, c in B.items():
-            e += diff
-            s = R.get(e, 0) - q * c
-            if s:
-                R[e] = s
-            else:
-                del R[e]
-    return Q
-
-
-def _tdiv_strict(A, B):
-    """Quotient of a division known to be exact; KernelInvariant if it is not."""
-    Q = _tdiv_exact(A, B)
-    if Q is None:
-        raise KernelInvariant("division expected to be exact left a remainder")
-    return Q
-
-
 def _tdiv_known(T, known):
     """T / (x^r - x_v) for a monomial x^r free of x_v, or None when the division
     leaves a remainder; known is Ring._known, (R, E, s, limit) with R the key of
@@ -293,21 +256,6 @@ def _tdiv_known(T, known):
     return _uni_join(Q, E)
 
 
-# ---------------------------------------------------------------------------
-# multivariate gcd.  A constant operand leaves only the gcd of the integer
-# contents.  Otherwise _tgcd strips the common monomial and the integer
-# content, then tries, cheapest first:
-#   * a monomial operand, equal operands, or one operand dividing the other;
-#   * the support split: a common factor can only involve variables that occur
-#     in both operands, so an operand that also carries other variables is
-#     replaced by its coefficients over them, and the gcd is folded over all
-#     those parts, smallest first, stopping at 1.  This keeps PRS below on the
-#     shared variables only;
-#   * primitive subresultant PRS in the shared variable of least degree.
-# A one-term denominator, or one of the form c * x^a * F^k with F a ring's
-# known factor, never comes here: Ring.cancel_split finds its gcd exactly
-# (see Ring).
-
 def _uni_view(T, s, unit):
     """Split T into dict deg_v -> coefficient term-dict (v-exponent zeroed),
     for the variable v whose field starts at bit s and whose key is unit."""
@@ -324,66 +272,6 @@ def _uni_join(U, unit):
         for e, c in coeff.items():
             out[e + k * unit] = c
     return out
-
-
-def _prem(A, B):
-    """Pseudo-remainder in the main variable: lc(B)^(dA-dB+1) * A = Q*B + R."""
-    dB = max(B)
-    lB = B[dB]
-    R = {d: dict(c) for d, c in A.items()}
-    e = max(A) - dB + 1
-    while R:
-        dR = max(R)
-        if dR < dB:
-            break
-        lR = R.pop(dR)
-        e -= 1
-        Rn = {d: _tmul(c, lB) for d, c in R.items()}
-        for d, c in B.items():
-            if d == dB:
-                continue
-            sh = d + dR - dB
-            t = _tmul(c, lR)
-            cur = Rn.get(sh)
-            Rn[sh] = _tadd(cur, _tneg(t)) if cur is not None else _tneg(t)
-        R = {d: c for d, c in Rn.items() if c}
-    if e > 0 and R:
-        m = _tpow(lB, e)
-        R = {d: _tmul(c, m) for d, c in R.items()}
-    return R
-
-
-def _coeff_gcd(U, nv):
-    """Recursive gcd of all coefficient dicts of a univariate view."""
-    g = {}
-    for coeff in U.values():
-        g = _tgcd(g, coeff, nv)
-        if g == _ONE:
-            break
-    return g
-
-
-def _subres_prim_gcd(A, B):
-    """Primitive gcd in the main variable of two primitive univariate views (or None for 1)."""
-    if max(A) < max(B):
-        A, B = B, A
-    g, h = _ONE, _ONE
-    while True:
-        delta = max(A) - max(B)
-        R = _prem(A, B)
-        if not R:
-            break
-        if max(R) == 0:
-            return None
-        denom = _tmul(g, _tpow(h, delta))
-        Rq = {d: _tdiv_strict(c, denom) for d, c in R.items()}
-        A, B = B, Rq
-        g = A[max(A)]
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = _tdiv_strict(_tpow(g, delta), _tpow(h, delta - 1))
-    return B
 
 
 def _fields(T, nv):
@@ -424,88 +312,6 @@ def _mono_gcd(A, B, nv):
     return m | (m * (g >> (_W - 1)) >> ((nv - 1) * _W) & _FM) << (nv * _W)
 
 
-def _tgcd(A, B, nv):
-    """Gcd of integer term dicts, sign-normalized to positive leading coefficient."""
-    if not A or not B:
-        c, P = _primitive(A or B)
-        return _tscale(P, abs(c))
-    if len(A) == 1 and 0 in A or len(B) == 1 and 0 in B:
-        return {0: igcd(_content(A), _content(B))}
-
-    mono = _mono_gcd(A, B, nv)
-    if mono:
-        A = {e - mono: c for e, c in A.items()}
-        B = {e - mono: c for e, c in B.items()}
-
-    ca, A = _primitive(A)
-    cb, B = _primitive(B)
-    c = igcd(ca, cb)
-
-    def done(prim):
-        # prim is primitive here, so _primitive only fixes its sign
-        prim = _primitive(prim)[1]
-        return _tmul(prim, {mono: c}) if (mono or c != 1) else prim
-
-    if len(A) == 1 or len(B) == 1:
-        return done({_mono_gcd(A, B, nv): 1})
-    if A == B or _tdiv_exact(A, B) is not None:
-        return done(B)
-    if _tdiv_exact(B, A) is not None:
-        return done(A)
-
-    sa, sb = _fields(A, nv), _fields(B, nv)
-    shared = [i for i in sa if i in sb]
-    if not shared:
-        return done(_ONE)
-    if len(sa) > len(shared) or len(sb) > len(shared):
-        # The fold is already primitive and free of monomial factors: both
-        # would divide A and B, whose common ones were stripped above.
-        parts = sorted(_split_off(A, sa, shared, nv) + _split_off(B, sb, shared, nv),
-                       key=len)
-        g = parts[0]
-        for part in parts[1:]:
-            if g == _ONE:
-                break
-            g = _tgcd(g, part, nv)
-        return done(g)
-    v = min(shared, key=lambda i: max(e >> (i * _W) & _FM for e in A)
-            + max(e >> (i * _W) & _FM for e in B))
-    s, unit = v * _W, 1 << (v * _W) | 1 << (nv * _W)
-
-    UA, UB = _uni_view(A, s, unit), _uni_view(B, s, unit)
-    contA = _coeff_gcd(UA, nv)
-    contB = _coeff_gcd(UB, nv)
-    cont = _tgcd(contA, contB, nv)
-    if contA != _ONE:
-        UA = {d: _tdiv_strict(cf, contA) for d, cf in UA.items()}
-    if contB != _ONE:
-        UB = {d: _tdiv_strict(cf, contB) for d, cf in UB.items()}
-    prim = _subres_prim_gcd(UA, UB)
-    if prim is None:
-        res = cont
-    else:
-        pc = _coeff_gcd(prim, nv)
-        if pc != _ONE:
-            prim = {d: _tdiv_strict(cf, pc) for d, cf in prim.items()}
-        res = _tmul(cont, _uni_join(prim, unit))
-    return done(res)
-
-
-def _split_off(T, support, keep, nv):
-    """Coefficients of T over its variables outside keep, as term dicts in the
-    keep variables (support lists the variables occurring in T)."""
-    drop = [i for i in support if i not in keep]
-    if not drop:
-        return [T]
-    mask = sum(_FM << (i * _W) for i in drop)
-    out = {}
-    for e, c in T.items():
-        d = e & mask
-        deg = sum(d >> (i * _W) & _FM for i in drop)
-        out.setdefault(d, {})[e - d - (deg << (nv * _W))] = c
-    return list(out.values())
-
-
 # ---------------------------------------------------------------------------
 
 class Ring:
@@ -518,13 +324,15 @@ class Ring:
     coefficients x^r and -1, and it is prime to every monomial and integer.
     So for D = c * x^a * F^k,
     gcd(N, D) = igcd(content N, c) * x^min(a, ord N) * F^j, with j the largest
-    power up to k that divides N, and cancel_split() finds it without _tgcd
-    from D's split (c, a, k); any other D takes cancel(), the general gcd.
+    power up to k that divides N, and cancel_split() finds it from D's
+    split (c, a, k).
     For two split polynomials the gcd is
     igcd(c1, c2) * x^min(a1, a2) * F^min(k1, k2), from the exponents alone
     (split_gcd), and derive_split differentiates P / D by the logarithmic
     derivative of x^a * F^k.  With k = 0 none of this needs F, so a one-term
-    D = c * x^a is split as (c, a, 0) in a ring without a known factor too."""
+    D = c * x^a is split as (c, a, 0) in a ring without a known factor too.
+    The relation's rel_den must have a split, so that reducing a pivot
+    power keeps a split denominator split; ValueError otherwise."""
 
     __slots__ = ("names", "index", "pivot", "rel_num", "rel_den", "_relpow",
                  "factor", "_fpow", "_known", "_units", "_pmask", "zero", "one")
@@ -560,6 +368,8 @@ class Ring:
             limit = ((_HALF - 1) // sum(r) + 1) << (nv * _W)
             self._known = (R, E, v * _W, limit)
             self._fpow = [_ONE, {R: 1, E: -1}]
+        if pivot is not None and not (rel_den and self._known_split(rel_den)):
+            raise ValueError("relation: rel_den has no split c * x^a * F^k")
 
     @property
     def nvars(self):
@@ -720,20 +530,10 @@ class Ring:
             N = _tadd(N, _tscale(_tmul(_tmul(x, dF), P), -k))
         return N, (c, a + unit if av else a, k + 1 if dF else k)
 
-    def cancel(self, N, D):
-        """(N/g, D/g) for g = gcd(N, D) of nonzero integer term dicts, by
-        _tgcd and two exact divisions: the general gcd, for a D with no
-        split (a split D takes cancel_split)."""
-        g = _tgcd(N, D, self.nvars)
-        if g == _ONE:
-            return N, D
-        return _tdiv_strict(N, g), _tdiv_strict(D, g)
-
     def cancel_split(self, N, split):
         """(g, N/g, D/g) for g = gcd(N, D), N a nonzero integer term dict and
         D = c * x^a * F^k given by split, with g and D/g as splits: the rule
-        of the class docstring, with g as _tgcd would give it.  A D with no
-        split takes cancel."""
+        of the class docstring, g with a positive leading coefficient."""
         c, a, k = split
         cg = 1 if c in (1, -1) else igcd(_content(N), c)
         m = _mono_gcd((a,), N, self.nvars) if a else 0

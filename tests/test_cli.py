@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from dworklie import VecField, modular_vf, parse_ratfn, resolve_chart
+from dworklie import (VecField, matched_c, modular_vf, parse_ratfn,
+                      resolve_chart)
 from dworklie import cli, liealg
 from dworklie.cli import main
 
@@ -234,12 +235,30 @@ def test_verify_refuses_a_fixture_that_is_not_json(tmp_path, capsys):
      "lowering: t2: unexpected token *"),
     (lambda d: d["weight"].update(t9="1"),
      "weight: 't9' is not a chart coordinate with a string component"),
-], ids=["missing-table", "missing-relation", "unparsable", "outside-chart"])
+    (lambda d: d["lowering"].update(t2="1/(t1 + t2)"),
+     "lowering: t2: denominator t1 + t2 has no split c * x^a * F^k"),
+], ids=["missing-table", "missing-relation", "unparsable", "outside-chart",
+        "unsplit-denominator"])
 def test_verify_refuses_a_malformed_fixture(tmp_path, capsys, edit, reason):
     path = bad_fixture(tmp_path, edit)
     capsys.readouterr()
     assert_fixture_error(capsys, ["verify", "--n", "1", "--suite", "sl2",
                                   "--fixtures", str(tmp_path)], path, reason)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_verify_passes_away_from_the_matched_constant(capsys, n):
+    # the truncation's closed forms hold at the matched constant only, so
+    # their rows run when the chart has that constant, given or not
+    truncation = "membership: truncation matches the closed form"
+    for cn in ("symbolic", "3/7"):
+        code, out = run(capsys, "verify", "--n", str(n), "--cn", cn)
+        assert code == 0, out
+        assert "FAIL" not in out and truncation not in out
+    for cn in ([], ["--cn", str(matched_c(n))]):
+        code, out = run(capsys, "verify", "--n", str(n), "--suite",
+                        "membership", *cn)
+        assert code == 0 and truncation in out
 
 
 def test_decompose_member_and_obstruction(capsys):

@@ -1,6 +1,6 @@
 """Base-layer oracles: dimension table, Stirling numbers, the pairing
-identity of the frame connection, and the shape and guards of the moving
-pairing matrix."""
+identity and the flatness of the frame connection, and the shape and guards
+of the moving pairing matrix."""
 
 from fractions import Fraction
 
@@ -122,7 +122,7 @@ def test_pairing_matrix_refuses_any_moved_last_frame_row_entry(n):
     # entries, in either base component, by t1 is refused.  At odd n the
     # entry (n+1, 1) is the exception: f E_{n+1,1} preserves the split skew
     # form (E omega + omega E^T = 0), and no omega row the recurrence builds
-    # reads it, so the identity cannot see it
+    # reads it, so the identity cannot see it; flatness does (below)
     s = Setup(n)
     t1 = RatFn.var(s.ring, "t1")
     for v in ("t1", s.base2):
@@ -135,3 +135,31 @@ def test_pairing_matrix_refuses_any_moved_last_frame_row_entry(n):
                 continue
             with pytest.raises(OmegaInconsistent):
                 pairing_matrix(s, conn)
+
+
+# Flatness of the frame connection guards what the pairing identity cannot
+# see: dB2/dt1 - dB1/dt_{n+2} - [B1, B2] = 0, with B1 and B2 its dt1 and
+# dt_{n+2} components.
+
+def _curvature(s, conn):
+    B1, B2 = conn.get("t1"), conn.get(s.base2)
+    return B2.derive("t1") - B1.derive(s.base2) - (B1 @ B2 - B2 @ B1)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_frame_connection_is_flat(n):
+    s = Setup(n)
+    assert _curvature(s, frame_connection(s)).is_zero
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_flatness_sees_a_moved_first_entry_of_the_last_row(n):
+    # the entry (n+1, 1), moved by t1 in either component, that the pairing
+    # identity passes at odd n
+    s = Setup(n)
+    t1 = RatFn.var(s.ring, "t1")
+    for v in ("t1", s.base2):
+        conn = frame_connection(s)
+        B = conn.get(v)
+        B.set1(n + 1, 1, B.get1(n + 1, 1) + t1)
+        assert not _curvature(s, conn).is_zero, v

@@ -12,30 +12,31 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dworklie import DworkError, LinearInconsistent, MatF, OneFormMat, \
-    RatFn, Ring, VecField, solve_linear
+    RatFn, Ring, UnsplitDenominator, VecField, solve_linear
 from dworklie.linalg import solve_right_lower
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Refusals must not rest on assert: run them with assertions stripped.  The
 # cases: a singular and a non-square inverse, a 2x2 times 3x3 product, a
-# 2x2 plus and minus a 3x3, a read of cell (0, 0) and a write to (0, 1), a
-# kernel division expected to be exact, (x^2 + 1)/x, a sum, a product and a
-# quotient across two rings with the same names, a zero denominator, the
-# value of a non-constant, a negative polynomial power, an equality oracle
-# whose every sample point is a pole, the dimensions of the family at n = 0,
-# a power past the packed monomial's field limit, and a right triangular
-# solve against a lower-triangular matrix with a zero diagonal entry, one
-# whose right-hand sides do not all match its shape, and one against a matrix
-# with an entry above the diagonal.
+# 2x2 plus and minus a 3x3, a read of cell (0, 0) and a write to (0, 1),
+# 1/(x + 1), whose denominator has no split, a relation whose rel_den x + 1
+# has none, a sum, a product and a quotient across two rings with the same
+# names, a zero denominator, the value of a non-constant, a negative
+# polynomial power, an equality oracle whose every sample point is a pole,
+# the dimensions of the family at n = 0, a power past the packed monomial's
+# field limit, and a right triangular solve against a lower-triangular
+# matrix with a zero diagonal entry, one whose right-hand sides do not all
+# match its shape, and one against a matrix with an entry above the
+# diagonal.
 OPTIMIZED_SCRIPT = """
 from dworklie import DworkError, MatF, Poly, RatFn, Ring, eq_by_random_eval
 from dworklie.geometry import family_dims
 from dworklie.linalg import solve_right_lower
-from dworklie.ring import _pack, _tdiv_strict
+from dworklie.ring import _pack
 R, S = Ring(["x"]), Ring(["x"])
 x = RatFn.var(R, "x")
-X2, X1, X0 = (_pack((k,), 1) for k in (2, 1, 0))
+X1 = _pack((1,), 1)
 origin = type("Origin", (), {"randint": staticmethod(lambda a, b: max(a, 0))})
 cases = [lambda: MatF(R, [[x, x * 2], [x * 3, x * 6]]).inverse(),
          lambda: MatF(R, [[x, RatFn.of(R, 1)]]).inverse(),
@@ -44,7 +45,9 @@ cases = [lambda: MatF(R, [[x, x * 2], [x * 3, x * 6]]).inverse(),
          lambda: MatF.identity(R, 2) - MatF.identity(R, 3),
          lambda: MatF.identity(R, 2).get1(0, 0),
          lambda: MatF.zeros(R, 2).set1(0, 1, 7),
-         lambda: _tdiv_strict({X2: 1, X0: 1}, {X1: 1}),
+         lambda: 1 / (x + 1),
+         lambda: Ring(["x", "u"], pivot=1, rel_num={(1, 0): 1},
+                      rel_den={(1, 0): 1, (0, 0): 1}),
          lambda: R.var("x") + S.var("x"),
          lambda: x * RatFn.var(S, "x"),
          lambda: RatFn(R.var("x"), S.var("x")),
@@ -81,7 +84,7 @@ def test_inverse_refuses_singular_and_non_square_under_O():
     assert proc.stdout.split() == ["LinearInconsistent", "DworkError",
                                    "DworkError", "DworkError", "DworkError",
                                    "DworkError", "DworkError",
-                                   "KernelInvariant",
+                                   "UnsplitDenominator", "ValueError",
                                    "KernelInvariant", "KernelInvariant",
                                    "KernelInvariant", "ZeroDivisionError",
                                    "ValueError", "ValueError", "ValueError",
@@ -102,11 +105,14 @@ def test_solve_linear_on_a_rank_deficient_system():
 
 
 # The sparse product against a dense triple loop, on mostly-zero matrices of
-# any shape, some with whole rows or columns zero.
-RXY = Ring(["x", "y"])
+# any shape, some with whole rows or columns zero.  The known factor y - x
+# gives one entry a denominator past a monomial.
+RXY = Ring(["x", "y"], factor=((0, 1), 0))
 X, Y = RatFn.var(RXY, "x"), RatFn.var(RXY, "y")
 ENTRIES = [RatFn.of(RXY, 0)] * 6 + [RatFn.of(RXY, 1), RatFn.of(RXY, -2),
-                                    X, Y / (X + 1), X * Y - 3, 1 / Y]
+                                    X, Y / (Y - X), X * Y - 3, 1 / Y]
+# the entries that can divide: a numerator without a split has no inverse
+DIVISORS = [e for e in ENTRIES if not e.is_zero and e.num.known_split()]
 
 
 @st.composite
@@ -166,8 +172,7 @@ def right_solve_cases(draw):
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             S.set1(i, j, 0)
-        S.set1(i, i, draw(st.sampled_from([e for e in ENTRIES
-                                           if not e.is_zero])))
+        S.set1(i, i, draw(st.sampled_from(DIVISORS)))
     Ms = draw(st.lists(sparse_matrix(m, n), min_size=1, max_size=3))
     return Ms, S
 
@@ -192,6 +197,13 @@ def test_prepared_right_solve_matches_solve_linear(case):
             res = solve_linear(RXY, St, row)
             assert res.unique
             assert res.values == [X.get1(i, j) for j in range(1, S.ncols + 1)]
+
+
+def test_right_triangular_solve_refuses_a_diagonal_without_a_split():
+    S = MatF.identity(RXY, 2)
+    S.set1(2, 2, X * Y - 3)
+    with pytest.raises(UnsplitDenominator, match="no split"):
+        solve_right_lower([MatF.identity(RXY, 2)], S)
 
 
 def test_right_triangular_solve_refuses_an_upper_entry():

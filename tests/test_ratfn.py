@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dworklie import (DworkError, Poly, RatFn, Ring, eq_by_random_eval, parse_ratfn,
-                      ratfn_string, resolve_chart)
+from dworklie import (DworkError, Poly, RatFn, Ring, UnsplitDenominator,
+                      eq_by_random_eval, parse_ratfn, ratfn_string,
+                      resolve_chart)
 from dworklie.ratfn import ParseError
 from dworklie.ring import _pack, _unpack
 
@@ -66,7 +67,12 @@ def test_sub_self_is_zero(f):
 @given(ratfns())
 @settings(max_examples=60, deadline=None)
 def test_inverse(f):
+    # the numerator becomes the denominator, so it must have a split
     if f.is_zero:
+        return
+    if not f.num.known_split():
+        with pytest.raises(UnsplitDenominator):
+            f.inverse()
         return
     assert (f * f.inverse() - RatFn.of(R3, 1)).is_zero
 
@@ -149,9 +155,9 @@ def test_subs_chains_through_composition():
 def test_eval_matches_substitution():
     x = RatFn.var(R3, "x")
     z = RatFn.var(R3, "z")
-    f = (x ** 2 - z) / (x + RatFn.of(R3, 3))
+    f = (x ** 2 - z) / (x * 3)
     pt = {"x": Fraction(2), "y": Fraction(0), "z": Fraction(1, 2)}
-    assert f.eval(pt) == Fraction(7, 10)
+    assert f.eval(pt) == Fraction(7, 12)
 
 
 def test_eval_names_a_missing_variable():
@@ -163,27 +169,27 @@ def test_eval_names_a_missing_variable():
 
 def test_lift_drops_trailing_variables_that_do_not_occur():
     R2 = Ring(("x", "y"))
-    f = parse_ratfn(R3, "x/(y + 1)")
-    assert f.lift(R2) == parse_ratfn(R2, "x/(y + 1)")
+    f = parse_ratfn(R3, "(x + 1)/(3*y^2)")
+    assert f.lift(R2) == parse_ratfn(R2, "(x + 1)/(3*y^2)")
     assert f.lift(R2).lift(R3) == f
     with pytest.raises(DworkError, match="'z'"):
         parse_ratfn(R3, "x*z").lift(R2)
 
 
 # Henrici addition against the plain formula: the sum over the full product
-# of the denominators, normalised in one go.  Unsplit operands take that
-# formula themselves, so the reference has teeth in the known-factor rings,
-# where every denominator is split c * x^a * F^k and the sum takes Henrici's
-# rule over the split gcd; the sympy tests below check the other rings.
+# of the denominators, normalised in one go.  Every denominator is split,
+# c * x^a * F^k in the known-factor rings and c * x^a in the others, so the
+# sum takes Henrici's rule over the split gcd; the sympy tests below are a
+# second route in the relation-free rings.
 
 def reference_add(f, g):
     return RatFn(f.num * g.den + g.num * f.den, f.den * g.den)
 
 
-# u^2 = (y - x)/(x + 1): a slot relation with a nontrivial denominator
+# u^2 = (y - x)/(4x): a slot relation with a non-constant denominator
 RU = Ring(("x", "y", "u"), pivot=2,
           rel_num={(0, 1, 0): 1, (1, 0, 0): -1},
-          rel_den={(1, 0, 0): 1, (0, 0, 0): 1})
+          rel_den={(1, 0, 0): 4})
 
 # the known factor F = x^3 - y, in a plain ring and with u^2 = (y - x)/4
 KNOWN = ((3, 0, 0), 1)
@@ -200,16 +206,17 @@ factor_powers = st.lists(st.integers(0, 1), min_size=len(FACTORS),
                          max_size=len(FACTORS))
 
 
-# x, y and F: the factors of a split denominator
-SPLIT_FACTORS = (0, 1, 5)
+def split_factors(ring):
+    """Indices of the FACTORS that a split denominator may carry: x, y and,
+    where the ring knows it, F."""
+    return (0, 1, 5) if ring.factor else (0, 1)
 
 
 def denominator(ring, powers, scale):
-    """scale times the product of the FACTORS to the given powers; in a
-    known-factor ring only x, y and F count, so the result is split."""
-    if ring.factor:
-        powers = [k if i in SPLIT_FACTORS else 0
-                  for i, k in enumerate(powers)]
+    """scale times the product of the FACTORS to the given powers, of which
+    only the ring's split factors count, so the result is split."""
+    powers = [k if i in split_factors(ring) else 0
+              for i, k in enumerate(powers)]
     p = ring.const(scale)
     for f, k in zip(FACTORS, powers):
         p = p * Poly(ring, f) ** k
@@ -251,6 +258,22 @@ def test_add_matches_full_product_normalisation(ops):
     assert f + g == reference_add(f, g)
     assert f - g == reference_add(f, -g)
     assert (f + g) + f == reference_add(reference_add(f, g), f)
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=["R3", "RU", "RF", "RFU"])
+def test_factors_without_a_split_are_refused(ring):
+    """The FACTORS that a ring cannot split, over 1, over themselves and in
+    a quotient, each raise UnsplitDenominator; the split ones divide."""
+    x = RatFn.var(ring, "x")
+    for i, f in enumerate(FACTORS):
+        d = RatFn(Poly(ring, f))
+        if i in split_factors(ring):
+            assert (x / d * d) == x
+            continue
+        for make in (lambda: RatFn(ring.one, d.num), lambda: d / d,
+                     lambda: x / d, lambda: d.inverse()):
+            with pytest.raises(UnsplitDenominator, match="no split"):
+                make()
 
 
 def test_split_sum_and_product_cancel_the_known_factor():
@@ -304,8 +327,16 @@ def test_mul_matches_full_product_normalisation(ops):
     assert k * f == reference_mul(K, f)
     assert f * k == reference_mul(f, K)
     assert f ** 3 == reference_mul(reference_mul(f, f), f)
-    if not g.is_zero:
-        assert f / g == RatFn(f.num * g.den, f.den * g.num)
+    if g.is_zero:
+        return
+    # g's numerator, rationalised against the relation, must have a split
+    try:
+        g.inverse()
+    except UnsplitDenominator:
+        with pytest.raises(UnsplitDenominator):
+            f / g
+        return
+    assert f / g == RatFn(f.num * g.den, f.den * g.num)
 
 
 @pytest.mark.parametrize("n", [3, 4])  # a chart ring, and one with a relation
@@ -413,7 +444,7 @@ def test_poly_derivative_is_canonical():
 
 def test_support_lists_numerator_and_denominator_variables():
     x, z = RatFn.var(R3, "x"), RatFn.var(R3, "z")
-    assert (z / (x + 1)).support() == ["x", "z"]
+    assert (z / (x * 2)).support() == ["x", "z"]
     assert RatFn.of(R3, Fraction(3, 4)).support() == []
 
 

@@ -1,23 +1,36 @@
-"""The known-factor split paths of the kernel against the general paths they
-bypass: the exponent gcd of two split denominators, the logarithmic-derivative
-rule, the split-carrying sum and product, the trusted Poly constructor, the
-splits cached on denominators during a cold pipeline run, and the routes the
-chart and threefold work take."""
+"""The split route, the kernel's one denominator route: the exponent gcd of
+two split denominators and the split cancel against sympy's gcd and against
+their own coprimality certificate, synthetic division by the known factor
+against division with remainder, the logarithmic-derivative rule, the
+split-carrying sum and product, the trusted Poly constructor, the splits
+cached on denominators during a cold pipeline run, the chart and threefold
+work that must finish on this route, and the refusal of any denominator or
+relation without a split."""
+
+from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import dworklie as dw
-from dworklie import Poly, RatFn, Ring, chart
-from dworklie import ring as kernel
-from dworklie.ring import _pack, _tadd, _tdiv_strict, _tgcd, _tmul, _tscale
+from dworklie import Poly, RatFn, Ring, UnsplitDenominator, chart
+from dworklie.ring import _pack, _tadd, _tdiv_known, _tmul, _tpow, _tscale, \
+    _unpack
 
-# F = x^3 - y, in a plain ring and in the relation ring u^2 = (y - x)/(x + 1)
+try:
+    import sympy
+except ImportError:
+    sympy = None
+needs_sympy = pytest.mark.skipif(sympy is None, reason="sympy not installed")
+
+# F = x^3 - y, in a plain ring and in the relation ring u^2 = (y - x)/(4x),
+# whose rel_den is a non-constant split
 KNOWN = ((3, 0, 0), 1)
 PLAIN = Ring(("x", "y", "z"), factor=KNOWN)
 RELATION = Ring(("x", "y", "u"), pivot=2,
                 rel_num={(0, 1, 0): 1, (1, 0, 0): -1},
-                rel_den={(1, 0, 0): 1, (0, 0, 0): 1}, factor=KNOWN)
+                rel_den={(1, 0, 0): 4}, factor=KNOWN)
+F = PLAIN.factor_pow(1)
 rings = st.sampled_from([PLAIN, RELATION])
 monomials = st.tuples(*[st.integers(0, 2)] * 3).map(lambda e: _pack(e, 3))
 den_monomials = st.tuples(st.integers(0, 2), st.integers(0, 2),
@@ -28,42 +41,106 @@ scales = st.integers(-6, 6).filter(bool)
 splits = st.tuples(scales, monomials, st.integers(0, 3))
 
 
+def to_sympy(ring, T):
+    T = {_unpack(e, ring.nvars): c for e, c in T.items()}
+    return sympy.Poly.from_dict(T, *sympy.symbols(ring.names)).as_expr()
+
+
+def assert_is_sympy_gcd(ring, G, A, B):
+    """G is gcd(A, B) as sympy finds it, up to the sign sympy picks."""
+    g, ref = to_sympy(ring, G), sympy.gcd(to_sympy(ring, A), to_sympy(ring, B))
+    assert sympy.expand(g - ref) == 0 or sympy.expand(g + ref) == 0
+
+
+@needs_sympy
 @given(rings, splits, splits)
 @settings(max_examples=150, deadline=None)
 def test_exponent_gcd_matches_general_gcd(ring, s1, s2):
     B, D = ring.split_terms(s1), ring.split_terms(s2)
     assert ring._known_split(B) == s1 and ring._known_split(D) == s2
     gs, rb, rd = ring.split_gcd(s1, s2)
-    g = _tgcd(B, D, ring.nvars)
-    assert ring.split_terms(gs) == g
-    assert ring.split_terms(rb) == _tdiv_strict(B, g)
-    assert ring.split_terms(rd) == _tdiv_strict(D, g)
+    G = ring.split_terms(gs)
+    assert_is_sympy_gcd(ring, G, B, D)
+    assert _tmul(G, ring.split_terms(rb)) == B
+    assert _tmul(G, ring.split_terms(rd)) == D
 
 
+def cancel_case(ring, f, s, b, j):
+    """N = f * x^b * F^j against D with split s: (N, D, g, N/g, D/g) from
+    cancel_split, g and D/g as term dicts."""
+    N = _tmul(f, ring.split_terms((1, b, j)))
+    gs, Q, rest = ring.cancel_split(N, s)
+    assert ring.split_poly(rest).known_split() == ring._known_split(
+        ring.split_terms(rest))
+    return N, ring.split_terms(s), ring.split_terms(gs), Q, rest
+
+
+@needs_sympy
 @given(rings, polys, splits, monomials, st.integers(0, 3))
 @settings(max_examples=100, deadline=None)
 def test_split_cancel_matches_general_gcd(ring, f, s, b, j):
-    N = _tmul(f, ring.split_terms((1, b, j)))
-    D = ring.split_terms(s)
-    gs, Q, rest = ring.cancel_split(N, s)
-    g = _tgcd(N, D, ring.nvars)
-    assert ring.split_terms(gs) == g
-    assert Q == _tdiv_strict(N, g)
-    assert ring.split_terms(rest) == _tdiv_strict(D, g)
-    assert ring.split_poly(rest).known_split() == ring._known_split(
-        ring.split_terms(rest))
+    N, D, G, Q, rest = cancel_case(ring, f, s, b, j)
+    assert_is_sympy_gcd(ring, G, N, D)
+    assert _tmul(G, Q) == N and _tmul(G, ring.split_terms(rest)) == D
+
+
+@needs_sympy
+@given(rings, polys, monomials, st.integers(0, 3), scales, monomials,
+       st.integers(0, 4))
+@settings(max_examples=150, deadline=None)
+def test_known_factor_cancel_matches_general_gcd(ring, f, a, j, c, b, k):
+    N = _tmul(_tmul(f, {a: 1}), _tpow(F, j))
+    D = _tmul({b: c}, _tpow(F, k))
+    assert ring._known_split(D) == (c, b, k)
+    gs, Q, rest = ring.cancel_split(N, (c, b, k))
+    G = ring.split_terms(gs)
+    assert_is_sympy_gcd(ring, G, N, D)
+    assert _tmul(G, Q) == N and _tmul(G, ring.split_terms(rest)) == D
+
+
+@given(rings, polys, splits, monomials, st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_split_cancel_leaves_coprime_parts(ring, f, s, b, j):
+    """Without a reference gcd: N = g Q and D = g R as products, and
+    gcd(Q, R) = 1 read from R's split (c, a, k), R = c x^a F^k with F
+    irreducible: c shares nothing with Q's content, each variable of x^a
+    misses some term of Q, and F leaves a remainder in Q when k > 0."""
+    N, D, G, Q, rest = cancel_case(ring, f, s, b, j)
+    assert _tmul(G, Q) == N and _tmul(G, ring.split_terms(rest)) == D
+    c, a, k = rest
+    q = Poly(ring, Q)
+    assert gcd(gcd(*Q.values()), c) == 1
+    for v in Poly(ring, {a: 1}).support():
+        assert 0 in q.coeffs(v)
+    if k:
+        assert not divmod(q, Poly(ring, F))[1].is_zero
+
+
+@given(polys, st.integers(0, 3), st.dictionaries(monomials, st.integers(-3, 3),
+                                                  max_size=2))
+@settings(max_examples=120, deadline=None)
+def test_synthetic_division_matches_exact_division(f, j, extra):
+    T = _tadd(_tmul(f, _tpow(F, j)), {e: c for e, c in extra.items() if c})
+    assume(T)
+    q, r = divmod(Poly(PLAIN, T), Poly(PLAIN, F))
+    assert _tdiv_known(T, PLAIN._known) == (q.terms if r.is_zero else None)
+
+
+def test_synthetic_division_rejects_what_the_weighted_image_misses():
+    # z - y^3 vanishes under the weighted image x, y, z to t, t^3, t^9 (y
+    # standing for x^3), yet x^3 - y does not divide it
+    T = {_pack((0, 0, 1), 3): 1, _pack((0, 3, 0), 3): -1}
+    assert _tdiv_known(T, PLAIN._known) is None
+    assert not divmod(Poly(PLAIN, T), Poly(PLAIN, F))[1].is_zero
 
 
 @st.composite
 def fractions(draw, ring=None):
-    """p / (c x^b F^k), times x + 1 for some draws so that the denominator
-    leaves the known form; in RELATION the numerator may carry the pivot."""
+    """p / (c x^b F^k); in RELATION the numerator may carry the pivot."""
     ring = ring or draw(rings)
     num = Poly(ring, draw(polys), draw(st.integers(1, 3)))
     den = Poly(ring, ring.split_terms((draw(scales), draw(den_monomials),
                                        draw(st.integers(0, 3)))))
-    if draw(st.integers(0, 4)) == 0:
-        den = den * (ring.var("x") + ring.one)
     return RatFn(num, den)
 
 
@@ -143,46 +220,86 @@ def test_one_term_polynomials_split_in_every_ring():
     assert (x + y).known_split() is False
 
 
+# The census: any denominator without a split raises UnsplitDenominator, so
+# finishing cold work shows that every denominator it met was split.
+
 def test_chart_and_threefold_work_takes_no_general_gcd(monkeypatch):
-    """A cold chart with its connection and modular field, and the threefold
-    table with its triples: every denominator they meet is split (a chart's
-    c * x^a * disc^k, a coupling ring's constants), so none reaches _tgcd."""
+    """A cold chart at the matched constant with its connection, modular
+    and basis fields, and the threefold table with its triples: every
+    denominator they meet is split (a chart's c * x^a * disc^k, a coupling
+    ring's constants)."""
     monkeypatch.setattr(chart, "_CACHE", {})
-    calls = []
-    general = kernel._tgcd
-
-    def counted(A, B, nv):
-        calls.append(nv)
-        return general(A, B, nv)
-
-    monkeypatch.setattr(kernel, "_tgcd", counted)
     ch = dw.resolve_chart(4)
     dw.full_connection(ch)
     dw.modular_vf(4)
+    dw.basis_vf(4)
     report = dw.verify_cy3_table(2)
     assert dw.cy3_sl2(2, report).all_ok
-    assert calls == []
 
 
 def test_chart_and_threefold_work_never_call_the_general_cancel(monkeypatch):
-    """Every normalisation in chart and threefold work, pivot products of
-    the symbolic chart included (its rel_den is 1296 c), finishes through the
-    split route; Ring.cancel is for unsplit denominators only."""
+    """The symbolic chart's rel_den is 1296 c, not a constant, so its pivot
+    products leave the fused sum and go through _normalize; each finishes
+    on the split route, since rel_den is split."""
     monkeypatch.setattr(chart, "_CACHE", {})
+    ch = dw.resolve_chart(4, "sym")
+    assert len(ch.ring.rel_den) == 1 and 0 not in ch.ring.rel_den
+    dw.full_connection(ch)
+    dw.modular_vf(4, "sym")
+    dw.basis_vf(4, "sym")
 
-    def refuse(self, N, D):
-        raise AssertionError("Ring.cancel reached")
 
-    monkeypatch.setattr(Ring, "cancel", refuse)
-    for c in (None, "sym"):
-        ch = dw.resolve_chart(4, c)
-        dw.full_connection(ch)
-        dw.modular_vf(4, c)
-    report = dw.verify_cy3_table(2)
-    assert dw.cy3_sl2(2, report).all_ok
+X_PLUS_1 = {_pack((1, 0, 0), 3): 1, 0: 1}
+UNSPLIT = [
+    _tadd(F, {0: 1}),                                            # F + 1
+    _tmul(F, X_PLUS_1),                                          # F (x + 1)
+    {_pack((3, 0, 0), 3): 1, _pack((0, 1, 0), 3): 1},            # x^3 + y
+    {_pack((3, 0, 0), 3): 2, _pack((0, 1, 0), 3): -1},           # 2 x^3 - y
+    _tmul(F, {_pack((0, 0, 1), 3): 1, 0: -1}),                   # F (z - 1)
+    {_pack((0, 2, 0), 3): 1, _pack((0, 1, 0), 3): 2, 0: 1},      # (y + 1)^2
+]
+
+
+@pytest.mark.parametrize("ring", [PLAIN, RELATION], ids=["plain", "relation"])
+def test_denominators_without_a_split_are_refused(ring):
+    """Refused before any cancellation, even where the numerator carries
+    the whole denominator."""
+    x = ring.var("x")
+    for D in UNSPLIT:
+        assert ring._known_split(D) is None
+        d = Poly(ring, D)
+        for num in (x, d * x, d):
+            with pytest.raises(UnsplitDenominator, match="no split"):
+                RatFn(num, d)
+        with pytest.raises(UnsplitDenominator):
+            RatFn(d).inverse()
+
+
+def test_relation_denominator_must_have_a_split():
+    with pytest.raises(ValueError, match="rel_den"):
+        Ring(("x", "y", "u"), pivot=2, rel_num={(0, 1, 0): 1},
+             rel_den={(1, 0, 0): 1, (0, 0, 0): 1}, factor=KNOWN)
+    x, y = PLAIN.var("x"), PLAIN.var("y")
+    for den in (x + PLAIN.one, x * x + y, Poly(PLAIN, F) + PLAIN.one):
+        with pytest.raises(ValueError, match="rel_den"):
+            PLAIN.with_relation("z", y - x, den)
+    rel = PLAIN.with_relation("z", y - x, 4 * x * Poly(PLAIN, F))
+    assert rel.pivot == 2
 
 
 def test_known_factor_must_avoid_the_pivot():
     with pytest.raises(ValueError, match="pivot"):
         Ring(("x", "y", "u"), pivot=1, rel_num={(1, 0, 0): 1},
              rel_den={(0, 0, 0): 1}, factor=KNOWN)
+
+
+def test_known_factor_carries_over_padded():
+    base = Ring(("x", "y", "u"), factor=KNOWN)
+    x, y = base.var("x"), base.var("y")
+    rel = base.with_relation("u", y - x, 4 * x)
+    assert rel.factor == KNOWN and rel.pivot == 2
+    assert rel.factor_pow(1) == F
+    ext = rel.extend(("g1", "g2"))
+    assert ext.factor == ((3, 0, 0, 0, 0), 1) and ext.pivot == 2
+    assert ext.factor_pow(2) == Poly(rel, _tpow(F, 2)).lift(ext).terms
+    assert Ring(("x", "y")).extend(("z",)).factor is None
