@@ -45,9 +45,12 @@ def slot_layout(n):
 
 class Chart:
     """Built by build_chart; immutable afterwards by convention, except for
-    the memo slots, which full_connection and vf_from_target (memo_solver),
-    full_connection (memo_conn), modular_vf, basis_vf and sl2_triple fill on
-    first use."""
+    the memo slots, which full_connection and vf_from_target (memo_solver:
+    the products S*B, the dependent-slot derivatives, the inverse of the 2x2
+    base system and the pivot corrections), full_connection (memo_conn),
+    modular_vf, basis_vf and sl2_triple fill on first use.  The fields kept
+    in the last three keep their Jacobians too (VecField.jacobian), so each
+    is derived once per chart."""
 
     __slots__ = ("n", "d", "m", "rho", "ncoords", "setup", "ring", "S",
                  "omega", "phi", "conn_base", "indep_slots", "pivot_slot",

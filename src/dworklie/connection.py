@@ -6,23 +6,29 @@ solve against the lower-triangular S; no inverse of S is formed.
 
 The solver follows the constructive existence argument: entries (1,1) and
 (1,2) of  T*S = dS + S*B(H)  form a 2x2 linear system for the two base
-components, each carrier slot of S hands out one remaining component by
-direct readout, and every other entry is a consistency or tangency residue
-that must vanish identically."""
+components, whose inverse is prepared once per chart; each carrier slot of
+S hands out one remaining component by direct readout, and every other entry
+is a consistency or tangency residue that must vanish identically."""
 
 from __future__ import annotations
 
-from .errors import LinearInconsistent, NoSuchField
-from .linalg import MatF, OneFormMat, VecField, solve_linear, \
-    solve_right_lower
-from .ratfn import RatFn
+from collections import namedtuple
+
+from .errors import NoSuchField
+from .linalg import OneFormMat, VecField, combination, solve_right_lower
+from .ratfn import RatFn, dot
+
+
+SolverPrep = namedtuple("SolverPrep", "SB derivs base_inv corrections")
 
 
 def _target_free(chart):
-    """(S*B[v] per base direction v, the coordinate derivatives of each
-    dependent-slot expression): the work full_connection and vf_from_target
-    share across targets.  Computed once per chart and kept in its memo
-    slot."""
+    """The work full_connection and vf_from_target share across targets,
+    computed once per chart and kept in its memo slot (memo_solver):
+    SB, S*B[v] per base direction v; derivs, the coordinate derivatives of
+    each dependent-slot expression; base_inv, the inverse of the 2x2 base
+    system (_base_inverse); corrections, _pivot_corrections for even n and
+    None for odd n."""
     if chart.memo_solver is None:
         S = chart.S
         SB = {v: S @ B for v, B in chart.conn_base.comps.items()}
@@ -31,8 +37,30 @@ def _target_free(chart):
         for slot, expr in chart.dep_exprs.items():
             ds = ((v, expr.derive(v)) for v in expr.support() if v in coords)
             derivs[slot] = {v: d for v, d in ds if not d.is_zero}
-        chart.memo_solver = (SB, derivs)
+        corrections = None if chart.pivot_var is None \
+            else _pivot_corrections(chart)
+        chart.memo_solver = SolverPrep(SB, derivs, _base_inverse(chart, SB),
+                                       corrections)
     return chart.memo_solver
+
+
+def _base_inverse(chart, SB):
+    """Entries (1,1) and (1,2) of T*S = dS + S*B(H) give
+    [[a, b], [c, d]] (dt1, dt_{n+2}) = ((T*S)_11, (T*S)_12), with (a, c) the
+    entries (1,1), (1,2) of S*B[t1] and (b, d) those of S*B[t_{n+2}].
+    Returns the rows of the inverse, ((d, -b), (-c, a)) / (a*d - b*c), or
+    None when the system is singular."""
+    ring = chart.ring
+    SB1, SB2 = SB.get("t1"), SB.get(chart.setup.base2)
+    if SB1 is None or SB2 is None:
+        return None
+    a, c = SB1.get1(1, 1), SB1.get1(1, 2)
+    b, d = SB2.get1(1, 1), SB2.get1(1, 2)
+    det = dot(ring, [(a, d), (-b, c)])
+    if det.is_zero:
+        return None
+    r = det.inverse()
+    return ((d * r, -b * r), (-c * r, a * r))
 
 
 def full_connection(chart):
@@ -43,7 +71,7 @@ def full_connection(chart):
     if chart.memo_conn is not None:
         return chart.memo_conn
     S = chart.S
-    SB, _ = _target_free(chart)
+    SB = _target_free(chart).SB
     Ms = [S.derive(v) + SB[v] if v in SB else S.derive(v)
           for v in chart.coords]
     A = OneFormMat(chart.ring, chart.n + 1,
@@ -103,29 +131,23 @@ def check_pairing_invariance(chart, A=None):
 def vf_from_target(chart, target):
     """The unique vector field H with contract(full_connection, H) = target.
 
-    Raises NoSuchField when any consistency or tangency residue is nonzero;
-    by uniqueness, zero residue is equivalent to existence."""
+    The base components solve the chart's prepared 2x2 system
+    (_target_free); the rest is read off M = T*S - dt1*S*B[t1] -
+    dt_{n+2}*S*B[t_{n+2}], one ratfn.dot per cell.  Raises NoSuchField when
+    the base system is singular or any consistency or tangency residue is
+    nonzero; by uniqueness, zero residue is equivalent to existence."""
     ring = chart.ring
-    n = chart.n
+    base2 = chart.setup.base2
+    prep = _target_free(chart)
+    if prep.base_inv is None:
+        raise NoSuchField("base 2x2 system is singular")
     TS = target @ chart.S
-    SB, derivs = _target_free(chart)
-    zeros = MatF.zeros(ring, n + 1)
-    SB1 = SB.get("t1", zeros)
-    SB2 = SB.get(chart.setup.base2, zeros)
-    try:
-        res = solve_linear(
-            ring,
-            [[SB1.get1(1, 1), SB2.get1(1, 1)],
-             [SB1.get1(1, 2), SB2.get1(1, 2)]],
-            [TS.get1(1, 1), TS.get1(1, 2)])
-    except LinearInconsistent:
-        raise NoSuchField("base 2x2 system is inconsistent") from None
-    if not res.unique:
-        raise NoSuchField("base 2x2 system is degenerate")
-    dt1, dtb = res.values
-    M = TS - SB1.scale(dt1) - SB2.scale(dtb)
+    rhs = (TS.get1(1, 1), TS.get1(1, 2))
+    dt1, dtb = (dot(ring, zip(row, rhs)) for row in prep.base_inv)
+    M = combination(ring, (chart.n + 1, chart.n + 1),
+                    [(1, TS), (-dt1, prep.SB["t1"]), (-dtb, prep.SB[base2])])
 
-    comps = {"t1": dt1, chart.setup.base2: dtb}
+    comps = {"t1": dt1, base2: dtb}
     for slot, var in chart.indep_slots.items():
         comps[var] = M.get1(*slot)
     if chart.pivot_slot is not None:
@@ -133,21 +155,17 @@ def vf_from_target(chart, target):
     H = VecField(ring, comps)
 
     if chart.pivot_slot is not None:
-        c1, cb = _pivot_corrections(chart)
-        if H.get(chart.pivot_var) != c1 * dt1 + cb * dtb:
+        c1, cb = prep.corrections
+        if H.get(chart.pivot_var) != dot(ring, [(c1, dt1), (cb, dtb)]):
             raise NoSuchField("field is not tangent to the slot relation")
 
-    zero = RatFn.of(ring, 0)
-    for (i, j), dexpr in derivs.items():
+    for (i, j), dexpr in prep.derivs.items():
         # H applied to the slot's expression, from its cached derivatives
-        got = zero
-        for v, d in dexpr.items():
-            g = H.comps.get(v)
-            if g is not None:
-                got = got + g * d
+        got = dot(ring, [(H.comps[v], d) for v, d in dexpr.items()
+                         if v in H.comps])
         if got != M.get1(i, j):
             raise NoSuchField(f"consistency residue at dependent slot ({i},{j})")
-    handled = {*chart.indep_slots, chart.pivot_slot, *derivs}
+    handled = {*chart.indep_slots, chart.pivot_slot, *prep.derivs}
     for (i, j), _ in M.entries():
         if (i, j) not in handled:
             raise NoSuchField(f"nonzero residue at entry ({i},{j})")

@@ -12,12 +12,13 @@ labeled "constant".
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cache
 
 from .errors import DworkError
 from .liealg import BracketReport, Row
-from .linalg import MatF
-from .ratfn import RatFn
+from .linalg import MatF, combination
+from .ratfn import RatFn, dot
 from .ring import Ring
 
 
@@ -103,7 +104,7 @@ def _disp(h, ring, key):
     N = 2 * h + 2
     M = MatF.zeros(ring, N)
     one = RatFn.of(ring, 1)
-    half = RatFn.of(ring, 1) / 2
+    half = RatFn.of(ring, Fraction(1, 2))
     kind = key[0]
     if kind == "g0":
         M.set1(1, 1, -one)
@@ -182,15 +183,15 @@ def bracket_claim(h, ring, v, w):
     def add(key, coef):
         if key[0] == "t2" and key[1] > key[2]:
             key = ("t2", key[2], key[1])
-        cur = out.get(key, RatFn.of(ring, 0))
-        cur = cur + coef
+        cur = out.get(key)
+        cur = coef if cur is None else cur + coef
         if cur.is_zero:
             out.pop(key, None)
         else:
             out[key] = cur
 
     one = RatFn.of(ring, 1)
-    half = one / 2
+    half = RatFn.of(ring, Fraction(1, 2))
     kv, kw = v[0], w[0]
     if kv == "g0":
         if kw == "t1":
@@ -323,8 +324,9 @@ def _frames(h, ring):
 
 
 def _gm_of_combo(h, ring, gms, combo):
-    return sum((gms[key].scale(coef) for key, coef in combo.items()),
-               MatF.zeros(ring, 2 * h + 2))
+    """Frame matrix of sum_key coef * generator over the combo."""
+    return combination(ring, (2 * h + 2, 2 * h + 2),
+                       ((coef, gms[key]) for key, coef in combo.items()))
 
 
 def _pair_name(h, v, w):
@@ -412,12 +414,8 @@ def _act_mat(h, ring, actions, vkey, M):
     """Entrywise action of the basis field vkey on a frame matrix through
     the derived coupling-symbol actions."""
     def act(entry):
-        out = RatFn.of(ring, 0)
-        if entry.is_const:
-            return out
-        for yname in entry.support():
-            out = out + entry.derive(yname) * actions[(vkey, yname)]
-        return out
+        return dot(ring, [(entry.derive(yname), actions[(vkey, yname)])
+                          for yname in entry.support()])
     return M.map(act)
 
 
@@ -439,8 +437,8 @@ def cy3_sl2(h, report=None):
                 (f"[H_{k}, E_{k}] = 2 E_{k}", Hc, Ec, Ec, 2, "coupling"),
                 (f"[E_{k}, F_{k}] = H_{k}", Ec, Fc, Hc, 1, "coupling")):
             lhs = _rule_combo(h, ring, rep.actions, gms, V, W)
-            rhs = _gm_of_combo(h, ring, gms, target).scale(
-                RatFn.of(ring, scale_))
+            rhs = _gm_of_combo(h, ring, gms,
+                               {key: c * scale_ for key, c in target.items()})
             rows.append(Row(name, lhs == rhs, kind=kind))
     return BracketReport(rows, rep.actions)
 
@@ -450,12 +448,9 @@ def _rule_combo(h, ring, actions, gms, V, W):
     generators with constant coefficients."""
     gmV = _gm_of_combo(h, ring, gms, V)
     gmW = _gm_of_combo(h, ring, gms, W)
-    vW = MatF.zeros(ring, 2 * h + 2)
-    wV = MatF.zeros(ring, 2 * h + 2)
-    for key, coef in V.items():
-        if key[0] != "R":
-            vW = vW + _act_mat(h, ring, actions, key, gmW).scale(coef)
-    for key, coef in W.items():
-        if key[0] != "R":
-            wV = wV + _act_mat(h, ring, actions, key, gmV).scale(coef)
-    return vW - wV + gmW.commutator(gmV)
+    terms = [(1, gmW @ gmV), (-1, gmV @ gmW)]
+    terms += [(coef, _act_mat(h, ring, actions, key, gmW))
+              for key, coef in V.items() if key[0] != "R"]
+    terms += [(-coef, _act_mat(h, ring, actions, key, gmV))
+              for key, coef in W.items() if key[0] != "R"]
+    return combination(ring, (2 * h + 2, 2 * h + 2), terms)

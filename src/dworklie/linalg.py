@@ -6,7 +6,8 @@ from __future__ import annotations
 from .errors import DworkError, LinearInconsistent
 from .ratfn import RatFn, dot
 
-__all__ = ["MatF", "OneFormMat", "VecField", "solve_linear", "SolveResult"]
+__all__ = ["MatF", "OneFormMat", "VecField", "combination", "solve_linear",
+           "SolveResult"]
 
 
 class MatF:
@@ -176,6 +177,25 @@ class MatF:
         return f"MatF({self.nrows}x{self.ncols})\n{body}"
 
 
+def combination(ring, shape, terms):
+    """sum_k c_k * M_k over the (c_k, M_k) terms, each M_k of the given
+    (nrows, ncols) shape: every cell is one ratfn.dot over the terms that
+    store it, and a term with a zero coefficient adds nothing.  Raises
+    DworkError on a term of another shape."""
+    nrows, ncols = shape
+    pairs = {}
+    for c, M in terms:
+        if (M.nrows, M.ncols) != (nrows, ncols):
+            raise DworkError(f"combination of {nrows}x{ncols} matrices with "
+                             f"a {M.nrows}x{M.ncols} term")
+        c = RatFn.of(ring, c)
+        if not c.is_zero:
+            for k, a in M.cells.items():
+                pairs.setdefault(k, []).append((c, a))
+    return MatF._of(ring, nrows, ncols,
+                    ((k, dot(ring, ps)) for k, ps in pairs.items()))
+
+
 class OneFormMat:
     """Matrix-valued one-form: map variable name -> MatF; absent key = zero."""
 
@@ -238,9 +258,11 @@ class OneFormMat:
 
 
 class VecField:
-    """Vector field on the chart: map variable name -> RatFn coefficient."""
+    """Vector field on the chart: map variable name -> RatFn coefficient.
+    A field is not changed after it is made, so its Jacobian is kept once
+    found (jacobian)."""
 
-    __slots__ = ("ring", "comps")
+    __slots__ = ("ring", "comps", "_jac")
 
     def __init__(self, ring, comps=None):
         self.ring = ring
@@ -284,23 +306,44 @@ class VecField:
     def is_zero(self):
         return not self.comps
 
+    def jacobian(self):
+        """{v: {u: d comp[v] / du}} over the support of each component,
+        nonzero entries only.  Found on first use, then kept."""
+        try:
+            return self._jac
+        except AttributeError:
+            jac = self._jac = {}
+            for v, f in self.comps.items():
+                row = {}
+                for u in f.support():
+                    d = f.derive(u)
+                    if not d.is_zero:
+                        row[u] = d
+                if row:
+                    jac[v] = row
+            return jac
+
     def apply(self, f):
-        """Derivation on a function: sum_v comp[v] * df/dv."""
-        out = RatFn.of(self.ring, 0)
-        for v, g in self.comps.items():
-            d = f.derive(v)
-            if not d.is_zero:
-                out = out + g * d
-        return out
+        """Derivation on a function: sum_v comp[v] * df/dv, one ratfn.dot."""
+        names = set(f.support())
+        return dot(self.ring, [(g, f.derive(v))
+                               for v, g in self.comps.items() if v in names])
 
     def apply_mat(self, M):
         return M.map(self.apply)
 
     def bracket(self, other):
-        """[self, other], computed componentwise on coefficients."""
-        return VecField(self.ring, {
-            v: self.apply(other.get(v)) - other.apply(self.get(v))
-            for v in set(self.comps) | set(other.comps)})
+        """[self, other]: component v is
+        sum_u self[u] d other[v]/du - other[u] d self[v]/du, one ratfn.dot
+        over the two fields' kept Jacobians."""
+        a, b = self.comps, other.comps
+        ja, jb = self.jacobian(), other.jacobian()
+        out = {}
+        for v in ja.keys() | jb.keys():
+            pairs = [(a[u], d) for u, d in jb.get(v, {}).items() if u in a]
+            pairs += [(-b[u], d) for u, d in ja.get(v, {}).items() if u in b]
+            out[v] = dot(self.ring, pairs)
+        return VecField(self.ring, out)
 
     def lift(self, ring):
         return VecField(ring, {v: f.lift(ring) for v, f in self.comps.items()})

@@ -14,7 +14,8 @@ from its exponents, since only the integer content, the monomial and a
 power of the irreducible F can cancel, and the result keeps its split.  So
 every canonical denominator is split, and the rules below keep it so.
 _normalize raises UnsplitDenominator when the primitive denominator it
-reaches has no split; the kernel has no general gcd.
+reaches has no split, whatever the numerator, zero included; the kernel has
+no general gcd.
 
 Sums over split denominators follow Henrici (J. ACM 3, 1956): for canonical
 a/b and c/d with g = gcd(b, d), taken from the exponents (Ring.split_gcd),
@@ -41,7 +42,9 @@ square and r^j joins the numerator's integer denominator), each is scaled
 by its cofactor in the lcm c * x^max(a) * F^max(k) of the products' splits
 (Ring.split_lcm), and the sum takes one cancel against the lcm, where k
 sequential products and sums take 3k - 1.  Pivot products in a ring whose
-rel_den is not a constant are added sequentially.
+rel_den is not a constant are added sequentially.  A single nonzero product
+is a * b, whose cross gcds keep its operands small and whose constant
+factors are units.
 
 The derivative by v of p/q with q = x^a * F^k split follows the logarithmic
 derivative q'/q = a_v/x_v + k F'/F:
@@ -302,10 +305,11 @@ def _over_split(ring, T, nd, split):
 def dot(ring, pairs):
     """Sum of a * b over the (a, b) pairs of RatFns in ring, over one
     common denominator; see the module docstring."""
+    pairs = [(a, b) for a, b in pairs if not (a.is_zero or b.is_zero)]
     fused, rest = [], _raw(ring.zero, ring.one)
+    if len(pairs) < 2:
+        return pairs[0][0] * pairs[0][1] if pairs else rest
     for a, b in pairs:
-        if a.is_zero or b.is_zero:
-            continue
         a.num._chk(b.num)
         A, C = a.num.terms, b.num.terms
         red = (_tmul(A, C), 1)
@@ -332,16 +336,17 @@ def _normalize(num, den):
     if den.is_zero:
         raise ZeroDivisionError("zero denominator")
     N, D = ring.rationalize(num.terms, den.terms)
-    if not N:
-        return ring.zero, ring.one
-    # value = N * den.den / ((cd * D) * num.den) with D primitive
+    # value = N * den.den / ((cd * D) * num.den) with D primitive; the split
+    # is required whatever the numerator, zero included
     cd, D = _primitive(D)
-    q = Fraction(den.den, num.den * cd)
     D = Poly._trusted(ring, D)
     split = D.known_split()
     if not split:
         raise UnsplitDenominator(f"denominator {poly_string(D)} has no split "
                                  "c * x^a * F^k")
+    if not N:
+        return ring.zero, ring.one
+    q = Fraction(den.den, num.den * cd)
     r = _over_split(ring, _tscale(N, q.numerator), q.denominator, split)
     return r.num, r.den
 

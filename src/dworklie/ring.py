@@ -29,10 +29,10 @@ multivariate gcd, and the reduced denominator is a split again
 (Ring.cancel_split, see Ring); the gcd of two splits comes from their
 exponents (Ring.split_gcd), and a product of splits is built from the
 cached F^k by one shift (Ring.split_poly).  There is no general gcd: ratfn
-refuses a denominator without a split, and a relation's rel_den must have
-one.  Kernel results with no zero coefficient enter Poly through
-Poly._trusted, which skips the zero filter and, over den 1, the content
-scan.
+refuses a denominator without a split, and a relation's rel_num and
+rel_den must each have one.  Kernel results with no zero coefficient enter
+Poly through Poly._trusted, which skips the zero filter and, over den 1,
+the content scan.
 
 Boundary: only this module knows how a monomial is encoded and how monomials
 are ordered.  Other modules name variables and use
@@ -332,7 +332,9 @@ class Ring:
     derivative of x^a * F^k.  With k = 0 none of this needs F, so a one-term
     D = c * x^a is split as (c, a, 0) in a ring without a known factor too.
     The relation's rel_den must have a split, so that reducing a pivot
-    power keeps a split denominator split; ValueError otherwise."""
+    power keeps a split denominator split, and so must its rel_num, so that
+    the pivot has an inverse (1/pivot = pivot * rel_den/rel_num);
+    ValueError otherwise."""
 
     __slots__ = ("names", "index", "pivot", "rel_num", "rel_den", "_relpow",
                  "factor", "_fpow", "_known", "_units", "_pmask", "zero", "one")
@@ -370,6 +372,8 @@ class Ring:
             self._fpow = [_ONE, {R: 1, E: -1}]
         if pivot is not None and not (rel_den and self._known_split(rel_den)):
             raise ValueError("relation: rel_den has no split c * x^a * F^k")
+        if pivot is not None and not (rel_num and self._known_split(rel_num)):
+            raise ValueError("relation: rel_num has no split c * x^a * F^k")
 
     @property
     def nvars(self):
@@ -603,8 +607,6 @@ class Ring:
         the pivot, made so by multiplying with its conjugate."""
         N, kn = self.reduce_terms(N)
         D, kd = self.reduce_terms(D)
-        if not N:
-            return N, D
         if not D:
             raise ZeroDivisionError("denominator is zero under the slot relation")
         if self.has_pivot(D):

@@ -1,13 +1,18 @@
 """Full connection on the chart: pairing invariance, the field-from-matrix
 solver and its failure mode."""
 
+import random
+
 import pytest
 
-from dworklie import (MatF, NoSuchField, RatFn, VecField,
-                      check_pairing_invariance, full_connection, modular_vf,
-                      resolve_chart, vf_from_target)
-from dworklie.connection import tangent_fields
-from dworklie.group import lie_gen
+from dworklie import (LinearInconsistent, MatF, NoSuchField, OneFormMat,
+                      RatFn, VecField, build_chart, check_pairing_invariance,
+                      full_connection, modular_vf, resolve_chart,
+                      solve_linear, vf_from_target)
+from dworklie.connection import _pivot_corrections, tangent_fields
+from dworklie.group import basis_pairs, lie_gen
+from dworklie.modular import yukawa_for
+from dworklie.ratfn import ratfn_string
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -145,3 +150,112 @@ def test_tangent_fields_count():
     for n in (1, 2, 3, 4):
         ch = resolve_chart(n)
         assert len(tangent_fields(ch)) == ch.d
+
+
+def reference_vf_from_target(chart, target):
+    """The solver before its base system was prepared once per chart: its
+    own products S*B, a 2x2 solve_linear per target, and M formed by scale
+    and matrix subtraction, each residue a sequential sum."""
+    ring = chart.ring
+    n = chart.n
+    TS = target @ chart.S
+    SB = {v: chart.S @ B for v, B in chart.conn_base.comps.items()}
+    derivs = {}
+    for slot, expr in chart.dep_exprs.items():
+        ds = ((v, expr.derive(v)) for v in expr.support() if v in chart.coords)
+        derivs[slot] = {v: d for v, d in ds if not d.is_zero}
+    zeros = MatF.zeros(ring, n + 1)
+    SB1 = SB.get("t1", zeros)
+    SB2 = SB.get(chart.setup.base2, zeros)
+    try:
+        res = solve_linear(
+            ring,
+            [[SB1.get1(1, 1), SB2.get1(1, 1)],
+             [SB1.get1(1, 2), SB2.get1(1, 2)]],
+            [TS.get1(1, 1), TS.get1(1, 2)])
+    except LinearInconsistent:
+        raise NoSuchField("base 2x2 system is inconsistent") from None
+    if not res.unique:
+        raise NoSuchField("base 2x2 system is degenerate")
+    dt1, dtb = res.values
+    M = TS - SB1.scale(dt1) - SB2.scale(dtb)
+
+    comps = {"t1": dt1, chart.setup.base2: dtb}
+    for slot, var in chart.indep_slots.items():
+        comps[var] = M.get1(*slot)
+    if chart.pivot_slot is not None:
+        comps[chart.pivot_var] = M.get1(*chart.pivot_slot)
+    H = VecField(ring, comps)
+
+    if chart.pivot_slot is not None:
+        c1, cb = _pivot_corrections(chart)
+        if H.get(chart.pivot_var) != c1 * dt1 + cb * dtb:
+            raise NoSuchField("field is not tangent to the slot relation")
+
+    zero = RatFn.of(ring, 0)
+    for (i, j), dexpr in derivs.items():
+        got = zero
+        for v, d in dexpr.items():
+            g = H.comps.get(v)
+            if g is not None:
+                got = got + g * d
+        if got != M.get1(i, j):
+            raise NoSuchField(f"consistency residue at dependent slot ({i},{j})")
+    handled = {*chart.indep_slots, chart.pivot_slot, *derivs}
+    for (i, j), _ in M.entries():
+        if (i, j) not in handled:
+            raise NoSuchField(f"nonzero residue at entry ({i},{j})")
+    return H
+
+
+def solved(solve, chart, target):
+    """The field's component strings, or the refusal's message."""
+    try:
+        H = solve(chart, target)
+    except NoSuchField as e:
+        return str(e)
+    return [ratfn_string(H.get(v)) for v in chart.coords]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_solver_matches_the_reference_solver(n):
+    # the coupling band, every basis target, seeded constant combinations of
+    # them (reachable) and seeded sparse constant matrices (mostly not)
+    ch = resolve_chart(n)
+    size = n + 1
+    gens = [lie_gen(n, a, b, ch.ring).transpose() for a, b in basis_pairs(n)]
+    targets = [yukawa_for(ch).matrix()] + gens
+    rng = random.Random(20261019 + n)
+    for _ in range(3):
+        M = MatF.zeros(ch.ring, size)
+        for g in rng.sample(gens, min(3, len(gens))):
+            M = M + g.scale(rng.randint(-3, 3))
+        targets.append(M)
+    for _ in range(3):
+        M = MatF.zeros(ch.ring, size)
+        for _ in range(rng.randint(1, 4)):
+            M.set1(rng.randint(1, size), rng.randint(1, size),
+                   rng.randint(-2, 2))
+        targets.append(M)
+    reached = 0
+    for target in targets:
+        want = solved(reference_vf_from_target, ch, target)
+        assert solved(vf_from_target, ch, target) == want
+        reached += isinstance(want, list)
+    assert reached >= len(gens) + 4
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_singular_base_system_has_no_field(n):
+    # a chart whose base direction t_{n+2} moves S as t1 does: the 2x2 base
+    # system has equal columns, so no target has a unique field
+    fresh = build_chart(n, resolve_chart(n).setup.c_value)
+    B1 = fresh.conn_base.get("t1")
+    fresh.conn_base = OneFormMat(fresh.ring, n + 1,
+                                 {"t1": B1, fresh.setup.base2: B1})
+    target = lie_gen(n, *basis_pairs(n)[0], fresh.ring).transpose()
+    with pytest.raises(NoSuchField, match="base 2x2 system is singular"):
+        vf_from_target(fresh, target)
+    assert fresh.memo_solver.base_inv is None
+    with pytest.raises(NoSuchField, match="degenerate|inconsistent"):
+        reference_vf_from_target(fresh, target)

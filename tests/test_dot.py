@@ -18,14 +18,15 @@ from dworklie.ring import _pack, _primitive
 KNOWN = ((3, 0, 0), 1)  # F = x^3 - y
 PLAIN = Ring(("x", "y", "z"))
 FACTOR = Ring(("x", "y", "z"), factor=KNOWN)
-# u^2 = (y - x)/4: a constant rel_den other than 1, as in the n = 6 chart
+# u^2 = (x^3 - y)/4 = F/4: a constant rel_den other than 1 and a rel_num
+# carrying the known factor, as in the n = 6 chart (kappa * disc)
 CONST_REL = Ring(("x", "y", "u"), pivot=2,
-                 rel_num={(0, 1, 0): 1, (1, 0, 0): -1},
+                 rel_num={(3, 0, 0): 1, (0, 1, 0): -1},
                  rel_den={(0, 0, 0): 4}, factor=KNOWN)
-# u^2 = (y - x)/(4x): rel_den is not a constant, as in the symbolic chart
+# u^2 = (x^3 - y)/(4x): rel_den is not a constant, as in the symbolic chart
 # (1296 c), so a pivot product leaves the fused sum for dot's sequential rest
 POLY_REL = Ring(("x", "y", "u"), pivot=2,
-                rel_num={(0, 1, 0): 1, (1, 0, 0): -1},
+                rel_num={(3, 0, 0): 1, (0, 1, 0): -1},
                 rel_den={(1, 0, 0): 4}, factor=KNOWN)
 RINGS = [PLAIN, FACTOR, CONST_REL, POLY_REL]
 

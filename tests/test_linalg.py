@@ -1,7 +1,8 @@
 """Exact linear algebra: the sparse MatF against a dense reference, the one
 Gauss-Jordan routine behind MatF.inverse, solve_linear and generator_rank,
-the right triangular solve behind the full connection, and their typed
-refusals."""
+the right triangular solve behind the full connection, the linear
+combination routine, the vector-field bracket against its componentwise
+definition, and their typed refusals."""
 
 import os
 import subprocess
@@ -12,8 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dworklie import DworkError, LinearInconsistent, MatF, OneFormMat, \
-    RatFn, Ring, UnsplitDenominator, VecField, solve_linear
-from dworklie.linalg import solve_right_lower
+    RatFn, Ring, UnsplitDenominator, VecField, basis_vf, modular_vf, \
+    sl2_triple, solve_linear
+from dworklie.linalg import combination, solve_right_lower
+from dworklie.ratfn import ratfn_string
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -28,11 +31,11 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # field limit, and a right triangular solve against a lower-triangular
 # matrix with a zero diagonal entry, one whose right-hand sides do not all
 # match its shape, and one against a matrix with an entry above the
-# diagonal.
+# diagonal; and a linear combination of 2x2 matrices with a 3x3 term.
 OPTIMIZED_SCRIPT = """
 from dworklie import DworkError, MatF, Poly, RatFn, Ring, eq_by_random_eval
 from dworklie.geometry import family_dims
-from dworklie.linalg import solve_right_lower
+from dworklie.linalg import combination, solve_right_lower
 from dworklie.ring import _pack
 R, S = Ring(["x"]), Ring(["x"])
 x = RatFn.var(R, "x")
@@ -63,7 +66,9 @@ cases = [lambda: MatF(R, [[x, x * 2], [x * 3, x * 6]]).inverse(),
                                     MatF.identity(R, 3)],
                                    MatF.identity(R, 2)),
          lambda: solve_right_lower([MatF.identity(R, 2)],
-                                   MatF(R, [[x, x], [x * 0, x]]))]
+                                   MatF(R, [[x, x], [x * 0, x]])),
+         lambda: combination(R, (2, 2), [(1, MatF.identity(R, 2)),
+                                         (0, MatF.identity(R, 3))])]
 for case in cases:
     try:
         case()
@@ -90,7 +95,7 @@ def test_inverse_refuses_singular_and_non_square_under_O():
                                    "ValueError", "ValueError", "ValueError",
                                    "DworkError", "KernelInvariant",
                                    "LinearInconsistent", "DworkError",
-                                   "DworkError"]
+                                   "DworkError", "DworkError"]
 
 
 def test_solve_linear_on_a_rank_deficient_system():
@@ -300,3 +305,95 @@ def test_contract_at_reads_the_cells_of_the_contraction(Ms, fs, cells):
     V = VecField(RXY, dict(zip("xy", fs)))
     full = A.contract(V)
     assert A.contract_at(V, cells) == [full.get1(*k) for k in cells]
+
+
+@given(st.lists(st.tuples(st.sampled_from(ENTRIES), sparse_matrix(3, 2)),
+                max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_combination_matches_the_scaled_sum(terms):
+    # the reference: one scale and one matrix sum per term, in order
+    want = sum((M.scale(c) for c, M in terms), MatF.zeros(RXY, 3, 2))
+    got = combination(RXY, (3, 2), terms)
+    assert got == want
+    assert not any(v.is_zero for _, v in got.entries())
+
+
+def test_combination_refuses_a_term_of_another_shape():
+    with pytest.raises(DworkError, match="2x2 matrices with a 2x3 term"):
+        combination(RXY, (2, 2), [(1, MatF.identity(RXY, 2)),
+                                  (0, MatF.zeros(RXY, 2, 3))])
+
+
+# The bracket against its componentwise definition: each field applied to
+# each component of the other, by a sequential sum of products.
+
+def reference_apply(V, f):
+    out = RatFn.of(V.ring, 0)
+    for v, g in V.comps.items():
+        out = out + g * f.derive(v)
+    return out
+
+
+def reference_bracket(V, W):
+    return VecField(V.ring, {
+        v: reference_apply(V, W.get(v)) - reference_apply(W, V.get(v))
+        for v in V.ring.names})
+
+
+def same_field(got, want):
+    """Equal, and printed the same, component by component."""
+    names = got.ring.names
+    return got == want and [ratfn_string(got.get(v)) for v in names] \
+        == [ratfn_string(want.get(v)) for v in names]
+
+
+COMPONENTS = ENTRIES + [X * X - Y, X * Y * Y / (Y - X) ** 2, (X - 1) / X]
+fields = st.lists(st.sampled_from(COMPONENTS), min_size=2,
+                  max_size=2).map(lambda cs: VecField(RXY, dict(zip("xy", cs))))
+
+
+@given(fields, fields, st.sampled_from(COMPONENTS))
+@settings(max_examples=80, deadline=None)
+def test_bracket_and_apply_match_the_componentwise_definition(V, W, f):
+    assert same_field(V.bracket(W), reference_bracket(V, W))
+    assert same_field(W.bracket(V), reference_bracket(W, V))
+    assert V.apply(f) == reference_apply(V, f)
+
+
+def named_fields(n):
+    """R, the lowering and grading fields, and every basis field."""
+    tr = sl2_triple(n)
+    out = [("R", modular_vf(n)[0]), ("F", tr.F), ("H", tr.Hf)]
+    return out + [(f"B_{a}{b}", V) for (a, b), V in basis_vf(n).items()]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_bracket_of_the_named_fields_matches_the_definition(n):
+    # each of R, F, H against every named field, in both orders
+    fields = named_fields(n)
+    for name, V in fields[:3]:
+        for other, W in fields:
+            assert same_field(V.bracket(W), reference_bracket(V, W)), \
+                (name, other)
+            assert same_field(W.bracket(V), reference_bracket(W, V)), \
+                (other, name)
+
+
+def test_a_second_bracket_of_the_same_fields_derives_nothing(monkeypatch):
+    # each field keeps its Jacobian: a first bracket of fresh copies derives,
+    # a second bracket of the same two fields does not
+    R, B = modular_vf(3)[0], basis_vf(3)[(1, 2)]
+    V, W = VecField(R.ring, R.comps), VecField(B.ring, B.comps)
+    calls = []
+    derive = RatFn.derive
+
+    def counting(self, var):
+        calls.append(var)
+        return derive(self, var)
+
+    monkeypatch.setattr(RatFn, "derive", counting)
+    first = V.bracket(W)
+    assert calls
+    calls.clear()
+    assert V.bracket(W) == first and W.bracket(V) == -first
+    assert not calls

@@ -4,7 +4,8 @@ object, and a chart built outside the cache computes its own."""
 import pytest
 
 from dworklie import MatF, RatFn, basis_vf, build_chart, full_connection, \
-    modular_vf, resolve_chart, sl2_triple, vf_from_target
+    linalg, modular_vf, resolve_chart, sl2_triple, vf_from_target
+from dworklie.connection import _pivot_corrections
 from dworklie.group import basis_pairs, lie_gen
 
 
@@ -37,11 +38,12 @@ def test_uncached_chart_starts_without_a_triple():
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_solver_work_lives_on_the_chart(n):
-    # the base products S*B[v] and the dependent-slot derivatives are built
-    # once per chart, and a chart built outside the cache builds its own
+    # the base products S*B[v], the dependent-slot derivatives, the inverse
+    # of the 2x2 base system and the pivot corrections are built once per
+    # chart, and a chart built outside the cache builds its own
     ch = resolve_chart(n)
     full_connection(ch)
-    SB, derivs = ch.memo_solver
+    SB, derivs, base_inv, corrections = ch.memo_solver
     assert set(SB) == set(ch.conn_base.comps)
     for v, B in ch.conn_base.comps.items():
         assert SB[v] == ch.S @ B
@@ -50,6 +52,16 @@ def test_solver_work_lives_on_the_chart(n):
     for slot, expr in ch.dep_exprs.items():
         assert all(derivs[slot].get(v, zero) == expr.derive(v)
                    for v in ch.coords)
+    # base_inv times the base system [[a, b], [c, d]] is the identity, with
+    # (a, c) and (b, d) the entries (1,1), (1,2) of S*B[t1] and S*B[t_{n+2}]
+    base = MatF(ch.ring, [[SB[v].get1(1, k) for v in ("t1", ch.setup.base2)]
+                          for k in (1, 2)])
+    assert MatF(ch.ring, [list(r) for r in base_inv]) @ base \
+        == MatF.identity(ch.ring, 2)
+    if ch.pivot_var is None:
+        assert corrections is None
+    else:
+        assert corrections == _pivot_corrections(ch)
     fresh = build_chart(n, ch.setup.c_value)
     assert fresh.memo_solver is None
     target = lie_gen(n, *basis_pairs(n)[0], fresh.ring).transpose()
@@ -60,7 +72,8 @@ def test_solver_work_lives_on_the_chart(n):
 
 def test_repeated_solves_reuse_the_base_products(monkeypatch):
     # once the chart's solver memo is filled, each solve makes exactly one
-    # product, the target times S
+    # product, the target times S, and no Gauss-Jordan elimination (the
+    # route of solve_linear and MatF.inverse)
     ch = build_chart(3, resolve_chart(3).setup.c_value)
     targets = [lie_gen(3, a, b, ch.ring).transpose() for a, b in basis_pairs(3)]
     vf_from_target(ch, targets[0])
@@ -71,7 +84,16 @@ def test_repeated_solves_reuse_the_base_products(monkeypatch):
         calls.append(1)
         return matmul(self, other)
 
+    eliminations = []
+    gauss_jordan = linalg._gauss_jordan
+
+    def counting_eliminations(A, ncols):
+        eliminations.append(1)
+        return gauss_jordan(A, ncols)
+
     monkeypatch.setattr(MatF, "__matmul__", counting)
+    monkeypatch.setattr(linalg, "_gauss_jordan", counting_eliminations)
     for g in targets:
         vf_from_target(ch, g)
     assert len(calls) == len(targets)
+    assert not eliminations

@@ -131,10 +131,11 @@ def test_random_eval_separates_distinct_functions():
 
 
 def test_quotient_ring_reduces_pivot_square():
-    # u^2 = y - x as a ring relation: u is the pivot variable
+    # u^2 = y - x as a ring relation: u is the pivot variable, and y - x is
+    # the ring's known factor, so the relation's numerator has a split
     ring = Ring(("x", "y", "u"), pivot=2,
                 rel_num={(0, 1, 0): 1, (1, 0, 0): -1},
-                rel_den={(0, 0, 0): 1})
+                rel_den={(0, 0, 0): 1}, factor=((0, 1, 0), 0))
     u = RatFn.var(ring, "u")
     x = RatFn.var(ring, "x")
     y = RatFn.var(ring, "y")
@@ -186,15 +187,16 @@ def reference_add(f, g):
     return RatFn(f.num * g.den + g.num * f.den, f.den * g.den)
 
 
-# u^2 = (y - x)/(4x): a slot relation with a non-constant denominator
+# u^2 = y/(4x): a slot relation with a non-constant denominator; both sides
+# have a split, as a relation's must (Ring), so u has an inverse
 RU = Ring(("x", "y", "u"), pivot=2,
-          rel_num={(0, 1, 0): 1, (1, 0, 0): -1},
+          rel_num={(0, 1, 0): 1},
           rel_den={(1, 0, 0): 4})
 
-# the known factor F = x^3 - y, in a plain ring and with u^2 = (y - x)/4
+# the known factor F = x^3 - y, in a plain ring and with u^2 = F/4
 KNOWN = ((3, 0, 0), 1)
 RF = Ring(("x", "y", "z"), factor=KNOWN)
-RFU = Ring(("x", "y", "u"), pivot=2, rel_num={(0, 1, 0): 1, (1, 0, 0): -1},
+RFU = Ring(("x", "y", "u"), pivot=2, rel_num={(3, 0, 0): 1, (0, 1, 0): -1},
            rel_den={(0, 0, 0): 4}, factor=KNOWN)
 
 # denominator factors in x and y only, so they are free of the pivot u
@@ -272,6 +274,22 @@ def test_factors_without_a_split_are_refused(ring):
             continue
         for make in (lambda: RatFn(ring.one, d.num), lambda: d / d,
                      lambda: x / d, lambda: d.inverse()):
+            with pytest.raises(UnsplitDenominator, match="no split"):
+                make()
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=["R3", "RU", "RF", "RFU"])
+def test_a_zero_numerator_does_not_excuse_an_unsplit_denominator(ring):
+    """0 over a denominator without a split is refused as any other
+    numerator over it is, by the constructor and by division alike; over a
+    split denominator it is 0."""
+    zero = RatFn.of(ring, 0)
+    for i, f in enumerate(FACTORS):
+        d = Poly(ring, f)
+        if i in split_factors(ring):
+            assert RatFn(ring.zero, d).is_zero and (zero / RatFn(d)).is_zero
+            continue
+        for make in (lambda: RatFn(ring.zero, d), lambda: zero / RatFn(d)):
             with pytest.raises(UnsplitDenominator, match="no split"):
                 make()
 

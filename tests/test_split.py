@@ -23,12 +23,12 @@ except ImportError:
     sympy = None
 needs_sympy = pytest.mark.skipif(sympy is None, reason="sympy not installed")
 
-# F = x^3 - y, in a plain ring and in the relation ring u^2 = (y - x)/(4x),
-# whose rel_den is a non-constant split
+# F = x^3 - y, in a plain ring and in the relation ring u^2 = F/(4x), whose
+# rel_den is a non-constant split
 KNOWN = ((3, 0, 0), 1)
 PLAIN = Ring(("x", "y", "z"), factor=KNOWN)
 RELATION = Ring(("x", "y", "u"), pivot=2,
-                rel_num={(0, 1, 0): 1, (1, 0, 0): -1},
+                rel_num={(3, 0, 0): 1, (0, 1, 0): -1},
                 rel_den={(1, 0, 0): 4}, factor=KNOWN)
 F = PLAIN.factor_pow(1)
 rings = st.sampled_from([PLAIN, RELATION])
@@ -282,9 +282,26 @@ def test_relation_denominator_must_have_a_split():
     x, y = PLAIN.var("x"), PLAIN.var("y")
     for den in (x + PLAIN.one, x * x + y, Poly(PLAIN, F) + PLAIN.one):
         with pytest.raises(ValueError, match="rel_den"):
-            PLAIN.with_relation("z", y - x, den)
-    rel = PLAIN.with_relation("z", y - x, 4 * x * Poly(PLAIN, F))
+            PLAIN.with_relation("z", Poly(PLAIN, F), den)
+    rel = PLAIN.with_relation("z", Poly(PLAIN, F), 4 * x * Poly(PLAIN, F))
     assert rel.pivot == 2
+
+
+def test_relation_numerator_must_have_a_split():
+    """pivot = 1/pivot * rel_num/rel_den, so an unsplit rel_num would leave
+    the pivot without an inverse: in u^2 = (y - x)/(4x), 1/u rationalises
+    to a denominator y - x."""
+    with pytest.raises(ValueError, match="rel_num"):
+        Ring(("x", "y", "u"), pivot=2, rel_num={(0, 1, 0): 1, (1, 0, 0): -1},
+             rel_den={(1, 0, 0): 4})
+    x, y = PLAIN.var("x"), PLAIN.var("y")
+    for num in (y - x, x + PLAIN.one, Poly(PLAIN, F) + PLAIN.one):
+        with pytest.raises(ValueError, match="rel_num"):
+            PLAIN.with_relation("z", num, 4 * x)
+    for num in (y, 3 * x * y, Poly(PLAIN, F) * x):
+        rel = PLAIN.with_relation("z", num, 4 * x)
+        z = RatFn.var(rel, "z")
+        assert z * (1 / z) == RatFn.of(rel, 1)
 
 
 def test_known_factor_must_avoid_the_pivot():
@@ -296,7 +313,7 @@ def test_known_factor_must_avoid_the_pivot():
 def test_known_factor_carries_over_padded():
     base = Ring(("x", "y", "u"), factor=KNOWN)
     x, y = base.var("x"), base.var("y")
-    rel = base.with_relation("u", y - x, 4 * x)
+    rel = base.with_relation("u", x ** 3 - y, 4 * x)
     assert rel.factor == KNOWN and rel.pivot == 2
     assert rel.factor_pow(1) == F
     ext = rel.extend(("g1", "g2"))
