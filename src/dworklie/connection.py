@@ -7,39 +7,42 @@ solve against the lower-triangular S; no inverse of S is formed.
 The solver follows the constructive existence argument: entries (1,1) and
 (1,2) of  T*S = dS + S*B(H)  form a 2x2 linear system for the two base
 components, whose inverse is prepared once per chart; each carrier slot of
-S hands out one remaining component by direct readout, and every other entry
-is a consistency or tangency residue that must vanish identically."""
+S hands out one remaining component by direct readout of M = T*S - S*B(H).
+Past the tangency check and the entries no slot reads, H exists exactly when
+T*phi + phi*T^T = 0 (pairing_defect).  With D = M - H(S), phi^-1 = phi^T
+and d omega = B*omega + omega*B^T (pairing_matrix checks it), the derivative
+of S*omega*S^T = phi (build_chart checks it) along a tangent H reads
+S^T phi^T D + D^T phi^T S = S^T phi^T (T*phi + phi*T^T) phi^T S.  Readout and
+the entry check leave D on the dependent slots, where the left side is
+build_chart's cell equations linearised, each meeting one unsolved slot with
+a nonzero coefficient (lin); so an antisymmetric target gives D = 0, slot by
+slot.  Conversely A(H) is antisymmetric (check_pairing_invariance)."""
 
 from __future__ import annotations
 
 from collections import namedtuple
 
 from .errors import NoSuchField
-from .linalg import OneFormMat, VecField, combination, solve_right_lower
+from .linalg import OneFormMat, VecField, combination, pairing_defect, \
+    solve_right_lower
 from .ratfn import RatFn, dot
 
 
-SolverPrep = namedtuple("SolverPrep", "SB derivs base_inv corrections")
+SolverPrep = namedtuple("SolverPrep", "SB base_inv corrections")
 
 
 def _target_free(chart):
     """The work full_connection and vf_from_target share across targets,
     computed once per chart and kept in its memo slot (memo_solver):
-    SB, S*B[v] per base direction v; derivs, the coordinate derivatives of
-    each dependent-slot expression; base_inv, the inverse of the 2x2 base
+    SB, S*B[v] per base direction v; base_inv, the inverse of the 2x2 base
     system (_base_inverse); corrections, _pivot_corrections for even n and
-    None for odd n."""
+    None for odd n.  No slot expression is derived (module docstring)."""
     if chart.memo_solver is None:
         S = chart.S
         SB = {v: S @ B for v, B in chart.conn_base.comps.items()}
-        coords = set(chart.coords)
-        derivs = {}
-        for slot, expr in chart.dep_exprs.items():
-            ds = ((v, expr.derive(v)) for v in expr.support() if v in coords)
-            derivs[slot] = {v: d for v, d in ds if not d.is_zero}
         corrections = None if chart.pivot_var is None \
             else _pivot_corrections(chart)
-        chart.memo_solver = SolverPrep(SB, derivs, _base_inverse(chart, SB),
+        chart.memo_solver = SolverPrep(SB, _base_inverse(chart, SB),
                                        corrections)
     return chart.memo_solver
 
@@ -110,22 +113,14 @@ def tangent_fields(chart):
 
 
 def check_pairing_invariance(chart, A=None):
-    """A*Phi + Phi*A^T = 0 as a one-form identity on the chart variety.
-
-    For even n the pivot direction is not free: its differential is rewritten
-    through the base differentials before the components are required to
-    vanish."""
+    """A*Phi + Phi*A^T = 0 as a one-form identity on the chart variety: the
+    contraction of A with every tangent field is antisymmetric.  For even n
+    the pivot direction is not free, and tangent_fields rewrites its
+    differential through the base differentials."""
     if A is None:
         A = full_connection(chart)
-    phi = chart.phi
-    E = {v: A.get(v) @ phi + phi @ A.get(v).transpose()
-         for v in chart.coords}
-    if chart.pivot_var is not None:
-        Ep = E.pop(chart.pivot_var)
-        c1, cb = _pivot_corrections(chart)
-        E["t1"] = E["t1"] + Ep.scale(c1)
-        E[chart.setup.base2] = E[chart.setup.base2] + Ep.scale(cb)
-    return all(M.is_zero for M in E.values())
+    return all(pairing_defect(A.contract(H), chart.phi).is_zero
+               for H in tangent_fields(chart))
 
 
 def vf_from_target(chart, target):
@@ -133,9 +128,10 @@ def vf_from_target(chart, target):
 
     The base components solve the chart's prepared 2x2 system
     (_target_free); the rest is read off M = T*S - dt1*S*B[t1] -
-    dt_{n+2}*S*B[t_{n+2}], one ratfn.dot per cell.  Raises NoSuchField when
-    the base system is singular or any consistency or tangency residue is
-    nonzero; by uniqueness, zero residue is equivalent to existence."""
+    dt_{n+2}*S*B[t_{n+2}], one ratfn.dot per cell.  Raises NoSuchField, in
+    this order, when the base system is singular, H leaves the slot
+    relation, an entry no slot reads is nonzero, or the target is not
+    antisymmetric for the pairing; past these, H exists (module docstring)."""
     ring = chart.ring
     base2 = chart.setup.base2
     prep = _target_free(chart)
@@ -159,14 +155,12 @@ def vf_from_target(chart, target):
         if H.get(chart.pivot_var) != dot(ring, [(c1, dt1), (cb, dtb)]):
             raise NoSuchField("field is not tangent to the slot relation")
 
-    for (i, j), dexpr in prep.derivs.items():
-        # H applied to the slot's expression, from its cached derivatives
-        got = dot(ring, [(H.comps[v], d) for v, d in dexpr.items()
-                         if v in H.comps])
-        if got != M.get1(i, j):
-            raise NoSuchField(f"consistency residue at dependent slot ({i},{j})")
-    handled = {*chart.indep_slots, chart.pivot_slot, *prep.derivs}
+    handled = {*chart.indep_slots, chart.pivot_slot, *chart.dep_exprs}
     for (i, j), _ in M.entries():
         if (i, j) not in handled:
             raise NoSuchField(f"nonzero residue at entry ({i},{j})")
+    defect = pairing_defect(target, chart.phi).entries()
+    if defect:
+        raise NoSuchField("target is not antisymmetric for the pairing at "
+                          "cell ({},{})".format(*defect[0][0]))
     return H

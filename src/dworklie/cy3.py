@@ -17,7 +17,7 @@ from functools import cache
 
 from .errors import DworkError
 from .liealg import BracketReport, Row
-from .linalg import MatF, combination
+from .linalg import MatF, combination, pairing_defect
 from .ratfn import RatFn, dot
 from .ring import Ring
 
@@ -166,7 +166,7 @@ def cy3_basis(h, ring=None):
         g = _disp(h, ring, key).transpose()
         if any(_block_of(h, i) > _block_of(h, j) for (i, j), _ in g.entries()):
             raise DworkError(f"{key_name(h, key)} not block triangular")
-        if not (g.transpose() @ phi + phi @ g).is_zero:
+        if not pairing_defect(g.transpose(), phi).is_zero:
             raise DworkError(f"{key_name(h, key)} breaks the pairing")
         out[key] = g
     if len(out) != cy3_dims(h)[1]:

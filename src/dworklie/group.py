@@ -15,7 +15,7 @@ from fractions import Fraction
 from .chart import resolve_chart
 from .errors import ActionShapeViolation, DworkError, ZeroScalar
 from .geometry import family_dims, pairing_form
-from .linalg import MatF, VecField
+from .linalg import MatF, VecField, pairing_defect
 from .ratfn import RatFn
 
 
@@ -41,7 +41,7 @@ def lie_gen(n, a, b, ring=None):
         sign = 1 if (n % 2 and b >= m + 1) else -1
         M.set1(ra, rb, RatFn.of(ring, sign))
     phi = pairing_form(ring, n)
-    if not (M.transpose() @ phi + phi @ M).is_zero:
+    if not pairing_defect(M.transpose(), phi).is_zero:
         raise DworkError(f"basis matrix ({a},{b}) violates the pairing identity")
     return M
 

@@ -237,8 +237,11 @@ def membership_build(f0, coeffs, n, c=None):
 
 def fR_identities(n, c=None):
     """Bracket identities for the discriminant-scaled modular field plus the
-    degree-shift rule on sampled quasi-homogeneous scalings."""
+    degree-shift rule on sampled quasi-homogeneous scalings; kept once per
+    chart in its memo slot (memo_fR)."""
     ch = resolve_chart(n, c)
+    if ch.memo_fR is not None:
+        return ch.memo_fR
     tr = sl2_triple(n, c)
     R, F, Hf = tr.E, tr.F, tr.Hf
     w, _ = weights(n, c)
@@ -262,7 +265,8 @@ def fR_identities(n, c=None):
         gR = R.scale(f)
         rows.append(Row.compare(f"[H, fR] = {k + 2}*fR, f = {f!r}",
                                 Hf.bracket(gR), gR.scale(k + 2)))
-    return BracketReport(rows)
+    ch.memo_fR = BracketReport(rows)
+    return ch.memo_fR
 
 
 def jacobi_ok(V, W, X):

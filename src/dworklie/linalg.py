@@ -6,8 +6,8 @@ from __future__ import annotations
 from .errors import DworkError, LinearInconsistent
 from .ratfn import RatFn, dot
 
-__all__ = ["MatF", "OneFormMat", "VecField", "combination", "solve_linear",
-           "SolveResult"]
+__all__ = ["MatF", "OneFormMat", "VecField", "combination", "pairing_defect",
+           "solve_linear", "SolveResult"]
 
 
 class MatF:
@@ -196,6 +196,26 @@ def combination(ring, shape, terms):
                     ((k, dot(ring, ps)) for k, ps in pairs.items()))
 
 
+def pairing_defect(T, phi):
+    """T*phi + phi*T^T, for phi with one cell per row and column: each T_ab
+    meets phi_bj at (a, j) and phi_ib at (i, a), so every cell is one
+    ratfn.dot of at most two terms.  DworkError for any other phi."""
+    n = T.nrows
+    row = {i: (j, e) for (i, j), e in phi.cells.items()}
+    col = {j: (i, e) for (i, j), e in phi.cells.items()}
+    if not len(phi.cells) == len(row) == len(col) == n == T.ncols \
+            == phi.nrows == phi.ncols:
+        raise DworkError(f"no pairing defect of a {n}x{T.ncols} matrix against"
+                         f" a phi without one cell per row and column")
+    pairs = {}
+    for (a, b), t in T.cells.items():
+        (j, e), (i, f) = row[b], col[b]
+        pairs.setdefault((a, j), []).append((t, e))
+        pairs.setdefault((i, a), []).append((f, t))
+    return MatF._of(T.ring, n, n,
+                    ((k, dot(T.ring, ps)) for k, ps in pairs.items()))
+
+
 class OneFormMat:
     """Matrix-valued one-form: map variable name -> MatF; absent key = zero."""
 
@@ -210,12 +230,6 @@ class OneFormMat:
     def get(self, var):
         M = self.comps.get(var)
         return M if M is not None else MatF.zeros(self.ring, self.size)
-
-    def set(self, var, M):
-        if M.is_zero:
-            self.comps.pop(var, None)
-        else:
-            self.comps[var] = M
 
     def vars(self):
         return sorted(self.comps, key=lambda v: self.ring.index[v])

@@ -2,6 +2,7 @@
 solver and its failure mode."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,7 @@ from dworklie import (LinearInconsistent, MatF, NoSuchField, OneFormMat,
                       solve_linear, vf_from_target)
 from dworklie.connection import _pivot_corrections, tangent_fields
 from dworklie.group import basis_pairs, lie_gen
+from dworklie.linalg import _gauss_jordan, pairing_defect, solve_right_lower
 from dworklie.modular import yukawa_for
 from dworklie.ratfn import ratfn_string
 
@@ -80,7 +82,8 @@ def test_solver_rejects_unreachable_target(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_solver_rejects_a_residue_at_each_dependent_slot(n):
     # X*S = E_ij moves only entry (i, j) of target*S, so a reachable target
-    # plus X leaves a nonzero consistency residue at that dependent slot
+    # plus X leaves a nonzero residue at that dependent slot; no slot reads
+    # it, and the pairing sees it: the target is not antisymmetric
     from dworklie.group import basis_pairs
     from dworklie.linalg import solve_right_lower
     ch = resolve_chart(n)
@@ -89,7 +92,8 @@ def test_solver_rejects_a_residue_at_each_dependent_slot(n):
     for i, j in ch.dep_exprs:
         E = MatF.zeros(ch.ring, n + 1)
         E.set1(i, j, 1)
-        with pytest.raises(NoSuchField, match=rf"dependent slot \({i},{j}\)"):
+        with pytest.raises(NoSuchField,
+                           match="not antisymmetric for the pairing at cell"):
             vf_from_target(ch, g + solve_right_lower([E], ch.S)[0])
 
 
@@ -109,6 +113,78 @@ def test_solver_rejects_a_residue_at_each_entry_above_the_diagonal(n):
         E.set1(i, j, 1)
         with pytest.raises(NoSuchField, match=rf"residue at entry \({i},{j}\)"):
             vf_from_target(ch, g + solve_right_lower([E], ch.S)[0])
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_solver_rejects_an_antisymmetric_target_with_an_unread_entry(n):
+    # g + X - phi X^T phi^T, X*S = E_ij above the diagonal, is antisymmetric
+    # for the pairing, but leaves a nonzero entry that no slot reads: the
+    # pairing alone does not prove a field exists
+    ch = resolve_chart(n)
+    phi = ch.phi
+    g = lie_gen(n, *basis_pairs(n)[0], ring=ch.ring).transpose()
+    cells = [(i, j) for i in range(1, n + 2) for j in range(i + 1, n + 2)
+             if (i, j) != (1, 2)]
+    for i, j in cells:
+        E = MatF.zeros(ch.ring, n + 1)
+        E.set1(i, j, 1)
+        X = solve_right_lower([E], ch.S)[0]
+        target = g + X - phi @ X.transpose() @ phi.transpose()
+        assert pairing_defect(target, phi).is_zero
+        with pytest.raises(NoSuchField, match=r"residue at entry"):
+            vf_from_target(ch, target)
+
+
+def chart_point(chart, rng):
+    """A random rational point of the chart, on the relation for even n
+    (drawn as generator_rank draws it), and S there, or None at a pole or
+    where S is singular."""
+    point = {v: Fraction(rng.randint(1, 9), rng.randint(1, 4))
+             for v in chart.ring.names}
+    if chart.pivot_var is not None:
+        p = point[chart.pivot_var]
+        point[chart.setup.base2] = (point["t1"] ** (chart.n + 2)
+                                    - p * p / chart.kappa.eval(point))
+    try:
+        S = chart.S.map(lambda f: RatFn.of(chart.ring, f.eval(point)))
+    except ZeroDivisionError:
+        return None
+    diagonal = (S.get1(k, k) for k in range(1, chart.n + 2))
+    return S if not any(d.is_zero for d in diagonal) else None
+
+
+def defect_rank(n):
+    """Rank and column count of D -> pairing_defect(D*S^-1, phi) on the
+    matrices D supported on the dependent slots, at a seeded chart point."""
+    ch = resolve_chart(n)
+    rng = random.Random(20261019 + n)
+    S = None
+    while S is None:
+        S = chart_point(ch, rng)
+    size = n + 1
+    slots = sorted(ch.dep_exprs)
+    Ds = []
+    for slot in slots:
+        D = MatF.zeros(ch.ring, size)
+        D.set1(*slot, 1)
+        Ds.append(D)
+    cells = [(i, j) for i in range(1, size + 1) for j in range(1, size + 1)]
+    rows = [[defect.get1(*k) for k in cells]
+            for defect in (pairing_defect(X, ch.phi)
+                           for X in solve_right_lower(Ds, S))]
+    return len(_gauss_jordan(rows, len(cells))), len(slots)
+
+
+@pytest.mark.parametrize(
+    "n", list(range(1, 13))
+    + [pytest.param(n, marks=pytest.mark.slow) for n in range(13, 17)])
+def test_the_pairing_sees_every_dependent_slot(n):
+    # the hypothesis of the solver's existence argument (connection module
+    # docstring): D -> D S^-1 phi + phi (D S^-1)^T is injective on the
+    # dependent slots.  Full rank at one point means full rank over the
+    # function field, where the rank can only be larger.
+    rank, nslots = defect_rank(n)
+    assert 0 < nslots == rank
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -217,10 +293,30 @@ def solved(solve, chart, target):
     return [ratfn_string(H.get(v)) for v in chart.coords]
 
 
+def perturbations(chart, rng, g, count):
+    """g + X and g + X - phi X^T phi^T, X*S = E_ij for seeded cells (i, j):
+    each moves entry (i, j) of g*S, the second keeping g antisymmetric for
+    the pairing."""
+    size, phi = chart.n + 1, chart.phi
+    out = []
+    for _ in range(count):
+        E = MatF.zeros(chart.ring, size)
+        E.set1(rng.randint(1, size), rng.randint(1, size), rng.choice([-1, 2]))
+        X = solve_right_lower([E], chart.S)[0]
+        out += [g + X, g + X - phi @ X.transpose() @ phi.transpose()]
+    return out
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_solver_matches_the_reference_solver(n):
     # the coupling band, every basis target, seeded constant combinations of
-    # them (reachable) and seeded sparse constant matrices (mostly not)
+    # them (reachable), seeded sparse constant matrices (mostly not), and
+    # a basis target moved at seeded cells of target*S, raw or kept
+    # antisymmetric (at even n a move at the pivot slot leaves the relation).
+    # Both solvers accept the same targets with the same fields, and refuse
+    # the same targets with the same message, except where the reference
+    # names a dependent slot: the solver has no per-slot check, and refuses
+    # such a target at an entry no slot reads or by the pairing.
     ch = resolve_chart(n)
     size = n + 1
     gens = [lie_gen(n, a, b, ch.ring).transpose() for a, b in basis_pairs(n)]
@@ -237,12 +333,19 @@ def test_solver_matches_the_reference_solver(n):
             M.set1(rng.randint(1, size), rng.randint(1, size),
                    rng.randint(-2, 2))
         targets.append(M)
-    reached = 0
+    targets += perturbations(ch, rng, rng.choice(gens), 6)
+    reached = slot_refusals = 0
     for target in targets:
         want = solved(reference_vf_from_target, ch, target)
-        assert solved(vf_from_target, ch, target) == want
+        got = solved(vf_from_target, ch, target)
+        if isinstance(want, str) and "dependent slot" in want:
+            assert isinstance(got, str)
+            slot_refusals += 1
+        else:
+            assert got == want
         reached += isinstance(want, list)
     assert reached >= len(gens) + 4
+    assert slot_refusals or n == 1
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -32,7 +32,7 @@ def test_output_matches_golden(cmd, n, fmt):
 
 
 @pytest.mark.parametrize("n", [6, 7] + [pytest.param(n, marks=pytest.mark.slow)
-                                        for n in range(8, 17)])
+                                        for n in range(8, 21)])
 def test_stage_digests_match(n):
     want = json.loads(chart_digests.PATH.read_text())[str(n)]
     assert chart_digests.digests(n) == want

@@ -5,6 +5,7 @@ combination routine, the vector-field bracket against its componentwise
 definition, and their typed refusals."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,9 @@ from hypothesis import given, settings, strategies as st
 from dworklie import DworkError, LinearInconsistent, MatF, OneFormMat, \
     RatFn, Ring, UnsplitDenominator, VecField, basis_vf, modular_vf, \
     sl2_triple, solve_linear
-from dworklie.linalg import combination, solve_right_lower
+from dworklie.cy3 import cy3_phi
+from dworklie.geometry import pairing_form
+from dworklie.linalg import combination, pairing_defect, solve_right_lower
 from dworklie.ratfn import ratfn_string
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -31,11 +34,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # field limit, and a right triangular solve against a lower-triangular
 # matrix with a zero diagonal entry, one whose right-hand sides do not all
 # match its shape, and one against a matrix with an entry above the
-# diagonal; and a linear combination of 2x2 matrices with a 3x3 term.
+# diagonal; a linear combination of 2x2 matrices with a 3x3 term; and the
+# pairing defect against a phi with two cells in one row.
 OPTIMIZED_SCRIPT = """
 from dworklie import DworkError, MatF, Poly, RatFn, Ring, eq_by_random_eval
 from dworklie.geometry import family_dims
-from dworklie.linalg import combination, solve_right_lower
+from dworklie.linalg import combination, pairing_defect, solve_right_lower
 from dworklie.ring import _pack
 R, S = Ring(["x"]), Ring(["x"])
 x = RatFn.var(R, "x")
@@ -68,7 +72,9 @@ cases = [lambda: MatF(R, [[x, x * 2], [x * 3, x * 6]]).inverse(),
          lambda: solve_right_lower([MatF.identity(R, 2)],
                                    MatF(R, [[x, x], [x * 0, x]])),
          lambda: combination(R, (2, 2), [(1, MatF.identity(R, 2)),
-                                         (0, MatF.identity(R, 3))])]
+                                         (0, MatF.identity(R, 3))]),
+         lambda: pairing_defect(MatF.identity(R, 2),
+                                MatF(R, [[x, x], [x * 0, x]]))]
 for case in cases:
     try:
         case()
@@ -95,7 +101,7 @@ def test_inverse_refuses_singular_and_non_square_under_O():
                                    "ValueError", "ValueError", "ValueError",
                                    "DworkError", "KernelInvariant",
                                    "LinearInconsistent", "DworkError",
-                                   "DworkError", "DworkError"]
+                                   "DworkError", "DworkError", "DworkError"]
 
 
 def test_solve_linear_on_a_rank_deficient_system():
@@ -322,6 +328,37 @@ def test_combination_refuses_a_term_of_another_shape():
     with pytest.raises(DworkError, match="2x2 matrices with a 2x3 term"):
         combination(RXY, (2, 2), [(1, MatF.identity(RXY, 2)),
                                   (0, MatF.zeros(RXY, 2, 3))])
+
+
+# The pairing defect T*phi + phi*T^T against its two matrix products, on
+# seeded sparse matrices, for the family's pairings and the threefold's.
+PAIRINGS = [("pairing_form", n) for n in range(1, 9)] \
+    + [("cy3_phi", h) for h in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("kind,k", PAIRINGS,
+                         ids=[f"{kind}-{k}" for kind, k in PAIRINGS])
+def test_pairing_defect_is_the_sum_of_the_two_products(kind, k):
+    phi = pairing_form(RXY, k) if kind == "pairing_form" else cy3_phi(k, RXY)
+    size = phi.nrows
+    rng = random.Random(1019 * size + k)
+    for _ in range(6):
+        T = MatF.zeros(RXY, size)
+        for _ in range(rng.randint(0, 2 * size)):
+            T.set1(rng.randint(1, size), rng.randint(1, size),
+                   rng.choice(ENTRIES))
+        assert pairing_defect(T, phi) == T @ phi + phi @ T.transpose()
+        # its antisymmetric part for the pairing has no defect
+        A = T - phi @ T.transpose() @ phi.transpose()
+        assert pairing_defect(A, phi).is_zero
+
+
+def test_pairing_defect_refuses_a_phi_that_is_not_monomial():
+    T = MatF.identity(RXY, 2)
+    with pytest.raises(DworkError, match="one cell per row and column"):
+        pairing_defect(T, MatF(RXY, [[X, X], [X * 0, X]]))
+    with pytest.raises(DworkError, match="one cell per row and column"):
+        pairing_defect(T, pairing_form(RXY, 2))
 
 
 # The bracket against its componentwise definition: each field applied to

@@ -3,8 +3,9 @@ object, and a chart built outside the cache computes its own."""
 
 import pytest
 
-from dworklie import MatF, RatFn, basis_vf, build_chart, full_connection, \
-    linalg, modular_vf, resolve_chart, sl2_triple, vf_from_target
+from dworklie import MatF, RatFn, basis_vf, build_chart, fR_identities, \
+    full_connection, linalg, modular_vf, resolve_chart, sl2_triple, \
+    vf_from_target
 from dworklie.connection import _pivot_corrections
 from dworklie.group import basis_pairs, lie_gen
 
@@ -38,20 +39,15 @@ def test_uncached_chart_starts_without_a_triple():
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_solver_work_lives_on_the_chart(n):
-    # the base products S*B[v], the dependent-slot derivatives, the inverse
-    # of the 2x2 base system and the pivot corrections are built once per
-    # chart, and a chart built outside the cache builds its own
+    # the base products S*B[v], the inverse of the 2x2 base system and the
+    # pivot corrections are built once per chart, and a chart built outside
+    # the cache builds its own
     ch = resolve_chart(n)
     full_connection(ch)
-    SB, derivs, base_inv, corrections = ch.memo_solver
+    SB, base_inv, corrections = ch.memo_solver
     assert set(SB) == set(ch.conn_base.comps)
     for v, B in ch.conn_base.comps.items():
         assert SB[v] == ch.S @ B
-    assert set(derivs) == set(ch.dep_exprs)
-    zero = RatFn.of(ch.ring, 0)
-    for slot, expr in ch.dep_exprs.items():
-        assert all(derivs[slot].get(v, zero) == expr.derive(v)
-                   for v in ch.coords)
     # base_inv times the base system [[a, b], [c, d]] is the identity, with
     # (a, c) and (b, d) the entries (1,1), (1,2) of S*B[t1] and S*B[t_{n+2}]
     base = MatF(ch.ring, [[SB[v].get1(1, k) for v in ("t1", ch.setup.base2)]
@@ -97,3 +93,27 @@ def test_repeated_solves_reuse_the_base_products(monkeypatch):
         vf_from_target(ch, g)
     assert len(calls) == len(targets)
     assert not eliminations
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_first_solve_on_a_fresh_chart_derives_nothing(n, monkeypatch):
+    # existence is proved by the pairing, so neither the solver's prepared
+    # work nor the solve itself differentiates a slot expression
+    ch = build_chart(n, resolve_chart(n).setup.c_value)
+    calls = []
+    derive = RatFn.derive
+
+    def counting(self, var):
+        calls.append(var)
+        return derive(self, var)
+
+    monkeypatch.setattr(RatFn, "derive", counting)
+    vf_from_target(ch, lie_gen(n, *basis_pairs(n)[0], ch.ring).transpose())
+    assert ch.memo_solver is not None
+    assert not calls
+
+
+def test_fR_identities_are_computed_once_per_chart():
+    assert fR_identities(2) is fR_identities(2)
+    assert resolve_chart(2).memo_fR is fR_identities(2)
+    assert build_chart(2, resolve_chart(2).setup.c_value).memo_fR is None
