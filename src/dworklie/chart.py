@@ -48,13 +48,13 @@ class Chart:
     the memo slots, which full_connection and vf_from_target (memo_solver:
     the products S*B, the inverse of the 2x2 base system and the pivot
     corrections), full_connection (memo_conn), modular_vf, basis_vf,
-    sl2_triple and fR_identities (memo_fR) fill on first use.  The fields
+    sl2_triple, weights and fR_identities fill on first use.  The fields
     kept by modular_vf, basis_vf and sl2_triple keep their Jacobians too
     (VecField.jacobian), so each is derived once per chart."""
 
     __slots__ = ("n", "d", "m", "rho", "ncoords", "setup", "ring", "S",
                  "omega", "phi", "conn_base", "indep_slots", "pivot_slot",
-                 "pivot_var", "dep_exprs", "kappa", "disc",
+                 "pivot_var", "dep_exprs", "kappa", "disc", "memo_weights",
                  "rule_extrapolated", "coords", "memo_solver", "memo_conn",
                  "memo_modular", "memo_basis", "memo_sl2", "memo_fR")
 
@@ -206,7 +206,7 @@ def build_chart(n, c_value=None):
     ch.disc = setup.disc
     ch.rule_extrapolated = n >= 5
     ch.coords = tuple(f"t{i}" for i in range(1, setup.ncoords + 1))
-    ch.memo_solver = ch.memo_conn = None
+    ch.memo_solver = ch.memo_conn = ch.memo_weights = None
     ch.memo_modular = ch.memo_basis = ch.memo_sl2 = ch.memo_fR = None
     return ch
 

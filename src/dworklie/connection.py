@@ -128,20 +128,22 @@ def vf_from_target(chart, target):
 
     The base components solve the chart's prepared 2x2 system
     (_target_free); the rest is read off M = T*S - dt1*S*B[t1] -
-    dt_{n+2}*S*B[t_{n+2}], one ratfn.dot per cell.  Raises NoSuchField, in
-    this order, when the base system is singular, H leaves the slot
-    relation, an entry no slot reads is nonzero, or the target is not
-    antisymmetric for the pairing; past these, H exists (module docstring)."""
+    dt_{n+2}*S*B[t_{n+2}], one ratfn.dot per cell; neither M nor T*S is
+    formed on the dependent slots.  Raises NoSuchField, in this order, when
+    the base system is singular, H leaves the slot relation, an entry no
+    slot reads is nonzero, or the target is not antisymmetric for the
+    pairing; past these, H exists (module docstring)."""
     ring = chart.ring
     base2 = chart.setup.base2
     prep = _target_free(chart)
     if prep.base_inv is None:
         raise NoSuchField("base 2x2 system is singular")
-    TS = target @ chart.S
+    TS = target.product(chart.S, chart.dep_exprs)
     rhs = (TS.get1(1, 1), TS.get1(1, 2))
     dt1, dtb = (dot(ring, zip(row, rhs)) for row in prep.base_inv)
     M = combination(ring, (chart.n + 1, chart.n + 1),
-                    [(1, TS), (-dt1, prep.SB["t1"]), (-dtb, prep.SB[base2])])
+                    [(1, TS), (-dt1, prep.SB["t1"]), (-dtb, prep.SB[base2])],
+                    chart.dep_exprs)
 
     comps = {"t1": dt1, base2: dtb}
     for slot, var in chart.indep_slots.items():

@@ -5,12 +5,14 @@ chart coordinates, and the infinitesimal fields of that action.
 Elements are kept in factored normal form: the multiplicative (diagonal)
 factors first, then one unipotent factor per additive subgroup in lexicographic
 index order.  ``decompose_elem`` inverts the assembly and is verified by an
-identity end-check rather than trusted.
-"""
+identity end-check rather than trusted.  Each factor I + D (factor_delta)
+is one sparse column operation, or row operation when peeling: only the
+columns or rows that D writes are formed (MatF.times_factor)."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .chart import resolve_chart
 from .errors import ActionShapeViolation, DworkError, ZeroScalar
@@ -59,6 +61,7 @@ def subgroup_counts(n):
     return m, len(subgroup_pairs(n))
 
 
+@cache
 def param_slot(n, i):
     """Meaning of 1-based parameter index i: ("mult", a) or ("add", (a,b))."""
     d, m, _ = family_dims(n)
@@ -76,7 +79,7 @@ def factor_matrix(n, i, gamma, ring):
 
 def factor_delta(n, i, gamma, ring):
     """factor_matrix(n, i, gamma, ring) minus the identity: at most three
-    cells, so a product with the factor F = I + D is M + M @ D."""
+    cells, so a product with the factor I + D is M.times_factor(D)."""
     kind, idx = param_slot(n, i)
     gamma = gamma if isinstance(gamma, RatFn) else RatFn.of(ring, gamma)
     _, m, _ = family_dims(n)
@@ -135,16 +138,11 @@ def group_elem(n, params, c=None, ring=None):
     vals = [p if isinstance(p, RatFn) else RatFn.of(ring, p) for p in params]
     M = MatF.identity(ring, n + 1)
     for i, gamma in enumerate(vals, start=1):
-        M = M + M @ factor_delta(n, i, gamma, ring)
+        M = M.times_factor(factor_delta(n, i, gamma, ring))
     phi = pairing_form(ring, n)
     if (M.transpose() @ phi).lower_product(M) != phi.lower():
         raise DworkError("assembled element does not preserve the pairing")
     return GroupElem(n, ring, vals, M)
-
-
-def identity_params(n):
-    mult, add = subgroup_counts(n)
-    return [Fraction(1)] * mult + [Fraction(0)] * add
 
 
 def symbolic_elem(n, c=None, prefix="g"):
@@ -179,13 +177,13 @@ def decompose_elem(n, M):
         if gamma.is_zero:
             raise ZeroScalar(f"diagonal entry for subgroup {a} is zero")
         params.append(gamma)
-        U = U + factor_delta(n, a, gamma.inverse(), ring) @ U
+        U = U.times_factor(factor_delta(n, a, gamma.inverse(), ring), True)
     for k, (i, j) in enumerate(subgroup_pairs(n), start=m + 1):
         ra, rb = n + 2 - j, n + 2 - i
         cell = (i, j) if (ra, rb) == (i, j) else (ra, rb)
         gamma = U.get1(*cell)
         params.append(gamma)
-        U = U + factor_delta(n, k, -gamma, ring) @ U
+        U = U.times_factor(factor_delta(n, k, -gamma, ring), True)
     if U != MatF.identity(ring, n + 1):
         raise DworkError("matrix is not a product of the subgroup factors")
     return params
@@ -246,7 +244,8 @@ def infinitesimal(n, i, c=None):
     kind, _ = param_slot(n, i)
     ring = ch.ring.extend(("gp",))
     gamma = RatFn.var(ring, "gp")
-    params = [RatFn.of(ring, p) for p in identity_params(n)]
+    mult, add = subgroup_counts(n)
+    params = [RatFn.of(ring, 1)] * mult + [RatFn.of(ring, 0)] * add
     params[i - 1] = gamma
     g = group_elem(n, params, ring=ring)
     formulas = act(n, g=g, c=c)

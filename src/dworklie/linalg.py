@@ -87,16 +87,18 @@ class MatF:
         return self._like((k, -a) for k, a in self.cells.items())
 
     def __matmul__(self, other):
-        return self._product(other, False)
+        return self.product(other)
 
     def lower_product(self, other):
         """The cells j <= i of self @ other, summed as @ sums them; the cells
         above the diagonal are not formed.  Where the product is known to
         have a transpose type, P^T = +-P (S omega S^T with omega^T =
         +-omega), they mirror the cells below it."""
-        return self._product(other, True)
+        return self.product(other, {(i, j) for i in range(1, self.nrows + 1)
+                                    for j in range(i + 1, other.ncols + 1)})
 
-    def _product(self, other, lower_only):
+    def product(self, other, skip=()):
+        """self @ other with no cell in skip formed."""
         if self.ncols != other.nrows:
             raise DworkError(f"product of a {self.nrows}x{self.ncols} and a "
                              f"{other.nrows}x{other.ncols} matrix")
@@ -107,11 +109,35 @@ class MatF:
         out = {}
         for (i, k), a in self.cells.items():
             for j, b in brows.get(k, ()):
-                if lower_only and j > i:
-                    continue
-                c = out.get((i, j))
-                out[i, j] = a * b if c is None else c + a * b
+                if (i, j) not in skip:
+                    c = out.get((i, j))
+                    out[i, j] = a * b if c is None else c + a * b
         return MatF._of(self.ring, self.nrows, other.ncols, out.items())
+
+    def times_factor(self, D, left=False):
+        """self @ (I + D), or (I + D) @ self with left: only the columns
+        (rows) where D stores a cell change, each cell a ratfn.dot over the
+        old cells of self."""
+        if D.nrows != D.ncols or D.nrows != (self.nrows if left else
+                                             self.ncols):
+            raise DworkError(f"factor {D.nrows}x{D.ncols} does not fit a "
+                             f"{self.nrows}x{self.ncols} matrix")
+        # column t (row t with left) gains sum_k (old column k) * d_kt
+        lines, pairs = {}, {}
+        for (i, j), a in self.cells.items():
+            lines.setdefault(i if left else j, []).append((j if left else i, a))
+        for (i, j), d in D.cells.items():
+            k, t = (j, i) if left else (i, j)
+            for p, a in lines.get(k, ()):
+                pairs.setdefault((t, p) if left else (p, t), []).append((a, d))
+        out, one = dict(self.cells), RatFn.of(self.ring, 1)
+        for c, ps in pairs.items():
+            out[c] = dot(self.ring, ps + [(out[c], one)] if c in out else ps)
+            if out[c].is_zero:
+                del out[c]
+        M = self._like(())
+        M.cells = out
+        return M
 
     def lower(self):
         """The cells j <= i of self; the cells above the diagonal are
@@ -177,11 +203,11 @@ class MatF:
         return f"MatF({self.nrows}x{self.ncols})\n{body}"
 
 
-def combination(ring, shape, terms):
+def combination(ring, shape, terms, skip=()):
     """sum_k c_k * M_k over the (c_k, M_k) terms, each M_k of the given
-    (nrows, ncols) shape: every cell is one ratfn.dot over the terms that
-    store it, and a term with a zero coefficient adds nothing.  Raises
-    DworkError on a term of another shape."""
+    (nrows, ncols) shape, off the cells in skip: every cell is one ratfn.dot
+    over the terms that store it; a term with a zero coefficient adds
+    nothing.  Raises DworkError on a term of another shape."""
     nrows, ncols = shape
     pairs = {}
     for c, M in terms:
@@ -191,7 +217,8 @@ def combination(ring, shape, terms):
         c = RatFn.of(ring, c)
         if not c.is_zero:
             for k, a in M.cells.items():
-                pairs.setdefault(k, []).append((c, a))
+                if k not in skip:
+                    pairs.setdefault(k, []).append((c, a))
     return MatF._of(ring, nrows, ncols,
                     ((k, dot(ring, ps)) for k, ps in pairs.items()))
 
@@ -233,16 +260,6 @@ class OneFormMat:
 
     def vars(self):
         return sorted(self.comps, key=lambda v: self.ring.index[v])
-
-    def __add__(self, other):
-        return OneFormMat(self.ring, self.size, {
-            v: self.get(v) + other.get(v)
-            for v in set(self.comps) | set(other.comps)})
-
-    def __eq__(self, other):
-        if not isinstance(other, OneFormMat):
-            return NotImplemented
-        return self.comps == other.comps
 
     def _products(self, vf, keep=None):
         """cell -> the (vf[v], A[v] entry) pairs summing to that entry of

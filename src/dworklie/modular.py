@@ -129,8 +129,11 @@ def sl2_triple(n, c=None):
 
 def weights(n, c=None):
     """Integer weight per coordinate, read off the grading field, plus a
-    quasi-homogeneity report over the modular field's components."""
+    quasi-homogeneity report over the modular field's components; kept once
+    per chart in its memo slot (memo_weights)."""
     ch = resolve_chart(n, c)
+    if ch.memo_weights is not None:
+        return ch.memo_weights
     tr = sl2_triple(n, c)
     w = {}
     for v in ch.coords:
@@ -145,8 +148,8 @@ def weights(n, c=None):
         if q.denominator != 1:
             raise DworkError("grading field has a non-integer weight")
         w[v] = int(q)
-    report = degree_report(ch, tr, w)
-    return w, report
+    ch.memo_weights = (w, degree_report(ch, tr, w))
+    return ch.memo_weights
 
 
 def quasi_degree(rf, w):

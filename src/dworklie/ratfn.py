@@ -22,8 +22,13 @@ a/b and c/d with g = gcd(b, d), taken from the exponents (Ring.split_gcd),
 the sum is t/(b*(d/g)) with t = a*(d/g) + c*(b/g), and only gcd(t, g) can
 cancel, since t is coprime to both b/g and d/g.  The denominator stays
 primitive, positive and pivot-free, and t keeps pivot degree <= 1, because
-b and d are pivot-free.  A sum of two constants is one integer
-cross-multiplication.
+b and d are pivot-free.
+
+Constants take integer arithmetic: a sum, product or dot of constants p/q
+(ring._qpair) is one integer cross-multiplication and one gcd
+(ring._qpoly).  The inverse of N/D with N = c * x^a * F^k free of the pivot
+is D/(c * x^a * F^k): x^a * F^k is primitive, positive and prime to D, so
+only c moves across; a constant's inverse swaps its ints.
 
 Products follow Henrici's rule too.  A constant factor is a unit: it scales
 the other numerator and takes no gcd, and a factor 1 returns the other
@@ -65,7 +70,8 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import KernelInvariant, UnsplitDenominator
-from .ring import Poly, _primitive, _tadd, _tmul, _tscale, _tsum
+from .ring import Poly, _primitive, _qpair, _qpoly, _tadd, _tmul, \
+    _tscale, _tsum
 
 
 class RatFn:
@@ -115,27 +121,24 @@ class RatFn:
 
     # -- arithmetic ---------------------------------------------------------
     def _coerce(self, other):
-        if isinstance(other, RatFn):
-            return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (RatFn, Poly, int, Fraction)):
             return RatFn.of(self.ring, other)
-        if isinstance(other, Poly):
-            return RatFn(other)
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        b = other if type(other) is RatFn else self._coerce(other)
+        if b is None:
             return NotImplemented
-        a, b = self, o
+        a, ring = self, self.ring
+        a.num._chk(b.num)
+        ka, kb = _qpair(a.num, a.den), _qpair(b.num, b.den)
+        if ka and kb:
+            return _raw(_qpoly(ring, ka[0] * kb[1] + kb[0] * ka[1],
+                               ka[1] * kb[1]), ring.one)
         if a.is_zero:
             return b
         if b.is_zero:
             return a
-        a.num._chk(b.num)
-        ring = a.ring
-        if a.is_const and b.is_const:
-            return _raw(a.num + b.num, ring.one)
         # Henrici addition, see the module docstring
         gs, sb, sd = ring.split_gcd(a.den.known_split(), b.den.known_split())
         T = _tadd(_tscale(_tmul(a.num.terms, ring.split_terms(sd)), b.num.den),
@@ -150,10 +153,10 @@ class RatFn:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is RatFn else self._coerce(other)
         if o is None:
             return NotImplemented
-        return self if o.is_zero else self + (-o)
+        return self + (-o)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -165,25 +168,24 @@ class RatFn:
         return self if self.is_zero else _raw(-self.num, self.den)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        b = other if type(other) is RatFn else self._coerce(other)
+        if b is None:
             return NotImplemented
-        a, b = self, o
-        if a.is_zero:
-            return a
-        if b.is_zero:
-            return b
-        ring = a.ring
+        a, ring = self, self.ring
         a.num._chk(b.num)
+        ka, kb = _qpair(a.num, a.den), _qpair(b.num, b.den)
+        if ka and kb:
+            return _raw(_qpoly(ring, ka[0] * kb[0], ka[1] * kb[1]), ring.one)
+        if (0, 1) in (ka, kb):
+            return _raw(ring.zero, ring.one)
         # product rule, see the module docstring
-        if a.is_const:
-            a, b = b, a
-        if b.is_const:
-            (k,) = b.num.terms.values()
-            if k == 1 and b.num.den == 1:
+        if ka:
+            a, b, kb = b, a, ka
+        if kb:
+            if kb == (1, 1):
                 return a
-            return _raw(Poly._trusted(ring, _tscale(a.num.terms, k),
-                                      a.num.den * b.num.den), a.den)
+            return _raw(Poly._trusted(ring, _tscale(a.num.terms, kb[0]),
+                                      a.num.den * kb[1]), a.den)
         _, A, sd = ring.cancel_split(a.num.terms, b.den.known_split())
         _, C, sb = ring.cancel_split(b.num.terms, a.den.known_split())
         num = Poly._trusted(ring, _tmul(A, C), a.num.den * b.num.den)
@@ -197,9 +199,12 @@ class RatFn:
     def inverse(self):
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero")
-        if self.is_const:
-            # the reciprocal of a nonzero rational is canonical as it stands
-            return _raw(self.ring.const(1 / self.const_value()), self.ring.one)
+        ring, p, s = self.ring, self.num, self.num.known_split()
+        if s and not ring.has_pivot(p.terms):
+            c, a, k = s
+            q = p.den if c > 0 else -p.den
+            return _raw(Poly._trusted(ring, _tscale(self.den.terms, q), abs(c)),
+                        ring.split_poly((1, a, k)))
         return RatFn(self.den, self.num)
 
     def __truediv__(self, other):
@@ -305,10 +310,19 @@ def _over_split(ring, T, nd, split):
 def dot(ring, pairs):
     """Sum of a * b over the (a, b) pairs of RatFns in ring, over one
     common denominator; see the module docstring."""
-    pairs = [(a, b) for a, b in pairs if not (a.is_zero or b.is_zero)]
+    pairs = [(a, b) for a, b in pairs if a.num.terms and b.num.terms]
     fused, rest = [], _raw(ring.zero, ring.one)
     if len(pairs) < 2:
         return pairs[0][0] * pairs[0][1] if pairs else rest
+    p, q = 0, 1
+    for a, b in pairs:
+        a.num._chk(b.num)
+        ka, kb = _qpair(a.num, a.den), _qpair(b.num, b.den)
+        if not (ka and kb):
+            break
+        p, q = p * ka[1] * kb[1] + ka[0] * kb[0] * q, q * ka[1] * kb[1]
+    else:
+        return _raw(_qpoly(ring, p, q), ring.one)
     for a, b in pairs:
         a.num._chk(b.num)
         A, C = a.num.terms, b.num.terms

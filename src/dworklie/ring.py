@@ -50,7 +50,8 @@ are ordered.  Other modules name variables and use
         known_split.
 ratfn alone also hands term dicts, as opaque values, to _tadd, _tsum, _tmul,
 _tscale and _primitive, and builds results with Poly._trusted, so that its
-split sums and products build no Poly beyond their results.  Splits
+split sums and products build no Poly beyond their results; it reads a
+constant as two ints through _qpair and builds one through _qpoly.  Splits
 are opaque to it too: it passes them between the Ring methods above and
 tests only whether a Poly has one.  Exponent tuples enter only as
 constructor input: the relation and the known factor of Ring(...), which
@@ -190,6 +191,22 @@ def _primitive(T):
     if T and T[max(T)] < 0:
         c = -c
     return c, (T if c == 1 else {e: x // c for e, x in T.items()})
+
+
+def _qpair(num, den):
+    """(p, q), q > 0, when the Polys num and den of a canonical fraction are
+    the constant p/q, else None."""
+    N = num.terms
+    if den.terms == _ONE and (not N or len(N) == 1 and 0 in N):
+        return N.get(0, 0), num.den
+    return None
+
+
+def _qpoly(ring, p, q):
+    """The constant Poly p/q for ints p and q > 0, reduced by one gcd."""
+    g, r = igcd(p, q), Poly.__new__(Poly)
+    r.ring, r.terms, r.den = ring, {0: p // g} if p else {}, q // g
+    return r
 
 
 def _tderive(T, s, unit):
@@ -383,10 +400,8 @@ class Ring:
         return Poly(self, {self._units[self.index[name]]: 1}, 1)
 
     def const(self, q):
-        q = Fraction(q)
-        if q == 0:
-            return self.zero
-        return Poly(self, {0: q.numerator}, q.denominator)
+        q = q if type(q) is int else Fraction(q)
+        return _qpoly(self, q.numerator, q.denominator)
 
     def _exponents(self, T, pad=()):
         return {_unpack(e, self.nvars) + pad: c for e, c in T.items()}

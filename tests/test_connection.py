@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 from dworklie import (LinearInconsistent, MatF, NoSuchField, OneFormMat,
-                      RatFn, VecField, build_chart, check_pairing_invariance,
-                      full_connection, modular_vf, resolve_chart,
-                      solve_linear, vf_from_target)
+                      RatFn, VecField, basis_vf, build_chart,
+                      check_pairing_invariance, connection, full_connection,
+                      modular_vf, resolve_chart, solve_linear, vf_from_target)
 from dworklie.connection import _pivot_corrections, tangent_fields
 from dworklie.group import basis_pairs, lie_gen
 from dworklie.linalg import _gauss_jordan, pairing_defect, solve_right_lower
@@ -95,6 +95,34 @@ def test_solver_rejects_a_residue_at_each_dependent_slot(n):
         with pytest.raises(NoSuchField,
                            match="not antisymmetric for the pairing at cell"):
             vf_from_target(ch, g + solve_right_lower([E], ch.S)[0])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_solver_forms_no_dependent_slot_cell(n, monkeypatch):
+    # neither T*S nor M = T*S - dt1*S*B[t1] - dt_{n+2}*S*B[t_{n+2}] is
+    # formed on the dependent slots, and the fields come out as before
+    ch = resolve_chart(n)
+    want = [modular_vf(n)[0]] + list(basis_vf(n).values())
+    formed = {"product": [], "combination": []}
+    combination, product = connection.combination, MatF.product
+
+    def recording(name, fn):
+        def wrapped(*args):
+            M = fn(*args)
+            formed[name].append({k for k, _ in M.entries()})
+            return M
+        return wrapped
+
+    monkeypatch.setattr(connection, "combination",
+                        recording("combination", combination))
+    monkeypatch.setattr(MatF, "product", recording("product", product))
+    targets = [yukawa_for(ch).matrix()] + [
+        lie_gen(n, a, b, ch.ring).transpose() for a, b in basis_pairs(n)]
+    fields = [vf_from_target(ch, g) for g in targets]
+    assert fields == want and ch.dep_exprs
+    for cells in formed.values():
+        assert len(cells) == len(targets)
+        assert not set().union(*cells) & set(ch.dep_exprs)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -74,6 +74,63 @@ def test_round_trip_builds_no_full_factor(n, monkeypatch):
         assert decompose_elem(n, g.matrix) == g.params
 
 
+def random_frame(ring, size, rng, symbolic):
+    """A seeded size x size matrix, about half its cells zero, of rational
+    constants, times powers of t1 when symbolic."""
+    t1 = RatFn.var(ring, "t1")
+    return MatF(ring, [[RatFn.of(ring, Fraction(rng.randint(-9, 9),
+                                                rng.randint(1, 5)))
+                        * (t1 ** rng.randint(0, 2) if symbolic else 1)
+                        if rng.random() < 0.5 else RatFn.of(ring, 0)
+                        for _ in range(size)] for _ in range(size)])
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_times_factor_is_the_full_product(n):
+    # every factor, with a constant and a symbolic parameter, on seeded
+    # constant and symbolic matrices; at even n one factor has three cells,
+    # the third reading a line that the second writes
+    ring = resolve_chart(n).ring
+    d, _, _ = family_dims(n)
+    rng = random.Random(4000 + n)
+    t1 = RatFn.var(ring, "t1")
+    widths = set()
+    for symbolic in (False, True):
+        for _ in range(2):
+            M = random_frame(ring, n + 1, rng, symbolic)
+            for i in range(1, d):
+                for gamma in (Fraction(rng.choice([-3, -1, 2, 5]),
+                                       rng.randint(1, 4)), t1 * -3):
+                    D = factor_delta(n, i, gamma, ring)
+                    widths.add(len(D.entries()))
+                    assert M.times_factor(D) == M + M @ D
+                    assert M.times_factor(D, left=True) == M + D @ M
+    assert max(widths) == (3 if n % 2 == 0 else 2)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_round_trip_forms_no_full_sum_or_factor_product(n, monkeypatch):
+    """Each factor is one sparse column or row operation: no full matrix
+    sum is formed, and the only products are the pairing check's two."""
+    def refuse(self, other):
+        raise AssertionError("a full matrix sum was formed")
+
+    products = []
+    product = MatF.product
+
+    def counting(self, other, skip=()):
+        products.append(1)
+        return product(self, other, skip)
+
+    monkeypatch.setattr(MatF, "__add__", refuse)
+    monkeypatch.setattr(MatF, "product", counting)
+    rng = random.Random(3000 + n)
+    for _ in range(3):
+        g = group_elem(n, random_params(n, rng))
+        assert decompose_elem(n, g.matrix) == g.params
+    assert len(products) == 6
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_compose_matches_matrix_product(n):
     rng = random.Random(77 + n)

@@ -28,7 +28,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # 2x2 plus and minus a 3x3, a read of cell (0, 0) and a write to (0, 1),
 # 1/(x + 1), whose denominator has no split, a relation whose rel_den x + 1
 # has none, a sum, a product and a quotient across two rings with the same
-# names, a zero denominator, the value of a non-constant, a negative
+# names, a product and a sum of two constants across them, a zero
+# denominator, the value of a non-constant, a negative
 # polynomial power, an equality oracle whose every sample point is a pole,
 # the dimensions of the family at n = 0, a power past the packed monomial's
 # field limit, and a right triangular solve against a lower-triangular
@@ -58,6 +59,8 @@ cases = [lambda: MatF(R, [[x, x * 2], [x * 3, x * 6]]).inverse(),
          lambda: R.var("x") + S.var("x"),
          lambda: x * RatFn.var(S, "x"),
          lambda: RatFn(R.var("x"), S.var("x")),
+         lambda: RatFn.of(R, 2) * RatFn.of(S, 3),
+         lambda: RatFn.of(R, 2) + RatFn.of(S, 3),
          lambda: Poly(R, {X1: 1}, 0),
          lambda: (R.var("x") + R.one).const_value(),
          lambda: R.var("x") ** -1,
@@ -96,6 +99,7 @@ def test_inverse_refuses_singular_and_non_square_under_O():
                                    "DworkError", "DworkError", "DworkError",
                                    "DworkError", "DworkError",
                                    "UnsplitDenominator", "ValueError",
+                                   "KernelInvariant", "KernelInvariant",
                                    "KernelInvariant", "KernelInvariant",
                                    "KernelInvariant", "ZeroDivisionError",
                                    "ValueError", "ValueError", "ValueError",
@@ -172,6 +176,15 @@ def test_lower_product_is_the_lower_triangle_of_the_product(ab):
     assert L.entries() == [(k, v) for k, v in P.entries() if k[1] <= k[0]]
     with pytest.raises(DworkError, match="product of"):
         A.lower_product(MatF.zeros(RXY, A.ncols + 1, 1))
+
+
+@given(factor_pairs(), st.sets(st.tuples(st.integers(1, 4),
+                                          st.integers(1, 4))))
+@settings(max_examples=60, deadline=None)
+def test_product_leaves_out_the_skipped_cells(ab, skip):
+    A, B = ab
+    assert A.product(B, skip).entries() == [
+        (k, v) for k, v in (A @ B).entries() if k not in skip]
 
 
 @st.composite
@@ -434,3 +447,15 @@ def test_a_second_bracket_of_the_same_fields_derives_nothing(monkeypatch):
     calls.clear()
     assert V.bracket(W) == first and W.bracket(V) == -first
     assert not calls
+
+
+def test_times_factor_refuses_a_factor_of_another_size():
+    R = Ring(["x"])
+    for M, D, left in ((MatF.identity(R, 2), MatF.zeros(R, 3), False),
+                       (MatF.zeros(R, 2, 3), MatF.zeros(R, 3), True),
+                       (MatF.zeros(R, 2, 3), MatF.zeros(R, 2, 3), False)):
+        with pytest.raises(DworkError, match="does not fit"):
+            M.times_factor(D, left)
+    M = MatF.zeros(R, 2, 3)
+    assert M.times_factor(MatF.zeros(R, 3)) == M
+    assert M.times_factor(MatF.zeros(R, 2), left=True) == M

@@ -5,7 +5,7 @@ import pytest
 
 from dworklie import MatF, RatFn, basis_vf, build_chart, fR_identities, \
     full_connection, linalg, modular_vf, resolve_chart, sl2_triple, \
-    vf_from_target
+    vf_from_target, weights
 from dworklie.connection import _pivot_corrections
 from dworklie.group import basis_pairs, lie_gen
 
@@ -74,11 +74,11 @@ def test_repeated_solves_reuse_the_base_products(monkeypatch):
     targets = [lie_gen(3, a, b, ch.ring).transpose() for a, b in basis_pairs(3)]
     vf_from_target(ch, targets[0])
     calls = []
-    matmul = MatF.__matmul__
+    product = MatF.product
 
-    def counting(self, other):
+    def counting(self, other, skip=()):
         calls.append(1)
-        return matmul(self, other)
+        return product(self, other, skip)
 
     eliminations = []
     gauss_jordan = linalg._gauss_jordan
@@ -87,7 +87,7 @@ def test_repeated_solves_reuse_the_base_products(monkeypatch):
         eliminations.append(1)
         return gauss_jordan(A, ncols)
 
-    monkeypatch.setattr(MatF, "__matmul__", counting)
+    monkeypatch.setattr(MatF, "product", counting)
     monkeypatch.setattr(linalg, "_gauss_jordan", counting_eliminations)
     for g in targets:
         vf_from_target(ch, g)
@@ -117,3 +117,10 @@ def test_fR_identities_are_computed_once_per_chart():
     assert fR_identities(2) is fR_identities(2)
     assert resolve_chart(2).memo_fR is fR_identities(2)
     assert build_chart(2, resolve_chart(2).setup.c_value).memo_fR is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_weights_are_computed_once_per_chart(n):
+    assert weights(n) is weights(n)
+    assert resolve_chart(n).memo_weights is weights(n)
+    assert build_chart(n, resolve_chart(n).setup.c_value).memo_weights is None

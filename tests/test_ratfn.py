@@ -8,10 +8,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dworklie import (DworkError, Poly, RatFn, Ring, UnsplitDenominator,
-                      eq_by_random_eval, parse_ratfn, ratfn_string,
-                      resolve_chart)
-from dworklie.ratfn import ParseError
+from dworklie import (DworkError, KernelInvariant, Poly, RatFn, Ring,
+                      UnsplitDenominator, eq_by_random_eval, parse_ratfn,
+                      ratfn_string, resolve_chart)
+from dworklie import ratfn
+from dworklie.ratfn import ParseError, dot
 from dworklie.ring import _pack, _unpack
 
 try:
@@ -372,6 +373,88 @@ def test_inverse_of_a_constant_is_the_normalised_reciprocal(n):
 def test_inverse_of_zero_is_a_zero_division():
     with pytest.raises(ZeroDivisionError, match="inverse of zero"):
         RatFn.of(R3, 0).inverse()
+
+
+# Constants take the integer route: one cross-multiplication and one gcd.
+# Each result must be the general route's, the plain formula over the
+# operands' Polys normalised in full, down to the Polys' structure, and its
+# value the Fraction arithmetic's.
+
+def structure(f):
+    return f.num.terms, f.num.den, f.den.terms, f.den.den
+
+
+signed_rationals = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40),
+              st.integers(1, 10 ** 25)))
+
+
+@given(st.booleans(), signed_rationals, signed_rationals, signed_rationals)
+@settings(max_examples=200, deadline=None)
+def test_constant_arithmetic_matches_the_general_route(chart, p, q, r):
+    # a plain ring, or the n = 4 chart ring with its slot relation
+    ring = resolve_chart(4).ring if chart else R3
+    a, b, c = (RatFn.of(ring, v) for v in (p, q, r))
+    assert all(x.is_const for x in (a, b, c))
+    cases = [
+        (a * b, reference_mul(a, b), p * q),
+        (a + b, reference_add(a, b), p + q),
+        (a - b, reference_add(a, -b), p - q),
+        (dot(ring, [(a, b), (b, c), (c, a)]),
+         reference_add(reference_add(reference_mul(a, b), reference_mul(b, c)),
+                       reference_mul(c, a)), p * q + q * r + r * p)]
+    if p:
+        cases.append((a.inverse(), RatFn(a.den, a.num), 1 / p))
+    for got, want, value in cases:
+        assert structure(got) == structure(want)
+        assert got.const_value() == value
+
+
+def test_a_constant_of_another_ring_is_refused():
+    other = Ring(R3.names)
+    a, b = RatFn.of(R3, Fraction(2, 3)), RatFn.of(other, -5)
+    for make in (lambda: a * b, lambda: b * a, lambda: a + b, lambda: a - b,
+                 lambda: dot(R3, [(a, a), (a, b)]),
+                 lambda: dot(R3, [(b, a), (a, a)])):
+        with pytest.raises(KernelInvariant, match="mixed rings"):
+            make()
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=["R3", "RU", "RF", "RFU"])
+def test_inverse_over_a_split_numerator_normalises_nothing(ring, monkeypatch):
+    """A numerator c * x^a * F^k free of the pivot becomes the denominator
+    as it stands: the inverse equals the general route, RatFn(den, num),
+    without normalising.  A numerator with the pivot or without a split
+    still takes the general route."""
+    x, y = RatFn.var(ring, "x"), RatFn.var(ring, "y")
+    F = x ** 3 - y if ring.factor else y
+    dens = [RatFn.of(ring, 1), 6 * x, -y * y / 4] + ([F * x] if ring.factor
+                                                      else [])
+    split = [RatFn.of(ring, -3), 2 * x * x * F, -x * y * F ** 2 / 7]
+    for num in split:
+        for den in dens:
+            f = num / den
+            assert f.num.known_split() and not ring.has_pivot(f.num.terms)
+            want = RatFn(f.den, f.num)
+            with monkeypatch.context() as m:
+                m.setattr(ratfn, "_normalize", None)
+                got = f.inverse()
+            assert structure(got) == structure(want)
+            assert got.den.known_split()
+    other = [x + y]
+    if ring.pivot is not None:
+        other.append(x * RatFn.var(ring, "u"))
+    for num in other:
+        f = num / dens[1]
+        try:
+            want = RatFn(f.den, f.num)
+        except UnsplitDenominator:
+            with pytest.raises(UnsplitDenominator):
+                f.inverse()
+            continue
+        assert structure(f.inverse()) == structure(want)
 
 
 # The derivative against the quotient rule it short-cuts: (p'q - pq')/q^2,
