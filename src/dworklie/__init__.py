@@ -14,7 +14,7 @@ from .errors import (ActionShapeViolation, DworkError, EliminationStuck,
 from .geometry import family_dims
 from .group import (act, basis_pairs, compose, decompose_elem, group_elem,
                     infinitesimal, lie_gen, symbolic_elem)
-from .liealg import (NotMember, amsy_decompose, bracket, fR_identities,
+from .liealg import (NotMember, amsy_decompose, fR_identities,
                      generator_rank, jacobi_ok, membership_build,
                      verify_flatness, verify_homomorphism, verify_theorem2)
 from .linalg import MatF, OneFormMat, SolveResult, VecField, solve_linear
@@ -36,7 +36,7 @@ __all__ = [
     "family_dims",
     "act", "basis_pairs", "compose", "decompose_elem", "group_elem",
     "infinitesimal", "lie_gen", "symbolic_elem",
-    "NotMember", "amsy_decompose", "bracket", "fR_identities",
+    "NotMember", "amsy_decompose", "fR_identities",
     "generator_rank", "jacobi_ok", "membership_build", "verify_flatness",
     "verify_homomorphism", "verify_theorem2",
     "MatF", "OneFormMat", "SolveResult", "VecField", "solve_linear",

@@ -44,8 +44,8 @@ SUITES = ("sl2", "theorem2", "flatness", "action", "omega", "weights",
 # ---------------------------------------------------------------------------
 # serialization
 
-def field_lines(vf, coords, indent="  "):
-    return [f"{indent}{v}' = {ratfn_string(vf.get(v))}" for v in coords]
+def field_lines(vf, coords):
+    return [f"  {v}' = {ratfn_string(vf.get(v))}" for v in coords]
 
 
 def field_json(vf, coords):

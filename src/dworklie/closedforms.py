@@ -4,18 +4,20 @@ they reproduce, and the derivation that recovers each constant from scratch.
 The family carries one free scaling constant per dimension.  For n <= 4 a
 specific rational value makes every computed object match the reference
 displays stored here; those values ship as defaults.  ``derive_matched_c``
-recomputes them by solving symbolically, so the table is checkable rather
-than an article of faith.  For n >= 5 there is no reference display to match
-and the default falls back to 1.
+recomputes each one on the chart with c left symbolic: matching the displays
+imposes polynomial conditions on c, and the linear ones share one root, the
+constant.  So the table is checkable rather than an article of faith.  For
+n >= 5 there is no reference display to match and the default falls back
+to 1.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import DworkError
-from .ratfn import RatFn, parse_ratfn
+from .linalg import VecField
+from .ratfn import parse_ratfn
 
 C_DEFAULT = {
     1: Fraction(1, 27),
@@ -90,10 +92,6 @@ REFERENCE = {
         "relation": "t8^2 = 36*(t1^6 - t6)",
     },
 }
-
-# Even-n reference relations as (pivot variable, constant k) with
-# t_D^2 = k*(t1^(n+2) - t_{n+2}); used by the derivation below.
-RELATION_CONST = {2: Fraction(4), 4: Fraction(36)}
 
 # Truncations of the modular field to its polynomial part, dimension 3 and 4.
 TRUNCATED = {
@@ -180,46 +178,6 @@ def parse_field(ring, table):
     return {v: parse_ratfn(ring, s) for v, s in table.items()}
 
 
-def _int_roots_candidates(coeffs):
-    """Rational roots of a univariate polynomial given as {deg: Fraction}."""
-    coeffs = {k: Fraction(v) for k, v in coeffs.items() if v != 0}
-    if not coeffs:
-        return []
-    # clear denominators to integer coefficients
-    denlcm = math.lcm(*(v.denominator for v in coeffs.values()))
-    ic = {k: int(v * denlcm) for k, v in coeffs.items()}
-    degs = sorted(ic)
-    lead = ic[degs[-1]]
-    low = degs[0]
-    if low > 0:  # factor out c^low; root c=0 never admissible here
-        ic = {k - low: v for k, v in ic.items()}
-        degs = sorted(ic)
-    const = ic[degs[0]]
-    if degs[-1] == 0:
-        return []
-    out = []
-    for p in _divisors(abs(const)):
-        for q in _divisors(abs(lead)):
-            for sgn in (1, -1):
-                cand = Fraction(sgn * p, q)
-                if sum(v * cand ** k for k, v in ic.items()) == 0:
-                    if cand not in out:
-                        out.append(cand)
-    return out
-
-
-def _divisors(x):
-    out = []
-    i = 1
-    while i * i <= x:
-        if x % i == 0:
-            out.append(i)
-            if i != x // i:
-                out.append(x // i)
-        i += 1
-    return sorted(out)
-
-
 def _c_poly(rf):
     """Split a c-dependent rational function's numerator into
     {t-monomial: {c-degree: coeff}}; rf must be the difference to kill."""
@@ -233,10 +191,12 @@ def _c_poly(rf):
 def derive_matched_c(n):
     """Recover the pinned constant for n <= 4 from the symbolic-c build.
 
-    Even n: the quadratic relation constant must equal the reference value.
-    Odd n: the modular field components must equal the reference displays;
-    each t-monomial of the cleared difference gives a univariate condition
-    on c and the unique common rational root survives.
+    The differences to kill are the modular field's components against
+    REFERENCE[n]["modular"] and, at even n, kappa*disc against the right
+    side of the reference relation.  Each t-monomial of a difference's
+    numerator is a polynomial condition on c; one of degree 1, a0 + a1*c,
+    pins c to -a0/a1 among all values.  Exactly one such root must occur,
+    and substituting it must zero every difference.
     """
     from .chart import resolve_chart
     from .modular import modular_vf
@@ -244,44 +204,20 @@ def derive_matched_c(n):
     if n not in C_DEFAULT:
         raise DworkError(f"no reference data for n={n}")
     ch = resolve_chart(n, "sym")
-    if n % 2 == 0:
-        k = RatFn.of(ch.ring, RELATION_CONST[n])
-        diff = ch.kappa - k
-        cands = _common_roots(diff)
-    else:
-        R, _ = modular_vf(n, "sym")
-        ring = ch.ring
-        cands = None
-        for v, s in REFERENCE[n]["modular"].items():
-            diff = R.get(v) - parse_ratfn(ring, s)
-            if diff.is_zero:
-                continue
-            roots = _common_roots(diff)
-            cands = roots if cands is None else [r for r in cands if r in roots]
-        if cands is None:
-            raise DworkError("reference displays are c-free; nothing to solve")
-    if len(cands) != 1:
-        raise DworkError(f"scaling constant not pinned uniquely: {cands}")
-    val = cands[0]
-    # full check: substituting the candidate must kill every difference
-    if n % 2 == 1:
-        R, _ = modular_vf(n, "sym")
-        for v, s in REFERENCE[n]["modular"].items():
-            diff = R.get(v) - parse_ratfn(ch.ring, s)
-            if not diff.subs({"c": val}).is_zero:
-                raise DworkError(f"candidate {val} fails on component {v}")
+    R, _ = modular_vf(n, "sym")
+    ref = REFERENCE[n]
+    want = VecField(ch.ring, parse_field(ch.ring, ref["modular"]))
+    diffs = dict((R - want).comps)
+    if ref["relation"] is not None:
+        rhs = ref["relation"].split(" = ")[1]
+        diffs["relation"] = ch.kappa * ch.disc - parse_ratfn(ch.ring, rhs)
+    roots = {Fraction(-cp.get(0, 0), cp[1]) for d in diffs.values()
+             for cp in _c_poly(d).values() if max(cp) == 1}
+    if len(roots) != 1:
+        raise DworkError(f"the linear conditions pin c to {sorted(roots)}, "
+                         "not to one value")
+    val, = roots
+    for name, d in diffs.items():
+        if not d.subs({"c": val}).is_zero:
+            raise DworkError(f"candidate {val} fails on {name}")
     return val
-
-
-def _common_roots(diff):
-    """Rational c-values killing every t-monomial coefficient of diff."""
-    table = _c_poly(diff)
-    cands = None
-    for cpoly in table.values():
-        if all(v == 0 for v in cpoly.values()):
-            continue
-        roots = _int_roots_candidates(cpoly)
-        cands = roots if cands is None else [r for r in cands if r in roots]
-        if cands == []:
-            return []
-    return cands if cands is not None else []

@@ -17,8 +17,8 @@ from functools import cache
 
 from .errors import DworkError
 from .liealg import BracketReport, Row
-from .linalg import MatF, combination, pairing_defect
-from .ratfn import RatFn, dot
+from .linalg import MatF, VecField, combination, pairing_defect
+from .ratfn import RatFn
 from .ring import Ring
 
 
@@ -350,15 +350,19 @@ def verify_cy3_table(h):
     def claimed(v, w):
         return _gm_of_combo(h, ring, gms, bracket_claim(h, ring, v, w))
 
-    # a basis field against a modular field fixes the action; all of it
-    # that the reversed row reads is fixed by the same row
+    # a basis field against the modular fields fixes its action, which the
+    # reversed rows then read
     for v in basis_keys(h):
+        act, comms = {}, {}
         for k in range(1, h + 1):
             w = ("R", k)
-            comm = gms[w].commutator(gms[v])
-            why = _absorb_action(h, ring, actions, v, k, claimed(v, w) - comm)
+            comm = comms[k] = gms[w].commutator(gms[v])
+            why = _absorb_action(h, ring, act, k, claimed(v, w) - comm)
             first.append(Row(_pair_name(h, v, w), not why, why, "coupling"))
-            lhs = -_act_mat(h, ring, actions, v, gms[w]) - comm
+        actions[v] = VecField(ring, act)
+        for k, comm in comms.items():
+            w = ("R", k)
+            lhs = -actions[v].apply_mat(gms[w]) - comm
             table[w, v] = Row(_pair_name(h, w, v), claimed(w, v) == lhs,
                               kind="coupling")
     for i, v in enumerate(keys):
@@ -384,39 +388,26 @@ def verify_cy3_table(h):
     return BracketReport(rows, actions)
 
 
-def _absorb_action(h, ring, actions, v, k, resid):
-    """Read the action of v on the coupling symbols off the residual matrix;
-    outside the coupling block the residual must vanish, and revisited
-    symbols must agree with what earlier rows fixed.  Returns the lines
-    that show why the row fails, none when it holds."""
+def _absorb_action(h, ring, act, k, resid):
+    """Read the action on the coupling symbols Y_k.. into act ({symbol:
+    value}) off the residual matrix of the row against the k-th modular
+    field; outside the coupling block the residual must vanish, and
+    revisited symbols must agree with what earlier rows fixed.  Returns
+    the lines that show why the row fails, none when it holds."""
     why = []
     for (i, j), val in resid.entries():
         if not (2 <= i <= h + 1 and h + 2 <= j <= 2 * h + 1):
             return [f"residual off the coupling block at {(i, j)}"]
         yname = ysym_name(h, k, i - 1, j - h - 1)
-        prev = actions.get((v, yname))
-        if prev is None:
-            actions[(v, yname)] = val
-        elif prev != val:
+        prev = act.setdefault(yname, val)
+        if prev != val:
             why.append(f"inconsistent action on {yname}")
     # symbols not touched by any cell act as zero; record explicitly so the
     # consistency check sees them on later rows
     for i in range(1, h + 1):
         for j in range(i, h + 1):
-            yname = ysym_name(h, k, i, j)
-            prev = actions.get((v, yname))
-            if prev is None:
-                actions[(v, yname)] = RatFn.of(ring, 0)
+            act.setdefault(ysym_name(h, k, i, j), RatFn.of(ring, 0))
     return why
-
-
-def _act_mat(h, ring, actions, vkey, M):
-    """Entrywise action of the basis field vkey on a frame matrix through
-    the derived coupling-symbol actions."""
-    def act(entry):
-        return dot(ring, [(entry.derive(yname), actions[(vkey, yname)])
-                          for yname in entry.support()])
-    return M.map(act)
 
 
 def cy3_sl2(h, report=None):
@@ -449,8 +440,8 @@ def _rule_combo(h, ring, actions, gms, V, W):
     gmV = _gm_of_combo(h, ring, gms, V)
     gmW = _gm_of_combo(h, ring, gms, W)
     terms = [(1, gmW @ gmV), (-1, gmV @ gmW)]
-    terms += [(coef, _act_mat(h, ring, actions, key, gmW))
+    terms += [(coef, actions[key].apply_mat(gmW))
               for key, coef in V.items() if key[0] != "R"]
-    terms += [(-coef, _act_mat(h, ring, actions, key, gmV))
+    terms += [(-coef, actions[key].apply_mat(gmV))
               for key, coef in W.items() if key[0] != "R"]
     return combination(ring, (2 * h + 2, 2 * h + 2), terms)

@@ -145,10 +145,11 @@ def group_elem(n, params, c=None, ring=None):
     return GroupElem(n, ring, vals, M)
 
 
-def symbolic_elem(n, c=None, prefix="g"):
-    """Fully symbolic element over the chart ring extended by parameters."""
+def symbolic_elem(n, c=None):
+    """Fully symbolic element over the chart ring extended by parameters
+    g1..g_{d-1}."""
     d, _, _ = family_dims(n)
-    names = tuple(f"{prefix}{i}" for i in range(1, d))
+    names = tuple(f"g{i}" for i in range(1, d))
     ring = resolve_chart(n, c).ring.extend(names)
     return group_elem(n, [RatFn.var(ring, nm) for nm in names], ring=ring)
 

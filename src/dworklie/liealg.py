@@ -17,11 +17,6 @@ from .modular import basis_vf, modular_vf, quasi_degree, sl2_triple, weights
 from .ratfn import RatFn
 
 
-def bracket(V, W):
-    """Lie bracket of vector fields."""
-    return V.bracket(W)
-
-
 class Row:
     """One named check: whether it holds, the lines that show why it failed,
     and, in the threefold table, the kind of check."""
@@ -58,7 +53,8 @@ def mismatch(want, got, label=""):
 
 class BracketReport:
     """Rows of a bracket table check; the threefold table also carries the
-    action of each basis field (see cy3.verify_cy3_table)."""
+    action of each basis field on the coupling symbols, a VecField per
+    generator key (see cy3.verify_cy3_table)."""
 
     __slots__ = ("rows", "actions")
 
@@ -275,12 +271,12 @@ def jacobi_ok(V, W, X):
     return s.is_zero
 
 
-def generator_rank(n, c=None, seed=0):
+def generator_rank(n, c=None):
     """Rank of the generator component matrix at a random admissible
     rational point; recorded as evidence, nothing is asserted from it."""
     import random
 
-    rnd = random.Random(seed)
+    rnd = random.Random(0)
     ch = resolve_chart(n, c)
     R, _ = modular_vf(n, c)
     B = basis_vf(n, c)

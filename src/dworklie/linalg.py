@@ -276,10 +276,16 @@ class OneFormMat:
     def contract(self, vf):
         """Pair with a vector field: sum_v vf[v] * A[v].  Each entry is one
         ratfn.dot over its component products, so it is reduced once over
-        one common denominator, not once per product."""
-        return MatF._of(self.ring, self.size, self.size,
-                        ((k, dot(self.ring, ps))
-                         for k, ps in self._products(vf).items()))
+        one common denominator, not once per product.  The result is kept
+        on vf for this A and handed back on the next call."""
+        kept = getattr(vf, "_con", None)
+        if kept is not None and kept[0] is self:
+            return kept[1]
+        M = MatF._of(self.ring, self.size, self.size,
+                     ((k, dot(self.ring, ps))
+                      for k, ps in self._products(vf).items()))
+        vf._con = (self, M)
+        return M
 
     def contract_at(self, vf, cells):
         """The entries of contract(vf) at the given cells, in their order,
@@ -291,9 +297,10 @@ class OneFormMat:
 class VecField:
     """Vector field on the chart: map variable name -> RatFn coefficient.
     A field is not changed after it is made, so its Jacobian is kept once
-    found (jacobian)."""
+    found (jacobian), and so is its contraction with the last connection
+    that formed one (OneFormMat.contract)."""
 
-    __slots__ = ("ring", "comps", "_jac")
+    __slots__ = ("ring", "comps", "_jac", "_con")
 
     def __init__(self, ring, comps=None):
         self.ring = ring
@@ -356,9 +363,9 @@ class VecField:
 
     def apply(self, f):
         """Derivation on a function: sum_v comp[v] * df/dv, one ratfn.dot."""
-        names = set(f.support())
-        return dot(self.ring, [(g, f.derive(v))
-                               for v, g in self.comps.items() if v in names])
+        comps = self.comps
+        return dot(self.ring, [(comps[v], f.derive(v))
+                               for v in f.support() if v in comps])
 
     def apply_mat(self, M):
         return M.map(self.apply)

@@ -466,6 +466,8 @@ def _tokenize(s):
 
 
 def parse_ratfn(ring, s):
+    """The RatFn over ring that s spells; ParseError for a malformed s,
+    including one nested deeper than the interpreter's stack."""
     toks = _tokenize(s)
     pos = [0]
 
@@ -532,7 +534,10 @@ def parse_ratfn(ring, s):
             v = v + w if op == "+" else v - w
         return v
 
-    v = expr()
+    try:
+        v = expr()
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
     if peek() != "end":
         raise ParseError("trailing input")
     return v

@@ -20,7 +20,6 @@ from dworklie import (
     amsy_decompose,
     basis_pairs,
     basis_vf,
-    bracket,
     check_pairing_invariance,
     compose,
     cy3_dims,
@@ -180,9 +179,9 @@ def test_criterion_05_sl2_triples_and_case_split():
         for n in range(1, 6):
             tr = sl2_triple(n)
             R, F, Hf = tr.E, tr.F, tr.Hf
-            assert bracket(R, F) == Hf
-            assert bracket(Hf, R) == R.scale(2)
-            assert bracket(Hf, F) == F.scale(-2)
+            assert R.bracket(F) == Hf
+            assert Hf.bracket(R) == R.scale(2)
+            assert Hf.bracket(F) == F.scale(-2)
             B = basis_vf(n)
             if n == 1:
                 assert F == B[(1, 2)] and Hf == -B[(1, 1)]
@@ -287,11 +286,11 @@ def test_criterion_09_weights_and_degree_shifts():
             assert fR_identities(n).all_ok
             fR = tr.E.scale(ch.disc)
             if n == 2:
-                assert bracket(tr.Hf, fR) == fR.scale(10)
-                assert bracket(tr.Hf, fR) != fR.scale(6)
+                assert tr.Hf.bracket(fR) == fR.scale(10)
+                assert tr.Hf.bracket(fR) != fR.scale(6)
             else:
-                assert bracket(tr.Hf, fR) == fR.scale(n + 4)
-            assert bracket(fR, tr.F) == tr.Hf.scale(ch.disc)
+                assert tr.Hf.bracket(fR) == fR.scale(n + 4)
+            assert fR.bracket(tr.F) == tr.Hf.scale(ch.disc)
 
 
 def test_criterion_10_flatness_homomorphism_jacobi():

@@ -12,7 +12,7 @@ from dworklie import (DworkError, EliminationStuck, RatFn, chart, geometry,
 from dworklie.chart import (_cell_equation, _check_calibration, _frame,
                             _inverse_pairing, build_chart, chart_of_ring,
                             slot_layout)
-from dworklie.closedforms import C_DEFAULT, RELATION_CONST, derive_matched_c
+from dworklie.closedforms import C_DEFAULT, derive_matched_c
 from dworklie.cy3 import _yring
 from dworklie.geometry import family_dims
 from dworklie.linalg import MatF
@@ -45,9 +45,9 @@ def test_pivot_variable_assignment():
 
 @pytest.mark.parametrize("n", [2, 4])
 def test_even_relation_constant(n):
+    # test_relation_display compares kappa*disc with the display; here the
+    # relation is baked into the ring: the pivot square reduces
     ch = resolve_chart(n)
-    assert ch.kappa == RatFn.of(ch.ring, RELATION_CONST[n])
-    # the relation is baked into the ring: the pivot square reduces
     piv = RatFn.var(ch.ring, ch.pivot_var)
     assert piv * piv == ch.kappa * ch.disc
 
@@ -60,7 +60,7 @@ def test_relation_strings():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_matched_constant_is_derivable(n):
-    # independent route: scan candidate constants for the reference shape
+    # independent route: the one root of the linear conditions on c
     assert derive_matched_c(n) == C_DEFAULT[n]
     assert matched_c(n) == C_DEFAULT[n]
 

@@ -240,8 +240,12 @@ def test_verify_refuses_a_fixture_that_is_not_json(tmp_path, capsys):
      "weight: 't9' is not a chart coordinate with a string component"),
     (lambda d: d["lowering"].update(t2="1/(t1 + t2)"),
      "lowering: t2: denominator t1 + t2 has no split c * x^a * F^k"),
+    (lambda d: d["lowering"].update(t2="(" * 5000 + "t1" + ")" * 5000),
+     "lowering: t2: expression nested too deeply"),
+    (lambda d: d["lowering"].update(t2="-" * 5000 + "t1"),
+     "lowering: t2: expression nested too deeply"),
 ], ids=["missing-table", "missing-relation", "unparsable", "outside-chart",
-        "unsplit-denominator"])
+        "unsplit-denominator", "deep-parentheses", "deep-minus"])
 def test_verify_refuses_a_malformed_fixture(tmp_path, capsys, edit, reason):
     path = bad_fixture(tmp_path, edit)
     capsys.readouterr()

@@ -4,8 +4,10 @@ transcriptions and the computations meet."""
 
 import pytest
 
-from dworklie import VecField, modular_vf, resolve_chart, sl2_triple, truncate_poly
-from dworklie.closedforms import (ACTION, REFERENCE, TRUNCATED, parse_field)
+from dworklie import (DworkError, VecField, modular, modular_vf, resolve_chart,
+                      sl2_triple, truncate_poly)
+from dworklie.closedforms import (ACTION, REFERENCE, TRUNCATED,
+                                  derive_matched_c, parse_field)
 from dworklie.group import act, symbolic_elem
 
 
@@ -57,3 +59,32 @@ def test_action_display(n):
     assert set(formulas) == set(want)
     for v, rf in want.items():
         assert formulas[v] == rf, f"moved coordinate {v} disagrees"
+
+
+# derive_matched_c reads c off the displays above; a moved display must not
+# yield a constant
+
+def test_derivation_refuses_a_moved_odd_component(monkeypatch):
+    monkeypatch.setitem(REFERENCE[3]["modular"], "t1", "t3 - 2*t1*t2")
+    with pytest.raises(DworkError, match="fails on t1"):
+        derive_matched_c(3)
+
+
+def test_derivation_refuses_a_moved_relation(monkeypatch):
+    monkeypatch.setitem(REFERENCE[2], "relation", "t3^2 = 5*(t1^4 - t4)")
+    with pytest.raises(DworkError, match="not to one value"):
+        derive_matched_c(2)
+
+
+def test_derivation_refuses_displays_without_a_linear_condition(monkeypatch):
+    # a c-free field matching the displays leaves nothing to pin c by
+    sym = resolve_chart(1, "sym").ring
+    monkeypatch.setattr(modular, "modular_vf",
+                        lambda n, c=None: (modular_vf(n)[0].lift(sym), None))
+    with pytest.raises(DworkError, match=r"pin c to \[\]"):
+        derive_matched_c(1)
+
+
+def test_derivation_needs_reference_data():
+    with pytest.raises(DworkError, match="no reference data"):
+        derive_matched_c(5)

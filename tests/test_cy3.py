@@ -1,12 +1,14 @@
 """Block-matrix model for a threefold with h deformation directions: frame,
 bracket table, derived coupling actions, and the per-direction sl2 triples."""
 
+import itertools
+
 import pytest
 
 from dworklie import (DworkError, MatF, cy3_basis, cy3_dims, cy3_phi, cy3_sl2,
                       verify_cy3_table)
-from dworklie.cy3 import (_yring, bracket_claim, gm_modular, key_name,
-                          table_keys, ysym_name)
+from dworklie.cy3 import (_yring, basis_keys, bracket_claim, gm_modular,
+                          key_name, table_keys, ysym_name)
 from dworklie.ratfn import RatFn, parse_ratfn, ratfn_string
 
 DIMS = {1: (4, 6, 7), 2: (6, 13, 15), 3: (8, 23, 26), 10: (22, 177, 187)}
@@ -85,10 +87,11 @@ def test_derived_coupling_actions(h):
     # the scaling generator acts as the identity on every coupling symbol;
     # the frame generators act by the three-slot contraction rule; shears
     # and shifts act by zero
-    report = verify_cy3_table(h)
-    acts = report.actions
-    ring = next(iter(acts.values())).ring
-    for (vkey, yname), val in acts.items():
+    acts = verify_cy3_table(h).actions
+    assert set(acts) == set(basis_keys(h))
+    ring = _yring(h)
+    for vkey, yname in itertools.product(basis_keys(h), ring.names):
+        val = acts[vkey].get(yname)
         a, i, j = (int(ch) for ch in yname[1:])
         if vkey == ("g0",):
             assert val == RatFn.var(ring, yname)

@@ -13,6 +13,7 @@ from dworklie import (DworkError, MatF, NotMember, RatFn, VecField,
                       membership_build, modular_vf, resolve_chart, sl2_triple,
                       truncate_poly, verify_flatness, verify_homomorphism,
                       verify_theorem2)
+from dworklie.cli import _suite_flatness
 from dworklie.closedforms import (DECOMP3, DECOMP3_F0, OBSTRUCTION4_ENTRY,
                                   OBSTRUCTION4_VALUE, parse_field)
 from dworklie.geometry import family_dims
@@ -72,6 +73,27 @@ def test_flatness_sampled_pairs(n):
         seen.add((i, j))
     for i, j in sorted(seen):
         assert verify_flatness(fields[i], fields[j])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_flatness_suite_contracts_each_field_once(n, monkeypatch):
+    # every pair forms the matrix of its bracket; the matrix of a named
+    # field is kept on it, so a second run forms only the bracket matrices
+    fields = 1 + len(basis_pairs(n))
+    pairs = fields * (fields - 1) // 2
+    formed = []
+    products = linalg.OneFormMat._products
+
+    def counted(self, vf, keep=None):
+        formed.append(1)
+        return products(self, vf, keep)
+
+    monkeypatch.setattr(linalg.OneFormMat, "_products", counted)
+    assert all(row.equal for row in _suite_flatness(n, None, None))
+    assert len(formed) <= pairs + fields
+    formed.clear()
+    _suite_flatness(n, None, None)
+    assert len(formed) == pairs
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -116,6 +116,12 @@ def test_parse_rejects_trailing_garbage():
         parse_ratfn(R3, "x + y)")
 
 
+@pytest.mark.parametrize("s", ["(" * 5000 + "x" + ")" * 5000, "-" * 5000 + "x"])
+def test_parse_rejects_nesting_deeper_than_the_stack(s):
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_ratfn(R3, s)
+
+
 @given(ratfns())
 @settings(max_examples=30, deadline=None)
 def test_random_eval_confirms_exact_equality(f):
