@@ -50,11 +50,12 @@ class Chart:
     corrections), full_connection (memo_conn), modular_vf, basis_vf,
     sl2_triple, weights and fR_identities fill on first use.  The fields
     kept by modular_vf, basis_vf and sl2_triple keep their Jacobians too
-    (VecField.jacobian), so each is derived once per chart."""
+    (VecField.jacobian), so each is derived once per chart.  known maps
+    the independent slots, then the pivot slot, to their coordinates."""
 
     __slots__ = ("n", "d", "m", "rho", "ncoords", "setup", "ring", "S",
-                 "omega", "phi", "conn_base", "indep_slots", "pivot_slot",
-                 "pivot_var", "dep_exprs", "kappa", "disc", "memo_weights",
+                 "omega", "phi", "conn_base", "known", "pivot_var",
+                 "dep_exprs", "kappa", "disc", "memo_weights",
                  "rule_extrapolated", "coords", "memo_solver", "memo_conn",
                  "memo_modular", "memo_basis", "memo_sl2", "memo_fR")
 
@@ -143,28 +144,27 @@ def build_chart(n, c_value=None):
     descending, each equation meets at most one unsolved slot, (n+2-i, j),
     and must be linear in it (EliminationStuck otherwise); an equation with
     every factor known must hold as it stands.  For even n the middle cell
-    reads S_cc^2 = Omega_cc (phi is all ones): that is the chart relation,
-    and the rest is solved in the relation ring.  The calibration is
-    re-checked at the end (_check_calibration)."""
+    reads S_cc^2 = Omega_cc (phi is all ones): that is the chart relation.
+    Omega_cc = 1/omega_cc (omega J is lower triangular) and the t1
+    recurrence makes omega_cc = (-1)^(n/2) scale / disc (Setup), so the
+    relation comes from c alone: its ring is set first, everything is built
+    once on it, and the middle cell checks it against Omega.  At c = 0 there
+    is none, and _inverse_pairing refuses the singular pairing.  The
+    calibration is re-checked at the end (_check_calibration)."""
     setup = Setup(n, c_value)
-    conn = frame_connection(setup)
-    omega = pairing_matrix(setup, conn)
-    Omega = _inverse_pairing(omega)
     size = n + 1
     indep, pivot_slot, pivot_var = slot_layout(n)
     known = dict(indep)
     kappa = None
-    if pivot_slot is not None:
-        rhs = Omega.get1(*pivot_slot)
-        kappa = rhs / setup.disc
-        bad = [nm for nm in kappa.support() if nm != "c"]
-        if bad:
-            raise EliminationStuck(f"relation scale depends on {bad}")
+    if pivot_slot is not None and not setup.c.is_zero:
+        kappa = setup.scale.inverse() * (-1) ** (n // 2)
+        rhs = kappa * setup.disc
         setup.bind(setup.ring.with_relation(pivot_var, rhs.num, rhs.den))
-        conn = frame_connection(setup)
         kappa = kappa.lift(setup.ring)
-        omega, Omega = omega.lift(setup.ring), Omega.lift(setup.ring)
         known[pivot_slot] = pivot_var
+    conn = frame_connection(setup)
+    omega = pairing_matrix(setup, conn)
+    Omega = _inverse_pairing(omega)
     ring = setup.ring
     phi = pairing_form(ring, n)
     eps = {k: phi.get1(size + 1 - k, k) for k in range(1, size + 1)}
@@ -199,8 +199,7 @@ def build_chart(n, c_value=None):
     ch.setup, ch.ring = setup, ring
     ch.S, ch.omega, ch.phi = S, omega, phi
     ch.conn_base = conn
-    ch.indep_slots = indep
-    ch.pivot_slot, ch.pivot_var = pivot_slot, pivot_var
+    ch.known, ch.pivot_var = known, pivot_var
     ch.dep_exprs = dep_exprs
     ch.kappa = kappa
     ch.disc = setup.disc

@@ -15,6 +15,7 @@ import functools
 import json
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -26,19 +27,16 @@ from .closedforms import (ACTION, DECOMP3, DECOMP3_F0, OBSTRUCTION4_ENTRY,
                           parse_field)
 from .connection import check_pairing_invariance, full_connection
 from .cy3 import cy3_dims, key_name, table_keys
-from .errors import DworkError, Sl2Violation, UnsplitDenominator
+from .errors import DworkError, Sl2Violation
 from .group import (act, basis_pairs, decompose_elem, group_elem,
                     subgroup_counts, symbolic_elem)
 from .liealg import (NotMember, Row, amsy_decompose, fR_identities, mismatch,
                      verify_flatness, verify_theorem2)
 from .linalg import VecField, pairing_defect
 from .modular import (basis_vf, modular_vf, sl2_triple, truncate_poly, weights)
-from .ratfn import LATEX, ParseError, RatFn, parse_ratfn, ratfn_string
+from .ratfn import LATEX, RatFn, parse_ratfn, ratfn_string
 
 EX_OK, EX_MISMATCH, EX_STRUCTURAL, EX_USAGE = 0, 1, 2, 64
-
-SUITES = ("sl2", "theorem2", "flatness", "action", "omega", "weights",
-          "membership")
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +161,8 @@ def load_fixture(ch, override_dir):
                                    "coordinate with a string component")
             try:
                 comps[v] = parse_ratfn(ch.ring, s)
-            except (ParseError, UnsplitDenominator, ZeroDivisionError) as e:
+                ratfn_string(comps[v])  # a string past the int limit too
+            except (DworkError, ValueError, ZeroDivisionError) as e:
                 raise FixtureError(f"{path}: {name}: {v}: {e}")
         fix[name] = VecField(ch.ring, comps)
     return fix
@@ -327,15 +326,17 @@ def _suite_membership(n, c, fix):
     return checks
 
 
+# in the order verify --suite all runs them
 SUITE_FN = {
-    "omega": _suite_omega,
-    "theorem2": _suite_theorem2,
     "sl2": _suite_sl2,
-    "weights": _suite_weights,
+    "theorem2": _suite_theorem2,
     "flatness": _suite_flatness,
     "action": _suite_action,
+    "omega": _suite_omega,
+    "weights": _suite_weights,
     "membership": _suite_membership,
 }
+SUITES = tuple(SUITE_FN)
 
 
 # ---------------------------------------------------------------------------
@@ -624,6 +625,9 @@ def build_parser():
             p.add_argument("--cn", type=_cn_arg, default=None, metavar="C",
                            help="rational constant or 'symbolic' "
                                 "(default: matched value)")
+            # so that -1/64 is read as a value, as -2 and -0.5 are
+            p._negative_number_matcher = re.compile(
+                r"^-\d+(/\d+)?$|^-\d*\.\d+$")
         if name == "verify":
             p.add_argument("--suite", choices=("all",) + SUITES,
                            default="all")

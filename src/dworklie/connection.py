@@ -146,18 +146,15 @@ def vf_from_target(chart, target):
                     chart.dep_exprs)
 
     comps = {"t1": dt1, base2: dtb}
-    for slot, var in chart.indep_slots.items():
-        comps[var] = M.get1(*slot)
-    if chart.pivot_slot is not None:
-        comps[chart.pivot_var] = M.get1(*chart.pivot_slot)
+    comps.update((var, M.get1(*slot)) for slot, var in chart.known.items())
     H = VecField(ring, comps)
 
-    if chart.pivot_slot is not None:
+    if chart.pivot_var is not None:
         c1, cb = prep.corrections
         if H.get(chart.pivot_var) != dot(ring, [(c1, dt1), (cb, dtb)]):
             raise NoSuchField("field is not tangent to the slot relation")
 
-    handled = {*chart.indep_slots, chart.pivot_slot, *chart.dep_exprs}
+    handled = {*chart.known, *chart.dep_exprs}
     for (i, j), _ in M.entries():
         if (i, j) not in handled:
             raise NoSuchField(f"nonzero residue at entry ({i},{j})")

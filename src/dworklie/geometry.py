@@ -16,6 +16,7 @@ from math import comb, factorial
 from .errors import DworkError, KernelInvariant, OmegaInconsistent
 from .linalg import MatF, OneFormMat
 from .ratfn import RatFn
+from .ring import Ring
 
 
 def family_dims(n):
@@ -37,10 +38,11 @@ class Setup:
     """Variable context for one dimension n.  c_value None keeps the scaling
     constant c symbolic; a Fraction pins it.  disc = t1^(n+2) - t_{n+2} is
     the known factor of the ring: every chart denominator is a monomial
-    times a power of it."""
+    times a power of it.  scale = (-(n+2))^n c is disc times the first-row
+    entry of the pairing matrix."""
 
     __slots__ = ("n", "d", "m", "rho", "ncoords", "c_value", "ring", "c",
-                 "base2", "disc")
+                 "base2", "disc", "scale")
 
     def __init__(self, n, c_value=None):
         self.n = n
@@ -51,7 +53,6 @@ class Setup:
         names = tuple(f"t{i}" for i in range(1, self.ncoords + 1))
         if self.c_value is None:
             names = names + ("c",)
-        from .ring import Ring
         r = (n + 2,) + (0,) * (len(names) - 1)
         self.bind(Ring(names, factor=(r, n + 1)))
 
@@ -62,6 +63,7 @@ class Setup:
                   else RatFn.of(ring, self.c_value))
         self.disc = (RatFn.var(ring, "t1") ** (self.n + 2)
                      - RatFn.var(ring, self.base2))
+        self.scale = RatFn.of(ring, (-(self.n + 2)) ** self.n) * self.c
 
 
 def stirling2(k, j):
@@ -135,7 +137,7 @@ def pairing_matrix(setup, conn=None):
 
     The frame is alpha_{i+1} = d/dt1 alpha_i, so the t1 component of the
     identity d(omega) = B omega + omega B^T gives omega row by row from its
-    first row (0, ..., 0, base): omega_{i+1,j} = d/dt1 omega_{ij} -
+    first row (0, ..., 0, scale / disc): omega_{i+1,j} = d/dt1 omega_{ij} -
     omega_{i,j+1} for j <= n, and the last column subtracts the last frame
     row, sum_k B1_{n+1,k} omega_{ik}, instead.  The zeros above the
     antidiagonal and the alternating antidiagonal follow.  The identity is
@@ -148,7 +150,7 @@ def pairing_matrix(setup, conn=None):
     ring = setup.ring
     if conn is None:
         conn = frame_connection(setup)
-    base = RatFn.of(ring, Fraction((-(n + 2)) ** n)) * setup.c / setup.disc
+    base = setup.scale / setup.disc
     last = [(k, f) for (i, k), f in conn.get("t1").entries() if i == n + 1]
     row = [RatFn.of(ring, 0)] * n + [base]
     rows = [row]

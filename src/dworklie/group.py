@@ -217,16 +217,13 @@ def act(n, t=None, g=None, c=None):
         "t1": RatFn.var(ring, "t1") * g1,
         ch.setup.base2: RatFn.var(ring, ch.setup.base2) * g1 ** (n + 2),
     }
-    for slot, var in ch.indep_slots.items():
-        new[var] = Sp.get1(*slot)
-    if ch.pivot_slot is not None:
-        new[ch.pivot_var] = Sp.get1(*ch.pivot_slot)
+    new.update((var, Sp.get1(*slot)) for slot, var in ch.known.items())
     for (i, j), expr in ch.dep_exprs.items():
         want = expr.lift(ring).subs(new)
         if Sp.get1(i, j) != want:
             raise ActionShapeViolation(
                 f"dependent slot ({i},{j}) broke its defining equation")
-    if ch.pivot_slot is not None:
+    if ch.pivot_var is not None:
         kap = ch.kappa.lift(ring)
         lhs = new[ch.pivot_var] ** 2
         rhs = kap * (new["t1"] ** (n + 2) - new[ch.setup.base2])

@@ -208,8 +208,8 @@ def _regular(ch, f):
         return True
     den = RatFn(f.den)
     facs = [RatFn.var(ch.ring, ch.setup.base2), ch.disc]
-    for (i, j), var in sorted(ch.indep_slots.items()):
-        if i == j:
+    for (i, j), var in sorted(ch.known.items()):
+        if i == j and var != ch.pivot_var:
             facs.append(RatFn.var(ch.ring, var))
     for fac in facs:
         while not den.is_const:

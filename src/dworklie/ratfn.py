@@ -37,17 +37,16 @@ operand.  Otherwise, with g1 = gcd(a, d) and g2 = gcd(c, b), the product
 coprime to both denominator factors, and the denominator is primitive with
 a positive lead by Gauss's lemma, since graded lex order is
 multiplicative.  Where both numerators carry a relation pivot, the product
-has pivot degree 2 and goes through _normalize, whose reduction multiplies
-the denominator by a power of the relation's rel_den, a split too (Ring).
+has pivot degree 2: Ring.reduce_split rewrites the pivot square, which
+divides by a power of the relation's rel_den, a split too (Ring), and the
+reduced product takes one cancel against (b/g2)(d/g1) times that split.
 
 dot(ring, pairs) sums the products a*b over one common denominator: the
-numerators multiply with no cross gcd (when the relation's rel_den is a
-constant r, as in every chart ring, Ring.reduce_const rewrites a pivot
-square and r^j joins the numerator's integer denominator), each is scaled
-by its cofactor in the lcm c * x^max(a) * F^max(k) of the products' splits
-(Ring.split_lcm), and the sum takes one cancel against the lcm, where k
-sequential products and sums take 3k - 1.  Pivot products in a ring whose
-rel_den is not a constant are added sequentially.  A single nonzero product
+numerators multiply with no cross gcd (a pivot square reduced as in a
+product, its power of rel_den one more split of that product), each is
+scaled by its cofactor in the lcm c * x^max(a) * F^max(k) of the products'
+splits (Ring.split_lcm), and the sum takes one cancel against the lcm,
+where k sequential products and sums take 3k - 1.  A single nonzero product
 is a * b, whose cross gcds keep its operands small and whose constant
 factors are units.
 
@@ -188,11 +187,11 @@ class RatFn:
                                       a.num.den * kb[1]), a.den)
         _, A, sd = ring.cancel_split(a.num.terms, b.den.known_split())
         _, C, sb = ring.cancel_split(b.num.terms, a.den.known_split())
-        num = Poly._trusted(ring, _tmul(A, C), a.num.den * b.num.den)
-        den = ring.split_poly(sb, sd)
+        nd = a.num.den * b.num.den
         if ring.has_pivot(A) and ring.has_pivot(C):
-            return RatFn(num, den)
-        return _raw(num, den)
+            T, q, sr = ring.reduce_split(_tmul(A, C))
+            return _over_split(ring, T, nd * q, ring.split_mul(sb, sd, sr))
+        return _raw(Poly._trusted(ring, _tmul(A, C), nd), ring.split_poly(sb, sd))
 
     __rmul__ = __mul__
 
@@ -311,9 +310,8 @@ def dot(ring, pairs):
     """Sum of a * b over the (a, b) pairs of RatFns in ring, over one
     common denominator; see the module docstring."""
     pairs = [(a, b) for a, b in pairs if a.num.terms and b.num.terms]
-    fused, rest = [], _raw(ring.zero, ring.one)
     if len(pairs) < 2:
-        return pairs[0][0] * pairs[0][1] if pairs else rest
+        return pairs[0][0] * pairs[0][1] if pairs else _raw(ring.zero, ring.one)
     p, q = 0, 1
     for a, b in pairs:
         a.num._chk(b.num)
@@ -323,24 +321,20 @@ def dot(ring, pairs):
         p, q = p * ka[1] * kb[1] + ka[0] * kb[0] * q, q * ka[1] * kb[1]
     else:
         return _raw(_qpoly(ring, p, q), ring.one)
+    fused = []
     for a, b in pairs:
         a.num._chk(b.num)
         A, C = a.num.terms, b.num.terms
-        red = (_tmul(A, C), 1)
+        T, q, splits = _tmul(A, C), 1, (a.den.known_split(), b.den.known_split())
         if ring.has_pivot(A) and ring.has_pivot(C):
-            red = ring.reduce_const(red[0])
-        if red:
-            fused.append((red[0], a.num.den * b.num.den * red[1],
-                          (a.den.known_split(), b.den.known_split())))
-        else:
-            rest = rest + a * b
-    if not fused:
-        return rest
+            T, q, sr = ring.reduce_split(T)
+            splits += (sr,)
+        fused.append((T, a.num.den * b.num.den * q, splits))
     L, cofs = ring.split_lcm([s for _, _, s in fused])
     nd = lcm(*(d for _, d, _ in fused))
     T = _tsum((N if cof is None else _tmul(N, cof), nd // d)
               for (N, d, _), cof in zip(fused, cofs))
-    return _over_split(ring, T, nd, L) + rest
+    return _over_split(ring, T, nd, L)
 
 
 def _normalize(num, den):
@@ -446,7 +440,10 @@ def _tokenize(s):
             j = i
             while j < n and s[j].isdigit():
                 j += 1
-            toks.append(("int", s[i:j]))
+            try:
+                toks.append(("int", int(s[i:j])))
+            except ValueError:  # past the interpreter's int-string limit
+                raise ParseError(f"too long an integer: {j - i} digits") from None
             i = j
             continue
         if ch.isalpha() or ch == "_":
@@ -467,7 +464,7 @@ def _tokenize(s):
 
 def parse_ratfn(ring, s):
     """The RatFn over ring that s spells; ParseError for a malformed s,
-    including one nested deeper than the interpreter's stack."""
+    including one nested too deeply or with too long an integer literal."""
     toks = _tokenize(s)
     pos = [0]
 
@@ -484,7 +481,7 @@ def parse_ratfn(ring, s):
     def atom():
         k = peek()
         if k == "int":
-            return RatFn.of(ring, int(take()))
+            return RatFn.of(ring, take())
         if k == "name":
             nm = take()
             if nm not in ring.index:
@@ -505,7 +502,7 @@ def parse_ratfn(ring, s):
             if peek() == "-":
                 take()
                 neg = True
-            k = int(take("int"))
+            k = take("int")
             v = v ** (-k if neg else k)
         return v
 

@@ -38,11 +38,11 @@ Boundary: only this module knows how a monomial is encoded and how monomials
 are ordered.  Other modules name variables and use
   Ring: var, const, with_relation, extend, factor_pow, has_pivot (the
         pivot test) and rationalize (the conjugate step after reduce_terms);
-        ratfn also uses reduce_const (the pivot reduction when rel_den is
-        a constant) and the split methods split_terms, split_poly,
-        split_gcd, split_lcm (the lcm of products of splits, with each
-        product's cofactor), cancel_split and derive_split (the
-        logarithmic derivative over a split denominator);
+        ratfn also uses reduce_split (the pivot reduction, with the power
+        of rel_den it takes as a split) and the split methods split_terms,
+        split_mul, split_poly, split_gcd, split_lcm (the lcm of products of
+        splits, with each product's cofactor), cancel_split and
+        derive_split (the logarithmic derivative over a split denominator);
   Poly: arithmetic, divmod (division with remainder), derive, eval, lift (also
         down to a prefix ring), support, weighted_degrees, coeffs (over
         one variable), items (the terms in order, each a coefficient and
@@ -348,13 +348,14 @@ class Ring:
     (split_gcd), and derive_split differentiates P / D by the logarithmic
     derivative of x^a * F^k.  With k = 0 none of this needs F, so a one-term
     D = c * x^a is split as (c, a, 0) in a ring without a known factor too.
-    The relation's rel_den must have a split, so that reducing a pivot
-    power keeps a split denominator split, and so must its rel_num, so that
-    the pivot has an inverse (1/pivot = pivot * rel_den/rel_num);
-    ValueError otherwise."""
+    The relation's rel_den must have a split, kept on the ring, so that
+    reducing a pivot power keeps a split denominator split (reduce_split),
+    and so must its rel_num, so that the pivot has an inverse
+    (1/pivot = pivot * rel_den/rel_num); ValueError otherwise."""
 
     __slots__ = ("names", "index", "pivot", "rel_num", "rel_den", "_relpow",
-                 "factor", "_fpow", "_known", "_units", "_pmask", "zero", "one")
+                 "_rsplit", "factor", "_fpow", "_known", "_units", "_pmask",
+                 "zero", "one")
 
     def __init__(self, names, pivot=None, rel_num=None, rel_den=None,
                  factor=None):
@@ -387,7 +388,8 @@ class Ring:
             limit = ((_HALF - 1) // sum(r) + 1) << (nv * _W)
             self._known = (R, E, v * _W, limit)
             self._fpow = [_ONE, {R: 1, E: -1}]
-        if pivot is not None and not (rel_den and self._known_split(rel_den)):
+        self._rsplit = pivot is not None and rel_den and self._known_split(rel_den)
+        if pivot is not None and not self._rsplit:
             raise ValueError("relation: rel_den has no split c * x^a * F^k")
         if pivot is not None and not (rel_num and self._known_split(rel_num)):
             raise ValueError("relation: rel_num has no split c * x^a * F^k")
@@ -484,29 +486,33 @@ class Ring:
             raise _overflow()
         return {e + a: c * f for e, f in Fk.items()}
 
-    def split_poly(self, *splits):
-        """The Poly c * x^a * F^k that is the product of the given splits,
-        with its split kept."""
+    def split_mul(self, *splits):
+        """The split of the product of the polynomials with the given splits;
+        each step adds two keys with fields below the guard bit (checked)."""
         c, a, k = 1, 0, 0
         for ci, ai, ki in splits:
             c, a, k = c * ci, a + ai, k + ki
-        p = Poly._trusted(self, self.split_terms((c, a, k)))
-        p._ks = (c, a, k)
-        return p
-
-    def split_lcm(self, pairs):
-        """(l, cofactors) for the lcm l of the products D = D1 * D2 of the
-        pairs of polynomials given by their splits (s1, s2): F is prime to
-        every monomial and integer, so l = lcm(c) * x^max(a) * F^max(k), each
-        maximum over the exponents, a + b - gcd(a, b) fieldwise for two
-        monomials.  Each product's cofactor l / D comes as a term dict, None
-        where it is 1."""
-        prods = [(c1 * c2, a1 + a2, k1 + k2)
-                 for (c1, a1, k1), (c2, a2, k2) in pairs]
-        cl, al, kl = 1, 0, 0
-        for c, a, k in prods:
             if a & _G:
                 raise _overflow()
+        return c, a, k
+
+    def split_poly(self, *splits):
+        """The Poly c * x^a * F^k that is the product of the given splits,
+        with its split kept."""
+        s = self.split_mul(*splits)
+        p = Poly._trusted(self, self.split_terms(s))
+        p._ks = s
+        return p
+
+    def split_lcm(self, groups):
+        """(l, cofactors) for the lcm l of the products D of the groups of
+        polynomials given by their splits: F is prime to every monomial and
+        integer, so l = lcm(c) * x^max(a) * F^max(k), each maximum over the
+        exponents, a + b - gcd(a, b) fieldwise for two monomials.  Each
+        product's cofactor l / D comes as a term dict, None where it is 1."""
+        prods = [self.split_mul(*g) for g in groups]
+        cl, al, kl = 1, 0, 0
+        for c, a, k in prods:
             cl, kl = lcm(cl, c), max(kl, k)
             al += a - _mono_gcd((al,), (a,), self.nvars)
         L = (cl, al, kl)
@@ -600,16 +606,13 @@ class Ring:
             raise _overflow()
         return out, kmax
 
-    def reduce_const(self, T):
-        """(T', q) with T == T'/q and pivot degree <= 1 in T', q a positive
-        integer, when the relation's rel_den is a constant (every chart
-        ring); None when it is not."""
-        rd = self.rel_den
-        if len(rd) != 1 or 0 not in rd:
-            return None
-        T, k = self.reduce_terms(T)
-        q = rd[0] ** k
-        return (T, q) if q > 0 else (_tneg(T), -q)
+    def reduce_split(self, T):
+        """(T', q, (1, a, k)) with T == T'/(q * x^a * F^k), q > 0 an int and
+        pivot degree <= 1 in T': reduce_terms, its rel_den^j the product of
+        j copies of the split of rel_den kept on the ring."""
+        T, j = self.reduce_terms(T)
+        c, a, k = self.split_mul(*(self._rsplit,) * j)
+        return (T, c, (1, a, k)) if c > 0 else (_tneg(T), -c, (1, a, k))
 
     def has_pivot(self, T):
         """Whether the relation pivot occurs in the term dict T."""

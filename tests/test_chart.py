@@ -109,10 +109,10 @@ def test_dependent_slots_close_under_the_chart(n):
         assert used <= allowed, f"slot ({i},{j}) leaks {used - allowed}"
 
 
-@pytest.mark.parametrize("n, builds", [(3, 1), (4, 2)])
-def test_frame_connection_is_built_once_per_ring(monkeypatch, n, builds):
-    # odd n keeps the connection that fed the pairing matrix; even n builds a
-    # second one in the relation ring
+@pytest.mark.parametrize("n", range(1, 7))
+def test_frame_connection_is_built_once_per_ring(monkeypatch, n):
+    # the even-n relation comes from c alone, so its ring is set before the
+    # connection that feeds the pairing matrix is built, on the chart's ring
     original, rings = geometry.frame_connection, []
 
     def counted(setup):
@@ -122,8 +122,17 @@ def test_frame_connection_is_built_once_per_ring(monkeypatch, n, builds):
     monkeypatch.setattr(chart, "frame_connection", counted)
     monkeypatch.setattr(geometry, "frame_connection", counted)
     ch = build_chart(n)
-    assert len(rings) == builds
-    assert rings[-1] is ch.ring
+    assert len(rings) == 1 and rings[0] is ch.ring
+
+
+@pytest.mark.parametrize("n, c", [(n, None) for n in range(2, 13, 2)]
+                         + [(2, "sym"), (4, "sym")])
+def test_relation_is_the_middle_cell_of_the_inverse_pairing(n, c):
+    # kappa comes from c alone, before omega is built; the middle cell of
+    # its inverse is what the relation must match
+    ch = resolve_chart(n, c)
+    mid = n // 2 + 1
+    assert ch.kappa * ch.disc == _inverse_pairing(ch.omega).get1(mid, mid)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])

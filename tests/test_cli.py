@@ -136,6 +136,14 @@ def test_explicit_constant_mode(capsys):
     assert "(c = 1/27)" in out
 
 
+def test_negative_fraction_constant_is_a_value(capsys):
+    # -1/64 is n = 2's own matched constant; argparse reads -2 as a value
+    # but took -1/64 for an option
+    code, spaced = run(capsys, "ra", "--n", "2", "--cn", "-1/64")
+    assert code == 0 and "(c = -1/64)" in spaced
+    assert run(capsys, "ra", "--n", "2", "--cn=-1/64") == (0, spaced)
+
+
 def test_latex_output_mentions_partials(capsys):
     code, out = run(capsys, "ra", "--n", "1", "--format", "latex")
     assert code == 0
@@ -231,6 +239,14 @@ def test_verify_refuses_a_fixture_that_is_not_json(tmp_path, capsys):
     assert err.startswith(f"error: {path}: not JSON: ")
 
 
+def int_string_limit():
+    """The interpreter's refusal to print an integer of 6,021 digits."""
+    try:
+        str(2 ** 20000)
+    except ValueError as e:
+        return str(e)
+
+
 @pytest.mark.parametrize("edit,reason", [
     (lambda d: d.pop("modular"), "no 'modular' component table"),
     (lambda d: d.pop("relation"), "no 'relation' string or null"),
@@ -244,8 +260,15 @@ def test_verify_refuses_a_fixture_that_is_not_json(tmp_path, capsys):
      "lowering: t2: expression nested too deeply"),
     (lambda d: d["lowering"].update(t2="-" * 5000 + "t1"),
      "lowering: t2: expression nested too deeply"),
+    (lambda d: d["lowering"].update(t2="t1^40000"),
+     "lowering: t2: monomial degree past the packed field limit 32767"),
+    (lambda d: d["lowering"].update(t2="1" * 5001),
+     "lowering: t2: too long an integer: 5001 digits"),
+    (lambda d: d["lowering"].update(t2="2^20000"),
+     f"lowering: t2: {int_string_limit()}"),
 ], ids=["missing-table", "missing-relation", "unparsable", "outside-chart",
-        "unsplit-denominator", "deep-parentheses", "deep-minus"])
+        "unsplit-denominator", "deep-parentheses", "deep-minus",
+        "packed-degree", "long-literal", "unprintable"])
 def test_verify_refuses_a_malformed_fixture(tmp_path, capsys, edit, reason):
     path = bad_fixture(tmp_path, edit)
     capsys.readouterr()

@@ -285,13 +285,11 @@ def reference_vf_from_target(chart, target):
     M = TS - SB1.scale(dt1) - SB2.scale(dtb)
 
     comps = {"t1": dt1, chart.setup.base2: dtb}
-    for slot, var in chart.indep_slots.items():
+    for slot, var in chart.known.items():
         comps[var] = M.get1(*slot)
-    if chart.pivot_slot is not None:
-        comps[chart.pivot_var] = M.get1(*chart.pivot_slot)
     H = VecField(ring, comps)
 
-    if chart.pivot_slot is not None:
+    if chart.pivot_var is not None:
         c1, cb = _pivot_corrections(chart)
         if H.get(chart.pivot_var) != c1 * dt1 + cb * dtb:
             raise NoSuchField("field is not tangent to the slot relation")
@@ -305,7 +303,7 @@ def reference_vf_from_target(chart, target):
                 got = got + g * d
         if got != M.get1(i, j):
             raise NoSuchField(f"consistency residue at dependent slot ({i},{j})")
-    handled = {*chart.indep_slots, chart.pivot_slot, *derivs}
+    handled = {*chart.known, *derivs}
     for (i, j), _ in M.entries():
         if (i, j) not in handled:
             raise NoSuchField(f"nonzero residue at entry ({i},{j})")

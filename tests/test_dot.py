@@ -5,11 +5,13 @@ traffic the fused sums save in OneFormMat.contract."""
 
 import random
 from fractions import Fraction
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import dworklie as dw
-from dworklie import Poly, RatFn, Ring, ratfn
+from dworklie import Poly, RatFn, Ring, chart, ratfn
 from dworklie.group import basis_pairs
 from dworklie.linalg import MatF
 from dworklie.ratfn import dot
@@ -24,7 +26,7 @@ CONST_REL = Ring(("x", "y", "u"), pivot=2,
                  rel_num={(3, 0, 0): 1, (0, 1, 0): -1},
                  rel_den={(0, 0, 0): 4}, factor=KNOWN)
 # u^2 = (x^3 - y)/(4x): rel_den is not a constant, as in the symbolic chart
-# (1296 c), so a pivot product leaves the fused sum for dot's sequential rest
+# (1296 c), so a pivot square brings a monomial split as well as an integer
 POLY_REL = Ring(("x", "y", "u"), pivot=2,
                 rel_num={(3, 0, 0): 1, (0, 1, 0): -1},
                 rel_den={(1, 0, 0): 4}, factor=KNOWN)
@@ -105,6 +107,65 @@ def test_pivot_products_match_full_normalisation(ring, data):
         assert_canonical(got)
     assert a * b == dot(ring, [(a, b)]) == full_product(a, b)
     assert dot(ring, [(a, b), (b, b)]) == reference_dot(ring, [(a, b), (b, b)])
+
+
+def refuse(num, den):
+    raise AssertionError("a pivot product reached the full normalisation")
+
+
+def assert_split_route(ring, a, b, c):
+    """a * b and the dot of (a, b) and (c, a) equal the fully normalised
+    references, and neither reaches ratfn._normalize."""
+    pairs = [(a, b), (c, a)]
+    want = full_product(a, b), reference_dot(ring, pairs)
+    with mock.patch.object(ratfn, "_normalize", refuse):
+        got = a * b, dot(ring, pairs)
+    assert got == want
+    for r in got:
+        assert_canonical(r)
+
+
+@given(st.sampled_from([CONST_REL, POLY_REL]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_pivot_products_take_no_full_normalisation(ring, data):
+    u = ring.var("u")
+    a, b, c = (data.draw(fractions(ring)) for _ in range(3))
+    assert_split_route(ring, a * RatFn(u + ring.one),
+                       b * RatFn(u - ring.var("y")), c * RatFn(u))
+
+
+@pytest.mark.parametrize("n, c", [(2, None), (4, None), (2, "sym"),
+                                  (4, "sym")])
+def test_chart_pivot_products_take_no_full_normalisation(n, c):
+    # matched charts have a constant rel_den, symbolic ones (n + 2)^n c
+    ch = dw.resolve_chart(n, c)
+    ring = ch.ring
+    piv = RatFn.var(ring, ch.pivot_var)
+    ops = [v for _, v in ch.S.entries() if ring.has_pivot(v.num.terms)]
+    ops += [piv / ch.disc,
+            piv * RatFn.var(ring, "t1") / RatFn.var(ring, ch.setup.base2)]
+    rng = random.Random(n)
+    for _ in range(10):
+        assert_split_route(ring, *(rng.choice(ops) for _ in range(3)))
+
+
+def test_cold_charts_take_at_most_five_full_normalisations(monkeypatch):
+    # the chart_cold stages: the rest of what is left are the relation
+    # constant's lift and inverses of denominators carrying the pivot
+    monkeypatch.setattr(chart, "_CACHE", {})
+    calls, init = [], RatFn.__init__
+
+    def counted(self, num, den=None):
+        calls.append(1)
+        init(self, num, den)
+
+    monkeypatch.setattr(RatFn, "__init__", counted)
+    for n in (5, 6):
+        ch = dw.resolve_chart(n)
+        dw.full_connection(ch)
+        dw.modular_vf(n)
+        dw.basis_vf(n)
+    assert len(calls) <= 5
 
 
 def test_dot_of_nothing_and_of_zeros_is_zero():

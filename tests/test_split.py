@@ -238,9 +238,9 @@ def test_chart_and_threefold_work_takes_no_general_gcd(monkeypatch):
 
 
 def test_chart_and_threefold_work_never_call_the_general_cancel(monkeypatch):
-    """The symbolic chart's rel_den is 1296 c, not a constant, so its pivot
-    products leave the fused sum and go through _normalize; each finishes
-    on the split route, since rel_den is split."""
+    """The symbolic chart's rel_den is 1296 c, not a constant; its pivot
+    products take the split route as a constant rel_den's do, since rel_den
+    is split."""
     monkeypatch.setattr(chart, "_CACHE", {})
     ch = dw.resolve_chart(4, "sym")
     assert len(ch.ring.rel_den) == 1 and 0 not in ch.ring.rel_den
