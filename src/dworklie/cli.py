@@ -575,7 +575,12 @@ def _cn_arg(s):
     if s == "symbolic":
         return "sym"
     try:
-        return Fraction(s)
+        # an integer, p/q or a plain decimal: Fraction expands an exponent
+        if not re.fullmatch(r"[+-]?(\d+/\d+|\d+\.?\d*|\.\d+)", s):
+            raise ValueError(s)
+        c = Fraction(s)
+        str(c)  # parts past the interpreter's int-string limit cannot print
+        return c
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
             f"expected a rational number or 'symbolic', got {s!r}")

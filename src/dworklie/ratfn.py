@@ -13,9 +13,11 @@ with k = 0 in any ring (Poly.known_split).  Ring.cancel_split cancels it
 from its exponents, since only the integer content, the monomial and a
 power of the irreducible F can cancel, and the result keeps its split.  So
 every canonical denominator is split, and the rules below keep it so.
-_normalize raises UnsplitDenominator when the primitive denominator it
-reaches has no split, whatever the numerator, zero included; the kernel has
-no general gcd.
+The constructor RatFn(num, den) is built from them: each Poly has its pivot
+squares rewritten by Ring.reduce_split and takes one cancel against the
+power of rel_den that brings, and den is then inverted and multiplied in.
+An inverse whose divisor has no split raises UnsplitDenominator, whatever
+the numerator, zero included; the kernel has no general gcd.
 
 Sums over split denominators follow Henrici (J. ACM 3, 1956): for canonical
 a/b and c/d with g = gcd(b, d), taken from the exponents (Ring.split_gcd),
@@ -28,7 +30,11 @@ Constants take integer arithmetic: a sum, product or dot of constants p/q
 (ring._qpair) is one integer cross-multiplication and one gcd
 (ring._qpoly).  The inverse of N/D with N = c * x^a * F^k free of the pivot
 is D/(c * x^a * F^k): x^a * F^k is primitive, positive and prime to D, so
-only c moves across; a constant's inverse swaps its ints.
+only c moves across; a constant's inverse swaps its ints.  A numerator N
+that carries the pivot is inverted through its conjugate (Ring.conjugate):
+1/N = conj(N)/(N * conj(N)), where the norm N * conj(N) is free of the
+pivot once Ring.reduce_split rewrites its pivot square.  The norm must have
+a split, and the result takes one cancel against it.
 
 Products follow Henrici's rule too.  A constant factor is a unit: it scales
 the other numerator and takes no gcd, and a factor 1 returns the other
@@ -69,17 +75,18 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import KernelInvariant, UnsplitDenominator
-from .ring import Poly, _primitive, _qpair, _qpoly, _tadd, _tmul, \
-    _tscale, _tsum
+from .ring import DEGREE_LIMIT, Poly, _primitive, _qpair, _qpoly, _tadd, \
+    _tmul, _tscale, _tsum
 
 
 class RatFn:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        if den is None:
-            den = num.ring.one
-        self.num, self.den = _normalize(num, den)
+        r = _reduced(num)
+        if den is not None:
+            r = r * _reduced(den).inverse()
+        self.num, self.den = r.num, r.den
 
     @property
     def ring(self):
@@ -198,13 +205,20 @@ class RatFn:
     def inverse(self):
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero")
-        ring, p, s = self.ring, self.num, self.num.known_split()
-        if s and not ring.has_pivot(p.terms):
-            c, a, k = s
+        ring, p, D = self.ring, self.num, self.den.terms
+        if not ring.has_pivot(p.terms):
+            c, a, k = _split(p)
             q = p.den if c > 0 else -p.den
-            return _raw(Poly._trusted(ring, _tscale(self.den.terms, q), abs(c)),
+            return _raw(Poly._trusted(ring, _tscale(D, q), abs(c)),
                         ring.split_poly((1, a, k)))
-        return RatFn(self.den, self.num)
+        C = ring.conjugate(p.terms)
+        N, q, sr = ring.reduce_split(_tmul(p.terms, C))
+        if not N:
+            raise ZeroDivisionError("inverse of a zero divisor")
+        c, a, k = _split(Poly._trusted(ring, N))
+        q = p.den * q if c > 0 else -p.den * q
+        M = _tmul(_tmul(D, C), ring.split_terms(sr))
+        return _over_split(ring, _tscale(M, q), abs(c), (1, a, k))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -296,6 +310,22 @@ def _raw(num, den):
     return r
 
 
+def _reduced(p):
+    """The canonical RatFn of the Poly p, its pivot squares rewritten."""
+    T, q, split = p.ring.reduce_split(p.terms)
+    return _over_split(p.ring, T, p.den * q, split)
+
+
+def _split(p):
+    """The split of the pivot-free Poly p; UnsplitDenominator if it has none."""
+    s = p.known_split()
+    if not s:
+        D = Poly._trusted(p.ring, _primitive(p.terms)[1])
+        raise UnsplitDenominator(f"denominator {poly_string(D)} has no split "
+                                 "c * x^a * F^k")
+    return s
+
+
 def _over_split(ring, T, nd, split):
     """The canonical RatFn T / (nd * D) for the integer term dict T, of
     pivot degree <= 1, the positive int nd and D given by split: one cancel
@@ -335,28 +365,6 @@ def dot(ring, pairs):
     T = _tsum((N if cof is None else _tmul(N, cof), nd // d)
               for (N, d, _), cof in zip(fused, cofs))
     return _over_split(ring, T, nd, L)
-
-
-def _normalize(num, den):
-    ring = num.ring
-    if den.ring is not ring:
-        raise KernelInvariant("mixed rings")
-    if den.is_zero:
-        raise ZeroDivisionError("zero denominator")
-    N, D = ring.rationalize(num.terms, den.terms)
-    # value = N * den.den / ((cd * D) * num.den) with D primitive; the split
-    # is required whatever the numerator, zero included
-    cd, D = _primitive(D)
-    D = Poly._trusted(ring, D)
-    split = D.known_split()
-    if not split:
-        raise UnsplitDenominator(f"denominator {poly_string(D)} has no split "
-                                 "c * x^a * F^k")
-    if not N:
-        return ring.zero, ring.one
-    q = Fraction(den.den, num.den * cd)
-    r = _over_split(ring, _tscale(N, q.numerator), q.denominator, split)
-    return r.num, r.den
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +472,8 @@ def _tokenize(s):
 
 def parse_ratfn(ring, s):
     """The RatFn over ring that s spells; ParseError for a malformed s,
-    including one nested too deeply or with too long an integer literal."""
+    including one nested too deeply, with too long an integer literal or
+    with an exponent past the packed degree limit."""
     toks = _tokenize(s)
     pos = [0]
 
@@ -503,6 +512,9 @@ def parse_ratfn(ring, s):
                 take()
                 neg = True
             k = take("int")
+            if k > DEGREE_LIMIT:
+                raise ParseError(f"exponent {k} past the packed field limit "
+                                 f"{DEGREE_LIMIT}")
             v = v ** (-k if neg else k)
         return v
 

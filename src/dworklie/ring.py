@@ -37,7 +37,7 @@ the content scan.
 Boundary: only this module knows how a monomial is encoded and how monomials
 are ordered.  Other modules name variables and use
   Ring: var, const, with_relation, extend, factor_pow, has_pivot (the
-        pivot test) and rationalize (the conjugate step after reduce_terms);
+        pivot test) and conjugate (the pivot's sign flipped);
         ratfn also uses reduce_split (the pivot reduction, with the power
         of rel_den it takes as a split) and the split methods split_terms,
         split_mul, split_poly, split_gcd, split_lcm (the lcm of products of
@@ -74,13 +74,15 @@ from .errors import DworkError, KernelInvariant
 _W = 16
 _FM = (1 << _W) - 1
 _HALF = 1 << (_W - 1)
+DEGREE_LIMIT = _HALF - 1  # the largest degree a packed monomial holds
 _MAXVARS = 4095
 # the guard bit of every field of the widest ring, degree field included
 _G = int.from_bytes(_HALF.to_bytes(_W // 8, "little") * (_MAXVARS + 1), "little")
 
 
 def _overflow():
-    return KernelInvariant(f"monomial degree past the packed field limit {_HALF - 1}")
+    return KernelInvariant("monomial degree past the packed field limit "
+                           f"{DEGREE_LIMIT}")
 
 
 def _pack(e, nv):
@@ -385,7 +387,7 @@ class Ring:
                 raise ValueError("known factor: x^r must be free of x_v and lead")
             if self._pmask & (R | E):
                 raise ValueError("known factor: F must be free of the pivot")
-            limit = ((_HALF - 1) // sum(r) + 1) << (nv * _W)
+            limit = (DEGREE_LIMIT // sum(r) + 1) << (nv * _W)
             self._known = (R, E, v * _W, limit)
             self._fpow = [_ONE, {R: 1, E: -1}]
         self._rsplit = pivot is not None and rel_den and self._known_split(rel_den)
@@ -619,30 +621,9 @@ class Ring:
         pm = self._pmask
         return bool(pm) and any(e & pm for e in T)
 
-    def rationalize(self, N, D):
-        """(N', D') with N'/D' == N/D under the relation, for term dicts N and
-        D: N' has pivot degree <= 1 (empty when N vanishes) and D' is free of
-        the pivot, made so by multiplying with its conjugate."""
-        N, kn = self.reduce_terms(N)
-        D, kd = self.reduce_terms(D)
-        if not D:
-            raise ZeroDivisionError("denominator is zero under the slot relation")
-        if self.has_pivot(D):
-            pm = self._pmask
-            conj = {e: (-c if e & pm else c) for e, c in D.items()}
-            N, kn2 = self.reduce_terms(_tmul(N, conj))
-            D, kd2 = self.reduce_terms(_tmul(D, conj))
-            if not D or self.has_pivot(D):
-                raise KernelInvariant("pivot survived rationalization")
-            kn += kn2
-            kd += kd2
-        # N/D == (N'/rel_den^kn) / (D'/rel_den^kd)
-        net = kd - kn
-        if net > 0:
-            N = _tmul(N, _tpow(self.rel_den, net))
-        elif net < 0:
-            D = _tmul(D, _tpow(self.rel_den, -net))
-        return N, D
+    def conjugate(self, T):
+        """T, of pivot degree <= 1, with the sign of its pivot terms flipped."""
+        return {e: (-c if e & self._pmask else c) for e, c in T.items()}
 
     def __repr__(self):
         rel = "" if self.pivot is None else f", {self.names[self.pivot]}^2 bound"

@@ -1,0 +1,68 @@
+"""A reference normal form for the kernel tests, apart from the kernel's own
+constructor.  RatFn(num, den) is built from the split route it is tested
+against, so a reference written with it would compare the kernel with
+itself.  full(num, den) takes a separate route: the fraction is
+rationalised against the slot relation (the conjugate of a denominator that
+carries the pivot, then the powers of rel_den rebalanced), its denominator
+made primitive, and only then cancelled against that denominator's split."""
+
+from fractions import Fraction
+
+from dworklie import KernelInvariant, UnsplitDenominator
+from dworklie.ratfn import _over_split, _raw, poly_string
+from dworklie.ring import Poly, _primitive, _tmul, _tpow, _tscale
+
+
+def rationalize(ring, N, D):
+    """(N', D') with N'/D' == N/D under the relation, for term dicts N and
+    D: N' has pivot degree <= 1 (empty when N vanishes) and D' is free of
+    the pivot, made so by multiplying with its conjugate."""
+    N, kn = ring.reduce_terms(N)
+    D, kd = ring.reduce_terms(D)
+    if not D:
+        raise ZeroDivisionError("denominator is zero under the slot relation")
+    if ring.has_pivot(D):
+        pm = ring._pmask
+        conj = {e: (-c if e & pm else c) for e, c in D.items()}
+        N, kn2 = ring.reduce_terms(_tmul(N, conj))
+        D, kd2 = ring.reduce_terms(_tmul(D, conj))
+        if not D or ring.has_pivot(D):
+            raise KernelInvariant("pivot survived rationalization")
+        kn += kn2
+        kd += kd2
+    # N/D == (N'/rel_den^kn) / (D'/rel_den^kd)
+    net = kd - kn
+    if net > 0:
+        N = _tmul(N, _tpow(ring.rel_den, net))
+    elif net < 0:
+        D = _tmul(D, _tpow(ring.rel_den, -net))
+    return N, D
+
+
+def normalize(num, den):
+    """The canonical (numerator, denominator) Polys of num/den."""
+    ring = num.ring
+    if den.ring is not ring:
+        raise KernelInvariant("mixed rings")
+    if den.is_zero:
+        raise ZeroDivisionError("zero denominator")
+    N, D = rationalize(ring, num.terms, den.terms)
+    # value = N * den.den / ((cd * D) * num.den) with D primitive; the split
+    # is required whatever the numerator, zero included
+    cd, D = _primitive(D)
+    D = Poly._trusted(ring, D)
+    split = D.known_split()
+    if not split:
+        raise UnsplitDenominator(f"denominator {poly_string(D)} has no split "
+                                 "c * x^a * F^k")
+    if not N:
+        return ring.zero, ring.one
+    q = Fraction(den.den, num.den * cd)
+    r = _over_split(ring, _tscale(N, q.numerator), q.denominator, split)
+    return r.num, r.den
+
+
+def full(num, den=None):
+    """The RatFn num/den for Polys num and den (1 when omitted), reduced by
+    normalize and never through the RatFn constructor."""
+    return _raw(*normalize(num, num.ring.one if den is None else den))

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -144,6 +145,27 @@ def test_negative_fraction_constant_is_a_value(capsys):
     assert run(capsys, "ra", "--n", "2", "--cn=-1/64") == (0, spaced)
 
 
+@pytest.mark.parametrize("cn", ["1e5000", "1e100000000", "2.5E-3", "1_000",
+                                "1" * 4000 + "." + "1" * 4000],
+                         ids=["exp-5000", "exp-1e8", "exp-small", "underscore",
+                              "unprintable"])
+def test_constant_outside_the_plain_forms_is_a_usage_error(capsys, cn):
+    # Fraction expands an exponent: 1e5000 formed a numerator that could not
+    # print, and 1e100000000 did not finish; the last one parses in parts
+    # that print, but its numerator has 8,000 digits
+    assert main(["build", "--n", "1", "--cn", cn]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage: dworklie build")
+    assert "expected a rational number or 'symbolic'" in err
+
+
+def test_constant_plain_forms_are_values():
+    for s, want in [("2", 2), ("-3", -3), ("3/7", Fraction(3, 7)),
+                    ("-1/64", Fraction(-1, 64)), ("0.5", Fraction(1, 2)),
+                    ("-.25", Fraction(-1, 4)), ("+1.", 1)]:
+        assert cli._cn_arg(s) == want, s
+
+
 def test_latex_output_mentions_partials(capsys):
     code, out = run(capsys, "ra", "--n", "1", "--format", "latex")
     assert code == 0
@@ -261,14 +283,19 @@ def int_string_limit():
     (lambda d: d["lowering"].update(t2="-" * 5000 + "t1"),
      "lowering: t2: expression nested too deeply"),
     (lambda d: d["lowering"].update(t2="t1^40000"),
-     "lowering: t2: monomial degree past the packed field limit 32767"),
+     "lowering: t2: exponent 40000 past the packed field limit 32767"),
+    (lambda d: d["lowering"].update(t2="2^30000000000"),
+     "lowering: t2: exponent 30000000000 past the packed field limit 32767"),
+    (lambda d: d["lowering"].update(t2="(1/3)^30000000000"),
+     "lowering: t2: exponent 30000000000 past the packed field limit 32767"),
     (lambda d: d["lowering"].update(t2="1" * 5001),
      "lowering: t2: too long an integer: 5001 digits"),
     (lambda d: d["lowering"].update(t2="2^20000"),
      f"lowering: t2: {int_string_limit()}"),
 ], ids=["missing-table", "missing-relation", "unparsable", "outside-chart",
         "unsplit-denominator", "deep-parentheses", "deep-minus",
-        "packed-degree", "long-literal", "unprintable"])
+        "packed-degree", "huge-power", "huge-fraction-power", "long-literal",
+        "unprintable"])
 def test_verify_refuses_a_malformed_fixture(tmp_path, capsys, edit, reason):
     path = bad_fixture(tmp_path, edit)
     capsys.readouterr()

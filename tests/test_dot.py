@@ -1,21 +1,24 @@
 """ratfn.dot, the sum of products over one common denominator, against the
-sequential sum of fully normalised products; the pivot products that the
-split route reduces; the constant-sum and unit shortcuts of RatFn; and the
-traffic the fused sums save in OneFormMat.contract."""
+sequential sum of fully normalised products (tests/kernel_reference.py);
+the pivot products and the inverses of pivot numerators that the split
+route reduces without the RatFn constructor; the constant-sum and unit
+shortcuts of RatFn; and the traffic the fused sums save in
+OneFormMat.contract."""
 
 import random
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import dworklie as dw
-from dworklie import Poly, RatFn, Ring, chart, ratfn
+from dworklie import Poly, RatFn, Ring, UnsplitDenominator, chart
 from dworklie.group import basis_pairs
 from dworklie.linalg import MatF
 from dworklie.ratfn import dot
 from dworklie.ring import _pack, _primitive
+from kernel_reference import full
 
 KNOWN = ((3, 0, 0), 1)  # F = x^3 - y
 PLAIN = Ring(("x", "y", "z"))
@@ -34,7 +37,7 @@ RINGS = [PLAIN, FACTOR, CONST_REL, POLY_REL]
 
 
 def full_product(a, b):
-    return RatFn(a.num * b.num, a.den * b.den)
+    return full(a.num * b.num, a.den * b.den)
 
 
 def reference_dot(ring, pairs):
@@ -42,7 +45,7 @@ def reference_dot(ring, pairs):
     out = RatFn.of(ring, 0)
     for a, b in pairs:
         p = full_product(a, b)
-        out = RatFn(out.num * p.den + p.num * out.den, out.den * p.den)
+        out = full(out.num * p.den + p.num * out.den, out.den * p.den)
     return out
 
 
@@ -109,16 +112,16 @@ def test_pivot_products_match_full_normalisation(ring, data):
     assert dot(ring, [(a, b), (b, b)]) == reference_dot(ring, [(a, b), (b, b)])
 
 
-def refuse(num, den):
-    raise AssertionError("a pivot product reached the full normalisation")
+def refuse(self, num, den=None):
+    raise AssertionError("the split route called the RatFn constructor")
 
 
 def assert_split_route(ring, a, b, c):
     """a * b and the dot of (a, b) and (c, a) equal the fully normalised
-    references, and neither reaches ratfn._normalize."""
+    references, and neither calls the RatFn constructor."""
     pairs = [(a, b), (c, a)]
     want = full_product(a, b), reference_dot(ring, pairs)
-    with mock.patch.object(ratfn, "_normalize", refuse):
+    with mock.patch.object(RatFn, "__init__", refuse):
         got = a * b, dot(ring, pairs)
     assert got == want
     for r in got:
@@ -149,9 +152,65 @@ def test_chart_pivot_products_take_no_full_normalisation(n, c):
         assert_split_route(ring, *(rng.choice(ops) for _ in range(3)))
 
 
-def test_cold_charts_take_at_most_five_full_normalisations(monkeypatch):
-    # the chart_cold stages: the rest of what is left are the relation
-    # constant's lift and inverses of denominators carrying the pivot
+def assert_pivot_inverse(a):
+    """a's numerator carries the pivot: 1/a equals the full normalisation of
+    den/num and is canonical, with no RatFn constructor call, or both
+    refuse a norm without a split.  True when the inverse exists."""
+    assert a.ring.has_pivot(a.num.terms)
+    try:
+        want = full(a.den, a.num)
+    except UnsplitDenominator:
+        with mock.patch.object(RatFn, "__init__", refuse), \
+                pytest.raises(UnsplitDenominator, match="no split"):
+            a.inverse()
+        return False
+    with mock.patch.object(RatFn, "__init__", refuse):
+        got = a.inverse()
+    assert got == want
+    assert_canonical(got)
+    assert a * got == RatFn.of(a.ring, 1)
+    return True
+
+
+@given(st.sampled_from([CONST_REL, POLY_REL]), st.data())
+@settings(max_examples=100, deadline=None)
+def test_pivot_numerator_inverse_matches_full_normalisation(ring, data):
+    a, b = (data.draw(fractions(ring)) for _ in range(2))
+    f = a * RatFn.var(ring, "u") + b
+    assume(ring.has_pivot(f.num.terms))
+    assert_pivot_inverse(f)
+
+
+@pytest.mark.parametrize("ring", [CONST_REL, POLY_REL],
+                         ids=["const_rel", "poly_rel"])
+def test_pivot_numerator_inverse_needs_a_split_norm(ring):
+    # u^2 = F/4 or F/(4x): the norm of u, 3u/x and uF/y is -F/4 (or -F/(4x))
+    # times a square, a split; that of u + x, xu + 1 and (u - y)/x is not
+    x, y, u = (RatFn.var(ring, v) for v in ring.names)
+    F = x ** 3 - y
+    assert all(assert_pivot_inverse(f) for f in (u, 3 * u / x, u * F / y))
+    assert not any(assert_pivot_inverse(f)
+                   for f in (u + x, x * u + 1, (u - y) / x))
+
+
+@pytest.mark.parametrize("n, c", [(2, None), (4, None), (2, "sym"),
+                                  (4, "sym")])
+def test_chart_pivot_numerator_inverse_matches_full_normalisation(n, c):
+    ch = dw.resolve_chart(n, c)
+    ring = ch.ring
+    piv, t1 = RatFn.var(ring, ch.pivot_var), RatFn.var(ring, "t1")
+    # the entries of S that carry the pivot, whose norms may or may not split
+    for _, f in ch.S.entries():
+        if ring.has_pivot(f.num.terms):
+            assert_pivot_inverse(f)
+    assert assert_pivot_inverse(piv / ch.disc)
+    assert assert_pivot_inverse(piv * t1 / RatFn.var(ring, ch.setup.base2))
+    assert not assert_pivot_inverse(piv + t1)
+
+
+def test_cold_charts_call_the_constructor_at_most_once(monkeypatch):
+    # the chart_cold stages: the one call left is the relation constant's
+    # lift onto the chart ring
     monkeypatch.setattr(chart, "_CACHE", {})
     calls, init = [], RatFn.__init__
 
@@ -165,7 +224,7 @@ def test_cold_charts_take_at_most_five_full_normalisations(monkeypatch):
         dw.full_connection(ch)
         dw.modular_vf(n)
         dw.basis_vf(n)
-    assert len(calls) <= 5
+    assert len(calls) <= 1
 
 
 def test_dot_of_nothing_and_of_zeros_is_zero():
@@ -252,13 +311,5 @@ def test_contract_takes_no_normalisation(monkeypatch):
                   for p in rng.sample(pairs, 2)}
         fields.append(dw.membership_build(f0, coeffs, 4))
     want = [sequential_contract(A, V) for V in fields]
-    calls = []
-    plain = ratfn._normalize
-
-    def counted(num, den):
-        calls.append(1)
-        return plain(num, den)
-
-    monkeypatch.setattr(ratfn, "_normalize", counted)
+    monkeypatch.setattr(RatFn, "__init__", refuse)
     assert [A.contract(V) for V in fields] == want
-    assert calls == []

@@ -5,7 +5,7 @@ against division with remainder, the logarithmic-derivative rule, the
 split-carrying sum and product, the trusted Poly constructor, the splits
 cached on denominators during a cold pipeline run, the chart and threefold
 work that must finish on this route, and the refusal of any denominator or
-relation without a split."""
+relation without a split, and of the inverse of a zero divisor."""
 
 from math import gcd
 
@@ -16,6 +16,7 @@ import dworklie as dw
 from dworklie import Poly, RatFn, Ring, UnsplitDenominator, chart
 from dworklie.ring import _pack, _tadd, _tdiv_known, _tmul, _tpow, _tscale, \
     _unpack
+from kernel_reference import full
 
 try:
     import sympy
@@ -146,7 +147,7 @@ def fractions(draw, ring=None):
 
 def reference_derive(f, v):
     p, q = f.num, f.den
-    return RatFn(p.derive(v) * q - p * q.derive(v), q * q)
+    return full(p.derive(v) * q - p * q.derive(v), q * q)
 
 
 @given(fractions(), st.sampled_from(["x", "y", "z", "u"]))
@@ -174,8 +175,8 @@ def test_log_derivative_takes_both_factors():
 def test_split_sum_and_product_match_full_normalisation(data):
     ring = data.draw(rings)
     f, g = data.draw(fractions(ring)), data.draw(fractions(ring))
-    assert f + g == RatFn(f.num * g.den + g.num * f.den, f.den * g.den)
-    assert f * g == RatFn(f.num * g.num, f.den * g.den)
+    assert f + g == full(f.num * g.den + g.num * f.den, f.den * g.den)
+    assert f * g == full(f.num * g.num, f.den * g.den)
     for r in (f + g, f * g):
         assert r.den.known_split() == (ring._known_split(r.den.terms) or False)
 
@@ -302,6 +303,19 @@ def test_relation_numerator_must_have_a_split():
         rel = PLAIN.with_relation("z", num, 4 * x)
         z = RatFn.var(rel, "z")
         assert z * (1 / z) == RatFn.of(rel, 1)
+
+
+def test_a_zero_divisor_has_no_inverse():
+    """In u^2 = x^2 the norm of u - x, (u - x)(u + x) reduced, is zero: it
+    is a zero divisor, refused as a zero division and not as an unsplit 0."""
+    ring = Ring(("x", "y", "u"), pivot=2, rel_num={(2, 0, 0): 1},
+                rel_den={(0, 0, 0): 1}, factor=KNOWN)
+    x, u = RatFn.var(ring, "x"), RatFn.var(ring, "u")
+    assert ((u - x) * (u + x)).is_zero
+    for make in (lambda: (u - x).inverse(), lambda: x / (u + x),
+                 lambda: RatFn(ring.one, ring.var("u") - ring.var("x"))):
+        with pytest.raises(ZeroDivisionError, match="zero divisor"):
+            make()
 
 
 def test_known_factor_must_avoid_the_pivot():
