@@ -4,8 +4,7 @@ Every subcommand emits a deterministic byte stream for a fixed invocation:
 iteration follows the chart coordinate order, JSON keys are sorted, and no
 timestamps or addresses leak into the output.  Exit codes: 0 emitted or all
 checks passed, 1 a verification mismatch (a diff is printed), 2 a structural
-failure, 64 a usage error or a fixture file that cannot be read, parsed or
-written (one "error: <path>: <reason>" line on stderr).
+failure, 64 a usage error.
 """
 
 from __future__ import annotations
@@ -13,18 +12,15 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import random
 import re
 import sys
 from fractions import Fraction
-from importlib import resources
-from pathlib import Path
 
 from .chart import resolve_chart
 from .closedforms import (ACTION, DECOMP3, DECOMP3_F0, OBSTRUCTION4_ENTRY,
-                          OBSTRUCTION4_VALUE, TRUNCATED, matched_c,
-                          parse_field)
+                          OBSTRUCTION4_VALUE, REFERENCE, TRUNCATED,
+                          matched_c, parse_field)
 from .connection import check_pairing_invariance, full_connection
 from .cy3 import cy3_dims, key_name, table_keys
 from .errors import DworkError, Sl2Violation
@@ -107,65 +103,32 @@ def chart_doc(ch, obj, c_mode):
 
 
 # ---------------------------------------------------------------------------
-# fixtures
+# reference displays
 
-FIXTURE_FIELDS = ("modular", "weight", "lowering")
+RA_FIELDS = ("modular", "weight", "lowering")
 
 
 def _ra_fields(n, cn):
     R, _ = modular_vf(n, cn)
     tr = sl2_triple(n, cn)
-    return tuple(zip(FIXTURE_FIELDS, (R, tr.Hf, tr.F)))
+    return tuple(zip(RA_FIELDS, (R, tr.Hf, tr.F)))
 
 
-def fixture_payload(n):
-    """Canonical strings of the three named fields plus the chart relation."""
-    ch = resolve_chart(n)
-    fields = render_fields(_ra_fields(n, None), ch.coords, "json")
-    out = {name: f["components"] for name, f in fields.items()}
-    out["relation"] = ch.relation_string()
-    return out
-
-
-class FixtureError(Exception):
-    """A fixture file that cannot be written, read or parsed; the message
-    is "<path>: <reason>"."""
-
-
-def load_fixture(ch, override_dir):
-    """The fixture of the chart ch, its three fields parsed over ch.ring and
-    its relation string, or None when there is none."""
-    base = override_dir or os.environ.get("DWORK_FIXTURES")
-    root = Path(base) if base else resources.files(__package__) / "fixtures"
-    path = root / f"n{ch.n}.json"
-    if not path.is_file():
+def _reference(ch):
+    """The paper's displays for the chart ch, or None past n = 4: the three
+    fields of REFERENCE parsed over ch.ring, and the relation printed as
+    ch.relation_string() prints it."""
+    ref = REFERENCE.get(ch.n)
+    if ref is None:
         return None
-    try:
-        data = json.loads(path.read_text())
-    except OSError as e:
-        raise FixtureError(f"{path}: {e.strerror}")
-    except ValueError as e:
-        raise FixtureError(f"{path}: not JSON: {e}")
-    relation = data.get("relation", 0) if isinstance(data, dict) else 0
-    if not isinstance(relation, (str, type(None))):
-        raise FixtureError(f"{path}: no 'relation' string or null")
-    fix = {"relation": relation}
-    for name in FIXTURE_FIELDS:
-        table = data.get(name)
-        if not isinstance(table, dict):
-            raise FixtureError(f"{path}: no {name!r} component table")
-        comps = {}
-        for v, s in table.items():
-            if v not in ch.coords or not isinstance(s, str):
-                raise FixtureError(f"{path}: {name}: {v!r} is not a chart "
-                                   "coordinate with a string component")
-            try:
-                comps[v] = parse_ratfn(ch.ring, s)
-                ratfn_string(comps[v])  # a string past the int limit too
-            except (DworkError, ValueError, ZeroDivisionError) as e:
-                raise FixtureError(f"{path}: {name}: {v}: {e}")
-        fix[name] = VecField(ch.ring, comps)
-    return fix
+    out = {name: VecField(ch.ring, parse_field(ch.ring, ref[name]))
+           for name in RA_FIELDS}
+    rel = ref["relation"]
+    if rel is not None:
+        lhs, rhs = rel.split(" = ")
+        rel = f"{lhs} = {ratfn_string(parse_ratfn(ch.ring, rhs))}"
+    out["relation"] = rel
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +139,7 @@ def _value_row(name, got, want):
     return Row(name, got == want, mismatch(want, got))
 
 
-def _suite_omega(n, c, fix):
+def _suite_omega(n, c, ref):
     ch = resolve_chart(n, c)
     checks = [Row("omega: connection preserves the pairing form",
                   check_pairing_invariance(ch))]
@@ -187,46 +150,46 @@ def _suite_omega(n, c, fix):
                       A.contract(R) == Ymat))
     checks.append(Row("omega: coupling band is pairing-antisymmetric",
                       pairing_defect(Ymat, ch.phi).is_zero))
-    if fix is not None:
+    if ref is not None:
         checks.append(Row.compare("omega: modular field matches fixture", R,
-                                  fix["modular"]))
+                                  ref["modular"]))
         checks.append(_value_row("omega: chart relation matches fixture",
-                                 ch.relation_string(), fix["relation"]))
+                                 ch.relation_string(), ref["relation"]))
     return checks
 
 
-def _suite_theorem2(n, c, fix):
+def _suite_theorem2(n, c, ref):
     return [Row(f"theorem2: {r.name}", r.equal, r.detail)
             for r in verify_theorem2(n, c)]
 
 
-def _suite_sl2(n, c, fix):
+def _suite_sl2(n, c, ref):
     try:
         tr = sl2_triple(n, c)
     except Sl2Violation as e:
         return [Row("sl2: defining bracket relations", False, [str(e)])]
     checks = [Row("sl2: defining bracket relations", True)]
-    if fix is not None:
+    if ref is not None:
         checks.append(Row.compare("sl2: lowering field matches fixture", tr.F,
-                                  fix["lowering"]))
+                                  ref["lowering"]))
     return checks
 
 
-def _suite_weights(n, c, fix):
+def _suite_weights(n, c, ref):
     w, report = weights(n, c)
     checks = []
     for label, expect, actual, ok in report:
         checks.append(Row(f"weights: {label} is quasi-homogeneous of "
                           f"degree {expect}", ok, [f"actual degree {actual}"]))
-    if fix is not None:
+    if ref is not None:
         checks.append(Row.compare("weights: grading field matches fixture",
-                                  sl2_triple(n, c).Hf, fix["weight"]))
+                                  sl2_triple(n, c).Hf, ref["weight"]))
     checks += [Row(f"weights: {r.name}", r.equal, r.detail)
                for r in fR_identities(n, c)]
     return checks
 
 
-def _suite_flatness(n, c, fix):
+def _suite_flatness(n, c, ref):
     R, _ = modular_vf(n, c)
     B = basis_vf(n, c)
     fields = [("R", R)]
@@ -251,7 +214,7 @@ def _suite_flatness(n, c, fix):
     return checks
 
 
-def _suite_action(n, c, fix):
+def _suite_action(n, c, ref):
     checks = []
     if n in ACTION:
         g = symbolic_elem(n, c)
@@ -282,7 +245,7 @@ def _suite_action(n, c, fix):
     return checks
 
 
-def _suite_membership(n, c, fix):
+def _suite_membership(n, c, ref):
     checks = []
     ch = resolve_chart(n, c)
     R, _ = modular_vf(n, c)
@@ -495,16 +458,18 @@ def cmd_decompose(ch, args):
 
 
 def cmd_verify(ch, args):
-    fix = load_fixture(ch, args.fixtures) if args.cn is None else None
+    ref = _reference(ch) if args.cn is None else None
     checks = []
     for name in SUITES if args.suite == "all" else (args.suite,):
-        checks.extend(SUITE_FN[name](args.n, args.cn, fix))
+        checks.extend(SUITE_FN[name](args.n, args.cn, ref))
     code = EX_OK if all(c.equal for c in checks) else EX_MISMATCH
     if args.format == "json":
         return {"checks": [{"name": c.name, "ok": c.equal}
                            for c in checks]}, code
     out = [f"verify n={args.n} c={_c_text(ch, args.cn)} suite={args.suite}"]
-    if fix is None and args.cn is None:
+    # this line and the "matches fixture" row names predate REFERENCE; they
+    # keep their wording so that verify's output stays as recorded
+    if ref is None and args.cn is None:
         out.append(f"fixtures: none found for n={args.n} "
                    "(fixture comparisons skipped)")
     out += _row_lines(checks)
@@ -533,18 +498,6 @@ def cmd_cy3(ch, args):
             f"algebra dim: {dim_g}",
             f"moduli dim: {dim_m}",
             f"basis: {' '.join(names)}"]
-
-
-def cmd_fixtures(ch, args):
-    dest = Path(args.fixtures)
-    path = dest / f"n{args.n}.json"
-    text = json.dumps(fixture_payload(args.n), sort_keys=True, indent=2)
-    try:
-        dest.mkdir(parents=True, exist_ok=True)
-        path.write_text(text + "\n")
-    except OSError as e:
-        raise FixtureError(f"{e.filename or path}: {e.strerror or e}")
-    return [f"wrote {path}"]
 
 
 # ---------------------------------------------------------------------------
@@ -588,9 +541,8 @@ def _cn_arg(s):
 
 # The --format choices of a command, each mapped to whether main() puts the
 # "n = ...  (c = ...)" header before the output lines; cy3 and verify print
-# their own header.  Commands with --n and a --format get --cn and the
-# resolved chart; fixtures has neither.  build, weights,
-# brackets and decompose print text for latex.
+# their own header.  Commands with --n get --cn and the resolved chart.
+# build, weights, brackets and decompose print text for latex.
 HEADED = {"text": True, "json": False, "latex": True}
 BARE_LATEX = {"text": True, "json": False, "latex": False}
 OWN_HEADER = {"text": False, "json": False}
@@ -610,7 +562,6 @@ COMMANDS = {
     "cy3": (cmd_cy3, "emit the threefold block-model dimensions", "h",
             OWN_HEADER),
     "verify": (cmd_verify, "run verification suites", "n", OWN_HEADER),
-    "fixtures": (cmd_fixtures, "write a fixture file", "n", {}),
 }
 
 
@@ -626,7 +577,6 @@ def build_parser():
         else:
             p.add_argument("--n", type=_n_arg, required=True,
                            help="family dimension (at least 1)")
-        if dim_flag == "n" and formats:
             p.add_argument("--cn", type=_cn_arg, default=None, metavar="C",
                            help="rational constant or 'symbolic' "
                                 "(default: matched value)")
@@ -636,15 +586,7 @@ def build_parser():
         if name == "verify":
             p.add_argument("--suite", choices=("all",) + SUITES,
                            default="all")
-            p.add_argument("--fixtures", default=None, metavar="DIR",
-                           help="fixture directory (default: packaged; "
-                                "DWORK_FIXTURES overrides)")
-        elif name == "fixtures":
-            p.add_argument("--fixtures", required=True, metavar="DIR",
-                           help="output directory")
-        if formats:
-            p.add_argument("--format", choices=tuple(formats),
-                           default="text")
+        p.add_argument("--format", choices=tuple(formats), default="text")
     return top
 
 
@@ -657,14 +599,14 @@ def _emit(args):
     """The stdout lines and exit code of one parsed command."""
     fn, _, dim_flag, formats = COMMANDS[args.command]
     ch = None
-    if dim_flag == "n" and formats:
+    if dim_flag == "n":
         ch = resolve_chart(args.n, args.cn)
     result = fn(ch, args)
     out, code = result if isinstance(result, tuple) else (result, EX_OK)
     if isinstance(out, dict):
         doc = out if ch is None else chart_doc(ch, out, _c_mode(args.cn))
         return [json.dumps(doc, sort_keys=True, indent=2)], code
-    if formats.get(getattr(args, "format", None)):
+    if formats[args.format]:
         out = [f"n = {ch.n}  (c = {_c_text(ch, args.cn)})"] + out
     return out, code
 
@@ -686,9 +628,6 @@ def main(argv=None):
     except DworkError as e:
         print(f"structural failure: {type(e).__name__}: {e}", file=sys.stderr)
         return EX_STRUCTURAL
-    except FixtureError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EX_USAGE
     for line in out:
         print(line)
     return code

@@ -9,6 +9,9 @@ imposes polynomial conditions on c, and the linear ones share one root, the
 constant.  So the table is checkable rather than an article of faith.  For
 n >= 5 there is no reference display to match and the default falls back
 to 1.
+
+``REFERENCE`` is the one store of the displays: ``dworklie verify`` compares
+the modular, grading and lowering fields and the even-n relation against it.
 """
 
 from __future__ import annotations

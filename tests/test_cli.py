@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, determinism, JSON schema and the
-fixture pipeline.  Runs in-process through main() with captured stdout."""
+reference rows of verify.  Runs in-process through main() with captured
+stdout."""
 
 import json
 import os
@@ -12,7 +13,7 @@ import pytest
 
 from dworklie import (VecField, matched_c, modular_vf, parse_ratfn,
                       resolve_chart)
-from dworklie import cli, liealg
+from dworklie import cli, closedforms, liealg
 from dworklie.cli import main
 
 
@@ -47,17 +48,12 @@ def test_usage_errors_exit_64(capsys):
                  ["ra", "--n", "2", "--cn", "one/two"],
                  ["cy3", "--n", "2"],
                  ["verify", "--n", "1", "--suite", "nope"],
+                 ["fixtures", "--n", "1", "--fixtures", "D"],
+                 ["verify", "--n", "1", "--fixtures", "D"],
                  ["nope"],
                  []):
         assert main(argv) == 64, argv
         capsys.readouterr()
-
-
-def test_fixtures_refuses_cn_and_writes_nothing(tmp_path, capsys):
-    argv = ["fixtures", "--n", "1", "--cn", "0", "--fixtures", str(tmp_path)]
-    assert main(argv) == 64
-    assert capsys.readouterr().out == ""
-    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -193,114 +189,20 @@ def test_verify_json_mode(capsys):
     assert all(c["ok"] for c in doc["object"]["checks"])
 
 
-def test_fixture_write_and_verify_roundtrip(tmp_path, capsys):
-    code, out = run(capsys, "fixtures", "--n", "2", "--fixtures",
-                    str(tmp_path))
-    assert code == 0
-    data = json.loads((tmp_path / "n2.json").read_text())
-    assert set(data) == {"modular", "weight", "lowering", "relation"}
-    code, out = run(capsys, "verify", "--n", "2", "--suite", "omega",
-                    "--fixtures", str(tmp_path))
-    assert code == 0
-    assert "matches fixture" in out
-
-
-def test_fixture_env_fallback(tmp_path, capsys, monkeypatch):
-    run(capsys, "fixtures", "--n", "1", "--fixtures", str(tmp_path))
-    monkeypatch.setenv("DWORK_FIXTURES", str(tmp_path))
-    code, out = run(capsys, "verify", "--n", "1", "--suite", "sl2")
-    assert code == 0
-    assert "lowering field matches fixture" in out
-
-
-def test_verify_detects_corrupted_fixture(tmp_path, capsys):
-    run(capsys, "fixtures", "--n", "1", "--fixtures", str(tmp_path))
-    data = json.loads((tmp_path / "n1.json").read_text())
-    data["lowering"] = {"t2": "2"}
-    (tmp_path / "n1.json").write_text(json.dumps(data))
-    code, out = run(capsys, "verify", "--n", "1", "--suite", "sl2",
-                    "--fixtures", str(tmp_path))
-    assert code == 1
-    assert "FAIL" in out
-    # the diff names both sides
-    assert "expected" in out and "got" in out
-
-
-# A fixture that cannot be written or read exits 64 with one error line
-# naming the file; exit 1 stays for a checked identity that failed.
-
-def bad_fixture(tmp_path, edit):
-    assert main(["fixtures", "--n", "1", "--fixtures", str(tmp_path)]) == 0
-    path = tmp_path / "n1.json"
-    data = json.loads(path.read_text())
-    edit(data)
-    path.write_text(json.dumps(data))
-    return path
-
-
-def assert_fixture_error(capsys, argv, path, reason):
-    assert main(argv) == 64
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.splitlines() == [f"error: {path}: {reason}"]
-
-
-def test_fixtures_into_a_path_that_is_not_a_directory(tmp_path, capsys):
-    (tmp_path / "file").write_text("")
-    dest = tmp_path / "file" / "x"
-    assert_fixture_error(capsys, ["fixtures", "--n", "1", "--fixtures",
-                                  str(dest)], dest, "Not a directory")
-
-
-def test_verify_refuses_a_fixture_that_is_not_json(tmp_path, capsys):
-    path = tmp_path / "n1.json"
-    path.write_text("{")
-    assert main(["verify", "--n", "1", "--fixtures", str(tmp_path)]) == 64
-    out, err = capsys.readouterr()
-    assert out == "" and len(err.splitlines()) == 1
-    assert err.startswith(f"error: {path}: not JSON: ")
-
-
-def int_string_limit():
-    """The interpreter's refusal to print an integer of 6,021 digits."""
-    try:
-        str(2 ** 20000)
-    except ValueError as e:
-        return str(e)
-
-
-@pytest.mark.parametrize("edit,reason", [
-    (lambda d: d.pop("modular"), "no 'modular' component table"),
-    (lambda d: d.pop("relation"), "no 'relation' string or null"),
-    (lambda d: d["lowering"].update(t2="2 +* t1"),
-     "lowering: t2: unexpected token *"),
-    (lambda d: d["weight"].update(t9="1"),
-     "weight: 't9' is not a chart coordinate with a string component"),
-    (lambda d: d["lowering"].update(t2="1/(t1 + t2)"),
-     "lowering: t2: denominator t1 + t2 has no split c * x^a * F^k"),
-    (lambda d: d["lowering"].update(t2="(" * 5000 + "t1" + ")" * 5000),
-     "lowering: t2: expression nested too deeply"),
-    (lambda d: d["lowering"].update(t2="-" * 5000 + "t1"),
-     "lowering: t2: expression nested too deeply"),
-    (lambda d: d["lowering"].update(t2="t1^40000"),
-     "lowering: t2: exponent 40000 past the packed field limit 32767"),
-    (lambda d: d["lowering"].update(t2="2^30000000000"),
-     "lowering: t2: exponent 30000000000 past the packed field limit 32767"),
-    (lambda d: d["lowering"].update(t2="(1/3)^30000000000"),
-     "lowering: t2: exponent 30000000000 past the packed field limit 32767"),
-    (lambda d: d["lowering"].update(t2="1" * 5001),
-     "lowering: t2: too long an integer: 5001 digits"),
-    (lambda d: d["lowering"].update(t2="2^20000"),
-     f"lowering: t2: {int_string_limit()}"),
-], ids=["missing-table", "missing-relation", "unparsable", "outside-chart",
-        "unsplit-denominator", "deep-parentheses", "deep-minus",
-        "packed-degree", "huge-power", "huge-fraction-power", "long-literal",
-        "unprintable"])
-def test_verify_refuses_a_malformed_fixture(tmp_path, capsys, edit, reason):
-    path = bad_fixture(tmp_path, edit)
-    capsys.readouterr()
-    assert_fixture_error(capsys, ["verify", "--n", "1", "--suite", "sl2",
-                                  "--fixtures", str(tmp_path)], path, reason)
+def test_verify_detects_corrupted_fixture(capsys, monkeypatch):
+    # the rows compare against closedforms.REFERENCE, so a wrong display
+    # there fails its row with the diff naming both sides
+    monkeypatch.setitem(closedforms.REFERENCE[1], "lowering", {"t2": "2"})
+    monkeypatch.setitem(closedforms.REFERENCE[2], "relation",
+                        "t3^2 = 4*(t1^4 + t4)")
+    for n, suite, row in ((1, "sl2", "lowering field"),
+                          (2, "omega", "chart relation")):
+        code, out = run(capsys, "verify", "--n", str(n), "--suite", suite)
+        assert code == 1
+        lines = out.splitlines()
+        i = lines.index(f"FAIL {suite}: {row} matches fixture")
+        assert "expected" in lines[i + 1] and "got" in lines[i + 2]
+        assert sum(ln.startswith("FAIL") for ln in lines) == 1
 
 
 @pytest.mark.parametrize("n", [3, 4])

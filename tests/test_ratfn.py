@@ -124,6 +124,26 @@ def test_parse_rejects_nesting_deeper_than_the_stack(s):
         parse_ratfn(R3, s)
 
 
+@pytest.mark.parametrize("s,error,reason", [
+    ("t1^40000", ParseError, "exponent 40000 past the packed field limit "
+     "32767"),
+    ("2^30000000000", ParseError, "exponent 30000000000 past the packed field "
+     "limit 32767"),
+    ("(1/3)^30000000000", ParseError, "exponent 30000000000 past the packed "
+     "field limit 32767"),
+    ("1" * 5001, ParseError, "too long an integer: 5001 digits"),
+    ("2 +* t1", ParseError, "unexpected token *"),
+    ("1/(t1 + t2)", UnsplitDenominator, "denominator t1 + t2 has no split "
+     "c * x^a * F^k"),
+], ids=["packed-degree", "huge-power", "huge-fraction-power", "long-literal",
+        "unparsable", "unsplit-denominator"])
+def test_parse_refusals(s, error, reason):
+    # over a chart ring, whose known factor F is the chart's disc
+    with pytest.raises(error) as e:
+        parse_ratfn(resolve_chart(1).ring, s)
+    assert str(e.value) == reason
+
+
 @given(ratfns())
 @settings(max_examples=30, deadline=None)
 def test_random_eval_confirms_exact_equality(f):
