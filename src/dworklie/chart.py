@@ -17,7 +17,7 @@ from __future__ import annotations
 from .errors import DworkError, EliminationStuck
 from .geometry import Setup, family_dims, frame_connection, pairing_form, \
     pairing_matrix
-from .linalg import MatF, solve_right_lower
+from .linalg import MatF, congruence_lower, solve_right_lower
 from .ratfn import RatFn, dot, ratfn_string
 
 
@@ -127,7 +127,7 @@ def _check_calibration(S, phi, omega, Omega):
     phi^T = +-phi), so their cells above the diagonal mirror those below."""
     if Omega @ omega != MatF.identity(omega.ring, omega.nrows):
         raise EliminationStuck("inverse pairing check failed")
-    if (S.transpose() @ phi.transpose()).lower_product(S) != Omega.lower():
+    if congruence_lower(S, phi.transpose()) != Omega.lower():
         raise EliminationStuck("final calibration identity failed")
 
 

@@ -17,7 +17,7 @@ from functools import cache
 from .chart import resolve_chart
 from .errors import ActionShapeViolation, DworkError, ZeroScalar
 from .geometry import family_dims, pairing_form
-from .linalg import MatF, VecField, pairing_defect
+from .linalg import MatF, VecField, congruence_lower, pairing_defect
 from .ratfn import RatFn
 
 
@@ -140,7 +140,7 @@ def group_elem(n, params, c=None, ring=None):
     for i, gamma in enumerate(vals, start=1):
         M = M.times_factor(factor_delta(n, i, gamma, ring))
     phi = pairing_form(ring, n)
-    if (M.transpose() @ phi).lower_product(M) != phi.lower():
+    if congruence_lower(M, phi) != phi.lower():
         raise DworkError("assembled element does not preserve the pairing")
     return GroupElem(n, ring, vals, M)
 

@@ -12,7 +12,7 @@ from .chart import chart_of_ring, resolve_chart
 from .connection import full_connection
 from .errors import DworkError
 from .group import basis_pairs, lie_gen
-from .linalg import VecField, _gauss_jordan
+from .linalg import VecField, _gauss_jordan, field_combination
 from .modular import basis_vf, modular_vf, quasi_degree, sl2_triple, weights
 from .ratfn import RatFn
 
@@ -172,25 +172,31 @@ def amsy_decompose(V, n, c=None):
     """Coefficients (f0, {index: f}) expressing V over the modular field and
     the basis fields, or NotMember.
 
-    The connection matrix T = A.V is read off entrywise: the basis matrices
-    have pairwise disjoint supports away from the superdiagonal, so each
-    coefficient sits in its own cell, and only those cells of T are formed.
-    The readout is accepted when the field W it builds (membership_build)
-    is V itself, the defining property of the coefficients; every
-    coefficient must then be regular on the chart.  When W != V, the
-    NotMember carries the first nonzero cell of A.(V - W), which by
-    linearity is T minus the readout's matrix f0*Y + sum f_ab*g_ab^T, since
-    A.R = Y and A.B_ab = g_ab^T.  A.(.) is injective on fields
-    (vf_from_target reads every component back off it), so an empty
-    residual with W != V is a DworkError."""
+    The basis matrices have pairwise disjoint supports away from the
+    superdiagonal, so each coefficient sits in its own cell of T = A.V, and
+    only those cells are formed.  f0 = T_12 and f11 = T_11 come first, and
+    V1 = V - f0*R - f11*B_11.  As A.R = Y and A.B_ab = g_ab^T, A.V1 = T -
+    f0*Y - f11*g_11^T by linearity; Y is strictly superdiagonal and g_11^T
+    lies on (1, 1) and (n+1, n+1), so every other coefficient is its cell of
+    A.V1, for any V.  Only R and B_11 have a t1 or t_{n+2} component: a
+    member's V1 has neither and never meets A's large base cells.  V is a
+    member when V1 = W1 = sum f_ab*B_ab over ab != 11 (the test V =
+    membership_build(...)) and every coefficient is regular on the chart;
+    else NotMember carries the first nonzero cell of A.(V1 - W1).  A.(.) is
+    injective on fields (vf_from_target reads every component back off it),
+    so V1 != W1 with A.(V1 - W1) = 0 is a DworkError."""
     ch = resolve_chart(n, c)
     A = full_connection(ch)
+    R, _ = modular_vf(n, c)
+    B = basis_vf(n, c)
     pairs = basis_pairs(n)
-    f0, *fs = A.contract_at(V, [(1, 2)] + [(b, a) for a, b in pairs])
-    coeffs = dict(zip(pairs, fs))
-    W = membership_build(f0, coeffs, n, c)
-    if W != V:
-        resid = A.contract(V - W).entries()
+    f0, f11 = A.contract_at(V, [(1, 2), (1, 1)])
+    V1 = field_combination(ch.ring, [(1, V), (-f0, R), (-f11, B[1, 1])])
+    fs = A.contract_at(V1, [(b, a) for a, b in pairs[1:]])
+    coeffs = dict(zip(pairs, [f11] + fs))
+    W1 = field_combination(ch.ring, [(f, B[k]) for k, f in zip(pairs[1:], fs)])
+    if W1 != V1:
+        resid = A.contract(V1 - W1).entries()
         if not resid:
             raise DworkError("distinct fields with the same connection matrix")
         return NotMember(*resid[0])
@@ -224,11 +230,8 @@ def membership_build(f0, coeffs, n, c=None):
     """Assemble the field with the given decomposition coefficients."""
     R, _ = modular_vf(n, c)
     B = basis_vf(n, c)
-    out = R.scale(f0)
-    for key, f in coeffs.items():
-        if not f.is_zero:
-            out = out + B[key].scale(f)
-    return out
+    return field_combination(R.ring, [(f0, R)] + [(f, B[key]) for key, f
+                                                 in coeffs.items()])
 
 
 def fR_identities(n, c=None):

@@ -6,7 +6,8 @@ from __future__ import annotations
 from .errors import DworkError, LinearInconsistent
 from .ratfn import RatFn, dot
 
-__all__ = ["MatF", "OneFormMat", "VecField", "combination", "pairing_defect",
+__all__ = ["MatF", "OneFormMat", "VecField", "combination",
+           "congruence_lower", "field_combination", "pairing_defect",
            "solve_linear", "SolveResult"]
 
 
@@ -88,14 +89,6 @@ class MatF:
 
     def __matmul__(self, other):
         return self.product(other)
-
-    def lower_product(self, other):
-        """The cells j <= i of self @ other, summed as @ sums them; the cells
-        above the diagonal are not formed.  Where the product is known to
-        have a transpose type, P^T = +-P (S omega S^T with omega^T =
-        +-omega), they mirror the cells below it."""
-        return self.product(other, {(i, j) for i in range(1, self.nrows + 1)
-                                    for j in range(i + 1, other.ncols + 1)})
 
     def product(self, other, skip=()):
         """self @ other with no cell in skip formed."""
@@ -221,6 +214,40 @@ def combination(ring, shape, terms, skip=()):
                     pairs.setdefault(k, []).append((c, a))
     return MatF._of(ring, nrows, ncols,
                     ((k, dot(ring, ps)) for k, ps in pairs.items()))
+
+
+def field_combination(ring, terms):
+    """sum_k c_k * V_k over the (c_k, V_k) terms of vector fields, one
+    ratfn.dot per component, as combination forms a matrix."""
+    pairs = {}
+    for c, V in terms:
+        c = RatFn.of(ring, c)
+        if not c.is_zero:
+            for v, f in V.comps.items():
+                pairs.setdefault(v, []).append((c, f))
+    return VecField(ring, {v: dot(ring, ps) for v, ps in pairs.items()})
+
+
+def congruence_lower(M, phi):
+    """The cells j <= i of M^T phi M, for phi with one cell per row and
+    column: M_ki meets phi_kl and row l of M, so every cell is one ratfn.dot
+    over the rows of M.  DworkError for any other phi."""
+    row = {k: (l, e) for (k, l), e in phi.cells.items()}
+    if not len(phi.cells) == len(row) == len({l for l, _ in row.values()}) \
+            == M.nrows == phi.nrows == phi.ncols:
+        raise DworkError(f"no congruence of a {M.nrows}x{M.ncols} matrix by"
+                         f" a phi without one cell per row and column")
+    rows, pairs = {}, {}
+    for (l, j), b in M.cells.items():
+        rows.setdefault(l, []).append((j, b))
+    for (k, i), a in M.cells.items():
+        l, e = row[k]
+        ea = e * a
+        for j, b in rows.get(l, ()):
+            if j <= i:
+                pairs.setdefault((i, j), []).append((ea, b))
+    return MatF._of(M.ring, M.ncols, M.ncols,
+                    ((k, dot(M.ring, ps)) for k, ps in pairs.items()))
 
 
 def pairing_defect(T, phi):

@@ -70,9 +70,10 @@ p'/q, and the numerator keeps pivot degree <= 1.
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm
+from math import lcm, log10
 
 from .errors import KernelInvariant, UnsplitDenominator
 from .ring import DEGREE_LIMIT, Poly, _primitive, _qpair, _qpoly, _tadd, \
@@ -472,8 +473,9 @@ def _tokenize(s):
 
 def parse_ratfn(ring, s):
     """The RatFn over ring that s spells; ParseError for a malformed s,
-    including one nested too deeply, with too long an integer literal or
-    with an exponent past the packed degree limit."""
+    including one nested too deeply, with too long an integer literal, with
+    an exponent past the packed degree limit, or with a constant power of
+    more digits than the interpreter prints (refused before it is formed)."""
     toks = _tokenize(s)
     pos = [0]
 
@@ -515,6 +517,16 @@ def parse_ratfn(ring, s):
             if k > DEGREE_LIMIT:
                 raise ParseError(f"exponent {k} past the packed field limit "
                                  f"{DEGREE_LIMIT}")
+            # m^k prints when under 10^limit; e = log10(m^k) up to rounding,
+            # so only an e within 1 of the limit takes the exact test
+            p, q = _qpair(v.num, v.den) or (1, 1)
+            m = max(abs(p), q)
+            e, limit = k * log10(m), getattr(sys, "get_int_max_str_digits",
+                                             int)()
+            if limit and e > limit - 1 and (e > limit + 1
+                                            or m ** k >= 10 ** limit):
+                raise ParseError(f"constant power past the printable {limit}"
+                                 f" digits")
             v = v ** (-k if neg else k)
         return v
 

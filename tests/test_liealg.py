@@ -9,7 +9,7 @@ import pytest
 
 from dworklie import (DworkError, MatF, NotMember, RatFn, VecField,
                       amsy_decompose, basis_pairs, basis_vf, fR_identities,
-                      full_connection, jacobi_ok, lie_gen, liealg, linalg,
+                      full_connection, jacobi_ok, lie_gen, linalg,
                       membership_build, modular_vf, resolve_chart, sl2_triple,
                       truncate_poly, verify_flatness, verify_homomorphism,
                       verify_theorem2)
@@ -18,7 +18,7 @@ from dworklie.closedforms import (DECOMP3, DECOMP3_F0, OBSTRUCTION4_ENTRY,
                                   OBSTRUCTION4_VALUE, parse_field)
 from dworklie.geometry import family_dims
 from dworklie.liealg import Row, _regular, generator_rank
-from dworklie.ratfn import dot, parse_ratfn
+from dworklie.ratfn import parse_ratfn
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -175,9 +175,9 @@ def test_decompose_flags_irregular_coefficient():
 # whole contraction T = A.V against the readout's matrix f0*Y + sum
 # f_ab*g_ab^T, NotMember at the first cell of T - recon, then regularity.
 
-def reference_decompose(V, n):
-    ch = resolve_chart(n)
-    _, Y = modular_vf(n)
+def reference_decompose(V, n, c=None):
+    ch = resolve_chart(n, c)
+    _, Y = modular_vf(n, c)
     T = full_connection(ch).contract(V)
     f0 = T.get1(1, 2)
     coeffs = {}
@@ -201,44 +201,50 @@ def outcome(res):
     return res
 
 
-def seeded_members(n, rng, count):
-    ring = resolve_chart(n).ring
+def seeded_members(n, rng, count, c=None):
+    ring = resolve_chart(n, c).ring
     t1 = RatFn.var(ring, "t1")
     pairs = basis_pairs(n)
     for _ in range(count):
         f0 = RatFn.of(ring, Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
         coeffs = {p: t1 ** rng.randint(0, 2) * rng.randint(-3, 3)
                   for p in rng.sample(pairs, min(2, len(pairs)))}
-        yield membership_build(f0, coeffs, n)
+        yield membership_build(f0, coeffs, n, c)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_decompose_matches_the_full_matrix_route_on_members(n):
-    for V in seeded_members(n, random.Random(4242 + n), 10):
-        got = amsy_decompose(V, n)
+# the matched charts n = 1..6 (n = 6 on its relation ring) and one
+# constant off the matched one at n = 3 and 4
+CHARTS = [pytest.param(n, None, id=str(n)) for n in range(1, 7)] \
+    + [pytest.param(n, Fraction(2), id=f"{n}-c2") for n in (3, 4)]
+
+
+@pytest.mark.parametrize("n,c", CHARTS)
+def test_decompose_matches_the_full_matrix_route_on_members(n, c):
+    for V in seeded_members(n, random.Random(4242 + n), 10, c):
+        got = amsy_decompose(V, n, c)
         assert not isinstance(got, NotMember)
-        assert outcome(got) == outcome(reference_decompose(V, n))
+        assert outcome(got) == outcome(reference_decompose(V, n, c))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_decompose_matches_the_full_matrix_route_on_non_members(n):
+@pytest.mark.parametrize("n,c", CHARTS)
+def test_decompose_matches_the_full_matrix_route_on_non_members(n, c):
     # members with one component moved, the truncated modular field, and
     # a basis field over an irregular coefficient
-    ch = resolve_chart(n)
+    ch = resolve_chart(n, c)
     ring = ch.ring
     rng = random.Random(5353 + n)
-    R, _ = modular_vf(n)
-    B = basis_vf(n)
+    R, _ = modular_vf(n, c)
+    B = basis_vf(n, c)
     t1 = RatFn.var(ring, "t1")
     fields = [truncate_poly(R), B[(1, 1)].scale(1 / RatFn.var(ring, "t2"))]
-    for V in seeded_members(n, rng, 6):
+    for V in seeded_members(n, rng, 6, c):
         v = rng.choice(ch.coords)
         bump = rng.choice([RatFn.of(ring, 1), t1, t1 / ch.disc])
         fields.append(V + VecField(ring, {v: bump}))
     seen = set()
     for V in fields:
-        want = reference_decompose(V, n)
-        assert outcome(amsy_decompose(V, n)) == outcome(want)
+        want = reference_decompose(V, n, c)
+        assert outcome(amsy_decompose(V, n, c)) == outcome(want)
         seen.add(want.reason if isinstance(want, NotMember) else "member")
     # at odd n the fields span the tangent sheaf, so only regularity can
     # fail; at even n a moved component leaves the relation's tangent space
@@ -247,29 +253,38 @@ def test_decompose_matches_the_full_matrix_route_on_non_members(n):
 
 @pytest.mark.parametrize("n", [2, 4, 5])
 def test_decompose_of_a_member_forms_only_the_readout_cells(n, monkeypatch):
+    # f0 and f11 are read off V, every other coefficient off V1 = V - f0*R
+    # - f11*B_11, which for a member has no t1 or t_{n+2} component: one
+    # cell each, and A's base cells never meet the second readout
+    base = {"t1", resolve_chart(n).setup.base2}
     V = next(seeded_members(n, random.Random(n), 1))
     amsy_decompose(V, n)  # warm every memo the call reads
-    calls = []
+    reads, contract_at = [], linalg.OneFormMat.contract_at
 
-    def counted(ring, pairs):
-        calls.append(1)
-        return dot(ring, pairs)
+    def recorded(self, vf, cells):
+        reads.append((cells, base & set(vf.comps)))
+        return contract_at(self, vf, cells)
 
     def refuse(self, vf):
         raise AssertionError("the whole contraction was formed")
 
-    monkeypatch.setattr(linalg, "dot", counted)
+    monkeypatch.setattr(linalg.OneFormMat, "contract_at", recorded)
     monkeypatch.setattr(linalg.OneFormMat, "contract", refuse)
     assert not isinstance(amsy_decompose(V, n), NotMember)
-    assert len(calls) == 1 + len(basis_pairs(n))
+    assert [cells for cells, _ in reads] \
+        == [[(1, 2), (1, 1)], [(b, a) for a, b in basis_pairs(n)[1:]]]
+    assert base & set(V.comps) and not reads[1][1]
 
 
 def test_decompose_refuses_a_residual_free_mismatch(monkeypatch):
-    # A.(.) is injective, so W != V with A.(V - W) = 0 is a broken invariant
+    # A.(.) is injective, so V != W with A.(V - W) = 0 is a broken
+    # invariant: with every readout cell and the contraction read as zero,
+    # every coefficient is zero and V - W = V
     V = next(seeded_members(3, random.Random(3), 1))
-    R, _ = modular_vf(3)
-    monkeypatch.setattr(liealg, "membership_build",
-                        lambda f0, coeffs, n, c=None: V + R)
+    assert not V.is_zero
+    monkeypatch.setattr(linalg.OneFormMat, "contract_at",
+                        lambda self, vf, cells: [RatFn.of(self.ring, 0)]
+                        * len(cells))
     monkeypatch.setattr(linalg.OneFormMat, "contract",
                         lambda self, vf: MatF.zeros(self.ring, self.size))
     with pytest.raises(DworkError, match="same connection matrix"):

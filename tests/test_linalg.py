@@ -1,8 +1,8 @@
 """Exact linear algebra: the sparse MatF against a dense reference, the one
 Gauss-Jordan routine behind MatF.inverse, solve_linear and generator_rank,
 the right triangular solve behind the full connection, the linear
-combination routine, the vector-field bracket against its componentwise
-definition, and their typed refusals."""
+combination routines, the congruence by a pairing, the vector-field bracket
+against its componentwise definition, and their typed refusals."""
 
 import os
 import random
@@ -18,7 +18,8 @@ from dworklie import DworkError, LinearInconsistent, MatF, OneFormMat, \
     sl2_triple, solve_linear
 from dworklie.cy3 import cy3_phi
 from dworklie.geometry import pairing_form
-from dworklie.linalg import combination, pairing_defect, solve_right_lower
+from dworklie.linalg import combination, congruence_lower, \
+    field_combination, pairing_defect, solve_right_lower
 from dworklie.ratfn import ratfn_string
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -36,11 +37,13 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # matrix with a zero diagonal entry, one whose right-hand sides do not all
 # match its shape, and one against a matrix with an entry above the
 # diagonal; a linear combination of 2x2 matrices with a 3x3 term; and the
-# pairing defect against a phi with two cells in one row.
+# pairing defect and the congruence against a phi with two cells in one
+# row.
 OPTIMIZED_SCRIPT = """
 from dworklie import DworkError, MatF, Poly, RatFn, Ring, eq_by_random_eval
 from dworklie.geometry import family_dims
-from dworklie.linalg import combination, pairing_defect, solve_right_lower
+from dworklie.linalg import combination, congruence_lower, pairing_defect, \
+    solve_right_lower
 from dworklie.ring import _pack
 R, S = Ring(["x"]), Ring(["x"])
 x = RatFn.var(R, "x")
@@ -77,7 +80,9 @@ cases = [lambda: MatF(R, [[x, x * 2], [x * 3, x * 6]]).inverse(),
          lambda: combination(R, (2, 2), [(1, MatF.identity(R, 2)),
                                          (0, MatF.identity(R, 3))]),
          lambda: pairing_defect(MatF.identity(R, 2),
-                                MatF(R, [[x, x], [x * 0, x]]))]
+                                MatF(R, [[x, x], [x * 0, x]])),
+         lambda: congruence_lower(MatF.identity(R, 2),
+                                  MatF(R, [[x, x], [x * 0, x]]))]
 for case in cases:
     try:
         case()
@@ -105,7 +110,8 @@ def test_inverse_refuses_singular_and_non_square_under_O():
                                    "ValueError", "ValueError", "ValueError",
                                    "DworkError", "KernelInvariant",
                                    "LinearInconsistent", "DworkError",
-                                   "DworkError", "DworkError", "DworkError"]
+                                   "DworkError", "DworkError", "DworkError",
+                                   "DworkError"]
 
 
 def test_solve_linear_on_a_rank_deficient_system():
@@ -166,16 +172,32 @@ def test_sparse_product_matches_dense_triple_loop(ab):
     assert not any(v.is_zero for _, v in P.entries())
 
 
-@given(factor_pairs())
+@st.composite
+def congruences(draw):
+    """A sparse M of k + 1 rows and the family's pairing of that size, or
+    its transpose."""
+    k = draw(st.integers(1, 4))
+    phi = pairing_form(RXY, k)
+    if draw(st.booleans()):
+        phi = phi.transpose()
+    return draw(sparse_matrix(k + 1, draw(st.integers(1, 4)))), phi
+
+
+@given(congruences())
 @settings(max_examples=60, deadline=None)
-def test_lower_product_is_the_lower_triangle_of_the_product(ab):
-    A, B = ab
-    P = A @ B
-    L = A.lower_product(B)
-    assert L == P.lower()
-    assert L.entries() == [(k, v) for k, v in P.entries() if k[1] <= k[0]]
-    with pytest.raises(DworkError, match="product of"):
-        A.lower_product(MatF.zeros(RXY, A.ncols + 1, 1))
+def test_congruence_lower_is_the_lower_triangle_of_the_congruence(Mphi):
+    M, phi = Mphi
+    L = congruence_lower(M, phi)
+    assert L == (M.transpose() @ phi @ M).lower()
+    assert not any(v.is_zero for _, v in L.entries())
+
+
+def test_congruence_lower_refuses_a_phi_that_is_not_monomial():
+    M = MatF.identity(RXY, 2)
+    for phi in (MatF(RXY, [[X, X], [X * 0, X]]), pairing_form(RXY, 2),
+                MatF(RXY, [[X, X * 0], [X, X * 0]])):
+        with pytest.raises(DworkError, match="one cell per row and column"):
+            congruence_lower(M, phi)
 
 
 @given(factor_pairs(), st.sets(st.tuples(st.integers(1, 4),
@@ -341,6 +363,20 @@ def test_combination_refuses_a_term_of_another_shape():
     with pytest.raises(DworkError, match="2x2 matrices with a 2x3 term"):
         combination(RXY, (2, 2), [(1, MatF.identity(RXY, 2)),
                                   (0, MatF.zeros(RXY, 2, 3))])
+
+
+@given(st.lists(st.tuples(st.sampled_from(ENTRIES),
+                          st.lists(st.sampled_from(ENTRIES), min_size=2,
+                                   max_size=2)),
+                max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_field_combination_matches_the_scaled_sum(terms):
+    # the reference: one scale and one field sum per term, in order
+    terms = [(c, VecField(RXY, dict(zip("xy", fs)))) for c, fs in terms]
+    want = sum((V.scale(c) for c, V in terms), VecField(RXY, {}))
+    got = field_combination(RXY, terms)
+    assert got == want
+    assert not any(f.is_zero for f in got.comps.values())
 
 
 # The pairing defect T*phi + phi*T^T against its two matrix products, on

@@ -135,13 +135,40 @@ def test_parse_rejects_nesting_deeper_than_the_stack(s):
     ("2 +* t1", ParseError, "unexpected token *"),
     ("1/(t1 + t2)", UnsplitDenominator, "denominator t1 + t2 has no split "
      "c * x^a * F^k"),
+    ("(2^32767)^32767", ParseError, "constant power past the printable "
+     "4300 digits"),
+    ("(2^7)^2048", ParseError, "constant power past the printable 4300 "
+     "digits"),
+    ("(-1/10)^-4300", ParseError, "constant power past the printable 4300 "
+     "digits"),
 ], ids=["packed-degree", "huge-power", "huge-fraction-power", "long-literal",
-        "unparsable", "unsplit-denominator"])
+        "unparsable", "unsplit-denominator", "nested-constant-power",
+        "unprintable-power", "unprintable-inverse-power"])
 def test_parse_refusals(s, error, reason):
     # over a chart ring, whose known factor F is the chart's disc
     with pytest.raises(error) as e:
         parse_ratfn(resolve_chart(1).ring, s)
     assert str(e.value) == reason
+
+
+def test_parse_refuses_an_unprintable_constant_power_before_forming_it(
+        monkeypatch):
+    # the last printable powers parse and print, 10^4299 and the square of
+    # 2150 nines (whose log10 is within 1 of the limit); one more digit is
+    # refused before RatFn.__pow__ is called
+    ring = resolve_chart(1).ring
+    assert ratfn_string(parse_ratfn(ring, "10^4299")) == "1" + "0" * 4299
+    nines = ratfn_string(parse_ratfn(ring, f"({'9' * 2150})^2"))
+    assert nines == str(int("9" * 2150) ** 2) and len(nines) == 4300
+    assert ratfn_string(parse_ratfn(ring, "(2*t1)^3")) == "8*t1^3"
+
+    def refuse(self, k):
+        raise AssertionError("the power was formed")
+
+    monkeypatch.setattr(RatFn, "__pow__", refuse)
+    for s in ("10^4300", f"({'9' * 2150}9)^2"):
+        with pytest.raises(ParseError, match="printable 4300 digits"):
+            parse_ratfn(ring, s)
 
 
 @given(ratfns())
