@@ -4,10 +4,11 @@ chart coordinates, and the infinitesimal fields of that action.
 
 Elements are kept in factored normal form: the multiplicative (diagonal)
 factors first, then one unipotent factor per additive subgroup in lexicographic
-index order.  ``decompose_elem`` inverts the assembly and is verified by an
-identity end-check rather than trusted.  Each factor I + D (factor_delta)
-is one sparse column operation, or row operation when peeling: only the
-columns or rows that D writes are formed (MatF.times_factor)."""
+index order.  One working matrix is built: the diagonal part is set at once,
+then each nonzero additive factor I + D (factor_delta) is applied in place
+(MatF.apply_factor).  ``decompose_elem`` peels a copy in the same order, the
+diagonal part as one row scaling, and verifies the peel by an identity
+end-check rather than trusting it."""
 
 from __future__ import annotations
 
@@ -79,31 +80,25 @@ def factor_matrix(n, i, gamma, ring):
 
 def factor_delta(n, i, gamma, ring):
     """factor_matrix(n, i, gamma, ring) minus the identity: at most three
-    cells, so a product with the factor I + D is M.times_factor(D)."""
+    cells, so M.apply_factor(D) applies the factor I + D in place."""
     kind, idx = param_slot(n, i)
     gamma = gamma if isinstance(gamma, RatFn) else RatFn.of(ring, gamma)
     _, m, _ = family_dims(n)
-    M = MatF.zeros(ring, n + 1)
     if kind == "mult":
         if gamma.is_zero:
             raise ZeroScalar(f"multiplicative parameter {i} is zero")
-        a = idx
-        M.set1(a, a, gamma.inverse() - 1)
-        M.set1(n + 2 - a, n + 2 - a, gamma - 1)
-        return M
-    a, b = idx
-    ra, rb = n + 2 - b, n + 2 - a
-    if (ra, rb) == (a, b):
-        M.set1(a, b, gamma)
-        return M
-    if n % 2 and b >= m + 1:
-        M.set1(a, b, gamma)
+        b = n + 2 - idx
+        cells = [((idx, idx), gamma.inverse() - 1), ((b, b), gamma - 1)]
     else:
-        M.set1(a, b, -gamma)
-    M.set1(ra, rb, gamma)
-    if n % 2 == 0 and b == (n + 2) // 2:
-        M.set1(a, n + 2 - a, -(gamma * gamma) / 2)
-    return M
+        a, b = idx
+        ra, rb = n + 2 - b, n + 2 - a
+        cells = [((a, b), gamma)]
+        if (ra, rb) != (a, b):
+            cells = [((a, b), gamma if n % 2 and b >= m + 1 else -gamma),
+                     ((ra, rb), gamma)]
+            if n % 2 == 0 and b == (n + 2) // 2:
+                cells.append(((a, n + 2 - a), -(gamma * gamma) / 2))
+    return MatF._of(ring, n + 1, n + 1, cells)
 
 
 class GroupElem:
@@ -137,8 +132,14 @@ def group_elem(n, params, c=None, ring=None):
         ring = resolve_chart(n, c).ring
     vals = [p if isinstance(p, RatFn) else RatFn.of(ring, p) for p in params]
     M = MatF.identity(ring, n + 1)
-    for i, gamma in enumerate(vals, start=1):
-        M = M.times_factor(factor_delta(n, i, gamma, ring))
+    for a, gamma in enumerate(vals[:m], start=1):
+        if gamma.is_zero:
+            raise ZeroScalar(f"multiplicative parameter {a} is zero")
+        M.set1(a, a, gamma.inverse())
+        M.set1(n + 2 - a, n + 2 - a, gamma)
+    for i, gamma in enumerate(vals[m:], start=m + 1):
+        if not gamma.is_zero:
+            M.apply_factor(factor_delta(n, i, gamma, ring))
     phi = pairing_form(ring, n)
     if congruence_lower(M, phi) != phi.lower():
         raise DworkError("assembled element does not preserve the pairing")
@@ -171,20 +172,21 @@ def decompose_elem(n, M):
     end at the identity matrix or the input was not in the group."""
     d, m, _ = family_dims(n)
     ring = M.ring
-    params = []
-    U = M
+    params, rows = [], {}
     for a in range(1, m + 1):
         gamma = M.get1(n + 2 - a, n + 2 - a)
         if gamma.is_zero:
             raise ZeroScalar(f"diagonal entry for subgroup {a} is zero")
         params.append(gamma)
-        U = U.times_factor(factor_delta(n, a, gamma.inverse(), ring), True)
+        rows[a], rows[n + 2 - a] = gamma, gamma.inverse()
+    U = M.scale_rows(rows)
     for k, (i, j) in enumerate(subgroup_pairs(n), start=m + 1):
         ra, rb = n + 2 - j, n + 2 - i
         cell = (i, j) if (ra, rb) == (i, j) else (ra, rb)
         gamma = U.get1(*cell)
         params.append(gamma)
-        U = U.times_factor(factor_delta(n, k, -gamma, ring), True)
+        if not gamma.is_zero:
+            U.apply_factor(factor_delta(n, k, -gamma, ring), left=True)
     if U != MatF.identity(ring, n + 1):
         raise DworkError("matrix is not a product of the subgroup factors")
     return params

@@ -107,30 +107,29 @@ class MatF:
                     out[i, j] = a * b if c is None else c + a * b
         return MatF._of(self.ring, self.nrows, other.ncols, out.items())
 
-    def times_factor(self, D, left=False):
-        """self @ (I + D), or (I + D) @ self with left: only the columns
-        (rows) where D stores a cell change, each cell a ratfn.dot over the
-        old cells of self."""
-        if D.nrows != D.ncols or D.nrows != (self.nrows if left else
-                                             self.ncols):
+    def apply_factor(self, D, left=False):
+        """self @ (I + D), or (I + D) @ self with left, in place: column t
+        gains sum_k (old column k) * d_kt, or row t gains sum_k d_tk * (old
+        row k).  Only the lines that D reads are gathered, and only the cells
+        that D changes are written, each one ratfn.dot over old cells."""
+        if not D.nrows == D.ncols == (self.nrows if left else self.ncols):
             raise DworkError(f"factor {D.nrows}x{D.ncols} does not fit a "
                              f"{self.nrows}x{self.ncols} matrix")
-        # column t (row t with left) gains sum_k (old column k) * d_kt
-        lines, pairs = {}, {}
-        for (i, j), a in self.cells.items():
-            lines.setdefault(i if left else j, []).append((j if left else i, a))
+        cells, ring, pairs = self.cells, self.ring, {}
+        span = range(1, (self.ncols if left else self.nrows) + 1)
         for (i, j), d in D.cells.items():
-            k, t = (j, i) if left else (i, j)
-            for p, a in lines.get(k, ()):
-                pairs.setdefault((t, p) if left else (p, t), []).append((a, d))
-        out, one = dict(self.cells), RatFn.of(self.ring, 1)
+            for p in span:
+                a = cells.get((j, p) if left else (p, i))
+                if a is not None:
+                    pairs.setdefault((i, p) if left else (p, j), []).append(
+                        (a, d))
+        one = RatFn.of(ring, 1)
         for c, ps in pairs.items():
-            out[c] = dot(self.ring, ps + [(out[c], one)] if c in out else ps)
-            if out[c].is_zero:
-                del out[c]
-        M = self._like(())
-        M.cells = out
-        return M
+            if c in cells:
+                ps.append((cells[c], one))
+            cells[c] = dot(ring, ps)
+            if cells[c].is_zero:
+                del cells[c]
 
     def lower(self):
         """The cells j <= i of self; the cells above the diagonal are
@@ -141,6 +140,11 @@ class MatF:
     def scale(self, f):
         f = RatFn.of(self.ring, f)
         return self._like((k, a * f) for k, a in self.cells.items())
+
+    def scale_rows(self, fs):
+        """Each row i in the dict fs times fs[i], the other rows kept."""
+        return self._like((k, a * fs[k[0]] if k[0] in fs else a)
+                          for k, a in self.cells.items())
 
     def transpose(self):
         return MatF._of(self.ring, self.ncols, self.nrows,

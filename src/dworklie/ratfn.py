@@ -49,12 +49,12 @@ reduced product takes one cancel against (b/g2)(d/g1) times that split.
 
 dot(ring, pairs) sums the products a*b over one common denominator: the
 numerators multiply with no cross gcd (a pivot square reduced as in a
-product, its power of rel_den one more split of that product), each is
-scaled by its cofactor in the lcm c * x^max(a) * F^max(k) of the products'
-splits (Ring.split_lcm), and the sum takes one cancel against the lcm,
-where k sequential products and sums take 3k - 1.  A single nonzero product
-is a * b, whose cross gcds keep its operands small and whose constant
-factors are units.
+product, its power of rel_den one more split of that product; a constant
+factor joins the integer weight instead), each is scaled by its cofactor in
+the lcm c * x^max(a) * F^max(k) of the products' splits (Ring.split_lcm),
+and the sum takes one cancel against the lcm, where k sequential products
+and sums take 3k - 1.  A single nonzero product is a * b, whose cross gcds
+keep its operands small and whose constant factors are units.
 
 The derivative by v of p/q with q = x^a * F^k split follows the logarithmic
 derivative q'/q = a_v/x_v + k F'/F:
@@ -76,8 +76,8 @@ from fractions import Fraction
 from math import lcm, log10
 
 from .errors import KernelInvariant, UnsplitDenominator
-from .ring import DEGREE_LIMIT, Poly, _primitive, _qpair, _qpoly, _tadd, \
-    _tmul, _tscale, _tsum
+from .ring import _ONE, DEGREE_LIMIT, Poly, _primitive, _qpair, _qpoly, \
+    _tadd, _tmul, _tscale, _tsum
 
 
 class RatFn:
@@ -207,6 +207,10 @@ class RatFn:
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero")
         ring, p, D = self.ring, self.num, self.den.terms
+        k = _qpair(p, self.den)
+        if k:
+            return _raw(_qpoly(ring, k[1] if k[0] > 0 else -k[1], abs(k[0])),
+                        ring.one)
         if not ring.has_pivot(p.terms):
             c, a, k = _split(p)
             q = p.den if c > 0 else -p.den
@@ -340,31 +344,38 @@ def _over_split(ring, T, nd, split):
 def dot(ring, pairs):
     """Sum of a * b over the (a, b) pairs of RatFns in ring, over one
     common denominator; see the module docstring."""
-    pairs = [(a, b) for a, b in pairs if a.num.terms and b.num.terms]
-    if len(pairs) < 2:
-        return pairs[0][0] * pairs[0][1] if pairs else _raw(ring.zero, ring.one)
-    p, q = 0, 1
+    p, q, rest = 0, 1, []
     for a, b in pairs:
-        a.num._chk(b.num)
-        ka, kb = _qpair(a.num, a.den), _qpair(b.num, b.den)
-        if not (ka and kb):
-            break
-        p, q = p * ka[1] * kb[1] + ka[0] * kb[0] * q, q * ka[1] * kb[1]
-    else:
+        x, y = a.num, b.num
+        if x.ring is not ring or y.ring is not ring:
+            raise KernelInvariant("mixed rings")
+        A, B = x.terms, y.terms
+        ka = 0 in A and len(A) == 1 and a.den.terms == _ONE
+        kb = 0 in B and len(B) == 1 and b.den.terms == _ONE
+        if ka and kb:
+            d = x.den * y.den
+            p, q = p * d + A[0] * B[0] * q, q * d
+        elif A and B:
+            rest.append((b, a, True) if ka else (a, b, kb))
+    if not rest:
         return _raw(_qpoly(ring, p, q), ring.one)
-    fused = []
-    for a, b in pairs:
-        a.num._chk(b.num)
-        A, C = a.num.terms, b.num.terms
-        T, q, splits = _tmul(A, C), 1, (a.den.known_split(), b.den.known_split())
+    if len(rest) == 1 and not p:
+        return rest[0][0] * rest[0][1]
+    fused = [({0: p}, q, (), 1)] if p else []
+    for a, b, k in rest:
+        A, C, nd = a.num.terms, b.num.terms, a.num.den * b.num.den
+        if k:  # b is a constant: its integer joins the weight
+            fused.append((A, nd, (a.den.known_split(),), C[0]))
+            continue
+        T, r, splits = _tmul(A, C), 1, (a.den.known_split(), b.den.known_split())
         if ring.has_pivot(A) and ring.has_pivot(C):
-            T, q, sr = ring.reduce_split(T)
+            T, r, sr = ring.reduce_split(T)
             splits += (sr,)
-        fused.append((T, a.num.den * b.num.den * q, splits))
-    L, cofs = ring.split_lcm([s for _, _, s in fused])
-    nd = lcm(*(d for _, d, _ in fused))
-    T = _tsum((N if cof is None else _tmul(N, cof), nd // d)
-              for (N, d, _), cof in zip(fused, cofs))
+        fused.append((T, nd * r, splits, 1))
+    L, cofs = ring.split_lcm([s for _, _, s, _ in fused])
+    nd = lcm(*(d for _, d, _, _ in fused))
+    T = _tsum((N if cof is None else _tmul(N, cof), k * (nd // d))
+              for (N, d, _, k), cof in zip(fused, cofs))
     return _over_split(ring, T, nd, L)
 
 
@@ -474,8 +485,9 @@ def _tokenize(s):
 def parse_ratfn(ring, s):
     """The RatFn over ring that s spells; ParseError for a malformed s,
     including one nested too deeply, with too long an integer literal, with
-    an exponent past the packed degree limit, or with a constant power of
-    more digits than the interpreter prints (refused before it is formed)."""
+    an exponent past the packed degree limit, or with a power of a base free
+    of the pivot whose top coefficient has more digits than the interpreter
+    prints (refused before it is formed)."""
     toks = _tokenize(s)
     pos = [0]
 
@@ -517,16 +529,18 @@ def parse_ratfn(ring, s):
             if k > DEGREE_LIMIT:
                 raise ParseError(f"exponent {k} past the packed field limit "
                                  f"{DEGREE_LIMIT}")
-            # m^k prints when under 10^limit; e = log10(m^k) up to rounding,
-            # so only an e within 1 of the limit takes the exact test
-            p, q = _qpair(v.num, v.den) or (1, 1)
-            m = max(abs(p), q)
+            # v^k's printed top coefficients are the k-th powers of v's, for
+            # v free of the pivot; m^k prints when under 10^limit, and only an
+            # e = log10(m^k) within 1 of the limit takes the exact test
+            N, D = v.num.terms, v.den.terms
+            m = max(abs(N[max(N)]), D[max(D)] * v.num.den) \
+                if N and not ring.has_pivot(N) else 1
             e, limit = k * log10(m), getattr(sys, "get_int_max_str_digits",
                                              int)()
             if limit and e > limit - 1 and (e > limit + 1
                                             or m ** k >= 10 ** limit):
-                raise ParseError(f"constant power past the printable {limit}"
-                                 f" digits")
+                what = "constant power" if v.is_const else "power coefficient"
+                raise ParseError(f"{what} past the printable {limit} digits")
             v = v ** (-k if neg else k)
         return v
 

@@ -404,7 +404,7 @@ class Ring:
         return Poly(self, {self._units[self.index[name]]: 1}, 1)
 
     def const(self, q):
-        q = q if type(q) is int else Fraction(q)
+        q = q if type(q) in (int, Fraction) else Fraction(q)
         return _qpoly(self, q.numerator, q.denominator)
 
     def _exponents(self, T, pad=()):

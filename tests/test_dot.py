@@ -1,7 +1,8 @@
 """ratfn.dot, the sum of products over one common denominator, against the
 sequential sum of fully normalised products (tests/kernel_reference.py);
 the pivot products and the inverses of pivot numerators that the split
-route reduces without the RatFn constructor; the constant-sum and unit
+route reduces without the RatFn constructor; pairs that mix constants,
+one-constant products and pivot products; the constant-sum and unit
 shortcuts of RatFn; and the traffic the fused sums save in
 OneFormMat.contract."""
 
@@ -255,6 +256,42 @@ def test_dot_matches_the_sequential_sum_in_chart_rings():
             assert got == reference_dot(ring, pairs)
             assert_canonical(got)
             assert dot(ring, pairs + [(-got, RatFn.of(ring, 1))]).is_zero
+
+
+@st.composite
+def mixed_pairs(draw):
+    """1 to 6 pairs over the n = 4 or n = 6 chart ring, whose values come
+    from the chart, or over a plain ring: each pair two constants, a
+    constant and a value in either order, or two values that carry the
+    relation pivot (two fractions in the plain ring)."""
+    n = draw(st.sampled_from([4, 6, None]))
+    ring, values = (PLAIN, None) if n is None else chart_values(n)
+    pivots = values and [a for a in values if ring.has_pivot(a.num.terms)]
+
+    def value(pool):
+        return draw(fractions(ring) if pool is None else st.sampled_from(pool))
+
+    def const():
+        return RatFn.of(ring, draw(rationals))
+
+    pairs = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["constants", "constant-first",
+                                     "constant-second", "pivots"]))
+        pairs.append((const(), const()) if kind == "constants" else
+                     (const(), value(values)) if kind == "constant-first" else
+                     (value(values), const()) if kind == "constant-second" else
+                     (value(pivots), value(pivots)))
+    return ring, pairs
+
+
+@given(mixed_pairs())
+@settings(max_examples=150, deadline=None)
+def test_dot_of_mixed_pairs_matches_the_sequential_sum(ops):
+    ring, pairs = ops
+    got = dot(ring, pairs)
+    assert got == reference_dot(ring, pairs)
+    assert_canonical(got)
 
 
 def test_chart_pivot_products_keep_the_denominator_primitive():

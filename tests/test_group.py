@@ -87,9 +87,10 @@ def random_frame(ring, size, rng, symbolic):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_times_factor_is_the_full_product(n):
-    # every factor, with a constant and a symbolic parameter, on seeded
-    # constant and symbolic matrices; at even n one factor has three cells,
-    # the third reading a line that the second writes
+    # every factor, with a constant and a symbolic parameter, applied in
+    # place to a copy W of seeded constant and symbolic matrices M; at even n
+    # one factor has three cells, the third reading a line that the second
+    # writes.  M itself stays as it was.
     ring = resolve_chart(n).ring
     d, _, _ = family_dims(n)
     rng = random.Random(4000 + n)
@@ -103,8 +104,11 @@ def test_times_factor_is_the_full_product(n):
                                        rng.randint(1, 4)), t1 * -3):
                     D = factor_delta(n, i, gamma, ring)
                     widths.add(len(D.entries()))
-                    assert M.times_factor(D) == M + M @ D
-                    assert M.times_factor(D, left=True) == M + D @ M
+                    before = M.entries()
+                    for left, want in ((False, M + M @ D), (True, M + D @ M)):
+                        W = M.map(lambda a: a)
+                        W.apply_factor(D, left)
+                        assert W == want and M.entries() == before
     assert max(widths) == (3 if n % 2 == 0 else 2)
 
 
@@ -132,6 +136,35 @@ def test_round_trip_forms_no_full_sum_or_factor_product(n, monkeypatch):
     assert not products
 
 
+def factor_product(n, params, ring):
+    """The product of the full factor matrices, in assembly order."""
+    M = MatF.identity(ring, n + 1)
+    for i, gamma in enumerate(params, start=1):
+        M = M @ factor_matrix(n, i, gamma, ring)
+    return M
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_group_elem_is_the_product_of_its_factors(n):
+    # seeded draws, negative multiplicative parameters with every additive
+    # one zero or every other one zero, and a fully symbolic element
+    ring = resolve_chart(n).ring
+    mult, add = subgroup_counts(n)
+    rng = random.Random(6000 + n)
+    draws = [random_params(n, rng) for _ in range(3)]
+    negative = [Fraction(-k - 1, k + 2) for k in range(mult)]
+    draws.append(negative + [Fraction(0)] * add)
+    draws.append(negative + [Fraction(k, 3) if k % 2 else Fraction(0)
+                             for k in range(add)])
+    for params in draws:
+        g = group_elem(n, params)
+        assert g.matrix == factor_product(n, params, ring)
+        assert decompose_elem(n, g.matrix) == g.params
+    g = symbolic_elem(n)
+    assert g.matrix == factor_product(n, g.params, g.ring)
+    assert decompose_elem(n, g.matrix) == g.params
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_compose_matches_matrix_product(n):
     rng = random.Random(77 + n)
@@ -143,19 +176,31 @@ def test_compose_matches_matrix_product(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_group_elem_refuses_a_factor_that_breaks_the_pairing(n, monkeypatch):
-    # the first multiplicative factor gains 1 at cell (1, 1), so
-    # M^T phi M moves at (1, n + 1) and at its mirror (n + 1, 1)
-    original = group.factor_delta
+    # cell (1, 1) gains 1, first on the assembled diagonal, where then
+    # M_11 * M_{n+1,n+1} = 1 + gamma_1, and then in the first additive
+    # factor, which no longer preserves phi; either way M^T phi M moves at
+    # (n + 1, 1), a cell that congruence_lower forms
+    _, m, _ = family_dims(n)
+    params = [p or Fraction(1) for p in random_params(n, random.Random(n))]
+    group_elem(n, params)
+    set1, factor = MatF.set1, group.factor_delta
 
-    def broken(n, i, gamma, ring):
-        D = original(n, i, gamma, ring)
-        if i == 1:
+    def bumped_diagonal(M, i, j, v):
+        set1(M, i, j, v + 1 if (i, j) == (1, 1) else v)
+
+    def bumped_factor(n, i, gamma, ring):
+        D = factor(n, i, gamma, ring)
+        if i == m + 1:
             D.set1(1, 1, D.get1(1, 1) + 1)
         return D
 
-    monkeypatch.setattr(group, "factor_delta", broken)
-    with pytest.raises(DworkError, match="does not preserve the pairing"):
-        group_elem(n, random_params(n, random.Random(n)))
+    for owner, name, broken in ((MatF, "set1", bumped_diagonal),
+                                (group, "factor_delta", bumped_factor)):
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, broken)
+            with pytest.raises(DworkError,
+                               match="does not preserve the pairing"):
+                group_elem(n, params)
 
 
 def test_zero_scalar_rejected():

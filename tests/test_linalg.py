@@ -491,7 +491,8 @@ def test_times_factor_refuses_a_factor_of_another_size():
                        (MatF.zeros(R, 2, 3), MatF.zeros(R, 3), True),
                        (MatF.zeros(R, 2, 3), MatF.zeros(R, 2, 3), False)):
         with pytest.raises(DworkError, match="does not fit"):
-            M.times_factor(D, left)
+            M.apply_factor(D, left)
     M = MatF.zeros(R, 2, 3)
-    assert M.times_factor(MatF.zeros(R, 3)) == M
-    assert M.times_factor(MatF.zeros(R, 2), left=True) == M
+    for D, left in ((MatF.zeros(R, 3), False), (MatF.zeros(R, 2), True)):
+        M.apply_factor(D, left)
+        assert M == MatF.zeros(R, 2, 3)

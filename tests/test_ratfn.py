@@ -141,9 +141,14 @@ def test_parse_rejects_nesting_deeper_than_the_stack(s):
      "digits"),
     ("(-1/10)^-4300", ParseError, "constant power past the printable 4300 "
      "digits"),
+    ("(2*t1)^14285", ParseError, "power coefficient past the printable 4300 "
+     "digits"),
+    ("(t1/2)^14285", ParseError, "power coefficient past the printable 4300 "
+     "digits"),
 ], ids=["packed-degree", "huge-power", "huge-fraction-power", "long-literal",
         "unparsable", "unsplit-denominator", "nested-constant-power",
-        "unprintable-power", "unprintable-inverse-power"])
+        "unprintable-power", "unprintable-inverse-power",
+        "unprintable-numerator-power", "unprintable-denominator-power"])
 def test_parse_refusals(s, error, reason):
     # over a chart ring, whose known factor F is the chart's disc
     with pytest.raises(error) as e:
@@ -161,6 +166,10 @@ def test_parse_refuses_an_unprintable_constant_power_before_forming_it(
     nines = ratfn_string(parse_ratfn(ring, f"({'9' * 2150})^2"))
     assert nines == str(int("9" * 2150) ** 2) and len(nines) == 4300
     assert ratfn_string(parse_ratfn(ring, "(2*t1)^3")) == "8*t1^3"
+    # 2^14284 has 4300 digits, in the numerator and then the denominator
+    top = str(2 ** 14284)
+    assert ratfn_string(parse_ratfn(ring, "(2*t1)^14284")) == f"{top}*t1^14284"
+    assert ratfn_string(parse_ratfn(ring, "(t1/2)^14284")) == f"t1^14284/{top}"
 
     def refuse(self, k):
         raise AssertionError("the power was formed")
