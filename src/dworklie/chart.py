@@ -14,6 +14,9 @@ charts with n >= 6 are flagged."""
 
 from __future__ import annotations
 
+import functools
+from fractions import Fraction
+
 from .errors import DworkError, EliminationStuck
 from .geometry import Setup, family_dims, frame_connection, pairing_form, \
     pairing_matrix
@@ -45,19 +48,16 @@ def slot_layout(n):
 
 class Chart:
     """Built by build_chart; immutable afterwards by convention, except for
-    the memo slots, which full_connection and vf_from_target (memo_solver:
-    the products S*B, the inverse of the 2x2 base system and the pivot
-    corrections), full_connection (memo_conn), modular_vf, basis_vf,
-    sl2_triple, weights and fR_identities fill on first use.  The fields
-    kept by modular_vf, basis_vf and sl2_triple keep their Jacobians too
-    (VecField.jacobian), so each is derived once per chart.  known maps
-    the independent slots, then the pivot slot, to their coordinates."""
+    memo, the one store of results computed from the chart, which each
+    function wrapped by per_chart fills on first use.  The kept fields keep
+    their Jacobians too (VecField.jacobian), so each is derived once per
+    chart.  known maps the independent slots, then the pivot slot, to their
+    coordinates."""
 
     __slots__ = ("n", "d", "m", "rho", "ncoords", "setup", "ring", "S",
                  "omega", "phi", "conn_base", "known", "pivot_var",
-                 "dep_exprs", "kappa", "disc", "memo_weights",
-                 "rule_extrapolated", "coords", "memo_solver", "memo_conn",
-                 "memo_modular", "memo_basis", "memo_sl2", "memo_fR")
+                 "dep_exprs", "kappa", "disc", "rule_extrapolated", "coords",
+                 "memo")
 
     def relation_string(self):
         if self.pivot_var is None:
@@ -205,8 +205,7 @@ def build_chart(n, c_value=None):
     ch.disc = setup.disc
     ch.rule_extrapolated = n >= 5
     ch.coords = tuple(f"t{i}" for i in range(1, setup.ncoords + 1))
-    ch.memo_solver = ch.memo_conn = ch.memo_weights = None
-    ch.memo_modular = ch.memo_basis = ch.memo_sl2 = ch.memo_fR = None
+    ch.memo = {}
     return ch
 
 
@@ -225,13 +224,29 @@ def chart_of_ring(ring):
 def resolve_chart(n, c=None):
     """Chart at a requested scaling constant, cached per (n, constant).  None
     picks the matched default, the string "sym" keeps the constant symbolic,
-    anything else is coerced to a rational value."""
+    anything else is coerced to Fraction(c), which keys the cache."""
     if c == "sym":
         c = None
-    elif c is None:
+    else:
         from .closedforms import matched_c
-        c = matched_c(n)
-    key = (n, c if c is None else str(c))
-    if key not in _CACHE:
-        _CACHE[key] = build_chart(n, c)
-    return _CACHE[key]
+        c = matched_c(n) if c is None else Fraction(c)
+    if (n, c) not in _CACHE:
+        _CACHE[n, c] = build_chart(n, c)
+    return _CACHE[n, c]
+
+
+def per_chart(fn):
+    """fn(chart), computed once per chart and kept in chart.memo under fn's
+    name; a call that raises keeps nothing.  The kept function takes the
+    chart itself, or n and c as resolve_chart takes them."""
+    name = fn.__name__
+
+    def kept(n, c=None):
+        ch = n if isinstance(n, Chart) else resolve_chart(n, c)
+        if name not in ch.memo:
+            ch.memo[name] = fn(ch)
+        return ch.memo[name]
+
+    functools.update_wrapper(kept, fn)
+    del kept.__wrapped__  # kept's signature is (n, c), not fn's
+    return kept

@@ -25,7 +25,7 @@ from .connection import check_pairing_invariance, full_connection
 from .cy3 import cy3_dims, key_name, table_keys
 from .errors import DworkError, Sl2Violation
 from .group import (act, basis_pairs, decompose_elem, group_elem,
-                    subgroup_counts, symbolic_elem)
+                    subgroup_counts)
 from .liealg import (NotMember, Row, amsy_decompose, fR_identities, mismatch,
                      verify_flatness, verify_theorem2)
 from .linalg import VecField, pairing_defect
@@ -108,12 +108,6 @@ def chart_doc(ch, obj, c_mode):
 RA_FIELDS = ("modular", "weight", "lowering")
 
 
-def _ra_fields(n, cn):
-    R, _ = modular_vf(n, cn)
-    tr = sl2_triple(n, cn)
-    return tuple(zip(RA_FIELDS, (R, tr.Hf, tr.F)))
-
-
 def _reference(ch):
     """The paper's displays for the chart ch, or None past n = 4: the three
     fields of REFERENCE parsed over ch.ring, and the relation printed as
@@ -143,7 +137,7 @@ def _suite_omega(n, c, ref):
     ch = resolve_chart(n, c)
     checks = [Row("omega: connection preserves the pairing form",
                   check_pairing_invariance(ch))]
-    R, Y = modular_vf(n, c)
+    R, Y = modular_vf(ch)
     A = full_connection(ch)
     Ymat = Y.matrix()
     checks.append(Row("omega: modular field contracts to the coupling band",
@@ -217,11 +211,9 @@ def _suite_flatness(n, c, ref):
 def _suite_action(n, c, ref):
     checks = []
     if n in ACTION:
-        g = symbolic_elem(n, c)
-        formulas = act(n, g=g, c=c)
-        want = parse_field(g.ring, ACTION[n])
-        ch = resolve_chart(n, c)
-        for v in ch.coords:
+        formulas = act(n, c=c)
+        want = parse_field(formulas["t1"].ring, ACTION[n])
+        for v in resolve_chart(n, c).coords:
             checks.append(_value_row(
                 f"action: moved coordinate {v} matches the closed form",
                 formulas[v], want[v]))
@@ -248,7 +240,7 @@ def _suite_action(n, c, ref):
 def _suite_membership(n, c, ref):
     checks = []
     ch = resolve_chart(n, c)
-    R, _ = modular_vf(n, c)
+    R, _ = modular_vf(ch)
     res = amsy_decompose(R, n, c)
     triv = (not isinstance(res, NotMember)
             and res[0] == RatFn.of(ch.ring, 1)
@@ -343,7 +335,9 @@ def cmd_build(ch, args):
 
 
 def cmd_ra(ch, args):
-    out = render_fields(_ra_fields(args.n, args.cn), ch.coords, args.format)
+    tr = sl2_triple(ch)  # its raising field is the modular field
+    named = zip(RA_FIELDS, (tr.E, tr.Hf, tr.F))
+    out = render_fields(named, ch.coords, args.format)
     if args.format == "json" or not ch.relation_string():
         return out
     if args.format == "latex":
@@ -354,7 +348,7 @@ def cmd_ra(ch, args):
 
 
 def cmd_basis(ch, args):
-    B = basis_vf(args.n, args.cn)
+    B = basis_vf(ch)
     if args.format == "json":
         named = [(f"{a},{b}", B[(a, b)]) for a, b in basis_pairs(args.n)]
         return {"fields": render_fields(named, ch.coords, "json")}
@@ -363,7 +357,7 @@ def cmd_basis(ch, args):
 
 
 def cmd_sl2(ch, args):
-    tr = sl2_triple(args.n, args.cn)
+    tr = sl2_triple(ch)
     named = (("raising", tr.E), ("lowering", tr.F), ("grading", tr.Hf))
     out = render_fields(named, ch.coords, args.format)
     if args.format == "text":
@@ -374,7 +368,7 @@ def cmd_sl2(ch, args):
 
 
 def cmd_weights(ch, args):
-    w, report = weights(args.n, args.cn)
+    w, report = weights(ch)
     code = EX_OK if all(r[3] for r in report) else EX_MISMATCH
     if args.format == "json":
         return {"weights": {v: w[v] for v in ch.coords},
@@ -398,8 +392,8 @@ def _row_lines(rows):
 
 
 def cmd_brackets(ch, args):
-    rows = list(verify_theorem2(args.n, args.cn))
-    rows += fR_identities(args.n, args.cn)
+    rows = list(verify_theorem2(ch))
+    rows += fR_identities(ch)
     code = EX_OK if all(r.equal for r in rows) else EX_MISMATCH
     if args.format == "json":
         return {"rows": [{"name": r.name, "ok": r.equal} for r in rows]}, code
@@ -407,8 +401,7 @@ def cmd_brackets(ch, args):
 
 
 def cmd_action(ch, args):
-    g = symbolic_elem(args.n, args.cn)
-    formulas = act(args.n, g=g, c=args.cn)
+    formulas = act(args.n, c=args.cn)
     mult, add = subgroup_counts(args.n)
     if args.format == "json":
         return {"parameters": [f"g{i}" for i in range(1, ch.d)],
@@ -427,30 +420,22 @@ def cmd_action(ch, args):
 
 
 def cmd_decompose(ch, args):
-    R, _ = modular_vf(args.n, args.cn)
+    R, _ = modular_vf(ch)
     res = amsy_decompose(truncate_poly(R), args.n, args.cn)
     if isinstance(res, NotMember):
-        obj = {"member": False,
-               "entry": list(res.entry),
-               "value": ratfn_string(res.value)}
+        value = ratfn_string(res.value)
+        obj = {"member": False, "entry": list(res.entry), "value": value}
+        lines = ["member: no", "entry ({},{}): ".format(*res.entry) + value]
         if res.reason:
             obj["reason"] = res.reason
-        lines = ["member: no",
-                 f"entry ({res.entry[0]},{res.entry[1]}): "
-                 f"{ratfn_string(res.value)}"]
-        if res.reason:
             lines.append(f"reason: {res.reason}")
     else:
         f0, coeffs = res
-        obj = {"member": True,
-               "f0": ratfn_string(f0),
-               "coefficients": {f"{a},{b}": ratfn_string(f)
-                                for (a, b), f in sorted(coeffs.items())
-                                if not f.is_zero}}
-        lines = ["member: yes", f"f0 = {ratfn_string(f0)}"]
-        for (a, b), f in sorted(coeffs.items()):
-            if not f.is_zero:
-                lines.append(f"basis ({a},{b}): {ratfn_string(f)}")
+        cs = {f"{a},{b}": ratfn_string(f)
+              for (a, b), f in sorted(coeffs.items()) if not f.is_zero}
+        obj = {"member": True, "f0": ratfn_string(f0), "coefficients": cs}
+        lines = ["member: yes", f"f0 = {obj['f0']}"]
+        lines += [f"basis ({k}): {s}" for k, s in cs.items()]
     if args.format == "json":
         return obj
     return ["decomposing the polynomial truncation of the modular field:"

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
+from .chart import per_chart
 from .errors import NoSuchField
 from .linalg import OneFormMat, VecField, combination, pairing_defect, \
     solve_right_lower
@@ -31,20 +32,17 @@ from .ratfn import RatFn, dot
 SolverPrep = namedtuple("SolverPrep", "SB base_inv corrections")
 
 
+@per_chart
 def _target_free(chart):
-    """The work full_connection and vf_from_target share across targets,
-    computed once per chart and kept in its memo slot (memo_solver):
+    """The work full_connection and vf_from_target share across targets:
     SB, S*B[v] per base direction v; base_inv, the inverse of the 2x2 base
     system (_base_inverse); corrections, _pivot_corrections for even n and
     None for odd n.  No slot expression is derived (module docstring)."""
-    if chart.memo_solver is None:
-        S = chart.S
-        SB = {v: S @ B for v, B in chart.conn_base.comps.items()}
-        corrections = None if chart.pivot_var is None \
-            else _pivot_corrections(chart)
-        chart.memo_solver = SolverPrep(SB, _base_inverse(chart, SB),
-                                       corrections)
-    return chart.memo_solver
+    S = chart.S
+    SB = {v: S @ B for v, B in chart.conn_base.comps.items()}
+    corrections = None if chart.pivot_var is None \
+        else _pivot_corrections(chart)
+    return SolverPrep(SB, _base_inverse(chart, SB), corrections)
 
 
 def _base_inverse(chart, SB):
@@ -66,21 +64,17 @@ def _base_inverse(chart, SB):
     return ((d * r, -b * r), (-c * r, a * r))
 
 
+@per_chart
 def full_connection(chart):
     """OneFormMat A over every chart variable, where A[v] solves
     A[v]*S = d_v S + S*B[v] and B[v] is zero except in the two base
-    directions; one solve_right_lower call takes every v.  Computed once
-    per chart and kept in its memo slot."""
-    if chart.memo_conn is not None:
-        return chart.memo_conn
+    directions; one solve_right_lower call takes every v."""
     S = chart.S
     SB = _target_free(chart).SB
     Ms = [S.derive(v) + SB[v] if v in SB else S.derive(v)
           for v in chart.coords]
-    A = OneFormMat(chart.ring, chart.n + 1,
-                   dict(zip(chart.coords, solve_right_lower(Ms, S))))
-    chart.memo_conn = A
-    return A
+    return OneFormMat(chart.ring, chart.n + 1,
+                      dict(zip(chart.coords, solve_right_lower(Ms, S))))
 
 
 def _pivot_corrections(chart):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-from .chart import resolve_chart
+from .chart import chart_of_ring, per_chart, resolve_chart
 from .errors import ActionShapeViolation, DworkError, ZeroScalar
 from .geometry import family_dims, pairing_form
 from .linalg import MatF, VecField, congruence_lower, pairing_defect
@@ -43,10 +43,28 @@ def lie_gen(n, a, b, ring=None):
     if (ra, rb) != (a, b):
         sign = 1 if (n % 2 and b >= m + 1) else -1
         M.set1(ra, rb, RatFn.of(ring, sign))
-    phi = pairing_form(ring, n)
+    phi, _ = _pairing(n, ring)
     if not pairing_defect(M.transpose(), phi).is_zero:
         raise DworkError(f"basis matrix ({a},{b}) violates the pairing identity")
     return M
+
+
+def _pairing(n, ring):
+    """The pairing form over ring and its lower triangle: on the ring of a
+    built n-chart, its phi and the triangle kept per chart."""
+    try:
+        ch = chart_of_ring(ring)
+    except DworkError:
+        ch = None
+    if ch is not None and ch.n == n:
+        return ch.phi, _phi_lower(ch)
+    phi = pairing_form(ring, n)
+    return phi, phi.lower()
+
+
+@per_chart
+def _phi_lower(ch):
+    return ch.phi.lower()
 
 
 def subgroup_pairs(n):
@@ -140,19 +158,19 @@ def group_elem(n, params, c=None, ring=None):
     for i, gamma in enumerate(vals[m:], start=m + 1):
         if not gamma.is_zero:
             M.apply_factor(factor_delta(n, i, gamma, ring))
-    phi = pairing_form(ring, n)
-    if congruence_lower(M, phi) != phi.lower():
+    phi, phi_lower = _pairing(n, ring)
+    if congruence_lower(M, phi) != phi_lower:
         raise DworkError("assembled element does not preserve the pairing")
     return GroupElem(n, ring, vals, M)
 
 
-def symbolic_elem(n, c=None):
+@per_chart
+def symbolic_elem(ch):
     """Fully symbolic element over the chart ring extended by parameters
-    g1..g_{d-1}."""
-    d, _, _ = family_dims(n)
-    names = tuple(f"g{i}" for i in range(1, d))
-    ring = resolve_chart(n, c).ring.extend(names)
-    return group_elem(n, [RatFn.var(ring, nm) for nm in names], ring=ring)
+    g1..g_{d-1}; kept per chart, with its ring."""
+    names = tuple(f"g{i}" for i in range(1, ch.d))
+    ring = ch.ring.extend(names)
+    return group_elem(ch.n, [RatFn.var(ring, nm) for nm in names], ring=ring)
 
 
 def compose(g, h):
@@ -195,14 +213,28 @@ def decompose_elem(n, M):
 def act(n, t=None, g=None, c=None):
     """Right action on chart coordinates.
 
-    Returns {var: formula} over the element's ring.  With t (a {var: value}
-    map) given, the formulas are evaluated at that point instead.  The moved
-    frame is checked against the chart normal form: unit corner, lower
-    triangularity, dependent-slot equations, and the quadratic relation."""
+    Returns {var: formula} over the ring of g, the kept symbolic_elem by
+    default.  With t (a {var: value} map) given, the formulas are evaluated
+    at that point instead.  The moved frame is checked against the chart
+    normal form: unit corner, lower triangularity, dependent-slot equations,
+    and the quadratic relation."""
     ch = resolve_chart(n, c)
-    if g is None:
-        g = symbolic_elem(n, c)
-    ring = g.ring
+    new = _symbolic_action(ch) if g is None else _moved(ch, g)
+    if t is None:
+        return new
+    pt = {v: (x if isinstance(x, RatFn) else RatFn.of(new["t1"].ring, x))
+          for v, x in t.items()}
+    return {v: rf.subs(pt) for v, rf in new.items()}
+
+
+@per_chart
+def _symbolic_action(ch):
+    return _moved(ch, symbolic_elem(ch))
+
+
+def _moved(ch, g):
+    """act's checked formulas for the element g."""
+    n, ring = ch.n, g.ring
     S = ch.S if ring is ch.ring else ch.S.lift(ring)
     g1 = g.matrix.get1(n + 1, n + 1)
     D = MatF.zeros(ring, n + 1)
@@ -231,10 +263,6 @@ def act(n, t=None, g=None, c=None):
         rhs = kap * (new["t1"] ** (n + 2) - new[ch.setup.base2])
         if lhs != rhs:
             raise ActionShapeViolation("moved point violates the relation")
-    if t is not None:
-        pt = {v: (x if isinstance(x, RatFn) else RatFn.of(ring, x))
-              for v, x in t.items()}
-        return {v: rf.subs(pt) for v, rf in new.items()}
     return new
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .chart import chart_of_ring, resolve_chart
+from .chart import chart_of_ring, per_chart, resolve_chart
 from .connection import full_connection
 from .errors import DworkError
 from .group import basis_pairs, lie_gen
@@ -73,13 +73,13 @@ class BracketReport:
         return all(r.equal for r in self.rows)
 
 
-def verify_theorem2(n, c=None):
+@per_chart
+def verify_theorem2(ch):
     """Bracket of the modular field with every basis field against its
     predicted two-term combination; one report row per basis index."""
-    ch = resolve_chart(n, c)
-    R, Y = modular_vf(n, c)
-    B = basis_vf(n, c)
-    m, rho = ch.m, ch.rho
+    R, Y = modular_vf(ch)
+    B = basis_vf(ch)
+    n, m, rho = ch.n, ch.m, ch.rho
     zero = VecField(ch.ring, {})
     rows = []
     for a, b in basis_pairs(n):
@@ -137,7 +137,7 @@ def verify_homomorphism(n, c=None):
     the connection matrix of [B_x, B_y] must be the transposed commutator."""
     ch = resolve_chart(n, c)
     A = full_connection(ch)
-    B = basis_vf(n, c)
+    B = basis_vf(ch)
     pairs = basis_pairs(n)
     gens = {p: lie_gen(n, *p, ring=ch.ring) for p in pairs}
     rows = []
@@ -234,16 +234,13 @@ def membership_build(f0, coeffs, n, c=None):
                                                  in coeffs.items()])
 
 
-def fR_identities(n, c=None):
+@per_chart
+def fR_identities(ch):
     """Bracket identities for the discriminant-scaled modular field plus the
-    degree-shift rule on sampled quasi-homogeneous scalings; kept once per
-    chart in its memo slot (memo_fR)."""
-    ch = resolve_chart(n, c)
-    if ch.memo_fR is not None:
-        return ch.memo_fR
-    tr = sl2_triple(n, c)
+    degree-shift rule on sampled quasi-homogeneous scalings."""
+    tr = sl2_triple(ch)
     R, F, Hf = tr.E, tr.F, tr.Hf
-    w, _ = weights(n, c)
+    w, _ = weights(ch)
     disc = ch.disc
     fR = R.scale(disc)
     # the degree of the discriminant in the H grading is n+2 except for
@@ -255,7 +252,7 @@ def fR_identities(n, c=None):
         Row.compare(f"[H, fR] = {kd + 2}*fR, f = disc",
                     Hf.bracket(fR), fR.scale(kd + 2)),
     ]
-    t2 = "t2" if n >= 2 else "t1"
+    t2 = "t2" if ch.n >= 2 else "t1"
     samples = [RatFn.var(ch.ring, "t1") ** 2,
                RatFn.var(ch.ring, t2) * RatFn.var(ch.ring, "t3"),
                RatFn.var(ch.ring, ch.setup.base2)]
@@ -264,8 +261,7 @@ def fR_identities(n, c=None):
         gR = R.scale(f)
         rows.append(Row.compare(f"[H, fR] = {k + 2}*fR, f = {f!r}",
                                 Hf.bracket(gR), gR.scale(k + 2)))
-    ch.memo_fR = BracketReport(rows)
-    return ch.memo_fR
+    return BracketReport(rows)
 
 
 def jacobi_ok(V, W, X):
@@ -281,8 +277,8 @@ def generator_rank(n, c=None):
 
     rnd = random.Random(0)
     ch = resolve_chart(n, c)
-    R, _ = modular_vf(n, c)
-    B = basis_vf(n, c)
+    R, _ = modular_vf(ch)
+    B = basis_vf(ch)
     fields = [R] + [B[p] for p in basis_pairs(n)]
     for _ in range(60):
         point = {v: Fraction(rnd.randint(1, 9), rnd.randint(1, 4))

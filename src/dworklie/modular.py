@@ -5,7 +5,9 @@ sl2 triple they generate, the weight grading, and polynomial truncation.
 
 from __future__ import annotations
 
-from .chart import resolve_chart
+from collections import namedtuple
+
+from .chart import per_chart
 from .connection import vf_from_target
 from .errors import DworkError, Sl2Violation
 from .group import basis_pairs, lie_gen
@@ -40,15 +42,6 @@ class YukawaSet:
             M.set1(i, i + 1, self.coef(i - 1))
         return M
 
-    def antisymmetry_holds(self):
-        """Pairwise index reflection; the self-paired middle index of odd n
-        carries no constraint and is skipped."""
-        for i in range(1, self.n - 1):
-            j = self.n - 1 - i
-            if i < j and self.values[i] != -self.values[j]:
-                return False
-        return True
-
 
 def yukawa_for(chart):
     n, m = chart.n, chart.m
@@ -73,68 +66,53 @@ def yukawa_for(chart):
     return YukawaSet(n, ring, values)
 
 
-def modular_vf(n, c=None):
+@per_chart
+def modular_vf(ch):
     """The unique field whose connection matrix is the banded coupling
     target; returned together with the coupling set.  The solver refuses
     a band that is not pairing-antisymmetric."""
-    ch = resolve_chart(n, c)
-    if ch.memo_modular is None:
-        Y = yukawa_for(ch)
-        ch.memo_modular = (vf_from_target(ch, Y.matrix()), Y)
-    return ch.memo_modular
+    Y = yukawa_for(ch)
+    return vf_from_target(ch, Y.matrix()), Y
 
 
-def basis_vf(n, c=None):
+@per_chart
+def basis_vf(ch):
     """Canonical basis fields, one per Lie-algebra basis matrix."""
-    ch = resolve_chart(n, c)
-    if ch.memo_basis is None:
-        ch.memo_basis = {
-            (a, b): vf_from_target(ch, lie_gen(n, a, b, ch.ring).transpose())
-            for a, b in basis_pairs(n)}
-    return ch.memo_basis
+    return {p: vf_from_target(ch, lie_gen(ch.n, *p, ch.ring).transpose())
+            for p in basis_pairs(ch.n)}
 
 
-class Sl2Triple:
-    __slots__ = ("E", "F", "Hf")
-
-    def __init__(self, E, F, Hf):
-        self.E = E
-        self.F = F
-        self.Hf = Hf
+Sl2Triple = namedtuple("Sl2Triple", "E F Hf")
 
 
-def sl2_triple(n, c=None):
+@per_chart
+def sl2_triple(ch):
     """Raising, lowering, and grading fields; the three defining bracket
     relations are verified, not assumed, once per chart.  A triple that
     fails is not kept, so every call on that chart raises again."""
-    ch = resolve_chart(n, c)
-    if ch.memo_sl2 is None:
-        R, _ = modular_vf(n, c)
-        B = basis_vf(n, c)
-        if n == 1:
-            F, Hf = B[(1, 2)], -B[(1, 1)]
-        elif n == 2:
-            F, Hf = B[(1, 2)].scale(2), B[(1, 1)].scale(-2)
-        else:
-            F, Hf = B[(1, 2)], B[(2, 2)] - B[(1, 1)]
-        if R.bracket(F) != Hf:
-            raise Sl2Violation(f"[E,F] != H for n={n}")
-        if Hf.bracket(R) != R.scale(2):
-            raise Sl2Violation(f"[H,E] != 2E for n={n}")
-        if Hf.bracket(F) != F.scale(-2):
-            raise Sl2Violation(f"[H,F] != -2F for n={n}")
-        ch.memo_sl2 = Sl2Triple(R, F, Hf)
-    return ch.memo_sl2
+    n = ch.n
+    R, _ = modular_vf(ch)
+    B = basis_vf(ch)
+    if n == 1:
+        F, Hf = B[(1, 2)], -B[(1, 1)]
+    elif n == 2:
+        F, Hf = B[(1, 2)].scale(2), B[(1, 1)].scale(-2)
+    else:
+        F, Hf = B[(1, 2)], B[(2, 2)] - B[(1, 1)]
+    if R.bracket(F) != Hf:
+        raise Sl2Violation(f"[E,F] != H for n={n}")
+    if Hf.bracket(R) != R.scale(2):
+        raise Sl2Violation(f"[H,E] != 2E for n={n}")
+    if Hf.bracket(F) != F.scale(-2):
+        raise Sl2Violation(f"[H,F] != -2F for n={n}")
+    return Sl2Triple(R, F, Hf)
 
 
-def weights(n, c=None):
+@per_chart
+def weights(ch):
     """Integer weight per coordinate, read off the grading field, plus a
-    quasi-homogeneity report over the modular field's components; kept once
-    per chart in its memo slot (memo_weights)."""
-    ch = resolve_chart(n, c)
-    if ch.memo_weights is not None:
-        return ch.memo_weights
-    tr = sl2_triple(n, c)
+    quasi-homogeneity report over the modular field's components."""
+    tr = sl2_triple(ch)
     w = {}
     for v in ch.coords:
         comp = tr.Hf.get(v)
@@ -148,8 +126,7 @@ def weights(n, c=None):
         if q.denominator != 1:
             raise DworkError("grading field has a non-integer weight")
         w[v] = int(q)
-    ch.memo_weights = (w, degree_report(ch, tr, w))
-    return ch.memo_weights
+    return w, degree_report(ch, tr, w)
 
 
 def quasi_degree(rf, w):

@@ -729,6 +729,8 @@ class Poly:
             raise KernelInvariant("mixed rings")
 
     def __add__(self, other):
+        if not isinstance(other, Poly):
+            return NotImplemented
         self._chk(other)
         a, b = self, other
         T = _tadd(_tscale(a.terms, b.den), _tscale(b.terms, a.den))
@@ -747,6 +749,8 @@ class Poly:
             q = Fraction(other)
             return Poly._trusted(self.ring, _tscale(self.terms, q.numerator),
                                  self.den * q.denominator)
+        if not isinstance(other, Poly):
+            return NotImplemented
         self._chk(other)
         return Poly._trusted(self.ring, _tmul(self.terms, other.terms),
                              self.den * other.den)

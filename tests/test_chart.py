@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from dworklie import (DworkError, EliminationStuck, RatFn, chart, geometry,
-                      matched_c, resolve_chart, symbolic_elem)
+                      matched_c, modular_vf, resolve_chart, symbolic_elem)
 from dworklie.chart import (_cell_equation, _check_calibration, _frame,
                             _inverse_pairing, build_chart, chart_of_ring,
                             slot_layout)
@@ -89,6 +89,17 @@ def test_symbolic_constant_chart():
     assert "c" in ch.ring.names
     # matched and symbolic charts are distinct cache entries
     assert ch is not resolve_chart(2)
+
+
+def test_equal_constants_give_one_chart():
+    # the cache is keyed by Fraction(c), the value the chart is built with,
+    # so fields built through equal constants share one ring
+    ch = resolve_chart(2, Fraction(1, 2))
+    for c in (0.5, "1/2", Fraction(2, 4)):
+        assert resolve_chart(2, c) is ch
+    assert resolve_chart(1, 1) is resolve_chart(1, 1.0)
+    R, _ = modular_vf(2, 0.5)
+    assert R + modular_vf(2, Fraction(1, 2))[0] == R.scale(2)
 
 
 def test_explicit_constant_chart():

@@ -73,11 +73,11 @@ def test_weights_failed_degree_check_exits_1(fmt, capsys, monkeypatch):
 
 
 def test_failing_scaled_field_identity_prints_its_diff(capsys, monkeypatch):
-    # the identities are kept on the chart once found, so the chart's memo
-    # slot is emptied for the run with the broken degree, then restored
+    # the identities are kept on the chart once found, so the run with the
+    # broken degree gets an empty store, and the chart's own comes back after
     real = liealg.quasi_degree
     monkeypatch.setattr(liealg, "quasi_degree", lambda f, w: real(f, w) + 1)
-    monkeypatch.setattr(resolve_chart(1), "memo_fR", None)
+    monkeypatch.setattr(resolve_chart(1), "memo", {})
     code, out = run(capsys, "verify", "--n", "1", "--suite", "weights")
     assert code == 1
     lines = out.splitlines()
@@ -85,6 +85,25 @@ def test_failing_scaled_field_identity_prints_its_diff(capsys, monkeypatch):
              if ln.startswith("FAIL weights: [H, fR]"))
     assert lines[i + 1].startswith("  t") and ": expected " in lines[i + 1]
     assert ": got      " in lines[i + 2]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_decompose_refusal_prints_its_reason(fmt, capsys, monkeypatch):
+    # the refused value is rendered once, for whichever format is asked
+    ring = resolve_chart(2).ring
+    value = parse_ratfn(ring, "t1/t2")
+    monkeypatch.setattr(cli, "amsy_decompose", lambda V, n, c=None: liealg.
+                        NotMember((2, 3), value, "coefficient not regular"))
+    code, out = run(capsys, "decompose", "--n", "2", "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        assert json.loads(out)["object"] == {
+            "member": False, "entry": [2, 3], "value": "t1/t2",
+            "reason": "coefficient not regular"}
+    else:
+        assert out.splitlines()[-3:] == [
+            "member: no", "entry (2,3): t1/t2",
+            "reason: coefficient not regular"]
 
 
 def test_json_schema_and_roundtrip(capsys):

@@ -385,6 +385,6 @@ def test_a_singular_base_system_has_no_field(n):
     target = lie_gen(n, *basis_pairs(n)[0], fresh.ring).transpose()
     with pytest.raises(NoSuchField, match="base 2x2 system is singular"):
         vf_from_target(fresh, target)
-    assert fresh.memo_solver.base_inv is None
+    assert fresh.memo["_target_free"].base_inv is None
     with pytest.raises(NoSuchField, match="degenerate|inconsistent"):
         reference_vf_from_target(fresh, target)

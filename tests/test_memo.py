@@ -1,11 +1,16 @@
-"""Memoised results live on their chart: repeated calls hand back the same
-object, and a chart built outside the cache computes its own."""
+"""Memoised results live in their chart's one store, chart.memo, each under
+the name of the function that computed it: repeated calls hand back the
+same object, a chart built outside the cache starts with an empty store and
+computes its own, and a call that raises keeps nothing."""
 
 import pytest
 
-from dworklie import MatF, RatFn, basis_vf, build_chart, fR_identities, \
-    full_connection, linalg, modular_vf, resolve_chart, sl2_triple, \
-    vf_from_target, weights
+from dworklie import (MatF, RatFn, Sl2Violation, act, basis_vf, build_chart,
+                     fR_identities, full_connection, group, group_elem,
+                     liealg, linalg, modular, modular_vf, resolve_chart,
+                     sl2_triple, symbolic_elem, verify_theorem2,
+                     vf_from_target, weights)
+from dworklie.cli import main
 from dworklie.connection import _pivot_corrections
 from dworklie.group import basis_pairs, lie_gen
 
@@ -30,11 +35,11 @@ def test_uncached_chart_gets_its_own_connection():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_sl2_triple_is_verified_once_per_chart(n):
     assert sl2_triple(n) is sl2_triple(n)
-    assert resolve_chart(n).memo_sl2 is sl2_triple(n)
+    assert resolve_chart(n).memo["sl2_triple"] is sl2_triple(n)
 
 
 def test_uncached_chart_starts_without_a_triple():
-    assert build_chart(2, resolve_chart(2).setup.c_value).memo_sl2 is None
+    assert build_chart(2, resolve_chart(2).setup.c_value).memo == {}
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -44,7 +49,7 @@ def test_solver_work_lives_on_the_chart(n):
     # the cache builds its own
     ch = resolve_chart(n)
     full_connection(ch)
-    SB, base_inv, corrections = ch.memo_solver
+    SB, base_inv, corrections = ch.memo["_target_free"]
     assert set(SB) == set(ch.conn_base.comps)
     for v, B in ch.conn_base.comps.items():
         assert SB[v] == ch.S @ B
@@ -59,11 +64,10 @@ def test_solver_work_lives_on_the_chart(n):
     else:
         assert corrections == _pivot_corrections(ch)
     fresh = build_chart(n, ch.setup.c_value)
-    assert fresh.memo_solver is None
+    assert "_target_free" not in fresh.memo
     target = lie_gen(n, *basis_pairs(n)[0], fresh.ring).transpose()
     vf_from_target(fresh, target)
-    assert fresh.memo_solver is not None
-    assert fresh.memo_solver is not ch.memo_solver
+    assert fresh.memo["_target_free"] is not ch.memo["_target_free"]
 
 
 def test_repeated_solves_reuse_the_base_products(monkeypatch):
@@ -109,18 +113,95 @@ def test_first_solve_on_a_fresh_chart_derives_nothing(n, monkeypatch):
 
     monkeypatch.setattr(RatFn, "derive", counting)
     vf_from_target(ch, lie_gen(n, *basis_pairs(n)[0], ch.ring).transpose())
-    assert ch.memo_solver is not None
+    assert "_target_free" in ch.memo
     assert not calls
 
 
 def test_fR_identities_are_computed_once_per_chart():
     assert fR_identities(2) is fR_identities(2)
-    assert resolve_chart(2).memo_fR is fR_identities(2)
-    assert build_chart(2, resolve_chart(2).setup.c_value).memo_fR is None
+    assert resolve_chart(2).memo["fR_identities"] is fR_identities(2)
+    assert "fR_identities" not in \
+        build_chart(2, resolve_chart(2).setup.c_value).memo
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_weights_are_computed_once_per_chart(n):
     assert weights(n) is weights(n)
-    assert resolve_chart(n).memo_weights is weights(n)
-    assert build_chart(n, resolve_chart(n).setup.c_value).memo_weights is None
+    assert resolve_chart(n).memo["weights"] is weights(n)
+    assert "weights" not in build_chart(n, resolve_chart(n).setup.c_value).memo
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_chart_and_its_n_and_c_reach_one_result(n):
+    # a kept function takes the chart itself or n and c, and both reach the
+    # one entry of the store
+    ch = resolve_chart(n)
+    for fn in (modular_vf, basis_vf, sl2_triple, weights, fR_identities,
+               verify_theorem2, symbolic_elem):
+        assert fn(ch) is fn(n) is fn(n, ch.setup.c_value)
+        assert ch.memo[fn.__name__] is fn(n)
+    assert full_connection(ch) is ch.memo["full_connection"]
+
+
+def test_a_failed_triple_keeps_nothing(monkeypatch):
+    fresh = build_chart(2, resolve_chart(2).setup.c_value)
+    B = dict(basis_vf(fresh))
+    B[1, 2] = B[1, 2].scale(3)
+    monkeypatch.setattr(modular, "basis_vf", lambda n, c=None: B)
+    for _ in range(2):
+        with pytest.raises(Sl2Violation):
+            sl2_triple(fresh)
+        assert "sl2_triple" not in fresh.memo
+    monkeypatch.undo()
+    tr = sl2_triple(fresh)
+    assert fresh.memo["sl2_triple"] is tr is sl2_triple(fresh)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_bracket_rows_and_the_symbolic_action_are_kept(n):
+    ch = resolve_chart(n)
+    assert verify_theorem2(n) is verify_theorem2(n)
+    g = symbolic_elem(n)
+    assert act(n) is act(n) is ch.memo["_symbolic_action"]
+    assert act(n, g=g) == act(n)
+    assert act(n)["t1"].ring is g.ring
+
+
+def test_brackets_then_verify_compute_theorem2_once(monkeypatch, capsys):
+    # verify reads the rows that brackets kept on the chart: with the store
+    # emptied first, the rows' helper _term runs for brackets only
+    monkeypatch.setattr(resolve_chart(3), "memo", {})
+    calls = []
+    term = liealg._term
+    monkeypatch.setattr(liealg, "_term",
+                        lambda *a: calls.append(a) or term(*a))
+    assert main(["brackets", "--n", "3"]) == 0
+    first = len(calls)
+    assert main(["verify", "--n", "3", "--suite", "theorem2"]) == 0
+    capsys.readouterr()
+    assert first and len(calls) == first
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_elements_and_generators_on_a_chart_ring_use_its_pairing(
+        n, monkeypatch):
+    # group_elem and lie_gen on a chart's ring read the chart's phi and its
+    # kept lower triangle; on any other ring they build the pairing form
+    ch = resolve_chart(n)
+    built = []
+    pairing_form = group.pairing_form
+
+    def counting(ring, n):
+        built.append(ring)
+        return pairing_form(ring, n)
+
+    monkeypatch.setattr(group, "pairing_form", counting)
+    g = group_elem(n, [2] * ch.m + [1] * (ch.d - 1 - ch.m))
+    lie_gen(n, *basis_pairs(n)[0])
+    lie_gen(n, *basis_pairs(n)[-1], ch.ring)
+    assert not built
+    assert ch.memo["_phi_lower"] == ch.phi.lower()
+    assert g.ring is ch.ring
+    ring = ch.ring.extend(("x",))
+    lie_gen(n, *basis_pairs(n)[0], ring)
+    assert built == [ring]

@@ -486,6 +486,29 @@ def test_a_constant_of_another_ring_is_refused():
             make()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_a_poly_or_a_number_on_the_left_of_a_ratfn(n):
+    # Poly's operators hand any other operand back to Python, which reaches
+    # RatFn's reflected __radd__, __rsub__ and __rmul__; a Poly and a plain
+    # number have no sum
+    ring = resolve_chart(n).ring
+    t1, t2 = RatFn.var(ring, "t1"), RatFn.var(ring, "t2")
+    f = (t2 - 3) / (t1 * 2)
+    p = ring.var("t1") * ring.var("t2") * Fraction(-2, 3)
+    for left in (p, 4, Fraction(5, 7)):
+        x = RatFn.of(ring, left)
+        assert left + f == x + f == f + x
+        assert left - f == x - f == -(f - x)
+        assert left * f == x * f == f * x
+    for make in (lambda: p + 1, lambda: 1 + p, lambda: p - Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            make()
+    other = RatFn.var(Ring(ring.names), "t1")
+    for make in (lambda: p + other, lambda: p - other, lambda: p * other):
+        with pytest.raises(KernelInvariant, match="mixed rings"):
+            make()
+
+
 @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=["R3", "RU", "RF", "RFU"])
 def test_inverse_over_a_split_numerator_normalises_nothing(ring, monkeypatch):
     """A numerator c * x^a * F^k free of the pivot becomes the denominator
