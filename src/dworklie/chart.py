@@ -1,9 +1,10 @@
-"""Enhanced moduli chart: the lower-triangular frame matrix S calibrated
-against the moving pairing, S omega S^T = phi, with its independent
-coordinates, dependent-slot expressions, and (even n) the quadratic slot
-relation.  The calibration is solved in its inverse form
-S^T phi^T S = Omega, Omega = omega^-1: each cell reads two columns of S
-against one small entry of Omega, and no sum carries disc.
+"""Enhanced moduli chart: a geometry.Setup (coordinates, disc, pairing
+scale) with the lower-triangular frame matrix S calibrated against the
+moving pairing, S omega S^T = phi, its independent coordinates,
+dependent-slot expressions, and (even n) the quadratic slot relation, onto
+whose ring the chart moves itself (Setup.bind).  The calibration is solved
+in its inverse form S^T phi^T S = Omega, Omega = omega^-1: each cell reads
+two columns of S against one small entry of Omega, and no sum carries disc.
 
 Slot layout rule (independent slots, row-major, skipping the index reserved
 for the second base coordinate): (i, j) with j <= i, (i, j) != (1, 1), and
@@ -46,18 +47,16 @@ def slot_layout(n):
     return indep, (m + 1, m + 1), f"t{free[0]}"
 
 
-class Chart:
-    """Built by build_chart; immutable afterwards by convention, except for
-    memo, the one store of results computed from the chart, which each
-    function wrapped by per_chart fills on first use.  The kept fields keep
-    their Jacobians too (VecField.jacobian), so each is derived once per
-    chart.  known maps the independent slots, then the pivot slot, to their
-    coordinates."""
+class Chart(Setup):
+    """A Setup with its frame solved; built by build_chart and immutable
+    afterwards by convention, except for memo, the one store of results
+    computed from the chart, which each function wrapped by per_chart fills
+    on first use.  The kept fields keep their Jacobians too
+    (VecField.jacobian), so each is derived once per chart.  known maps the
+    independent slots, then the pivot slot, to their coordinates."""
 
-    __slots__ = ("n", "d", "m", "rho", "ncoords", "setup", "ring", "S",
-                 "omega", "phi", "conn_base", "known", "pivot_var",
-                 "dep_exprs", "kappa", "disc", "rule_extrapolated", "coords",
-                 "memo")
+    __slots__ = ("S", "omega", "phi", "conn_base", "known", "pivot_var",
+                 "dep_exprs", "kappa", "rule_extrapolated", "coords", "memo")
 
     def relation_string(self):
         if self.pivot_var is None:
@@ -151,21 +150,21 @@ def build_chart(n, c_value=None):
     once on it, and the middle cell checks it against Omega.  At c = 0 there
     is none, and _inverse_pairing refuses the singular pairing.  The
     calibration is re-checked at the end (_check_calibration)."""
-    setup = Setup(n, c_value)
+    ch = Chart(n, c_value)
     size = n + 1
     indep, pivot_slot, pivot_var = slot_layout(n)
     known = dict(indep)
     kappa = None
-    if pivot_slot is not None and not setup.c.is_zero:
-        kappa = setup.scale.inverse() * (-1) ** (n // 2)
-        rhs = kappa * setup.disc
-        setup.bind(setup.ring.with_relation(pivot_var, rhs.num, rhs.den))
-        kappa = kappa.lift(setup.ring)
+    if pivot_slot is not None and not ch.c.is_zero:
+        kappa = ch.scale.inverse() * (-1) ** (n // 2)
+        rhs = kappa * ch.disc
+        ch.bind(ch.ring.with_relation(pivot_var, rhs.num, rhs.den))
+        kappa = kappa.lift(ch.ring)
         known[pivot_slot] = pivot_var
-    conn = frame_connection(setup)
-    omega = pairing_matrix(setup, conn)
+    conn = frame_connection(ch)
+    omega = pairing_matrix(ch, conn)
     Omega = _inverse_pairing(omega)
-    ring = setup.ring
+    ring = ch.ring
     phi = pairing_form(ring, n)
     eps = {k: phi.get1(size + 1 - k, k) for k in range(1, size + 1)}
     entries = _frame(ring, known)
@@ -193,18 +192,13 @@ def build_chart(n, c_value=None):
         S.set1(i, j, v)
     _check_calibration(S, phi, omega, Omega)
 
-    ch = Chart.__new__(Chart)
-    ch.n, ch.d, ch.m, ch.rho = n, setup.d, setup.m, setup.rho
-    ch.ncoords = setup.ncoords
-    ch.setup, ch.ring = setup, ring
     ch.S, ch.omega, ch.phi = S, omega, phi
     ch.conn_base = conn
     ch.known, ch.pivot_var = known, pivot_var
     ch.dep_exprs = dep_exprs
     ch.kappa = kappa
-    ch.disc = setup.disc
     ch.rule_extrapolated = n >= 5
-    ch.coords = tuple(f"t{i}" for i in range(1, setup.ncoords + 1))
+    ch.coords = tuple(f"t{i}" for i in range(1, ch.ncoords + 1))
     ch.memo = {}
     return ch
 

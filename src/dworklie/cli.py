@@ -247,7 +247,7 @@ def _suite_membership(n, c, ref):
             and all(f.is_zero for f in res[1].values()))
     checks.append(Row("membership: modular field decomposes as itself", triv))
     # the truncation's closed forms are tabulated at the matched constant only
-    if n in TRUNCATED and ch.setup.c_value == matched_c(n):
+    if n in TRUNCATED and ch.c_value == matched_c(n):
         T = truncate_poly(R)
         checks.append(Row.compare(
             "membership: truncation matches the closed form", T,

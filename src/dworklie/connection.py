@@ -52,7 +52,7 @@ def _base_inverse(chart, SB):
     Returns the rows of the inverse, ((d, -b), (-c, a)) / (a*d - b*c), or
     None when the system is singular."""
     ring = chart.ring
-    SB1, SB2 = SB.get("t1"), SB.get(chart.setup.base2)
+    SB1, SB2 = SB.get("t1"), SB.get(chart.base2)
     if SB1 is None or SB2 is None:
         return None
     a, c = SB1.get1(1, 1), SB1.get1(1, 2)
@@ -100,7 +100,7 @@ def tangent_fields(chart):
         comps = {v: RatFn.of(ring, 1)}
         if v == "t1":
             comps[chart.pivot_var] = c1
-        elif v == chart.setup.base2:
+        elif v == chart.base2:
             comps[chart.pivot_var] = cb
         out.append(VecField(ring, comps))
     return out
@@ -128,7 +128,7 @@ def vf_from_target(chart, target):
     slot reads is nonzero, or the target is not antisymmetric for the
     pairing; past these, H exists (module docstring)."""
     ring = chart.ring
-    base2 = chart.setup.base2
+    base2 = chart.base2
     prep = _target_free(chart)
     if prep.base_inv is None:
         raise NoSuchField("base 2x2 system is singular")

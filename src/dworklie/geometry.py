@@ -35,11 +35,12 @@ def family_dims(n):
 
 
 class Setup:
-    """Variable context for one dimension n.  c_value None keeps the scaling
-    constant c symbolic; a Fraction pins it.  disc = t1^(n+2) - t_{n+2} is
-    the known factor of the ring: every chart denominator is a monomial
-    times a power of it.  scale = (-(n+2))^n c is disc times the first-row
-    entry of the pairing matrix."""
+    """Variable context for one dimension n; chart.Chart is a Setup with its
+    frame solved.  c_value None keeps the scaling constant c symbolic; a
+    Fraction pins it.  disc = t1^(n+2) - t_{n+2} is the known factor of the
+    ring: every chart denominator is a monomial times a power of it.  scale
+    = (-(n+2))^n c is disc times the first-row entry of the pairing
+    matrix."""
 
     __slots__ = ("n", "d", "m", "rho", "ncoords", "c_value", "ring", "c",
                  "base2", "disc", "scale")

@@ -249,7 +249,7 @@ def _moved(ch, g):
                 f"moved frame is not lower triangular at ({i},{j})")
     new = {
         "t1": RatFn.var(ring, "t1") * g1,
-        ch.setup.base2: RatFn.var(ring, ch.setup.base2) * g1 ** (n + 2),
+        ch.base2: RatFn.var(ring, ch.base2) * g1 ** (n + 2),
     }
     new.update((var, Sp.get1(*slot)) for slot, var in ch.known.items())
     for (i, j), expr in ch.dep_exprs.items():
@@ -260,7 +260,7 @@ def _moved(ch, g):
     if ch.pivot_var is not None:
         kap = ch.kappa.lift(ring)
         lhs = new[ch.pivot_var] ** 2
-        rhs = kap * (new["t1"] ** (n + 2) - new[ch.setup.base2])
+        rhs = kap * (new["t1"] ** (n + 2) - new[ch.base2])
         if lhs != rhs:
             raise ActionShapeViolation("moved point violates the relation")
     return new

@@ -15,6 +15,7 @@ from .group import basis_pairs, lie_gen
 from .linalg import VecField, _gauss_jordan, field_combination
 from .modular import basis_vf, modular_vf, quasi_degree, sl2_triple, weights
 from .ratfn import RatFn
+from .ring import Poly
 
 
 class Row:
@@ -208,22 +209,15 @@ def amsy_decompose(V, n, c=None):
 
 
 def _regular(ch, f):
-    """True when the canonical denominator divides a power of the inverted
-    locus: base divisor, discriminant, and independent diagonal slot vars."""
+    """True when the canonical denominator c*x^a*disc^k (its split) divides
+    a power of the inverted locus: every variable of x^a is t_{n+2} or an
+    independent diagonal slot variable."""
     if f.den.is_const:
         return True
-    den = RatFn(f.den)
-    facs = [RatFn.var(ch.ring, ch.setup.base2), ch.disc]
-    for (i, j), var in sorted(ch.known.items()):
-        if i == j and var != ch.pivot_var:
-            facs.append(RatFn.var(ch.ring, var))
-    for fac in facs:
-        while not den.is_const:
-            q = den / fac
-            if not q.den.is_const:
-                break
-            den = q
-    return den.is_const
+    units = {ch.base2} | {v for (i, j), v in ch.known.items()
+                          if i == j and v != ch.pivot_var}
+    _, a, _ = f.den.known_split()
+    return units.issuperset(Poly(ch.ring, {a: 1}).support())
 
 
 def membership_build(f0, coeffs, n, c=None):
@@ -255,7 +249,7 @@ def fR_identities(ch):
     t2 = "t2" if ch.n >= 2 else "t1"
     samples = [RatFn.var(ch.ring, "t1") ** 2,
                RatFn.var(ch.ring, t2) * RatFn.var(ch.ring, "t3"),
-               RatFn.var(ch.ring, ch.setup.base2)]
+               RatFn.var(ch.ring, ch.base2)]
     for f in samples:
         k = quasi_degree(f, w)
         gR = R.scale(f)
@@ -288,8 +282,8 @@ def generator_rank(n, c=None):
             # pivot, then solve the linear relation for t_b
             p = Fraction(rnd.randint(1, 9), rnd.randint(1, 4))
             point[ch.pivot_var] = p
-            point[ch.setup.base2] = (point["t1"] ** (n + 2)
-                                     - p * p / ch.kappa.eval(point))
+            point[ch.base2] = (point["t1"] ** (n + 2)
+                               - p * p / ch.kappa.eval(point))
         try:
             mat = [[RatFn.of(ch.ring, f.get(v).eval(point))
                     for v in ch.coords]

@@ -58,7 +58,7 @@ def yukawa_for(chart):
             mid = (n - 1) // 2
             sign = -1 if ((3 * n + 3) // 2) % 2 else 1
             smm = S.get1(m, m)
-            values[mid] = (chart.setup.c * (sign * (n + 2) ** n)
+            values[mid] = (chart.c * (sign * (n + 2) ** n)
                            * s22 * smm * smm / chart.disc)
             filled = mid
         for i in range(filled + 1, n - 1):

@@ -70,6 +70,7 @@ p'/q, and the numerator keeps pivot degree <= 1.
 
 from __future__ import annotations
 
+import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
@@ -259,7 +260,8 @@ class RatFn:
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # over a denominator of one, as the numerator it equals
+        return hash(self.num if self.den.is_const else (self.num, self.den))
 
     # -- calculus / evaluation ---------------------------------------------
     def derive(self, var):
@@ -448,36 +450,28 @@ class ParseError(ValueError):
     pass
 
 
+_TOKEN = re.compile(r"\s*(?:(\d+)|([^\W\d]\w*)|([-+*/^()])|(\S))")
+
+
 def _tokenize(s):
+    """Integers (decimal digits only), names, operators, then an end token;
+    any other character, a superscript digit included, is refused."""
     toks = []
-    i, n = 0, len(s)
-    while i < n:
-        ch = s[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and s[j].isdigit():
-                j += 1
+    for m in _TOKEN.finditer(s):
+        num, name, op, _ = m.groups()
+        if num:
             try:
-                toks.append(("int", int(s[i:j])))
+                toks.append(("int", int(num)))
             except ValueError:  # past the interpreter's int-string limit
-                raise ParseError(f"too long an integer: {j - i} digits") from None
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (s[j].isalnum() or s[j] == "_"):
-                j += 1
-            toks.append(("name", s[i:j]))
-            i = j
-            continue
-        if ch in "+-*/^()":
-            toks.append((ch, ch))
-            i += 1
-            continue
-        raise ParseError(f"bad character {ch!r} at {i}")
+                raise ParseError(
+                    f"too long an integer: {len(num)} digits") from None
+        elif name and (name[0].isalpha() or name[0] == "_"):
+            toks.append(("name", name))
+        elif op:
+            toks.append((op, op))
+        else:
+            i = m.start(m.lastindex)
+            raise ParseError(f"bad character {s[i]!r} at {i}")
     toks.append(("end", ""))
     return toks
 

@@ -803,6 +803,13 @@ class Poly:
                 and self.terms == other.terms)
 
     def __hash__(self):
+        # as the value it equals: a constant as its number, and a pivot
+        # square, left unreduced here, as the RatFn that reduces it
+        if self.is_const:
+            return hash(self.const_value())
+        if self.ring.reduce_terms(self.terms)[1]:
+            from .ratfn import RatFn  # local import to avoid a cycle
+            return hash(RatFn(self))
         return hash((id(self.ring), self.den, frozenset(self.terms.items())))
 
     def derive(self, var):

@@ -108,6 +108,22 @@ def test_explicit_constant_chart():
     assert "c" not in ch.ring.names
 
 
+@pytest.mark.parametrize("c", [None, "sym"], ids=["matched", "sym"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_a_chart_is_its_setup_with_the_frame_solved(n, c):
+    # at even n the chart holds disc and scale on its relation ring, so
+    # those two compare printed
+    ch = resolve_chart(n, c)
+    fresh = geometry.Setup(n, ch.c_value)
+    assert isinstance(ch, geometry.Setup)
+    for name in ("n", "d", "m", "rho", "ncoords", "base2", "c_value"):
+        assert getattr(ch, name) == getattr(fresh, name), name
+    for name in ("disc", "scale"):
+        assert ratfn_string(getattr(ch, name)) == \
+            ratfn_string(getattr(fresh, name)), name
+    assert not set(chart.Chart.__slots__) & set(geometry.Setup.__slots__)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_dependent_slots_close_under_the_chart(n):
     # every dependent-slot expression only uses chart coordinates

@@ -171,8 +171,8 @@ def chart_point(chart, rng):
              for v in chart.ring.names}
     if chart.pivot_var is not None:
         p = point[chart.pivot_var]
-        point[chart.setup.base2] = (point["t1"] ** (chart.n + 2)
-                                    - p * p / chart.kappa.eval(point))
+        point[chart.base2] = (point["t1"] ** (chart.n + 2)
+                              - p * p / chart.kappa.eval(point))
     try:
         S = chart.S.map(lambda f: RatFn.of(chart.ring, f.eval(point)))
     except ZeroDivisionError:
@@ -270,7 +270,7 @@ def reference_vf_from_target(chart, target):
         derivs[slot] = {v: d for v, d in ds if not d.is_zero}
     zeros = MatF.zeros(ring, n + 1)
     SB1 = SB.get("t1", zeros)
-    SB2 = SB.get(chart.setup.base2, zeros)
+    SB2 = SB.get(chart.base2, zeros)
     try:
         res = solve_linear(
             ring,
@@ -284,7 +284,7 @@ def reference_vf_from_target(chart, target):
     dt1, dtb = res.values
     M = TS - SB1.scale(dt1) - SB2.scale(dtb)
 
-    comps = {"t1": dt1, chart.setup.base2: dtb}
+    comps = {"t1": dt1, chart.base2: dtb}
     for slot, var in chart.known.items():
         comps[var] = M.get1(*slot)
     H = VecField(ring, comps)
@@ -378,10 +378,10 @@ def test_solver_matches_the_reference_solver(n):
 def test_a_singular_base_system_has_no_field(n):
     # a chart whose base direction t_{n+2} moves S as t1 does: the 2x2 base
     # system has equal columns, so no target has a unique field
-    fresh = build_chart(n, resolve_chart(n).setup.c_value)
+    fresh = build_chart(n, resolve_chart(n).c_value)
     B1 = fresh.conn_base.get("t1")
     fresh.conn_base = OneFormMat(fresh.ring, n + 1,
-                                 {"t1": B1, fresh.setup.base2: B1})
+                                 {"t1": B1, fresh.base2: B1})
     target = lie_gen(n, *basis_pairs(n)[0], fresh.ring).transpose()
     with pytest.raises(NoSuchField, match="base 2x2 system is singular"):
         vf_from_target(fresh, target)

@@ -147,7 +147,7 @@ def test_chart_pivot_products_take_no_full_normalisation(n, c):
     piv = RatFn.var(ring, ch.pivot_var)
     ops = [v for _, v in ch.S.entries() if ring.has_pivot(v.num.terms)]
     ops += [piv / ch.disc,
-            piv * RatFn.var(ring, "t1") / RatFn.var(ring, ch.setup.base2)]
+            piv * RatFn.var(ring, "t1") / RatFn.var(ring, ch.base2)]
     rng = random.Random(n)
     for _ in range(10):
         assert_split_route(ring, *(rng.choice(ops) for _ in range(3)))
@@ -205,7 +205,7 @@ def test_chart_pivot_numerator_inverse_matches_full_normalisation(n, c):
         if ring.has_pivot(f.num.terms):
             assert_pivot_inverse(f)
     assert assert_pivot_inverse(piv / ch.disc)
-    assert assert_pivot_inverse(piv * t1 / RatFn.var(ring, ch.setup.base2))
+    assert assert_pivot_inverse(piv * t1 / RatFn.var(ring, ch.base2))
     assert not assert_pivot_inverse(piv + t1)
 
 

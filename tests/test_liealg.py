@@ -171,6 +171,46 @@ def test_decompose_flags_irregular_coefficient():
     assert res.entry == (1, 1)
 
 
+# The division loop _regular replaced, kept as its reference: strip every
+# power of t_{n+2}, of disc and of each independent diagonal coordinate off
+# the denominator, and see whether a constant is left.
+
+def reference_regular(ch, f):
+    den = RatFn(f.den)
+    facs = [RatFn.var(ch.ring, ch.base2), ch.disc]
+    for (i, j), var in sorted(ch.known.items()):
+        if i == j and var != ch.pivot_var:
+            facs.append(RatFn.var(ch.ring, var))
+    for fac in facs:
+        while not den.is_const:
+            q = den / fac
+            if not q.den.is_const:
+                break
+            den = q
+    return den.is_const
+
+
+@pytest.mark.parametrize("c", [None, "sym", 2], ids=["matched", "sym", "c2"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_regular_reads_the_split_as_the_division_loop_does(n, c):
+    # every cell of A, every component of R and of the basis fields, then
+    # inverses and products of them, the invertible ones (a split numerator)
+    ch = resolve_chart(n, c)
+    A = full_connection(ch)
+    fields = [modular_vf(ch)[0]] + list(basis_vf(ch).values())
+    values = [f for M in A.comps.values() for _, f in M.entries()]
+    values += [f for V in fields for f in V.comps.values()]
+    rng = random.Random(n)
+    units = [f for f in values if f.num.known_split()]
+    values += [rng.choice(units).inverse() for _ in range(200)]
+    values += [rng.choice(values) * rng.choice(values) for _ in range(200)]
+    seen = set()
+    for f in values:
+        seen.add(_regular(ch, f))
+        assert _regular(ch, f) == reference_regular(ch, f), f
+    assert seen == {True, False}
+
+
 # The full-matrix route amsy_decompose replaced, kept as its reference: the
 # whole contraction T = A.V against the readout's matrix f0*Y + sum
 # f_ab*g_ab^T, NotMember at the first cell of T - recon, then regularity.
@@ -256,7 +296,7 @@ def test_decompose_of_a_member_forms_only_the_readout_cells(n, monkeypatch):
     # f0 and f11 are read off V, every other coefficient off V1 = V - f0*R
     # - f11*B_11, which for a member has no t1 or t_{n+2} component: one
     # cell each, and A's base cells never meet the second readout
-    base = {"t1", resolve_chart(n).setup.base2}
+    base = {"t1", resolve_chart(n).base2}
     V = next(seeded_members(n, random.Random(n), 1))
     amsy_decompose(V, n)  # warm every memo the call reads
     reads, contract_at = [], linalg.OneFormMat.contract_at

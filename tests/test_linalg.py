@@ -4,6 +4,7 @@ the right triangular solve behind the full connection, the linear
 combination routines, the congruence by a pairing, the vector-field bracket
 against its componentwise definition, and their typed refusals."""
 
+import ast
 import os
 import random
 import subprocess
@@ -91,6 +92,15 @@ for case in cases:
     else:
         print("returned")
 """
+
+
+def test_no_invariant_rests_on_assert():
+    # python -O strips assert statements, so src/ must not have any
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((SRC / "dworklie").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_inverse_refuses_singular_and_non_square_under_O():

@@ -26,7 +26,7 @@ def test_repeated_calls_return_the_same_object(n):
 
 def test_uncached_chart_gets_its_own_connection():
     cached = resolve_chart(2)
-    fresh = build_chart(2, cached.setup.c_value)
+    fresh = build_chart(2, cached.c_value)
     A = full_connection(fresh)
     assert A is not full_connection(cached)
     assert A is full_connection(fresh)
@@ -39,7 +39,7 @@ def test_sl2_triple_is_verified_once_per_chart(n):
 
 
 def test_uncached_chart_starts_without_a_triple():
-    assert build_chart(2, resolve_chart(2).setup.c_value).memo == {}
+    assert build_chart(2, resolve_chart(2).c_value).memo == {}
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -55,7 +55,7 @@ def test_solver_work_lives_on_the_chart(n):
         assert SB[v] == ch.S @ B
     # base_inv times the base system [[a, b], [c, d]] is the identity, with
     # (a, c) and (b, d) the entries (1,1), (1,2) of S*B[t1] and S*B[t_{n+2}]
-    base = MatF(ch.ring, [[SB[v].get1(1, k) for v in ("t1", ch.setup.base2)]
+    base = MatF(ch.ring, [[SB[v].get1(1, k) for v in ("t1", ch.base2)]
                           for k in (1, 2)])
     assert MatF(ch.ring, [list(r) for r in base_inv]) @ base \
         == MatF.identity(ch.ring, 2)
@@ -63,7 +63,7 @@ def test_solver_work_lives_on_the_chart(n):
         assert corrections is None
     else:
         assert corrections == _pivot_corrections(ch)
-    fresh = build_chart(n, ch.setup.c_value)
+    fresh = build_chart(n, ch.c_value)
     assert "_target_free" not in fresh.memo
     target = lie_gen(n, *basis_pairs(n)[0], fresh.ring).transpose()
     vf_from_target(fresh, target)
@@ -74,7 +74,7 @@ def test_repeated_solves_reuse_the_base_products(monkeypatch):
     # once the chart's solver memo is filled, each solve makes exactly one
     # product, the target times S, and no Gauss-Jordan elimination (the
     # route of solve_linear and MatF.inverse)
-    ch = build_chart(3, resolve_chart(3).setup.c_value)
+    ch = build_chart(3, resolve_chart(3).c_value)
     targets = [lie_gen(3, a, b, ch.ring).transpose() for a, b in basis_pairs(3)]
     vf_from_target(ch, targets[0])
     calls = []
@@ -103,7 +103,7 @@ def test_repeated_solves_reuse_the_base_products(monkeypatch):
 def test_first_solve_on_a_fresh_chart_derives_nothing(n, monkeypatch):
     # existence is proved by the pairing, so neither the solver's prepared
     # work nor the solve itself differentiates a slot expression
-    ch = build_chart(n, resolve_chart(n).setup.c_value)
+    ch = build_chart(n, resolve_chart(n).c_value)
     calls = []
     derive = RatFn.derive
 
@@ -121,14 +121,14 @@ def test_fR_identities_are_computed_once_per_chart():
     assert fR_identities(2) is fR_identities(2)
     assert resolve_chart(2).memo["fR_identities"] is fR_identities(2)
     assert "fR_identities" not in \
-        build_chart(2, resolve_chart(2).setup.c_value).memo
+        build_chart(2, resolve_chart(2).c_value).memo
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_weights_are_computed_once_per_chart(n):
     assert weights(n) is weights(n)
     assert resolve_chart(n).memo["weights"] is weights(n)
-    assert "weights" not in build_chart(n, resolve_chart(n).setup.c_value).memo
+    assert "weights" not in build_chart(n, resolve_chart(n).c_value).memo
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -138,13 +138,13 @@ def test_the_chart_and_its_n_and_c_reach_one_result(n):
     ch = resolve_chart(n)
     for fn in (modular_vf, basis_vf, sl2_triple, weights, fR_identities,
                verify_theorem2, symbolic_elem):
-        assert fn(ch) is fn(n) is fn(n, ch.setup.c_value)
+        assert fn(ch) is fn(n) is fn(n, ch.c_value)
         assert ch.memo[fn.__name__] is fn(n)
     assert full_connection(ch) is ch.memo["full_connection"]
 
 
 def test_a_failed_triple_keeps_nothing(monkeypatch):
-    fresh = build_chart(2, resolve_chart(2).setup.c_value)
+    fresh = build_chart(2, resolve_chart(2).c_value)
     B = dict(basis_vf(fresh))
     B[1, 2] = B[1, 2].scale(3)
     monkeypatch.setattr(modular, "basis_vf", lambda n, c=None: B)

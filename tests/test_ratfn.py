@@ -102,6 +102,36 @@ def test_derive_leibniz(f, g):
     assert lhs == rhs
 
 
+@st.composite
+def equal_forms(draw):
+    """One value over a chart ring, n = 1..4, in every form that equals it:
+    the Poly (a pivot square left unreduced), the RatFn, a RatFn reached
+    through a division, and for a constant the Fraction and the int."""
+    ring = resolve_chart(draw(st.integers(1, 4))).ring
+    terms = st.tuples(small, st.lists(st.sampled_from(ring.names), max_size=3))
+    p = ring.zero
+    for c, names in draw(st.lists(terms, max_size=3)):
+        m = ring.const(c)
+        for nm in names:
+            m = m * ring.var(nm)
+        p = p + m
+    p = p * Fraction(1, draw(st.integers(1, 3)))
+    w = RatFn.var(ring, draw(st.sampled_from(["t1", "t3"])))
+    forms = [p, RatFn.of(ring, p), RatFn.of(ring, p) * w / w]
+    if p.is_const:
+        q = p.const_value()
+        forms += [q] + ([q.numerator] if q.denominator == 1 else [])
+    return forms
+
+
+@given(equal_forms())
+@settings(max_examples=100, deadline=None)
+def test_equal_values_hash_equal(forms):
+    r = forms[1]
+    assert all(r == f for f in forms)
+    assert len({hash(f) for f in forms}) == 1, forms
+
+
 def test_denominator_sign_convention():
     f = poly_of(pack({(1, 0, 0): 1})) / poly_of(pack({(0, 1, 0): -2}))
     # canonical denominators lead with a positive coefficient
@@ -145,15 +175,24 @@ def test_parse_rejects_nesting_deeper_than_the_stack(s):
      "digits"),
     ("(t1/2)^14285", ParseError, "power coefficient past the printable 4300 "
      "digits"),
+    ("t1^²", ParseError, "bad character '²' at 3"),
 ], ids=["packed-degree", "huge-power", "huge-fraction-power", "long-literal",
         "unparsable", "unsplit-denominator", "nested-constant-power",
         "unprintable-power", "unprintable-inverse-power",
-        "unprintable-numerator-power", "unprintable-denominator-power"])
+        "unprintable-numerator-power", "unprintable-denominator-power",
+        "superscript-digit"])
 def test_parse_refusals(s, error, reason):
     # over a chart ring, whose known factor F is the chart's disc
     with pytest.raises(error) as e:
         parse_ratfn(resolve_chart(1).ring, s)
     assert str(e.value) == reason
+
+
+def test_parse_reads_any_decimal_digit():
+    # integers are runs of decimal digits, fullwidth ones included; a
+    # superscript digit is not decimal and is refused above
+    ring = resolve_chart(1).ring
+    assert parse_ratfn(ring, "t1^\uff12") == parse_ratfn(ring, "t1^2")
 
 
 def test_parse_refuses_an_unprintable_constant_power_before_forming_it(
