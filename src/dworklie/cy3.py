@@ -410,11 +410,11 @@ def _absorb_action(h, ring, act, k, resid):
     return why
 
 
-def cy3_sl2(h, report=None):
+def cy3_sl2(h, report):
     """The h matrix-level triples: grading element g0 - g_kk, lowering
-    element k_k, raising element the k-th modular field."""
-    rep = report if report is not None else verify_cy3_table(h)
-    if not rep.all_ok:
+    element k_k, raising element the k-th modular field, read off the
+    report of verify_cy3_table(h)."""
+    if not report.all_ok:
         raise DworkError("bracket table must verify before the triples")
     ring = _yring(h)
     gms = _frames(h, ring)
@@ -427,11 +427,11 @@ def cy3_sl2(h, report=None):
                 (f"[H_{k}, F_{k}] = -2 F_{k}", Hc, Fc, Fc, -2, "constant"),
                 (f"[H_{k}, E_{k}] = 2 E_{k}", Hc, Ec, Ec, 2, "coupling"),
                 (f"[E_{k}, F_{k}] = H_{k}", Ec, Fc, Hc, 1, "coupling")):
-            lhs = _rule_combo(h, ring, rep.actions, gms, V, W)
+            lhs = _rule_combo(h, ring, report.actions, gms, V, W)
             rhs = _gm_of_combo(h, ring, gms,
                                {key: c * scale_ for key, c in target.items()})
             rows.append(Row(name, lhs == rhs, kind=kind))
-    return BracketReport(rows, rep.actions)
+    return BracketReport(rows, report.actions)
 
 
 def _rule_combo(h, ring, actions, gms, V, W):

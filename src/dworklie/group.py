@@ -2,9 +2,10 @@
 one-parameter subgroup factors, assembled group elements, the right action on
 chart coordinates, and the infinitesimal fields of that action.
 
-Elements are kept in factored normal form: the multiplicative (diagonal)
-factors first, then one unipotent factor per additive subgroup in lexicographic
-index order.  One working matrix is built: the diagonal part is set at once,
+Parameter i moves along exp(t*g) for one basis matrix g = g_ab, whose cells
+one rule gives (gen_cells).  Elements are kept in factored normal form: the
+multiplicative (diagonal) factors first, then one unipotent factor per
+additive subgroup in lexicographic index order.  One working matrix is built: the diagonal part is set at once,
 then each nonzero additive factor I + D (factor_delta) is applied in place
 (MatF.apply_factor).  ``decompose_elem`` peels a copy in the same order, the
 diagonal part as one row scaling, and verifies the peel by an identity
@@ -15,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-from .chart import chart_of_ring, per_chart, resolve_chart
+from .chart import per_chart, resolve_chart
 from .errors import ActionShapeViolation, DworkError, ZeroScalar
 from .geometry import family_dims, pairing_form
 from .linalg import MatF, VecField, congruence_lower, pairing_defect
@@ -29,93 +30,68 @@ def basis_pairs(n):
             for b in range(a, 2 * m + 2 - a)]
 
 
-def lie_gen(n, a, b, ring=None):
-    """Constant basis matrix g_ab; sparse two-cell (or one-cell) pattern."""
-    d, m, _ = family_dims(n)
-    if not (1 <= a <= m and a <= b <= 2 * m + 1 - a):
+@cache
+def gen_cells(n, a, b):
+    """The +-1 cells of the basis matrix g_ab: ((a, b), 1) first, then its
+    mirror (n+2-b, n+2-a), unless the mirror is (a, b) itself."""
+    if (a, b) not in basis_pairs(n):
         raise IndexError(f"basis indices ({a},{b}) out of range for n={n}")
-    if ring is None:
-        ring = resolve_chart(n).ring
-    M = MatF.zeros(ring, n + 1)
-    one = RatFn.of(ring, 1)
-    M.set1(a, b, one)
-    ra, rb = n + 2 - b, n + 2 - a
-    if (ra, rb) != (a, b):
-        sign = 1 if (n % 2 and b >= m + 1) else -1
-        M.set1(ra, rb, RatFn.of(ring, sign))
-    phi, _ = _pairing(n, ring)
-    if not pairing_defect(M.transpose(), phi).is_zero:
+    _, m, _ = family_dims(n)
+    mirror = (n + 2 - b, n + 2 - a)
+    if mirror == (a, b):
+        return (((a, b), 1),)
+    return (((a, b), 1), (mirror, 1 if n % 2 and b >= m + 1 else -1))
+
+
+def lie_gen(n, a, b, ring):
+    """Constant basis matrix g_ab over ring, set from gen_cells."""
+    M = MatF._of(ring, n + 1, n + 1, ((rc, RatFn.of(ring, x))
+                                      for rc, x in gen_cells(n, a, b)))
+    if not pairing_defect(M.transpose(), pairing_form(ring, n)).is_zero:
         raise DworkError(f"basis matrix ({a},{b}) violates the pairing identity")
     return M
 
 
-def _pairing(n, ring):
-    """The pairing form over ring and its lower triangle: on the ring of a
-    built n-chart, its phi and the triangle kept per chart."""
-    try:
-        ch = chart_of_ring(ring)
-    except DworkError:
-        ch = None
-    if ch is not None and ch.n == n:
-        return ch.phi, _phi_lower(ch)
-    phi = pairing_form(ring, n)
-    return phi, phi.lower()
-
-
-@per_chart
-def _phi_lower(ch):
-    return ch.phi.lower()
-
-
-def subgroup_pairs(n):
-    """Additive subgroup indices (i,j) in the fixed lexicographic order."""
-    _, m, _ = family_dims(n)
-    hi = (lambda i: n + 2 - i) if n % 2 else (lambda i: n + 1 - i)
-    return [(i, j) for i in range(1, m + 1) for j in range(i + 1, hi(i) + 1)]
+@cache
+def param_pair(n, i):
+    """Basis pair of 1-based parameter i: the m diagonal (multiplicative)
+    pairs first, then the additive ones in basis order."""
+    pairs = sorted(basis_pairs(n), key=lambda p: p[0] != p[1])
+    if not 1 <= i <= len(pairs):
+        raise IndexError(f"parameter index {i} out of range for n={n}")
+    return pairs[i - 1]
 
 
 def subgroup_counts(n):
     """(multiplicative, additive) subgroup counts."""
     _, m, _ = family_dims(n)
-    return m, len(subgroup_pairs(n))
+    return m, len(basis_pairs(n)) - m
 
 
-@cache
-def param_slot(n, i):
-    """Meaning of 1-based parameter index i: ("mult", a) or ("add", (a,b))."""
-    d, m, _ = family_dims(n)
-    if not 1 <= i <= d - 1:
-        raise IndexError(f"parameter index {i} out of range for n={n}")
-    if i <= m:
-        return ("mult", i)
-    return ("add", subgroup_pairs(n)[i - m - 1])
-
-
-def factor_matrix(n, i, gamma, ring):
-    """Matrix of the i-th one-parameter subgroup at parameter value gamma."""
-    return MatF.identity(ring, n + 1) + factor_delta(n, i, gamma, ring)
+def _diagonal(n, a, gamma):
+    """exp(t*g_aa) at gamma = e^-t: gamma^-x on each diagonal cell x."""
+    if gamma.is_zero:
+        raise ZeroScalar(f"multiplicative parameter {a} is zero")
+    inv = gamma.inverse()
+    return [(rc, inv if x == 1 else gamma) for rc, x in gen_cells(n, a, a)]
 
 
 def factor_delta(n, i, gamma, ring):
-    """factor_matrix(n, i, gamma, ring) minus the identity: at most three
-    cells, so M.apply_factor(D) applies the factor I + D in place."""
-    kind, idx = param_slot(n, i)
+    """exp(t*g) - I for the generator g of parameter i: t*g + (t*g)^2/2,
+    with gamma at g's last cell, or gamma^-x - 1 on a diagonal cell x.  At
+    most three cells, so M.apply_factor(D) applies the factor in place."""
+    a, b = param_pair(n, i)
     gamma = gamma if isinstance(gamma, RatFn) else RatFn.of(ring, gamma)
-    _, m, _ = family_dims(n)
-    if kind == "mult":
-        if gamma.is_zero:
-            raise ZeroScalar(f"multiplicative parameter {i} is zero")
-        b = n + 2 - idx
-        cells = [((idx, idx), gamma.inverse() - 1), ((b, b), gamma - 1)]
+    if a == b:
+        cells = [(rc, v - 1) for rc, v in _diagonal(n, a, gamma)]
     else:
-        a, b = idx
-        ra, rb = n + 2 - b, n + 2 - a
-        cells = [((a, b), gamma)]
-        if (ra, rb) != (a, b):
-            cells = [((a, b), gamma if n % 2 and b >= m + 1 else -gamma),
-                     ((ra, rb), gamma)]
-            if n % 2 == 0 and b == (n + 2) // 2:
-                cells.append(((a, n + 2 - a), -(gamma * gamma) / 2))
+        cells = gen_cells(n, a, b)
+        last = cells[-1][1]
+        cells = [(rc, gamma if x == last else -gamma) for rc, x in cells]
+        (p, q), u = cells[0]
+        (r, s), v = cells[-1]
+        if q == r:  # (t*g)^2: only first-by-last can be nonzero
+            cells.append(((p, s), u * v / 2))
     return MatF._of(ring, n + 1, n + 1, cells)
 
 
@@ -134,6 +110,11 @@ class GroupElem:
         return f"GroupElem(n={self.n}, params={self.params})"
 
 
+@per_chart
+def _phi_lower(ch):
+    return ch.phi.lower()
+
+
 def group_elem(n, params, c=None, ring=None):
     """Assemble an element from d-1 parameters (multiplicative ones first).
 
@@ -147,18 +128,19 @@ def group_elem(n, params, c=None, ring=None):
     if len(params) != d - 1:
         raise IndexError(f"expected {d - 1} parameters, got {len(params)}")
     if ring is None:
-        ring = resolve_chart(n, c).ring
+        ch = resolve_chart(n, c)
+        ring, phi, phi_lower = ch.ring, ch.phi, _phi_lower(ch)
+    else:
+        phi = pairing_form(ring, n)
+        phi_lower = phi.lower()
     vals = [p if isinstance(p, RatFn) else RatFn.of(ring, p) for p in params]
     M = MatF.identity(ring, n + 1)
     for a, gamma in enumerate(vals[:m], start=1):
-        if gamma.is_zero:
-            raise ZeroScalar(f"multiplicative parameter {a} is zero")
-        M.set1(a, a, gamma.inverse())
-        M.set1(n + 2 - a, n + 2 - a, gamma)
+        for rc, v in _diagonal(n, a, gamma):
+            M.set1(*rc, v)
     for i, gamma in enumerate(vals[m:], start=m + 1):
         if not gamma.is_zero:
             M.apply_factor(factor_delta(n, i, gamma, ring))
-    phi, phi_lower = _pairing(n, ring)
     if congruence_lower(M, phi) != phi_lower:
         raise DworkError("assembled element does not preserve the pairing")
     return GroupElem(n, ring, vals, M)
@@ -192,39 +174,33 @@ def decompose_elem(n, M):
     ring = M.ring
     params, rows = [], {}
     for a in range(1, m + 1):
-        gamma = M.get1(n + 2 - a, n + 2 - a)
+        cells = gen_cells(n, a, a)
+        gamma = M.get1(*cells[-1][0])
         if gamma.is_zero:
             raise ZeroScalar(f"diagonal entry for subgroup {a} is zero")
         params.append(gamma)
-        rows[a], rows[n + 2 - a] = gamma, gamma.inverse()
+        inv = gamma.inverse()
+        rows.update((r, gamma if x == 1 else inv) for (r, _), x in cells)
     U = M.scale_rows(rows)
-    for k, (i, j) in enumerate(subgroup_pairs(n), start=m + 1):
-        ra, rb = n + 2 - j, n + 2 - i
-        cell = (i, j) if (ra, rb) == (i, j) else (ra, rb)
-        gamma = U.get1(*cell)
+    for i in range(m + 1, d):
+        gamma = U.get1(*gen_cells(n, *param_pair(n, i))[-1][0])
         params.append(gamma)
         if not gamma.is_zero:
-            U.apply_factor(factor_delta(n, k, -gamma, ring), left=True)
+            U.apply_factor(factor_delta(n, i, -gamma, ring), left=True)
     if U != MatF.identity(ring, n + 1):
         raise DworkError("matrix is not a product of the subgroup factors")
     return params
 
 
-def act(n, t=None, g=None, c=None):
+def act(n, g=None, c=None):
     """Right action on chart coordinates.
 
     Returns {var: formula} over the ring of g, the kept symbolic_elem by
-    default.  With t (a {var: value} map) given, the formulas are evaluated
-    at that point instead.  The moved frame is checked against the chart
-    normal form: unit corner, lower triangularity, dependent-slot equations,
-    and the quadratic relation."""
+    default.  The moved frame is checked against the chart normal form:
+    unit corner, lower triangularity, dependent-slot equations, and the
+    quadratic relation."""
     ch = resolve_chart(n, c)
-    new = _symbolic_action(ch) if g is None else _moved(ch, g)
-    if t is None:
-        return new
-    pt = {v: (x if isinstance(x, RatFn) else RatFn.of(new["t1"].ring, x))
-          for v, x in t.items()}
-    return {v: rf.subs(pt) for v, rf in new.items()}
+    return _symbolic_action(ch) if g is None else _moved(ch, g)
 
 
 @per_chart
@@ -269,7 +245,7 @@ def _moved(ch, g):
 def infinitesimal(n, i, c=None):
     """Derivative of the action along parameter i at the identity element."""
     ch = resolve_chart(n, c)
-    kind, _ = param_slot(n, i)
+    a, b = param_pair(n, i)
     ring = ch.ring.extend(("gp",))
     gamma = RatFn.var(ring, "gp")
     mult, add = subgroup_counts(n)
@@ -277,7 +253,7 @@ def infinitesimal(n, i, c=None):
     params[i - 1] = gamma
     g = group_elem(n, params, ring=ring)
     formulas = act(n, g=g, c=c)
-    center = Fraction(1) if kind == "mult" else Fraction(0)
+    center = Fraction(1 if a == b else 0)
     comps = {}
     for v, rf in formulas.items():
         dv = rf.derive("gp").subs({"gp": center})

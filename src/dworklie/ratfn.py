@@ -454,23 +454,26 @@ _TOKEN = re.compile(r"\s*(?:(\d+)|([^\W\d]\w*)|([-+*/^()])|(\S))")
 
 
 def _tokenize(s):
-    """Integers (decimal digits only), names, operators, then an end token;
-    any other character, a superscript digit included, is refused."""
+    """Integers (decimal digits only), names (letters, decimal digits and
+    "_"), operators, then an end token; any other character, a superscript
+    digit included, is refused, inside a name too."""
     toks = []
     for m in _TOKEN.finditer(s):
         num, name, op, _ = m.groups()
+        cut = next((k for k, ch in enumerate(name or "") if not (
+            ch.isalpha() or ch.isdecimal() or ch == "_")), None)
         if num:
             try:
                 toks.append(("int", int(num)))
             except ValueError:  # past the interpreter's int-string limit
                 raise ParseError(
                     f"too long an integer: {len(num)} digits") from None
-        elif name and (name[0].isalpha() or name[0] == "_"):
+        elif name and cut is None:
             toks.append(("name", name))
         elif op:
             toks.append((op, op))
         else:
-            i = m.start(m.lastindex)
+            i = m.start(m.lastindex) + (cut or 0)
             raise ParseError(f"bad character {s[i]!r} at {i}")
     toks.append(("end", ""))
     return toks

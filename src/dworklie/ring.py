@@ -797,10 +797,13 @@ class Poly:
         return Poly._trusted(self.ring, _tpow(self.terms, k), self.den ** k)
 
     def __eq__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return (self.ring is other.ring and self.den == other.den
-                and self.terms == other.terms)
+        if isinstance(other, Poly):
+            return (self.ring is other.ring and self.den == other.den
+                    and self.terms == other.terms)
+        if isinstance(other, (int, Fraction)):
+            from .ratfn import RatFn  # by value, as __hash__ reads it
+            return RatFn(self) == other
+        return NotImplemented
 
     def __hash__(self):
         # as the value it equals: a constant as its number, and a pivot

@@ -125,7 +125,7 @@ def test_full_table_at_ten_directions():
 
 @pytest.mark.parametrize("h", [1, 2, 3])
 def test_sl2_triples(h):
-    rows = cy3_sl2(h)
+    rows = cy3_sl2(h, verify_cy3_table(h))
     assert rows.all_ok
     names = [r.name for r in rows.rows]
     for k in range(1, h + 1):

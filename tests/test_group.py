@@ -11,7 +11,10 @@ from dworklie import (DworkError, MatF, RatFn, act, basis_pairs, basis_vf,
                       infinitesimal, lie_gen, resolve_chart, symbolic_elem)
 from dworklie.errors import ZeroScalar
 from dworklie.geometry import family_dims, pairing_form
-from dworklie.group import factor_delta, factor_matrix, subgroup_counts
+from dworklie.group import (factor_delta, gen_cells, param_pair,
+                            subgroup_counts)
+
+import group_reference as ref
 
 # which signed basis field each one-parameter derivative lands on
 INFINITESIMAL_SIGNS = {
@@ -22,6 +25,11 @@ INFINITESIMAL_SIGNS = {
     4: {1: ((1, 1), -1), 2: ((2, 2), -1), 3: ((1, 2), -1),
         4: ((1, 3), -1), 5: ((1, 4), -1), 6: ((2, 3), -1)},
 }
+
+
+def factor_matrix(n, i, gamma, ring):
+    """The full matrix of the i-th one-parameter subgroup at gamma."""
+    return MatF.identity(ring, n + 1) + factor_delta(n, i, gamma, ring)
 
 
 def random_params(n, rng):
@@ -63,15 +71,22 @@ def test_factors_are_the_identity_plus_a_small_delta(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_round_trip_builds_no_full_factor(n, monkeypatch):
-    """group_elem and decompose_elem apply each factor as M + M @ D."""
-    def refuse(*args):
-        raise AssertionError("a full factor matrix was built")
+    """group_elem and decompose_elem apply each factor I + D in place from
+    its delta D alone, of at most three cells: no full factor reaches
+    apply_factor."""
+    widths = []
+    apply_factor = MatF.apply_factor
 
-    monkeypatch.setattr(group, "factor_matrix", refuse)
+    def recording(self, D, left=False):
+        widths.append(len(D.entries()))
+        return apply_factor(self, D, left)
+
+    monkeypatch.setattr(MatF, "apply_factor", recording)
     rng = random.Random(2000 + n)
     for _ in range(5):
         g = group_elem(n, random_params(n, rng))
         assert decompose_elem(n, g.matrix) == g.params
+    assert widths and max(widths) <= 3
 
 
 def random_frame(ring, size, rng, symbolic):
@@ -231,15 +246,19 @@ def test_right_action_axiom_symbolic(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_action_at_rational_points(n):
-    # evaluated action agrees with substituting the point into the formulas
+    # the action of a rational element at a rational point equals the kept
+    # symbolic action with the element's parameters and the point put in
     ch = resolve_chart(n)
     rng = random.Random(5 + n)
     g = group_elem(n, random_params(n, rng))
     pt = {v: RatFn.of(ch.ring, Fraction(rng.randint(1, 5), rng.randint(1, 3)))
           for v in ch.coords}
-    f1 = act(n, t=pt, g=g)
-    f2 = {v: rf.subs(pt) for v, rf in act(n, g=g).items()}
-    assert f1 == f2
+    sym = symbolic_elem(n)
+    at = {v: x.lift(sym.ring) for v, x in pt.items()}
+    at.update((f"g{i}", p.lift(sym.ring))
+              for i, p in enumerate(g.params, start=1))
+    got = {v: rf.subs(pt).lift(sym.ring) for v, rf in act(n, g=g).items()}
+    assert got == {v: rf.subs(at) for v, rf in act(n).items()}
 
 
 @pytest.mark.parametrize("n", sorted(INFINITESIMAL_SIGNS))
@@ -269,3 +288,46 @@ def test_basis_pair_count():
         assert len(basis_pairs(n)) == m * (m + 1)
         for a, b in basis_pairs(n):
             assert 1 <= a <= m and a <= b <= 2 * m + 1 - a
+
+
+def test_parameter_index_out_of_range_is_refused():
+    d, _, _ = family_dims(3)
+    ring = resolve_chart(3).ring
+    for i in (0, d):
+        with pytest.raises(IndexError, match="parameter index"):
+            factor_delta(3, i, Fraction(2), ring)
+        with pytest.raises(IndexError, match="parameter index"):
+            infinitesimal(3, i)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_factors_generators_and_order_match_the_reference(n):
+    # the one cell rule gives the same group as the case-by-case reference
+    ring = resolve_chart(n).ring
+    d, _, _ = family_dims(n)
+    for i in range(1, d):
+        kind, idx = ref.param_slot(n, i)
+        assert param_pair(n, i) == ((idx, idx) if kind == "mult" else idx)
+        for gamma in (Fraction(-3, 2), Fraction(5), RatFn.var(ring, "t1")):
+            assert (factor_delta(n, i, gamma, ring)
+                    == ref.factor_delta(n, i, gamma, ring))
+    for a, b in basis_pairs(n):
+        assert lie_gen(n, a, b, ring) == ref.lie_gen(n, a, b, ring)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_additive_factors_are_exponentials_of_their_generators(n):
+    # X = gamma * g, scaled so that X's last cell is gamma: X^3 = 0, and the
+    # factor is exp(X) = I + X + X^2 / 2
+    ring = resolve_chart(n).ring
+    d, m, _ = family_dims(n)
+    eye = MatF.identity(ring, n + 1)
+    for i in range(m + 1, d):
+        a, b = param_pair(n, i)
+        for gamma in (Fraction(-3, 2), RatFn.var(ring, "t1")):
+            X = lie_gen(n, a, b, ring).scale(gamma * gen_cells(n, a, b)[-1][1])
+            assert X.get1(*gen_cells(n, a, b)[-1][0]) == gamma
+            X2 = X @ X
+            assert (X2 @ X).is_zero
+            assert factor_matrix(n, i, gamma, ring) == eye + X + X2.scale(
+                Fraction(1, 2))

@@ -103,6 +103,27 @@ def test_no_invariant_rests_on_assert():
     assert found == []
 
 
+def test_no_unused_import():
+    # every name a module of src/ imports is read in it; __init__.py's
+    # imports are re-exports
+    found = []
+    for path in sorted((SRC / "dworklie").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            (a.asname or a.name.split(".")[0]): node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for a in node.names}
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line} {name}"
+                  for name, line in imported.items() if name not in used]
+    assert found == []
+
+
 def test_inverse_refuses_singular_and_non_square_under_O():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

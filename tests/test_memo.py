@@ -185,8 +185,10 @@ def test_brackets_then_verify_compute_theorem2_once(monkeypatch, capsys):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_elements_and_generators_on_a_chart_ring_use_its_pairing(
         n, monkeypatch):
-    # group_elem and lie_gen on a chart's ring read the chart's phi and its
-    # kept lower triangle; on any other ring they build the pairing form
+    # group_elem on the chart it resolves reads the chart's phi and its kept
+    # lower triangle; over a given ring it builds the pairing form, and so
+    # does lie_gen, over the ring it is given, which on a chart's ring is
+    # the chart's phi
     ch = resolve_chart(n)
     built = []
     pairing_form = group.pairing_form
@@ -196,12 +198,14 @@ def test_elements_and_generators_on_a_chart_ring_use_its_pairing(
         return pairing_form(ring, n)
 
     monkeypatch.setattr(group, "pairing_form", counting)
-    g = group_elem(n, [2] * ch.m + [1] * (ch.d - 1 - ch.m))
-    lie_gen(n, *basis_pairs(n)[0])
-    lie_gen(n, *basis_pairs(n)[-1], ch.ring)
+    params = [2] * ch.m + [1] * (ch.d - 1 - ch.m)
+    g = group_elem(n, params)
     assert not built
     assert ch.memo["_phi_lower"] == ch.phi.lower()
     assert g.ring is ch.ring
     ring = ch.ring.extend(("x",))
-    lie_gen(n, *basis_pairs(n)[0], ring)
+    assert group_elem(n, params, ring=ring).ring is ring
     assert built == [ring]
+    lie_gen(n, *basis_pairs(n)[-1], ch.ring)
+    assert built == [ring, ch.ring]
+    assert pairing_form(ch.ring, n) == ch.phi

@@ -127,8 +127,7 @@ def equal_forms(draw):
 @given(equal_forms())
 @settings(max_examples=100, deadline=None)
 def test_equal_values_hash_equal(forms):
-    r = forms[1]
-    assert all(r == f for f in forms)
+    assert all(f == g for f in forms for g in forms)
     assert len({hash(f) for f in forms}) == 1, forms
 
 
@@ -176,11 +175,12 @@ def test_parse_rejects_nesting_deeper_than_the_stack(s):
     ("(t1/2)^14285", ParseError, "power coefficient past the printable 4300 "
      "digits"),
     ("t1^²", ParseError, "bad character '²' at 3"),
+    ("t1²", ParseError, "bad character '²' at 2"),
 ], ids=["packed-degree", "huge-power", "huge-fraction-power", "long-literal",
         "unparsable", "unsplit-denominator", "nested-constant-power",
         "unprintable-power", "unprintable-inverse-power",
         "unprintable-numerator-power", "unprintable-denominator-power",
-        "superscript-digit"])
+        "superscript-digit", "superscript-digit-in-a-name"])
 def test_parse_refusals(s, error, reason):
     # over a chart ring, whose known factor F is the chart's disc
     with pytest.raises(error) as e:
