@@ -67,8 +67,12 @@ def cy3_phi(h, ring):
     return phi
 
 
+# generator kinds in table order; bracket_claim writes one order of each pair
+KINDS = ("g0", "g", "t2", "t1", "t0", "k", "R")
+
+
 def basis_keys(h):
-    """Canonical generator keys, grouped the way the table lists them."""
+    """Canonical generator keys, grouped by kind in KINDS order."""
     keys = [("g0",)]
     keys += [("g", a, b) for a in range(1, h + 1) for b in range(1, h + 1)]
     keys += [("t2", a, b) for a in range(1, h + 1) for b in range(a, h + 1)]
@@ -155,11 +159,11 @@ def _block_of(h, idx):
     return 3
 
 
-def cy3_basis(h, ring=None):
-    """Canonical algebra elements keyed by generator; construction checks
-    the block triangularity, the pairing antisymmetry, and the dimension
-    count."""
-    ring = ring if ring is not None else _yring(h)
+def cy3_basis(h):
+    """Canonical algebra elements keyed by generator, over the coupling
+    ring _yring(h); construction checks the block triangularity, the
+    pairing antisymmetry, and the dimension count."""
+    ring = _yring(h)
     phi = cy3_phi(h, ring)
     out = {}
     for key in basis_keys(h):
@@ -177,7 +181,12 @@ def cy3_basis(h, ring=None):
 
 
 def bracket_claim(h, ring, v, w):
-    """Table entry [V, W] as {generator key: coefficient}."""
+    """Table entry [V, W] as {generator key: coefficient}.  The bracket is
+    antisymmetric, so each entry is written once, for V's kind at or before
+    W's in KINDS, and the other order is the negated entry.  The claim is
+    still checked in both orders (see verify_cy3_table)."""
+    if KINDS.index(v[0]) > KINDS.index(w[0]):
+        return {key: -c for key, c in bracket_claim(h, ring, w, v).items()}
     out = {}
 
     def add(key, coef):
@@ -229,13 +238,7 @@ def bracket_claim(h, ring, v, w):
                 add(("R", b), -one)
     elif kv == "t2":
         a, b = v[1], v[2]
-        if kw == "g":
-            d, c = w[1], w[2]
-            if a == d:
-                add(("t2", b, c), one)
-            if b == d:
-                add(("t2", a, c), one)
-        elif kw == "k":
+        if kw == "k":
             if a == w[1]:
                 add(("t1", b), half)
             if b == w[1]:
@@ -247,12 +250,7 @@ def bracket_claim(h, ring, v, w):
                 add(("g", d, b), -half * ysym(h, ring, a, c, d))
     elif kv == "t1":
         a = v[1]
-        if kw == "g0":
-            add(v, one)
-        elif kw == "g":
-            if a == w[1]:
-                add(("t1", w[2]), one)
-        elif kw == "k":
+        if kw == "k":
             if a == w[1]:
                 add(("t0",), 2 * one)
         elif kw == "R":
@@ -261,63 +259,22 @@ def bracket_claim(h, ring, v, w):
             for d in range(1, h + 1):
                 add(("k", d), -ysym(h, ring, a, c, d))
     elif kv == "t0":
-        if kw == "g0":
-            add(v, 2 * one)
-        elif kw == "R":
+        if kw == "R":
             add(("t1", w[1]), one)
     elif kv == "k":
-        a = v[1]
-        if kw == "g0":
-            add(v, one)
-        elif kw == "g":
-            d, c = w[1], w[2]
-            if a == c:
-                add(("k", d), -one)
-        elif kw == "t2":
-            c, d = w[1], w[2]
-            if a == c:
-                add(("t1", d), -half)
-            if a == d:
-                add(("t1", c), -half)
-        elif kw == "t1":
-            if a == w[1]:
-                add(("t0",), -2 * one)
-        elif kw == "R":
-            c = w[1]
+        if kw == "R":
+            a, c = v[1], w[1]
             if a == c:
                 add(("g0",), -one)
             add(("g", a, c), one)
-    elif kv == "R":
-        a = v[1]
-        if kw == "g0":
-            add(v, -one)
-        elif kw == "g":
-            d, c = w[1], w[2]
-            if a == d:
-                add(("R", c), one)
-        elif kw == "t2":
-            c, d = w[1], w[2]
-            for e in range(1, h + 1):
-                add(("g", e, c), half * ysym(h, ring, a, d, e))
-                add(("g", e, d), half * ysym(h, ring, a, c, e))
-        elif kw == "t1":
-            c = w[1]
-            add(("t2", a, c), -2 * one)
-            for e in range(1, h + 1):
-                add(("k", e), ysym(h, ring, a, c, e))
-        elif kw == "t0":
-            add(("t1", a), -one)
-        elif kw == "k":
-            c = w[1]
-            if a == c:
-                add(("g0",), one)
-            add(("g", c, a), -one)
     return out
 
 
-def _frames(h, ring):
-    """Frame matrix of every table key."""
-    gms = {key: g.transpose() for key, g in cy3_basis(h, ring).items()}
+@cache
+def _frames(h):
+    """Frame matrix of every table key, built once per h."""
+    gms = {key: g.transpose() for key, g in cy3_basis(h).items()}
+    ring = _yring(h)
     for k in range(1, h + 1):
         gms[("R", k)] = gm_modular(h, ring, k)
     return gms
@@ -340,9 +297,13 @@ def verify_cy3_table(h):
     symbols, checked for support and cross-row consistency; modular pairs
     reduce to symmetry of the derivative tensor and only their matrix part
     is checked.  Each unordered pair takes one commutator: the reversed row
-    checks its own claim against the negated matrix."""
+    checks its own claim against the negated matrix.  bracket_claim writes
+    the table in one order and negates it for the other, yet every row is
+    computed, so a wrong entry fails both its rows; a reversed coupling row
+    [R_k, v] is the only check that the action absorbed from [v, R_k] gives
+    that row's whole residual, as _absorb_action skips zero residual cells."""
     ring = _yring(h)
-    gms = _frames(h, ring)
+    gms = _frames(h)
     keys = table_keys(h)
     first, table = [], {}
     actions = {}
@@ -417,7 +378,7 @@ def cy3_sl2(h, report):
     if not report.all_ok:
         raise DworkError("bracket table must verify before the triples")
     ring = _yring(h)
-    gms = _frames(h, ring)
+    gms = _frames(h)
     rows = []
     for k in range(1, h + 1):
         Hc = {("g0",): RatFn.of(ring, 1), ("g", k, k): RatFn.of(ring, -1)}

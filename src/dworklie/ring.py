@@ -798,12 +798,19 @@ class Poly:
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return (self.ring is other.ring and self.den == other.den
-                    and self.terms == other.terms)
-        if isinstance(other, (int, Fraction)):
-            from .ratfn import RatFn  # by value, as __hash__ reads it
-            return RatFn(self) == other
-        return NotImplemented
+            if self.ring is not other.ring:
+                return False
+            if self.den == other.den and self.terms == other.terms:
+                return True
+            # different terms are a different value unless either leaves a
+            # pivot square unreduced
+            red = self.ring.reduce_terms
+            if not (red(self.terms)[1] or red(other.terms)[1]):
+                return False
+        elif not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        from .ratfn import RatFn  # by value, as __hash__ reads it
+        return RatFn(self) == other
 
     def __hash__(self):
         # as the value it equals: a constant as its number, and a pivot

@@ -3,11 +3,12 @@ bracket table, derived coupling actions, and the per-direction sl2 triples."""
 
 import itertools
 
+import cy3_reference as ref
 import pytest
 
-from dworklie import (DworkError, MatF, cy3_basis, cy3_dims, cy3_phi, cy3_sl2,
-                      verify_cy3_table)
-from dworklie.cy3 import (_yring, basis_keys, bracket_claim, gm_modular,
+from dworklie import (DworkError, MatF, cy3, cy3_basis, cy3_dims, cy3_phi,
+                      cy3_sl2, verify_cy3_table)
+from dworklie.cy3 import (KINDS, _yring, basis_keys, bracket_claim, gm_modular,
                           key_name, table_keys, ysym_name)
 from dworklie.ratfn import RatFn, parse_ratfn, ratfn_string
 
@@ -43,7 +44,7 @@ def test_phi_squares_to_minus_one(h):
 @pytest.mark.parametrize("h", [1, 2, 3])
 def test_basis_size_and_pairing(h):
     ring = _yring(h)
-    basis = cy3_basis(h, ring)
+    basis = cy3_basis(h)
     _, dim_g, _ = cy3_dims(h)
     assert len(basis) == dim_g
     phi = cy3_phi(h, ring)
@@ -73,13 +74,64 @@ def test_frame_diagonal_bracket_is_nonzero():
     ring = _yring(h)
     claim = bracket_claim(h, ring, ("g", 1, 2), ("g", 2, 1))
     assert claim, "bracket of distinct frame generators must not vanish"
-    basis = cy3_basis(h, ring)
+    basis = cy3_basis(h)
     lhs = basis[("g", 1, 2)] @ basis[("g", 2, 1)] \
         - basis[("g", 2, 1)] @ basis[("g", 1, 2)]
     rhs = MatF.zeros(ring, 2 * h + 2)
     for key, cf in claim.items():
         rhs = rhs + basis[key].scale(cf)
     assert lhs == rhs
+
+
+def test_keys_follow_the_kind_order():
+    # bracket_claim writes each entry for one order of kinds, read off KINDS
+    for h in range(1, 5):
+        kinds = [key[0] for key in table_keys(h)]
+        assert list(dict.fromkeys(kinds)) == list(KINDS)
+        assert kinds == sorted(kinds, key=KINDS.index)
+
+
+def same_table_as_the_reference(h):
+    ring = _yring(h)
+    keys = table_keys(h)
+    for v, w in itertools.product(keys, keys):
+        assert bracket_claim(h, ring, v, w) \
+            == ref.bracket_claim(h, ring, v, w), (v, w)
+
+
+@pytest.mark.parametrize("h", range(1, 9))
+def test_table_matches_the_reference_written_in_both_orders(h):
+    same_table_as_the_reference(h)
+
+
+@pytest.mark.slow
+def test_table_matches_the_reference_at_ten_directions():
+    same_table_as_the_reference(10)
+
+
+def test_a_wrong_entry_fails_both_of_its_rows(monkeypatch):
+    # the reversed entry is the negated one, so a term dropped from
+    # [t1_1, R_1] shows in that row and in [R_1, t1_1]
+    real = cy3.bracket_claim
+
+    def wrong(h, ring, v, w):
+        out = real(h, ring, v, w)
+        if (v, w) == (("t1", 1), ("R", 1)):
+            out.pop(("t2", 1, 1))
+        return out
+
+    monkeypatch.setattr(cy3, "bracket_claim", wrong)
+    failed = {r.name for r in verify_cy3_table(2).rows if not r.equal}
+    assert failed == {"[t1, R1]", "[R1, t1]"}
+
+
+def test_the_frames_are_built_once_per_h(monkeypatch):
+    calls = []
+    real = cy3.cy3_basis
+    monkeypatch.setattr(cy3, "cy3_basis", lambda h: calls.append(h) or real(h))
+    cy3._frames.cache_clear()
+    cy3_sl2(2, verify_cy3_table(2))
+    assert calls == [2]
 
 
 @pytest.mark.parametrize("h", [1, 2, 3])
