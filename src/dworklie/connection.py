@@ -2,12 +2,14 @@
 prescribed connection matrix into the unique vector field realizing it.
 
 The connection comes from  A[v]*S = d_v S + S*B[v]  by a right triangular
-solve against the lower-triangular S; no inverse of S is formed.
+solve against the lower-triangular S; no inverse of S is formed, and no
+other function forms S*B[v].
 
-The solver follows the constructive existence argument: entries (1,1) and
-(1,2) of  T*S = dS + S*B(H)  form a 2x2 linear system for the two base
-components, whose inverse is prepared once per chart; each carrier slot of
-S hands out one remaining component by direct readout of M = T*S - S*B(H).
+The solver follows the constructive existence argument: row 1 of S is
+(1, 0, ..., 0), so entries (1,1) and (1,2) of  T*S = dS + S*B(H)  form a 2x2
+system for the two base components whose coefficients are entries of B,
+inverted once per chart; each carrier slot of S hands out one remaining
+component by direct readout of M = T*S - S*B(H), B(H) formed per target.
 Past the tangency check and the entries no slot reads, H exists exactly when
 T*phi + phi*T^T = 0 (pairing_defect).  With D = M - H(S), phi^-1 = phi^T
 and d omega = B*omega + omega*B^T (pairing_matrix checks it), the derivative
@@ -20,44 +22,23 @@ slot.  Conversely A(H) is antisymmetric (check_pairing_invariance)."""
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 from .chart import per_chart
 from .errors import NoSuchField
-from .linalg import OneFormMat, VecField, combination, pairing_defect, \
-    solve_right_lower
+from .linalg import OneFormMat, VecField, pairing_defect, solve_right_lower
 from .ratfn import RatFn, dot
 
 
-SolverPrep = namedtuple("SolverPrep", "SB base_inv corrections")
-
-
 @per_chart
-def _target_free(chart):
-    """The work full_connection and vf_from_target share across targets:
-    SB, S*B[v] per base direction v; base_inv, the inverse of the 2x2 base
-    system (_base_inverse); corrections, _pivot_corrections for even n and
-    None for odd n.  No slot expression is derived (module docstring)."""
-    S = chart.S
-    SB = {v: S @ B for v, B in chart.conn_base.comps.items()}
-    corrections = None if chart.pivot_var is None \
-        else _pivot_corrections(chart)
-    return SolverPrep(SB, _base_inverse(chart, SB), corrections)
-
-
-def _base_inverse(chart, SB):
+def _base_inverse(chart):
     """Entries (1,1) and (1,2) of T*S = dS + S*B(H) give
-    [[a, b], [c, d]] (dt1, dt_{n+2}) = ((T*S)_11, (T*S)_12), with (a, c) the
-    entries (1,1), (1,2) of S*B[t1] and (b, d) those of S*B[t_{n+2}].
-    Returns the rows of the inverse, ((d, -b), (-c, a)) / (a*d - b*c), or
-    None when the system is singular."""
-    ring = chart.ring
-    SB1, SB2 = SB.get("t1"), SB.get(chart.base2)
-    if SB1 is None or SB2 is None:
-        return None
-    a, c = SB1.get1(1, 1), SB1.get1(1, 2)
-    b, d = SB2.get1(1, 1), SB2.get1(1, 2)
-    det = dot(ring, [(a, d), (-b, c)])
+    [[a, b], [c, d]] (dt1, dt_{n+2}) = ((T*S)_11, (T*S)_12), where (a, c)
+    and (b, d) are entries (1,1), (1,2) of B[t1] and B[t_{n+2}], as row 1 of
+    S is (1, 0, ..., 0).  Returns the rows of the inverse,
+    ((d, -b), (-c, a)) / (a*d - b*c), or None when the system is singular."""
+    B1, B2 = (chart.conn_base.get(v) for v in ("t1", chart.base2))
+    a, c = B1.get1(1, 1), B1.get1(1, 2)
+    b, d = B2.get1(1, 1), B2.get1(1, 2)
+    det = dot(chart.ring, [(a, d), (-b, c)])
     if det.is_zero:
         return None
     r = det.inverse()
@@ -68,19 +49,22 @@ def _base_inverse(chart, SB):
 def full_connection(chart):
     """OneFormMat A over every chart variable, where A[v] solves
     A[v]*S = d_v S + S*B[v] and B[v] is zero except in the two base
-    directions; one solve_right_lower call takes every v."""
-    S = chart.S
-    SB = _target_free(chart).SB
-    Ms = [S.derive(v) + SB[v] if v in SB else S.derive(v)
+    directions; one solve_right_lower call takes every v.  The products
+    S*B[v] are formed here, in full, and nowhere else."""
+    S, B = chart.S, chart.conn_base.comps
+    Ms = [S.derive(v) + S @ B[v] if v in B else S.derive(v)
           for v in chart.coords]
     return OneFormMat(chart.ring, chart.n + 1,
                       dict(zip(chart.coords, solve_right_lower(Ms, S))))
 
 
+@per_chart
 def _pivot_corrections(chart):
-    """dt_D expressed through dt1 and dt_{n+2} on the relation variety."""
-    td = RatFn.var(chart.ring, chart.pivot_var)
-    t1 = RatFn.var(chart.ring, "t1")
+    """dt_D expressed through dt1 and dt_{n+2} on the relation variety, as
+    the pair of coefficients; None for odd n, which has no relation."""
+    if chart.pivot_var is None:
+        return None
+    td, t1 = (RatFn.var(chart.ring, v) for v in (chart.pivot_var, "t1"))
     c1 = chart.kappa * (t1 ** (chart.n + 1)) * (chart.n + 2) / (td * 2)
     cb = -(chart.kappa / (td * 2))
     return c1, cb
@@ -90,9 +74,10 @@ def tangent_fields(chart):
     """Coordinate lifts spanning the tangent sheaf: d/dv per free coordinate,
     with the pivot component forced by the slot relation for even n."""
     ring = chart.ring
-    if chart.pivot_var is None:
+    corrections = _pivot_corrections(chart)
+    if corrections is None:
         return [VecField(ring, {v: 1}) for v in chart.coords]
-    c1, cb = _pivot_corrections(chart)
+    c1, cb = corrections
     out = []
     for v in chart.coords:
         if v == chart.pivot_var:
@@ -120,35 +105,35 @@ def check_pairing_invariance(chart, A=None):
 def vf_from_target(chart, target):
     """The unique vector field H with contract(full_connection, H) = target.
 
-    The base components solve the chart's prepared 2x2 system
-    (_target_free); the rest is read off M = T*S - dt1*S*B[t1] -
-    dt_{n+2}*S*B[t_{n+2}], one ratfn.dot per cell; neither M nor T*S is
-    formed on the dependent slots.  Raises NoSuchField, in this order, when
-    the base system is singular, H leaves the slot relation, an entry no
-    slot reads is nonzero, or the target is not antisymmetric for the
-    pairing; past these, H exists (module docstring)."""
-    ring = chart.ring
-    base2 = chart.base2
-    prep = _target_free(chart)
-    if prep.base_inv is None:
+    The base components solve the chart's 2x2 base system (_base_inverse).
+    B(H) is the frame connection contracted with them, and the rest of H is
+    read off M = T*S + S*(-B(H)).  Both products skip the dependent slots,
+    so neither they nor their sum M form a dependent-slot cell.  Raises
+    NoSuchField, in this order, when the base system is singular, H leaves
+    the slot relation, an entry no slot reads is nonzero, or the target is
+    not antisymmetric for the pairing; past these, H exists (module
+    docstring)."""
+    ring, S, skip = chart.ring, chart.S, chart.dep_exprs
+    base_inv = _base_inverse(chart)
+    if base_inv is None:
         raise NoSuchField("base 2x2 system is singular")
-    TS = target.product(chart.S, chart.dep_exprs)
+    TS = target.product(S, skip)
     rhs = (TS.get1(1, 1), TS.get1(1, 2))
-    dt1, dtb = (dot(ring, zip(row, rhs)) for row in prep.base_inv)
-    M = combination(ring, (chart.n + 1, chart.n + 1),
-                    [(1, TS), (-dt1, prep.SB["t1"]), (-dtb, prep.SB[base2])],
-                    chart.dep_exprs)
+    dt1, dtb = (dot(ring, zip(row, rhs)) for row in base_inv)
+    comps = {"t1": dt1, chart.base2: dtb}
+    BH = chart.conn_base.contract(VecField(ring, comps))
+    M = TS + S.product(-BH, skip)
 
-    comps = {"t1": dt1, base2: dtb}
     comps.update((var, M.get1(*slot)) for slot, var in chart.known.items())
     H = VecField(ring, comps)
 
-    if chart.pivot_var is not None:
-        c1, cb = prep.corrections
+    corrections = _pivot_corrections(chart)
+    if corrections is not None:
+        c1, cb = corrections
         if H.get(chart.pivot_var) != dot(ring, [(c1, dt1), (cb, dtb)]):
             raise NoSuchField("field is not tangent to the slot relation")
 
-    handled = {*chart.known, *chart.dep_exprs}
+    handled = {*chart.known, *skip}
     for (i, j), _ in M.entries():
         if (i, j) not in handled:
             raise NoSuchField(f"nonzero residue at entry ({i},{j})")

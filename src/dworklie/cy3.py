@@ -374,7 +374,9 @@ def _absorb_action(h, ring, act, k, resid):
 def cy3_sl2(h, report):
     """The h matrix-level triples: grading element g0 - g_kk, lowering
     element k_k, raising element the k-th modular field, read off the
-    report of verify_cy3_table(h)."""
+    report of verify_cy3_table(h); DworkError for a report of another h."""
+    if set(report.actions or ()) != set(basis_keys(h)):
+        raise DworkError(f"the report was built for another h than h = {h}")
     if not report.all_ok:
         raise DworkError("bracket table must verify before the triples")
     ring = _yring(h)

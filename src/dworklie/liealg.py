@@ -221,11 +221,15 @@ def _regular(ch, f):
 
 
 def membership_build(f0, coeffs, n, c=None):
-    """Assemble the field with the given decomposition coefficients."""
+    """Assemble the field with the given decomposition coefficients.
+    DworkError when a coefficient's key names no basis field."""
     R, _ = modular_vf(n, c)
     B = basis_vf(n, c)
-    return field_combination(R.ring, [(f0, R)] + [(f, B[key]) for key, f
-                                                 in coeffs.items()])
+    try:
+        terms = [(f, B[key]) for key, f in coeffs.items()]
+    except KeyError as e:
+        raise DworkError(f"no basis field {e.args[0]} at n = {n}") from None
+    return field_combination(R.ring, [(f0, R)] + terms)
 
 
 @per_chart

@@ -91,21 +91,21 @@ class MatF:
         return self.product(other)
 
     def product(self, other, skip=()):
-        """self @ other with no cell in skip formed."""
+        """self @ other with no cell in skip formed: each nonzero a_ik meets
+        only the nonzero b_kj of row k, and every cell is one ratfn.dot over
+        its pairs, reduced once over one common denominator."""
         if self.ncols != other.nrows:
             raise DworkError(f"product of a {self.nrows}x{self.ncols} and a "
                              f"{other.nrows}x{other.ncols} matrix")
-        # each nonzero a_ik meets only the nonzero b_kj of row k
-        brows = {}
+        brows, pairs = {}, {}
         for (k, j), b in other.cells.items():
             brows.setdefault(k, []).append((j, b))
-        out = {}
         for (i, k), a in self.cells.items():
             for j, b in brows.get(k, ()):
                 if (i, j) not in skip:
-                    c = out.get((i, j))
-                    out[i, j] = a * b if c is None else c + a * b
-        return MatF._of(self.ring, self.nrows, other.ncols, out.items())
+                    pairs.setdefault((i, j), []).append((a, b))
+        return MatF._of(self.ring, self.nrows, other.ncols,
+                        ((k, dot(self.ring, ps)) for k, ps in pairs.items()))
 
     def apply_factor(self, D, left=False):
         """self @ (I + D), or (I + D) @ self with left, in place: column t

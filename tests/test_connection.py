@@ -8,9 +8,10 @@ import pytest
 
 from dworklie import (LinearInconsistent, MatF, NoSuchField, OneFormMat,
                       RatFn, VecField, basis_vf, build_chart,
-                      check_pairing_invariance, connection, full_connection,
-                      modular_vf, resolve_chart, solve_linear, vf_from_target)
-from dworklie.connection import _pivot_corrections, tangent_fields
+                      check_pairing_invariance, full_connection, modular_vf,
+                      resolve_chart, solve_linear, vf_from_target)
+from dworklie.connection import _base_inverse, _pivot_corrections, \
+    tangent_fields
 from dworklie.group import basis_pairs, lie_gen
 from dworklie.linalg import _gauss_jordan, pairing_defect, solve_right_lower
 from dworklie.modular import yukawa_for
@@ -99,12 +100,13 @@ def test_solver_rejects_a_residue_at_each_dependent_slot(n):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_solver_forms_no_dependent_slot_cell(n, monkeypatch):
-    # neither T*S nor M = T*S - dt1*S*B[t1] - dt_{n+2}*S*B[t_{n+2}] is
-    # formed on the dependent slots, and the fields come out as before
+    # neither T*S, S*B(H) nor M = T*S - S*B(H) is formed on the dependent
+    # slots, and the fields come out as before: each target takes two
+    # products and one sum
     ch = resolve_chart(n)
     want = [modular_vf(n)[0]] + list(basis_vf(n).values())
-    formed = {"product": [], "combination": []}
-    combination, product = connection.combination, MatF.product
+    formed = {"product": [], "sum": []}
+    product, add = MatF.product, MatF.__add__
 
     def recording(name, fn):
         def wrapped(*args):
@@ -113,16 +115,30 @@ def test_solver_forms_no_dependent_slot_cell(n, monkeypatch):
             return M
         return wrapped
 
-    monkeypatch.setattr(connection, "combination",
-                        recording("combination", combination))
     monkeypatch.setattr(MatF, "product", recording("product", product))
+    monkeypatch.setattr(MatF, "__add__", recording("sum", add))
     targets = [yukawa_for(ch).matrix()] + [
         lie_gen(n, a, b, ch.ring).transpose() for a, b in basis_pairs(n)]
     fields = [vf_from_target(ch, g) for g in targets]
     assert fields == want and ch.dep_exprs
+    assert len(formed["product"]) == 2 * len(targets)
+    assert len(formed["sum"]) == len(targets)
     for cells in formed.values():
-        assert len(cells) == len(targets)
         assert not set().union(*cells) & set(ch.dep_exprs)
+
+
+@pytest.mark.parametrize("n,c", [(n, None) for n in range(1, 9)]
+                         + [(n, "sym") for n in range(1, 7)]
+                         + [(3, 2), (4, 2)])
+def test_the_base_system_is_read_off_the_frame_connection(n, c):
+    # row 1 of S is (1, 0, ..., 0), so the base system's entries of S*B[t1]
+    # and S*B[t_{n+2}] are entries of B: the kept inverse is the inverse of
+    # the system formed from the full products
+    ch = resolve_chart(n, c)
+    SB = [ch.S @ ch.conn_base.get(v) for v in ("t1", ch.base2)]
+    base = MatF(ch.ring, [[P.get1(1, k) for P in SB] for k in (1, 2)])
+    assert MatF(ch.ring, [list(r) for r in _base_inverse(ch)]) \
+        == base.inverse()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -385,6 +401,6 @@ def test_a_singular_base_system_has_no_field(n):
     target = lie_gen(n, *basis_pairs(n)[0], fresh.ring).transpose()
     with pytest.raises(NoSuchField, match="base 2x2 system is singular"):
         vf_from_target(fresh, target)
-    assert fresh.memo["_target_free"].base_inv is None
+    assert fresh.memo["_base_inverse"] is None
     with pytest.raises(NoSuchField, match="degenerate|inconsistent"):
         reference_vf_from_target(fresh, target)

@@ -218,3 +218,9 @@ def test_coupling_ring_beyond_single_digits():
         f = RatFn.var(ring, nm)
         assert parse_ratfn(ring, ratfn_string(f)) == f
     assert gm_modular(h, ring, 10).get1(2, h + 11) == RatFn.var(ring, "Y1_10_10")
+
+
+@pytest.mark.parametrize("h, built", [(1, 2), (2, 1)])
+def test_triples_refuse_a_report_built_for_another_h(h, built):
+    with pytest.raises(DworkError, match=f"another h than h = {h}"):
+        cy3_sl2(h, verify_cy3_table(built))

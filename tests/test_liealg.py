@@ -379,3 +379,10 @@ def test_compare_row_lists_the_differing_components():
                           "t3: expected 1", "t3: got      0"]
     assert Row.compare("name", VecField(ring, {"t1": t1}),
                        VecField(ring, {"t1": t1})).detail == []
+
+
+def test_a_build_with_an_unknown_basis_key_is_refused_by_name():
+    ch = resolve_chart(3)
+    one = RatFn.of(ch.ring, 1)
+    with pytest.raises(DworkError, match=r"no basis field \(9, 9\) at n = 3"):
+        membership_build(one, {(9, 9): one}, 3)

@@ -5,14 +5,15 @@ computes its own, and a call that raises keeps nothing."""
 
 import pytest
 
-from dworklie import (MatF, RatFn, Sl2Violation, act, basis_vf, build_chart,
-                     fR_identities, full_connection, group, group_elem,
-                     liealg, linalg, modular, modular_vf, resolve_chart,
-                     sl2_triple, symbolic_elem, verify_theorem2,
-                     vf_from_target, weights)
+from dworklie import (MatF, OneFormMat, RatFn, Sl2Violation, VecField, act,
+                     basis_vf, build_chart, fR_identities, full_connection,
+                     group, group_elem, liealg, linalg, modular, modular_vf,
+                     resolve_chart, sl2_triple, symbolic_elem,
+                     verify_theorem2, vf_from_target, weights)
 from dworklie.cli import main
-from dworklie.connection import _pivot_corrections
+from dworklie.connection import _base_inverse, _pivot_corrections
 from dworklie.group import basis_pairs, lie_gen
+from dworklie.ratfn import ratfn_string
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -44,36 +45,40 @@ def test_uncached_chart_starts_without_a_triple():
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_solver_work_lives_on_the_chart(n):
-    # the base products S*B[v], the inverse of the 2x2 base system and the
-    # pivot corrections are built once per chart, and a chart built outside
-    # the cache builds its own
+    # the inverse of the 2x2 base system and the pivot corrections are built
+    # once per chart, and a chart built outside the cache builds its own
     ch = resolve_chart(n)
-    full_connection(ch)
-    SB, base_inv, corrections = ch.memo["_target_free"]
-    assert set(SB) == set(ch.conn_base.comps)
-    for v, B in ch.conn_base.comps.items():
-        assert SB[v] == ch.S @ B
+    basis_vf(ch)
+    base_inv = ch.memo["_base_inverse"]
+    corrections = ch.memo["_pivot_corrections"]
+    assert _base_inverse(ch) is base_inv
+    assert _pivot_corrections(ch) is corrections
     # base_inv times the base system [[a, b], [c, d]] is the identity, with
     # (a, c) and (b, d) the entries (1,1), (1,2) of S*B[t1] and S*B[t_{n+2}]
-    base = MatF(ch.ring, [[SB[v].get1(1, k) for v in ("t1", ch.base2)]
-                          for k in (1, 2)])
+    SB = [ch.S @ ch.conn_base.get(v) for v in ("t1", ch.base2)]
+    base = MatF(ch.ring, [[P.get1(1, k) for P in SB] for k in (1, 2)])
     assert MatF(ch.ring, [list(r) for r in base_inv]) @ base \
         == MatF.identity(ch.ring, 2)
-    if ch.pivot_var is None:
-        assert corrections is None
-    else:
-        assert corrections == _pivot_corrections(ch)
     fresh = build_chart(n, ch.c_value)
-    assert "_target_free" not in fresh.memo
+    assert "_base_inverse" not in fresh.memo
+    assert "_pivot_corrections" not in fresh.memo
     target = lie_gen(n, *basis_pairs(n)[0], fresh.ring).transpose()
     vf_from_target(fresh, target)
-    assert fresh.memo["_target_free"] is not ch.memo["_target_free"]
+    assert fresh.memo["_base_inverse"] is not base_inv
+    if ch.pivot_var is None:
+        assert corrections is fresh.memo["_pivot_corrections"] is None
+    else:
+        # the same coefficients of the relation, built on the fresh ring
+        got = fresh.memo["_pivot_corrections"]
+        assert got is not corrections
+        assert [ratfn_string(f) for f in got] \
+            == [ratfn_string(f) for f in corrections]
 
 
 def test_repeated_solves_reuse_the_base_products(monkeypatch):
-    # once the chart's solver memo is filled, each solve makes exactly one
-    # product, the target times S, and no Gauss-Jordan elimination (the
-    # route of solve_linear and MatF.inverse)
+    # once the chart's base inverse is kept, each solve makes exactly two
+    # products, the target times S and S times B(H), and no Gauss-Jordan
+    # elimination (the route of solve_linear and MatF.inverse)
     ch = build_chart(3, resolve_chart(3).c_value)
     targets = [lie_gen(3, a, b, ch.ring).transpose() for a, b in basis_pairs(3)]
     vf_from_target(ch, targets[0])
@@ -95,7 +100,7 @@ def test_repeated_solves_reuse_the_base_products(monkeypatch):
     monkeypatch.setattr(linalg, "_gauss_jordan", counting_eliminations)
     for g in targets:
         vf_from_target(ch, g)
-    assert len(calls) == len(targets)
+    assert len(calls) == 2 * len(targets)
     assert not eliminations
 
 
@@ -113,8 +118,36 @@ def test_first_solve_on_a_fresh_chart_derives_nothing(n, monkeypatch):
 
     monkeypatch.setattr(RatFn, "derive", counting)
     vf_from_target(ch, lie_gen(n, *basis_pairs(n)[0], ch.ring).transpose())
-    assert "_target_free" in ch.memo
+    assert {"_base_inverse", "_pivot_corrections"} <= set(ch.memo)
     assert not calls
+
+
+def holds_a_matrix(x):
+    """x is a matrix, or holds one in a container or a slot."""
+    if isinstance(x, (MatF, OneFormMat)):
+        return True
+    if isinstance(x, dict):
+        return any(map(holds_a_matrix, x.values()))
+    if isinstance(x, (tuple, list)):
+        return any(map(holds_a_matrix, x))
+    if isinstance(x, (VecField, modular.YukawaSet)):
+        return any(holds_a_matrix(getattr(x, s, None))
+                   for s in type(x).__slots__)
+    return False
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_solved_fields_leave_no_matrix_on_the_chart(n):
+    # the solver keeps its 2x2 base inverse and the pivot corrections, not a
+    # product: once the fields are solved, the store holds no matrix
+    ch = build_chart(n, resolve_chart(n).c_value)
+    modular_vf(ch)
+    basis_vf(ch)
+    assert {"_base_inverse", "_pivot_corrections", "modular_vf",
+            "basis_vf"} <= set(ch.memo)
+    assert not any(holds_a_matrix(v) for v in ch.memo.values())
+    full_connection(ch)
+    assert holds_a_matrix(ch.memo["full_connection"])
 
 
 def test_fR_identities_are_computed_once_per_chart():
