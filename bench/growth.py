@@ -12,6 +12,9 @@ tree under test and no bytecode written.  It times its stages one after the
 other with time.process_time, so a later stage finds the earlier ones' work
 kept on the chart, and reports the process's peak RSS (resource.getrusage).
 The CLI jobs call cli.main in process, with stdout sent to os.devnull.
+Each run also keeps the one-minute load average read just before its job
+starts (os.getloadavg), so that a pair run while the machine was busy shows
+as such.
 
 --against REV extracts `git archive REV` into a temporary directory and
 alternates it with the working tree, one pair per --pairs: even pairs run
@@ -103,15 +106,18 @@ def clean(tree):
 
 
 def run_job(tree, kind, size):
-    """One cold interpreter on tree's src; its stage seconds and peak RSS."""
+    """One cold interpreter on tree's src; its stage seconds and peak RSS,
+    and the load average before it started."""
     clean(tree)
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"),
                PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1")
+    load = os.getloadavg()[0]
     proc = subprocess.run([sys.executable, "-c", CHILD, kind, str(size)],
                           env=env, capture_output=True, text=True, cwd=tree)
     if proc.returncode != 0:
         raise SystemExit(f"{kind} {size} failed in {tree}:\n{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return dict(json.loads(proc.stdout.strip().splitlines()[-1]),
+                loadavg_1m=load)
 
 
 def archive(rev, dest):
@@ -144,7 +150,7 @@ def summarise(runs, sides):
                 entry[side] = xs
                 entry[f"{side}_best"] = min(xs)
                 entry[f"{side}_summary"] = quartiles(xs)
-            if len(sides) == 2:
+            if len(sides) == 2 and stage != "loadavg_1m":
                 entry["change_lower_pairs"] = sum(
                     c < p for p, c in zip(entry["parent"], entry["change"]))
             out[job][stage] = entry
@@ -192,7 +198,9 @@ def main(argv=None):
         "cpus": os.cpu_count(),
         "plan": [list(p) for p in plan],
         "first_side": first,
-        "units": {"peak_rss_mb": "MB", "other stages": "s of CPU"},
+        "units": {"peak_rss_mb": "MB",
+                  "loadavg_1m": "one-minute load average before the job",
+                  "other stages": "s of CPU"},
         "jobs": summarise(runs, sides),
     }
     with open("BENCH_growth.json", "w") as f:

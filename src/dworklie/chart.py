@@ -215,6 +215,14 @@ def chart_of_ring(ring):
     raise DworkError("ring does not belong to any built chart")
 
 
+def on_chart(ch, what, *values):
+    """DworkError naming ch when one of the values, each a field, a
+    connection, a RatFn or a plain number, lies on another ring than ch's."""
+    if any(getattr(v, "ring", ch.ring) is not ch.ring for v in values):
+        const = "c symbolic" if ch.c_value is None else f"c = {ch.c_value}"
+        raise DworkError(f"{what} is not on the chart n = {ch.n}, {const}")
+
+
 def resolve_chart(n, c=None):
     """Chart at a requested scaling constant, cached per (n, constant).  None
     picks the matched default, the string "sym" keeps the constant symbolic,

@@ -22,7 +22,7 @@ slot.  Conversely A(H) is antisymmetric (check_pairing_invariance)."""
 
 from __future__ import annotations
 
-from .chart import per_chart
+from .chart import on_chart, per_chart
 from .errors import NoSuchField
 from .linalg import OneFormMat, VecField, pairing_defect, solve_right_lower
 from .ratfn import RatFn, dot
@@ -98,6 +98,7 @@ def check_pairing_invariance(chart, A=None):
     differential through the base differentials."""
     if A is None:
         A = full_connection(chart)
+    on_chart(chart, "the connection", A)
     return all(pairing_defect(A.contract(H), chart.phi).is_zero
                for H in tangent_fields(chart))
 

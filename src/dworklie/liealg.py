@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .chart import chart_of_ring, per_chart, resolve_chart
+from .chart import chart_of_ring, on_chart, per_chart, resolve_chart
 from .connection import full_connection
 from .errors import DworkError
 from .group import basis_pairs, lie_gen
@@ -123,8 +123,10 @@ def _term(B, n, pair, psi):
 
 def verify_flatness(V, W):
     """Connection matrix of [V,W] versus the curvature-free combination of
-    the matrices of V and W, computed along independent routes."""
+    the matrices of V and W, computed along independent routes.  DworkError
+    when W is not on V's chart."""
     ch = chart_of_ring(V.ring)
+    on_chart(ch, "the field W", W)
     A = full_connection(ch)
     lhs = A.contract(V.bracket(W))
     AV = A.contract(V)
@@ -185,8 +187,10 @@ def amsy_decompose(V, n, c=None):
     membership_build(...)) and every coefficient is regular on the chart;
     else NotMember carries the first nonzero cell of A.(V1 - W1).  A.(.) is
     injective on fields (vf_from_target reads every component back off it),
-    so V1 != W1 with A.(V1 - W1) = 0 is a DworkError."""
+    so V1 != W1 with A.(V1 - W1) = 0 is a DworkError, as is a V off the
+    chart."""
     ch = resolve_chart(n, c)
+    on_chart(ch, "the field V", V)
     A = full_connection(ch)
     R, _ = modular_vf(n, c)
     B = basis_vf(n, c)
@@ -209,20 +213,22 @@ def amsy_decompose(V, n, c=None):
 
 
 def _regular(ch, f):
-    """True when the canonical denominator c*x^a*disc^k (its split) divides
-    a power of the inverted locus: every variable of x^a is t_{n+2} or an
-    independent diagonal slot variable."""
-    if f.den.is_const:
+    """True when the canonical denominator x^a*disc^k (its split (a, k))
+    divides a power of the inverted locus: every variable of x^a is t_{n+2}
+    or an independent diagonal slot variable."""
+    a, _ = f.split
+    if not a:
         return True
     units = {ch.base2} | {v for (i, j), v in ch.known.items()
                           if i == j and v != ch.pivot_var}
-    _, a, _ = f.den.known_split()
     return units.issuperset(Poly(ch.ring, {a: 1}).support())
 
 
 def membership_build(f0, coeffs, n, c=None):
     """Assemble the field with the given decomposition coefficients.
-    DworkError when a coefficient's key names no basis field."""
+    DworkError when f0 or a coefficient is not on the chart of n and c, or
+    a key names no basis field."""
+    on_chart(resolve_chart(n, c), "a coefficient", f0, *coeffs.values())
     R, _ = modular_vf(n, c)
     B = basis_vf(n, c)
     try:

@@ -1,57 +1,56 @@
 """Rational functions over a Ring, kept in a canonical normal form.
 
-Invariants after every operation:
-  * denominator has integer coefficients (scalar 1), content 1, positive leading
-    coefficient, and shares no polynomial factor with the numerator;
-  * in a ring with a slot relation the denominator is free of the pivot and the
-    numerator has pivot degree <= 1.
-Equality of canonical forms is therefore structural equality.
+A canonical fraction is num / (x^a * F^k), F a ring's known factor (a
+chart ring's disc), kept as the Poly num and the split (a, k) of its
+denominator (Ring); its integer part is num.den.  Invariants after every
+operation: the denominator shares no factor with the numerator, and in a
+ring with a slot relation it is free of the pivot and the numerator has
+pivot degree <= 1.  Equality of canonical forms is therefore equality of
+(num, split).  RatFn.den, the denominator as a Poly, is built on each read.
 
-One route reduces a fraction.  Its denominator must have a split
-c * x^a * F^k, F a ring's known factor (a chart ring's disc), or c * x^a
-with k = 0 in any ring (Poly.known_split).  Ring.cancel_split cancels it
-from its exponents, since only the integer content, the monomial and a
-power of the irreducible F can cancel, and the result keeps its split.  So
-every canonical denominator is split, and the rules below keep it so.
-The constructor RatFn(num, den) is built from them: each Poly has its pivot
-squares rewritten by Ring.reduce_split and takes one cancel against the
-power of rel_den that brings, and den is then inverted and multiplied in.
-An inverse whose divisor has no split raises UnsplitDenominator, whatever
-the numerator, zero included; the kernel has no general gcd.
+One route reduces a fraction.  A denominator Poly must have a split: it is
+c * x^a * F^k, c its leading coefficient, which moves into the numerator
+(Poly.known_split).  Ring.cancel_split cancels against x^a * F^k from the
+exponents, since only the monomial and a power of the irreducible F can
+cancel, and leaves a split.  The constructor RatFn(num, den) is built from
+the rules below: each Poly has its pivot squares rewritten by
+Ring.reduce_split and takes one cancel against the power of rel_den that
+brings, and den is then inverted and multiplied in.  An inverse whose
+divisor has no split raises UnsplitDenominator, whatever the numerator,
+zero included; the kernel has no general gcd.
 
 Sums over split denominators follow Henrici (J. ACM 3, 1956): for canonical
 a/b and c/d with g = gcd(b, d), taken from the exponents (Ring.split_gcd),
 the sum is t/(b*(d/g)) with t = a*(d/g) + c*(b/g), and only gcd(t, g) can
 cancel, since t is coprime to both b/g and d/g.  The denominator stays
-primitive, positive and pivot-free, and t keeps pivot degree <= 1, because
-b and d are pivot-free.
+pivot-free, and t keeps pivot degree <= 1, because b and d are pivot-free.
 
 Constants take integer arithmetic: a sum, product or dot of constants p/q
 (ring._qpair) is one integer cross-multiplication and one gcd
 (ring._qpoly).  The inverse of N/D with N = c * x^a * F^k free of the pivot
-is D/(c * x^a * F^k): x^a * F^k is primitive, positive and prime to D, so
-only c moves across; a constant's inverse swaps its ints.  A numerator N
-that carries the pivot is inverted through its conjugate (Ring.conjugate):
-1/N = conj(N)/(N * conj(N)), where the norm N * conj(N) is free of the
-pivot once Ring.reduce_split rewrites its pivot square.  The norm must have
-a split, and the result takes one cancel against it.
+is (D/c)/(x^a * F^k), since x^a * F^k is prime to D; a constant's inverse
+swaps its ints.  A numerator N that carries the pivot is inverted through
+its conjugate (Ring.conjugate): 1/N = conj(N)/(N * conj(N)), where the norm
+N * conj(N) is free of the pivot once Ring.reduce_split rewrites its pivot
+square.  The norm must have a split, and the result takes one cancel
+against it.
 
 Products follow Henrici's rule too.  A constant factor is a unit: it scales
 the other numerator and takes no gcd, and a factor 1 returns the other
 operand.  Otherwise, with g1 = gcd(a, d) and g2 = gcd(c, b), the product
 (a/g1)(c/g2) / ((b/g2)(d/g1)) is canonical: each numerator factor is
-coprime to both denominator factors, and the denominator is primitive with
-a positive lead by Gauss's lemma, since graded lex order is
-multiplicative.  Where both numerators carry a relation pivot, the product
-has pivot degree 2: Ring.reduce_split rewrites the pivot square, which
-divides by a power of the relation's rel_den, a split too (Ring), and the
-reduced product takes one cancel against (b/g2)(d/g1) times that split.
+coprime to both denominator factors, and the denominator's split is the
+sum of theirs (Ring.split_mul).  Where both numerators carry a relation
+pivot, the product has pivot degree 2: Ring.reduce_split rewrites the pivot
+square, which divides by a power of the relation's rel_den, a split too
+(Ring), and the reduced product takes one cancel against (b/g2)(d/g1)
+times that split.
 
 dot(ring, pairs) sums the products a*b over one common denominator: the
 numerators multiply with no cross gcd (a pivot square reduced as in a
 product, its power of rel_den one more split of that product; a constant
 factor joins the integer weight instead), each is scaled by its cofactor in
-the lcm c * x^max(a) * F^max(k) of the products' splits (Ring.split_lcm),
+the lcm x^max(a) * F^max(k) of the products' splits (Ring.split_lcm),
 and the sum takes one cancel against the lcm, where k sequential products
 and sums take 3k - 1.  A single nonzero product is a * b, whose cross gcds
 keep its operands small and whose constant factors are units.
@@ -77,22 +76,27 @@ from fractions import Fraction
 from math import lcm, log10
 
 from .errors import KernelInvariant, UnsplitDenominator
-from .ring import _ONE, DEGREE_LIMIT, Poly, _primitive, _qpair, _qpoly, \
+from .ring import _UNIT, DEGREE_LIMIT, Poly, _primitive, _qpair, _qpoly, \
     _tadd, _tmul, _tscale, _tsum
 
 
 class RatFn:
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "split")
 
     def __init__(self, num, den=None):
         r = _reduced(num)
         if den is not None:
             r = r * _reduced(den).inverse()
-        self.num, self.den = r.num, r.den
+        self.num, self.split = r.num, r.split
 
     @property
     def ring(self):
         return self.num.ring
+
+    @property
+    def den(self):
+        """The denominator x^a * F^k as a Poly, built on each read."""
+        return Poly._trusted(self.ring, self.ring.split_terms(self.split))
 
     @property
     def is_zero(self):
@@ -100,7 +104,7 @@ class RatFn:
 
     @property
     def is_const(self):
-        return self.num.is_const and self.den.is_const
+        return self.num.is_const and self.split == _UNIT
 
     def const_value(self):
         return self.num.const_value() / self.den.const_value()
@@ -108,10 +112,8 @@ class RatFn:
     def support(self):
         """Names of the variables in the numerator or the denominator, in
         ring order; empty for a constant."""
-        num, den = self.num.support(), self.den.support()
-        if not den:
-            return num
-        return sorted(set(num).union(den), key=self.ring.index.__getitem__)
+        return Poly._trusted(self.ring, {**self.num.terms,
+                                         **self.den.terms}).support()
 
     # -- constructors -------------------------------------------------------
     @staticmethod
@@ -121,11 +123,11 @@ class RatFn:
             return value
         if isinstance(value, Poly):
             return RatFn(value)
-        return _raw(ring.const(value), ring.one)
+        return _raw(ring.const(value), _UNIT)
 
     @staticmethod
     def var(ring, name):
-        return _raw(ring.var(name), ring.one)
+        return _raw(ring.var(name), _UNIT)
 
     # -- arithmetic ---------------------------------------------------------
     def _coerce(self, other):
@@ -139,24 +141,24 @@ class RatFn:
             return NotImplemented
         a, ring = self, self.ring
         a.num._chk(b.num)
-        ka, kb = _qpair(a.num, a.den), _qpair(b.num, b.den)
+        ka, kb = _qpair(a.num, a.split), _qpair(b.num, b.split)
         if ka and kb:
             return _raw(_qpoly(ring, ka[0] * kb[1] + kb[0] * ka[1],
-                               ka[1] * kb[1]), ring.one)
+                               ka[1] * kb[1]), _UNIT)
         if a.is_zero:
             return b
         if b.is_zero:
             return a
         # Henrici addition, see the module docstring
-        gs, sb, sd = ring.split_gcd(a.den.known_split(), b.den.known_split())
+        gs, sb, sd = ring.split_gcd(a.split, b.split)
         T = _tadd(_tscale(_tmul(a.num.terms, ring.split_terms(sd)), b.num.den),
                   _tscale(_tmul(b.num.terms, ring.split_terms(sb)), a.num.den))
         if not T:
-            return _raw(ring.zero, ring.one)
+            return _raw(ring.zero, _UNIT)
         # b*(d/g)/h with h = gcd(T, g) is (b/g)*(d/g)*(g/h)
-        _, T, gs = ring.cancel_split(T, gs)
+        T, gs = ring.cancel_split(T, gs)
         return _raw(Poly._trusted(ring, T, a.num.den * b.num.den),
-                    ring.split_poly(sb, sd, gs))
+                    ring.split_mul(sb, sd, gs))
 
     __radd__ = __add__
 
@@ -173,7 +175,7 @@ class RatFn:
         return o + (-self)
 
     def __neg__(self):
-        return self if self.is_zero else _raw(-self.num, self.den)
+        return self if self.is_zero else _raw(-self.num, self.split)
 
     def __mul__(self, other):
         b = other if type(other) is RatFn else self._coerce(other)
@@ -181,11 +183,11 @@ class RatFn:
             return NotImplemented
         a, ring = self, self.ring
         a.num._chk(b.num)
-        ka, kb = _qpair(a.num, a.den), _qpair(b.num, b.den)
+        ka, kb = _qpair(a.num, a.split), _qpair(b.num, b.split)
         if ka and kb:
-            return _raw(_qpoly(ring, ka[0] * kb[0], ka[1] * kb[1]), ring.one)
+            return _raw(_qpoly(ring, ka[0] * kb[0], ka[1] * kb[1]), _UNIT)
         if (0, 1) in (ka, kb):
-            return _raw(ring.zero, ring.one)
+            return _raw(ring.zero, _UNIT)
         # product rule, see the module docstring
         if ka:
             a, b, kb = b, a, ka
@@ -193,38 +195,38 @@ class RatFn:
             if kb == (1, 1):
                 return a
             return _raw(Poly._trusted(ring, _tscale(a.num.terms, kb[0]),
-                                      a.num.den * kb[1]), a.den)
-        _, A, sd = ring.cancel_split(a.num.terms, b.den.known_split())
-        _, C, sb = ring.cancel_split(b.num.terms, a.den.known_split())
+                                      a.num.den * kb[1]), a.split)
+        A, sd = ring.cancel_split(a.num.terms, b.split)
+        C, sb = ring.cancel_split(b.num.terms, a.split)
         nd = a.num.den * b.num.den
         if ring.has_pivot(A) and ring.has_pivot(C):
             T, q, sr = ring.reduce_split(_tmul(A, C))
             return _over_split(ring, T, nd * q, ring.split_mul(sb, sd, sr))
-        return _raw(Poly._trusted(ring, _tmul(A, C), nd), ring.split_poly(sb, sd))
+        return _raw(Poly._trusted(ring, _tmul(A, C), nd), ring.split_mul(sb, sd))
 
     __rmul__ = __mul__
 
     def inverse(self):
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero")
-        ring, p, D = self.ring, self.num, self.den.terms
-        k = _qpair(p, self.den)
+        ring, p = self.ring, self.num
+        k = _qpair(p, self.split)
         if k:
             return _raw(_qpoly(ring, k[1] if k[0] > 0 else -k[1], abs(k[0])),
-                        ring.one)
+                        _UNIT)
+        D = ring.split_terms(self.split)
         if not ring.has_pivot(p.terms):
-            c, a, k = _split(p)
+            c, split = _split(p)
             q = p.den if c > 0 else -p.den
-            return _raw(Poly._trusted(ring, _tscale(D, q), abs(c)),
-                        ring.split_poly((1, a, k)))
+            return _raw(Poly._trusted(ring, _tscale(D, q), abs(c)), split)
         C = ring.conjugate(p.terms)
         N, q, sr = ring.reduce_split(_tmul(p.terms, C))
         if not N:
             raise ZeroDivisionError("inverse of a zero divisor")
-        c, a, k = _split(Poly._trusted(ring, N))
+        c, split = _split(Poly._trusted(ring, N))
         q = p.den * q if c > 0 else -p.den * q
         M = _tmul(_tmul(D, C), ring.split_terms(sr))
-        return _over_split(ring, _tscale(M, q), abs(c), (1, a, k))
+        return _over_split(ring, _tscale(M, q), abs(c), split)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -257,18 +259,18 @@ class RatFn:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.num == o.num and self.den == o.den
+        return self.num == o.num and self.split == o.split
 
     def __hash__(self):
         # over a denominator of one, as the numerator it equals
-        return hash(self.num if self.den.is_const else (self.num, self.den))
+        return hash(self.num if self.split == _UNIT else (self.num, self.split))
 
     # -- calculus / evaluation ---------------------------------------------
     def derive(self, var):
         """Formal partial derivative; a relation pivot counts as an independent
         slot.  See the module docstring for the rule."""
         p, ring = self.num, self.ring
-        N, split = ring.derive_split(p.terms, self.den.known_split(), var)
+        N, split = ring.derive_split(p.terms, self.split, var)
         return _over_split(ring, N, p.den, split)
 
     def subs(self, mapping):
@@ -282,9 +284,7 @@ class RatFn:
         return _subs_poly(self.num, vals) / _subs_poly(self.den, vals)
 
     def eval(self, point):
-        nv = self.num.eval(point)
-        dv = self.den.eval(point)
-        return nv / dv
+        return self.num.eval(point) / self.den.eval(point)
 
     def lift(self, ring):
         return RatFn(self.num.lift(ring), self.den.lift(ring))
@@ -310,10 +310,10 @@ def _subs_poly(p, vals):
 # ---------------------------------------------------------------------------
 # normalization
 
-def _raw(num, den):
-    """A RatFn from a pair already in canonical form."""
+def _raw(num, split):
+    """A RatFn from a numerator and a denominator split in canonical form."""
     r = RatFn.__new__(RatFn)
-    r.num, r.den = num, den
+    r.num, r.split = num, split
     return r
 
 
@@ -324,23 +324,23 @@ def _reduced(p):
 
 
 def _split(p):
-    """The split of the pivot-free Poly p; UnsplitDenominator if it has none."""
+    """(c, split) for the pivot-free Poly p = c * x^a * F^k, c its leading
+    coefficient; UnsplitDenominator if it has none."""
     s = p.known_split()
     if not s:
         D = Poly._trusted(p.ring, _primitive(p.terms)[1])
         raise UnsplitDenominator(f"denominator {poly_string(D)} has no split "
                                  "c * x^a * F^k")
-    return s
+    return p.terms[max(p.terms)], s
 
 
 def _over_split(ring, T, nd, split):
-    """The canonical RatFn T / (nd * D) for the integer term dict T, of
-    pivot degree <= 1, the positive int nd and D given by split: one cancel
-    against the split."""
+    """The canonical RatFn T / (nd * D), D given by split, for the integer
+    term dict T of pivot degree <= 1 and the int nd > 0: one cancel."""
     if not T:
-        return _raw(ring.zero, ring.one)
-    _, T, split = ring.cancel_split(T, split)
-    return _raw(Poly._trusted(ring, T, nd), ring.split_poly(split))
+        return _raw(ring.zero, _UNIT)
+    T, split = ring.cancel_split(T, split)
+    return _raw(Poly._trusted(ring, T, nd), split)
 
 
 def dot(ring, pairs):
@@ -352,24 +352,24 @@ def dot(ring, pairs):
         if x.ring is not ring or y.ring is not ring:
             raise KernelInvariant("mixed rings")
         A, B = x.terms, y.terms
-        ka = 0 in A and len(A) == 1 and a.den.terms == _ONE
-        kb = 0 in B and len(B) == 1 and b.den.terms == _ONE
+        ka = 0 in A and len(A) == 1 and a.split == _UNIT
+        kb = 0 in B and len(B) == 1 and b.split == _UNIT
         if ka and kb:
             d = x.den * y.den
             p, q = p * d + A[0] * B[0] * q, q * d
         elif A and B:
             rest.append((b, a, True) if ka else (a, b, kb))
     if not rest:
-        return _raw(_qpoly(ring, p, q), ring.one)
+        return _raw(_qpoly(ring, p, q), _UNIT)
     if len(rest) == 1 and not p:
         return rest[0][0] * rest[0][1]
     fused = [({0: p}, q, (), 1)] if p else []
     for a, b, k in rest:
         A, C, nd = a.num.terms, b.num.terms, a.num.den * b.num.den
         if k:  # b is a constant: its integer joins the weight
-            fused.append((A, nd, (a.den.known_split(),), C[0]))
+            fused.append((A, nd, (a.split,), C[0]))
             continue
-        T, r, splits = _tmul(A, C), 1, (a.den.known_split(), b.den.known_split())
+        T, r, splits = _tmul(A, C), 1, (a.split, b.split)
         if ring.has_pivot(A) and ring.has_pivot(C):
             T, r, sr = ring.reduce_split(T)
             splits += (sr,)
@@ -526,11 +526,11 @@ def parse_ratfn(ring, s):
             if k > DEGREE_LIMIT:
                 raise ParseError(f"exponent {k} past the packed field limit "
                                  f"{DEGREE_LIMIT}")
-            # v^k's printed top coefficients are the k-th powers of v's, for
-            # v free of the pivot; m^k prints when under 10^limit, and only an
-            # e = log10(m^k) within 1 of the limit takes the exact test
-            N, D = v.num.terms, v.den.terms
-            m = max(abs(N[max(N)]), D[max(D)] * v.num.den) \
+            # for v free of the pivot, v^k's printed top coefficients are the
+            # k-th powers of v's, its denominator led by 1; m^k prints under
+            # 10^limit; only e = log10(m^k) within 1 of it takes the exact test
+            N = v.num.terms
+            m = max(abs(N[max(N)]), v.num.den) \
                 if N and not ring.has_pivot(N) else 1
             e, limit = k * log10(m), getattr(sys, "get_int_max_str_digits",
                                              int)()
@@ -605,8 +605,7 @@ def eq_by_random_eval(f, g, rng, trials=5):
                              "vanish at every point drawn")
         pt = {nm: Fraction(rng.randint(-19, 19), rng.randint(1, 7))
               for nm in ring.names}
-        dfv = f.den.eval(pt)
-        dgv = g.den.eval(pt)
+        dfv, dgv = f.den.eval(pt), g.den.eval(pt)
         if dfv == 0 or dgv == 0:
             continue
         if (fa.eval(pt) * dgv != ga.eval(pt) * dfv

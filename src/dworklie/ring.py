@@ -22,26 +22,25 @@ the degree with one multiplication.  Poly.support jumps from one set field
 to the next instead of testing every variable.
 
 A ring may name one known irreducible factor F = x^r - x_v.  A polynomial
-c * x^a * F^k, or c * x^a in any ring, has the split (c, a, k), found once
-per Poly and kept on it (Poly.known_split), and the kernel works on splits:
-the gcd with a split denominator comes by exact division by F, not by a
+c * x^a * F^k, or c * x^a in any ring, has the split (a, k), c being its
+leading coefficient (Poly.known_split), and the kernel works on splits: the
+gcd with a split denominator comes by exact division by F, not by a
 multivariate gcd, and the reduced denominator is a split again
 (Ring.cancel_split, see Ring); the gcd of two splits comes from their
-exponents (Ring.split_gcd), and a product of splits is built from the
-cached F^k by one shift (Ring.split_poly).  There is no general gcd: ratfn
-refuses a denominator without a split, and a relation's rel_num and
-rel_den must each have one.  Kernel results with no zero coefficient enter
-Poly through Poly._trusted, which skips the zero filter and, over den 1,
-the content scan.
+exponents (Ring.split_gcd) and their product is their sum (Ring.split_mul).
+There is no general gcd: ratfn refuses a denominator without a split, and a
+relation's rel_num and rel_den must each have one.  Kernel results with no
+zero coefficient enter Poly through Poly._trusted, which skips the zero
+filter and, over den 1, the content scan.
 
 Boundary: only this module knows how a monomial is encoded and how monomials
 are ordered.  Other modules name variables and use
   Ring: var, const, with_relation, extend, factor_pow, has_pivot (the
         pivot test) and conjugate (the pivot's sign flipped);
         ratfn also uses reduce_split (the pivot reduction, with the power
-        of rel_den it takes as a split) and the split methods split_terms,
-        split_mul, split_poly, split_gcd, split_lcm (the lcm of products of
-        splits, with each product's cofactor), cancel_split and
+        of rel_den it takes as an int and a split) and the split methods
+        split_terms, split_mul, split_gcd, split_lcm (the lcm of products
+        of splits, with each product's cofactor), cancel_split and
         derive_split (the logarithmic derivative over a split denominator);
   Poly: arithmetic, divmod (division with remainder), derive, eval, lift (also
         down to a prefix ring), support, weighted_degrees, coeffs (over
@@ -50,13 +49,13 @@ are ordered.  Other modules name variables and use
         known_split.
 ratfn alone also hands term dicts, as opaque values, to _tadd, _tsum, _tmul,
 _tscale and _primitive, and builds results with Poly._trusted, so that its
-split sums and products build no Poly beyond their results; it reads a
-constant as two ints through _qpair and builds one through _qpoly.  Splits
-are opaque to it too: it passes them between the Ring methods above and
-tests only whether a Poly has one.  Exponent tuples enter only as
-constructor input: the relation and the known factor of Ring(...), which
-geometry and the tests spell out; items, weighted_degrees, eval and the
-printer unpack.
+split sums and products build no Poly beyond their numerators; it reads a
+constant as two ints through _qpair, its split being _UNIT, and builds one
+through _qpoly.  Splits are opaque to it too: it passes them between the
+Ring methods above and compares them with _UNIT.  Exponent tuples enter
+only as constructor input: the relation and the known factor of
+Ring(...), which geometry and the tests spell out; items,
+weighted_degrees, eval and the printer unpack.
 """
 
 from __future__ import annotations
@@ -102,6 +101,7 @@ def _unpack(m, nv):
 
 
 _ONE = {0: 1}  # the term dict of 1 in every ring
+_UNIT = (0, 0)  # the split of 1 in every ring
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +195,11 @@ def _primitive(T):
     return c, (T if c == 1 else {e: x // c for e, x in T.items()})
 
 
-def _qpair(num, den):
-    """(p, q), q > 0, when the Polys num and den of a canonical fraction are
-    the constant p/q, else None."""
+def _qpair(num, split):
+    """(p, q), q > 0, when the canonical fraction of the Poly num over the
+    denominator with the given split is the constant p/q, else None."""
     N = num.terms
-    if den.terms == _ONE and (not N or len(N) == 1 and 0 in N):
+    if split == _UNIT and (not N or len(N) == 1 and 0 in N):
         return N.get(0, 0), num.den
     return None
 
@@ -341,23 +341,21 @@ class Ring:
     exponent tuple r free of x_v whose monomial leads F, and F free of the
     relation pivot.  F is irreducible, being linear in x_v with coprime
     coefficients x^r and -1, and it is prime to every monomial and integer.
-    So for D = c * x^a * F^k,
-    gcd(N, D) = igcd(content N, c) * x^min(a, ord N) * F^j, with j the largest
-    power up to k that divides N, and cancel_split() finds it from D's
-    split (c, a, k).
-    For two split polynomials the gcd is
-    igcd(c1, c2) * x^min(a1, a2) * F^min(k1, k2), from the exponents alone
-    (split_gcd), and derive_split differentiates P / D by the logarithmic
-    derivative of x^a * F^k.  With k = 0 none of this needs F, so a one-term
-    D = c * x^a is split as (c, a, 0) in a ring without a known factor too.
-    The relation's rel_den must have a split, kept on the ring, so that
+    A split (a, k) stands for D = x^a * F^k, and gcd(N, D) =
+    x^min(a, ord N) * F^j, j the largest power up to k that divides N
+    (cancel_split).  For two splits the gcd is x^min(a1, a2) *
+    F^min(k1, k2), from the exponents alone (split_gcd), and derive_split
+    differentiates P / D by the logarithmic derivative of x^a * F^k.  With
+    k = 0 none of this needs F, so a one-term c * x^a has the split (a, 0)
+    in a ring without a known factor too.  The relation's rel_den must have
+    a split, kept on the ring beside its leading coefficient, so that
     reducing a pivot power keeps a split denominator split (reduce_split),
-    and so must its rel_num, so that the pivot has an inverse
-    (1/pivot = pivot * rel_den/rel_num); ValueError otherwise."""
+    and so must its rel_num, so that the pivot has an inverse (1/pivot =
+    pivot * rel_den/rel_num); ValueError otherwise."""
 
     __slots__ = ("names", "index", "pivot", "rel_num", "rel_den", "_relpow",
-                 "_rsplit", "factor", "_fpow", "_known", "_units", "_pmask",
-                 "zero", "one")
+                 "_rsplit", "_rlead", "factor", "_fpow", "_known", "_units",
+                 "_pmask", "zero", "one")
 
     def __init__(self, names, pivot=None, rel_num=None, rel_den=None,
                  factor=None):
@@ -390,11 +388,13 @@ class Ring:
             limit = (DEGREE_LIMIT // sum(r) + 1) << (nv * _W)
             self._known = (R, E, v * _W, limit)
             self._fpow = [_ONE, {R: 1, E: -1}]
-        self._rsplit = pivot is not None and rel_den and self._known_split(rel_den)
-        if pivot is not None and not self._rsplit:
-            raise ValueError("relation: rel_den has no split c * x^a * F^k")
-        if pivot is not None and not (rel_num and self._known_split(rel_num)):
-            raise ValueError("relation: rel_num has no split c * x^a * F^k")
+        if pivot is not None:
+            self._rsplit = rel_den and self._known_split(rel_den)
+            if not self._rsplit:
+                raise ValueError("relation: rel_den has no split c * x^a * F^k")
+            self._rlead = rel_den[max(rel_den)]
+            if not (rel_num and self._known_split(rel_num)):
+                raise ValueError("relation: rel_num has no split c * x^a * F^k")
 
     @property
     def nvars(self):
@@ -452,15 +452,14 @@ class Ring:
         return P[k]
 
     def _known_split(self, D):
-        """(c, a, k) with D == c * x^a * F^k, or None when D is not of that
-        form.  A one-term D is (c, a, 0) in every ring; a longer one needs the
-        ring's known factor.  F^k has k + 1 terms, from x^(rk) down to x_v^k,
+        """(a, k) with D == c * x^a * F^k, c the leading coefficient of D, or
+        None when D is not of that form.  A one-term D is (a, 0) in every
+        ring; a longer one needs the ring's known factor.  F^k has k + 1 terms, from x^(rk) down to x_v^k,
         so k = |D| - 1 and a comes from the lowest key; a D whose highest key
         also matches is compared term by term, in O(|D|)."""
         k = len(D) - 1
         if not k:
-            ((a, c),) = D.items()
-            return c, a, 0
+            return next(iter(D)), 0
         if self._known is None:
             return None
         R, E, s, _ = self._known
@@ -473,76 +472,65 @@ class Ring:
             return None
         c = D[top]
         if all(D.get(e + a) == c * f for e, f in self.factor_pow(k).items()):
-            return c, a, k
+            return a, k
         return None
 
     def split_terms(self, split):
-        """Term dict of c * x^a * F^k for split = (c, a, k)."""
-        c, a, k = split
+        """Term dict of x^a * F^k for split = (a, k)."""
+        a, k = split
         if not k:  # most denominators are monomials; factor_pow(0) is {0: 1}
             if a & _G:
                 raise _overflow()
-            return {a: c}
+            return {a: 1}
         Fk = self.factor_pow(k)
         if (next(iter(Fk)) + a) & _G:
             raise _overflow()
-        return {e + a: c * f for e, f in Fk.items()}
+        return {e + a: f for e, f in Fk.items()}
 
     def split_mul(self, *splits):
-        """The split of the product of the polynomials with the given splits;
-        each step adds two keys with fields below the guard bit (checked)."""
-        c, a, k = 1, 0, 0
-        for ci, ai, ki in splits:
-            c, a, k = c * ci, a + ai, k + ki
+        """The split of the product of x^a * F^k over the given splits; each
+        step adds two keys with fields below the guard bit (checked)."""
+        a, k = 0, 0
+        for ai, ki in splits:
+            a, k = a + ai, k + ki
             if a & _G:
                 raise _overflow()
-        return c, a, k
-
-    def split_poly(self, *splits):
-        """The Poly c * x^a * F^k that is the product of the given splits,
-        with its split kept."""
-        s = self.split_mul(*splits)
-        p = Poly._trusted(self, self.split_terms(s))
-        p._ks = s
-        return p
+        return a, k
 
     def split_lcm(self, groups):
         """(l, cofactors) for the lcm l of the products D of the groups of
-        polynomials given by their splits: F is prime to every monomial and
-        integer, so l = lcm(c) * x^max(a) * F^max(k), each maximum over the
-        exponents, a + b - gcd(a, b) fieldwise for two monomials.  Each
-        product's cofactor l / D comes as a term dict, None where it is 1."""
+        splits: l = x^max(a) * F^max(k), each maximum over the exponents,
+        a + b - gcd(a, b) fieldwise for two monomials.  Each product's
+        cofactor l / D comes as a term dict, None where it is 1."""
         prods = [self.split_mul(*g) for g in groups]
-        cl, al, kl = 1, 0, 0
-        for c, a, k in prods:
-            cl, kl = lcm(cl, c), max(kl, k)
+        al, kl = 0, 0
+        for a, k in prods:
+            kl = max(kl, k)
             al += a - _mono_gcd((al,), (a,), self.nvars)
-        L = (cl, al, kl)
-        return L, [None if s == L else
-                   self.split_terms((cl // s[0], al - s[1], kl - s[2]))
+        L = (al, kl)
+        return L, [None if s == L else self.split_terms((al - s[0], kl - s[1]))
                    for s in prods]
 
     def split_gcd(self, s1, s2):
-        """(g, s1/g, s2/g) as splits for g = gcd(B, D) of the polynomials B
-        and D with splits s1 and s2: F is prime to every monomial and integer,
-        so g = igcd(c1, c2) * x^min(a1, a2) * F^min(k1, k2), each minimum
-        taken over the exponents."""
-        (c1, a1, k1), (c2, a2, k2) = s1, s2
-        cg = igcd(c1, c2)
+        """(g, s1/g, s2/g) as splits for g = gcd(B, D) of B and D with splits
+        s1 and s2: F is prime to every monomial, so
+        g = x^min(a1, a2) * F^min(k1, k2), each minimum taken over the
+        exponents."""
+        (a1, k1), (a2, k2) = s1, s2
         m = _mono_gcd((a1,), (a2,), self.nvars) if a1 and a2 else 0
         j = min(k1, k2)
-        return (cg, m, j), (c1 // cg, a1 - m, k1 - j), (c2 // cg, a2 - m, k2 - j)
+        return (m, j), (a1 - m, k1 - j), (a2 - m, k2 - j)
 
     def derive_split(self, P, split, var):
         """(N, s) with d/d var (P / D) == N / D' for the integer term dict P,
-        D = c * x^a * F^k given by split, and D' given by s.  With
+        D = x^a * F^k given by split, and D' given by s.  With
         q = x^a * F^k, q'/q = a_v/x_v + k F'/F, so
         (P/q)' = (x_v F P' - a_v F P - k x_v F' P) / (x^(a + e_v) F^(k+1));
         the factor x_v (or F) stays out where a_v (or k F') is 0, and when
         both are, q' = 0 and the result is P'/q.  N may share a factor with D'."""
         v = self.index[var]
         s, unit = v * _W, self._units[v]
-        c, a, k = split
+        a, k = split
         dP = _tderive(P, s, unit)
         av = a >> s & _FM
         dF = _tderive(self._fpow[1], s, unit) if k else {}
@@ -555,24 +543,23 @@ class Ring:
             N = _tadd(N, _tscale(_tmul(F, P), -av))
         if dF:
             N = _tadd(N, _tscale(_tmul(_tmul(x, dF), P), -k))
-        return N, (c, a + unit if av else a, k + 1 if dF else k)
+        return N, (a + unit if av else a, k + 1 if dF else k)
 
     def cancel_split(self, N, split):
-        """(g, N/g, D/g) for g = gcd(N, D), N a nonzero integer term dict and
-        D = c * x^a * F^k given by split, with g and D/g as splits: the rule
-        of the class docstring, g with a positive leading coefficient."""
-        c, a, k = split
-        cg = 1 if c in (1, -1) else igcd(_content(N), c)
+        """(N/g, D/g) for g = gcd(N, D), N a nonzero integer term dict and
+        D = x^a * F^k given by split, with D/g as a split: the rule of the
+        class docstring."""
+        a, k = split
         m = _mono_gcd((a,), N, self.nvars) if a else 0
-        if cg > 1 or m:
-            N = {e - m: x // cg for e, x in N.items()}
+        if m:
+            N = {e - m: x for e, x in N.items()}
         j = 0
         while j < k:
             Q = _tdiv_known(N, self._known)
             if Q is None:
                 break
             N, j = Q, j + 1
-        return (cg, m, j), N, (c // cg, a - m, k - j)
+        return N, (a - m, k - j)
 
     def _rel_pow(self, k):
         cache = self._relpow
@@ -609,12 +596,15 @@ class Ring:
         return out, kmax
 
     def reduce_split(self, T):
-        """(T', q, (1, a, k)) with T == T'/(q * x^a * F^k), q > 0 an int and
-        pivot degree <= 1 in T': reduce_terms, its rel_den^j the product of
-        j copies of the split of rel_den kept on the ring."""
+        """(T', q, split) with T == T'/(q * x^a * F^k), q > 0 an int and
+        pivot degree <= 1 in T': reduce_terms, its rel_den^j the j-th power
+        of rel_den's leading coefficient c times j copies of the split of
+        rel_den, both kept on the ring; q is |c|^j, the sign moved into T'."""
         T, j = self.reduce_terms(T)
-        c, a, k = self.split_mul(*(self._rsplit,) * j)
-        return (T, c, (1, a, k)) if c > 0 else (_tneg(T), -c, (1, a, k))
+        if not j:
+            return T, 1, _UNIT
+        q, split = self._rlead ** j, self.split_mul(*(self._rsplit,) * j)
+        return (T, q, split) if q > 0 else (_tneg(T), -q, split)
 
     def has_pivot(self, T):
         """Whether the relation pivot occurs in the term dict T."""
@@ -633,7 +623,7 @@ class Ring:
 class Poly:
     """Immutable polynomial; see module docstring for the representation."""
 
-    __slots__ = ("ring", "terms", "den", "_ks")
+    __slots__ = ("ring", "terms", "den")
 
     def __init__(self, ring, terms, den=1):
         terms = {e: c for e, c in terms.items() if c}
@@ -670,14 +660,9 @@ class Poly:
         return p
 
     def known_split(self):
-        """(c, a, k) with terms == c * x^a * F^k for the ring's known factor
-        F, k = 0 for one term in any ring (see Ring._known_split); False when
-        the terms are not of that form.  Found on first use, then kept."""
-        try:
-            return self._ks
-        except AttributeError:
-            ks = self._ks = self.ring._known_split(self.terms) or False
-            return ks
+        """(a, k) with terms == c * x^a * F^k, c the leading coefficient (see
+        Ring._known_split); False when the terms are not of that form."""
+        return self.ring._known_split(self.terms) or False
 
     # -- predicates ---------------------------------------------------------
     @property

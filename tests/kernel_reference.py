@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from dworklie import KernelInvariant, UnsplitDenominator
 from dworklie.ratfn import _over_split, _raw, poly_string
-from dworklie.ring import Poly, _primitive, _tmul, _tpow, _tscale
+from dworklie.ring import _UNIT, Poly, _primitive, _tmul, _tpow, _tscale
 
 
 def rationalize(ring, N, D):
@@ -40,7 +40,7 @@ def rationalize(ring, N, D):
 
 
 def normalize(num, den):
-    """The canonical (numerator, denominator) Polys of num/den."""
+    """The canonical numerator Poly and denominator split of num/den."""
     ring = num.ring
     if den.ring is not ring:
         raise KernelInvariant("mixed rings")
@@ -56,10 +56,10 @@ def normalize(num, den):
         raise UnsplitDenominator(f"denominator {poly_string(D)} has no split "
                                  "c * x^a * F^k")
     if not N:
-        return ring.zero, ring.one
+        return ring.zero, _UNIT
     q = Fraction(den.den, num.den * cd)
     r = _over_split(ring, _tscale(N, q.numerator), q.denominator, split)
-    return r.num, r.den
+    return r.num, r.split
 
 
 def full(num, den=None):

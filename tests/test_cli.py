@@ -43,7 +43,9 @@ def test_output_is_deterministic(capsys):
 
 
 def test_usage_errors_exit_64(capsys):
+    named = {("ra", "--n", "x"): "not an integer: 'x'"}
     for argv in (["ra", "--n", "0"],
+                 ["ra", "--n", "x"],
                  ["ra"],
                  ["ra", "--n", "2", "--cn", "one/two"],
                  ["cy3", "--n", "2"],
@@ -53,7 +55,7 @@ def test_usage_errors_exit_64(capsys):
                  ["nope"],
                  []):
         assert main(argv) == 64, argv
-        capsys.readouterr()
+        assert named.get(tuple(argv), "") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -51,10 +51,12 @@ def reference_dot(ring, pairs):
 
 
 def assert_canonical(r):
-    """A primitive, positive denominator whose kept split is its own."""
-    c, D = _primitive(r.den.terms)
-    assert c == 1 and D == r.den.terms and r.den.den == 1
-    assert r.den.known_split() == (r.ring._known_split(r.den.terms) or False)
+    """A primitive denominator with leading coefficient 1, built from the
+    kept split and split as that."""
+    D = r.den.terms
+    c, P = _primitive(D)
+    assert c == 1 and P == D and D[max(D)] == 1 and r.den.den == 1
+    assert r.den.known_split() == r.split
 
 
 monomials = st.tuples(*[st.integers(0, 2)] * 3)
@@ -71,7 +73,7 @@ def fractions(draw, ring):
                draw(st.integers(1, 3)))
     a = _pack((draw(st.integers(0, 2)), draw(st.integers(0, 2)), 0), 3)
     k = draw(st.integers(0, 2)) if ring.factor else 0
-    den = Poly(ring, ring.split_terms((1, a, k)))
+    den = Poly(ring, ring.split_terms((a, k)))
     return RatFn(num, den)
 
 

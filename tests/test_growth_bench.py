@@ -1,5 +1,6 @@
 """bench/growth.py keeps working: its smoke run (n = 3, h = 1) writes a
-record of the documented shape."""
+record of the documented shape, with the load average each job started
+under."""
 
 import json
 import os
@@ -30,9 +31,13 @@ def test_smoke_record_has_every_stage_of_every_job(tmp_path):
                               for job in stages]
     assert set(record["jobs"]) == set(stages)
     for job, want in stages.items():
-        assert set(record["jobs"][job]) == want | {"peak_rss_mb"}
+        assert set(record["jobs"][job]) == want | {"peak_rss_mb",
+                                                   "loadavg_1m"}
         for entry in record["jobs"][job].values():
             (x,) = entry["change"]
             assert x >= 0 and entry["change_best"] == x
             assert entry["change_summary"] == [x, x, x]
             assert "change_lower_pairs" not in entry
+    assert set(record["units"]) >= {"peak_rss_mb", "loadavg_1m"}
+    loads = [record["jobs"][job]["loadavg_1m"]["change"][0] for job in stages]
+    assert all(isinstance(x, float) for x in loads)

@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from dworklie import (DworkError, MatF, NotMember, RatFn, VecField,
-                      amsy_decompose, basis_pairs, basis_vf, fR_identities,
+from dworklie import (DworkError, KernelInvariant, MatF, NotMember, RatFn,
+                      VecField, amsy_decompose, basis_pairs, basis_vf,
+                      check_pairing_invariance, fR_identities,
                       full_connection, jacobi_ok, lie_gen, linalg,
                       membership_build, modular_vf, resolve_chart, sl2_triple,
                       truncate_poly, verify_flatness, verify_homomorphism,
@@ -386,3 +387,40 @@ def test_a_build_with_an_unknown_basis_key_is_refused_by_name():
     one = RatFn.of(ch.ring, 1)
     with pytest.raises(DworkError, match=r"no basis field \(9, 9\) at n = 3"):
         membership_build(one, {(9, 9): one}, 3)
+
+
+def one_on(n):
+    return RatFn.of(resolve_chart(n).ring, 1)
+
+
+# each call hands a field, a coefficient or a connection of one chart to a
+# function working on another; the message names the chart it is not on
+FOREIGN = {
+    "decompose n = 3 field at n = 4": (
+        lambda: amsy_decompose(modular_vf(3)[0], 4),
+        r"field V is not on the chart n = 4, c = 1/46656"),
+    "decompose n = 3 field on the symbolic chart": (
+        lambda: amsy_decompose(modular_vf(3)[0], 3, "sym"),
+        r"field V is not on the chart n = 3, c symbolic"),
+    "build with an n = 1 f0 at n = 3": (
+        lambda: membership_build(one_on(1), {}, 3),
+        r"coefficient is not on the chart n = 3, c = 1/78125"),
+    "build with an n = 1 coefficient at n = 3": (
+        lambda: membership_build(one_on(3), {(1, 2): one_on(1)}, 3),
+        r"coefficient is not on the chart n = 3"),
+    "flatness of an n = 3 and an n = 4 field": (
+        lambda: verify_flatness(modular_vf(3)[0], modular_vf(4)[0]),
+        r"field W is not on the chart n = 3"),
+    "pairing invariance of the n = 4 connection on the n = 3 chart": (
+        lambda: check_pairing_invariance(resolve_chart(3),
+                                         full_connection(resolve_chart(4))),
+        r"connection is not on the chart n = 3"),
+}
+
+
+@pytest.mark.parametrize("case", FOREIGN)
+def test_inputs_from_another_chart_are_refused_by_name(case):
+    call, message = FOREIGN[case]
+    with pytest.raises(DworkError, match=message) as caught:
+        call()
+    assert not isinstance(caught.value, KernelInvariant)

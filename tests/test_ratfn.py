@@ -137,6 +137,12 @@ def test_denominator_sign_convention():
     f = poly_of(pack({(1, 0, 0): 1})) / poly_of(pack({(0, 1, 0): -2}))
     # canonical denominators lead with a positive coefficient
     assert ratfn_string(f) == "-x/(2*y)"
+    # so does a Poly's integer denominator: the sign moves onto the terms
+    T = pack({(1, 0, 0): 3, (0, 1, 0): -1})
+    p = Poly(R3, T, -2)
+    assert p.den == 2 and p.terms == {e: -c for e, c in T.items()}
+    with pytest.raises(ZeroDivisionError, match="zero denominator"):
+        Poly(R3, T, 0)
 
 
 def test_parse_rejects_unknown_variable():

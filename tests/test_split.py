@@ -3,17 +3,16 @@ two split denominators and the split cancel against sympy's gcd and against
 their own coprimality certificate, synthetic division by the known factor
 against division with remainder, the logarithmic-derivative rule, the
 split-carrying sum and product, the trusted Poly constructor, the splits
-cached on denominators during a cold pipeline run, the chart and threefold
+kept on every result and during a cold pipeline run, each an (a, k) pair
+with the denominator built from it led by 1, the chart and threefold
 work that must finish on this route, and the refusal of any denominator or
 relation without a split, and of the inverse of a zero divisor."""
-
-from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import dworklie as dw
-from dworklie import Poly, RatFn, Ring, UnsplitDenominator, chart
+from dworklie import Poly, RatFn, Ring, UnsplitDenominator, chart, ratfn
 from dworklie.ring import _pack, _tadd, _tdiv_known, _tmul, _tpow, _tscale, \
     _unpack
 from kernel_reference import full
@@ -39,7 +38,7 @@ den_monomials = st.tuples(st.integers(0, 2), st.integers(0, 2),
 polys = st.dictionaries(monomials, st.integers(-4, 4).filter(bool),
                         min_size=1, max_size=4)
 scales = st.integers(-6, 6).filter(bool)
-splits = st.tuples(scales, monomials, st.integers(0, 3))
+splits = st.tuples(monomials, st.integers(0, 3))
 
 
 def to_sympy(ring, T):
@@ -68,11 +67,12 @@ def test_exponent_gcd_matches_general_gcd(ring, s1, s2):
 
 def cancel_case(ring, f, s, b, j):
     """N = f * x^b * F^j against D with split s: (N, D, g, N/g, D/g) from
-    cancel_split, g and D/g as term dicts."""
-    N = _tmul(f, ring.split_terms((1, b, j)))
-    gs, Q, rest = ring.cancel_split(N, s)
-    assert ring.split_poly(rest).known_split() == ring._known_split(
-        ring.split_terms(rest))
+    cancel_split, D/g as a split and the rest as term dicts; g's split is
+    s less that of D/g."""
+    N = _tmul(f, ring.split_terms((b, j)))
+    Q, rest = ring.cancel_split(N, s)
+    assert ring._known_split(ring.split_terms(rest)) == rest
+    gs = (s[0] - rest[0], s[1] - rest[1])
     return N, ring.split_terms(s), ring.split_terms(gs), Q, rest
 
 
@@ -90,27 +90,30 @@ def test_split_cancel_matches_general_gcd(ring, f, s, b, j):
        st.integers(0, 4))
 @settings(max_examples=150, deadline=None)
 def test_known_factor_cancel_matches_general_gcd(ring, f, a, j, c, b, k):
+    """D = c x^b F^k splits as (b, k) whatever its leading coefficient c,
+    and the cancel against that split takes the gcd with D / c."""
     N = _tmul(_tmul(f, {a: 1}), _tpow(F, j))
     D = _tmul({b: c}, _tpow(F, k))
-    assert ring._known_split(D) == (c, b, k)
-    gs, Q, rest = ring.cancel_split(N, (c, b, k))
-    G = ring.split_terms(gs)
-    assert_is_sympy_gcd(ring, G, N, D)
-    assert _tmul(G, Q) == N and _tmul(G, ring.split_terms(rest)) == D
+    assert ring._known_split(D) == (b, k)
+    Q, rest = ring.cancel_split(N, (b, k))
+    G = ring.split_terms((b - rest[0], k - rest[1]))
+    assert _tscale(ring.split_terms((b, k)), c) == D
+    assert_is_sympy_gcd(ring, G, N, ring.split_terms((b, k)))
+    assert _tmul(G, Q) == N
+    assert _tscale(_tmul(G, ring.split_terms(rest)), c) == D
 
 
 @given(rings, polys, splits, monomials, st.integers(0, 3))
 @settings(max_examples=150, deadline=None)
 def test_split_cancel_leaves_coprime_parts(ring, f, s, b, j):
     """Without a reference gcd: N = g Q and D = g R as products, and
-    gcd(Q, R) = 1 read from R's split (c, a, k), R = c x^a F^k with F
-    irreducible: c shares nothing with Q's content, each variable of x^a
-    misses some term of Q, and F leaves a remainder in Q when k > 0."""
+    gcd(Q, R) = 1 read from R's split (a, k), R = x^a F^k with F
+    irreducible: each variable of x^a misses some term of Q, and F leaves a
+    remainder in Q when k > 0."""
     N, D, G, Q, rest = cancel_case(ring, f, s, b, j)
     assert _tmul(G, Q) == N and _tmul(G, ring.split_terms(rest)) == D
-    c, a, k = rest
+    a, k = rest
     q = Poly(ring, Q)
-    assert gcd(gcd(*Q.values()), c) == 1
     for v in Poly(ring, {a: 1}).support():
         assert 0 in q.coeffs(v)
     if k:
@@ -140,8 +143,9 @@ def fractions(draw, ring=None):
     """p / (c x^b F^k); in RELATION the numerator may carry the pivot."""
     ring = ring or draw(rings)
     num = Poly(ring, draw(polys), draw(st.integers(1, 3)))
-    den = Poly(ring, ring.split_terms((draw(scales), draw(den_monomials),
-                                       draw(st.integers(0, 3)))))
+    den = Poly(ring, _tscale(ring.split_terms((draw(den_monomials),
+                                               draw(st.integers(0, 3)))),
+                             draw(scales)))
     return RatFn(num, den)
 
 
@@ -156,7 +160,7 @@ def test_log_derivative_matches_quotient_rule(f, v):
     v = v if v in f.ring.index else f.ring.names[2]
     d = f.derive(v)
     assert d == reference_derive(f, v)
-    assert d.den.known_split() == (f.ring._known_split(d.den.terms) or False)
+    assert d.den.known_split() == d.split
 
 
 def test_log_derivative_takes_both_factors():
@@ -178,7 +182,7 @@ def test_split_sum_and_product_match_full_normalisation(data):
     assert f + g == full(f.num * g.den + g.num * f.den, f.den * g.den)
     assert f * g == full(f.num * g.num, f.den * g.den)
     for r in (f + g, f * g):
-        assert r.den.known_split() == (ring._known_split(r.den.terms) or False)
+        assert r.den.known_split() == r.split
 
 
 dens = st.integers(1, 12)
@@ -193,18 +197,20 @@ def test_trusted_constructor_matches_poly(ring, A, B, den, k):
 
 
 def test_cached_splits_hold_over_a_cold_run(monkeypatch):
-    """Every split read during a cold n = 3..6 pipeline, whether carried from
-    the operands or found on first use, is the split of the terms."""
+    """Every split a RatFn keeps during a cold n = 3..6 pipeline, carried
+    from the operands or found by a cancel, is the split of the denominator
+    built from it, whose leading coefficient is 1."""
     monkeypatch.setattr(chart, "_CACHE", {})
     reads = []
-    plain = Poly.known_split
+    plain = ratfn._raw
 
-    def checked(self):
-        ks = plain(self)
-        reads.append(ks == (self.ring._known_split(self.terms) or False))
-        return ks
+    def checked(num, split):
+        r = plain(num, split)
+        D = r.den.terms
+        reads.append(D[max(D)] == 1 and r.den.known_split() == split)
+        return r
 
-    monkeypatch.setattr(Poly, "known_split", checked)
+    monkeypatch.setattr(ratfn, "_raw", checked)
     for n in range(3, 7):
         ch = dw.resolve_chart(n)
         dw.full_connection(ch)
@@ -213,11 +219,74 @@ def test_cached_splits_hold_over_a_cold_run(monkeypatch):
     assert len(reads) > 1000 and all(reads)
 
 
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_every_result_keeps_the_split_of_its_denominator(data):
+    """The constructor, sum, product, dot, inverse and derivative of drawn
+    fractions: the denominator built from the kept split is led by 1 and
+    splits as that split."""
+    ring = data.draw(rings)
+    f, g = data.draw(fractions(ring)), data.draw(fractions(ring))
+    results = [f, g, f + g, f * g, ratfn.dot(ring, [(f, g), (g, f)]),
+               f.derive(data.draw(st.sampled_from(ring.names)))]
+    for a in (f, g):
+        if not a.is_zero:
+            try:
+                results.append(a.inverse())
+            except UnsplitDenominator:
+                pass
+    for r in results:
+        D = r.den.terms
+        assert D[max(D)] == 1 and r.den.den == 1
+        assert r.den.known_split() == r.split
+
+
+SPLIT_METHODS = {
+    # name: which arguments are splits, and how to read the splits returned
+    "split_terms": (lambda split: [split], lambda out: []),
+    "split_mul": (lambda *splits: splits, lambda out: [out]),
+    "split_lcm": (lambda groups: [s for g in groups for s in g],
+                  lambda out: [out[0]]),
+    "split_gcd": (lambda s1, s2: [s1, s2], lambda out: out),
+    "derive_split": (lambda P, split, var: [split], lambda out: [out[1]]),
+    "cancel_split": (lambda N, split: [split], lambda out: [out[1]]),
+    "reduce_split": (lambda T: [], lambda out: [out[2]]),
+}
+
+
+def test_every_split_is_an_exponent_pair(monkeypatch):
+    """During a cold n = 4 chart build and its fields, every split passed to
+    or returned by a Ring split method is (a, k): two ints, the key of x^a
+    and the power k of the known factor."""
+    monkeypatch.setattr(chart, "_CACHE", {})
+    seen = []
+
+    def watched(name, method, args_of, outs_of):
+        def call(self, *args):
+            out = method(self, *args)
+            seen.extend((name, s) for s in [*args_of(*args), *outs_of(out)])
+            return out
+        return call
+
+    for name, (args_of, outs_of) in SPLIT_METHODS.items():
+        monkeypatch.setattr(Ring, name, watched(name, getattr(Ring, name),
+                                                args_of, outs_of))
+    ch = dw.resolve_chart(4)
+    dw.full_connection(ch)
+    dw.modular_vf(4)
+    dw.basis_vf(4)
+    assert {name for name, _ in seen} == set(SPLIT_METHODS)
+    bad = [(name, s) for name, s in seen
+           if not (type(s) is tuple and len(s) == 2
+                   and all(type(x) is int and x >= 0 for x in s))]
+    assert bad == []
+
+
 def test_one_term_polynomials_split_in_every_ring():
     ring = Ring(("x", "y"))
     x, y = ring.var("x"), ring.var("y")
-    assert (x * x * y * 3).known_split() == (3, _pack((2, 1), 2), 0)
-    assert ring.one.known_split() == (1, 0, 0)
+    assert (x * x * y * 3).known_split() == (_pack((2, 1), 2), 0)
+    assert ring.one.known_split() == (0, 0)
     assert (x + y).known_split() is False
 
 
