@@ -22,7 +22,11 @@ REV first, odd pairs the working tree first.  Every __pycache__ under
 either tree's src is removed before each job.  Without --against, the
 working tree runs --pairs times.  The summaries give the best run and the
 quartiles [lower, median, upper] (inclusive method) per stage; with
---against they also count the pairs in which the working tree read lower.
+--against they also count the pairs in which the working tree read lower,
+and give each stage a verdict by the claim rule: "lower" (or "higher") when
+the working tree reads lower (or higher) in at least nine tenths of the
+pairs and its median lies past the parent's by more than the parent's
+quartile spread, "unresolved" otherwise.  The record is not a gate.
 """
 
 import argparse
@@ -45,7 +49,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # verify_cy3_table(size), then cy3_sl2
 PLAN = [("fields", 20), ("fields", 24), ("fields", 28),
         ("connection", 13), ("connection", 15),
-        ("ra", 24), ("decompose", 13), ("cy3", 8)] \
+        ("ra", 24), ("decompose", 13), ("decompose", 15), ("cy3", 8)] \
     + [("targets", n) for n in range(3, 9)]
 SMOKE = [("fields", 3), ("connection", 3), ("targets", 3), ("ra", 3),
          ("decompose", 3), ("cy3", 1)]
@@ -137,9 +141,23 @@ def quartiles(xs):
     return [q[0], q[1], q[2]]
 
 
+def verdict(parent, change):
+    """"lower" or "higher" by the claim rule of the module docstring, else
+    "unresolved"; parent and change are the runs of one stage, pair by
+    pair."""
+    lo, mid, hi = quartiles(parent)
+    gap = statistics.median(change) - mid
+    if abs(gap) <= hi - lo:
+        return "unresolved"
+    won = sum((c < p) if gap < 0 else (c > p) for p, c in zip(parent, change))
+    if 10 * won < 9 * len(parent):
+        return "unresolved"
+    return "lower" if gap < 0 else "higher"
+
+
 def summarise(runs, sides):
     """Per job and stage: every run, the best, the quartiles and, with two
-    sides, how many pairs the working tree read lower."""
+    sides, how many pairs the working tree read lower and the verdict."""
     out = {}
     for job in runs[sides[-1]]:
         out[job] = {}
@@ -153,6 +171,7 @@ def summarise(runs, sides):
             if len(sides) == 2 and stage != "loadavg_1m":
                 entry["change_lower_pairs"] = sum(
                     c < p for p, c in zip(entry["parent"], entry["change"]))
+                entry["verdict"] = verdict(entry["parent"], entry["change"])
             out[job][stage] = entry
     return out
 

@@ -200,11 +200,11 @@ class MatF:
         return f"MatF({self.nrows}x{self.ncols})\n{body}"
 
 
-def combination(ring, shape, terms, skip=()):
+def combination(ring, shape, terms):
     """sum_k c_k * M_k over the (c_k, M_k) terms, each M_k of the given
-    (nrows, ncols) shape, off the cells in skip: every cell is one ratfn.dot
-    over the terms that store it; a term with a zero coefficient adds
-    nothing.  Raises DworkError on a term of another shape."""
+    (nrows, ncols) shape: every cell is one ratfn.dot over the terms that
+    store it; a term with a zero coefficient adds nothing.  Raises
+    DworkError on a term of another shape."""
     nrows, ncols = shape
     pairs = {}
     for c, M in terms:
@@ -214,8 +214,7 @@ def combination(ring, shape, terms, skip=()):
         c = RatFn.of(ring, c)
         if not c.is_zero:
             for k, a in M.cells.items():
-                if k not in skip:
-                    pairs.setdefault(k, []).append((c, a))
+                pairs.setdefault(k, []).append((c, a))
     return MatF._of(ring, nrows, ncols,
                     ((k, dot(ring, ps)) for k, ps in pairs.items()))
 

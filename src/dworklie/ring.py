@@ -18,8 +18,9 @@ past the width raises KernelInvariant and never wraps.  _G reaches rings of
 up to _MAXVARS variables.  The same guard bits make the monomial gcd SWAR
 (one integer operation on every field at once): _mono_gcd takes the
 fieldwise minimum of two keys with one subtraction and a mask, and rebuilds
-the degree with one multiplication.  Poly.support jumps from one set field
-to the next instead of testing every variable.
+the degree with one multiplication.  Every reader walks the set fields
+(_powers): it takes the lowest set field, then clears it, so it touches only
+the variables that occur.
 
 A ring may name one known irreducible factor F = x^r - x_v.  A polynomial
 c * x^a * F^k, or c * x^a in any ring, has the split (a, k), c being its
@@ -55,14 +56,13 @@ through _qpoly.  Splits are opaque to it too: it passes them between the
 Ring methods above and compares them with _UNIT.  Exponent tuples enter
 only as constructor input: the relation and the known factor of
 Ring(...), which geometry and the tests spell out; items,
-weighted_degrees, eval and the printer unpack.
+weighted_degrees, eval, support and the printer read keys through _powers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as igcd, lcm
-from operator import mul as _imul
 
 from .errors import DworkError, KernelInvariant
 
@@ -96,8 +96,15 @@ def _pack(e, nv):
     return m
 
 
-def _unpack(m, nv):
-    return tuple(m >> (i * _W) & _FM for i in range(nv))
+def _powers(m, nv):
+    """(i, e_i) for each nonzero exponent field of the key m of a ring with
+    nv variables, in ring order: take the lowest set field, then clear it."""
+    m &= (1 << (nv * _W)) - 1
+    while m:
+        i = ((m & -m).bit_length() - 1) // _W
+        k = m >> (i * _W) & _FM
+        yield i, k
+        m ^= k << (i * _W)
 
 
 _ONE = {0: 1}  # the term dict of 1 in every ring
@@ -228,12 +235,11 @@ def _tderive(T, s, unit):
 
 def _teval(T, point):
     """Evaluate at a tuple of Fractions, one per variable."""
-    total = Fraction(0)
+    total, nv = Fraction(0), len(point)
     for e, c in T.items():
         v = Fraction(c)
-        for x, k in zip(point, _unpack(e, len(point))):
-            if k:
-                v *= x ** k
+        for i, k in _powers(e, nv):
+            v *= point[i] ** k
         total += v
     return total
 
@@ -290,23 +296,6 @@ def _uni_join(U, unit):
     for k, coeff in U.items():
         for e, c in coeff.items():
             out[e + k * unit] = c
-    return out
-
-
-def _fields(T, nv):
-    """Indices of the variables that occur in T, found by jumping from one set
-    exponent field of the OR of the keys to the next."""
-    o = 0
-    for e in T:
-        o |= e
-    o &= (1 << (nv * _W)) - 1
-    out, i = [], 0
-    while o:
-        skip = ((o & -o).bit_length() - 1) // _W
-        i += skip
-        out.append(i)
-        i += 1
-        o >>= (skip + 1) * _W
     return out
 
 
@@ -408,7 +397,14 @@ class Ring:
         return _qpoly(self, q.numerator, q.denominator)
 
     def _exponents(self, T, pad=()):
-        return {_unpack(e, self.nvars) + pad: c for e, c in T.items()}
+        """T as {exponent tuple + pad: coefficient}, the Ring input form."""
+        out, nv = {}, self.nvars
+        for m, c in T.items():
+            e = [0] * nv
+            for i, k in _powers(m, nv):
+                e[i] = k
+            out[tuple(e) + pad] = c
+        return out
 
     def with_relation(self, pivot_name, num, den):
         """New ring over the same variables where pivot^2 = num/den (Poly args)."""
@@ -626,22 +622,13 @@ class Poly:
     __slots__ = ("ring", "terms", "den")
 
     def __init__(self, ring, terms, den=1):
-        terms = {e: c for e, c in terms.items() if c}
-        if den < 0:
-            den = -den
-            terms = _tneg(terms)
         if not den:
             raise ZeroDivisionError("zero denominator")
-        if not terms:
-            den = 1
-        else:
-            g = igcd(_content(terms), den)
-            if g > 1:
-                terms = {e: c // g for e, c in terms.items()}
-                den //= g
-        self.ring = ring
-        self.terms = terms
-        self.den = den
+        terms = {e: c for e, c in terms.items() if c}
+        if den < 0:
+            den, terms = -den, _tneg(terms)
+        p = Poly._trusted(ring, terms, den)
+        self.ring, self.terms, self.den = ring, p.terms, p.den
 
     @classmethod
     def _trusted(cls, ring, terms, den=1):
@@ -683,14 +670,17 @@ class Poly:
 
     def support(self):
         """Names of the variables that occur, in ring order."""
-        names = self.ring.names
-        return [names[i] for i in _fields(self.terms, len(names))]
+        names, o = self.ring.names, 0
+        for e in self.terms:
+            o |= e
+        return [names[i] for i, _ in _powers(o, len(names))]
 
     def weighted_degrees(self, w):
         """Set of the weighted degrees of the terms; w maps names to integer
         weights, and a name missing from w weighs 0."""
         wt = [w.get(nm, 0) for nm in self.ring.names]
-        return {sum(map(_imul, _unpack(e, len(wt)), wt)) for e in self.terms}
+        return {sum(wt[i] * k for i, k in _powers(e, len(wt)))
+                for e in self.terms}
 
     def coeffs(self, var):
         """{k: coefficient of var^k}, each a Poly free of var; {} for zero."""
@@ -705,8 +695,7 @@ class Poly:
         names, den = self.ring.names, self.den
         for e, c in sorted(self.terms.items()):
             yield (c if den == 1 else Fraction(c, den),
-                   tuple((nm, k) for nm, k in zip(names, _unpack(e, len(names)))
-                         if k))
+                   tuple((names[i], k) for i, k in _powers(e, len(names))))
 
     # -- arithmetic ---------------------------------------------------------
     def _chk(self, other):

@@ -1,4 +1,9 @@
-"""A reference normal form for the kernel tests, apart from the kernel's own
+"""References for the kernel tests, apart from the kernel's own code.
+
+unpack(m, nv) reads every exponent field of a packed key, the dense reading
+that the kernel's walk of the set fields (ring._powers) is tested against.
+
+The reference normal form stands apart from the kernel's own
 constructor.  RatFn(num, den) is built from the split route it is tested
 against, so a reference written with it would compare the kernel with
 itself.  full(num, den) takes a separate route: the fraction is
@@ -10,7 +15,14 @@ from fractions import Fraction
 
 from dworklie import KernelInvariant, UnsplitDenominator
 from dworklie.ratfn import _over_split, _raw, poly_string
-from dworklie.ring import _UNIT, Poly, _primitive, _tmul, _tpow, _tscale
+from dworklie.ring import _FM, _UNIT, _W, Poly, _primitive, _tmul, _tpow, \
+    _tscale
+
+
+def unpack(m, nv):
+    """The exponent tuple (e_0, ..., e_(nv-1)) of the key m of a ring with nv
+    variables, every field read."""
+    return tuple(m >> (i * _W) & _FM for i in range(nv))
 
 
 def rationalize(ring, N, D):

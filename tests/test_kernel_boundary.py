@@ -39,8 +39,7 @@ def ring_names(tree):
 
 # the names that encode monomials and their order: packing, field width,
 # masks and the helpers that read exponent fields
-ENCODING = {"_pack", "_unpack", "_W", "_FM", "_G", "_mono_gcd", "_fields",
-            "_uni_view"}
+ENCODING = {"_pack", "_powers", "_W", "_FM", "_G", "_mono_gcd", "_uni_view"}
 
 
 def test_the_encoding_names_exist_in_ring():

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dworklie import KernelInvariant, Poly, Ring
-from dworklie.ring import _G, _mono_gcd, _pack, _unpack
+from dworklie.ring import DEGREE_LIMIT, _G, _mono_gcd, _pack, _powers
+from kernel_reference import unpack
 
 
 def exponents(nv, top):
@@ -27,7 +28,7 @@ def ordkey(e):
 def test_packed_order_is_the_graded_lex_order(nv, top, data):
     a, b = data.draw(exponents(nv, top)), data.draw(exponents(nv, top))
     ka, kb = _pack(a, nv), _pack(b, nv)
-    assert _unpack(ka, nv) == a
+    assert unpack(ka, nv) == a
     assert (ka < kb) == (ordkey(a) < ordkey(b))
     assert (ka == kb) == (a == b)
     c = tuple(data.draw(st.permutations(a)))  # same degree: the tie-break
@@ -118,5 +119,87 @@ def test_support_matches_the_per_variable_scan(data):
             e[i] = k
         terms[_pack(tuple(e), nv)] = 1
     want = [R.names[i] for i in range(nv)
-            if any(_unpack(e, nv)[i] for e in terms)]
+            if any(unpack(e, nv)[i] for e in terms)]
     assert Poly(R, terms).support() == want
+
+
+# The one reader of a key, ring._powers, walks the set fields; it and every
+# reader built on it must agree with the dense unpack of every field.
+
+@st.composite
+def sparse_exponents(draw, nv):
+    """A few set fields of nv, up to DEGREE_LIMIT in total."""
+    e, budget = [0] * nv, DEGREE_LIMIT
+    for i in draw(st.lists(st.integers(0, nv - 1), max_size=6, unique=True)):
+        e[i] = draw(st.integers(0, budget))
+        budget -= e[i]
+    return tuple(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_the_walk_reads_the_fields_the_dense_unpack_reads(data):
+    nv = data.draw(st.integers(1, 200))
+    e = data.draw(sparse_exponents(nv))
+    m = _pack(e, nv)
+    assert unpack(m, nv) == e
+    assert list(_powers(m, nv)) == [(i, k) for i, k in enumerate(e) if k]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_readers_of_a_polynomial_match_the_dense_reference(data):
+    nv = data.draw(st.integers(1, 200))
+    R = Ring([f"v{i}" for i in range(nv)])
+    names = R.names
+    exps = data.draw(st.lists(sparse_exponents(nv), min_size=1, max_size=5,
+                              unique=True))
+    coeffs = data.draw(st.lists(st.integers(-9, 9).filter(bool),
+                                min_size=len(exps), max_size=len(exps)))
+    P = Poly(R, {_pack(e, nv): c for e, c in zip(exps, coeffs)},
+             data.draw(st.integers(1, 6)))
+    dense = {m: unpack(m, nv) for m in P.terms}
+
+    def coeff(c):
+        return c if P.den == 1 else Fraction(c, P.den)
+
+    assert list(P.items()) == [
+        (coeff(c), tuple((names[i], k) for i, k in enumerate(dense[m]) if k))
+        for m, c in sorted(P.terms.items(), key=lambda t: ordkey(dense[t[0]]))]
+    assert P.support() == [names[i] for i in range(nv)
+                           if any(e[i] for e in dense.values())]
+    w = data.draw(st.dictionaries(st.sampled_from(names),
+                                  st.integers(-3, 3), max_size=8))
+    assert P.weighted_degrees(w) == {
+        sum(w.get(nm, 0) * k for nm, k in zip(names, e))
+        for e in dense.values()}
+    values = st.fractions(-2, 2, max_denominator=3)
+    point = {nm: data.draw(values) for nm in P.support()}
+    want = Fraction(0)
+    for m, c in P.terms.items():
+        v = Fraction(c, P.den)
+        for nm, k in zip(names, dense[m]):
+            v *= Fraction(point.get(nm, 0)) ** k
+        want += v
+    assert P.eval(point) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_extend_repacks_the_relation_field_by_field(data):
+    nv = data.draw(st.integers(1, 200))
+    p = data.draw(st.integers(0, nv - 1))
+
+    def free_of_pivot(e):
+        return e[:p] + (0,) + e[p + 1:]
+
+    num, den = (free_of_pivot(data.draw(sparse_exponents(nv)))
+                for _ in range(2))
+    R = Ring([f"v{i}" for i in range(nv)], pivot=p, rel_num={num: 3},
+             rel_den={den: -2})
+    extra = ("w0", "w1")
+    E = R.extend(extra)
+    assert E.pivot == p and E.names == R.names + extra
+    for mine, theirs in ((R.rel_num, E.rel_num), (R.rel_den, E.rel_den)):
+        assert theirs == {_pack(unpack(m, nv) + (0, 0), nv + 2): c
+                          for m, c in mine.items()}

@@ -13,9 +13,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import dworklie as dw
 from dworklie import Poly, RatFn, Ring, UnsplitDenominator, chart, ratfn
-from dworklie.ring import _pack, _tadd, _tdiv_known, _tmul, _tpow, _tscale, \
-    _unpack
-from kernel_reference import full
+from dworklie.ring import _pack, _tadd, _tdiv_known, _tmul, _tpow, _tscale
+from kernel_reference import full, unpack
 
 try:
     import sympy
@@ -42,7 +41,7 @@ splits = st.tuples(monomials, st.integers(0, 3))
 
 
 def to_sympy(ring, T):
-    T = {_unpack(e, ring.nvars): c for e, c in T.items()}
+    T = {unpack(e, ring.nvars): c for e, c in T.items()}
     return sympy.Poly.from_dict(T, *sympy.symbols(ring.names)).as_expr()
 
 
