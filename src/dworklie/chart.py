@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
+from .closedforms import matched_c
 from .errors import DworkError, EliminationStuck
 from .geometry import Setup, family_dims, frame_connection, pairing_form, \
     pairing_matrix
@@ -230,7 +231,6 @@ def resolve_chart(n, c=None):
     if c == "sym":
         c = None
     else:
-        from .closedforms import matched_c
         c = matched_c(n) if c is None else Fraction(c)
     if (n, c) not in _CACHE:
         _CACHE[n, c] = build_chart(n, c)

@@ -28,11 +28,12 @@ C_DEFAULT = {
     3: Fraction(1, 78125),
     4: Fraction(1, 46656),
 }
+_C_ONE = Fraction(1)  # the default past the pinned n
 
 
 def matched_c(n):
     """Default scaling constant: the pinned value for n <= 4, else 1."""
-    return C_DEFAULT.get(n, Fraction(1))
+    return C_DEFAULT.get(n, _C_ONE)
 
 
 # Reference displays, keyed by dimension.  "modular" is the distinguished

@@ -1,16 +1,19 @@
 """Rational functions over a Ring, kept in a canonical normal form.
 
-A canonical fraction is num / (x^a * F^k), F a ring's known factor (a
-chart ring's disc), kept as the Poly num and the split (a, k) of its
-denominator (Ring); its integer part is num.den.  Invariants after every
-operation: the denominator shares no factor with the numerator, and in a
-ring with a slot relation it is free of the pivot and the numerator has
-pivot degree <= 1.  Equality of canonical forms is therefore equality of
-(num, split).  RatFn.den, the denominator as a Poly, is built on each read.
+A canonical fraction is T / (c * x^a * F^k), F a ring's known factor (a
+chart ring's disc), T an integer term dict and c > 0 an int prime to T's
+content.  A RatFn is one object whose slots hold the ring, T (terms), c and
+the split (a, k) of x^a * F^k (Ring), so each result is one allocation.
+Invariants after every operation: the denominator shares no factor with the
+numerator, and in a ring with a slot relation it is free of the pivot and
+the numerator has pivot degree <= 1; zero is no terms over 1 with the unit
+split.  Equality of canonical forms is therefore equality of (terms, c,
+split).  RatFn.num, the Poly T / c, and RatFn.den, the Poly x^a * F^k, are
+built on each read.
 
 One route reduces a fraction.  A denominator Poly must have a split: it is
 c * x^a * F^k, c its leading coefficient, which moves into the numerator
-(Poly.known_split).  Ring.cancel_split cancels against x^a * F^k from the
+(Ring._known_split).  Ring.cancel_split cancels against x^a * F^k from the
 exponents, since only the monomial and a power of the irreducible F can
 cancel, and leaves a split.  The constructor RatFn(num, den) is built from
 the rules below: each Poly has its pivot squares rewritten by
@@ -25,15 +28,16 @@ the sum is t/(b*(d/g)) with t = a*(d/g) + c*(b/g), and only gcd(t, g) can
 cancel, since t is coprime to both b/g and d/g.  The denominator stays
 pivot-free, and t keeps pivot degree <= 1, because b and d are pivot-free.
 
-Constants take integer arithmetic: a sum, product or dot of constants p/q
-(ring._qpair) is one integer cross-multiplication and one gcd
-(ring._qpoly).  The inverse of N/D with N = c * x^a * F^k free of the pivot
-is (D/c)/(x^a * F^k), since x^a * F^k is prime to D; a constant's inverse
-swaps its ints.  A numerator N that carries the pivot is inverted through
-its conjugate (Ring.conjugate): 1/N = conj(N)/(N * conj(N)), where the norm
-N * conj(N) is free of the pivot once Ring.reduce_split rewrites its pivot
-square.  The norm must have a split, and the result takes one cancel
-against it.
+Constants take integer arithmetic: a constant p/q is the terms {0: p} (none
+for 0) over c = q with the unit split, read as the two ints p and c, and a
+sum, product or dot of constants is one integer cross-multiplication and
+one gcd (_const).  The inverse of N/D with N = c * x^a * F^k free of the
+pivot is (D/c)/(x^a * F^k), since x^a * F^k is prime to D; a constant's
+inverse swaps its ints.  A numerator N that carries the pivot is inverted
+through its conjugate (Ring.conjugate): 1/N = conj(N)/(N * conj(N)), where
+the norm N * conj(N) is free of the pivot once Ring.reduce_split rewrites
+its pivot square.  The norm must have a split, and the result takes one
+cancel against it.
 
 Products follow Henrici's rule too.  A constant factor is a unit: it scales
 the other numerator and takes no gcd, and a factor 1 returns the other
@@ -73,25 +77,29 @@ import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm, log10
+from math import gcd as igcd, lcm, log10
 
 from .errors import KernelInvariant, UnsplitDenominator
-from .ring import _UNIT, DEGREE_LIMIT, Poly, _primitive, _qpair, _qpoly, \
-    _tadd, _tmul, _tscale, _tsum
+from .ring import _UNIT, DEGREE_LIMIT, Poly, _lowest, _primitive, _tadd, \
+    _tmul, _tneg, _tscale, _tsum
 
 
 class RatFn:
-    __slots__ = ("num", "split")
+    __slots__ = ("ring", "terms", "c", "split")
 
     def __init__(self, num, den=None):
         r = _reduced(num)
         if den is not None:
             r = r * _reduced(den).inverse()
-        self.num, self.split = r.num, r.split
+        self.ring, self.terms, self.c, self.split = \
+            r.ring, r.terms, r.c, r.split
 
     @property
-    def ring(self):
-        return self.num.ring
+    def num(self):
+        """The numerator terms / c as a Poly, built on each read."""
+        p = Poly.__new__(Poly)
+        p.ring, p.terms, p.den = self.ring, self.terms, self.c
+        return p
 
     @property
     def den(self):
@@ -100,20 +108,24 @@ class RatFn:
 
     @property
     def is_zero(self):
-        return self.num.is_zero
+        return not self.terms
 
     @property
     def is_const(self):
-        return self.num.is_const and self.split == _UNIT
+        T = self.terms
+        return self.split == _UNIT and (not T or len(T) == 1 and 0 in T)
 
     def const_value(self):
-        return self.num.const_value() / self.den.const_value()
+        if not self.is_const:
+            raise ValueError("not a constant")
+        return Fraction(self.terms.get(0, 0), self.c)
 
     def support(self):
         """Names of the variables in the numerator or the denominator, in
         ring order; empty for a constant."""
-        return Poly._trusted(self.ring, {**self.num.terms,
-                                         **self.den.terms}).support()
+        ring = self.ring
+        keys = {**self.terms, **ring.split_terms(self.split)}
+        return Poly._trusted(ring, keys).support()
 
     # -- constructors -------------------------------------------------------
     @staticmethod
@@ -123,11 +135,12 @@ class RatFn:
             return value
         if isinstance(value, Poly):
             return RatFn(value)
-        return _raw(ring.const(value), _UNIT)
+        q = value if type(value) in (int, Fraction) else Fraction(value)
+        return _raw(ring, {0: q.numerator} if q else {}, q.denominator, _UNIT)
 
     @staticmethod
     def var(ring, name):
-        return _raw(ring.var(name), _UNIT)
+        return _raw(ring, ring.var(name).terms, 1, _UNIT)
 
     # -- arithmetic ---------------------------------------------------------
     def _coerce(self, other):
@@ -140,25 +153,25 @@ class RatFn:
         if b is None:
             return NotImplemented
         a, ring = self, self.ring
-        a.num._chk(b.num)
-        ka, kb = _qpair(a.num, a.split), _qpair(b.num, b.split)
-        if ka and kb:
-            return _raw(_qpoly(ring, ka[0] * kb[1] + kb[0] * ka[1],
-                               ka[1] * kb[1]), _UNIT)
-        if a.is_zero:
+        if b.ring is not ring:
+            raise KernelInvariant("mixed rings")
+        A, B = a.terms, b.terms
+        if not A:
             return b
-        if b.is_zero:
+        if not B:
             return a
+        if (0 in A and 0 in B and len(A) == len(B) == 1
+                and a.split == _UNIT == b.split):
+            return _const(ring, A[0] * b.c + B[0] * a.c, a.c * b.c)
         # Henrici addition, see the module docstring
         gs, sb, sd = ring.split_gcd(a.split, b.split)
-        T = _tadd(_tscale(_tmul(a.num.terms, ring.split_terms(sd)), b.num.den),
-                  _tscale(_tmul(b.num.terms, ring.split_terms(sb)), a.num.den))
+        T = _tadd(_tscale(_tmul(A, ring.split_terms(sd)), b.c),
+                  _tscale(_tmul(B, ring.split_terms(sb)), a.c))
         if not T:
-            return _raw(ring.zero, _UNIT)
+            return _raw(ring, T, 1, _UNIT)
         # b*(d/g)/h with h = gcd(T, g) is (b/g)*(d/g)*(g/h)
         T, gs = ring.cancel_split(T, gs)
-        return _raw(Poly._trusted(ring, T, a.num.den * b.num.den),
-                    ring.split_mul(sb, sd, gs))
+        return _lowest_raw(ring, T, a.c * b.c, ring.split_mul(sb, sd, gs))
 
     __radd__ = __add__
 
@@ -175,56 +188,59 @@ class RatFn:
         return o + (-self)
 
     def __neg__(self):
-        return self if self.is_zero else _raw(-self.num, self.split)
+        if not self.terms:
+            return self
+        return _raw(self.ring, _tneg(self.terms), self.c, self.split)
 
     def __mul__(self, other):
         b = other if type(other) is RatFn else self._coerce(other)
         if b is None:
             return NotImplemented
         a, ring = self, self.ring
-        a.num._chk(b.num)
-        ka, kb = _qpair(a.num, a.split), _qpair(b.num, b.split)
-        if ka and kb:
-            return _raw(_qpoly(ring, ka[0] * kb[0], ka[1] * kb[1]), _UNIT)
-        if (0, 1) in (ka, kb):
-            return _raw(ring.zero, _UNIT)
+        if b.ring is not ring:
+            raise KernelInvariant("mixed rings")
+        A, C = a.terms, b.terms
+        if not A or not C:
+            return _raw(ring, {}, 1, _UNIT)
+        ka = 0 in A and len(A) == 1 and a.split == _UNIT
+        kc = 0 in C and len(C) == 1 and b.split == _UNIT
+        if ka and kc:
+            return _const(ring, A[0] * C[0], a.c * b.c)
         # product rule, see the module docstring
         if ka:
-            a, b, kb = b, a, ka
-        if kb:
-            if kb == (1, 1):
+            a, b, A, C = b, a, C, A
+        if ka or kc:
+            if C[0] == 1 == b.c:
                 return a
-            return _raw(Poly._trusted(ring, _tscale(a.num.terms, kb[0]),
-                                      a.num.den * kb[1]), a.split)
-        A, sd = ring.cancel_split(a.num.terms, b.split)
-        C, sb = ring.cancel_split(b.num.terms, a.split)
-        nd = a.num.den * b.num.den
+            return _lowest_raw(ring, _tscale(A, C[0]), a.c * b.c, a.split)
+        A, sd = ring.cancel_split(A, b.split)
+        C, sb = ring.cancel_split(C, a.split)
+        nd = a.c * b.c
         if ring.has_pivot(A) and ring.has_pivot(C):
             T, q, sr = ring.reduce_split(_tmul(A, C))
             return _over_split(ring, T, nd * q, ring.split_mul(sb, sd, sr))
-        return _raw(Poly._trusted(ring, _tmul(A, C), nd), ring.split_mul(sb, sd))
+        return _lowest_raw(ring, _tmul(A, C), nd, ring.split_mul(sb, sd))
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if self.is_zero:
+        if not self.terms:
             raise ZeroDivisionError("inverse of zero")
-        ring, p = self.ring, self.num
-        k = _qpair(p, self.split)
-        if k:
-            return _raw(_qpoly(ring, k[1] if k[0] > 0 else -k[1], abs(k[0])),
-                        _UNIT)
+        ring, P = self.ring, self.terms
+        if 0 in P and len(P) == 1 and self.split == _UNIT:
+            p = P[0]
+            return _const(ring, self.c if p > 0 else -self.c, abs(p))
         D = ring.split_terms(self.split)
-        if not ring.has_pivot(p.terms):
-            c, split = _split(p)
-            q = p.den if c > 0 else -p.den
-            return _raw(Poly._trusted(ring, _tscale(D, q), abs(c)), split)
-        C = ring.conjugate(p.terms)
-        N, q, sr = ring.reduce_split(_tmul(p.terms, C))
+        if not ring.has_pivot(P):
+            c, split = _split(ring, P)
+            q = self.c if c > 0 else -self.c
+            return _lowest_raw(ring, _tscale(D, q), abs(c), split)
+        C = ring.conjugate(P)
+        N, q, sr = ring.reduce_split(_tmul(P, C))
         if not N:
             raise ZeroDivisionError("inverse of a zero divisor")
-        c, split = _split(Poly._trusted(ring, N))
-        q = p.den * q if c > 0 else -p.den * q
+        c, split = _split(ring, N)
+        q = self.c * q if c > 0 else -self.c * q
         M = _tmul(_tmul(D, C), ring.split_terms(sr))
         return _over_split(ring, _tscale(M, q), abs(c), split)
 
@@ -259,7 +275,8 @@ class RatFn:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.num == o.num and self.split == o.split
+        return (self.ring is o.ring and self.c == o.c
+                and self.split == o.split and self.terms == o.terms)
 
     def __hash__(self):
         # over a denominator of one, as the numerator it equals
@@ -269,9 +286,9 @@ class RatFn:
     def derive(self, var):
         """Formal partial derivative; a relation pivot counts as an independent
         slot.  See the module docstring for the rule."""
-        p, ring = self.num, self.ring
-        N, split = ring.derive_split(p.terms, self.split, var)
-        return _over_split(ring, N, p.den, split)
+        ring = self.ring
+        N, split = ring.derive_split(self.terms, self.split, var)
+        return _over_split(ring, N, self.c, split)
 
     def subs(self, mapping):
         """Substitute RatFn values for variables (others stay)."""
@@ -310,11 +327,25 @@ def _subs_poly(p, vals):
 # ---------------------------------------------------------------------------
 # normalization
 
-def _raw(num, split):
-    """A RatFn from a numerator and a denominator split in canonical form."""
+def _raw(ring, T, c, split):
+    """The RatFn T / (c * x^a * F^k) in canonical form: T an integer term
+    dict, c > 0 an int prime to its content, and split = (a, k)."""
     r = RatFn.__new__(RatFn)
-    r.num, r.split = num, split
+    r.ring, r.terms, r.c, r.split = ring, T, c, split
     return r
+
+
+def _lowest_raw(ring, T, nd, split):
+    """_raw for T and an int nd > 0 that may share a factor with T's
+    content."""
+    T, c = _lowest(T, nd)
+    return _raw(ring, T, c, split)
+
+
+def _const(ring, p, q):
+    """The constant p/q for ints p and q > 0, reduced by one gcd."""
+    g = igcd(p, q)
+    return _raw(ring, {0: p // g} if p else {}, q // g, _UNIT)
 
 
 def _reduced(p):
@@ -323,24 +354,24 @@ def _reduced(p):
     return _over_split(p.ring, T, p.den * q, split)
 
 
-def _split(p):
-    """(c, split) for the pivot-free Poly p = c * x^a * F^k, c its leading
-    coefficient; UnsplitDenominator if it has none."""
-    s = p.known_split()
+def _split(ring, T):
+    """(c, split) for the pivot-free term dict T = c * x^a * F^k, c its
+    leading coefficient; UnsplitDenominator if it has none."""
+    s = ring._known_split(T)
     if not s:
-        D = Poly._trusted(p.ring, _primitive(p.terms)[1])
+        D = Poly._trusted(ring, _primitive(T)[1])
         raise UnsplitDenominator(f"denominator {poly_string(D)} has no split "
                                  "c * x^a * F^k")
-    return p.terms[max(p.terms)], s
+    return T[max(T)], s
 
 
 def _over_split(ring, T, nd, split):
     """The canonical RatFn T / (nd * D), D given by split, for the integer
     term dict T of pivot degree <= 1 and the int nd > 0: one cancel."""
     if not T:
-        return _raw(ring.zero, _UNIT)
+        return _raw(ring, T, 1, _UNIT)
     T, split = ring.cancel_split(T, split)
-    return _raw(Poly._trusted(ring, T, nd), split)
+    return _lowest_raw(ring, T, nd, split)
 
 
 def dot(ring, pairs):
@@ -348,24 +379,23 @@ def dot(ring, pairs):
     common denominator; see the module docstring."""
     p, q, rest = 0, 1, []
     for a, b in pairs:
-        x, y = a.num, b.num
-        if x.ring is not ring or y.ring is not ring:
+        if a.ring is not ring or b.ring is not ring:
             raise KernelInvariant("mixed rings")
-        A, B = x.terms, y.terms
+        A, B = a.terms, b.terms
         ka = 0 in A and len(A) == 1 and a.split == _UNIT
         kb = 0 in B and len(B) == 1 and b.split == _UNIT
         if ka and kb:
-            d = x.den * y.den
+            d = a.c * b.c
             p, q = p * d + A[0] * B[0] * q, q * d
         elif A and B:
             rest.append((b, a, True) if ka else (a, b, kb))
     if not rest:
-        return _raw(_qpoly(ring, p, q), _UNIT)
+        return _const(ring, p, q)
     if len(rest) == 1 and not p:
         return rest[0][0] * rest[0][1]
     fused = [({0: p}, q, (), 1)] if p else []
     for a, b, k in rest:
-        A, C, nd = a.num.terms, b.num.terms, a.num.den * b.num.den
+        A, C, nd = a.terms, b.terms, a.c * b.c
         if k:  # b is a constant: its integer joins the weight
             fused.append((A, nd, (a.split,), C[0]))
             continue
@@ -434,13 +464,12 @@ def ratfn_string(r, spelling=TEXT):
     """Canonical string of r: the plain text form by default, or the TeX
     form with spelling=LATEX; both list terms in the same order.  The
     numerator's denominator moves into the denominator."""
-    N, D = r.num, r.den
-    if N.den != 1:
-        N, D = N * N.den, D * N.den
-    ns = poly_string(N, spelling)
-    if D == r.ring.one:
+    ring = r.ring
+    ns = poly_string(Poly._trusted(ring, r.terms), spelling)
+    if r.c == 1 and r.split == _UNIT:
         return ns
-    return spelling.frac(ns, poly_string(D, spelling))
+    D = _tscale(ring.split_terms(r.split), r.c)
+    return spelling.frac(ns, poly_string(Poly._trusted(ring, D), spelling))
 
 
 # ---------------------------------------------------------------------------
@@ -529,8 +558,8 @@ def parse_ratfn(ring, s):
             # for v free of the pivot, v^k's printed top coefficients are the
             # k-th powers of v's, its denominator led by 1; m^k prints under
             # 10^limit; only e = log10(m^k) within 1 of it takes the exact test
-            N = v.num.terms
-            m = max(abs(N[max(N)]), v.num.den) \
+            N = v.terms
+            m = max(abs(N[max(N)]), v.c) \
                 if N and not ring.has_pivot(N) else 1
             e, limit = k * log10(m), getattr(sys, "get_int_max_str_digits",
                                              int)()
@@ -593,7 +622,8 @@ def _split_pivot(p):
 def eq_by_random_eval(f, g, rng, trials=5):
     """Compare f and g at random rational points (pivot handled componentwise)."""
     ring = f.ring
-    f.num._chk(g.num)
+    if g.ring is not ring:
+        raise KernelInvariant("mixed rings")
     fa, fb = _split_pivot(f.num)
     ga, gb = _split_pivot(g.num)
     done = 0

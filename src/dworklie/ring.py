@@ -31,8 +31,9 @@ multivariate gcd, and the reduced denominator is a split again
 exponents (Ring.split_gcd) and their product is their sum (Ring.split_mul).
 There is no general gcd: ratfn refuses a denominator without a split, and a
 relation's rel_num and rel_den must each have one.  Kernel results with no
-zero coefficient enter Poly through Poly._trusted, which skips the zero
-filter and, over den 1, the content scan.
+zero coefficient skip the zero filter: _lowest divides a term dict and an
+integer by their gcd, with no content scan over 1, and Poly._trusted builds
+a Poly with it, as ratfn builds a RatFn.
 
 Boundary: only this module knows how a monomial is encoded and how monomials
 are ordered.  Other modules name variables and use
@@ -40,22 +41,23 @@ are ordered.  Other modules name variables and use
         pivot test) and conjugate (the pivot's sign flipped);
         ratfn also uses reduce_split (the pivot reduction, with the power
         of rel_den it takes as an int and a split) and the split methods
-        split_terms, split_mul, split_gcd, split_lcm (the lcm of products
-        of splits, with each product's cofactor), cancel_split and
-        derive_split (the logarithmic derivative over a split denominator);
+        _known_split (a term dict's split), split_terms, split_mul,
+        split_gcd, split_lcm (the lcm of products of splits, with each
+        product's cofactor), cancel_split and derive_split (the
+        logarithmic derivative over a split denominator);
   Poly: arithmetic, divmod (division with remainder), derive, eval, lift (also
         down to a prefix ring), support, weighted_degrees, coeffs (over
         one variable), items (the terms in order, each a coefficient and
         (name, power) pairs), is_zero, is_const, const_value and
         known_split.
 ratfn alone also hands term dicts, as opaque values, to _tadd, _tsum, _tmul,
-_tscale and _primitive, and builds results with Poly._trusted, so that its
-split sums and products build no Poly beyond their numerators; it reads a
-constant as two ints through _qpair, its split being _UNIT, and builds one
-through _qpoly.  Splits are opaque to it too: it passes them between the
-Ring methods above and compares them with _UNIT.  Exponent tuples enter
-only as constructor input: the relation and the known factor of
-Ring(...), which geometry and the tests spell out; items,
+_tneg, _tscale, _primitive and _lowest: a RatFn keeps its numerator's term
+dict and integer, so its sums and products build no Poly.  A constant is
+the term dict {0: p}, or {} for 0, over an int q with the split _UNIT, so
+ratfn reads and builds it as two ints.  Splits are opaque to it too: it
+passes them between the Ring methods above and compares them with _UNIT.
+Exponent tuples enter only as constructor input: the relation and the known
+factor of Ring(...), which geometry and the tests spell out; items,
 weighted_degrees, eval, support and the printer read keys through _powers.
 """
 
@@ -132,7 +134,8 @@ def _tsum(items):
     for T, k in items:
         for e, c in T.items():
             out[e] = get(e, 0) + c * k
-    return {e: c for e, c in out.items() if c}
+    # the accumulator itself when no coefficient cancelled
+    return {e: c for e, c in out.items() if c} if 0 in out.values() else out
 
 
 def _tneg(A):
@@ -140,6 +143,8 @@ def _tneg(A):
 
 
 def _tscale(A, k):
+    if k == 1:  # term dicts are never written in place, so A is shared
+        return A
     if k == 0:
         return {}
     return {e: c * k for e, c in A.items()}
@@ -153,7 +158,7 @@ def _tmul(A, B):
     if len(B) == 1:
         ((eb, cb),) = B.items()
         if not eb:
-            return {e: c * cb for e, c in A.items()}
+            return _tscale(A, cb)
         if (max(A) + eb) & _G:
             raise _overflow()
         return {e + eb: c * cb for e, c in A.items()}
@@ -165,7 +170,8 @@ def _tmul(A, B):
         for ea, ca in A.items():
             e = ea + eb
             out[e] = get(e, 0) + ca * cb
-    return {e: c for e, c in out.items() if c}
+    # the accumulator itself when no coefficient cancelled
+    return {e: c for e, c in out.items() if c} if 0 in out.values() else out
 
 
 def _tpow(A, k):
@@ -202,20 +208,17 @@ def _primitive(T):
     return c, (T if c == 1 else {e: x // c for e, x in T.items()})
 
 
-def _qpair(num, split):
-    """(p, q), q > 0, when the canonical fraction of the Poly num over the
-    denominator with the given split is the constant p/q, else None."""
-    N = num.terms
-    if split == _UNIT and (not N or len(N) == 1 and 0 in N):
-        return N.get(0, 0), num.den
-    return None
-
-
-def _qpoly(ring, p, q):
-    """The constant Poly p/q for ints p and q > 0, reduced by one gcd."""
-    g, r = igcd(p, q), Poly.__new__(Poly)
-    r.ring, r.terms, r.den = ring, {0: p // g} if p else {}, q // g
-    return r
+def _lowest(T, den):
+    """(T/g, den/g) for g = gcd(content(T), den), T an integer term dict with
+    no zero coefficient and den > 0; (T, 1) for T empty.  Only a den > 1
+    needs the content scan."""
+    if den != 1:
+        if not T:
+            return T, 1
+        g = igcd(_content(T), den)
+        if g > 1:
+            return {e: c // g for e, c in T.items()}, den // g
+    return T, den
 
 
 def _tderive(T, s, unit):
@@ -249,7 +252,9 @@ def _tdiv_known(T, known):
     leaves a remainder; known is Ring._known, (R, E, s, limit) with R the key of
     x^r, E that of x_v, s the first bit of the x_v field.  The division is exact
     when T vanishes at x_v = x^r, tested in one pass over the images
-    e + e_v (R - E); synthetic division in x_v then gives the quotient: for
+    e + e_v (R - E), after a C-level sum of the coefficients, T(1, ..., 1),
+    which must vanish with F(1, ..., 1) = 0 and rejects most other T;
+    synthetic division in x_v then gives the quotient: for
     T = sum a_i x_v^i its coefficients run from the top as q_(i-1) = x^r q_i - a_i,
     and the division is exact when a_0 = x^r q_0.  The limit keeps every
     image, deg(T) |r| at most, inside the field width."""
@@ -258,6 +263,8 @@ def _tdiv_known(T, known):
     R, E, s, limit = known
     if max(T) >= limit:
         raise _overflow()
+    if sum(T.values()):
+        return None
     image = {}
     step = R - E
     for e, c in T.items():
@@ -394,7 +401,7 @@ class Ring:
 
     def const(self, q):
         q = q if type(q) in (int, Fraction) else Fraction(q)
-        return _qpoly(self, q.numerator, q.denominator)
+        return Poly._trusted(self, {0: q.numerator} if q else {}, q.denominator)
 
     def _exponents(self, T, pad=()):
         """T as {exponent tuple + pad: coefficient}, the Ring input form."""
@@ -499,10 +506,13 @@ class Ring:
         a + b - gcd(a, b) fieldwise for two monomials.  Each product's
         cofactor l / D comes as a term dict, None where it is 1."""
         prods = [self.split_mul(*g) for g in groups]
-        al, kl = 0, 0
+        if prods.count(prods[0]) == len(prods):
+            return prods[0], [None] * len(prods)
+        (al, kl), nv = prods[0], len(self.names)
         for a, k in prods:
             kl = max(kl, k)
-            al += a - _mono_gcd((al,), (a,), self.nvars)
+            if a != al:
+                al += a - _mono_gcd((al,), (a,), nv)
         L = (al, kl)
         return L, [None if s == L else self.split_terms((al - s[0], kl - s[1]))
                    for s in prods]
@@ -605,7 +615,7 @@ class Ring:
     def has_pivot(self, T):
         """Whether the relation pivot occurs in the term dict T."""
         pm = self._pmask
-        return bool(pm) and any(e & pm for e in T)
+        return bool(pm) and any(map(pm.__and__, T))
 
     def conjugate(self, T):
         """T, of pivot degree <= 1, with the sign of its pivot terms flipped."""
@@ -633,17 +643,10 @@ class Poly:
     @classmethod
     def _trusted(cls, ring, terms, den=1):
         """Poly(ring, terms, den) for kernel output: terms has no zero
-        coefficient and den > 0, so only a den > 1 needs the content scan."""
+        coefficient and den > 0, reduced by _lowest."""
         p = cls.__new__(cls)
-        if den != 1:
-            if not terms:
-                den = 1
-            else:
-                g = igcd(_content(terms), den)
-                if g > 1:
-                    terms = {e: c // g for e, c in terms.items()}
-                    den //= g
-        p.ring, p.terms, p.den = ring, terms, den
+        p.ring = ring
+        p.terms, p.den = _lowest(terms, den)
         return p
 
     def known_split(self):

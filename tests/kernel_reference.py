@@ -77,4 +77,5 @@ def normalize(num, den):
 def full(num, den=None):
     """The RatFn num/den for Polys num and den (1 when omitted), reduced by
     normalize and never through the RatFn constructor."""
-    return _raw(*normalize(num, num.ring.one if den is None else den))
+    N, split = normalize(num, num.ring.one if den is None else den)
+    return _raw(N.ring, N.terms, N.den, split)

@@ -45,6 +45,7 @@ from dworklie import DworkError, MatF, Poly, RatFn, Ring, eq_by_random_eval
 from dworklie.geometry import family_dims
 from dworklie.linalg import combination, congruence_lower, pairing_defect, \
     solve_right_lower
+from dworklie.ratfn import dot
 from dworklie.ring import _pack
 R, S = Ring(["x"]), Ring(["x"])
 x = RatFn.var(R, "x")
@@ -65,6 +66,7 @@ cases = [lambda: MatF(R, [[x, x * 2], [x * 3, x * 6]]).inverse(),
          lambda: RatFn(R.var("x"), S.var("x")),
          lambda: RatFn.of(R, 2) * RatFn.of(S, 3),
          lambda: RatFn.of(R, 2) + RatFn.of(S, 3),
+         lambda: dot(R, [(x, RatFn.var(S, "x"))]),
          lambda: Poly(R, {X1: 1}, 0),
          lambda: (R.var("x") + R.one).const_value(),
          lambda: R.var("x") ** -1,
@@ -137,7 +139,8 @@ def test_inverse_refuses_singular_and_non_square_under_O():
                                    "UnsplitDenominator", "ValueError",
                                    "KernelInvariant", "KernelInvariant",
                                    "KernelInvariant", "KernelInvariant",
-                                   "KernelInvariant", "ZeroDivisionError",
+                                   "KernelInvariant", "KernelInvariant",
+                                   "ZeroDivisionError",
                                    "ValueError", "ValueError", "ValueError",
                                    "DworkError", "KernelInvariant",
                                    "LinearInconsistent", "DworkError",

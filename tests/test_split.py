@@ -203,8 +203,8 @@ def test_cached_splits_hold_over_a_cold_run(monkeypatch):
     reads = []
     plain = ratfn._raw
 
-    def checked(num, split):
-        r = plain(num, split)
+    def checked(ring, T, c, split):
+        r = plain(ring, T, c, split)
         D = r.den.terms
         reads.append(D[max(D)] == 1 and r.den.known_split() == split)
         return r
