@@ -49,7 +49,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # verify_cy3_table(size), then cy3_sl2
 PLAN = [("fields", 20), ("fields", 24), ("fields", 28),
         ("connection", 13), ("connection", 15),
-        ("ra", 24), ("decompose", 13), ("decompose", 15), ("cy3", 8)] \
+        ("ra", 24), ("decompose", 13), ("decompose", 15), ("cy3", 8),
+        ("cy3", 10)] \
     + [("targets", n) for n in range(3, 9)]
 SMOKE = [("fields", 3), ("connection", 3), ("targets", 3), ("ra", 3),
          ("decompose", 3), ("cy3", 1)]

@@ -6,7 +6,7 @@ from .closedforms import matched_c
 from .connection import (check_pairing_invariance, full_connection,
                          tangent_fields, vf_from_target)
 from .cy3 import (bracket_claim, cy3_basis, cy3_dims, cy3_phi, cy3_sl2,
-                  gm_modular, verify_cy3_table)
+                  verify_cy3_table)
 from .errors import (ActionShapeViolation, DworkError, EliminationStuck,
                      KernelInvariant, LinearInconsistent, NoSuchField,
                      OmegaInconsistent, Sl2Violation, UnsplitDenominator,
@@ -29,7 +29,7 @@ __all__ = [
     "check_pairing_invariance", "full_connection", "tangent_fields",
     "vf_from_target",
     "bracket_claim", "cy3_basis", "cy3_dims", "cy3_phi", "cy3_sl2",
-    "gm_modular", "verify_cy3_table",
+    "verify_cy3_table",
     "ActionShapeViolation", "DworkError", "EliminationStuck",
     "KernelInvariant", "LinearInconsistent", "NoSuchField",
     "OmegaInconsistent", "Sl2Violation", "UnsplitDenominator", "ZeroScalar",

@@ -61,7 +61,11 @@ def full_connection(chart):
 @per_chart
 def _pivot_corrections(chart):
     """dt_D expressed through dt1 and dt_{n+2} on the relation variety, as
-    the pair of coefficients; None for odd n, which has no relation."""
+    the pair of coefficients; None for odd n, which has no relation.  They
+    are the relation t_D^2 = kappa*disc differentiated, 2*t_D*dt_D =
+    d(kappa*disc) with disc = t1^(n+2) - t_{n+2}, spelled out so that a
+    solve differentiates nothing (tests/test_connection.py checks them
+    against (kappa*disc).derive(v) / (2*t_D))."""
     if chart.pivot_var is None:
         return None
     td, t1 = (RatFn.var(chart.ring, v) for v in (chart.pivot_var, "t1"))

@@ -1,17 +1,22 @@
 """Block-matrix model of the symmetry algebra attached to a threefold with
-h independent deformation directions.
+h independent deformation directions: the algebra of Alim, Movasati,
+Scheidegger and Yau (Gauss-Manin connection in disguise: Calabi-Yau
+threefolds, Comm. Math. Phys. 344, 2016).
 
 Everything lives at the level of frame matrices: the pairing has block shape
 1 + h + h + 1, the algebra consists of block upper triangular matrices
 antisymmetric for the pairing, and the h modular directions carry symmetric
-coupling symbols Y_cij as formal variables.  The bracket table is verified
-row by row; rows whose check needs the derived action of a field on the
-coupling symbols are labeled "coupling", and the purely matrix rows are
-labeled "constant".
+coupling symbols Y_cij as formal variables.  One rule, frame_cells, says
+which cell of which frame holds what; _frames sets every frame from it once
+per h, and cy3_basis gives the algebra elements as their transposes.  The
+bracket table is verified row by row; rows whose check needs the derived
+action of a field on the coupling symbols are labeled "coupling", and the
+purely matrix rows are labeled "constant".
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cache
 
@@ -102,82 +107,77 @@ def key_name(h, key):
     return kind
 
 
-def _disp(h, ring, key):
-    """Frame matrix of the basis field named by key (the algebra element is
-    its transpose)."""
+def frame_cells(h, key):
+    """The frame of a table key as cells ((i, j), x), x a number or, in a
+    modular frame's coupling block, the ysym_name of the symbol in that
+    cell.  The one place a threefold frame is spelled: _frames sets every
+    frame from it.  A basis key's algebra element is its frame's transpose."""
     N = 2 * h + 2
-    M = MatF.zeros(ring, N)
-    one = RatFn.of(ring, 1)
-    half = RatFn.of(ring, Fraction(1, 2))
     kind = key[0]
     if kind == "g0":
-        M.set1(1, 1, -one)
-        M.set1(N, N, one)
-    elif kind == "g":
+        return (((1, 1), -1), ((N, N), 1))
+    if kind == "g":
         a, b = key[1], key[2]
-        M.set1(1 + a, 1 + b, -one)
-        M.set1(h + 1 + b, h + 1 + a, one)
-    elif kind == "t2":
+        return (((1 + a, 1 + b), -1), ((h + 1 + b, h + 1 + a), 1))
+    if kind == "t2":
         a, b = key[1], key[2]
-        M.set1(h + 1 + a, 1 + b, M.get1(h + 1 + a, 1 + b) + half)
-        M.set1(h + 1 + b, 1 + a, M.get1(h + 1 + b, 1 + a) + half)
-    elif kind == "t1":
+        if a == b:
+            return (((h + 1 + a, 1 + a), 1),)
+        half = Fraction(1, 2)
+        return (((h + 1 + a, 1 + b), half), ((h + 1 + b, 1 + a), half))
+    if kind == "t1":
         a = key[1]
-        M.set1(h + 1 + a, 1, -one)
-        M.set1(N, 1 + a, one)
-    elif kind == "t0":
-        M.set1(N, 1, -one)
-    elif kind == "k":
+        return (((h + 1 + a, 1), -1), ((N, 1 + a), 1))
+    if kind == "t0":
+        return (((N, 1), -1),)
+    if kind == "k":
         a = key[1]
-        M.set1(1 + a, 1, one)
-        M.set1(N, h + 1 + a, one)
-    else:
-        raise DworkError(f"unknown generator key {key}")
-    return M
+        return (((1 + a, 1), 1), ((N, h + 1 + a), 1))
+    if kind == "R":
+        k = key[1]
+        return (((1, 1 + k), 1), ((h + 1 + k, N), 1)) + tuple(
+            ((1 + i, h + 1 + j), ysym_name(h, k, i, j))
+            for i in range(1, h + 1) for j in range(1, h + 1))
+    raise DworkError(f"unknown generator key {key}")
 
 
-def gm_modular(h, ring, k):
-    """Frame matrix of the k-th modular field, carrying coupling symbols."""
+@cache
+def _frames(h):
+    """Frame matrix of every table key, set from frame_cells once per h,
+    over the coupling ring _yring(h).  Construction checks that phi squares
+    to minus one, that every basis frame is block lower triangular and
+    antisymmetric for the pairing, and the generator count."""
+    ring = _yring(h)
     N = 2 * h + 2
-    M = MatF.zeros(ring, N)
-    one = RatFn.of(ring, 1)
-    M.set1(1, 1 + k, one)
-    M.set1(h + 1 + k, N, one)
-    for i in range(1, h + 1):
-        for j in range(1, h + 1):
-            M.set1(1 + i, h + 1 + j, ysym(h, ring, k, i, j))
-    return M
-
-
-def _block_of(h, idx):
-    if idx == 1:
-        return 0
-    if idx <= h + 1:
-        return 1
-    if idx <= 2 * h + 1:
-        return 2
-    return 3
+    phi = cy3_phi(h, ring)
+    if not (phi @ phi + MatF.identity(ring, N)).is_zero:
+        raise DworkError("pairing does not square to minus one")
+    # bisect_left(ends, i) is the block of index i: 0, 1, 2, 3 for the
+    # 1 + h + h + 1 block shape
+    ends = (1, h + 1, 2 * h + 1)
+    frames = {}
+    for key in table_keys(h):
+        cells = frame_cells(h, key)
+        M = frames[key] = MatF.zeros(ring, N)
+        for (i, j), x in cells:
+            M.set1(i, j, RatFn.var(ring, x) if isinstance(x, str) else x)
+        if key[0] == "R":
+            continue
+        if any(bisect_left(ends, i) < bisect_left(ends, j)
+               for (i, j), _ in cells):
+            raise DworkError(f"{key_name(h, key)} not block triangular")
+        if not pairing_defect(M, phi).is_zero:
+            raise DworkError(f"{key_name(h, key)} breaks the pairing")
+    if len(frames) != cy3_dims(h)[2]:
+        raise DworkError("generator count mismatch")
+    return frames
 
 
 def cy3_basis(h):
     """Canonical algebra elements keyed by generator, over the coupling
-    ring _yring(h); construction checks the block triangularity, the
-    pairing antisymmetry, and the dimension count."""
-    ring = _yring(h)
-    phi = cy3_phi(h, ring)
-    out = {}
-    for key in basis_keys(h):
-        g = _disp(h, ring, key).transpose()
-        if any(_block_of(h, i) > _block_of(h, j) for (i, j), _ in g.entries()):
-            raise DworkError(f"{key_name(h, key)} not block triangular")
-        if not pairing_defect(g.transpose(), phi).is_zero:
-            raise DworkError(f"{key_name(h, key)} breaks the pairing")
-        out[key] = g
-    if len(out) != cy3_dims(h)[1]:
-        raise DworkError("generator count mismatch")
-    if not (phi @ phi + MatF.identity(ring, 2 * h + 2)).is_zero:
-        raise DworkError("pairing does not square to minus one")
-    return out
+    ring _yring(h): the transposed basis frames of _frames(h)."""
+    return {key: M.transpose() for key, M in _frames(h).items()
+            if key[0] != "R"}
 
 
 def bracket_claim(h, ring, v, w):
@@ -268,16 +268,6 @@ def bracket_claim(h, ring, v, w):
                 add(("g0",), -one)
             add(("g", a, c), one)
     return out
-
-
-@cache
-def _frames(h):
-    """Frame matrix of every table key, built once per h."""
-    gms = {key: g.transpose() for key, g in cy3_basis(h).items()}
-    ring = _yring(h)
-    for k in range(1, h + 1):
-        gms[("R", k)] = gm_modular(h, ring, k)
-    return gms
 
 
 def _gm_of_combo(h, ring, gms, combo):

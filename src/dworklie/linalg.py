@@ -500,9 +500,10 @@ def _back_substitute(M, n, inv, below):
             m = M.cells.get((i, j))
             if m is not None:
                 pairs.append((m, inv[j]))
-            x = dot(M.ring, pairs)
-            if not x.is_zero:
-                out[i, j] = x
+            if pairs:
+                x = dot(M.ring, pairs)
+                if not x.is_zero:
+                    out[i, j] = x
     return MatF._of(M.ring, M.nrows, n, out.items())
 
 

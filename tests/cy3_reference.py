@@ -1,12 +1,68 @@
-"""A reference for the threefold table tests, apart from the antisymmetry
-that cy3.bracket_claim rests on.  Every entry of the table is written here in
-both orders, case by case, as it was before each unordered pair of generator
-kinds kept one branch and the other order became the negated entry."""
+"""References for the threefold table tests.  The bracket table is written
+here in both orders, case by case, as it was before each unordered pair of
+generator kinds kept one branch and the other order became the negated
+entry; this is apart from the antisymmetry that cy3.bracket_claim rests on.
+The frames are written cell by cell, as they were before cy3.frame_cells
+became the one rule that spells them."""
 
 from fractions import Fraction
 
 from dworklie.cy3 import ysym
+from dworklie.errors import DworkError
+from dworklie.linalg import MatF
 from dworklie.ratfn import RatFn
+
+
+def disp(h, ring, key):
+    """Frame matrix of the basis field named by key (the algebra element is
+    its transpose)."""
+    N = 2 * h + 2
+    M = MatF.zeros(ring, N)
+    one = RatFn.of(ring, 1)
+    half = RatFn.of(ring, Fraction(1, 2))
+    kind = key[0]
+    if kind == "g0":
+        M.set1(1, 1, -one)
+        M.set1(N, N, one)
+    elif kind == "g":
+        a, b = key[1], key[2]
+        M.set1(1 + a, 1 + b, -one)
+        M.set1(h + 1 + b, h + 1 + a, one)
+    elif kind == "t2":
+        a, b = key[1], key[2]
+        M.set1(h + 1 + a, 1 + b, M.get1(h + 1 + a, 1 + b) + half)
+        M.set1(h + 1 + b, 1 + a, M.get1(h + 1 + b, 1 + a) + half)
+    elif kind == "t1":
+        a = key[1]
+        M.set1(h + 1 + a, 1, -one)
+        M.set1(N, 1 + a, one)
+    elif kind == "t0":
+        M.set1(N, 1, -one)
+    elif kind == "k":
+        a = key[1]
+        M.set1(1 + a, 1, one)
+        M.set1(N, h + 1 + a, one)
+    else:
+        raise DworkError(f"unknown generator key {key}")
+    return M
+
+
+def gm_modular(h, ring, k):
+    """Frame matrix of the k-th modular field, carrying coupling symbols."""
+    N = 2 * h + 2
+    M = MatF.zeros(ring, N)
+    one = RatFn.of(ring, 1)
+    M.set1(1, 1 + k, one)
+    M.set1(h + 1 + k, N, one)
+    for i in range(1, h + 1):
+        for j in range(1, h + 1):
+            M.set1(1 + i, h + 1 + j, ysym(h, ring, k, i, j))
+    return M
+
+
+def frame(h, ring, key):
+    """Frame matrix of any table key."""
+    return gm_modular(h, ring, key[1]) if key[0] == "R" else disp(h, ring, key)
 
 
 def bracket_claim(h, ring, v, w):

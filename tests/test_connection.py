@@ -266,6 +266,18 @@ def test_tangent_fields_respect_the_relation(n):
         assert T.get(ch.pivot_var) * piv * 2 == ch.kappa * T.apply(ch.disc)
 
 
+@pytest.mark.parametrize("n,c", [(n, c) for n in (2, 4, 6, 8)
+                                 for c in (None, "sym", 2)])
+def test_pivot_corrections_are_the_relation_differentiated(n, c):
+    # t_D^2 = kappa*disc, so dt_D = d(kappa*disc) / (2*t_D): the spelled-out
+    # coefficients of dt1 and dt_{n+2} are the derivatives of the relation
+    ch = resolve_chart(n, c)
+    rel = ch.kappa * ch.disc
+    td2 = RatFn.var(ch.ring, ch.pivot_var) * 2
+    assert _pivot_corrections(ch) \
+        == tuple(rel.derive(v) / td2 for v in ("t1", ch.base2))
+
+
 def test_tangent_fields_count():
     for n in (1, 2, 3, 4):
         ch = resolve_chart(n)

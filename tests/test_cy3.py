@@ -1,6 +1,7 @@
 """Block-matrix model for a threefold with h deformation directions: frame,
 bracket table, derived coupling actions, and the per-direction sl2 triples."""
 
+import hashlib
 import itertools
 
 import cy3_reference as ref
@@ -8,8 +9,10 @@ import pytest
 
 from dworklie import (DworkError, MatF, cy3, cy3_basis, cy3_dims, cy3_phi,
                       cy3_sl2, verify_cy3_table)
-from dworklie.cy3 import (KINDS, _yring, basis_keys, bracket_claim, gm_modular,
-                          key_name, table_keys, ysym_name)
+from dworklie.cy3 import (KINDS, _yring, basis_keys, bracket_claim, key_name,
+                          table_keys, ysym_name)
+from dworklie.geometry import pairing_form
+from dworklie.group import lie_gen
 from dworklie.ratfn import RatFn, parse_ratfn, ratfn_string
 
 DIMS = {1: (4, 6, 7), 2: (6, 13, 15), 3: (8, 23, 26), 10: (22, 177, 187)}
@@ -127,11 +130,13 @@ def test_a_wrong_entry_fails_both_of_its_rows(monkeypatch):
 
 def test_the_frames_are_built_once_per_h(monkeypatch):
     calls = []
-    real = cy3.cy3_basis
-    monkeypatch.setattr(cy3, "cy3_basis", lambda h: calls.append(h) or real(h))
+    real = cy3.frame_cells
+    monkeypatch.setattr(cy3, "frame_cells",
+                        lambda h, key: calls.append((h, key)) or real(h, key))
     cy3._frames.cache_clear()
     cy3_sl2(2, verify_cy3_table(2))
-    assert calls == [2]
+    cy3_basis(2)
+    assert calls == [(2, key) for key in table_keys(2)]
 
 
 @pytest.mark.parametrize("h", [1, 2, 3])
@@ -187,7 +192,7 @@ def test_sl2_triples(h):
 def test_modular_matrix_shape():
     h = 2
     ring = _yring(h)
-    gm = gm_modular(h, ring, 1)
+    gm = cy3._frames(h)[("R", 1)]
     N = 2 * h + 2
     # first row picks out the direction, last column closes the band
     assert gm.get1(1, 2) == RatFn.of(ring, 1)
@@ -217,10 +222,72 @@ def test_coupling_ring_beyond_single_digits():
     for nm in ring.names:
         f = RatFn.var(ring, nm)
         assert parse_ratfn(ring, ratfn_string(f)) == f
-    assert gm_modular(h, ring, 10).get1(2, h + 11) == RatFn.var(ring, "Y1_10_10")
+    assert cy3._frames(h)[("R", 10)].get1(2, h + 11) \
+        == RatFn.var(ring, "Y1_10_10")
 
 
 @pytest.mark.parametrize("h, built", [(1, 2), (2, 1)])
 def test_triples_refuse_a_report_built_for_another_h(h, built):
     with pytest.raises(DworkError, match=f"another h than h = {h}"):
         cy3_sl2(h, verify_cy3_table(built))
+
+
+def same_frames_as_the_reference(h):
+    ring = _yring(h)
+    frames = cy3._frames(h)
+    assert list(frames) == table_keys(h)
+    for key, frame in frames.items():
+        assert frame == ref.frame(h, ring, key), key_name(h, key)
+
+
+@pytest.mark.parametrize("h", range(1, 10))
+def test_frames_match_the_reference_written_cell_by_cell(h):
+    same_frames_as_the_reference(h)
+
+
+@pytest.mark.slow
+def test_frames_match_the_reference_at_ten_directions():
+    same_frames_as_the_reference(10)
+
+
+# sha256 of the table's and the triples' rows (name, kind, ok, detail, in
+# order) and of every derived action on every coupling symbol, as the cell
+# by cell frames gave them
+TABLE_DIGESTS = {1: "c7557306046b8f3f", 2: "544963b795da9609",
+                 3: "662143e080f40d1b", 4: "f71b451ba7626a14",
+                 5: "0b86b5139551dacf", 6: "448b14e06e793bd0"}
+
+
+@pytest.mark.parametrize("h", sorted(TABLE_DIGESTS))
+def test_table_triples_and_actions_keep_their_digest(h):
+    report = verify_cy3_table(h)
+    lines = [f"{r.name}|{r.kind}|{r.equal}|{r.detail}"
+             for r in [*report.rows, *cy3_sl2(h, report).rows]]
+    lines += [f"{key_name(h, key)}|{y}|{ratfn_string(act.get(y))}"
+              for key, act in report.actions.items()
+              for y in _yring(h).names]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+    assert digest == TABLE_DIGESTS[h]
+
+
+# cy3 key at h = 1: (a, b) of the n = 3 basis matrix g_ab and the sign s
+FAMILY_RULE = {("g0",): (1, 1, -1), ("g", 1, 1): (2, 2, -1),
+               ("t2", 1, 1): (2, 3, 1), ("t1", 1): (1, 3, -1),
+               ("t0",): (1, 4, 1), ("k", 1): (1, 2, 1)}
+
+
+def test_the_rule_at_one_direction_is_the_family_rule_at_n_3():
+    # conjugation by D = diag(1, 1, 1, -1) takes the h = 1 model onto the
+    # Dwork family's n = 3 chart group: each basis frame is s times g_ab's
+    # transpose, and the pairing is the family's
+    ring = _yring(1)
+    D = MatF.identity(ring, 4)
+    D.set1(4, 4, -1)
+    assert D @ cy3_phi(1, ring) @ D == pairing_form(ring, 3)
+    assert set(FAMILY_RULE) == set(basis_keys(1))
+    for key, (a, b, s) in FAMILY_RULE.items():
+        frame = MatF.zeros(ring, 4)
+        for (i, j), x in cy3.frame_cells(1, key):
+            frame.set1(i, j, x)
+        assert D @ frame @ D == lie_gen(3, a, b, ring).transpose().scale(s), \
+            key_name(1, key)
