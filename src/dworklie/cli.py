@@ -64,7 +64,7 @@ def latex_field(vf, coords):
             continue
         cs = ratfn_string(comp, LATEX)
         sign = "+"
-        if len(comp.num.terms) > 1 and not cs.startswith("\\frac"):
+        if len(comp.terms) > 1 and not cs.startswith("\\frac"):
             cs = f"\\left({cs}\\right)"
         elif cs.startswith("-"):
             sign, cs = "-", cs[1:]

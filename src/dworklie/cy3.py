@@ -135,10 +135,15 @@ def frame_cells(h, key):
         return (((1 + a, 1), 1), ((N, h + 1 + a), 1))
     if kind == "R":
         k = key[1]
-        return (((1, 1 + k), 1), ((h + 1 + k, N), 1)) + tuple(
-            ((1 + i, h + 1 + j), ysym_name(h, k, i, j))
-            for i in range(1, h + 1) for j in range(1, h + 1))
+        return (((1, 1 + k), 1), ((h + 1 + k, N), 1)) + _coupling_cells(h, k)
     raise DworkError(f"unknown generator key {key}")
+
+
+def _coupling_cells(h, k):
+    """The coupling block of R_k's frame as cells ((i, j), name): the
+    symbol Y_kab at (1 + a, h + 1 + b), a and b in 1..h."""
+    return tuple(((1 + a, h + 1 + b), ysym_name(h, k, a, b))
+                 for a in range(1, h + 1) for b in range(1, h + 1))
 
 
 @cache
@@ -342,22 +347,23 @@ def verify_cy3_table(h):
 def _absorb_action(h, ring, act, k, resid):
     """Read the action on the coupling symbols Y_k.. into act ({symbol:
     value}) off the residual matrix of the row against the k-th modular
-    field; outside the coupling block the residual must vanish, and
-    revisited symbols must agree with what earlier rows fixed.  Returns
-    the lines that show why the row fails, none when it holds."""
+    field; outside the coupling block, the cells of R_k's frame that hold
+    a symbol (_coupling_cells, as frame_cells spells them), the residual
+    must vanish, and revisited symbols must agree with what earlier rows
+    fixed.  Returns the lines that show why the row fails, none when it
+    holds."""
+    block = dict(_coupling_cells(h, k))
     why = []
-    for (i, j), val in resid.entries():
-        if not (2 <= i <= h + 1 and h + 2 <= j <= 2 * h + 1):
-            return [f"residual off the coupling block at {(i, j)}"]
-        yname = ysym_name(h, k, i - 1, j - h - 1)
-        prev = act.setdefault(yname, val)
+    for cell, val in resid.entries():
+        if cell not in block:
+            return [f"residual off the coupling block at {cell}"]
+        prev = act.setdefault(block[cell], val)
         if prev != val:
-            why.append(f"inconsistent action on {yname}")
+            why.append(f"inconsistent action on {block[cell]}")
     # symbols not touched by any cell act as zero; record explicitly so the
     # consistency check sees them on later rows
-    for i in range(1, h + 1):
-        for j in range(i, h + 1):
-            act.setdefault(ysym_name(h, k, i, j), RatFn.of(ring, 0))
+    for yname in block.values():
+        act.setdefault(yname, RatFn.of(ring, 0))
     return why
 
 

@@ -9,7 +9,9 @@ numerator, and in a ring with a slot relation it is free of the pivot and
 the numerator has pivot degree <= 1; zero is no terms over 1 with the unit
 split.  Equality of canonical forms is therefore equality of (terms, c,
 split).  RatFn.num, the Poly T / c, and RatFn.den, the Poly x^a * F^k, are
-built on each read.
+read views built on each read.  RatFn is the one arithmetic type: a Poly
+enters only through RatFn(num, den), and the operators and RatFn.of take
+RatFns, ints and Fractions.
 
 One route reduces a fraction.  A denominator Poly must have a split: it is
 c * x^a * F^k, c its leading coefficient, which moves into the numerator
@@ -79,9 +81,9 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd as igcd, lcm, log10
 
-from .errors import KernelInvariant, UnsplitDenominator
+from .errors import DworkError, KernelInvariant, UnsplitDenominator
 from .ring import _UNIT, DEGREE_LIMIT, Poly, _lowest, _primitive, _tadd, \
-    _tmul, _tneg, _tscale, _tsum
+    _teval, _tmul, _tneg, _tscale, _tsum
 
 
 class RatFn:
@@ -130,11 +132,10 @@ class RatFn:
     # -- constructors -------------------------------------------------------
     @staticmethod
     def of(ring, value):
-        """Lift an int/Fraction/Poly to a RatFn."""
+        """Lift an int/Fraction to a RatFn; a Poly enters through
+        RatFn(num, den)."""
         if isinstance(value, RatFn):
             return value
-        if isinstance(value, Poly):
-            return RatFn(value)
         q = value if type(value) in (int, Fraction) else Fraction(value)
         return _raw(ring, {0: q.numerator} if q else {}, q.denominator, _UNIT)
 
@@ -144,7 +145,7 @@ class RatFn:
 
     # -- arithmetic ---------------------------------------------------------
     def _coerce(self, other):
-        if isinstance(other, (RatFn, Poly, int, Fraction)):
+        if isinstance(other, (RatFn, int, Fraction)):
             return RatFn.of(self.ring, other)
         return None
 
@@ -279,8 +280,10 @@ class RatFn:
                 and self.split == o.split and self.terms == o.terms)
 
     def __hash__(self):
-        # over a denominator of one, as the numerator it equals
-        return hash(self.num if self.split == _UNIT else (self.num, self.split))
+        # a constant as the Fraction it equals
+        if self.is_const:
+            return hash(Fraction(self.terms.get(0, 0), self.c))
+        return hash((frozenset(self.terms.items()), self.c, self.split))
 
     # -- calculus / evaluation ---------------------------------------------
     def derive(self, var):
@@ -301,7 +304,16 @@ class RatFn:
         return _subs_poly(self.num, vals) / _subs_poly(self.den, vals)
 
     def eval(self, point):
-        return self.num.eval(point) / self.den.eval(point)
+        """The value at point, a dict name -> Fraction covering every
+        variable that occurs; DworkError names the first one missing.
+        ZeroDivisionError where the denominator vanishes."""
+        ring = self.ring
+        for nm in self.support():
+            if nm not in point:
+                raise DworkError(f"no value given for the variable {nm!r}")
+        pt = tuple(Fraction(point.get(nm, 0)) for nm in ring.names)
+        return _teval(self.terms, pt) / (
+            self.c * _teval(ring.split_terms(self.split), pt))
 
     def lift(self, ring):
         return RatFn(self.num.lift(ring), self.den.lift(ring))
@@ -319,7 +331,7 @@ def _subs_poly(p, vals):
             if nm in vals:
                 term = term * vals[nm] ** k
             else:
-                term = term * RatFn(ring.var(nm) ** k)
+                term = term * RatFn.var(ring, nm) ** k
         out = out + term
     return out
 
@@ -608,24 +620,27 @@ def parse_ratfn(ring, s):
 # randomized-evaluation equality oracle (second route, independent of the
 # canonical-form equality)
 
-def _split_pivot(p):
-    """(even, odd) parts of the Poly p in the relation pivot."""
-    ring = p.ring
+def _split_pivot(f):
+    """(even, odd) parts of the RatFn f in the relation pivot, each over
+    f's denominator."""
+    ring = f.ring
+    zero = RatFn.of(ring, 0)
     if ring.pivot is None:
-        return p, ring.zero
-    parts = p.coeffs(ring.names[ring.pivot])
+        return f, zero
+    parts = f.num.coeffs(ring.names[ring.pivot])
     if set(parts) - {0, 1}:
         raise KernelInvariant("unreduced pivot power")
-    return parts.get(0, ring.zero), parts.get(1, ring.zero)
+    return tuple(RatFn(parts[k], f.den) if k in parts else zero for k in (0, 1))
 
 
 def eq_by_random_eval(f, g, rng, trials=5):
-    """Compare f and g at random rational points (pivot handled componentwise)."""
+    """Compare f and g at random rational points (pivot handled
+    componentwise), skipping a point where a denominator vanishes."""
     ring = f.ring
     if g.ring is not ring:
         raise KernelInvariant("mixed rings")
-    fa, fb = _split_pivot(f.num)
-    ga, gb = _split_pivot(g.num)
+    fa, fb = _split_pivot(f)
+    ga, gb = _split_pivot(g)
     done = 0
     attempts = 0
     while done < trials:
@@ -635,11 +650,10 @@ def eq_by_random_eval(f, g, rng, trials=5):
                              "vanish at every point drawn")
         pt = {nm: Fraction(rng.randint(-19, 19), rng.randint(1, 7))
               for nm in ring.names}
-        dfv, dgv = f.den.eval(pt), g.den.eval(pt)
-        if dfv == 0 or dgv == 0:
+        try:
+            if fa.eval(pt) != ga.eval(pt) or fb.eval(pt) != gb.eval(pt):
+                return False
+        except ZeroDivisionError:
             continue
-        if (fa.eval(pt) * dgv != ga.eval(pt) * dfv
-                or fb.eval(pt) * dgv != gb.eval(pt) * dfv):
-            return False
         done += 1
     return True

@@ -24,7 +24,7 @@ the variables that occur.
 
 A ring may name one known irreducible factor F = x^r - x_v.  A polynomial
 c * x^a * F^k, or c * x^a in any ring, has the split (a, k), c being its
-leading coefficient (Poly.known_split), and the kernel works on splits: the
+leading coefficient (Ring._known_split), and the kernel works on splits: the
 gcd with a split denominator comes by exact division by F, not by a
 multivariate gcd, and the reduced denominator is a split again
 (Ring.cancel_split, see Ring); the gcd of two splits comes from their
@@ -37,7 +37,7 @@ a Poly with it, as ratfn builds a RatFn.
 
 Boundary: only this module knows how a monomial is encoded and how monomials
 are ordered.  Other modules name variables and use
-  Ring: var, const, with_relation, extend, factor_pow, has_pivot (the
+  Ring: var, with_relation, extend, factor_pow, has_pivot (the
         pivot test) and conjugate (the pivot's sign flipped);
         ratfn also uses reduce_split (the pivot reduction, with the power
         of rel_den it takes as an int and a split) and the split methods
@@ -45,20 +45,21 @@ are ordered.  Other modules name variables and use
         split_gcd, split_lcm (the lcm of products of splits, with each
         product's cofactor), cancel_split and derive_split (the
         logarithmic derivative over a split denominator);
-  Poly: arithmetic, divmod (division with remainder), derive, eval, lift (also
-        down to a prefix ring), support, weighted_degrees, coeffs (over
-        one variable), items (the terms in order, each a coefficient and
-        (name, power) pairs), is_zero, is_const, const_value and
-        known_split.
-ratfn alone also hands term dicts, as opaque values, to _tadd, _tsum, _tmul,
-_tneg, _tscale, _primitive and _lowest: a RatFn keeps its numerator's term
+  Poly: a read view with no arithmetic and no value equality: divmod
+        (division with remainder), lift (also down to a prefix ring),
+        support, weighted_degrees, coeffs (over one variable), items (the
+        terms in order, each a coefficient and (name, power) pairs),
+        is_zero and is_const.
+The arithmetic and the equality of values are RatFn's.  ratfn alone also
+hands term dicts, as opaque values, to _tadd, _tsum, _tmul, _tneg,
+_tscale, _teval, _primitive and _lowest: a RatFn keeps its numerator's term
 dict and integer, so its sums and products build no Poly.  A constant is
 the term dict {0: p}, or {} for 0, over an int q with the split _UNIT, so
 ratfn reads and builds it as two ints.  Splits are opaque to it too: it
 passes them between the Ring methods above and compares them with _UNIT.
 Exponent tuples enter only as constructor input: the relation and the known
 factor of Ring(...), which geometry and the tests spell out; items,
-weighted_degrees, eval, support and the printer read keys through _powers.
+weighted_degrees, support and _teval read keys through _powers.
 """
 
 from __future__ import annotations
@@ -172,22 +173,6 @@ def _tmul(A, B):
             out[e] = get(e, 0) + ca * cb
     # the accumulator itself when no coefficient cancelled
     return {e: c for e, c in out.items() if c} if 0 in out.values() else out
-
-
-def _tpow(A, k):
-    if k == 0:
-        if not A:
-            raise ValueError("0^0 of an empty term dict")
-        return {0: 1}
-    out = None
-    base = A
-    while k:
-        if k & 1:
-            out = base if out is None else _tmul(out, base)
-        k >>= 1
-        if k:
-            base = _tmul(base, base)
-    return out if out is not None else {}
 
 
 def _content(A):
@@ -351,7 +336,7 @@ class Ring:
 
     __slots__ = ("names", "index", "pivot", "rel_num", "rel_den", "_relpow",
                  "_rsplit", "_rlead", "factor", "_fpow", "_known", "_units",
-                 "_pmask", "zero", "one")
+                 "_pmask")
 
     def __init__(self, names, pivot=None, rel_num=None, rel_den=None,
                  factor=None):
@@ -370,8 +355,6 @@ class Ring:
             rel_den = {_pack(e, nv): c for e, c in rel_den.items()}
         self.rel_num, self.rel_den = rel_num, rel_den
         self._relpow = {0: (_ONE, _ONE)}
-        self.zero = Poly(self, {}, 1)
-        self.one = Poly(self, _ONE, 1)
         self.factor = factor
         self._known = None
         if factor is not None:
@@ -398,10 +381,6 @@ class Ring:
 
     def var(self, name):
         return Poly(self, {self._units[self.index[name]]: 1}, 1)
-
-    def const(self, q):
-        q = q if type(q) in (int, Fraction) else Fraction(q)
-        return Poly._trusted(self, {0: q.numerator} if q else {}, q.denominator)
 
     def _exponents(self, T, pad=()):
         """T as {exponent tuple + pad: coefficient}, the Ring input form."""
@@ -627,7 +606,8 @@ class Ring:
 
 
 class Poly:
-    """Immutable polynomial; see module docstring for the representation."""
+    """Immutable polynomial, a read view of terms over den: see the module
+    docstring for the representation.  RatFn holds the arithmetic."""
 
     __slots__ = ("ring", "terms", "den")
 
@@ -649,11 +629,6 @@ class Poly:
         p.terms, p.den = _lowest(terms, den)
         return p
 
-    def known_split(self):
-        """(a, k) with terms == c * x^a * F^k, c the leading coefficient (see
-        Ring._known_split); False when the terms are not of that form."""
-        return self.ring._known_split(self.terms) or False
-
     # -- predicates ---------------------------------------------------------
     @property
     def is_zero(self):
@@ -663,13 +638,6 @@ class Poly:
     def is_const(self):
         T = self.terms
         return not T or (len(T) == 1 and 0 in T)
-
-    def const_value(self):
-        if not self.is_const:
-            raise ValueError("not a constant")
-        if not self.terms:
-            return Fraction(0)
-        return Fraction(next(iter(self.terms.values())), self.den)
 
     def support(self):
         """Names of the variables that occur, in ring order."""
@@ -700,45 +668,12 @@ class Poly:
             yield (c if den == 1 else Fraction(c, den),
                    tuple((names[i], k) for i, k in _powers(e, len(names))))
 
-    # -- arithmetic ---------------------------------------------------------
-    def _chk(self, other):
-        if self.ring is not other.ring:
-            raise KernelInvariant("mixed rings")
-
-    def __add__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        self._chk(other)
-        a, b = self, other
-        T = _tadd(_tscale(a.terms, b.den), _tscale(b.terms, a.den))
-        return Poly._trusted(self.ring, T, a.den * b.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        p = Poly.__new__(Poly)
-        p.ring, p.terms, p.den = self.ring, _tneg(self.terms), self.den
-        return p
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return Poly._trusted(self.ring, _tscale(self.terms, q.numerator),
-                                 self.den * q.denominator)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        self._chk(other)
-        return Poly._trusted(self.ring, _tmul(self.terms, other.terms),
-                             self.den * other.den)
-
-    __rmul__ = __mul__
-
     def __divmod__(self, other):
         """(q, r) with self == q * other + r, by repeated division of the
         leading term by the leading term of other, so that no term of r is
         divisible by the leading monomial of other."""
-        self._chk(other)
+        if self.ring is not other.ring:
+            raise KernelInvariant("mixed rings")
         if not other.terms:
             raise ZeroDivisionError("division by zero polynomial")
         d = {e: Fraction(c, other.den) for e, c in other.terms.items()}
@@ -768,51 +703,6 @@ class Poly:
 
         return poly(q), poly(r)
 
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        return Poly._trusted(self.ring, _tpow(self.terms, k), self.den ** k)
-
-    def __eq__(self, other):
-        if isinstance(other, Poly):
-            if self.ring is not other.ring:
-                return False
-            if self.den == other.den and self.terms == other.terms:
-                return True
-            # different terms are a different value unless either leaves a
-            # pivot square unreduced
-            red = self.ring.reduce_terms
-            if not (red(self.terms)[1] or red(other.terms)[1]):
-                return False
-        elif not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        from .ratfn import RatFn  # by value, as __hash__ reads it
-        return RatFn(self) == other
-
-    def __hash__(self):
-        # as the value it equals: a constant as its number, and a pivot
-        # square, left unreduced here, as the RatFn that reduces it
-        if self.is_const:
-            return hash(self.const_value())
-        if self.ring.reduce_terms(self.terms)[1]:
-            from .ratfn import RatFn  # local import to avoid a cycle
-            return hash(RatFn(self))
-        return hash((id(self.ring), self.den, frozenset(self.terms.items())))
-
-    def derive(self, var):
-        v = self.ring.index[var]
-        T = _tderive(self.terms, v * _W, self.ring._units[v])
-        return Poly._trusted(self.ring, T, self.den)
-
-    def eval(self, point):
-        """point: dict name -> Fraction, covering every variable that occurs;
-        DworkError names the first one missing."""
-        for nm in self.support():
-            if nm not in point:
-                raise DworkError(f"no value given for the variable {nm!r}")
-        pt = tuple(Fraction(point.get(nm, 0)) for nm in self.ring.names)
-        return _teval(self.terms, pt) / self.den
-
     def lift(self, ring):
         """The same polynomial in a ring whose names extend ours or are a
         prefix of them; DworkError when a dropped variable occurs.  The
@@ -832,5 +722,5 @@ class Poly:
 
     def __repr__(self):
         from .ratfn import poly_string  # local import to avoid a cycle
-        s = poly_string(self * self.den)
+        s = poly_string(Poly._trusted(self.ring, self.terms))
         return s if self.den == 1 else f"({s})/{self.den}"

@@ -2,6 +2,12 @@
 
 unpack(m, nv) reads every exponent field of a packed key, the dense reading
 that the kernel's walk of the set fields (ring._powers) is tested against.
+tpow(A, k) is the k-th power of a term dict by repeated squaring.
+
+Poly is a read view with no arithmetic.  psum, pmul and pderive are the
+polynomial sum, product and derivative that the references and the tests
+build operands with; like the references they apply no slot relation, so
+a pivot square stays as it is.
 
 The reference normal form stands apart from the kernel's own
 constructor.  RatFn(num, den) is built from the split route it is tested
@@ -12,17 +18,70 @@ carries the pivot, then the powers of rel_den rebalanced), its denominator
 made primitive, and only then cancelled against that denominator's split."""
 
 from fractions import Fraction
+from math import lcm
 
 from dworklie import KernelInvariant, UnsplitDenominator
 from dworklie.ratfn import _over_split, _raw, poly_string
-from dworklie.ring import _FM, _UNIT, _W, Poly, _primitive, _tmul, _tpow, \
-    _tscale
+from dworklie.ring import _FM, _UNIT, _W, Poly, _pack, _primitive, _tmul, \
+    _tscale, _tsum
 
 
 def unpack(m, nv):
     """The exponent tuple (e_0, ..., e_(nv-1)) of the key m of a ring with nv
     variables, every field read."""
     return tuple(m >> (i * _W) & _FM for i in range(nv))
+
+
+def tpow(A, k):
+    """The term dict A**k; ValueError for 0^0."""
+    if k == 0:
+        if not A:
+            raise ValueError("0^0 of an empty term dict")
+        return {0: 1}
+    out = None
+    base = A
+    while k:
+        if k & 1:
+            out = base if out is None else _tmul(out, base)
+        k >>= 1
+        if k:
+            base = _tmul(base, base)
+    return out if out is not None else {}
+
+
+def psum(*ps):
+    """The sum of the Polys ps, one ring, at least one."""
+    den = lcm(*(p.den for p in ps))
+    return Poly(ps[0].ring, _tsum((p.terms, den // p.den) for p in ps), den)
+
+
+def pmul(ring, *factors):
+    """The product over ring of the factors, each a Poly of ring or a
+    number; 1 for none."""
+    T, den = {0: 1}, 1
+    for f in factors:
+        if isinstance(f, Poly):
+            if f.ring is not ring:
+                raise KernelInvariant("mixed rings")
+            T, den = _tmul(T, f.terms), den * f.den
+        else:
+            q = Fraction(f)
+            T, den = _tscale(T, q.numerator), den * q.denominator
+    return Poly(ring, T, den)
+
+
+def pderive(p, var):
+    """The derivative of the Poly p by the variable var, every exponent
+    field read (unpack)."""
+    nv, i = p.ring.nvars, p.ring.index[var]
+    T = {}
+    for m, c in p.terms.items():
+        e = list(unpack(m, nv))
+        if e[i]:
+            e[i] -= 1
+            k = _pack(e, nv)
+            T[k] = T.get(k, 0) + c * (e[i] + 1)
+    return Poly(p.ring, T, p.den)
 
 
 def rationalize(ring, N, D):
@@ -45,9 +104,9 @@ def rationalize(ring, N, D):
     # N/D == (N'/rel_den^kn) / (D'/rel_den^kd)
     net = kd - kn
     if net > 0:
-        N = _tmul(N, _tpow(ring.rel_den, net))
+        N = _tmul(N, tpow(ring.rel_den, net))
     elif net < 0:
-        D = _tmul(D, _tpow(ring.rel_den, -net))
+        D = _tmul(D, tpow(ring.rel_den, -net))
     return N, D
 
 
@@ -62,13 +121,12 @@ def normalize(num, den):
     # value = N * den.den / ((cd * D) * num.den) with D primitive; the split
     # is required whatever the numerator, zero included
     cd, D = _primitive(D)
-    D = Poly._trusted(ring, D)
-    split = D.known_split()
+    split = ring._known_split(D)
     if not split:
-        raise UnsplitDenominator(f"denominator {poly_string(D)} has no split "
-                                 "c * x^a * F^k")
+        raise UnsplitDenominator(f"denominator {poly_string(Poly(ring, D))} "
+                                 "has no split c * x^a * F^k")
     if not N:
-        return ring.zero, _UNIT
+        return Poly(ring, {}), _UNIT
     q = Fraction(den.den, num.den * cd)
     r = _over_split(ring, _tscale(N, q.numerator), q.denominator, split)
     return r.num, r.split
@@ -77,5 +135,5 @@ def normalize(num, den):
 def full(num, den=None):
     """The RatFn num/den for Polys num and den (1 when omitted), reduced by
     normalize and never through the RatFn constructor."""
-    N, split = normalize(num, num.ring.one if den is None else den)
+    N, split = normalize(num, Poly(num.ring, {0: 1}) if den is None else den)
     return _raw(N.ring, N.terms, N.den, split)

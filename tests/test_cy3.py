@@ -166,6 +166,33 @@ def test_derived_coupling_actions(h):
             assert val.is_zero, (vkey, yname)
 
 
+def test_absorbing_an_action_refuses_a_residual_it_cannot_read():
+    # at h = 2 the coupling block of R_1 is rows 2..3 by columns 4..5, and
+    # Y_112 sits in two of its cells, (2, 5) and (3, 4)
+    h, k = 2, 1
+    ring = _yring(h)
+    one, two = RatFn.of(ring, 1), RatFn.of(ring, 2)
+    off = MatF.zeros(ring, 2 * h + 2)
+    off.set1(2, 4, one)
+    off.set1(1, 4, one)
+    assert cy3._absorb_action(h, ring, {}, k, off) == [
+        "residual off the coupling block at (1, 4)"]
+    y112 = ysym_name(h, k, 1, 2)
+    twice = MatF.zeros(ring, 2 * h + 2)
+    twice.set1(2, 5, one)
+    twice.set1(3, 4, two)
+    act = {}
+    assert cy3._absorb_action(h, ring, act, k, twice) == [
+        f"inconsistent action on {y112}"]
+    assert act[y112] == one
+    assert act[ysym_name(h, k, 1, 1)].is_zero
+    # a later row that reads another value for a fixed symbol fails too
+    again = MatF.zeros(ring, 2 * h + 2)
+    again.set1(2, 5, two)
+    assert cy3._absorb_action(h, ring, act, k, again) == [
+        f"inconsistent action on {y112}"]
+
+
 @pytest.mark.slow
 def test_full_table_at_ten_directions():
     # from h = 10 on every name is "_"-joined (run with -m slow)

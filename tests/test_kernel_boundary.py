@@ -1,7 +1,8 @@
 """The kernel boundary: only ring.py knows that a monomial is an exponent
 tuple and how monomials are ordered.  An ast scan of the package keeps the
 order and the term-dict layout from leaking into other modules, so that a
-change of the monomial representation stays inside ring.py."""
+change of the monomial representation stays inside ring.py.  Inside the
+kernel, RatFn is the one arithmetic type and Poly a read view."""
 
 import ast
 from pathlib import Path
@@ -73,3 +74,30 @@ def test_term_dicts_are_only_measured_outside_the_kernel(name):
              if isinstance(node, ast.Attribute) and node.attr == "terms"
              and id(node) not in measured]
     assert not lines, f"{name} reads .terms at lines {lines}"
+
+
+# RatFn is the one arithmetic type: a Poly is a read view of terms over an
+# integer, with no operators, no value equality and no calculus, and a
+# RatFn takes a Poly only through its constructor RatFn(num, den).
+POLY_ARITHMETIC = {"__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
+                   "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+                   "__pow__", "__eq__", "__ne__", "__hash__", "derive",
+                   "eval", "const_value", "known_split"}
+
+
+def test_poly_holds_no_arithmetic():
+    from dworklie import Poly
+    assert not POLY_ARITHMETIC & set(vars(Poly))
+
+
+def test_a_ratfn_takes_a_poly_only_through_its_constructor():
+    from dworklie import RatFn, Ring
+    ring = Ring(("x", "y"))
+    f = RatFn.var(ring, "x") / RatFn.var(ring, "y")
+    p = ring.var("x")
+    for make in (lambda: f + p, lambda: p + f, lambda: f * p, lambda: p * f,
+                 lambda: f - p, lambda: f / p, lambda: RatFn.of(ring, p)):
+        with pytest.raises(TypeError):
+            make()
+    assert RatFn(p) == RatFn.var(ring, "x")
+    assert RatFn(p, ring.var("y")) == f
