@@ -21,7 +21,7 @@ from .linalg import MatF, OneFormMat, SolveResult, VecField, solve_linear
 from .modular import (Sl2Triple, basis_vf, modular_vf, quasi_degree,
                       sl2_triple, truncate_poly, weights)
 from .ratfn import RatFn, eq_by_random_eval, parse_ratfn, ratfn_string
-from .ring import Poly, Ring
+from .ring import Ring
 
 __all__ = [
     "Chart", "build_chart", "chart_of_ring", "resolve_chart",
@@ -43,5 +43,5 @@ __all__ = [
     "Sl2Triple", "basis_vf", "modular_vf", "quasi_degree", "sl2_triple",
     "truncate_poly", "weights",
     "RatFn", "eq_by_random_eval", "parse_ratfn", "ratfn_string",
-    "Poly", "Ring",
+    "Ring",
 ]

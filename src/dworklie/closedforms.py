@@ -186,9 +186,10 @@ def _c_poly(rf):
     """Split a c-dependent rational function's numerator into
     {t-monomial: {c-degree: coeff}}; rf must be the difference to kill."""
     table = {}
-    for k, coeff in rf.num.coeffs("c").items():
-        for cf, tmono in coeff.items():
-            table.setdefault(tmono, {})[k] = cf
+    for cf, powers in rf.num.items():
+        tmono = tuple(p for p in powers if p[0] != "c")
+        k = dict(powers).get("c", 0)
+        table.setdefault(tmono, {})[k] = cf
     return table
 
 

@@ -15,7 +15,6 @@ from .group import basis_pairs, lie_gen
 from .linalg import VecField, _gauss_jordan, field_combination
 from .modular import basis_vf, modular_vf, quasi_degree, sl2_triple, weights
 from .ratfn import RatFn
-from .ring import Poly
 
 
 class Row:
@@ -221,7 +220,7 @@ def _regular(ch, f):
         return True
     units = {ch.base2} | {v for (i, j), v in ch.known.items()
                           if i == j and v != ch.pivot_var}
-    return units.issuperset(Poly(ch.ring, {a: 1}).support())
+    return units.issuperset(RatFn(ch.ring, {a: 1}).support())
 
 
 def membership_build(f0, coeffs, n, c=None):

@@ -162,6 +162,6 @@ def truncate_poly(V):
     """Polynomial part of each component: the quotient of dividing the
     numerator by the full denominator, graded-lex leading terms, skipping
     (and keeping out) every term the leading divisor cannot reach."""
-    comps = {v: rf if rf.den.is_const else RatFn(divmod(rf.num, rf.den)[0])
+    comps = {v: rf if rf.den.is_const else divmod(rf.num, rf.den)[0]
              for v, rf in V.comps.items()}
     return VecField(V.ring, comps)

@@ -8,21 +8,22 @@ Invariants after every operation: the denominator shares no factor with the
 numerator, and in a ring with a slot relation it is free of the pivot and
 the numerator has pivot degree <= 1; zero is no terms over 1 with the unit
 split.  Equality of canonical forms is therefore equality of (terms, c,
-split).  RatFn.num, the Poly T / c, and RatFn.den, the Poly x^a * F^k, are
-read views built on each read.  RatFn is the one arithmetic type: a Poly
-enters only through RatFn(num, den), and the operators and RatFn.of take
-RatFns, ints and Fractions.
+split).  RatFn is the one value type: a polynomial is a RatFn over the
+unit split, and RatFn.num, T / c, and RatFn.den, x^a * F^k, are such
+polynomials, canonical values built on each read.  The polynomial readers
+items, weighted_degrees and divmod raise ValueError on any other value.
+The operators and RatFn.of take RatFns, ints and Fractions.
 
-One route reduces a fraction.  A denominator Poly must have a split: it is
-c * x^a * F^k, c its leading coefficient, which moves into the numerator
+One route reduces a fraction.  The one constructor, RatFn(ring, terms,
+den), builds a polynomial: its pivot squares are rewritten by
+Ring.reduce_split, and it takes one cancel against the power of rel_den
+that brings.  A quotient is a division: a divisor must have a split, c *
+x^a * F^k, c its leading coefficient, which moves into the numerator
 (Ring._known_split).  Ring.cancel_split cancels against x^a * F^k from the
 exponents, since only the monomial and a power of the irreducible F can
-cancel, and leaves a split.  The constructor RatFn(num, den) is built from
-the rules below: each Poly has its pivot squares rewritten by
-Ring.reduce_split and takes one cancel against the power of rel_den that
-brings, and den is then inverted and multiplied in.  An inverse whose
-divisor has no split raises UnsplitDenominator, whatever the numerator,
-zero included; the kernel has no general gcd.
+cancel, and leaves a split.  An inverse whose divisor has no split raises
+UnsplitDenominator, whatever the numerator, zero included; the kernel has
+no general gcd.
 
 Sums over split denominators follow Henrici (J. ACM 3, 1956): for canonical
 a/b and c/d with g = gcd(b, d), taken from the exponents (Ring.split_gcd),
@@ -82,31 +83,35 @@ from fractions import Fraction
 from math import gcd as igcd, lcm, log10
 
 from .errors import DworkError, KernelInvariant, UnsplitDenominator
-from .ring import _UNIT, DEGREE_LIMIT, Poly, _lowest, _primitive, _tadd, \
-    _teval, _tmul, _tneg, _tscale, _tsum
+from .ring import _UNIT, DEGREE_LIMIT, _lowest, _primitive, _tadd, \
+    _tdivmod, _teval, _titems, _tmul, _tneg, _tscale, _tsum, _tsupport, \
+    _tweighted
 
 
 class RatFn:
     __slots__ = ("ring", "terms", "c", "split")
 
-    def __init__(self, num, den=None):
-        r = _reduced(num)
-        if den is not None:
-            r = r * _reduced(den).inverse()
-        self.ring, self.terms, self.c, self.split = \
-            r.ring, r.terms, r.c, r.split
+    def __init__(self, ring, terms, den=1):
+        """The polynomial terms / den over ring, for an integer term dict
+        terms and a nonzero int den, its pivot squares rewritten."""
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        terms = {e: c for e, c in terms.items() if c}
+        if den < 0:
+            den, terms = -den, _tneg(terms)
+        T, q, split = ring.reduce_split(terms)
+        r = _over_split(ring, T, den * q, split)
+        self.ring, self.terms, self.c, self.split = ring, r.terms, r.c, r.split
 
     @property
     def num(self):
-        """The numerator terms / c as a Poly, built on each read."""
-        p = Poly.__new__(Poly)
-        p.ring, p.terms, p.den = self.ring, self.terms, self.c
-        return p
+        """The numerator terms / c, a polynomial."""
+        return _raw(self.ring, self.terms, self.c, _UNIT)
 
     @property
     def den(self):
-        """The denominator x^a * F^k as a Poly, built on each read."""
-        return Poly._trusted(self.ring, self.ring.split_terms(self.split))
+        """The denominator x^a * F^k, a polynomial."""
+        return _raw(self.ring, self.ring.split_terms(self.split), 1, _UNIT)
 
     @property
     def is_zero(self):
@@ -127,21 +132,49 @@ class RatFn:
         ring order; empty for a constant."""
         ring = self.ring
         keys = {**self.terms, **ring.split_terms(self.split)}
-        return Poly._trusted(ring, keys).support()
+        return _tsupport(keys, ring.names)
+
+    # -- polynomial readers -------------------------------------------------
+    def _polynomial(self):
+        if self.split != _UNIT:
+            raise ValueError(f"not a polynomial: {self!r}")
+
+    def items(self):
+        """The terms of a polynomial in ascending order (ring._titems)."""
+        self._polynomial()
+        return _titems(self.terms, self.c, self.ring.names)
+
+    def weighted_degrees(self, w):
+        """The weighted degrees of a polynomial's terms (ring._tweighted)."""
+        self._polynomial()
+        return _tweighted(self.terms, w, self.ring.names)
+
+    def __divmod__(self, other):
+        """(q, r) with self == q * other + r for polynomials, by the division
+        of ring._tdivmod, each of q and r then normalised."""
+        if self.ring is not other.ring:
+            raise KernelInvariant("mixed rings")
+        self._polynomial()
+        other._polynomial()
+        ring = self.ring
+        (Q, q), (R, r) = _tdivmod(self.terms, self.c, other.terms, other.c)
+        return RatFn(ring, Q, q), RatFn(ring, R, r)
 
     # -- constructors -------------------------------------------------------
     @staticmethod
     def of(ring, value):
-        """Lift an int/Fraction to a RatFn; a Poly enters through
-        RatFn(num, den)."""
+        """Lift an int or a Fraction to a RatFn; a RatFn is returned as it
+        is, and any other value raises TypeError."""
         if isinstance(value, RatFn):
             return value
-        q = value if type(value) in (int, Fraction) else Fraction(value)
-        return _raw(ring, {0: q.numerator} if q else {}, q.denominator, _UNIT)
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"not an int, a Fraction or a RatFn: {value!r}")
+        return _raw(ring, {0: value.numerator} if value else {},
+                    value.denominator, _UNIT)
 
     @staticmethod
     def var(ring, name):
-        return _raw(ring, ring.var(name).terms, 1, _UNIT)
+        return _raw(ring, ring.var(name), 1, _UNIT)
 
     # -- arithmetic ---------------------------------------------------------
     def _coerce(self, other):
@@ -316,7 +349,9 @@ class RatFn:
             self.c * _teval(ring.split_terms(self.split), pt))
 
     def lift(self, ring):
-        return RatFn(self.num.lift(ring), self.den.lift(ring))
+        lift = self.ring.lift_terms
+        D = lift(self.ring.split_terms(self.split), ring)
+        return RatFn(ring, lift(self.terms, ring), self.c) / RatFn(ring, D)
 
     def __repr__(self):
         return ratfn_string(self)
@@ -360,20 +395,13 @@ def _const(ring, p, q):
     return _raw(ring, {0: p // g} if p else {}, q // g, _UNIT)
 
 
-def _reduced(p):
-    """The canonical RatFn of the Poly p, its pivot squares rewritten."""
-    T, q, split = p.ring.reduce_split(p.terms)
-    return _over_split(p.ring, T, p.den * q, split)
-
-
 def _split(ring, T):
     """(c, split) for the pivot-free term dict T = c * x^a * F^k, c its
     leading coefficient; UnsplitDenominator if it has none."""
     s = ring._known_split(T)
     if not s:
-        D = Poly._trusted(ring, _primitive(T)[1])
-        raise UnsplitDenominator(f"denominator {poly_string(D)} has no split "
-                                 "c * x^a * F^k")
+        D = poly_string(ring, _primitive(T)[1])
+        raise UnsplitDenominator(f"denominator {D} has no split c * x^a * F^k")
     return T[max(T)], s
 
 
@@ -460,10 +488,11 @@ def _mono_string(c, powers, sp):
     return sp.sep.join(parts)
 
 
-def poly_string(p, spelling=TEXT):
-    """Listing of the Poly p in ascending graded-lex order."""
+def poly_string(ring, T, spelling=TEXT):
+    """Listing of the integer term dict T of ring in ascending graded-lex
+    order."""
     out = []
-    for c, powers in p.items():
+    for c, powers in _titems(T, 1, ring.names):
         m = _mono_string(c, powers, spelling)
         if not out:
             out.append(f"-{m}" if c < 0 else m)
@@ -477,11 +506,11 @@ def ratfn_string(r, spelling=TEXT):
     form with spelling=LATEX; both list terms in the same order.  The
     numerator's denominator moves into the denominator."""
     ring = r.ring
-    ns = poly_string(Poly._trusted(ring, r.terms), spelling)
+    ns = poly_string(ring, r.terms, spelling)
     if r.c == 1 and r.split == _UNIT:
         return ns
     D = _tscale(ring.split_terms(r.split), r.c)
-    return spelling.frac(ns, poly_string(Poly._trusted(ring, D), spelling))
+    return spelling.frac(ns, poly_string(ring, D, spelling))
 
 
 # ---------------------------------------------------------------------------
@@ -620,27 +649,15 @@ def parse_ratfn(ring, s):
 # randomized-evaluation equality oracle (second route, independent of the
 # canonical-form equality)
 
-def _split_pivot(f):
-    """(even, odd) parts of the RatFn f in the relation pivot, each over
-    f's denominator."""
-    ring = f.ring
-    zero = RatFn.of(ring, 0)
-    if ring.pivot is None:
-        return f, zero
-    parts = f.num.coeffs(ring.names[ring.pivot])
-    if set(parts) - {0, 1}:
-        raise KernelInvariant("unreduced pivot power")
-    return tuple(RatFn(parts[k], f.den) if k in parts else zero for k in (0, 1))
-
-
 def eq_by_random_eval(f, g, rng, trials=5):
-    """Compare f and g at random rational points (pivot handled
-    componentwise), skipping a point where a denominator vanishes."""
+    """Compare f and g at random rational points, skipping a point where a
+    denominator vanishes.  A relation pivot is drawn as one more
+    coordinate: canonical f and g have numerators of pivot degree <= 1 over
+    pivot-free denominators, so f - g = (a + pivot * b)/D with a, b and D
+    free of the pivot, and a freely drawn pivot tests a = b = 0."""
     ring = f.ring
     if g.ring is not ring:
         raise KernelInvariant("mixed rings")
-    fa, fb = _split_pivot(f)
-    ga, gb = _split_pivot(g)
     done = 0
     attempts = 0
     while done < trials:
@@ -651,7 +668,7 @@ def eq_by_random_eval(f, g, rng, trials=5):
         pt = {nm: Fraction(rng.randint(-19, 19), rng.randint(1, 7))
               for nm in ring.names}
         try:
-            if fa.eval(pt) != ga.eval(pt) or fb.eval(pt) != gb.eval(pt):
+            if f.eval(pt) != g.eval(pt):
                 return False
         except ZeroDivisionError:
             continue

@@ -32,34 +32,30 @@ exponents (Ring.split_gcd) and their product is their sum (Ring.split_mul).
 There is no general gcd: ratfn refuses a denominator without a split, and a
 relation's rel_num and rel_den must each have one.  Kernel results with no
 zero coefficient skip the zero filter: _lowest divides a term dict and an
-integer by their gcd, with no content scan over 1, and Poly._trusted builds
-a Poly with it, as ratfn builds a RatFn.
+integer by their gcd, with no content scan over 1, and ratfn builds a RatFn
+with it.
 
 Boundary: only this module knows how a monomial is encoded and how monomials
 are ordered.  Other modules name variables and use
-  Ring: var, with_relation, extend, factor_pow, has_pivot (the
-        pivot test) and conjugate (the pivot's sign flipped);
+  Ring: var (a variable's term dict), with_relation, extend, lift_terms,
+        factor_pow, has_pivot (the pivot test) and conjugate (the pivot's
+        sign flipped);
         ratfn also uses reduce_split (the pivot reduction, with the power
         of rel_den it takes as an int and a split) and the split methods
         _known_split (a term dict's split), split_terms, split_mul,
         split_gcd, split_lcm (the lcm of products of splits, with each
         product's cofactor), cancel_split and derive_split (the
-        logarithmic derivative over a split denominator);
-  Poly: a read view with no arithmetic and no value equality: divmod
-        (division with remainder), lift (also down to a prefix ring),
-        support, weighted_degrees, coeffs (over one variable), items (the
-        terms in order, each a coefficient and (name, power) pairs),
-        is_zero and is_const.
-The arithmetic and the equality of values are RatFn's.  ratfn alone also
-hands term dicts, as opaque values, to _tadd, _tsum, _tmul, _tneg,
-_tscale, _teval, _primitive and _lowest: a RatFn keeps its numerator's term
-dict and integer, so its sums and products build no Poly.  A constant is
-the term dict {0: p}, or {} for 0, over an int q with the split _UNIT, so
-ratfn reads and builds it as two ints.  Splits are opaque to it too: it
-passes them between the Ring methods above and compares them with _UNIT.
-Exponent tuples enter only as constructor input: the relation and the known
-factor of Ring(...), which geometry and the tests spell out; items,
-weighted_degrees, support and _teval read keys through _powers.
+        logarithmic derivative over a split denominator).
+There is no polynomial type: a polynomial is a RatFn over the unit split,
+and the arithmetic and the equality of values are RatFn's.  ratfn alone
+hands term dicts, as opaque values, to _tadd, _tsum, _tmul, _tneg, _tscale,
+_teval, _primitive, _lowest and the readers _tsupport, _titems, _tweighted
+and _tdivmod.  A constant is the term dict {0: p}, or {} for 0, over an
+int q with the split _UNIT, so ratfn reads and builds it as two ints.
+Splits are opaque to it too: it passes them between the Ring methods above
+and compares them with _UNIT.  Exponent tuples enter only as constructor
+input: the relation and the known factor of Ring(...), which geometry and
+the tests spell out; every reader takes keys through _powers.
 """
 
 from __future__ import annotations
@@ -232,6 +228,65 @@ def _teval(T, point):
     return total
 
 
+def _tsupport(T, names):
+    """Names of the variables that occur in the keys of T, in ring order."""
+    o = 0
+    for e in T:
+        o |= e
+    return [names[i] for i, _ in _powers(o, len(names))]
+
+
+def _titems(T, den, names):
+    """(coefficient, ((name, power), ...)) for each term of T / den in
+    ascending graded-lex order, the powers nonzero and in ring order.  A
+    coefficient is an int when den == 1, else a Fraction."""
+    for e, c in sorted(T.items()):
+        yield (c if den == 1 else Fraction(c, den),
+               tuple((names[i], k) for i, k in _powers(e, len(names))))
+
+
+def _tweighted(T, w, names):
+    """Set of the weighted degrees of the terms of T; w maps names to
+    integer weights, and a name missing from w weighs 0."""
+    wt = [w.get(nm, 0) for nm in names]
+    return {sum(wt[i] * k for i, k in _powers(e, len(wt))) for e in T}
+
+
+def _tdivmod(N, n, D, d):
+    """((Q, q), (R, r)) with N/n == (Q/q) * (D/d) + R/r, by repeated division
+    of the leading term by the leading term of D, so that no term of R is
+    divisible by the leading monomial of D; Q and R integer term dicts over
+    the ints q, r > 0."""
+    if not D:
+        raise ZeroDivisionError("division by zero polynomial")
+    dv = {e: Fraction(c, d) for e, c in D.items()}
+    e0 = max(dv)
+    c0 = dv.pop(e0)
+    p = {e: Fraction(c, n) for e, c in N.items()}
+    q, r = {}, {}
+    while p:
+        e = max(p)
+        cf = p.pop(e)
+        qe = e - e0
+        if qe < 0 or qe & _G:
+            r[e] = cf
+            continue
+        qc = q[qe] = cf / c0
+        for ed, cd in dv.items():
+            te = qe + ed
+            s = p.get(te, 0) - qc * cd
+            if s:
+                p[te] = s
+            else:
+                del p[te]
+
+    def integral(T):
+        den = lcm(*(c.denominator for c in T.values()))
+        return {e: int(c * den) for e, c in T.items()}, den
+
+    return integral(q), integral(r)
+
+
 def _tdiv_known(T, known):
     """T / (x^r - x_v) for a monomial x^r free of x_v, or None when the division
     leaves a remainder; known is Ring._known, (R, E, s, limit) with R the key of
@@ -380,7 +435,8 @@ class Ring:
         return len(self.names)
 
     def var(self, name):
-        return Poly(self, {self._units[self.index[name]]: 1}, 1)
+        """The term dict of the variable name."""
+        return {self._units[self.index[name]]: 1}
 
     def _exponents(self, T, pad=()):
         """T as {exponent tuple + pad: coefficient}, the Ring input form."""
@@ -393,10 +449,11 @@ class Ring:
         return out
 
     def with_relation(self, pivot_name, num, den):
-        """New ring over the same variables where pivot^2 = num/den (Poly args)."""
+        """New ring over the same variables where pivot^2 = num/den, num and
+        den polynomial RatFns."""
         p = self.index[pivot_name]
-        cn, RN = _primitive(_tscale(num.terms, den.den))
-        cd, RD = _primitive(_tscale(den.terms, num.den))
+        cn, RN = _primitive(_tscale(num.terms, den.c))
+        cd, RD = _primitive(_tscale(den.terms, num.c))
         q = Fraction(cn, cd)
         RN, RD = _tscale(RN, q.numerator), _tscale(RD, q.denominator)
         pm = _FM << (p * _W)
@@ -416,6 +473,22 @@ class Ring:
                        rel_den=self._exponents(self.rel_den, pad))
         factor = self.factor and (self.factor[0] + pad, self.factor[1])
         return Ring(self.names + tuple(extra), factor=factor, **rel)
+
+    def lift_terms(self, T, ring):
+        """The term dict T re-keyed for ring, whose names extend ours or are
+        a prefix of them; DworkError when a dropped variable occurs.  The
+        exponent fields stay, the degree field moves."""
+        src, k = self.names, ring.nvars
+        if src[:k] != ring.names[:len(src)]:
+            raise KernelInvariant("not a prefix extension")
+        if k < len(src):
+            for nm in _tsupport(T, src):
+                if nm not in ring.index:
+                    raise DworkError(f"cannot drop the variable {nm!r}: it occurs")
+        if k != len(src):
+            low, old, new = (1 << (min(k, len(src)) * _W)) - 1, len(src) * _W, k * _W
+            T = {e & low | e >> old << new: c for e, c in T.items()}
+        return T
 
     def factor_pow(self, k):
         """Term dict of F^k for the known factor F, cached.  Its first term is
@@ -604,123 +677,3 @@ class Ring:
         rel = "" if self.pivot is None else f", {self.names[self.pivot]}^2 bound"
         return f"Ring({', '.join(self.names)}{rel})"
 
-
-class Poly:
-    """Immutable polynomial, a read view of terms over den: see the module
-    docstring for the representation.  RatFn holds the arithmetic."""
-
-    __slots__ = ("ring", "terms", "den")
-
-    def __init__(self, ring, terms, den=1):
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        terms = {e: c for e, c in terms.items() if c}
-        if den < 0:
-            den, terms = -den, _tneg(terms)
-        p = Poly._trusted(ring, terms, den)
-        self.ring, self.terms, self.den = ring, p.terms, p.den
-
-    @classmethod
-    def _trusted(cls, ring, terms, den=1):
-        """Poly(ring, terms, den) for kernel output: terms has no zero
-        coefficient and den > 0, reduced by _lowest."""
-        p = cls.__new__(cls)
-        p.ring = ring
-        p.terms, p.den = _lowest(terms, den)
-        return p
-
-    # -- predicates ---------------------------------------------------------
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    @property
-    def is_const(self):
-        T = self.terms
-        return not T or (len(T) == 1 and 0 in T)
-
-    def support(self):
-        """Names of the variables that occur, in ring order."""
-        names, o = self.ring.names, 0
-        for e in self.terms:
-            o |= e
-        return [names[i] for i, _ in _powers(o, len(names))]
-
-    def weighted_degrees(self, w):
-        """Set of the weighted degrees of the terms; w maps names to integer
-        weights, and a name missing from w weighs 0."""
-        wt = [w.get(nm, 0) for nm in self.ring.names]
-        return {sum(wt[i] * k for i, k in _powers(e, len(wt)))
-                for e in self.terms}
-
-    def coeffs(self, var):
-        """{k: coefficient of var^k}, each a Poly free of var; {} for zero."""
-        v = self.ring.index[var]
-        U = _uni_view(self.terms, v * _W, self.ring._units[v])
-        return {k: Poly(self.ring, T, self.den) for k, T in U.items()}
-
-    def items(self):
-        """(coefficient, ((name, power), ...)) for each term in ascending
-        graded-lex order, the powers nonzero and in ring order.  A coefficient
-        is an int when den == 1, else a Fraction."""
-        names, den = self.ring.names, self.den
-        for e, c in sorted(self.terms.items()):
-            yield (c if den == 1 else Fraction(c, den),
-                   tuple((names[i], k) for i, k in _powers(e, len(names))))
-
-    def __divmod__(self, other):
-        """(q, r) with self == q * other + r, by repeated division of the
-        leading term by the leading term of other, so that no term of r is
-        divisible by the leading monomial of other."""
-        if self.ring is not other.ring:
-            raise KernelInvariant("mixed rings")
-        if not other.terms:
-            raise ZeroDivisionError("division by zero polynomial")
-        d = {e: Fraction(c, other.den) for e, c in other.terms.items()}
-        e0 = max(d)
-        c0 = d.pop(e0)
-        p = {e: Fraction(c, self.den) for e, c in self.terms.items()}
-        q, r = {}, {}
-        while p:
-            e = max(p)
-            cf = p.pop(e)
-            qe = e - e0
-            if qe < 0 or qe & _G:
-                r[e] = cf
-                continue
-            qc = q[qe] = cf / c0
-            for ed, cd in d.items():
-                te = qe + ed
-                s = p.get(te, 0) - qc * cd
-                if s:
-                    p[te] = s
-                else:
-                    del p[te]
-
-        def poly(T):
-            den = lcm(*(c.denominator for c in T.values()))
-            return Poly(self.ring, {e: int(c * den) for e, c in T.items()}, den)
-
-        return poly(q), poly(r)
-
-    def lift(self, ring):
-        """The same polynomial in a ring whose names extend ours or are a
-        prefix of them; DworkError when a dropped variable occurs.  The
-        exponent fields stay, the degree field moves."""
-        src, k = self.ring.names, ring.nvars
-        if src[:k] != ring.names[:len(src)]:
-            raise KernelInvariant("not a prefix extension")
-        T = self.terms
-        if k < len(src):
-            for nm in self.support():
-                if nm not in ring.index:
-                    raise DworkError(f"cannot drop the variable {nm!r}: it occurs")
-        if k != len(src):
-            low, old, new = (1 << (min(k, len(src)) * _W)) - 1, len(src) * _W, k * _W
-            T = {e & low | e >> old << new: c for e, c in T.items()}
-        return Poly(ring, T, self.den)
-
-    def __repr__(self):
-        from .ratfn import poly_string  # local import to avoid a cycle
-        s = poly_string(Poly._trusted(self.ring, self.terms))
-        return s if self.den == 1 else f"({s})/{self.den}"

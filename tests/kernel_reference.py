@@ -4,26 +4,54 @@ unpack(m, nv) reads every exponent field of a packed key, the dense reading
 that the kernel's walk of the set fields (ring._powers) is tested against.
 tpow(A, k) is the k-th power of a term dict by repeated squaring.
 
-Poly is a read view with no arithmetic.  psum, pmul and pderive are the
-polynomial sum, product and derivative that the references and the tests
-build operands with; like the references they apply no slot relation, so
-a pivot square stays as it is.
+The polynomials the references build and read are plain carriers,
+(ring, terms, den), not kernel values.  psum, pmul and pderive are their
+sum, product and derivative, which the references and the tests build
+operands with; like the references they apply no slot relation, so a pivot
+square stays as it is.  Each also reads a polynomial RatFn, its terms over
+its c, so a value's num and den enter as they are.
 
 The reference normal form stands apart from the kernel's own
-constructor.  RatFn(num, den) is built from the split route it is tested
-against, so a reference written with it would compare the kernel with
-itself.  full(num, den) takes a separate route: the fraction is
-rationalised against the slot relation (the conjugate of a denominator that
-carries the pivot, then the powers of rel_den rebalanced), its denominator
-made primitive, and only then cancelled against that denominator's split."""
+constructor and arithmetic.  A kernel quotient is built from the split
+route it is tested against, so a reference written with it would compare
+the kernel with itself.  full(num, den) takes a separate route: the
+fraction is rationalised against the slot relation (the conjugate of a
+denominator that carries the pivot, then the powers of rel_den
+rebalanced), its denominator made primitive, and only then cancelled
+against that denominator's split."""
 
+from collections import namedtuple
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-from dworklie import KernelInvariant, UnsplitDenominator
+from dworklie import KernelInvariant, RatFn, UnsplitDenominator
 from dworklie.ratfn import _over_split, _raw, poly_string
-from dworklie.ring import _FM, _UNIT, _W, Poly, _pack, _primitive, _tmul, \
+from dworklie.ring import _FM, _UNIT, _W, _pack, _primitive, _tmul, \
     _tscale, _tsum
+
+Carrier = namedtuple("Carrier", "ring terms den")
+
+
+def poly(ring, terms, den=1):
+    """The carrier of terms / den over ring, in lowest terms: no zero
+    coefficient, den > 0 and prime to the content of terms."""
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    terms = {e: c for e, c in terms.items() if c}
+    if den < 0:
+        den, terms = -den, {e: -c for e, c in terms.items()}
+    g = gcd(den, *terms.values())
+    return Carrier(ring, {e: c // g for e, c in terms.items()}, den // g)
+
+
+def carrier(p):
+    """p as a carrier: a carrier as it is, a polynomial RatFn as its terms
+    over its c."""
+    if isinstance(p, Carrier):
+        return p
+    if p.split != _UNIT:
+        raise ValueError("not a polynomial")
+    return Carrier(p.ring, p.terms, p.c)
 
 
 def unpack(m, nv):
@@ -50,29 +78,32 @@ def tpow(A, k):
 
 
 def psum(*ps):
-    """The sum of the Polys ps, one ring, at least one."""
+    """The sum of the polynomials ps, one ring, at least one."""
+    ps = [carrier(p) for p in ps]
     den = lcm(*(p.den for p in ps))
-    return Poly(ps[0].ring, _tsum((p.terms, den // p.den) for p in ps), den)
+    return poly(ps[0].ring, _tsum((p.terms, den // p.den) for p in ps), den)
 
 
 def pmul(ring, *factors):
-    """The product over ring of the factors, each a Poly of ring or a
-    number; 1 for none."""
+    """The product over ring of the factors, each a polynomial of ring or
+    a number; 1 for none."""
     T, den = {0: 1}, 1
     for f in factors:
-        if isinstance(f, Poly):
+        if isinstance(f, (Carrier, RatFn)):
+            f = carrier(f)
             if f.ring is not ring:
                 raise KernelInvariant("mixed rings")
             T, den = _tmul(T, f.terms), den * f.den
         else:
             q = Fraction(f)
             T, den = _tscale(T, q.numerator), den * q.denominator
-    return Poly(ring, T, den)
+    return poly(ring, T, den)
 
 
 def pderive(p, var):
-    """The derivative of the Poly p by the variable var, every exponent
-    field read (unpack)."""
+    """The derivative of the polynomial p by the variable var, every
+    exponent field read (unpack)."""
+    p = carrier(p)
     nv, i = p.ring.nvars, p.ring.index[var]
     T = {}
     for m, c in p.terms.items():
@@ -81,7 +112,7 @@ def pderive(p, var):
             e[i] -= 1
             k = _pack(e, nv)
             T[k] = T.get(k, 0) + c * (e[i] + 1)
-    return Poly(p.ring, T, p.den)
+    return poly(p.ring, T, p.den)
 
 
 def rationalize(ring, N, D):
@@ -110,12 +141,15 @@ def rationalize(ring, N, D):
     return N, D
 
 
-def normalize(num, den):
-    """The canonical numerator Poly and denominator split of num/den."""
+def full(num, den=None):
+    """The canonical RatFn num/den for polynomials num and den (1 when
+    omitted), never through the RatFn constructor or arithmetic."""
+    num = carrier(num)
     ring = num.ring
+    den = poly(ring, {0: 1}) if den is None else carrier(den)
     if den.ring is not ring:
         raise KernelInvariant("mixed rings")
-    if den.is_zero:
+    if not den.terms:
         raise ZeroDivisionError("zero denominator")
     N, D = rationalize(ring, num.terms, den.terms)
     # value = N * den.den / ((cd * D) * num.den) with D primitive; the split
@@ -123,17 +157,9 @@ def normalize(num, den):
     cd, D = _primitive(D)
     split = ring._known_split(D)
     if not split:
-        raise UnsplitDenominator(f"denominator {poly_string(Poly(ring, D))} "
+        raise UnsplitDenominator(f"denominator {poly_string(ring, D)} "
                                  "has no split c * x^a * F^k")
     if not N:
-        return Poly(ring, {}), _UNIT
+        return _raw(ring, {}, 1, _UNIT)
     q = Fraction(den.den, num.den * cd)
-    r = _over_split(ring, _tscale(N, q.numerator), q.denominator, split)
-    return r.num, r.split
-
-
-def full(num, den=None):
-    """The RatFn num/den for Polys num and den (1 when omitted), reduced by
-    normalize and never through the RatFn constructor."""
-    N, split = normalize(num, Poly(num.ring, {0: 1}) if den is None else den)
-    return _raw(N.ring, N.terms, N.den, split)
+    return _over_split(ring, _tscale(N, q.numerator), q.denominator, split)

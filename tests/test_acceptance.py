@@ -201,7 +201,7 @@ def test_criterion_06_truncated_membership():
         out = amsy_decompose(truncate_poly(R3), 3)
         assert not isinstance(out, NotMember)
         f0, coeffs = out
-        assert f0 == RatFn.of(ch3.ring, DECOMP3_F0)
+        assert f0 == parse_ratfn(ch3.ring, DECOMP3_F0)
         nonzero = {p: f for p, f in coeffs.items() if not f.is_zero}
         assert nonzero == {p: parse_ratfn(ch3.ring, s)
                            for p, s in DECOMP3.items()}

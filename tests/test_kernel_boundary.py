@@ -2,9 +2,12 @@
 tuple and how monomials are ordered.  An ast scan of the package keeps the
 order and the term-dict layout from leaking into other modules, so that a
 change of the monomial representation stays inside ring.py.  Inside the
-kernel, RatFn is the one arithmetic type and Poly a read view."""
+kernel, RatFn is the one value type: ring.py defines no class but Ring,
+and a polynomial is a RatFn over the unit split."""
 
 import ast
+import importlib
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -76,28 +79,45 @@ def test_term_dicts_are_only_measured_outside_the_kernel(name):
     assert not lines, f"{name} reads .terms at lines {lines}"
 
 
-# RatFn is the one arithmetic type: a Poly is a read view of terms over an
-# integer, with no operators, no value equality and no calculus, and a
-# RatFn takes a Poly only through its constructor RatFn(num, den).
-POLY_ARITHMETIC = {"__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
-                   "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
-                   "__pow__", "__eq__", "__ne__", "__hash__", "derive",
-                   "eval", "const_value", "known_split"}
+# RatFn is the one value type: no Poly is left in the package, ring.py
+# holds the Ring and term-dict helpers only, and the numerator and the
+# denominator read off a value are values with value equality.
+
+def test_dworklie_has_no_poly():
+    import dworklie
+    modules = [importlib.import_module(f"dworklie.{p.stem}")
+               for p in sorted(SRC.glob("*.py")) if p.stem != "__init__"]
+    assert "Poly" not in dworklie.__all__
+    assert [m.__name__ for m in [dworklie, *modules]
+            if hasattr(m, "Poly")] == []
 
 
-def test_poly_holds_no_arithmetic():
-    from dworklie import Poly
-    assert not POLY_ARITHMETIC & set(vars(Poly))
+def test_ring_defines_only_the_ring_class():
+    classes = [node.name for node in ast.walk(parse("ring.py"))
+               if isinstance(node, ast.ClassDef)]
+    assert classes == ["Ring"]
 
 
-def test_a_ratfn_takes_a_poly_only_through_its_constructor():
+def test_the_parts_of_a_value_compare_by_value():
+    from dworklie import RatFn, resolve_chart
+    ring = resolve_chart(4).ring
+    t1, u = RatFn.var(ring, "t1"), RatFn.var(ring, ring.names[ring.pivot])
+    f = (u * t1 + 3) / (t1 ** 2 * 5)
+    assert f.split != (0, 0)
+    assert f.num == f.num and hash(f.num) == hash(f.num)
+    assert f.num in [f.num] and f.den in [f.den]
+    assert not f.num != f.num
+    assert f.num / f.den == f
+    assert f.num == (u * t1 + 3) / 5 and f.den == t1 ** 2
+
+
+def test_polynomial_readers_refuse_a_fraction():
     from dworklie import RatFn, Ring
     ring = Ring(("x", "y"))
-    f = RatFn.var(ring, "x") / RatFn.var(ring, "y")
-    p = ring.var("x")
-    for make in (lambda: f + p, lambda: p + f, lambda: f * p, lambda: p * f,
-                 lambda: f - p, lambda: f / p, lambda: RatFn.of(ring, p)):
-        with pytest.raises(TypeError):
+    x, y = RatFn.var(ring, "x"), RatFn.var(ring, "y")
+    f = x / y
+    for make in (lambda: list(f.items()), lambda: f.weighted_degrees({}),
+                 lambda: divmod(f, x), lambda: divmod(x, f)):
+        with pytest.raises(ValueError, match="not a polynomial"):
             make()
-    assert RatFn(p) == RatFn.var(ring, "x")
-    assert RatFn(p, ring.var("y")) == f
+    assert list((x * 3 / 2).items()) == [(Fraction(3, 2), (("x", 1),))]

@@ -177,7 +177,7 @@ def test_decompose_flags_irregular_coefficient():
 # the denominator, and see whether a constant is left.
 
 def reference_regular(ch, f):
-    den = RatFn(f.den)
+    den = f.den
     facs = [RatFn.var(ch.ring, ch.base2), ch.disc]
     for (i, j), var in sorted(ch.known.items()):
         if i == j and var != ch.pivot_var:

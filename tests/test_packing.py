@@ -8,9 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dworklie import KernelInvariant, Poly, RatFn, Ring
+from dworklie import KernelInvariant, RatFn, Ring
 from dworklie.ring import DEGREE_LIMIT, _G, _mono_gcd, _pack, _powers
-from kernel_reference import pmul, psum, unpack
+from kernel_reference import pmul, poly, psum, unpack
 
 
 def exponents(nv, top):
@@ -65,14 +65,15 @@ polys = st.dictionaries(exponents(3, 5), st.integers(-5, 5).filter(bool),
 def test_lift_to_an_extension_and_back_is_the_identity(T, den):
     base = Ring(("x", "y", "z"))
     ext = base.extend(("u", "v"))
-    x, y, z = (base.var(nm) for nm in ("x", "y", "z"))
-    p = psum(Poly(base, {}), *(pmul(base, Fraction(c, den), *[x] * i, *[y] * j,
-                                    *[z] * k) for (i, j, k), c in T.items()))
+    x, y, z = (poly(base, base.var(nm)) for nm in ("x", "y", "z"))
+    p = RatFn(*psum(poly(base, {}), *(pmul(base, Fraction(c, den), *[x] * i,
+                                           *[y] * j, *[z] * k)
+                                      for (i, j, k), c in T.items())))
     q = p.lift(ext)
     assert list(q.items()) == list(p.items())
-    assert (RatFn(q) * RatFn.var(ext, "v")).derive("v") == RatFn(q)
+    assert (q * RatFn.var(ext, "v")).derive("v") == q
     back = q.lift(base)
-    assert (back.ring, back.terms, back.den) == (p.ring, p.terms, p.den)
+    assert back == p and (back.terms, back.c) == (p.terms, p.c)
 
 
 def random_exponents(rng, nv, base):
@@ -120,7 +121,7 @@ def test_support_matches_the_per_variable_scan(data):
         terms[_pack(tuple(e), nv)] = 1
     want = [R.names[i] for i in range(nv)
             if any(unpack(e, nv)[i] for e in terms)]
-    assert Poly(R, terms).support() == want
+    assert RatFn(R, terms).support() == want
 
 
 # The one reader of a key, ring._powers, walks the set fields; it and every
@@ -156,12 +157,12 @@ def test_readers_of_a_polynomial_match_the_dense_reference(data):
                               unique=True))
     coeffs = data.draw(st.lists(st.integers(-9, 9).filter(bool),
                                 min_size=len(exps), max_size=len(exps)))
-    P = Poly(R, {_pack(e, nv): c for e, c in zip(exps, coeffs)},
-             data.draw(st.integers(1, 6)))
+    P = RatFn(R, {_pack(e, nv): c for e, c in zip(exps, coeffs)},
+              data.draw(st.integers(1, 6)))
     dense = {m: unpack(m, nv) for m in P.terms}
 
     def coeff(c):
-        return c if P.den == 1 else Fraction(c, P.den)
+        return c if P.c == 1 else Fraction(c, P.c)
 
     assert list(P.items()) == [
         (coeff(c), tuple((names[i], k) for i, k in enumerate(dense[m]) if k))
@@ -177,11 +178,11 @@ def test_readers_of_a_polynomial_match_the_dense_reference(data):
     point = {nm: data.draw(values) for nm in P.support()}
     want = Fraction(0)
     for m, c in P.terms.items():
-        v = Fraction(c, P.den)
+        v = Fraction(c, P.c)
         for nm, k in zip(names, dense[m]):
             v *= Fraction(point.get(nm, 0)) ** k
         want += v
-    assert RatFn(P).eval(point) == want
+    assert P.eval(point) == want
 
 
 @settings(max_examples=100, deadline=None)

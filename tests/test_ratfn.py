@@ -10,12 +10,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dworklie import (DworkError, KernelInvariant, Poly, RatFn, Ring,
+from dworklie import (DworkError, KernelInvariant, MatF, RatFn, Ring,
                       UnsplitDenominator, eq_by_random_eval, parse_ratfn,
                       ratfn_string, resolve_chart)
 from dworklie.ratfn import ParseError, dot
-from dworklie.ring import _pack
-from kernel_reference import full, pderive, pmul, psum, tpow, unpack
+from dworklie.ring import _pack, _tdivmod
+from kernel_reference import full, pderive, pmul, poly, psum, tpow, unpack
 
 try:
     import sympy
@@ -32,7 +32,7 @@ def pack(T):
 
 
 def poly_of(terms):
-    return RatFn(Poly(R3, terms))
+    return RatFn(R3, terms)
 
 
 small = st.integers(min_value=-6, max_value=6)
@@ -105,18 +105,20 @@ def test_derive_leibniz(f, g):
 @st.composite
 def equal_forms(draw):
     """One value over a chart ring, n = 1..4, in every form that equals it:
-    the RatFn of a Poly with a pivot square left unreduced, a RatFn reached
-    through a division, the RatFn of its reduced numerator over a
-    denominator of one, and for a constant the Fraction and the int."""
+    the constructor's RatFn of a polynomial with a pivot square left
+    unreduced, a RatFn reached through a division, its numerator and the
+    constructor's RatFn of its reduced terms over c when its denominator is
+    one, and for a constant the Fraction and the int."""
     ring = resolve_chart(draw(st.integers(1, 4))).ring
     terms = st.tuples(small, st.lists(st.sampled_from(ring.names), max_size=3))
-    p = psum(Poly(ring, {}), *(pmul(ring, c, *map(ring.var, names))
-                               for c, names in draw(st.lists(terms,
-                                                             max_size=3))))
+    p = psum(poly(ring, {}),
+             *(pmul(ring, c, *(poly(ring, ring.var(nm)) for nm in names))
+               for c, names in draw(st.lists(terms, max_size=3))))
     p = pmul(ring, p, Fraction(1, draw(st.integers(1, 3))))
     w = RatFn.var(ring, draw(st.sampled_from(["t1", "t3"])))
-    r = RatFn(p)
-    forms = [r, r * w / w] + ([RatFn(r.num)] if r.den.is_const else [])
+    r = RatFn(*p)
+    forms = [r, r * w / w] + ([r.num, RatFn(ring, r.terms, r.c)]
+                              if r.den.is_const else [])
     if r.is_const:
         q = r.const_value()
         forms += [q] + ([q.numerator] if q.denominator == 1 else [])
@@ -134,12 +136,13 @@ def test_denominator_sign_convention():
     f = poly_of(pack({(1, 0, 0): 1})) / poly_of(pack({(0, 1, 0): -2}))
     # canonical denominators lead with a positive coefficient
     assert ratfn_string(f) == "-x/(2*y)"
-    # so does a Poly's integer denominator: the sign moves onto the terms
+    # so does the constructor's integer denominator: the sign moves onto the
+    # terms
     T = pack({(1, 0, 0): 3, (0, 1, 0): -1})
-    p = Poly(R3, T, -2)
-    assert p.den == 2 and p.terms == {e: -c for e, c in T.items()}
+    p = RatFn(R3, T, -2)
+    assert p.c == 2 and p.terms == {e: -c for e, c in T.items()}
     with pytest.raises(ZeroDivisionError, match="zero denominator"):
-        Poly(R3, T, 0)
+        RatFn(R3, T, 0)
 
 
 def test_parse_rejects_unknown_variable():
@@ -239,6 +242,36 @@ def test_random_eval_separates_distinct_functions():
     assert not eq_by_random_eval(x / y, y / x, random.Random(3), trials=6)
 
 
+def test_random_eval_on_a_relation_ring():
+    # the n = 4 chart ring, u^2 = kappa * disc: the pivot is drawn as one
+    # more coordinate, and canonical values carry it to degree 1 at most
+    ch = resolve_chart(4)
+    ring = ch.ring
+    t1, u = RatFn.var(ring, "t1"), RatFn.var(ring, ch.pivot_var)
+    assert ch.pivot_var == "t8" and ring.names[ring.pivot] == "t8"
+    rel = ch.kappa * ch.disc
+    cube = u * rel + 3 * rel * t1 + 3 * u * t1 ** 2 + t1 ** 3
+
+    def same(f, g):
+        return eq_by_random_eval(f, g, random.Random(5), trials=6)
+
+    assert not same(u * t1 + 1, u * t1 + 2)
+    assert not same(u * t1, t1)
+    assert same(u * u, rel)
+    assert same((u + t1) ** 3, cube)
+    assert same((u + t1) ** 3, (u + t1) * (u + t1) * (u + t1))
+
+
+def test_of_refuses_a_float_and_a_string():
+    # only an int, a Fraction or a RatFn is a value; 0.1 is not 1/10
+    for value in (0.1, "1/3", 0.5):
+        with pytest.raises(TypeError, match="not an int, a Fraction"):
+            RatFn.of(R3, value)
+    with pytest.raises(TypeError):
+        MatF.zeros(R3, 2).set1(1, 1, 0.5)
+    assert RatFn.of(R3, Fraction(1, 10)).const_value() == Fraction(1, 10)
+
+
 def test_quotient_ring_reduces_pivot_square():
     # u^2 = y - x as a ring relation: u is the pivot variable, and y - x is
     # the ring's known factor, so the relation's numerator has a split
@@ -330,7 +363,7 @@ def denominator(ring, powers, scale):
     only the ring's split factors count, so the result is split."""
     powers = [k if i in split_factors(ring) else 0
               for i, k in enumerate(powers)]
-    return pmul(ring, scale, *(Poly(ring, tpow(f, k))
+    return pmul(ring, scale, *(poly(ring, tpow(f, k))
                                for f, k in zip(FACTORS, powers)))
 
 
@@ -354,9 +387,9 @@ def sum_operands(draw, rings=KERNEL_RINGS):
         pd = [x + y for x, y in zip(pb, pd)]
     out = []
     for powers in (pb, pd):
-        num = Poly(ring, draw(numerators), draw(st.integers(1, 3)))
+        num = poly(ring, draw(numerators), draw(st.integers(1, 3)))
         scale = draw(st.sampled_from([1, -1, 2, -3]))
-        out.append(RatFn(num, denominator(ring, powers, scale)))
+        out.append(RatFn(*num) / RatFn(*denominator(ring, powers, scale)))
     if kind == "cancel":
         out[1] = reference_add(out[1], -out[0])
     return out
@@ -377,12 +410,12 @@ def test_factors_without_a_split_are_refused(ring):
     a quotient, each raise UnsplitDenominator; the split ones divide."""
     x = RatFn.var(ring, "x")
     for i, f in enumerate(FACTORS):
-        d = RatFn(Poly(ring, f))
+        d = RatFn(ring, f)
         if i in split_factors(ring):
             assert (x / d * d) == x
             continue
-        for make in (lambda: RatFn(Poly(ring, {0: 1}), d.num), lambda: d / d,
-                     lambda: x / d, lambda: d.inverse()):
+        for make in (lambda: 1 / d, lambda: d / d, lambda: x / d,
+                     lambda: d.inverse()):
             with pytest.raises(UnsplitDenominator, match="no split"):
                 make()
 
@@ -390,17 +423,16 @@ def test_factors_without_a_split_are_refused(ring):
 @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=["R3", "RU", "RF", "RFU"])
 def test_a_zero_numerator_does_not_excuse_an_unsplit_denominator(ring):
     """0 over a denominator without a split is refused as any other
-    numerator over it is, by the constructor and by division alike; over a
+    numerator over it is, a constructed zero and RatFn.of's alike; over a
     split denominator it is 0."""
     zero = RatFn.of(ring, 0)
     for i, f in enumerate(FACTORS):
-        d = Poly(ring, f)
+        d = RatFn(ring, f)
         if i in split_factors(ring):
-            assert RatFn(Poly(ring, {}), d).is_zero
-            assert (zero / RatFn(d)).is_zero
+            assert (RatFn(ring, {}) / d).is_zero
+            assert (zero / d).is_zero
             continue
-        for make in (lambda: RatFn(Poly(ring, {}), d),
-                     lambda: zero / RatFn(d)):
+        for make in (lambda: RatFn(ring, {}) / d, lambda: zero / d):
             with pytest.raises(UnsplitDenominator, match="no split"):
                 make()
 
@@ -436,13 +468,13 @@ def product_operands(draw, rings=KERNEL_RINGS):
         pd = [0 if x else y for x, y in zip(pb, pd)]
     out = []
     for own, other in ((pb, pd), (pd, pb)):
-        num = Poly(ring, draw(numerators), draw(st.integers(1, 3)))
+        num = poly(ring, draw(numerators), draw(st.integers(1, 3)))
         if kind == "shared":
             num = pmul(ring, num, denominator(ring, other, 1))
         scale = draw(st.sampled_from([1, -1, 2, -3]))
-        out.append(RatFn(num, denominator(ring, own, scale)))
+        out.append(RatFn(*num) / RatFn(*denominator(ring, own, scale)))
     if kind == "constant":
-        out[draw(st.integers(0, 1))] = RatFn(pmul(ring, draw(rationals)))
+        out[draw(st.integers(0, 1))] = RatFn(*pmul(ring, draw(rationals)))
     return out + [draw(rationals)]
 
 
@@ -451,7 +483,7 @@ def product_operands(draw, rings=KERNEL_RINGS):
 def test_mul_matches_full_product_normalisation(ops):
     f, g, k = ops
     ring = f.ring
-    K = RatFn(pmul(ring, k))
+    K = RatFn(*pmul(ring, k))
     assert RatFn.of(ring, k) == K
     assert f * g == reference_mul(f, g)
     assert k * f == reference_mul(K, f)
@@ -488,11 +520,11 @@ def test_inverse_of_zero_is_a_zero_division():
 
 # Constants take the integer route: one cross-multiplication and one gcd.
 # Each result must be the general route's, the plain formula over the
-# operands' Polys normalised in full, down to the Polys' structure, and its
-# value the Fraction arithmetic's.
+# operands' numerators and denominators normalised in full, down to the
+# slots, and its value the Fraction arithmetic's.
 
 def structure(f):
-    return f.num.terms, f.num.den, f.den.terms, f.den.den
+    return f.ring, f.terms, f.c, f.split
 
 
 signed_rationals = st.one_of(
@@ -536,21 +568,19 @@ def test_a_constant_of_another_ring_is_refused():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_a_poly_or_a_number_on_the_left_of_a_ratfn(n):
     # a number on the left reaches RatFn's reflected __radd__, __rsub__ and
-    # __rmul__; a Poly is a read view with no operators, so it has no sum
-    # or product with a number (with a RatFn: test_kernel_boundary.py)
+    # __rmul__; a polynomial, a numerator read off a value, is a RatFn and
+    # takes the same operators on either side
     ring = resolve_chart(n).ring
     t1, t2 = RatFn.var(ring, "t1"), RatFn.var(ring, "t2")
     f = (t2 - 3) / (t1 * 2)
     p = (t1 * t2 * Fraction(-2, 3)).num
-    for left in (4, Fraction(5, 7)):
+    for left in (4, Fraction(5, 7), p):
         x = RatFn.of(ring, left)
         assert left + f == x + f == f + x
         assert left - f == x - f == -(f - x)
         assert left * f == x * f == f * x
-    for make in (lambda: p + 1, lambda: 1 + p, lambda: p - Fraction(1, 2),
-                 lambda: 2 * p):
-        with pytest.raises(TypeError):
-            make()
+    assert 1 + p == p + 1 and 2 * p == p + p and p - Fraction(1, 2) == -(
+        Fraction(1, 2) - p)
     other = RatFn.var(Ring(ring.names), "t1")
     for make in (lambda: f + other, lambda: f - other, lambda: f * other):
         with pytest.raises(KernelInvariant, match="mixed rings"):
@@ -606,10 +636,10 @@ def derive_operands(draw, rings=(R3, RU)):
     and a variable drawn from all of the ring's names, so it lies inside or
     outside the support; in RU it may be the pivot u."""
     ring = draw(st.sampled_from(rings))
-    num = Poly(ring, draw(numerators), draw(st.integers(1, 3)))
+    num = poly(ring, draw(numerators), draw(st.integers(1, 3)))
     powers = draw(factor_powers) if draw(st.booleans()) else []
     scale = draw(st.sampled_from([1, -1, 2, -3]))
-    f = RatFn(num, denominator(ring, powers, scale))
+    f = RatFn(*num) / RatFn(*denominator(ring, powers, scale))
     return f, draw(st.sampled_from(ring.names))
 
 
@@ -685,18 +715,23 @@ def test_support_lists_numerator_and_denominator_variables():
 
 
 # Division with remainder (behind truncate_poly) against its definition.
-# Division and the reference arithmetic ignore the slot relation, so in RU
-# as in R3 num == q*den + r holds exactly.
+# Division of term dicts and the reference arithmetic ignore the slot
+# relation, so in RU as in R3 num == q*den + r holds exactly.  In R3 every
+# polynomial is a value as it stands, and RatFn's divmod returns the
+# quotient and the remainder normalised in full.
 
 @given(st.sampled_from([R3, RU]), numerators,
        st.dictionaries(expo, small.filter(bool), min_size=1, max_size=3),
        st.integers(1, 3), st.integers(1, 3))
 @settings(max_examples=120, deadline=None)
 def test_divmod_leaves_no_term_the_leading_monomial_divides(ring, N, D, a, b):
-    num, den = Poly(ring, N, a), Poly(ring, D, b)
-    q, r = divmod(num, den)
-    back = psum(pmul(ring, q, den), r)
+    num, den = poly(ring, N, a), poly(ring, D, b)
+    (Q, q), (Rm, r) = _tdivmod(num.terms, num.den, den.terms, den.den)
+    back = psum(pmul(ring, poly(ring, Q, q), den), poly(ring, Rm, r))
     assert (back.terms, back.den) == (num.terms, num.den)
     lead = unpack(max(den.terms), 3)
-    rest = [unpack(e, 3) for e in r.terms]
+    rest = [unpack(e, 3) for e in Rm]
     assert not [e for e in rest if all(x >= y for x, y in zip(e, lead))]
+    if ring is R3:
+        assert divmod(RatFn(*num), RatFn(*den)) == (full(poly(ring, Q, q)),
+                                                    full(poly(ring, Rm, r)))

@@ -2,8 +2,8 @@
 positive integer c of its denominator c * x^a * F^k, and the split (a, k).
 Values built by sums, products, inverses, dot and derivatives in a plain
 ring, in the n = 4 chart ring with its slot relation and in the n = 3 chart
-ring with a symbolic constant keep those parts canonical: the Polys read
-from them rebuild the value, c is prime to the content of the terms, zero
+ring with a symbolic constant keep those parts canonical: the numerator
+and the denominator read from them rebuild the value, c is prime to the content of the terms, zero
 is no terms over 1 with the unit split, and equal values hash equal, a
 constant as its Fraction."""
 
@@ -75,11 +75,11 @@ def content(T):
 def test_stored_parts_are_canonical(case):
     ring, values = case
     for f in values:
-        assert f.ring is ring and RatFn(f.num, f.den) == f
+        assert f.ring is ring and f.num / f.den == f
         assert f.c > 0 and gcd(f.c, content(f.terms)) == 1
         if not f.terms:
             assert f.c == 1 and f.split == (0, 0) and f.is_zero
-        twins = [RatFn(f.num, f.den), full(f.num, f.den),
+        twins = [f.num / f.den, full(f.num, f.den),
                  dot(ring, [(f, RatFn.of(ring, 1))]), -(-f)]
         assert all(g == f and hash(g) == hash(f) for g in twins)
         if f.is_const:
@@ -94,5 +94,6 @@ def test_the_parts_are_read_as_polys():
     f, p = (x * 4 + 6) / (y * 6), x * 2 + 3
     (ky,) = y.terms
     assert (f.terms, f.c, f.split) == (p.terms, 3, (ky, 0))
-    assert (f.num.terms, f.num.den) == (p.terms, 3)
-    assert (f.den.terms, f.den.den) == (y.terms, 1)
+    assert f.num == p / 3 and (f.num.terms, f.num.c) == (p.terms, 3)
+    assert f.den == y and (f.den.terms, f.den.c) == (y.terms, 1)
+    assert f.num.split == f.den.split == (0, 0)
