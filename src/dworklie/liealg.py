@@ -294,8 +294,7 @@ def generator_rank(n, c=None):
             point[ch.base2] = (point["t1"] ** (n + 2)
                                - p * p / ch.kappa.eval(point))
         try:
-            mat = [[RatFn.of(ch.ring, f.get(v).eval(point))
-                    for v in ch.coords]
+            mat = [[f.get(v).subs(point) for v in ch.coords]
                    for f in fields]
         except ZeroDivisionError:
             continue

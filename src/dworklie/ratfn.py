@@ -12,7 +12,9 @@ split).  RatFn is the one value type: a polynomial is a RatFn over the
 unit split, and RatFn.num, T / c, and RatFn.den, x^a * F^k, are such
 polynomials, canonical values built on each read.  The polynomial readers
 items, weighted_degrees and divmod raise ValueError on any other value.
-The operators and RatFn.of take RatFns, ints and Fractions.
+The operators and RatFn.of take RatFns, ints and Fractions.  One route
+evaluates: subs puts values for variables through ring._teval, over the
+terms and over x^a * F^k, and eval is subs at a full point.
 
 One route reduces a fraction.  The one constructor, RatFn(ring, terms,
 den), builds a polynomial: its pivot squares are rewritten by
@@ -151,14 +153,18 @@ class RatFn:
 
     def __divmod__(self, other):
         """(q, r) with self == q * other + r for polynomials, by the division
-        of ring._tdivmod, each of q and r then normalised."""
+        of ring._tdivmod, each of q and r then normalised; ValueError where
+        the relation makes q or r a fraction (the division ignores it)."""
         if self.ring is not other.ring:
             raise KernelInvariant("mixed rings")
         self._polynomial()
         other._polynomial()
         ring = self.ring
         (Q, q), (R, r) = _tdivmod(self.terms, self.c, other.terms, other.c)
-        return RatFn(ring, Q, q), RatFn(ring, R, r)
+        out = RatFn(ring, Q, q), RatFn(ring, R, r)
+        for v in out:
+            v._polynomial()
+        return out
 
     # -- constructors -------------------------------------------------------
     @staticmethod
@@ -327,26 +333,27 @@ class RatFn:
         return _over_split(ring, N, self.c, split)
 
     def subs(self, mapping):
-        """Substitute RatFn values for variables (others stay)."""
+        """The value with mapping's values (ints, Fractions or RatFns) put
+        for its variables, the others staying: terms / c over x^a * F^k,
+        each evaluated by ring._teval.  KeyError for a name outside the
+        ring, TypeError (RatFn.of) for any other value."""
         ring = self.ring
-        vals = {}
-        for name, v in mapping.items():
+        for name in mapping:
             if name not in ring.index:
                 raise KeyError(name)
-            vals[name] = RatFn.of(ring, v)
-        return _subs_poly(self.num, vals) / _subs_poly(self.den, vals)
+        point = tuple(RatFn.of(ring, mapping[nm]) if nm in mapping
+                      else RatFn.var(ring, nm) for nm in ring.names)
+        return RatFn.of(ring, _teval(self.terms, point)) / (
+            self.c * _teval(ring.split_terms(self.split), point))
 
     def eval(self, point):
-        """The value at point, a dict name -> Fraction covering every
-        variable that occurs; DworkError names the first one missing.
+        """The Fraction subs gives at point, a dict name -> value covering
+        every variable that occurs; DworkError names the first one missing.
         ZeroDivisionError where the denominator vanishes."""
-        ring = self.ring
         for nm in self.support():
             if nm not in point:
                 raise DworkError(f"no value given for the variable {nm!r}")
-        pt = tuple(Fraction(point.get(nm, 0)) for nm in ring.names)
-        return _teval(self.terms, pt) / (
-            self.c * _teval(ring.split_terms(self.split), pt))
+        return self.subs(point).const_value()
 
     def lift(self, ring):
         lift = self.ring.lift_terms
@@ -355,20 +362,6 @@ class RatFn:
 
     def __repr__(self):
         return ratfn_string(self)
-
-
-def _subs_poly(p, vals):
-    ring = p.ring
-    out = RatFn.of(ring, 0)
-    for c, powers in p.items():
-        term = RatFn.of(ring, c)
-        for nm, k in powers:
-            if nm in vals:
-                term = term * vals[nm] ** k
-            else:
-                term = term * RatFn.var(ring, nm) ** k
-        out = out + term
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -50,8 +50,9 @@ There is no polynomial type: a polynomial is a RatFn over the unit split,
 and the arithmetic and the equality of values are RatFn's.  ratfn alone
 hands term dicts, as opaque values, to _tadd, _tsum, _tmul, _tneg, _tscale,
 _teval, _primitive, _lowest and the readers _tsupport, _titems, _tweighted
-and _tdivmod.  A constant is the term dict {0: p}, or {} for 0, over an
-int q with the split _UNIT, so ratfn reads and builds it as two ints.
+and _tdivmod; _teval, the one evaluator, takes values of any type.  A
+constant is the term dict {0: p}, or {} for 0, over an int q with the
+split _UNIT, so ratfn reads and builds it as two ints.
 Splits are opaque to it too: it passes them between the Ring methods above
 and compares them with _UNIT.  Exponent tuples enter only as constructor
 input: the relation and the known factor of Ring(...), which geometry and
@@ -218,13 +219,17 @@ def _tderive(T, s, unit):
 
 
 def _teval(T, point):
-    """Evaluate at a tuple of Fractions, one per variable."""
-    total, nv = Fraction(0), len(point)
+    """T at point, a tuple of one value per variable of any type that adds,
+    multiplies, takes int powers and is scaled by an int (Fraction, RatFn);
+    each power point[i] ** k is formed once.  The int T[0] (or 0) when T
+    is constant."""
+    nv, powers, total = len(point), {}, 0
     for e, c in T.items():
-        v = Fraction(c)
-        for i, k in _powers(e, nv):
-            v *= point[i] ** k
-        total += v
+        for ik in _powers(e, nv):
+            if ik not in powers:
+                powers[ik] = point[ik[0]] ** ik[1]
+            c = c * powers[ik]
+        total = total + c
     return total
 
 

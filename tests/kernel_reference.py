@@ -18,7 +18,14 @@ the kernel with itself.  full(num, den) takes a separate route: the
 fraction is rationalised against the slot relation (the conjugate of a
 denominator that carries the pivot, then the powers of rel_den
 rebalanced), its denominator made primitive, and only then cancelled
-against that denominator's split."""
+against that denominator's split.
+
+Evaluation has two references.  deval(p, point) evaluates a polynomial
+at a dict of Fractions, every exponent field read (unpack), and
+eval_reference divides the values of a RatFn's num and den.
+subs_by_terms(f, vals) puts RatFn values for variables term by term
+through RatFn arithmetic, forming each power again for every term; it
+tests the walk of ring._teval, not the arithmetic."""
 
 from collections import namedtuple
 from fractions import Fraction
@@ -163,3 +170,41 @@ def full(num, den=None):
         return _raw(ring, {}, 1, _UNIT)
     q = Fraction(den.den, num.den * cd)
     return _over_split(ring, _tscale(N, q.numerator), q.denominator, split)
+
+
+def deval(p, point):
+    """The polynomial p at point, a dict name -> Fraction covering every
+    variable that occurs in p, every exponent field read (unpack)."""
+    p = carrier(p)
+    names = p.ring.names
+    total = Fraction(0)
+    for m, c in p.terms.items():
+        v = Fraction(c, p.den)
+        for nm, k in zip(names, unpack(m, len(names))):
+            if k:
+                v *= Fraction(point[nm]) ** k
+        total += v
+    return total
+
+
+def eval_reference(f, point):
+    """The RatFn f at point (deval); ZeroDivisionError at a pole."""
+    return deval(f.num, point) / deval(f.den, point)
+
+
+def subs_by_terms(f, vals):
+    """f with the RatFn values vals put for their variables, each term of
+    f.num and f.den a RatFn product of its coefficient and its powers."""
+    def part(p):
+        ring = p.ring
+        p = carrier(p)
+        out = RatFn.of(ring, 0)
+        for m, c in p.terms.items():
+            term = RatFn.of(ring, Fraction(c, p.den))
+            for nm, k in zip(ring.names, unpack(m, ring.nvars)):
+                if k:
+                    term = term * vals.get(nm, RatFn.var(ring, nm)) ** k
+            out = out + term
+        return out
+
+    return part(f.num) / part(f.den)

@@ -190,7 +190,7 @@ def chart_point(chart, rng):
         point[chart.base2] = (point["t1"] ** (chart.n + 2)
                               - p * p / chart.kappa.eval(point))
     try:
-        S = chart.S.map(lambda f: RatFn.of(chart.ring, f.eval(point)))
+        S = chart.S.map(lambda f: f.subs(point))
     except ZeroDivisionError:
         return None
     diagonal = (S.get1(k, k) for k in range(1, chart.n + 2))

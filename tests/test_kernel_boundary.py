@@ -121,3 +121,31 @@ def test_polynomial_readers_refuse_a_fraction():
         with pytest.raises(ValueError, match="not a polynomial"):
             make()
     assert list((x * 3 / 2).items()) == [(Fraction(3, 2), (("x", 1),))]
+
+
+# One evaluator: ring._teval evaluates every term dict, and RatFn.subs,
+# which eval calls at a full point, is its only caller.
+
+def callers(name, node, path=()):
+    """The qualified name of the function around each call of name."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and name in (
+                getattr(child.func, "id", None),
+                getattr(child.func, "attr", None)):
+            yield ".".join(path)
+        inner = path + (child.name,) if isinstance(
+            child, (ast.FunctionDef, ast.ClassDef)) else path
+        yield from callers(name, child, inner)
+
+
+def test_teval_is_called_only_from_subs():
+    found = {f"{p.name}:{q}" for p in SRC.glob("*.py")
+             for q in callers("_teval", parse(p.name))}
+    assert found == {"ratfn.py:RatFn.subs"}
+
+
+def test_no_name_subs_poly_is_left():
+    names = {getattr(node, field, None) for p in SRC.glob("*.py")
+             for node in ast.walk(parse(p.name))
+             for field in ("id", "attr", "name")}
+    assert "_subs_poly" not in names

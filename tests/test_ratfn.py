@@ -15,7 +15,8 @@ from dworklie import (DworkError, KernelInvariant, MatF, RatFn, Ring,
                       ratfn_string, resolve_chart)
 from dworklie.ratfn import ParseError, dot
 from dworklie.ring import _pack, _tdivmod
-from kernel_reference import full, pderive, pmul, poly, psum, tpow, unpack
+from kernel_reference import eval_reference, full, pderive, pmul, poly, \
+    psum, subs_by_terms, tpow, unpack
 
 try:
     import sympy
@@ -308,6 +309,87 @@ def test_eval_names_a_missing_variable():
     assert parse_ratfn(ring, "t1^2").eval({"t1": 2}) == 4
     with pytest.raises(DworkError, match="'c'"):
         parse_ratfn(ring, "c + t1").eval({"t1": 2})
+
+
+def test_eval_and_subs_share_their_refusals():
+    # both take each value through RatFn.of and each name through the ring
+    f = parse_ratfn(R3, "(x + y*z)/x")
+    point = {"x": 1, "y": 2, "z": 3}
+    for call in (f.eval, f.subs):
+        for value in (0.5, "1/3"):
+            with pytest.raises(TypeError, match="not an int, a Fraction"):
+                call({**point, "y": value})
+        with pytest.raises(KeyError, match="'w'"):
+            call({**point, "w": 1})
+    assert f.eval(point) == 7 and f.subs(point) == 7
+
+
+# Evaluation against kernel_reference: subs against the term-by-term
+# substitution, for partial substitutions of RatFn values, and eval against
+# the dense reading at full Fraction points, in a plain ring, the n = 4
+# chart ring with its slot relation and the n = 3 chart ring with a
+# symbolic constant.  A pole or an unsplit denominator must come out of
+# both routes alike.
+
+def eval_pool(ring, extra=()):
+    return ring, ([RatFn.var(ring, v) for v in ring.names]
+                  + [RatFn.of(ring, q) for q in (0, 2, Fraction(-3, 4))]
+                  + list(extra))
+
+
+def chart_pool(n, c=None):
+    """The chart ring with its disc and its two smallest dependent
+    expressions, by term count."""
+    ch = resolve_chart(n, c)
+    exprs = sorted(ch.dep_exprs.values(),
+                   key=lambda f: len(f.num.terms) + len(f.den.terms))
+    return eval_pool(ch.ring, [ch.disc.lift(ch.ring)] + exprs[:2])
+
+
+EVAL_POOLS = [eval_pool(R3, [RatFn.of(R3, 1) / RatFn.var(R3, "y")]),
+              chart_pool(4), chart_pool(3, "sym")]
+
+
+@st.composite
+def evaluands(draw):
+    """(ring, pool, f) for f = (a * b + c) / d, d left out when it has no
+    inverse."""
+    ring, pool = draw(st.sampled_from(EVAL_POOLS))
+    a, b, c, d = (draw(st.sampled_from(pool)) for _ in range(4))
+    f = a * b + c
+    try:
+        f = f / d
+    except (ZeroDivisionError, UnsplitDenominator):
+        pass
+    return ring, pool, f
+
+
+def outcome(route):
+    try:
+        return route()
+    except (ZeroDivisionError, UnsplitDenominator) as e:
+        return type(e)
+
+
+@given(evaluands(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_subs_matches_the_term_by_term_reference(case, data):
+    ring, pool, f = case
+    names = data.draw(st.lists(st.sampled_from(ring.names), unique=True,
+                               max_size=3))
+    vals = {nm: data.draw(st.sampled_from(pool)) for nm in names}
+    assert outcome(lambda: f.subs(vals)) == outcome(
+        lambda: subs_by_terms(f, vals))
+
+
+@given(evaluands(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_eval_matches_the_dense_reference(case, data):
+    ring, _, f = case
+    values = st.fractions(-3, 3, max_denominator=4)
+    point = {nm: data.draw(values) for nm in ring.names}
+    assert outcome(lambda: f.eval(point)) == outcome(
+        lambda: eval_reference(f, point))
 
 
 def test_lift_drops_trailing_variables_that_do_not_occur():
@@ -735,3 +817,13 @@ def test_divmod_leaves_no_term_the_leading_monomial_divides(ring, N, D, a, b):
     if ring is R3:
         assert divmod(RatFn(*num), RatFn(*den)) == (full(poly(ring, Q, q)),
                                                     full(poly(ring, Rm, r)))
+
+
+def test_divmod_refuses_a_remainder_the_relation_makes_a_fraction():
+    # the division ignores the relation u^2 = y/(4x): u*x^2 over x^2 + u
+    # leaves q = u and the remainder -u^2, which the relation makes -y/(4x)
+    ring = Ring(("x", "y", "u"), pivot=2, rel_num={(0, 1, 0): 1},
+                rel_den={(1, 0, 0): 4})
+    x, u = RatFn.var(ring, "x"), RatFn.var(ring, "u")
+    with pytest.raises(ValueError, match="not a polynomial"):
+        divmod(u * x ** 2, x ** 2 + u)
